@@ -26,6 +26,7 @@
 //!   answers.
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 use cloud_market::Region;
 use sim_kernel::{SimDuration, SimTime};
@@ -40,6 +41,30 @@ pub enum BreakerState {
     /// Quarantine expired: the region is offered again and the next
     /// launch outcome there decides (probe).
     HalfOpen,
+}
+
+impl BreakerState {
+    /// The label traces and replay snapshots use for this state.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            BreakerState::Closed => "closed",
+            BreakerState::Open => "open",
+            BreakerState::HalfOpen => "half-open",
+        }
+    }
+}
+
+impl FromStr for BreakerState {
+    type Err = String;
+
+    /// Inverts [`BreakerState::label`].
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [BreakerState::Closed, BreakerState::Open, BreakerState::HalfOpen]
+            .into_iter()
+            .find(|state| state.label() == s)
+            .ok_or_else(|| format!("unknown breaker state `{s}`"))
+    }
 }
 
 /// A breaker state change caused by one recorded observation — returned
@@ -371,6 +396,14 @@ mod tests {
 
     fn t(hours: u64) -> SimTime {
         SimTime::from_hours(hours)
+    }
+
+    #[test]
+    fn breaker_labels_parse_back() {
+        for state in [BreakerState::Closed, BreakerState::Open, BreakerState::HalfOpen] {
+            assert_eq!(state.label().parse::<BreakerState>(), Ok(state));
+        }
+        assert!("half_open".parse::<BreakerState>().unwrap_err().contains("half_open"));
     }
 
     fn no_jitter() -> BreakerPolicy {

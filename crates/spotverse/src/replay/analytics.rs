@@ -6,6 +6,7 @@
 //! `spotverse analyse` CLI and the golden-analytics snapshot tests, so
 //! the committed snapshots gate the CLI output byte-for-byte.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use super::json::{self, num_f64, num_u64, JsonVal};
@@ -38,7 +39,9 @@ impl Percentiles {
             return None;
         }
         let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-finite sample"));
+        // Totals replayed from a crafted trace can overflow to infinities
+        // and NaN; a total order sorts them without panicking.
+        sorted.sort_by(f64::total_cmp);
         let rank = |p: f64| {
             // Nearest-rank: smallest index i with (i+1)/n >= p.
             let n = sorted.len();
@@ -345,15 +348,15 @@ pub fn render_analysis(state: &ReplayState) -> String {
     out
 }
 
-fn pct_json(p: &Percentiles) -> JsonVal {
+fn pct_json(p: &Percentiles) -> JsonVal<'static> {
     JsonVal::Obj(vec![
-        ("count".to_owned(), num_u64(p.count as u64)),
-        ("min".to_owned(), num_f64(p.min)),
-        ("p50".to_owned(), num_f64(p.p50)),
-        ("p90".to_owned(), num_f64(p.p90)),
-        ("p99".to_owned(), num_f64(p.p99)),
-        ("max".to_owned(), num_f64(p.max)),
-        ("mean".to_owned(), num_f64(p.mean)),
+        ("count".into(), num_u64(p.count as u64)),
+        ("min".into(), num_f64(p.min)),
+        ("p50".into(), num_f64(p.p50)),
+        ("p90".into(), num_f64(p.p90)),
+        ("p99".into(), num_f64(p.p99)),
+        ("max".into(), num_f64(p.max)),
+        ("mean".into(), num_f64(p.mean)),
     ])
 }
 
@@ -361,47 +364,49 @@ fn pct_json(p: &Percentiles) -> JsonVal {
 /// variant of [`render_analysis`]).
 #[must_use]
 pub fn render_analysis_json(state: &ReplayState) -> String {
-    let cells: Vec<(String, JsonVal)> = state
+    let cells: Vec<(Cow<'_, str>, JsonVal<'_>)> = state
         .cells
         .iter()
         .map(|(key, cell)| {
             let mut obj = cell.to_json().into_obj().expect("cell snapshot is an object");
-            obj.push(("billed_total".to_owned(), num_f64(cell.ledger.billed_total())));
+            obj.push(("billed_total".into(), num_f64(cell.ledger.billed_total())));
             if let Some(secs) = cell.summary.makespan_secs() {
-                obj.push(("makespan_s".to_owned(), num_u64(secs)));
+                obj.push(("makespan_s".into(), num_u64(secs)));
             }
-            (key.clone(), JsonVal::Obj(obj))
+            (Cow::Borrowed(key.as_str()), JsonVal::Obj(obj))
         })
         .collect();
     let dists: Vec<JsonVal> = strategy_distributions(state)
-        .iter()
+        .into_iter()
         .map(|d| {
             let mut obj = vec![
-                ("strategy".to_owned(), JsonVal::Str(d.strategy.clone())),
-                ("cells".to_owned(), num_u64(d.cells as u64)),
+                ("strategy".into(), JsonVal::Str(Cow::Owned(d.strategy))),
+                ("cells".into(), num_u64(d.cells as u64)),
             ];
             if let Some(cost) = &d.cost {
-                obj.push(("cost".to_owned(), pct_json(cost)));
+                obj.push(("cost".into(), pct_json(cost)));
             }
             if let Some(mk) = &d.makespan_hours {
-                obj.push(("makespan_hours".to_owned(), pct_json(mk)));
+                obj.push(("makespan_hours".into(), pct_json(mk)));
             }
             JsonVal::Obj(obj)
         })
         .collect();
     let wm = win_matrix(state);
     let root = JsonVal::Obj(vec![
-        ("cells".to_owned(), JsonVal::Obj(cells)),
-        ("distributions".to_owned(), JsonVal::Arr(dists)),
+        ("cells".into(), JsonVal::Obj(cells)),
+        ("distributions".into(), JsonVal::Arr(dists)),
         (
-            "win_matrix".to_owned(),
+            "win_matrix".into(),
             JsonVal::Obj(vec![
                 (
-                    "strategies".to_owned(),
-                    JsonVal::Arr(wm.strategies.iter().cloned().map(JsonVal::Str).collect()),
+                    "strategies".into(),
+                    JsonVal::Arr(
+                        wm.strategies.iter().map(|s| JsonVal::Str(Cow::Borrowed(s))).collect(),
+                    ),
                 ),
                 (
-                    "wins".to_owned(),
+                    "wins".into(),
                     JsonVal::Arr(
                         wm.wins
                             .iter()
@@ -409,7 +414,7 @@ pub fn render_analysis_json(state: &ReplayState) -> String {
                             .collect(),
                     ),
                 ),
-                ("contested_seeds".to_owned(), num_u64(wm.contested_seeds as u64)),
+                ("contested_seeds".into(), num_u64(wm.contested_seeds as u64)),
             ]),
         ),
     ]);
@@ -436,6 +441,8 @@ mod tests {
         let single = Percentiles::of(&[3.5]).unwrap();
         assert_eq!(single.p50, 3.5);
         assert_eq!(single.p99, 3.5);
+        let overflowed = Percentiles::of(&[f64::NAN, 1.0, f64::INFINITY]).unwrap();
+        assert_eq!(overflowed.min, 1.0);
     }
 
     #[test]

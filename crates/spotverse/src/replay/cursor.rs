@@ -8,6 +8,8 @@
 //! with [`ReplayCursor::snapshot`] resumes via [`ReplayCursor::resume`]
 //! to the same final state as an uninterrupted pass.
 
+use std::borrow::Cow;
+
 use sim_kernel::SimTime;
 
 use super::json::{self, Fields, JsonVal};
@@ -137,20 +139,20 @@ impl ReplayCursor {
     #[must_use]
     pub fn snapshot(&self) -> String {
         let mut obj = vec![
-            ("version".to_owned(), json::num_u64(SNAPSHOT_VERSION)),
-            ("consumed".to_owned(), json::num_u64(self.consumed)),
-            ("partial".to_owned(), JsonVal::Str(self.partial.clone())),
+            ("version".into(), json::num_u64(SNAPSHOT_VERSION)),
+            ("consumed".into(), json::num_u64(self.consumed)),
+            ("partial".into(), JsonVal::Str(Cow::Borrowed(&self.partial))),
         ];
         if let Some(from) = self.window.from {
-            obj.push(("from".to_owned(), json::num_u64(from.as_secs())));
+            obj.push(("from".into(), json::num_u64(from.as_secs())));
         }
         if let Some(until) = self.window.until {
-            obj.push(("until".to_owned(), json::num_u64(until.as_secs())));
+            obj.push(("until".into(), json::num_u64(until.as_secs())));
         }
         if let Some(cell) = &self.default_cell {
-            obj.push(("default_cell".to_owned(), JsonVal::Str(cell.clone())));
+            obj.push(("default_cell".into(), JsonVal::Str(Cow::Borrowed(cell))));
         }
-        obj.push(("cells".to_owned(), self.state.to_json()));
+        obj.push(("cells".into(), self.state.to_json()));
         let mut out = String::new();
         json::write_into(&JsonVal::Obj(obj), &mut out);
         out
@@ -171,10 +173,10 @@ impl ReplayCursor {
             ));
         }
         let consumed = f.require("consumed")?.as_u64()?;
-        let partial = f.require("partial")?.into_str()?;
+        let partial = f.require("partial")?.into_string()?;
         let from = f.take("from").map(|v| v.as_u64().map(SimTime::from_secs)).transpose()?;
         let until = f.take("until").map(|v| v.as_u64().map(SimTime::from_secs)).transpose()?;
-        let default_cell = f.take("default_cell").map(JsonVal::into_str).transpose()?;
+        let default_cell = f.take("default_cell").map(JsonVal::into_string).transpose()?;
         let state = ReplayState::from_json(f.require("cells")?)?;
         f.finish()?;
         Ok(ReplayCursor {

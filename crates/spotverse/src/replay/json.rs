@@ -8,29 +8,34 @@
 //! all survive exactly. This sets it apart from the pretty-printing JSON
 //! model in `galaxy-flow`, which holds all numbers as `f64` and sorts
 //! object keys.
+//!
+//! Parsed values borrow from the input: a number is a slice of the source
+//! and so is every string without escapes, so a canonical trace line
+//! allocates only its arrays and objects. Each input byte is scanned once.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::trace::push_json_str;
 
 /// A parsed JSON value with nothing normalized away.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JsonVal {
+pub(crate) enum JsonVal<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// Any number, kept as its raw source text.
-    Num(String),
+    Num(Cow<'a, str>),
     /// A string (escapes resolved).
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<JsonVal>),
+    Arr(Vec<JsonVal<'a>>),
     /// An object in source key order.
-    Obj(Vec<(String, JsonVal)>),
+    Obj(Vec<(Cow<'a, str>, JsonVal<'a>)>),
 }
 
-impl JsonVal {
+impl<'a> JsonVal<'a> {
     pub(crate) fn type_name(&self) -> &'static str {
         match self {
             JsonVal::Null => "null",
@@ -71,21 +76,29 @@ impl JsonVal {
         }
     }
 
-    pub(crate) fn into_str(self) -> Result<String, String> {
+    pub(crate) fn as_str(&self) -> Result<&str, String> {
         match self {
             JsonVal::Str(s) => Ok(s),
             other => Err(format!("expected a string, found {}", other.type_name())),
         }
     }
 
-    pub(crate) fn into_arr(self) -> Result<Vec<JsonVal>, String> {
+    /// The string as an owned `String`; allocates only if it was borrowed.
+    pub(crate) fn into_string(self) -> Result<String, String> {
+        match self {
+            JsonVal::Str(s) => Ok(s.into_owned()),
+            other => Err(format!("expected a string, found {}", other.type_name())),
+        }
+    }
+
+    pub(crate) fn into_arr(self) -> Result<Vec<JsonVal<'a>>, String> {
         match self {
             JsonVal::Arr(items) => Ok(items),
             other => Err(format!("expected an array, found {}", other.type_name())),
         }
     }
 
-    pub(crate) fn into_obj(self) -> Result<Vec<(String, JsonVal)>, String> {
+    pub(crate) fn into_obj(self) -> Result<Vec<(Cow<'a, str>, JsonVal<'a>)>, String> {
         match self {
             JsonVal::Obj(entries) => Ok(entries),
             other => Err(format!("expected an object, found {}", other.type_name())),
@@ -94,22 +107,22 @@ impl JsonVal {
 }
 
 /// Parses one complete JSON document, rejecting trailing garbage.
-pub(crate) fn parse(input: &str) -> Result<JsonVal, String> {
-    let mut p = Scanner { bytes: input.as_bytes(), pos: 0 };
+pub(crate) fn parse(input: &str) -> Result<JsonVal<'_>, String> {
+    let mut p = Scanner { src: input, pos: 0 };
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Scanner<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
-impl Scanner<'_> {
+impl<'a> Scanner<'a> {
     fn err<T>(&self, message: impl Into<String>) -> Result<T, String> {
         Err(format!("{} (byte {})", message.into(), self.pos))
     }
@@ -121,19 +134,26 @@ impl Scanner<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    fn eat(&mut self, b: u8) -> bool {
+        let found = self.peek() == Some(b);
+        if found {
+            self.pos += 1;
+        }
+        found
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+        if self.eat(b) {
             Ok(())
         } else {
             self.err(format!("expected `{}`", b as char))
         }
     }
 
-    fn value(&mut self) -> Result<JsonVal, String> {
+    fn value(&mut self) -> Result<JsonVal<'a>, String> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => self.object(),
@@ -148,8 +168,8 @@ impl Scanner<'_> {
         }
     }
 
-    fn keyword(&mut self, word: &str, value: JsonVal) -> Result<JsonVal, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn keyword(&mut self, word: &str, value: JsonVal<'a>) -> Result<JsonVal<'a>, String> {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -157,77 +177,161 @@ impl Scanner<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<JsonVal, String> {
+    /// Skips ASCII digits and returns how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
-        while self.peek().is_some_and(|b| {
-            b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-        }) {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
-        match raw.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(JsonVal::Num(raw.to_owned())),
-            _ => self.err(format!("invalid number `{raw}`")),
-        }
+        self.pos - start
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, finite.
+    fn number(&mut self) -> Result<JsonVal<'a>, String> {
+        let start = self.pos;
+        self.eat(b'-');
+        let int_digits = match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                    return self.err("invalid number: leading zero");
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return self.err("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "non-ASCII in \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                    self.pos += 1;
+                1
+            }
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return self.err("invalid number: expected a digit"),
+        };
+        if self.eat(b'.') && self.digits() == 0 {
+            return self.err("invalid number: expected a digit after `.`");
+        }
+        let exponent = matches!(self.peek(), Some(b'e' | b'E'));
+        if exponent {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return self.err("invalid number: expected an exponent digit");
+            }
+        }
+        let raw = &self.src[start..self.pos];
+        // Below 10^300 with no exponent a number is finite, so only the
+        // rest pay for a float parse.
+        if (exponent || int_digits > 300) && !raw.parse::<f64>().is_ok_and(f64::is_finite) {
+            return self.err(format!("invalid number `{raw}`"));
+        }
+        Ok(JsonVal::Num(Cow::Borrowed(raw)))
+    }
+
+    /// Advances to the next `"` or `\` and returns it. Both are ASCII, so
+    /// they always fall on character boundaries and the bytes skipped are
+    /// whole characters.
+    fn run(&mut self) -> Result<u8, String> {
+        let rest = &self.src.as_bytes()[self.pos..];
+        match rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) {
+            Some(i) => {
+                self.pos += i;
+                match rest[i] {
+                    b if b < 0x20 => self.err("unescaped control character in string"),
+                    b => Ok(b),
                 }
-                Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let ch = rest.chars().next().expect("non-empty checked above");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            }
+            None => {
+                self.pos += rest.len();
+                self.err("unterminated string")
             }
         }
     }
 
-    fn array(&mut self) -> Result<JsonVal, String> {
+    /// A string without escapes is borrowed from the input; only one with
+    /// escapes is copied.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        if self.run()? == b'"' {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.src[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.src[start..self.pos]);
+        loop {
+            self.escape(&mut out)?;
+            let start = self.pos;
+            let stop = self.run()?;
+            out.push_str(&self.src[start..self.pos]);
+            if stop == b'"' {
+                self.pos += 1;
+                return Ok(Cow::Owned(out));
+            }
+        }
+    }
+
+    /// Decodes the escape at `pos` (a `\`) onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        self.pos += 1;
+        let ch = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape(out);
+            }
+            _ => return self.err("bad escape"),
+        };
+        self.pos += 1;
+        out.push(ch);
+        Ok(())
+    }
+
+    /// Decodes `XXXX` after `\u`, joining a UTF-16 surrogate pair written
+    /// as two escapes into one character.
+    fn unicode_escape(&mut self, out: &mut String) -> Result<(), String> {
+        let high = self.hex4()?;
+        let code = match high {
+            0xD800..=0xDBFF => {
+                if !self.src.as_bytes()[self.pos..].starts_with(b"\\u") {
+                    return self.err(format!("unpaired surrogate \\u{high:04x}"));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return self.err(format!("unpaired surrogate \\u{high:04x}"));
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return self.err(format!("unpaired surrogate \\u{high:04x}")),
+            code => code,
+        };
+        out.push(char::from_u32(code).expect("a non-surrogate below U+110000 is a char"));
+        Ok(())
+    }
+
+    /// Exactly four hex digits.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let Some(digits) = self.src.as_bytes().get(self.pos..self.pos + 4) else {
+            return self.err("truncated \\u escape");
+        };
+        let mut code = 0;
+        for &b in digits {
+            match char::from(b).to_digit(16) {
+                Some(d) => code = code * 16 + d,
+                None => return self.err("\\u escape needs four hex digits"),
+            }
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    fn array(&mut self) -> Result<JsonVal<'a>, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
+        if self.eat(b']') {
             return Ok(JsonVal::Arr(items));
         }
         loop {
@@ -244,12 +348,13 @@ impl Scanner<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonVal, String> {
+    fn object(&mut self) -> Result<JsonVal<'a>, String> {
         self.expect(b'{')?;
-        let mut entries: Vec<(String, JsonVal)> = Vec::new();
+        // Most trace records have eight fields: reserving them up front
+        // saves growing the vector through four.
+        let mut entries: Vec<(Cow<'a, str>, JsonVal<'a>)> = Vec::with_capacity(8);
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
+        if self.eat(b'}') {
             return Ok(JsonVal::Obj(entries));
         }
         loop {
@@ -279,7 +384,7 @@ impl Scanner<'_> {
 /// text verbatim, the same string escapes the trace writer uses. For a
 /// value built by [`parse`] from canonical input, `write ∘ parse` is the
 /// identity.
-pub(crate) fn write_into(value: &JsonVal, out: &mut String) {
+pub(crate) fn write_into(value: &JsonVal<'_>, out: &mut String) {
     match value {
         JsonVal::Null => out.push_str("null"),
         JsonVal::Bool(b) => {
@@ -313,28 +418,28 @@ pub(crate) fn write_into(value: &JsonVal, out: &mut String) {
 }
 
 /// Convenience helpers for building snapshot documents.
-pub(crate) fn num_u64(n: u64) -> JsonVal {
-    JsonVal::Num(n.to_string())
+pub(crate) fn num_u64(n: u64) -> JsonVal<'static> {
+    JsonVal::Num(Cow::Owned(n.to_string()))
 }
 
-pub(crate) fn num_f64(n: f64) -> JsonVal {
-    JsonVal::Num(format!("{n}"))
+pub(crate) fn num_f64(n: f64) -> JsonVal<'static> {
+    JsonVal::Num(Cow::Owned(format!("{n}")))
 }
 
 /// Field cursor over a parsed object: every field must be taken exactly
 /// once, so corrupt or unexpected fields fail loudly instead of being
 /// silently ignored.
-pub(crate) struct Fields {
-    entries: Vec<(String, Option<JsonVal>)>,
+pub(crate) struct Fields<'a> {
+    entries: Vec<(Cow<'a, str>, Option<JsonVal<'a>>)>,
 }
 
-impl Fields {
-    pub(crate) fn new(obj: Vec<(String, JsonVal)>) -> Self {
+impl<'a> Fields<'a> {
+    pub(crate) fn new(obj: Vec<(Cow<'a, str>, JsonVal<'a>)>) -> Self {
         Fields { entries: obj.into_iter().map(|(k, v)| (k, Some(v))).collect() }
     }
 
     /// Takes an optional field.
-    pub(crate) fn take(&mut self, key: &str) -> Option<JsonVal> {
+    pub(crate) fn take(&mut self, key: &str) -> Option<JsonVal<'a>> {
         self.entries
             .iter_mut()
             .find(|(k, v)| k == key && v.is_some())
@@ -342,7 +447,7 @@ impl Fields {
     }
 
     /// Takes a required field.
-    pub(crate) fn require(&mut self, key: &str) -> Result<JsonVal, String> {
+    pub(crate) fn require(&mut self, key: &str) -> Result<JsonVal<'a>, String> {
         self.take(key).ok_or_else(|| format!("missing field `{key}`"))
     }
 
@@ -359,9 +464,13 @@ impl Fields {
 mod tests {
     use super::*;
 
+    fn str_of(doc: &str) -> Result<String, String> {
+        parse(doc)?.into_string()
+    }
+
     #[test]
     fn raw_number_text_survives() {
-        for raw in ["2", "2.5", "0.05460761339122153", "-3", "1e3"] {
+        for raw in ["2", "2.5", "0.05460761339122153", "-3", "1e3", "0", "-0.5", "1E+2"] {
             let doc = format!("{{\"x\":{raw}}}");
             let parsed = parse(&doc).unwrap();
             let mut out = String::new();
@@ -385,7 +494,62 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"open").is_err());
         assert!(parse("1e999").is_err(), "non-finite numbers rejected");
+        assert!(parse(&"9".repeat(400)).is_err(), "non-finite numbers rejected");
         assert!(parse("{\"a\":1,\"a\":2}").is_err(), "duplicate keys rejected");
+        assert!(parse("\"tab\there\"").is_err(), "raw control characters rejected");
+    }
+
+    #[test]
+    fn rejects_numbers_outside_the_json_grammar() {
+        for raw in ["01", "-01", "1.", "-.5", ".5", "1e", "1e+", "-", "1.e3", "+1"] {
+            let err = parse(raw).unwrap_err();
+            assert!(err.contains("byte"), "`{raw}`: {err}");
+            assert!(parse(&format!("[{raw}]")).is_err(), "`{raw}` inside an array");
+        }
+    }
+
+    #[test]
+    fn strings_without_escapes_are_borrowed() {
+        let doc = "{\"key\":\"plain ü\",\"esc\":\"a\\nb\"}";
+        let obj = parse(doc).unwrap().into_obj().unwrap();
+        assert!(obj.iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
+        assert!(matches!(obj[0].1, JsonVal::Str(Cow::Borrowed("plain ü"))));
+        assert!(matches!(&obj[1].1, JsonVal::Str(Cow::Owned(s)) if s == "a\nb"));
+    }
+
+    #[test]
+    fn multibyte_text_around_escapes() {
+        assert_eq!(str_of("\"é\\\"ß\\\\€\"").unwrap(), "é\"ß\\€");
+        assert_eq!(str_of("\"\\u00e9x\\u20ac\"").unwrap(), "éx€");
+    }
+
+    #[test]
+    fn unicode_escape_needs_exactly_four_hex_digits() {
+        for bad in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\"", "\"\\u04\"", "\"\\u004g\"", "\"\\u00"] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
+        assert_eq!(str_of("\"\\u0041\\u004a\\u004A\"").unwrap(), "AJJ");
+    }
+
+    #[test]
+    fn surrogate_pair_decodes_to_one_char() {
+        assert_eq!(str_of("\"\\ud83d\\ude00\"").unwrap(), "\u{1F600}");
+        assert_eq!(str_of("\"x\\uD83D\\uDE00y\"").unwrap(), "x\u{1F600}y");
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        for bad in [
+            "\"\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ude00\"",
+            "\"\\ude00\\ud83d\"",
+            "\"\\ud83d\\n\"",
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("surrogate"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -396,7 +560,7 @@ mod tests {
         assert!(fields.finish().unwrap_err().contains("`b`"));
         let mut fields = Fields::new(obj);
         fields.require("a").unwrap();
-        assert_eq!(fields.take("b").unwrap().into_str().unwrap(), "x");
+        assert_eq!(fields.take("b").unwrap().as_str().unwrap(), "x");
         assert!(fields.take("b").is_none(), "fields are taken at most once");
         fields.finish().unwrap();
     }

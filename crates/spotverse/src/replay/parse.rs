@@ -15,7 +15,6 @@ use cloud_compute::InstanceId;
 use cloud_market::Region;
 use sim_kernel::{SimDuration, SimTime};
 
-use crate::health::BreakerState;
 use crate::optimizer::{CandidateOutcome, CandidateVerdict, Placement};
 use crate::trace::{
     append_record_json, append_truncation_json, DecisionKind, TraceEvent, TraceRecord,
@@ -75,10 +74,7 @@ impl TraceLine {
 pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
     let obj = json::parse(line)?.into_obj()?;
     let mut fields = Fields::new(obj);
-    let cell = match fields.take("cell") {
-        Some(v) => Some(v.into_str()?),
-        None => None,
-    };
+    let cell = fields.take("cell").map(JsonVal::into_string).transpose()?;
     if let Some(truncated) = fields.take("truncated") {
         if !truncated.as_bool()? {
             return Err("`truncated` must be true".to_owned());
@@ -89,8 +85,8 @@ pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
     }
     let seq = fields.require("seq")?.as_u64()?;
     let at = SimTime::from_secs(fields.require("t")?.as_u64()?);
-    let label = fields.require("event")?.into_str()?;
-    let event = decode_event(&label, &mut fields)?;
+    let label = fields.require("event")?;
+    let event = decode_event(label.as_str()?, &mut fields)?;
     fields.finish()?;
     Ok(TraceLine::Record { cell, record: TraceRecord { seq, at, event } })
 }
@@ -130,21 +126,24 @@ pub fn trace_lines_to_jsonl(lines: &[TraceLine]) -> String {
     out
 }
 
-fn decode_region(v: JsonVal) -> Result<Region, String> {
-    let name = v.into_str()?;
-    Region::from_str(&name).map_err(|_| format!("unknown region `{name}`"))
+fn region_named(name: &str) -> Result<Region, String> {
+    Region::from_str(name).map_err(|_| format!("unknown region `{name}`"))
 }
 
-fn decode_opt_region(fields: &mut Fields, key: &str) -> Result<Option<Region>, String> {
+fn decode_region(v: JsonVal<'_>) -> Result<Region, String> {
+    region_named(v.as_str()?)
+}
+
+fn decode_opt_region(fields: &mut Fields<'_>, key: &str) -> Result<Option<Region>, String> {
     fields.take(key).map(decode_region).transpose()
 }
 
-fn decode_workload(fields: &mut Fields) -> Result<usize, String> {
+fn decode_workload(fields: &mut Fields<'_>) -> Result<usize, String> {
     fields.require("workload")?.as_usize()
 }
 
-fn decode_instance(v: JsonVal) -> Result<InstanceId, String> {
-    let s = v.into_str()?;
+fn decode_instance(v: JsonVal<'_>) -> Result<InstanceId, String> {
+    let s = v.as_str()?;
     let hex = s
         .strip_prefix("i-")
         .ok_or_else(|| format!("instance id `{s}` does not start with `i-`"))?;
@@ -153,35 +152,26 @@ fn decode_instance(v: JsonVal) -> Result<InstanceId, String> {
         .map_err(|_| format!("instance id `{s}` is not hex"))
 }
 
-fn decode_breaker_state(v: JsonVal) -> Result<BreakerState, String> {
-    match v.into_str()?.as_str() {
-        "closed" => Ok(BreakerState::Closed),
-        "open" => Ok(BreakerState::Open),
-        "half-open" => Ok(BreakerState::HalfOpen),
-        other => Err(format!("unknown breaker state `{other}`")),
-    }
-}
-
-fn decode_placement(v: JsonVal) -> Result<Placement, String> {
-    let s = v.into_str()?;
+fn decode_placement(v: JsonVal<'_>) -> Result<Placement, String> {
+    let s = v.as_str()?;
     if let Some(region) = s.strip_prefix("spot:") {
-        return decode_region(JsonVal::Str(region.to_owned())).map(Placement::Spot);
+        return region_named(region).map(Placement::Spot);
     }
     if let Some(region) = s.strip_prefix("od:") {
-        return decode_region(JsonVal::Str(region.to_owned())).map(Placement::OnDemand);
+        return region_named(region).map(Placement::OnDemand);
     }
     Err(format!("placement `{s}` is neither `spot:<region>` nor `od:<region>`"))
 }
 
-fn decode_candidate_outcome(v: JsonVal) -> Result<CandidateOutcome, String> {
-    let s = v.into_str()?;
+fn decode_candidate_outcome(v: JsonVal<'_>) -> Result<CandidateOutcome, String> {
+    let s = v.as_str()?;
     if let Some(rank) = s.strip_prefix("selected:") {
         let rank = rank
             .parse::<usize>()
             .map_err(|_| format!("selected rank `{rank}` is not an integer"))?;
         return Ok(CandidateOutcome::Selected { rank });
     }
-    match s.as_str() {
+    match s {
         "quarantined" => Ok(CandidateOutcome::Quarantined),
         "not-preferred" => Ok(CandidateOutcome::NotPreferred),
         "below-threshold" => Ok(CandidateOutcome::BelowThreshold),
@@ -191,7 +181,7 @@ fn decode_candidate_outcome(v: JsonVal) -> Result<CandidateOutcome, String> {
     }
 }
 
-fn decode_candidates(v: JsonVal) -> Result<Vec<CandidateVerdict>, String> {
+fn decode_candidates(v: JsonVal<'_>) -> Result<Vec<CandidateVerdict>, String> {
     v.into_arr()?
         .into_iter()
         .map(|item| {
@@ -214,8 +204,8 @@ fn decode_candidates(v: JsonVal) -> Result<Vec<CandidateVerdict>, String> {
 const CHAOS_FAULT_KINDS: [&str; 4] =
     ["spot_blackout", "chaos_interruption", "notice_shortened", "checkpoint_corruption"];
 
-fn decode_chaos_kind(v: JsonVal) -> Result<&'static str, String> {
-    let s = v.into_str()?;
+fn decode_chaos_kind(v: JsonVal<'_>) -> Result<&'static str, String> {
+    let s = v.as_str()?;
     CHAOS_FAULT_KINDS
         .iter()
         .find(|k| **k == s)
@@ -223,8 +213,8 @@ fn decode_chaos_kind(v: JsonVal) -> Result<&'static str, String> {
         .ok_or_else(|| format!("unknown chaos fault kind `{s}`"))
 }
 
-fn decode_priority_label(v: JsonVal) -> Result<&'static str, String> {
-    let s = v.into_str()?;
+fn decode_priority_label(v: JsonVal<'_>) -> Result<&'static str, String> {
+    let s = v.as_str()?;
     ["batch", "standard", "interactive"]
         .iter()
         .find(|p| **p == s)
@@ -232,18 +222,18 @@ fn decode_priority_label(v: JsonVal) -> Result<&'static str, String> {
         .ok_or_else(|| format!("unknown priority `{s}`"))
 }
 
-fn decode_duration_secs(fields: &mut Fields, key: &str) -> Result<SimDuration, String> {
+fn decode_duration_secs(fields: &mut Fields<'_>, key: &str) -> Result<SimDuration, String> {
     Ok(SimDuration::from_secs(fields.require(key)?.as_u64()?))
 }
 
-fn decode_event(label: &str, fields: &mut Fields) -> Result<TraceEvent, String> {
+fn decode_event(label: &str, fields: &mut Fields<'_>) -> Result<TraceEvent, String> {
     match label {
         "run_started" => Ok(TraceEvent::RunStarted {
-            strategy: fields.require("strategy")?.into_str()?,
+            strategy: fields.require("strategy")?.into_string()?,
             seed: fields.require("seed")?.as_u64()?,
             workloads: fields.require("workloads")?.as_usize()?,
-            chaos: fields.take("chaos").map(JsonVal::into_str).transpose()?,
-            regime: fields.take("regime").map(JsonVal::into_str).transpose()?,
+            chaos: fields.take("chaos").map(JsonVal::into_string).transpose()?,
+            regime: fields.take("regime").map(JsonVal::into_string).transpose()?,
         }),
         "collection_failed" => Ok(TraceEvent::CollectionFailed {
             retryable: fields.require("retryable")?.as_bool()?,
@@ -256,7 +246,7 @@ fn decode_event(label: &str, fields: &mut Fields) -> Result<TraceEvent, String> 
             duration: decode_duration_secs(fields, "duration_s")?,
         }),
         "decision" => {
-            let kind = match fields.require("kind")?.into_str()?.as_str() {
+            let kind = match fields.require("kind")?.as_str()? {
                 "initial" => DecisionKind::Initial,
                 "migration" => DecisionKind::Migration,
                 other => return Err(format!("unknown decision kind `{other}`")),
@@ -332,8 +322,8 @@ fn decode_event(label: &str, fields: &mut Fields) -> Result<TraceEvent, String> 
         }),
         "breaker" => Ok(TraceEvent::Breaker {
             region: decode_region(fields.require("region")?)?,
-            from: decode_breaker_state(fields.require("from")?)?,
-            to: decode_breaker_state(fields.require("to")?)?,
+            from: fields.require("from")?.as_str()?.parse()?,
+            to: fields.require("to")?.as_str()?.parse()?,
         }),
         "chaos_fault" => Ok(TraceEvent::ChaosFault {
             kind: decode_chaos_kind(fields.require("kind")?)?,
@@ -351,7 +341,7 @@ fn decode_event(label: &str, fields: &mut Fields) -> Result<TraceEvent, String> 
                 Some(v) => v
                     .into_arr()?
                     .into_iter()
-                    .map(JsonVal::into_str)
+                    .map(JsonVal::into_string)
                     .collect::<Result<Vec<_>, _>>()?,
             },
             priorities: match fields.take("priority") {

@@ -7,7 +7,7 @@
 //! what makes the trace log the system of record: any figure a live run
 //! reports must be recomputable from the log alone.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
 use std::str::FromStr;
 
 use cloud_market::Region;
@@ -233,7 +233,8 @@ impl OccupancyView {
         if let Some(prev) = self.last_change {
             let dt = at.saturating_duration_since(prev).as_secs();
             if self.running > 0 {
-                self.instance_seconds += self.running as u64 * dt;
+                self.instance_seconds =
+                    self.instance_seconds.saturating_add((self.running as u64).saturating_mul(dt));
             }
         }
         self.running += delta;
@@ -339,7 +340,7 @@ impl CellState {
                 self.summary.chaos = chaos.clone();
                 self.summary.regime = regime.clone();
                 self.summary.started_at = Some(at);
-                self.occupancy.arrived += *workloads as u64;
+                self.occupancy.arrived = self.occupancy.arrived.saturating_add(*workloads as u64);
             }
             TraceEvent::CollectionFailed { retryable } => {
                 self.resilience.collection_failures += 1;
@@ -350,7 +351,8 @@ impl CellState {
             TraceEvent::StaleServe { .. } => self.resilience.stale_serves += 1,
             TraceEvent::DegradedDecision { .. } => self.resilience.degraded_decisions += 1,
             TraceEvent::DegradedInterval { duration } => {
-                self.resilience.degraded_seconds += duration.as_secs();
+                self.resilience.degraded_seconds =
+                    self.resilience.degraded_seconds.saturating_add(duration.as_secs());
             }
             TraceEvent::Decision { kind, .. } => {
                 self.summary.decisions += 1;
@@ -391,7 +393,8 @@ impl CellState {
                 if *recorded {
                     self.checkpoints.recorded += 1;
                 }
-                self.checkpoints.units_saved += *units as u64;
+                self.checkpoints.units_saved =
+                    self.checkpoints.units_saved.saturating_add(*units as u64);
             }
             TraceEvent::CheckpointTorn { .. } => self.checkpoints.torn += 1,
             TraceEvent::CheckpointRestore { units, corrupt_dropped, scratch, .. } => {
@@ -399,8 +402,10 @@ impl CellState {
                 if *scratch {
                     self.checkpoints.scratch_restores += 1;
                 }
-                self.checkpoints.corrupt_dropped += corrupt_dropped;
-                self.checkpoints.units_restored += *units as u64;
+                self.checkpoints.corrupt_dropped =
+                    self.checkpoints.corrupt_dropped.saturating_add(*corrupt_dropped);
+                self.checkpoints.units_restored =
+                    self.checkpoints.units_restored.saturating_add(*units as u64);
             }
             TraceEvent::Breaker { region, from, to } => {
                 let idx = *region as usize;
@@ -437,7 +442,8 @@ impl CellState {
             }
             TraceEvent::ShardDispatched { attempt, cells, .. } => {
                 self.shards.dispatches += 1;
-                self.shards.cells_dispatched += *cells as u64;
+                self.shards.cells_dispatched =
+                    self.shards.cells_dispatched.saturating_add(*cells as u64);
                 self.shards.max_attempt = self.shards.max_attempt.max(*attempt);
             }
             TraceEvent::LeaseExpired { .. } => self.shards.lease_expiries += 1,
@@ -472,7 +478,9 @@ pub struct ReplayState {
 impl ReplayState {
     /// The cell for `key`, created on first touch.
     pub fn cell_mut(&mut self, key: &str) -> &mut CellState {
-        if let Some(i) = self.cells.iter().position(|(k, _)| k == key) {
+        // Keys are unique, and a merged trace writes each cell's records
+        // together, so searching from the newest cell finds it first.
+        if let Some(i) = self.cells.iter().rposition(|(k, _)| k == key) {
             return &mut self.cells[i].1;
         }
         self.cells.push((key.to_owned(), CellState::default()));
@@ -496,7 +504,7 @@ impl ReplayState {
             }
             TraceLine::Truncated { cell, dropped } => {
                 let state = self.cell_mut(cell.as_deref().unwrap_or(""));
-                state.dropped = Some(state.dropped.unwrap_or(0) + dropped);
+                state.dropped = Some(state.dropped.unwrap_or(0).saturating_add(*dropped));
             }
         }
     }
@@ -516,41 +524,22 @@ pub fn replay_lines(lines: &[TraceLine], window: TimeWindow) -> ReplayState {
 // Snapshot serialization (cursor resume).
 // ---------------------------------------------------------------------------
 
-fn breaker_label(state: BreakerState) -> &'static str {
-    match state {
-        BreakerState::Closed => "closed",
-        BreakerState::Open => "open",
-        BreakerState::HalfOpen => "half-open",
-    }
+fn num_i64(n: i64) -> JsonVal<'static> {
+    JsonVal::Num(Cow::Owned(n.to_string()))
 }
 
-fn parse_breaker(v: JsonVal) -> Result<BreakerState, String> {
-    match v.into_str()?.as_str() {
-        "closed" => Ok(BreakerState::Closed),
-        "open" => Ok(BreakerState::Open),
-        "half-open" => Ok(BreakerState::HalfOpen),
-        other => Err(format!("unknown breaker state `{other}`")),
-    }
-}
-
-fn num_i64(n: i64) -> JsonVal {
-    let mut s = String::new();
-    let _ = write!(s, "{n}");
-    JsonVal::Num(s)
-}
-
-fn as_i64(v: &JsonVal) -> Result<i64, String> {
+fn as_i64(v: &JsonVal<'_>) -> Result<i64, String> {
     match v {
         JsonVal::Num(raw) => raw.parse::<i64>().map_err(|_| format!("`{raw}` is not an i64")),
         other => Err(format!("expected integer, found {}", other.type_name())),
     }
 }
 
-fn u64_arr(values: &[u64]) -> JsonVal {
+fn u64_arr(values: &[u64]) -> JsonVal<'static> {
     JsonVal::Arr(values.iter().map(|v| num_u64(*v)).collect())
 }
 
-fn take_u64_arr<const N: usize>(fields: &mut Fields, key: &str) -> Result<[u64; N], String> {
+fn take_u64_arr<const N: usize>(fields: &mut Fields<'_>, key: &str) -> Result<[u64; N], String> {
     let items = fields.require(key)?.into_arr()?;
     if items.len() != N {
         return Err(format!("`{key}` must have {N} entries, found {}", items.len()));
@@ -562,46 +551,54 @@ fn take_u64_arr<const N: usize>(fields: &mut Fields, key: &str) -> Result<[u64; 
     Ok(out)
 }
 
-fn opt_time(t: Option<SimTime>) -> Option<JsonVal> {
+fn opt_time(t: Option<SimTime>) -> Option<JsonVal<'static>> {
     t.map(|t| num_u64(t.as_secs()))
 }
 
-fn push_opt(obj: &mut Vec<(String, JsonVal)>, key: &str, v: Option<JsonVal>) {
+fn push_opt<'a>(
+    obj: &mut Vec<(Cow<'a, str>, JsonVal<'a>)>,
+    key: &'static str,
+    v: Option<JsonVal<'a>>,
+) {
     if let Some(v) = v {
-        obj.push((key.to_owned(), v));
+        obj.push((key.into(), v));
     }
 }
 
-fn take_time(fields: &mut Fields, key: &str) -> Result<Option<SimTime>, String> {
+fn opt_str(s: &Option<String>) -> Option<JsonVal<'_>> {
+    s.as_deref().map(|s| JsonVal::Str(Cow::Borrowed(s)))
+}
+
+fn take_time(fields: &mut Fields<'_>, key: &str) -> Result<Option<SimTime>, String> {
     fields.take(key).map(|v| v.as_u64().map(SimTime::from_secs)).transpose()
 }
 
 impl RunSummary {
-    fn to_json(&self) -> JsonVal {
+    fn to_json(&self) -> JsonVal<'_> {
         let mut obj = Vec::new();
-        push_opt(&mut obj, "strategy", self.strategy.clone().map(JsonVal::Str));
+        push_opt(&mut obj, "strategy", opt_str(&self.strategy));
         push_opt(&mut obj, "seed", self.seed.map(num_u64));
         push_opt(&mut obj, "workloads", self.workloads.map(|w| num_u64(w as u64)));
-        push_opt(&mut obj, "chaos", self.chaos.clone().map(JsonVal::Str));
-        push_opt(&mut obj, "regime", self.regime.clone().map(JsonVal::Str));
+        push_opt(&mut obj, "chaos", opt_str(&self.chaos));
+        push_opt(&mut obj, "regime", opt_str(&self.regime));
         push_opt(&mut obj, "started_at", opt_time(self.started_at));
         push_opt(&mut obj, "ended_at", opt_time(self.ended_at));
         push_opt(&mut obj, "last_completion", opt_time(self.last_completion));
-        obj.push(("completed".to_owned(), num_u64(self.completed as u64)));
-        obj.push(("aborted".to_owned(), JsonVal::Bool(self.aborted)));
-        obj.push(("decisions".to_owned(), num_u64(self.decisions)));
-        obj.push(("migrations".to_owned(), num_u64(self.migrations)));
+        obj.push(("completed".into(), num_u64(self.completed as u64)));
+        obj.push(("aborted".into(), JsonVal::Bool(self.aborted)));
+        obj.push(("decisions".into(), num_u64(self.decisions)));
+        obj.push(("migrations".into(), num_u64(self.migrations)));
         JsonVal::Obj(obj)
     }
 
-    fn from_json(v: JsonVal) -> Result<Self, String> {
+    fn from_json(v: JsonVal<'_>) -> Result<Self, String> {
         let mut f = Fields::new(v.into_obj()?);
         let out = RunSummary {
-            strategy: f.take("strategy").map(JsonVal::into_str).transpose()?,
+            strategy: f.take("strategy").map(JsonVal::into_string).transpose()?,
             seed: f.take("seed").map(|v| v.as_u64()).transpose()?,
             workloads: f.take("workloads").map(|v| v.as_usize()).transpose()?,
-            chaos: f.take("chaos").map(JsonVal::into_str).transpose()?,
-            regime: f.take("regime").map(JsonVal::into_str).transpose()?,
+            chaos: f.take("chaos").map(JsonVal::into_string).transpose()?,
+            regime: f.take("regime").map(JsonVal::into_string).transpose()?,
             started_at: take_time(&mut f, "started_at")?,
             ended_at: take_time(&mut f, "ended_at")?,
             last_completion: take_time(&mut f, "last_completion")?,
@@ -616,21 +613,21 @@ impl RunSummary {
 }
 
 impl RegionLedger {
-    fn to_json(self) -> JsonVal {
+    fn to_json(self) -> JsonVal<'static> {
         JsonVal::Obj(vec![
-            ("spot".to_owned(), num_u64(self.spot_launches)),
-            ("od".to_owned(), num_u64(self.on_demand_launches)),
-            ("interruptions".to_owned(), num_u64(self.interruptions)),
-            ("completions".to_owned(), num_u64(self.completions)),
-            ("expirations".to_owned(), num_u64(self.expirations)),
-            ("opens".to_owned(), num_u64(self.request_opens)),
-            ("failures".to_owned(), num_u64(self.request_failures)),
-            ("deferrals".to_owned(), num_u64(self.capacity_deferrals)),
-            ("billed".to_owned(), num_f64(self.billed)),
+            ("spot".into(), num_u64(self.spot_launches)),
+            ("od".into(), num_u64(self.on_demand_launches)),
+            ("interruptions".into(), num_u64(self.interruptions)),
+            ("completions".into(), num_u64(self.completions)),
+            ("expirations".into(), num_u64(self.expirations)),
+            ("opens".into(), num_u64(self.request_opens)),
+            ("failures".into(), num_u64(self.request_failures)),
+            ("deferrals".into(), num_u64(self.capacity_deferrals)),
+            ("billed".into(), num_f64(self.billed)),
         ])
     }
 
-    fn from_json(v: JsonVal) -> Result<Self, String> {
+    fn from_json(v: JsonVal<'_>) -> Result<Self, String> {
         let mut f = Fields::new(v.into_obj()?);
         let out = RegionLedger {
             spot_launches: f.require("spot")?.as_u64()?,
@@ -650,12 +647,12 @@ impl RegionLedger {
 
 impl CellState {
     /// Serializes the cell to a JSON value for cursor snapshots.
-    pub(crate) fn to_json(&self) -> JsonVal {
-        let mut obj = vec![("summary".to_owned(), self.summary.to_json())];
+    pub(crate) fn to_json(&self) -> JsonVal<'_> {
+        let mut obj = vec![("summary".into(), self.summary.to_json())];
         let ledger: Vec<JsonVal> =
             self.ledger.regions.iter().map(|l| l.to_json()).collect();
-        obj.push(("ledger".to_owned(), JsonVal::Arr(ledger)));
-        obj.push(("unattributed".to_owned(), num_f64(self.ledger.unattributed_billed)));
+        obj.push(("ledger".into(), JsonVal::Arr(ledger)));
+        obj.push(("unattributed".into(), num_f64(self.ledger.unattributed_billed)));
         let transitions: Vec<JsonVal> = self
             .breakers
             .transitions
@@ -663,21 +660,21 @@ impl CellState {
             .map(|t| {
                 JsonVal::Arr(vec![
                     num_u64(t.at.as_secs()),
-                    JsonVal::Str(t.region.name().to_owned()),
-                    JsonVal::Str(breaker_label(t.from).to_owned()),
-                    JsonVal::Str(breaker_label(t.to).to_owned()),
+                    JsonVal::Str(Cow::Borrowed(t.region.name())),
+                    JsonVal::Str(t.from.label().into()),
+                    JsonVal::Str(t.to.label().into()),
                 ])
             })
             .collect();
-        obj.push(("transitions".to_owned(), JsonVal::Arr(transitions)));
-        obj.push(("trips".to_owned(), u64_arr(&self.breakers.trips)));
+        obj.push(("transitions".into(), JsonVal::Arr(transitions)));
+        obj.push(("trips".into(), u64_arr(&self.breakers.trips)));
         obj.push((
-            "breaker_states".to_owned(),
+            "breaker_states".into(),
             JsonVal::Arr(
                 self.breakers
                     .current
                     .iter()
-                    .map(|s| JsonVal::Str(breaker_label(*s).to_owned()))
+                    .map(|s| JsonVal::Str(s.label().into()))
                     .collect(),
             ),
         ));
@@ -687,24 +684,24 @@ impl CellState {
             .iter()
             .map(|(t, n)| JsonVal::Arr(vec![num_u64(t.as_secs()), num_i64(*n)]))
             .collect();
-        obj.push(("curve".to_owned(), JsonVal::Arr(curve)));
+        obj.push(("curve".into(), JsonVal::Arr(curve)));
         obj.push((
-            "occupancy".to_owned(),
+            "occupancy".into(),
             JsonVal::Obj(vec![
-                ("running".to_owned(), num_i64(self.occupancy.running)),
-                ("peak".to_owned(), num_i64(self.occupancy.peak)),
-                ("arrived".to_owned(), num_u64(self.occupancy.arrived)),
-                ("late_arrivals".to_owned(), num_u64(self.occupancy.late_arrivals)),
-                ("expired".to_owned(), num_u64(self.occupancy.expired)),
-                ("deferred".to_owned(), num_u64(self.occupancy.deferred)),
-                ("instance_seconds".to_owned(), num_u64(self.occupancy.instance_seconds)),
+                ("running".into(), num_i64(self.occupancy.running)),
+                ("peak".into(), num_i64(self.occupancy.peak)),
+                ("arrived".into(), num_u64(self.occupancy.arrived)),
+                ("late_arrivals".into(), num_u64(self.occupancy.late_arrivals)),
+                ("expired".into(), num_u64(self.occupancy.expired)),
+                ("deferred".into(), num_u64(self.occupancy.deferred)),
+                ("instance_seconds".into(), num_u64(self.occupancy.instance_seconds)),
             ]),
         ));
         let mut occ_extra = Vec::new();
         push_opt(&mut occ_extra, "last_change", opt_time(self.occupancy.last_change));
         obj.extend(occ_extra);
         obj.push((
-            "checkpoints".to_owned(),
+            "checkpoints".into(),
             u64_arr(&[
                 self.checkpoints.saves,
                 self.checkpoints.recorded,
@@ -717,7 +714,7 @@ impl CellState {
             ]),
         ));
         obj.push((
-            "shards".to_owned(),
+            "shards".into(),
             u64_arr(&[
                 self.shards.dispatches,
                 self.shards.cells_dispatched,
@@ -730,7 +727,7 @@ impl CellState {
             ]),
         ));
         obj.push((
-            "resilience".to_owned(),
+            "resilience".into(),
             u64_arr(&[
                 self.resilience.collection_failures,
                 self.resilience.retryable_failures,
@@ -740,13 +737,13 @@ impl CellState {
                 self.resilience.chaos_faults,
             ]),
         ));
-        obj.push(("events".to_owned(), num_u64(self.events)));
+        obj.push(("events".into(), num_u64(self.events)));
         push_opt(&mut obj, "dropped", self.dropped.map(num_u64));
         JsonVal::Obj(obj)
     }
 
     /// Rebuilds a cell from its snapshot value.
-    pub(crate) fn from_json(v: JsonVal) -> Result<Self, String> {
+    pub(crate) fn from_json(v: JsonVal<'_>) -> Result<Self, String> {
         let mut f = Fields::new(v.into_obj()?);
         let summary = RunSummary::from_json(f.require("summary")?)?;
         let ledger_items = f.require("ledger")?.into_arr()?;
@@ -770,11 +767,12 @@ impl CellState {
                 if parts.len() != 4 {
                     return Err("breaker transition must have 4 entries".to_owned());
                 }
-                let to = parse_breaker(parts.pop().expect("len 4"))?;
-                let from = parse_breaker(parts.pop().expect("len 3"))?;
-                let region = parts.pop().expect("len 2").into_str()?;
+                let to = parts.pop().expect("len 4").as_str()?.parse()?;
+                let from = parts.pop().expect("len 3").as_str()?.parse()?;
+                let region = parts.pop().expect("len 2");
+                let region = region.as_str()?;
                 let region =
-                    Region::from_str(&region).map_err(|_| format!("unknown region `{region}`"))?;
+                    Region::from_str(region).map_err(|_| format!("unknown region `{region}`"))?;
                 let at = SimTime::from_secs(parts.pop().expect("len 1").as_u64()?);
                 Ok(BreakerTransition { at, region, from, to })
             })
@@ -786,7 +784,7 @@ impl CellState {
         }
         let mut current = [BreakerState::Closed; REGIONS];
         for (slot, item) in current.iter_mut().zip(state_items) {
-            *slot = parse_breaker(item)?;
+            *slot = item.as_str()?.parse()?;
         }
         let curve = f
             .require("curve")?
@@ -862,20 +860,20 @@ impl CellState {
 }
 
 impl ReplayState {
-    pub(crate) fn to_json(&self) -> JsonVal {
+    pub(crate) fn to_json(&self) -> JsonVal<'_> {
         JsonVal::Obj(
             self.cells
                 .iter()
-                .map(|(key, cell)| (key.clone(), cell.to_json()))
+                .map(|(key, cell)| (Cow::Borrowed(key.as_str()), cell.to_json()))
                 .collect(),
         )
     }
 
-    pub(crate) fn from_json(v: JsonVal) -> Result<Self, String> {
+    pub(crate) fn from_json(v: JsonVal<'_>) -> Result<Self, String> {
         let cells = v
             .into_obj()?
             .into_iter()
-            .map(|(key, cell)| Ok((key, CellState::from_json(cell)?)))
+            .map(|(key, cell)| Ok((key.into_owned(), CellState::from_json(cell)?)))
             .collect::<Result<Vec<_>, String>>()?;
         Ok(ReplayState { cells })
     }
@@ -981,6 +979,27 @@ mod tests {
         let back = state_from_json(&text).unwrap();
         assert_eq!(back, state);
         assert_eq!(state_to_json(&back), text);
+    }
+
+    #[test]
+    fn huge_values_saturate_instead_of_overflowing() {
+        let mut state = ReplayState::default();
+        for (seq, t) in [(0, 0), (1, 1), (2, u64::MAX)] {
+            let event = TraceEvent::Launched {
+                workload: 0,
+                region: Region::ALL[0],
+                spot: true,
+                instance: cloud_compute::InstanceId::from_raw(seq),
+            };
+            state.cell_mut("").fold(&record(seq, t, event));
+        }
+        for _ in 0..2 {
+            let line = TraceLine::Truncated { cell: None, dropped: u64::MAX };
+            state.fold_line(&line, TimeWindow::ALL);
+        }
+        let cell = state.cell("").unwrap();
+        assert_eq!(cell.occupancy.instance_seconds, u64::MAX);
+        assert_eq!(cell.dropped, Some(u64::MAX));
     }
 
     #[test]

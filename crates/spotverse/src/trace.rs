@@ -535,14 +535,6 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn breaker_label(state: BreakerState) -> &'static str {
-    match state {
-        BreakerState::Closed => "closed",
-        BreakerState::Open => "open",
-        BreakerState::HalfOpen => "half-open",
-    }
-}
-
 fn push_placement(out: &mut String, p: Placement) {
     let label = match p {
         Placement::Spot(r) => format!("spot:{}", r.name()),
@@ -689,8 +681,8 @@ pub fn append_record_json(out: &mut String, cell: Option<&str>, record: &TraceRe
             let _ = write!(
                 out,
                 ",\"from\":\"{}\",\"to\":\"{}\"",
-                breaker_label(*from),
-                breaker_label(*to)
+                from.label(),
+                to.label()
             );
         }
         TraceEvent::ChaosFault { kind, region } => {

@@ -1,0 +1,98 @@
+//! Allocation gate for trace replay. The decoder borrows numbers and
+//! unescaped strings from the input, so replaying a canonical line costs
+//! a few heap allocations: its object and arrays, and the owned fields of
+//! the record. This test counts them exactly while replaying each
+//! committed golden trace and fails when a change makes replay copy more,
+//! long before a timer would notice.
+//!
+//! The count is kept per thread, so the test harness's other threads do
+//! not disturb it; the file holds one test so nothing else shares the
+//! counting allocator's thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fs;
+use std::path::PathBuf;
+
+use spotverse::{ReplayCursor, TimeWindow};
+
+/// Forwards to [`System`] and counts the calling thread's allocations.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// implements `GlobalAlloc` soundly; the counter never allocates and never
+// touches the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator (so
+        // from `System`) with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller guarantees `ptr` came from this allocator with
+        // `layout` and that `new_size` is valid for `layout.align()`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations replaying each golden with one cursor, pinned at the
+/// count the borrowing decoder makes: 2.7 to 5.6 per line, where the
+/// copying decoder it replaced made 29 to 49. Lines with arrays (decisions,
+/// arrivals) cost more, so the per-line figure differs by trace.
+const PINNED: [(&str, u64); 5] = [
+    ("spotverse_ngs3_seed2024_t4.jsonl", 63),
+    ("spotverse_ngs3_seed2024_t5.jsonl", 32),
+    ("spotverse_ngs3_seed2024_t6.jsonl", 54),
+    ("spotverse_genome10_seed2024_region_flap.jsonl", 268),
+    ("fleet_ngs3_seed2024_cap1.jsonl", 100),
+];
+
+#[test]
+fn replay_allocations_per_line_stay_pinned() {
+    let mut report = String::new();
+    let mut over = Vec::new();
+    for (name, pinned) in PINNED {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden").join(name);
+        let doc = fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+        let lines = doc.lines().count() as f64;
+
+        let before = ALLOCS.with(Cell::get);
+        let mut cursor = ReplayCursor::new(TimeWindow::ALL);
+        cursor.feed(&doc).expect("golden replays");
+        cursor.finish().expect("golden replays");
+        let allocs = ALLOCS.with(Cell::get) - before;
+
+        let per_line = allocs as f64 / lines;
+        report.push_str(&format!("{name}: {allocs} allocations, {per_line:.3} per line\n"));
+        if allocs > pinned {
+            over.push(format!("{name}: {allocs} > {pinned}"));
+        }
+    }
+    assert!(over.is_empty(), "replay allocates more than pinned: {over:?}\n{report}");
+}

@@ -1,0 +1,316 @@
+//! Parser fuzzing: arbitrary text, golden lines cut short or with
+//! characters spliced in, and labels mixing multibyte characters with
+//! escapes all go through the line parser, the replay cursor and snapshot
+//! resume. None may panic; every document-level error names a line that
+//! really fails to parse; and whatever parses re-serializes to canonical
+//! text that parses back to the same value and the same bytes.
+
+use std::fs;
+use std::path::PathBuf;
+
+use proptest::prelude::*;
+use spotverse::replay::parse_trace_line;
+use spotverse::{
+    parse_trace_jsonl, render_analysis, render_analysis_json, replay_lines, trace_lines_to_jsonl,
+    ReplayCursor, TimeWindow, TraceLine,
+};
+
+const GOLDENS: [&str; 5] = [
+    "spotverse_ngs3_seed2024_t4.jsonl",
+    "spotverse_ngs3_seed2024_t5.jsonl",
+    "spotverse_ngs3_seed2024_t6.jsonl",
+    "spotverse_genome10_seed2024_region_flap.jsonl",
+    "fleet_ngs3_seed2024_cap1.jsonl",
+];
+
+/// Text spliced into golden lines: JSON punctuation, escapes (whole,
+/// partial and surrogate halves), number fragments and multibyte
+/// characters, so mutations reach every branch of the scanner.
+const SPLICES: [&str; 31] = [
+    "\"",
+    "\\",
+    "\\u",
+    "\\ud83d",
+    "\\ude00",
+    "\\u00e9",
+    "\\u+041",
+    "\\n",
+    "\\\"",
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "0",
+    "9",
+    "-",
+    ".",
+    "e",
+    "1e999",
+    "99999999999999999999",
+    "18446744073709551615",
+    "é",
+    "€",
+    "😀",
+    " ",
+    "null",
+    "true",
+    "\u{1}",
+    "\"cell\":\"x\",",
+];
+
+/// Label pieces that are all valid JSON string content, each with the
+/// text it decodes to: raw multibyte characters directly next to escapes.
+const LABEL_PIECES: [(&str, &str); 12] = [
+    ("é", "é"),
+    ("€", "€"),
+    ("😀", "😀"),
+    ("a", "a"),
+    ("\\n", "\n"),
+    ("\\\"", "\""),
+    ("\\\\", "\\"),
+    ("\\t", "\t"),
+    ("\\u00e9", "é"),
+    ("\\ud83d\\ude00", "😀"),
+    ("\\u0001", "\u{1}"),
+    ("\\/", "/"),
+];
+
+/// Arbitrary Unicode text, half of it ASCII so JSON punctuation turns up.
+fn unicode_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec((any::<bool>(), 0u32..0x80, 0u32..0x11_0000), 0..64).prop_map(
+        |draws| {
+            draws
+                .into_iter()
+                .map(|(ascii, low, any)| {
+                    char::from_u32(if ascii { low } else { any }).unwrap_or('\u{FFFD}')
+                })
+                .collect()
+        },
+    )
+}
+
+fn golden(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join(name);
+    fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run scripts/regen-golden.sh",
+            path.display()
+        )
+    })
+}
+
+fn golden_lines() -> Vec<String> {
+    GOLDENS
+        .iter()
+        .flat_map(|name| golden(name).lines().map(str::to_owned).collect::<Vec<_>>())
+        .collect()
+}
+
+/// The largest char boundary of `s` at or below `i % (len + 1)`.
+fn boundary(s: &str, i: usize) -> usize {
+    let mut i = i % (s.len() + 1);
+    while !s.is_char_boundary(i) {
+        i -= 1;
+    }
+    i
+}
+
+/// `line` with `insert` spliced in at `at` after deleting up to `delete`
+/// characters there.
+fn splice(line: &str, at: usize, delete: usize, insert: &str) -> String {
+    let start = boundary(line, at);
+    let end = line[start..]
+        .char_indices()
+        .nth(delete)
+        .map_or(line.len(), |(i, _)| start + i);
+    format!("{}{insert}{}", &line[..start], &line[end..])
+}
+
+/// Whatever parses re-serializes to canonical text that parses back to
+/// the same line and the same bytes.
+fn check_line(line: &str) -> Result<Option<TraceLine>, TestCaseError> {
+    let Ok(parsed) = parse_trace_line(line) else {
+        return Ok(None);
+    };
+    let canonical = trace_lines_to_jsonl(std::slice::from_ref(&parsed));
+    let again = parse_trace_jsonl(&canonical)
+        .map_err(|e| TestCaseError::fail(format!("canonical form of {line:?} fails: {e}")))?;
+    prop_assert_eq!(&again, &vec![parsed.clone()], "{:?}", line);
+    prop_assert_eq!(trace_lines_to_jsonl(&again), canonical);
+    Ok(Some(parsed))
+}
+
+/// Document-level checks: errors name a line that really fails, the
+/// cursor agrees with the whole-document parser, and any replayed state
+/// renders.
+fn check_document(doc: &str, splits: &[usize]) -> Result<(), TestCaseError> {
+    let segments: Vec<&str> = doc.split('\n').collect();
+    let parsed = parse_trace_jsonl(doc);
+    if let Err(e) = &parsed {
+        let bad = doc.lines().nth(e.line.wrapping_sub(1));
+        prop_assert!(
+            bad.is_some(),
+            "error names line {} of {}",
+            e.line,
+            doc.lines().count()
+        );
+        prop_assert!(
+            parse_trace_line(bad.expect("checked")).is_err(),
+            "line {} parses",
+            e.line
+        );
+    }
+
+    let mut cursor = ReplayCursor::new(TimeWindow::ALL);
+    let mut prev = 0;
+    let mut fed = Ok(());
+    for &split in splits {
+        fed = fed.and_then(|()| cursor.feed(&doc[prev..split]));
+        prev = split;
+    }
+    let replayed = fed
+        .and_then(|()| cursor.feed(&doc[prev..]))
+        .and_then(|()| cursor.finish());
+    match replayed {
+        Err(e) => {
+            let bad = segments.get(e.line.wrapping_sub(1));
+            prop_assert!(
+                bad.is_some(),
+                "cursor error names line {} of {}",
+                e.line,
+                segments.len()
+            );
+            prop_assert!(
+                parse_trace_line(bad.expect("checked")).is_err(),
+                "line {} parses",
+                e.line
+            );
+        }
+        Ok(state) => {
+            if let Ok(lines) = &parsed {
+                if !doc.contains('\r') && !segments[..segments.len() - 1].contains(&"") {
+                    prop_assert_eq!(&state, &replay_lines(lines, TimeWindow::ALL));
+                }
+            }
+            let _ = render_analysis(&state);
+            let _ = render_analysis_json(&state);
+        }
+    }
+    Ok(())
+}
+
+/// A snapshot that resumes re-serializes to a snapshot resuming to the
+/// same cursor.
+fn check_resume(snapshot: &str) -> Result<(), TestCaseError> {
+    if let Ok(cursor) = ReplayCursor::resume(snapshot) {
+        let again = ReplayCursor::resume(&cursor.snapshot())
+            .map_err(|e| TestCaseError::fail(format!("re-snapshot fails: {e}")))?;
+        prop_assert_eq!(again, cursor);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_text_never_panics(text in unicode_text()) {
+        check_line(&text)?;
+        check_document(&text, &[])?;
+        check_resume(&text)?;
+    }
+
+    #[test]
+    fn json_shaped_text_never_panics(text in "[{}\\[\\]\",:\\\\u0-9a-fA-F.eE+\\- éü€😀]{0,64}") {
+        check_line(&text)?;
+        check_resume(&text)?;
+    }
+
+    #[test]
+    fn truncated_golden_lines_are_rejected_cleanly(pick in any::<usize>(), cut in any::<usize>()) {
+        let lines = golden_lines();
+        let line = &lines[pick % lines.len()];
+        let cut = boundary(line, cut);
+        let parsed = check_line(&line[..cut])?;
+        // A record line cut short loses its closing brace.
+        prop_assert_eq!(parsed.is_some(), cut == line.len(), "cut at {}", cut);
+    }
+
+    #[test]
+    fn spliced_golden_lines_never_panic(
+        pick in any::<usize>(),
+        at in any::<usize>(),
+        delete in 0usize..4,
+        pieces in proptest::collection::vec(0..SPLICES.len(), 1..4),
+        (cut, keep) in (any::<bool>(), 0usize..6),
+    ) {
+        let lines = golden_lines();
+        let line = &lines[pick % lines.len()];
+        let insert: String = pieces.iter().map(|&i| SPLICES[i]).collect();
+        let at = boundary(line, at);
+        let mut mutated = splice(line, at, delete, &insert);
+        if cut {
+            // End the line just after the splice, inside an escape or a
+            // surrogate pair if one was spliced in.
+            let end = (at + insert.len() + keep).min(mutated.len());
+            mutated.truncate(boundary(&mutated, end));
+        }
+        check_line(&mutated)?;
+    }
+
+    #[test]
+    fn labels_mixing_multibyte_and_escapes_round_trip(
+        pick in any::<usize>(),
+        pieces in proptest::collection::vec(0..LABEL_PIECES.len(), 0..12),
+    ) {
+        let lines = golden_lines();
+        let line = &lines[pick % lines.len()];
+        let label: String = pieces.iter().map(|&i| LABEL_PIECES[i].0).collect();
+        let expected: String = pieces.iter().map(|&i| LABEL_PIECES[i].1).collect();
+        let labelled = format!("{{\"cell\":\"{label}\",{}", &line[1..]);
+        let parsed = check_line(&labelled)?;
+        let parsed = parsed.ok_or_else(|| TestCaseError::fail(format!("{labelled} must parse")))?;
+        prop_assert_eq!(parsed.cell(), Some(expected.as_str()));
+    }
+
+    #[test]
+    fn mutated_documents_report_real_lines(
+        name in 0..GOLDENS.len(),
+        edits in proptest::collection::vec((any::<usize>(), 0usize..4, 0..SPLICES.len()), 0..3),
+        raw_splits in proptest::collection::vec(any::<usize>(), 0..4),
+    ) {
+        let mut doc = golden(GOLDENS[name]);
+        for (at, delete, piece) in edits {
+            doc = splice(&doc, at, delete, SPLICES[piece]);
+        }
+        let mut splits: Vec<usize> = raw_splits.iter().map(|&s| boundary(&doc, s)).collect();
+        splits.sort_unstable();
+        check_document(&doc, &splits)?;
+    }
+
+    #[test]
+    fn mutated_snapshots_never_panic(
+        name in 0..GOLDENS.len(),
+        stop in any::<usize>(),
+        at in any::<usize>(),
+        delete in 0usize..4,
+        piece in 0..SPLICES.len(),
+        truncate in any::<bool>(),
+    ) {
+        let doc = golden(GOLDENS[name]);
+        let mut cursor = ReplayCursor::default();
+        cursor.feed(&doc[..boundary(&doc, stop)]).expect("golden prefix feeds");
+        let snapshot = cursor.snapshot();
+        check_resume(&snapshot)?;
+        let mutated = if truncate {
+            snapshot[..boundary(&snapshot, at)].to_owned()
+        } else {
+            splice(&snapshot, at, delete, SPLICES[piece])
+        };
+        check_resume(&mutated)?;
+    }
+}
