@@ -5,13 +5,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimTime;
 
 use crate::fault::{ServiceFault, ServiceFaultInjector, ServiceOp};
 
 /// A bus event, in EventBridge's source/detail-type/detail shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BusEvent {
     /// Origin service, e.g. `"aws.ec2"`.
     pub source: String,
@@ -42,7 +41,7 @@ impl BusEvent {
 
 /// A routing rule: match by source prefix and (optionally) exact detail
 /// type, deliver to a named target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     name: String,
     source_prefix: String,

@@ -11,14 +11,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::{SimDuration, SimTime};
 
 use cloud_compute::{transfer, BillingLedger, ServiceKind};
 use cloud_market::{Region, Usd};
 
 /// Identifier of a filesystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileSystemId(u64);
 
 impl fmt::Display for FileSystemId {
@@ -28,7 +27,7 @@ impl fmt::Display for FileSystemId {
 }
 
 /// A stored file's metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileEntry {
     size_gib: f64,
     written_at: SimTime,

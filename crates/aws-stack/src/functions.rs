@@ -11,7 +11,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::{SimDuration, SimTime};
 
 use cloud_compute::{BillingLedger, ServiceKind};
@@ -20,7 +19,7 @@ use cloud_market::{Region, Usd};
 use crate::fault::{ServiceFault, ServiceFaultInjector, ServiceOp};
 
 /// Configuration of a registered function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FunctionConfig {
     /// Allocated memory in MiB (the paper allocates 128 MB).
     pub memory_mib: u32,
@@ -41,7 +40,7 @@ impl Default for FunctionConfig {
 }
 
 /// A Step-Functions-like retry policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum attempts (≥ 1).
     pub max_attempts: u32,
@@ -154,7 +153,7 @@ impl fmt::Display for FunctionError {
 impl std::error::Error for FunctionError {}
 
 /// A completed invocation's accounting record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvocationRecord {
     /// Function name.
     pub name: String,

@@ -8,7 +8,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimTime;
 
 use cloud_compute::{BillingLedger, ServiceKind};
@@ -16,8 +15,8 @@ use cloud_market::{Region, Usd};
 
 use crate::fault::{ServiceFault, ServiceFaultInjector, ServiceOp};
 
-/// An attribute value (a small, serde-friendly subset of DynamoDB's types).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// An attribute value (a small subset of DynamoDB's types).
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// A string.
     S(String),
@@ -91,7 +90,7 @@ impl From<bool> for AttrValue {
 pub type Item = BTreeMap<String, AttrValue>;
 
 /// Key-value store errors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvError {
     /// The table does not exist.
     NoSuchTable(String),

@@ -46,7 +46,6 @@ mod functions;
 mod kv_store;
 mod metrics;
 mod object_store;
-mod state_machine;
 
 pub use event_bus::{BusEvent, EventBus, EventBusError, Rule};
 pub use fault::{ServiceFault, ServiceFaultInjector, ServiceOp};
@@ -61,8 +60,4 @@ pub use kv_store::{AttrValue, Item, KvError, KvStore};
 pub use metrics::{MetricKey, MetricsError, MetricsService, Schedule, Statistic};
 pub use object_store::{
     ObjectBody, ObjectStore, ObjectStoreError, StoredObject, TransferOutcome,
-};
-pub use state_machine::{
-    execute, interruption_handler_machine, Execution, ExecutionOutcome, State, StateMachine,
-    StateMachineError, StateName, TraceEntry,
 };

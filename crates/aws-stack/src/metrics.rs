@@ -6,7 +6,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::{SimDuration, SimTime, TimeSeries};
 
 use cloud_compute::{BillingLedger, ServiceKind};
@@ -14,7 +13,7 @@ use cloud_market::{Region, Usd};
 
 /// A metric identity: namespace, name, and a free-form dimension string
 /// (e.g. `"region=ca-central-1,type=m5.xlarge"`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricKey {
     /// Namespace, e.g. `"SpotVerse"`.
     pub namespace: String,
@@ -46,7 +45,7 @@ impl fmt::Display for MetricKey {
 }
 
 /// A statistic over a metric window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Statistic {
     Average,
@@ -74,7 +73,7 @@ impl fmt::Display for MetricsError {
 impl std::error::Error for MetricsError {}
 
 /// A fixed-period schedule (a CloudWatch scheduled rule).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     name: String,
     period: SimDuration,

@@ -8,9 +8,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimTime;
 
 use cloud_compute::{transfer, BillingLedger, ServiceKind};
@@ -24,7 +23,7 @@ use crate::fault::{ServiceFault, ServiceFaultInjector, ServiceOp};
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObjectBody {
     /// Literal bytes (logs, JSON-ish records).
-    Inline(Bytes),
+    Inline(Arc<[u8]>),
     /// A virtual payload of the given size in GiB.
     Synthetic {
         /// Payload size in GiB.
@@ -35,7 +34,7 @@ pub enum ObjectBody {
 impl ObjectBody {
     /// Creates an inline body from a string.
     pub fn from_text(text: impl Into<String>) -> Self {
-        ObjectBody::Inline(Bytes::from(text.into()))
+        ObjectBody::Inline(text.into().into_bytes().into())
     }
 
     /// The body size in GiB.
@@ -81,7 +80,7 @@ impl StoredObject {
 }
 
 /// Object-store errors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObjectStoreError {
     /// The bucket does not exist.
     NoSuchBucket(String),
@@ -220,18 +219,6 @@ impl ObjectStore {
             },
         );
         Ok(())
-    }
-
-    /// The region a bucket is homed in.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ObjectStoreError::NoSuchBucket`] for unknown buckets.
-    pub fn bucket_region(&self, bucket: &str) -> Result<Region, ObjectStoreError> {
-        self.buckets
-            .get(bucket)
-            .map(|b| b.region)
-            .ok_or_else(|| ObjectStoreError::NoSuchBucket(bucket.to_owned()))
     }
 
     /// Writes an object from `from_region`, charging cross-region transfer

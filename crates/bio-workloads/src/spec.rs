@@ -6,7 +6,6 @@
 //! fleet with per-workload durations jittered inside the paper's window.
 
 use galaxy_flow::{Tool, Workflow};
-use serde::{Deserialize, Serialize};
 use sim_kernel::{SimDuration, SimRng};
 
 use crate::genome_reconstruction;
@@ -14,7 +13,7 @@ use crate::ngs_preprocessing;
 use crate::qiime;
 
 /// The paper's three workload kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// QIIME 2 microbiome analysis — standard general workload.
     StandardGeneral,
@@ -54,7 +53,7 @@ impl std::fmt::Display for WorkloadKind {
 }
 
 /// A concrete workload to run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Stable identifier within an experiment, e.g. `"w-07"`.
     pub id: String,

@@ -59,7 +59,6 @@ struct CkptWindow {
 /// [`service_injector`]: ChaosEngine::service_injector
 #[derive(Debug, Clone)]
 pub struct ChaosEngine {
-    name: String,
     seed: u64,
     overlay: MarketOverlay,
     notice_windows: Vec<NoticeWindow>,
@@ -145,7 +144,6 @@ impl ChaosEngine {
         }
         let notice_rng = SimRng::seed_from_u64(seed).fork("chaos-notice");
         ChaosEngine {
-            name: scenario.name().to_string(),
             seed,
             overlay,
             notice_windows,
@@ -154,11 +152,6 @@ impl ChaosEngine {
             ckpt_windows,
             notice_rng,
         }
-    }
-
-    /// The scenario name this engine was compiled from.
-    pub fn scenario_name(&self) -> &str {
-        &self.name
     }
 
     /// The market-facing overlay (score pins, hazard windows, blackouts).

@@ -7,11 +7,10 @@
 //! seed and a concrete start instant into deterministic injection hooks.
 
 use cloud_market::Region;
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimDuration;
 
 /// Which regions a directive applies to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RegionScope {
     /// Every region the market offers.
     All,
@@ -32,7 +31,7 @@ impl RegionScope {
 /// One declarative fault, active over `[from, until)` offsets from the
 /// experiment start. The five variants are the five supported fault
 /// classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultDirective {
     /// Region-wide spot capacity outage: all spot requests in scope fail,
     /// running spot instances are reclaimed within the window, and the
@@ -129,7 +128,7 @@ impl FaultDirective {
 }
 
 /// A named, ordered schedule of fault directives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosScenario {
     name: String,
     directives: Vec<FaultDirective>,

@@ -6,7 +6,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimTime;
 
 use cloud_market::Region;
@@ -17,7 +16,7 @@ use crate::billing::{BillingLedger, ServiceKind};
 use crate::transfer;
 
 /// Identifier of a machine image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AmiId(u64);
 
 impl fmt::Display for AmiId {
@@ -27,7 +26,7 @@ impl fmt::Display for AmiId {
 }
 
 /// A registered machine image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ami {
     id: AmiId,
     name: String,

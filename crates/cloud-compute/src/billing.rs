@@ -6,13 +6,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimTime;
 
 use cloud_market::{Region, Usd};
 
 /// The billable service a line item belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum ServiceKind {
     SpotInstance,
@@ -57,7 +56,7 @@ impl fmt::Display for ServiceKind {
 }
 
 /// One recorded charge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LineItem {
     /// When the charge was recorded.
     pub at: SimTime,
@@ -82,7 +81,7 @@ pub struct LineItem {
 /// ledger.charge(SimTime::ZERO, ServiceKind::SpotInstance, Region::UsEast1, Usd::new(1.5));
 /// assert_eq!(ledger.total(), Usd::new(1.5));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BillingLedger {
     items: Vec<LineItem>,
 }

@@ -2,13 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimTime;
 
 use cloud_market::{InstanceType, Region, Usd};
 
 /// Unique identifier of a launched instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId(u64);
 
 impl InstanceId {
@@ -36,7 +35,7 @@ impl fmt::Display for InstanceId {
 }
 
 /// The purchase model an instance was launched under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum PurchaseModel {
     Spot,
@@ -53,7 +52,7 @@ impl fmt::Display for PurchaseModel {
 }
 
 /// Why an instance stopped running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TerminationReason {
     /// Its workload finished and the owner shut it down.
     Completed,
@@ -64,7 +63,7 @@ pub enum TerminationReason {
 }
 
 /// The lifecycle state of an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceState {
     /// Booting or serving its workload.
     Running,
@@ -78,7 +77,7 @@ pub enum InstanceState {
 }
 
 /// The full record of one launched instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceRecord {
     id: InstanceId,
     region: Region,

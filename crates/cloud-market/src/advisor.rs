@@ -9,10 +9,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An Interruption Frequency band from the Spot Instance Advisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum InterruptionBand {
     Under5,
@@ -130,7 +128,7 @@ impl std::error::Error for ScoreOutOfRange {}
 /// assert_eq!(InterruptionBand::Under5.stability_score().value(), 3);
 /// assert!(StabilityScore::new(4).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StabilityScore(u8);
 
 impl StabilityScore {
@@ -178,7 +176,7 @@ impl fmt::Display for StabilityScore {
 /// assert!(s.fulfill_probability() > 0.7);
 /// # Ok::<(), cloud_market::ScoreOutOfRange>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlacementScore(u8);
 
 impl PlacementScore {
@@ -231,7 +229,7 @@ impl fmt::Display for PlacementScore {
 
 /// The combined region score the Optimizer ranks on: Placement + Stability
 /// (range 2–13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CombinedScore(u8);
 
 impl CombinedScore {

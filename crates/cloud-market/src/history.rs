@@ -6,7 +6,6 @@
 //! archive service (related work §6, \[85\]) that joins prices with
 //! Interruption-Frequency and Placement-Score snapshots.
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::{SimDuration, SimTime};
 
 use crate::advisor::{InterruptionBand, PlacementScore};
@@ -15,7 +14,7 @@ use crate::market::{MarketError, SpotMarket};
 use crate::region::Region;
 
 /// One price observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricePoint {
     /// Observation instant.
     pub at: SimTime,
@@ -67,7 +66,7 @@ impl PriceHistoryQuery {
 }
 
 /// Summary statistics over a price history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceSummary {
     /// Lowest observed price.
     pub min: f64,
@@ -101,7 +100,7 @@ pub fn summarize(points: &[PricePoint]) -> Option<PriceSummary> {
 }
 
 /// One SpotLake-style archive row: price joined with advisor metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchiveRow {
     /// Observation instant.
     pub at: SimTime,

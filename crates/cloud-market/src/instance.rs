@@ -3,13 +3,11 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::money::UsdPerHour;
 
 /// An instance family (paper §2.1.2: compute-, memory-, general-purpose and
 /// GPU-optimized representatives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum InstanceFamily {
     M5,
@@ -31,7 +29,7 @@ impl InstanceFamily {
 }
 
 /// An instance size within a family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum InstanceSize {
     Large,
@@ -62,7 +60,7 @@ impl InstanceSize {
 /// assert_eq!(it.vcpus(), 4);
 /// # Ok::<(), cloud_market::ParseInstanceTypeError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum InstanceType {
     M5Large,

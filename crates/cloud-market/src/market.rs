@@ -25,7 +25,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 
 use crate::advisor::{InterruptionBand, PlacementScore, StabilityScore};
@@ -83,7 +82,7 @@ fn episode_params(band: InterruptionBand) -> EpisodeParams {
 }
 
 /// A day of the simulated week (the simulation epoch falls on a Monday).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Weekday {
     Monday,
@@ -137,7 +136,7 @@ fn quiet_hazard(band: InterruptionBand) -> f64 {
 ///
 /// `Eq + Hash` so configs can key shared-market caches (every field is
 /// integral).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MarketConfig {
     /// The master seed all market streams are forked from.
     pub seed: u64,

@@ -8,7 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimDuration;
 
 /// A non-negative dollar amount.
@@ -22,7 +21,7 @@ use sim_kernel::SimDuration;
 /// assert_eq!(total, Usd::new(2.0));
 /// assert_eq!(total.to_string(), "$2.00");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Usd(f64);
 
 /// A non-negative dollars-per-hour rate.
@@ -37,7 +36,7 @@ pub struct Usd(f64);
 /// let cost = rate.for_duration(SimDuration::from_hours(10));
 /// assert!((cost.amount() - 1.92).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct UsdPerHour(f64);
 
 impl Usd {

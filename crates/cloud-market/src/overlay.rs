@@ -83,11 +83,6 @@ impl MarketOverlay {
         &self.windows
     }
 
-    /// Whether any override applies to `region` at `at`.
-    pub fn is_active(&self, region: Region, at: SimTime) -> bool {
-        self.windows.iter().any(|w| w.applies(region, at))
-    }
-
     /// Whether a blackout window covers `region` at `at`.
     pub fn is_blackout(&self, region: Region, at: SimTime) -> bool {
         self.windows

@@ -33,7 +33,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimRng;
 
 use crate::market::{Weekday, MARKET_SEGMENT_DAYS};
@@ -41,7 +40,7 @@ use crate::profiles::CRUNCH_SURGE;
 
 /// A named market regime. `Copy + Eq + Hash` so it can ride on
 /// `MarketConfig` and key shared-market caches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MarketRegime {
     /// The calibrated paper market; bit-identical to the pre-regime build.
     #[default]

@@ -6,8 +6,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// A cloud region.
 ///
 /// # Examples
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(r.to_string(), "ca-central-1");
 /// # Ok::<(), cloud_market::ParseRegionError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum Region {
     UsEast1,
@@ -166,7 +164,7 @@ impl FromStr for Region {
 }
 
 /// A broad geography, used for inter-region data-transfer pricing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Geography {
     NorthAmerica,
@@ -184,7 +182,7 @@ pub enum Geography {
 /// let az = AvailabilityZone::new(Region::CaCentral1, 1).unwrap();
 /// assert_eq!(az.to_string(), "ca-central-1b");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AvailabilityZone {
     region: Region,
     index: u8,

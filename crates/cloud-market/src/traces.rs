@@ -5,7 +5,6 @@
 //! averages of the Stability and Placement scores. These helpers pull those
 //! series straight out of a [`SpotMarket`].
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimTime;
 
 use crate::advisor::InterruptionBand;
@@ -14,7 +13,7 @@ use crate::market::{MarketError, SpotMarket};
 use crate::region::Region;
 
 /// A labelled numeric series sampled by elapsed day.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DailySeries {
     /// Display label, e.g. `"ca-central-1a"`.
     pub label: String,
@@ -64,7 +63,7 @@ pub fn price_traces(
 }
 
 /// Figure 4a: the Interruption-Frequency band per region per day.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandHeatmap {
     /// Row regions, in catalog order.
     pub regions: Vec<Region>,

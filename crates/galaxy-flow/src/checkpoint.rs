@@ -9,11 +9,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimTime;
 
 /// A persisted progress record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointRecord {
     /// Completed units.
     pub units_done: usize,

@@ -5,11 +5,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimTime;
 
 /// Identifier of a dataset within a Galaxy instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DatasetId(u64);
 
 impl DatasetId {
@@ -30,7 +29,7 @@ impl fmt::Display for DatasetId {
 }
 
 /// Data formats appearing in the paper's workflows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum DataFormat {
     Fastq,
@@ -62,7 +61,7 @@ impl DataFormat {
 }
 
 /// A dataset: named, formatted, sized.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     id: DatasetId,
     name: String,
@@ -103,7 +102,7 @@ impl Dataset {
 }
 
 /// One entry in a history: a dataset plus provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistoryItem {
     /// The dataset.
     pub dataset: Dataset,
@@ -126,7 +125,7 @@ pub struct HistoryItem {
 /// assert_eq!(history.get(id).unwrap().name(), "reads");
 /// assert_eq!(history.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct History {
     name: String,
     items: Vec<HistoryItem>,

@@ -7,13 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::History;
 use crate::tool::{Tool, ToolShed, ToolShedError};
 
 /// Galaxy server configuration (the relevant subset of `galaxy.yml`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GalaxyConfig {
     /// Emails with administrative privileges (`admin_users`).
     pub admin_users: Vec<String>,

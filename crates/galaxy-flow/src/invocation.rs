@@ -10,13 +10,12 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimDuration;
 
 use crate::workflow::{RecoveryMode, StepId, Workflow};
 
 /// A unit of work: `(step, shard_index, duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkUnit {
     /// The owning step.
     pub step: StepId,
@@ -42,7 +41,7 @@ pub struct WorkUnit {
 /// assert_eq!(plan.remaining_after(1), SimDuration::from_mins(30));
 /// # Ok::<(), galaxy_flow::WorkflowError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionPlan {
     units: Vec<WorkUnit>,
     total: SimDuration,
@@ -121,7 +120,7 @@ impl ExecutionPlan {
 }
 
 /// Invocation status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvocationStatus {
     /// Created, no work recorded yet.
     New,
@@ -188,7 +187,7 @@ pub struct RunProgress {
 /// assert_eq!(inv.units_done(), 3); // checkpointed
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowInvocation {
     workflow_name: Cow<'static, str>,
     recovery: RecoveryMode,

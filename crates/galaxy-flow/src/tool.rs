@@ -10,15 +10,13 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a tool within the shed, e.g. `"fastqc"`.
 ///
 /// Stored as a `Cow` so the static tool names used by every built-in
 /// workflow never hit the heap — workflow construction sits on the
 /// fleet runtime's per-workload path, where each saved allocation is
 /// multiplied by the fleet size.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ToolId(Cow<'static, str>);
 
 impl ToolId {
@@ -58,7 +56,7 @@ impl From<String> for ToolId {
 }
 
 /// The broad category a tool belongs to (mirrors Galaxy tool panels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ToolCategory {
     QualityControl,
@@ -73,7 +71,7 @@ pub enum ToolCategory {
 }
 
 /// Resource requirements a tool declares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ToolRequirements {
     /// Minimum vCPUs.
     pub min_vcpus: u32,
@@ -91,7 +89,7 @@ impl Default for ToolRequirements {
 }
 
 /// A versioned tool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tool {
     id: ToolId,
     name: String,

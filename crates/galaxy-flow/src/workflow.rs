@@ -8,14 +8,13 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimDuration;
 
 use crate::dataset::DataFormat;
 use crate::tool::ToolId;
 
 /// Index of a step within its workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StepId(u32);
 
 impl StepId {
@@ -32,7 +31,7 @@ impl fmt::Display for StepId {
 }
 
 /// How a workload recovers from a spot interruption (paper §2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryMode {
     /// "Standard workload": complete re-execution from the start.
     RestartFromScratch,
@@ -45,7 +44,7 @@ pub enum RecoveryMode {
 /// Labels are `Cow`s: the built-in workflows name their steps with
 /// string literals, and workflow construction runs once per workload in
 /// the fleet runtime, so borrowed labels keep that path off the heap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowStep {
     label: Cow<'static, str>,
     tool: ToolId,
@@ -145,7 +144,7 @@ impl std::error::Error for WorkflowError {}
 /// assert_eq!(wf.total_duration(), SimDuration::from_mins(40));
 /// # Ok::<(), galaxy_flow::WorkflowError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workflow {
     name: Cow<'static, str>,
     recovery: RecoveryMode,
@@ -383,8 +382,8 @@ mod tests {
 
     #[test]
     fn forward_dependency_detected_by_validate() {
-        // Build a valid workflow, then corrupt it through serde to simulate
-        // an untrusted source.
+        // The builder only accepts dependencies on earlier steps, so a
+        // built workflow always validates.
         let mut b = Workflow::builder("w", RecoveryMode::RestartFromScratch);
         let a = b.add_step("a", "t", mins(1), &[]);
         b.add_step("b", "t", mins(1), &[a]);

@@ -126,11 +126,6 @@ impl<M: Model> Simulation<M> {
         &self.model
     }
 
-    /// Mutably borrows the model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consumes the simulation, returning the model.
     pub fn into_model(self) -> M {
         self.model

@@ -58,6 +58,6 @@ pub use engine::{Model, RunOutcome, Scheduler, Simulation};
 pub use event::{EventQueue, EventToken};
 pub use rng::SimRng;
 pub use series::{CumulativeCounter, TimeSeries};
-pub use stats::{percentile, Histogram, RunningStats};
+pub use stats::{percentile, RunningStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::RingBuffer;

@@ -2,8 +2,6 @@
 //! cumulative event counters (e.g. "cumulative interruptions over elapsed
 //! time", Figure 7 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// An append-only `(time, value)` series.
@@ -20,7 +18,7 @@ use crate::time::SimTime;
 /// s.push(SimTime::from_secs(10), 2.0);
 /// assert_eq!(s.value_at(SimTime::from_secs(5)), Some(1.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(SimTime, f64)>,
@@ -161,7 +159,7 @@ impl<'a> IntoIterator for &'a TimeSeries {
 /// assert_eq!(c.count(), 2);
 /// assert_eq!(c.series().last().map(|(_, v)| v), Some(2.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CumulativeCounter {
     count: u64,
     series: TimeSeries,

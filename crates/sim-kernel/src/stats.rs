@@ -1,7 +1,5 @@
-//! Online statistics used by experiment reports: running moments, quantiles,
-//! and fixed-bin histograms.
-
-use serde::{Deserialize, Serialize};
+//! Online statistics used by experiment reports: running moments and
+//! quantiles.
 
 /// Welford running mean/variance with min/max tracking.
 ///
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.mean(), 4.0);
 /// assert_eq!(stats.min(), Some(2.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -161,81 +159,6 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// Fixed-width histogram over `[lo, hi)` with out-of-range overflow bins.
-///
-/// # Examples
-///
-/// ```
-/// use sim_kernel::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.record(1.0);
-/// h.record(9.5);
-/// assert_eq!(h.bin_counts()[0], 1);
-/// assert_eq!(h.bin_counts()[4], 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "Histogram: lo must be < hi");
-        assert!(bins > 0, "Histogram: need at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bin_counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,19 +221,5 @@ mod tests {
         assert_eq!(percentile(&v, 50.0), Some(25.0));
         assert_eq!(percentile(&[], 50.0), None);
         assert_eq!(percentile(&[7.0], 99.0), Some(7.0));
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.999, 10.0, 50.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bin_counts()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.bin_counts()[5], 1);
-        assert_eq!(h.bin_counts()[9], 1);
-        assert_eq!(h.total(), 7);
     }
 }

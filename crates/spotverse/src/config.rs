@@ -1,10 +1,9 @@
 //! SpotVerse configuration.
 
 use cloud_market::{InstanceType, Region};
-use serde::{Deserialize, Serialize};
 
 /// How SpotVerse places the fleet initially (paper §5.2.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InitialPlacement {
     /// Start every workload in one region and rely on migration (the
     /// configuration of the §5.2.1 experiments).
@@ -29,7 +28,7 @@ pub enum InitialPlacement {
 ///     .build();
 /// assert_eq!(config.threshold(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpotVerseConfig {
     instance_type: InstanceType,
     threshold: u8,

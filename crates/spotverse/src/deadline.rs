@@ -12,7 +12,6 @@
 use std::collections::BTreeMap;
 
 use cloud_market::Region;
-use serde::{Deserialize, Serialize};
 use sim_kernel::{SimDuration, SimTime};
 
 use crate::config::{InitialPlacement, SpotVerseConfig};
@@ -20,7 +19,7 @@ use crate::optimizer::{MigrationPolicy, Optimizer, Placement};
 use crate::strategy::{Strategy, StrategyContext};
 
 /// Deadline policy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlinePolicy {
     /// The absolute completion deadline for every workload in the fleet.
     pub deadline: SimTime,

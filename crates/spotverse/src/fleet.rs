@@ -1112,7 +1112,7 @@ pub fn run_fleet_on(
         final_time,
         TraceEvent::RunEnded { completed: model.completed, aborted: model.aborted },
     );
-    let trace = std::mem::replace(&mut model.cp.tracer, Tracer::disabled()).finish(start);
+    let trace = std::mem::replace(&mut model.cp.tracer, Tracer::disabled()).finish();
     let resilience = model.cp.resilience();
 
     // Assemble the aggregate report.

@@ -12,14 +12,13 @@
 use std::collections::BTreeMap;
 
 use cloud_market::{PlacementScore, Region, UsdPerHour};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{InitialPlacement, SpotVerseConfig};
 use crate::optimizer::{MigrationPolicy, Optimizer, Placement, RegionAssessment};
 use crate::strategy::{Strategy, StrategyContext};
 
 /// Holt's linear (level + trend) exponential smoothing for one signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoltSmoother {
     alpha: f64,
     beta: f64,

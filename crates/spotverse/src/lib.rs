@@ -117,7 +117,7 @@ pub use tournament::{
 };
 pub use trace::{
     append_record_json, append_trace_jsonl, trace_to_jsonl, DecisionKind, RunTrace, TraceConfig,
-    TraceEvent, TraceRecord, TraceStats, Tracer,
+    TraceEvent, TraceRecord, Tracer,
 };
 pub use strategy::{
     AblatedSpotVerseStrategy, BidPriceAwareStrategy, CheckpointAdaptiveStrategy,

@@ -10,13 +10,12 @@
 //! back to the cheapest on-demand instance.
 
 use cloud_market::{CombinedScore, PlacementScore, Region, StabilityScore, UsdPerHour};
-use serde::{Deserialize, Serialize};
 use sim_kernel::SimRng;
 
 use crate::config::SpotVerseConfig;
 
 /// One region's assessment at a decision instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionAssessment {
     /// The assessed region.
     pub region: Region,
@@ -38,7 +37,7 @@ impl RegionAssessment {
 }
 
 /// Where Algorithm 1 decides to run something.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// A spot instance in the region.
     Spot(Region),
@@ -111,7 +110,7 @@ pub struct CandidateVerdict {
 /// How an interrupted workload picks its next region among the selected
 /// top-R — Algorithm 1 uses [`MigrationPolicy::RandomTopR`]; the other
 /// variants exist for the component-ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationPolicy {
     /// The paper's policy: uniformly random among the top-R (spreads
     /// migrating workloads instead of dog-piling the cheapest survivor).

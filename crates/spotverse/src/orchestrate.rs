@@ -703,7 +703,7 @@ impl<'a> Orchestrator<'a> {
             outcomes,
             dead_letters,
             stats,
-            trace: self.tracer.finish(SimTime::ZERO),
+            trace: self.tracer.finish(),
         }
     }
 }

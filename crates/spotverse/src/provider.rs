@@ -8,14 +8,13 @@
 //! the ablation bench quantifies.
 
 use cloud_market::{PlacementScore, Region, StabilityScore};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{InitialPlacement, SpotVerseConfig};
 use crate::optimizer::{MigrationPolicy, Optimizer, Placement, RegionAssessment};
 use crate::strategy::{Strategy, StrategyContext};
 
 /// Which advisor metrics a cloud provider exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricAvailability {
     /// AWS-like: Interruption Frequency and Spot Placement Score.
     Full,

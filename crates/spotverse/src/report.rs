@@ -2,14 +2,13 @@
 //! normalized-cost metric.
 
 use cloud_market::Usd;
-use serde::{Deserialize, Serialize};
 
 use crate::experiment::ExperimentReport;
 
 /// Percentage change helpers between a baseline and a treatment report —
 /// the deltas the paper headlines ("52% cost reduction", "39% fewer
 /// interruptions").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Comparison {
     /// Cost reduction relative to the baseline, in percent (positive =
     /// treatment cheaper).

@@ -24,18 +24,13 @@ use std::fmt::Write as _;
 
 use cloud_compute::InstanceId;
 use cloud_market::Region;
-use sim_kernel::{Histogram, RingBuffer, SimDuration, SimTime};
+use sim_kernel::{RingBuffer, SimDuration, SimTime};
 
 use crate::health::BreakerState;
 use crate::optimizer::{CandidateVerdict, Placement};
 
 /// Default cap on retained records per run; overflow is counted, not kept.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
-
-/// Span (in hours from run start) covered by [`TraceStats::event_hours`].
-const EVENT_HISTOGRAM_HOURS: f64 = 720.0;
-/// Bin count of [`TraceStats::event_hours`] (one bin per simulated day).
-const EVENT_HISTOGRAM_BINS: usize = 30;
 
 /// Per-run tracing configuration, carried on `ExperimentConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,25 +389,23 @@ impl Tracer {
     }
 
     /// Consumes the tracer into a [`RunTrace`] (or `None` when disabled).
-    /// `start` anchors the event-time histogram.
     #[must_use]
-    pub fn finish(self, start: SimTime) -> Option<RunTrace> {
+    pub fn finish(self) -> Option<RunTrace> {
         let inner = self.inner?;
         let (events, dropped) = inner.ring.into_parts();
-        let stats = TraceStats::from_events(&events, start);
-        Some(RunTrace { events, dropped, stats })
+        Some(RunTrace { events, dropped })
     }
 }
 
-/// A completed run's trace: the retained records plus derived aggregates.
+/// A completed run's trace: the retained records and the overflow count.
+/// Aggregates over a trace come from the replay fold
+/// ([`CellState::fold`](crate::replay::CellState::fold)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Retained records, in emission order.
     pub events: Vec<TraceRecord>,
     /// Records dropped once the capacity was reached.
     pub dropped: u64,
-    /// Counters and histograms derived from the retained records.
-    pub stats: TraceStats,
 }
 
 impl RunTrace {
@@ -422,99 +415,12 @@ impl RunTrace {
     }
 }
 
-/// Aggregates derived from a run's retained trace records.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceStats {
-    /// Placement decisions (initial + migrations).
-    pub decisions: u64,
-    /// Migration decisions only.
-    pub migrations: u64,
-    /// Instance launches.
-    pub launches: u64,
-    /// Spot interruptions.
-    pub interruptions: u64,
-    /// Checkpoint write attempts.
-    pub checkpoint_saves: u64,
-    /// Checkpoint restores.
-    pub checkpoint_restores: u64,
-    /// Circuit-breaker transitions.
-    pub breaker_transitions: u64,
-    /// Chaos fault activations.
-    pub chaos_faults: u64,
-    /// Total billed at instance terminations ($), interrupted + completed.
-    pub billed_total: f64,
-    /// Event density over the run: hours-from-start, one bin per day.
-    pub event_hours: Histogram,
-}
-
-impl TraceStats {
-    /// Rebuilds the aggregates from a *parsed* single-run record stream,
-    /// choosing the anchor the write side used: the `run_started` record's
-    /// timestamp when one is present (experiment and fleet traces), else
-    /// [`SimTime::ZERO`] (the orchestrator's shard trace). Feeding records
-    /// from more than one cell of a merged JSONL document sums counters
-    /// across cells and is almost never what reconciliation wants — split
-    /// by `cell` first.
-    #[must_use]
-    pub fn rebuild(events: &[TraceRecord]) -> Self {
-        let start = events
-            .iter()
-            .find(|r| matches!(r.event, TraceEvent::RunStarted { .. }))
-            .map_or(SimTime::ZERO, |r| r.at);
-        TraceStats::from_events(events, start)
-    }
-
-    /// Computes the aggregates for `events`, anchored at run `start`.
-    #[must_use]
-    pub fn from_events(events: &[TraceRecord], start: SimTime) -> Self {
-        let mut stats = TraceStats {
-            decisions: 0,
-            migrations: 0,
-            launches: 0,
-            interruptions: 0,
-            checkpoint_saves: 0,
-            checkpoint_restores: 0,
-            breaker_transitions: 0,
-            chaos_faults: 0,
-            billed_total: 0.0,
-            event_hours: Histogram::new(0.0, EVENT_HISTOGRAM_HOURS, EVENT_HISTOGRAM_BINS),
-        };
-        for record in events {
-            let offset = record.at.saturating_duration_since(start).as_hours_f64();
-            stats.event_hours.record(offset);
-            match &record.event {
-                TraceEvent::Decision { kind, .. } => {
-                    stats.decisions += 1;
-                    if *kind == DecisionKind::Migration {
-                        stats.migrations += 1;
-                    }
-                }
-                TraceEvent::Launched { .. } => stats.launches += 1,
-                TraceEvent::Interrupted { billed, .. } => {
-                    stats.interruptions += 1;
-                    stats.billed_total += billed;
-                }
-                TraceEvent::Completed { billed, .. } => stats.billed_total += billed,
-                TraceEvent::WorkloadExpired { billed: Some(billed), .. } => {
-                    stats.billed_total += billed;
-                }
-                TraceEvent::CheckpointSave { .. } => stats.checkpoint_saves += 1,
-                TraceEvent::CheckpointRestore { .. } => stats.checkpoint_restores += 1,
-                TraceEvent::Breaker { .. } => stats.breaker_transitions += 1,
-                TraceEvent::ChaosFault { .. } => stats.chaos_faults += 1,
-                _ => {}
-            }
-        }
-        stats
-    }
-}
-
 // --- canonical JSONL ------------------------------------------------------
 //
-// The vendored serde is an API shim, so the canonical form is hand-rolled:
-// fixed key order (seq, t, event, then variant fields in declaration
-// order), `None` fields omitted, floats via Rust's shortest-round-trip
-// `Display`, and lowercase labels throughout. Golden tests compare this
+// The workspace has no serialization dependency, so the canonical form is
+// hand-rolled: fixed key order (seq, t, event, then variant fields in
+// declaration order), `None` fields omitted, floats via Rust's
+// shortest-round-trip `Display`, and lowercase labels throughout. Golden tests compare this
 // byte-for-byte.
 
 pub(crate) fn push_json_str(out: &mut String, s: &str) {
@@ -858,7 +764,7 @@ mod tests {
         let mut tracer = Tracer::new(&TraceConfig::default());
         assert!(!tracer.enabled());
         tracer.record(SimTime::ZERO, TraceEvent::RunEnded { completed: 0, aborted: false });
-        assert!(tracer.finish(SimTime::ZERO).is_none());
+        assert!(tracer.finish().is_none());
     }
 
     #[test]
@@ -871,7 +777,7 @@ mod tests {
                 TraceEvent::CollectionFailed { retryable: true },
             );
         }
-        let trace = tracer.finish(SimTime::ZERO).unwrap();
+        let trace = tracer.finish().unwrap();
         assert_eq!(trace.events.len(), 2);
         assert_eq!(trace.dropped, 2);
         assert_eq!(trace.events[0].seq, 0);
@@ -879,43 +785,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_by_event_class() {
-        let mut records = sample_records();
-        records.push(TraceRecord {
-            seq: 3,
-            at: SimTime::from_hours(3),
-            event: TraceEvent::Interrupted {
-                workload: 0,
-                region: Region::UsEast1,
-                instance: InstanceId::from_raw(1),
-                billed: 1.25,
-            },
-        });
-        records.push(TraceRecord {
-            seq: 4,
-            at: SimTime::from_hours(4),
-            event: TraceEvent::Completed {
-                workload: 0,
-                region: Region::UsEast2,
-                instance: InstanceId::from_raw(1),
-                billed: 2.0,
-            },
-        });
-        let stats = TraceStats::from_events(&records, SimTime::ZERO);
-        assert_eq!(stats.decisions, 1);
-        assert_eq!(stats.migrations, 0);
-        assert_eq!(stats.interruptions, 1);
-        assert_eq!(stats.breaker_transitions, 1);
-        assert!((stats.billed_total - 3.25).abs() < 1e-12);
-        assert_eq!(stats.event_hours.total(), records.len() as u64);
-    }
-
-    #[test]
     fn jsonl_is_canonical_and_stable() {
         let trace = RunTrace {
             events: sample_records(),
             dropped: 0,
-            stats: TraceStats::from_events(&sample_records(), SimTime::ZERO),
         };
         let a = trace_to_jsonl(&trace);
         let b = trace_to_jsonl(&trace);
@@ -940,7 +813,6 @@ mod tests {
         let trace = RunTrace {
             events: sample_records(),
             dropped: 5,
-            stats: TraceStats::from_events(&sample_records(), SimTime::ZERO),
         };
         let mut out = String::new();
         append_trace_jsonl(&mut out, Some("spotverse/flap"), &trace);

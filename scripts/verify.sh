@@ -13,6 +13,14 @@ cargo test -q
 echo "==> benches: cargo build --benches"
 cargo build --benches
 
+echo "==> benchmark: cargo build --release --manifest-path perfbench/Cargo.toml"
+# perfbench is a workspace of its own, outside the root workspace, so
+# nothing above compiles it; this catches a change that breaks an API it
+# uses. Cargo may rewrite perfbench/Cargo.lock here (dropping crates the
+# repository no longer has). Do not commit that rewrite: restore the file
+# with `git checkout perfbench/Cargo.lock`.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> golden traces: byte-identical replay of committed traces"
 # Drift fails here; bless intentional changes with scripts/regen-golden.sh.
 cargo test -q -p spotverse-integration --test golden_traces

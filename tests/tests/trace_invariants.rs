@@ -1,9 +1,9 @@
 //! Trace-layer invariants and reconciliation: the decision trace must be
 //! internally consistent (contiguous sequence numbers, monotone sim-time,
 //! interruptions always answered by a migration decision), purely
-//! observational (tracing on/off changes no report field), and its
-//! derived totals must agree exactly with the counters the report keeps
-//! independently.
+//! observational (tracing on/off changes no report field), and totals
+//! recounted from its records must agree exactly with the counters the
+//! report keeps independently.
 
 use bio_workloads::WorkloadKind;
 use proptest::prelude::*;
@@ -198,12 +198,6 @@ proptest! {
             degraded_secs,
             report.resilience.freshness.degraded_time.as_secs()
         );
-
-        // The aggregated stats attached to the trace agree with a recount.
-        prop_assert_eq!(trace.stats.interruptions, report.interruptions);
-        prop_assert_eq!(trace.stats.checkpoint_saves, report.checkpoints.writes);
-        prop_assert_eq!(trace.stats.breaker_transitions,
-            count(|e| matches!(e, TraceEvent::Breaker { .. })));
 
         // For a fully completed run every launched instance was billed at
         // an Interrupted or Completed event, so the trace's billed total

@@ -1,19 +1,20 @@
 //! Read-side parser round-trip: the committed golden traces must parse
 //! into typed records and re-serialize byte-identically, corrupt input
 //! must fail with a structured error naming the line (never a panic),
-//! and `TraceStats` rebuilt from parsed merged multi-cell JSONL must
-//! agree with the write-side aggregates — including the billed dollars
-//! of deadline-expired workloads, which the write side used to drop.
+//! and the replay fold (`CellState`) over parsed merged multi-cell JSONL
+//! must equal the fold over the records the writer held — including the
+//! billed dollars of deadline-expired workloads.
 
 use std::fs;
 use std::path::PathBuf;
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::InstanceType;
-use sim_kernel::{SimDuration, SimRng, SimTime};
+use sim_kernel::{SimDuration, SimRng};
 use spotverse::{
-    parse_trace_jsonl, run_fleet, run_matrix, trace_lines_to_jsonl, trace_to_jsonl, FleetConfig,
-    MarketCache, SweepCell, TraceConfig, TraceEvent, TraceLine, TraceRecord, TraceStats,
+    parse_trace_jsonl, replay_str, run_fleet, run_matrix, trace_lines_to_jsonl, trace_to_jsonl,
+    CellState, FleetConfig, MarketCache, SweepCell, TimeWindow, TraceConfig, TraceEvent, TraceLine,
+    TraceRecord,
 };
 use spotverse_integration::{spotverse_strategy, traced_config};
 
@@ -118,9 +119,17 @@ fn split_by_cell(lines: &[TraceLine]) -> Vec<(String, Vec<TraceRecord>)> {
     cells
 }
 
-/// `TraceStats` rebuilt from parsed merged multi-cell JSONL agrees with
-/// the write-side stats of each constituent run — the read side must
-/// split by cell and re-anchor at each cell's own `run_started`.
+fn fold(records: &[TraceRecord]) -> CellState {
+    let mut state = CellState::default();
+    for record in records {
+        state.fold(record);
+    }
+    state
+}
+
+/// The replay fold over parsed merged multi-cell JSONL agrees with the
+/// fold over each constituent run's in-memory records — the read side
+/// must split by cell.
 #[test]
 fn trace_stats_reconcile_across_merged_cells() {
     let cells: Vec<SweepCell> = (0..3)
@@ -138,22 +147,23 @@ fn trace_stats_reconcile_across_merged_cells() {
     let lines = parse_trace_jsonl(&merged).expect("merged trace parses");
     let by_cell = split_by_cell(&lines);
     assert_eq!(by_cell.len(), cells.len(), "every cell present in the merged document");
+    let replayed = replay_str(&merged, TimeWindow::ALL).expect("merged trace replays");
     for ((key, records), (cell, outcome)) in by_cell.iter().zip(cells.iter().zip(&outcomes)) {
         assert_eq!(key, &cell.label);
         let report = outcome.report().expect("cell succeeded");
         let trace = report.trace.as_ref().expect("tracing enabled");
         assert_eq!(records, &trace.events, "{key}: parsed records equal the originals");
-        let rebuilt = TraceStats::rebuild(records);
-        let live = TraceStats::from_events(&trace.events, cell.config.start);
-        assert_eq!(rebuilt, live, "{key}: read-side stats equal write-side stats");
+        let live = fold(&trace.events);
+        assert_eq!(fold(records), live, "{key}: read-side fold equals write-side fold");
+        assert_eq!(replayed.cell(key), Some(&live), "{key}: cursor replay equals write-side fold");
     }
 }
 
-/// The latent write-side gap, now fixed: `billed_total` includes the
-/// dollars billed when a deadline-expired workload's instance is forced
-/// down, so a fleet that completes nothing still reconciles its spend.
+/// The fold's `billed_total` includes the dollars billed when a
+/// deadline-expired workload's instance is forced down, so a fleet that
+/// completes nothing still reconciles its spend.
 #[test]
-fn expired_workload_billing_lands_in_stats() {
+fn expired_workload_billing_lands_in_the_ledger() {
     let rng = SimRng::seed_from_u64(77);
     let specs = paper_fleet(WorkloadKind::GenomeReconstruction, 3, &rng);
     let mut config =
@@ -180,22 +190,14 @@ fn expired_workload_billing_lands_in_stats() {
     }
     assert!(expired_billed > 0.0, "an expired workload had a running instance billed");
 
-    let stats = TraceStats::from_events(&trace.events, SimTime::from_days(1));
+    let billed_total = fold(&trace.events).ledger.billed_total();
     assert!(
-        (stats.billed_total - event_billed).abs() < 1e-9,
-        "billed_total ({}) must include expired-workload billing ({event_billed})",
-        stats.billed_total,
+        (billed_total - event_billed).abs() < 1e-9,
+        "billed_total ({billed_total}) must include expired-workload billing ({event_billed})",
     );
 
     // And the read side agrees after a JSONL round trip.
-    let doc = trace_to_jsonl(trace);
-    let lines = parse_trace_jsonl(&doc).expect("fleet trace parses");
-    let records: Vec<TraceRecord> = lines
-        .iter()
-        .filter_map(|l| match l {
-            TraceLine::Record { record, .. } => Some(record.clone()),
-            TraceLine::Truncated { .. } => None,
-        })
-        .collect();
-    assert_eq!(TraceStats::rebuild(&records), stats);
+    let replayed = replay_str(&trace_to_jsonl(trace), TimeWindow::ALL).expect("fleet trace replays");
+    let cell = replayed.cell("").expect("single-run trace has the unnamed cell");
+    assert_eq!(cell.ledger.billed_total(), billed_total);
 }
