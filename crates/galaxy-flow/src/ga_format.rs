@@ -7,20 +7,20 @@
 //! step `annotation` field — so exported files remain structurally valid
 //! Galaxy workflows while round-tripping losslessly here.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt;
 
+use sim_kernel::json::{self, num_u64, JsonVal};
 use sim_kernel::SimDuration;
 
 use crate::dataset::DataFormat;
-use crate::json::{self, Json, JsonError};
 use crate::workflow::{RecoveryMode, StepId, Workflow, WorkflowError};
 
 /// `.ga` codec errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GaFormatError {
     /// The document is not valid JSON.
-    Json(JsonError),
+    Json(String),
     /// The document is JSON but not a Galaxy workflow.
     NotAGalaxyWorkflow(String),
     /// A step entry is malformed.
@@ -37,7 +37,7 @@ pub enum GaFormatError {
 impl fmt::Display for GaFormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GaFormatError::Json(e) => write!(f, "{e}"),
+            GaFormatError::Json(e) => write!(f, "invalid json: {e}"),
             GaFormatError::NotAGalaxyWorkflow(msg) => {
                 write!(f, "not a galaxy workflow: {msg}")
             }
@@ -50,12 +50,6 @@ impl fmt::Display for GaFormatError {
 }
 
 impl std::error::Error for GaFormatError {}
-
-impl From<JsonError> for GaFormatError {
-    fn from(e: JsonError) -> Self {
-        GaFormatError::Json(e)
-    }
-}
 
 impl From<WorkflowError> for GaFormatError {
     fn from(e: WorkflowError) -> Self {
@@ -81,67 +75,64 @@ fn format_from_name(name: &str) -> DataFormat {
     }
 }
 
+/// An object with its keys in byte order, as `.ga` documents are written.
+fn sorted_obj<'a>(mut entries: Vec<(Cow<'a, str>, JsonVal<'a>)>) -> JsonVal<'a> {
+    entries.sort_by(|(a, _), (b, _)| a.cmp(b));
+    JsonVal::Obj(entries)
+}
+
+fn text<'a>(s: impl Into<Cow<'a, str>>) -> JsonVal<'a> {
+    JsonVal::Str(s.into())
+}
+
 /// Exports a workflow as a `.ga`-shaped JSON document.
 pub fn to_ga_json(workflow: &Workflow) -> String {
-    let mut steps = BTreeMap::new();
-    for (i, step) in workflow.steps().iter().enumerate() {
-        let mut obj = BTreeMap::new();
-        obj.insert("id".to_owned(), Json::Number(i as f64));
-        obj.insert("name".to_owned(), Json::String(step.label().to_owned()));
-        obj.insert(
-            "tool_id".to_owned(),
-            Json::String(step.tool().as_str().to_owned()),
-        );
-        obj.insert("type".to_owned(), Json::String("tool".to_owned()));
-        obj.insert(
-            "annotation".to_owned(),
-            Json::String(format!(
+    let steps = workflow
+        .steps()
+        .iter()
+        .enumerate()
+        .map(|(i, step)| {
+            let connections = step
+                .inputs()
+                .iter()
+                .enumerate()
+                .map(|(j, dep)| {
+                    let conn = sorted_obj(vec![
+                        ("id".into(), num_u64(dep.index() as u64)),
+                        ("output_name".into(), text("output")),
+                    ]);
+                    (format!("input{j}").into(), conn)
+                })
+                .collect();
+            let annotation = format!(
                 "duration_secs={};shards={};output_gib={}",
                 step.duration().as_secs(),
                 step.shards(),
                 step.output_size_gib(),
-            )),
-        );
-        obj.insert(
-            "output_format".to_owned(),
-            Json::String(format_name(step.output_format()).to_owned()),
-        );
-        let mut connections = BTreeMap::new();
-        for (j, dep) in step.inputs().iter().enumerate() {
-            let mut conn = BTreeMap::new();
-            conn.insert("id".to_owned(), Json::Number(dep.index() as f64));
-            conn.insert(
-                "output_name".to_owned(),
-                Json::String("output".to_owned()),
             );
-            connections.insert(format!("input{j}"), Json::Object(conn));
-        }
-        obj.insert("input_connections".to_owned(), Json::Object(connections));
-        steps.insert(i.to_string(), Json::Object(obj));
-    }
-
-    let mut doc = BTreeMap::new();
-    doc.insert(
-        "a_galaxy_workflow".to_owned(),
-        Json::String("true".to_owned()),
-    );
-    doc.insert(
-        "format-version".to_owned(),
-        Json::String("0.1".to_owned()),
-    );
-    doc.insert("name".to_owned(), Json::String(workflow.name().to_owned()));
-    doc.insert(
-        "annotation".to_owned(),
-        Json::String(
-            match workflow.recovery() {
-                RecoveryMode::RestartFromScratch => "recovery=restart-from-scratch",
-                RecoveryMode::ResumeFromCheckpoint => "recovery=resume-from-checkpoint",
-            }
-            .to_owned(),
-        ),
-    );
-    doc.insert("steps".to_owned(), Json::Object(steps));
-    json::write(&Json::Object(doc))
+            let obj = sorted_obj(vec![
+                ("id".into(), num_u64(i as u64)),
+                ("name".into(), text(step.label())),
+                ("tool_id".into(), text(step.tool().as_str())),
+                ("type".into(), text("tool")),
+                ("annotation".into(), text(annotation)),
+                ("output_format".into(), text(format_name(step.output_format()))),
+                ("input_connections".into(), sorted_obj(connections)),
+            ]);
+            (i.to_string().into(), obj)
+        })
+        .collect();
+    let recovery = match workflow.recovery() {
+        RecoveryMode::RestartFromScratch => "recovery=restart-from-scratch",
+        RecoveryMode::ResumeFromCheckpoint => "recovery=resume-from-checkpoint",
+    };
+    json::write_pretty(&sorted_obj(vec![
+        ("a_galaxy_workflow".into(), text("true")),
+        ("format-version".into(), text("0.1")),
+        ("name".into(), text(workflow.name())),
+        ("annotation".into(), text(recovery)),
+        ("steps".into(), sorted_obj(steps)),
+    ]))
 }
 
 fn annotation_field(annotation: &str, key: &str) -> Option<String> {
@@ -151,6 +142,18 @@ fn annotation_field(annotation: &str, key: &str) -> Option<String> {
         .map(str::to_owned)
 }
 
+/// The string under `key`, if `obj` has one.
+fn str_field<'v>(obj: &'v JsonVal<'_>, key: &str) -> Option<&'v str> {
+    obj.get(key).and_then(|v| v.as_str().ok())
+}
+
+/// Exported connections are named `input0`, `input1`, …: they sort by
+/// that number (`input2` before `input10`), any other name after them.
+fn connection_order(name: &str) -> (usize, &str) {
+    let position = name.strip_prefix("input").and_then(|n| n.parse().ok());
+    (position.unwrap_or(usize::MAX), name)
+}
+
 /// Imports a workflow from a `.ga`-shaped JSON document.
 ///
 /// # Errors
@@ -158,31 +161,27 @@ fn annotation_field(annotation: &str, key: &str) -> Option<String> {
 /// Returns a [`GaFormatError`] for non-JSON input, non-workflow documents,
 /// malformed steps, or structurally invalid workflows.
 pub fn from_ga_json(input: &str) -> Result<Workflow, GaFormatError> {
-    let doc = json::parse(input)?;
-    if doc.get("a_galaxy_workflow").and_then(Json::as_str) != Some("true") {
+    let doc = json::parse(input).map_err(GaFormatError::Json)?;
+    if str_field(&doc, "a_galaxy_workflow") != Some("true") {
         return Err(GaFormatError::NotAGalaxyWorkflow(
             "missing `a_galaxy_workflow: \"true\"`".into(),
         ));
     }
-    let name = doc
-        .get("name")
-        .and_then(Json::as_str)
-        .unwrap_or("imported-workflow")
-        .to_owned();
-    let recovery = match doc.get("annotation").and_then(Json::as_str) {
+    let name = str_field(&doc, "name").unwrap_or("imported-workflow").to_owned();
+    let recovery = match str_field(&doc, "annotation") {
         Some(a) if a.contains("resume-from-checkpoint") => RecoveryMode::ResumeFromCheckpoint,
         _ => RecoveryMode::RestartFromScratch,
     };
     let steps_obj = doc
         .get("steps")
-        .and_then(Json::as_object)
+        .and_then(|steps| steps.as_obj().ok())
         .ok_or_else(|| GaFormatError::NotAGalaxyWorkflow("missing `steps` object".into()))?;
 
     // Order steps by numeric key.
-    let mut ordered: Vec<(usize, &Json)> = Vec::with_capacity(steps_obj.len());
+    let mut ordered: Vec<(usize, &JsonVal<'_>)> = Vec::with_capacity(steps_obj.len());
     for (key, value) in steps_obj {
         let index: usize = key.parse().map_err(|_| GaFormatError::MalformedStep {
-            step: key.clone(),
+            step: key.to_string(),
             problem: "non-numeric step key".into(),
         })?;
         ordered.push((index, value));
@@ -193,70 +192,52 @@ pub fn from_ga_json(input: &str) -> Result<Workflow, GaFormatError> {
     let mut ids: Vec<StepId> = Vec::with_capacity(ordered.len());
     for (expected, (index, step)) in ordered.iter().enumerate() {
         let key = index.to_string();
-        if *index != expected {
-            return Err(GaFormatError::MalformedStep {
-                step: key,
-                problem: format!("non-contiguous step ids (expected {expected})"),
-            });
-        }
-        let field = |name: &str| -> Result<&Json, GaFormatError> {
-            step.get(name).ok_or_else(|| GaFormatError::MalformedStep {
-                step: key.clone(),
-                problem: format!("missing `{name}`"),
-            })
+        let malformed = |problem: String| GaFormatError::MalformedStep {
+            step: key.clone(),
+            problem,
         };
-        let label = field("name")?
-            .as_str()
-            .ok_or_else(|| GaFormatError::MalformedStep {
-                step: key.clone(),
-                problem: "`name` is not a string".into(),
-            })?
-            .to_owned();
-        let tool = field("tool_id")?
-            .as_str()
-            .ok_or_else(|| GaFormatError::MalformedStep {
-                step: key.clone(),
-                problem: "`tool_id` is not a string".into(),
-            })?
-            .to_owned();
-        let annotation = step
-            .get("annotation")
-            .and_then(Json::as_str)
-            .unwrap_or_default();
+        if *index != expected {
+            return Err(malformed(format!("non-contiguous step ids (expected {expected})")));
+        }
+        let string = |name: &str| -> Result<String, GaFormatError> {
+            let value = step.get(name).ok_or_else(|| malformed(format!("missing `{name}`")))?;
+            value
+                .as_str()
+                .map(str::to_owned)
+                .map_err(|_| malformed(format!("`{name}` is not a string")))
+        };
+        let label = string("name")?;
+        let tool = string("tool_id")?;
+        let annotation = str_field(step, "annotation").unwrap_or_default();
         let duration_secs: u64 = annotation_field(annotation, "duration_secs")
             .and_then(|v| v.parse().ok())
-            .ok_or_else(|| GaFormatError::MalformedStep {
-                step: key.clone(),
-                problem: "annotation lacks `duration_secs`".into(),
-            })?;
+            .ok_or_else(|| malformed("annotation lacks `duration_secs`".into()))?;
         let shards: u32 = annotation_field(annotation, "shards")
             .and_then(|v| v.parse().ok())
             .unwrap_or(1);
         let output_gib: f64 = annotation_field(annotation, "output_gib")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0.01);
-        let output_format = format_from_name(
-            step.get("output_format").and_then(Json::as_str).unwrap_or("tabular"),
-        );
-        let mut inputs = Vec::new();
-        if let Some(connections) = step.get("input_connections").and_then(Json::as_object) {
-            for conn in connections.values() {
-                let dep = conn
-                    .get("id")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| GaFormatError::MalformedStep {
-                        step: key.clone(),
-                        problem: "connection lacks numeric `id`".into(),
-                    })?;
-                let dep = dep as usize;
-                if dep >= ids.len() {
-                    return Err(GaFormatError::MalformedStep {
-                        step: key.clone(),
-                        problem: format!("connection references later step {dep}"),
-                    });
-                }
-                inputs.push(ids[dep]);
+        let output_format =
+            format_from_name(str_field(step, "output_format").unwrap_or("tabular"));
+        let mut connections: Vec<_> = step
+            .get("input_connections")
+            .and_then(|c| c.as_obj().ok())
+            .unwrap_or_default()
+            .iter()
+            .collect();
+        connections.sort_by(|(a, _), (b, _)| connection_order(a).cmp(&connection_order(b)));
+        let mut inputs = Vec::with_capacity(connections.len());
+        for (conn_name, conn) in connections {
+            let dep = conn
+                .get("id")
+                .ok_or_else(|| malformed(format!("connection `{conn_name}` lacks `id`")))?
+                .as_usize()
+                .map_err(|e| malformed(format!("connection `{conn_name}` id: {e}")))?;
+            if dep >= ids.len() {
+                return Err(malformed(format!("connection references later step {dep}")));
             }
+            inputs.push(ids[dep]);
         }
         let id = builder.add_step_full(
             label,
@@ -333,18 +314,14 @@ mod tests {
     #[test]
     fn document_is_galaxy_shaped() {
         let ga = to_ga_json(&sample_workflow());
-        let doc = crate::json::parse(&ga).unwrap();
-        assert_eq!(doc.get("a_galaxy_workflow").and_then(Json::as_str), Some("true"));
-        assert_eq!(doc.get("format-version").and_then(Json::as_str), Some("0.1"));
-        let steps = doc.get("steps").and_then(Json::as_object).unwrap();
-        assert_eq!(steps.len(), 3);
+        let doc = json::parse(&ga).unwrap();
+        assert_eq!(str_field(&doc, "a_galaxy_workflow"), Some("true"));
+        assert_eq!(str_field(&doc, "format-version"), Some("0.1"));
+        let steps = doc.get("steps").unwrap();
+        assert_eq!(steps.as_obj().unwrap().len(), 3);
         let qc = steps.get("1").unwrap();
-        assert_eq!(qc.get("tool_id").and_then(Json::as_str), Some("fastqc"));
-        assert!(qc
-            .get("annotation")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("shards=20"));
+        assert_eq!(str_field(qc, "tool_id"), Some("fastqc"));
+        assert!(str_field(qc, "annotation").unwrap().contains("shards=20"));
     }
 
     #[test]
@@ -378,6 +355,35 @@ mod tests {
         let err = from_ga_json(doc).unwrap_err();
         assert!(matches!(err, GaFormatError::MalformedStep { .. }), "{err}");
         assert!(err.to_string().contains("later step"));
+    }
+
+    #[test]
+    fn fan_in_past_ten_inputs_keeps_its_input_order() {
+        let mut b = Workflow::builder("fan-in", RecoveryMode::RestartFromScratch);
+        let sources: Vec<_> = (0..11)
+            .map(|i| b.add_step(format!("src-{i}"), "t", SimDuration::from_mins(5), &[]))
+            .collect();
+        b.add_step("merge", "t", SimDuration::from_mins(5), &sources);
+        let original = b.build().unwrap();
+        assert_eq!(from_ga_json(&to_ga_json(&original)).unwrap(), original);
+    }
+
+    #[test]
+    fn connection_ids_must_be_non_negative_integers() {
+        for bad in ["-1", "1.9", "1e0", "\"0\"", "null"] {
+            let doc = format!(
+                r#"{{"a_galaxy_workflow": "true", "steps": {{
+                    "0": {{"name": "a", "tool_id": "t", "annotation": "duration_secs=60"}},
+                    "1": {{"name": "b", "tool_id": "t", "annotation": "duration_secs=60",
+                           "input_connections": {{"input0": {{"id": {bad}}}}}}}
+                }}}}"#
+            );
+            let err = from_ga_json(&doc).unwrap_err();
+            assert!(
+                matches!(&err, GaFormatError::MalformedStep { step, .. } if step == "1"),
+                "id {bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -42,7 +42,6 @@ mod checkpoint;
 mod dataset;
 pub mod ga_format;
 mod galaxy;
-pub mod json;
 mod invocation;
 mod planemo;
 mod tool;

@@ -148,7 +148,8 @@ proptest! {
 
 mod ga_roundtrip {
     use super::*;
-    use galaxy_flow::{from_ga_json, json, to_ga_json};
+    use galaxy_flow::{from_ga_json, to_ga_json};
+    use sim_kernel::json::{self, JsonVal};
 
     proptest! {
         /// Every constructible workflow round-trips through the `.ga`
@@ -160,31 +161,35 @@ mod ga_roundtrip {
             prop_assert_eq!(imported, wf);
         }
 
-        /// The JSON writer always produces parseable documents for
-        /// arbitrary string content (escaping is total).
+        /// The JSON writer `.ga` documents are written with produces
+        /// parseable documents for arbitrary string content (escaping is
+        /// total).
         #[test]
         fn json_string_escaping_is_total(s in ".*") {
-            let doc = json::Json::String(s.clone());
-            let rendered = json::write(&doc);
+            let rendered = json::write_pretty(&JsonVal::Str(s.as_str().into()));
             let parsed = json::parse(&rendered).unwrap();
-            prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+            prop_assert_eq!(parsed.as_str(), Ok(s.as_str()));
         }
 
         /// Arbitrary nested JSON documents round-trip through
-        /// write ∘ parse.
+        /// write ∘ parse, indented or compact.
         #[test]
         fn json_document_roundtrip(
             keys in prop::collection::vec("[a-z]{1,8}", 1..6),
             numbers in prop::collection::vec(-1e9f64..1e9, 1..6),
         ) {
-            let mut map = std::collections::BTreeMap::new();
-            for (k, n) in keys.iter().zip(numbers.iter()) {
-                map.insert(k.clone(), json::Json::Number((*n * 100.0).round() / 100.0));
-            }
-            let doc = json::Json::Object(map);
-            let rendered = json::write(&doc);
-            let parsed = json::parse(&rendered).unwrap();
-            prop_assert_eq!(parsed, doc);
+            let map: std::collections::BTreeMap<_, _> = keys
+                .iter()
+                .zip(numbers.iter())
+                .map(|(k, n)| (k.clone(), JsonVal::Num(format!("{}", (*n * 100.0).round() / 100.0).into())))
+                .collect();
+            let entries: Vec<_> = map.into_iter().map(|(k, v)| (k.into(), v)).collect();
+            let doc = JsonVal::Obj(vec![("doc".into(), JsonVal::Arr(vec![JsonVal::Obj(entries)]))]);
+            let pretty = json::write_pretty(&doc);
+            prop_assert_eq!(&json::parse(&pretty).unwrap(), &doc);
+            let mut compact = String::new();
+            json::write_into(&doc, &mut compact);
+            prop_assert_eq!(json::parse(&compact).unwrap(), doc);
         }
     }
 }

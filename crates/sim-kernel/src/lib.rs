@@ -17,6 +17,9 @@
 //!   multi-day traces).
 //! * **Reporting** — [`RunningStats`], [`TimeSeries`], and
 //!   [`CumulativeCounter`] capture exactly the quantities the paper plots.
+//! * **Interchange** — [`json`] is the workspace's one JSON codec: Galaxy
+//!   `.ga` workflows and canonical trace JSONL are both written and read
+//!   with it.
 //!
 //! # Examples
 //!
@@ -48,6 +51,7 @@
 
 mod engine;
 mod event;
+pub mod json;
 mod rng;
 mod series;
 mod stats;

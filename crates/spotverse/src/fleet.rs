@@ -39,7 +39,7 @@ use crate::experiment::{
 };
 use crate::optimizer::Placement;
 use crate::strategy::{Strategy, StrategyContext};
-use crate::trace::{DecisionKind, TraceEvent, Tracer};
+use crate::trace::{ChaosFaultKind, DecisionKind, TraceEvent, Tracer};
 use crate::workload::{WorkloadPhase, WorkloadReport, WorkloadRuntime};
 
 /// A tenant's scheduling tier within an arrival batch.
@@ -51,7 +51,11 @@ use crate::workload::{WorkloadPhase, WorkloadReport, WorkloadRuntime};
 /// slots. Fleets that never set a priority (every committed golden trace)
 /// are all [`Priority::Standard`], for which the ordering is a stable
 /// no-op.
+// `repr(u64)` gives the enum the alignment of a parsed JSON value, so
+// replay decodes a trace's `priority` array into the parsed array's own
+// buffer instead of allocating a new one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(u64)]
 pub enum Priority {
     /// Best-effort batch analysis: placed last within its batch.
     Batch,
@@ -62,16 +66,11 @@ pub enum Priority {
     Interactive,
 }
 
-impl Priority {
-    /// Canonical snake_case label used in trace events.
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::Batch => "batch",
-            Priority::Standard => "standard",
-            Priority::Interactive => "interactive",
-        }
-    }
-}
+labels!(Priority, "priority", {
+    Batch => "batch",
+    Standard => "standard",
+    Interactive => "interactive",
+});
 
 /// One workload's slot in a fleet: the spec plus its arrival offset.
 #[derive(Debug, Clone)]
@@ -501,7 +500,7 @@ impl FleetModel {
             };
             let priorities = if ids.iter().any(|&w| workloads[w].priority != Priority::Standard)
             {
-                ids.iter().map(|&w| workloads[w].priority.label()).collect()
+                ids.iter().map(|&w| workloads[w].priority).collect()
             } else {
                 Vec::new()
             };
@@ -576,7 +575,10 @@ impl FleetModel {
                     if blackout {
                         self.cp.tracer.record(
                             now,
-                            TraceEvent::ChaosFault { kind: "spot_blackout", region: Some(region) },
+                            TraceEvent::ChaosFault {
+                                kind: ChaosFaultKind::SpotBlackout,
+                                region: Some(region),
+                            },
                         );
                         let transition = self.cp.health.record_rejection(region, now);
                         self.cp.trace_breaker(now, transition);
@@ -743,7 +745,10 @@ impl FleetModel {
         }) {
             self.cp.tracer.record(
                 now,
-                TraceEvent::ChaosFault { kind: "chaos_interruption", region: Some(region) },
+                TraceEvent::ChaosFault {
+                    kind: ChaosFaultKind::ChaosInterruption,
+                    region: Some(region),
+                },
             );
             let transition = self.cp.health.record_interruption(region, now);
             self.cp.trace_breaker(now, transition);

@@ -26,7 +26,6 @@
 //!   answers.
 
 use std::collections::BTreeMap;
-use std::str::FromStr;
 
 use cloud_market::Region;
 use sim_kernel::{SimDuration, SimTime};
@@ -43,29 +42,11 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-impl BreakerState {
-    /// The label traces and replay snapshots use for this state.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
-}
-
-impl FromStr for BreakerState {
-    type Err = String;
-
-    /// Inverts [`BreakerState::label`].
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        [BreakerState::Closed, BreakerState::Open, BreakerState::HalfOpen]
-            .into_iter()
-            .find(|state| state.label() == s)
-            .ok_or_else(|| format!("unknown breaker state `{s}`"))
-    }
-}
+labels!(BreakerState, "breaker state", {
+    Closed => "closed",
+    Open => "open",
+    HalfOpen => "half-open",
+});
 
 /// A breaker state change caused by one recorded observation — returned
 /// by the `record_*` methods so callers (the trace layer) can log it

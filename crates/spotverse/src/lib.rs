@@ -45,7 +45,36 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+/// Gives a fieldless enum its trace label (`label`) and the inverse
+/// (`FromStr`) from one variant → label list, so the two cannot drift.
+macro_rules! labels {
+    ($ty:ident, $what:literal, { $($variant:ident => $label:literal),+ $(,)? }) => {
+        impl $ty {
+            /// The label traces and replay snapshots use for this value.
+            #[must_use]
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $label,)+
+                }
+            }
+        }
+
+        impl std::str::FromStr for $ty {
+            type Err = String;
+
+            /// Inverts `label`.
+            fn from_str(s: &str) -> Result<Self, Self::Err> {
+                match s {
+                    $($label => Ok($ty::$variant),)+
+                    other => Err(format!(concat!("unknown ", $what, " `{}`"), other)),
+                }
+            }
+        }
+    };
+}
+
 mod checkpointing;
+mod codec;
 mod config;
 pub mod controlplane;
 mod deadline;
@@ -116,8 +145,8 @@ pub use tournament::{
     TournamentReport, TournamentRow,
 };
 pub use trace::{
-    append_record_json, append_trace_jsonl, trace_to_jsonl, DecisionKind, RunTrace, TraceConfig,
-    TraceEvent, TraceRecord, Tracer,
+    append_record_json, append_trace_jsonl, trace_to_jsonl, ChaosFaultKind, DecisionKind, RunTrace,
+    TraceConfig, TraceEvent, TraceRecord, Tracer,
 };
 pub use strategy::{
     AblatedSpotVerseStrategy, BidPriceAwareStrategy, CheckpointAdaptiveStrategy,

@@ -9,6 +9,8 @@
 //! interrupted in. When no region meets the threshold, the workload falls
 //! back to the cheapest on-demand instance.
 
+use std::str::FromStr;
+
 use cloud_market::{CombinedScore, PlacementScore, Region, StabilityScore, UsdPerHour};
 use sim_kernel::SimRng;
 
@@ -90,6 +92,28 @@ impl CandidateOutcome {
             CandidateOutcome::BelowThreshold => "below-threshold".to_owned(),
             CandidateOutcome::OverCap => "over-cap".to_owned(),
             CandidateOutcome::InterruptedHere => "interrupted-here".to_owned(),
+        }
+    }
+}
+
+impl FromStr for CandidateOutcome {
+    type Err = String;
+
+    /// Inverts [`CandidateOutcome::label`].
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        if let Some(rank) = s.strip_prefix("selected:") {
+            let rank = rank
+                .parse::<usize>()
+                .map_err(|_| format!("selected rank `{rank}` is not an integer"))?;
+            return Ok(CandidateOutcome::Selected { rank });
+        }
+        match s {
+            "quarantined" => Ok(CandidateOutcome::Quarantined),
+            "not-preferred" => Ok(CandidateOutcome::NotPreferred),
+            "below-threshold" => Ok(CandidateOutcome::BelowThreshold),
+            "over-cap" => Ok(CandidateOutcome::OverCap),
+            "interrupted-here" => Ok(CandidateOutcome::InterruptedHere),
+            other => Err(format!("unknown candidate outcome `{other}`")),
         }
     }
 }

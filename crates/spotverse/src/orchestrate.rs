@@ -39,13 +39,12 @@ use aws_stack::{
 use chaos::{ChaosEngine, ChaosScenario};
 use cloud_compute::BillingLedger;
 use cloud_market::{Region, Usd};
+use sim_kernel::json::push_json_str;
 use sim_kernel::{EventQueue, SimDuration, SimTime};
 
 use crate::strategy::Strategy;
 use crate::sweep::{run_cell, CellOutcome, MarketCache, SweepCell, SweepOutcome};
-use crate::trace::{
-    append_trace_jsonl, push_json_str, RunTrace, TraceConfig, TraceEvent, Tracer,
-};
+use crate::trace::{append_trace_jsonl, RunTrace, TraceConfig, TraceEvent, Tracer};
 
 /// KV table holding one lease record per shard.
 pub const LEASE_TABLE: &str = "sweep-leases";

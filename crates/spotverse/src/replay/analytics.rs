@@ -6,10 +6,12 @@
 //! `spotverse analyse` CLI and the golden-analytics snapshot tests, so
 //! the committed snapshots gate the CLI output byte-for-byte.
 
-use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use super::json::{self, num_f64, num_u64, JsonVal};
+use sim_kernel::json::push_json_str;
+
+use crate::codec::{object_codec, put_delimited, put_field, Codec};
+
 use super::views::{CellState, ReplayState};
 
 /// Five-number summary (nearest-rank percentiles) plus the mean.
@@ -348,80 +350,37 @@ pub fn render_analysis(state: &ReplayState) -> String {
     out
 }
 
-fn pct_json(p: &Percentiles) -> JsonVal<'static> {
-    JsonVal::Obj(vec![
-        ("count".into(), num_u64(p.count as u64)),
-        ("min".into(), num_f64(p.min)),
-        ("p50".into(), num_f64(p.p50)),
-        ("p90".into(), num_f64(p.p90)),
-        ("p99".into(), num_f64(p.p99)),
-        ("max".into(), num_f64(p.max)),
-        ("mean".into(), num_f64(p.mean)),
-    ])
-}
+object_codec!(Percentiles { count, min, p50, p90, p99, max, mean });
+
+object_codec!(StrategyDistribution { strategy, cells, cost, makespan_hours });
+
+object_codec!(WinMatrix { strategies, wins, contested_seeds });
 
 /// Renders the analysis as one canonical JSON object (machine-readable
 /// variant of [`render_analysis`]).
 #[must_use]
 pub fn render_analysis_json(state: &ReplayState) -> String {
-    let cells: Vec<(Cow<'_, str>, JsonVal<'_>)> = state
-        .cells
-        .iter()
-        .map(|(key, cell)| {
-            let mut obj = cell.to_json().into_obj().expect("cell snapshot is an object");
-            obj.push(("billed_total".into(), num_f64(cell.ledger.billed_total())));
-            if let Some(secs) = cell.summary.makespan_secs() {
-                obj.push(("makespan_s".into(), num_u64(secs)));
+    let mut text = String::new();
+    put_delimited(&mut text, "{", '}', |out| {
+        out.push_str(",\"cells\":");
+        put_delimited(out, "{", '}', |out| {
+            for (key, cell) in &state.cells {
+                out.push(',');
+                push_json_str(out, key);
+                out.push(':');
+                cell.put(out);
+                // Reopen the cell's snapshot object to add the derived totals.
+                out.pop();
+                put_field!(out, &cell.ledger.billed_total(), "billed_total");
+                put_field!(out, &cell.summary.makespan_secs(), "makespan_s");
+                out.push('}');
             }
-            (Cow::Borrowed(key.as_str()), JsonVal::Obj(obj))
-        })
-        .collect();
-    let dists: Vec<JsonVal> = strategy_distributions(state)
-        .into_iter()
-        .map(|d| {
-            let mut obj = vec![
-                ("strategy".into(), JsonVal::Str(Cow::Owned(d.strategy))),
-                ("cells".into(), num_u64(d.cells as u64)),
-            ];
-            if let Some(cost) = &d.cost {
-                obj.push(("cost".into(), pct_json(cost)));
-            }
-            if let Some(mk) = &d.makespan_hours {
-                obj.push(("makespan_hours".into(), pct_json(mk)));
-            }
-            JsonVal::Obj(obj)
-        })
-        .collect();
-    let wm = win_matrix(state);
-    let root = JsonVal::Obj(vec![
-        ("cells".into(), JsonVal::Obj(cells)),
-        ("distributions".into(), JsonVal::Arr(dists)),
-        (
-            "win_matrix".into(),
-            JsonVal::Obj(vec![
-                (
-                    "strategies".into(),
-                    JsonVal::Arr(
-                        wm.strategies.iter().map(|s| JsonVal::Str(Cow::Borrowed(s))).collect(),
-                    ),
-                ),
-                (
-                    "wins".into(),
-                    JsonVal::Arr(
-                        wm.wins
-                            .iter()
-                            .map(|row| JsonVal::Arr(row.iter().map(|w| num_u64(*w)).collect()))
-                            .collect(),
-                    ),
-                ),
-                ("contested_seeds".into(), num_u64(wm.contested_seeds as u64)),
-            ]),
-        ),
-    ]);
-    let mut out = String::new();
-    json::write_into(&root, &mut out);
-    out.push('\n');
-    out
+        });
+        put_field!(out, &strategy_distributions(state), "distributions");
+        put_field!(out, &win_matrix(state), "win_matrix");
+    });
+    text.push('\n');
+    text
 }
 
 #[cfg(test)]

@@ -8,11 +8,10 @@
 //! with [`ReplayCursor::snapshot`] resumes via [`ReplayCursor::resume`]
 //! to the same final state as an uninterrupted pass.
 
-use std::borrow::Cow;
+use sim_kernel::json::{self, Fields};
 
-use sim_kernel::SimTime;
+use crate::codec::{put_delimited, put_field, take_field};
 
-use super::json::{self, Fields, JsonVal};
 use super::parse::{parse_trace_line, TraceParseError};
 use super::views::{ReplayState, TimeWindow};
 
@@ -138,23 +137,17 @@ impl ReplayCursor {
     /// and all folded view state — to canonical JSON text.
     #[must_use]
     pub fn snapshot(&self) -> String {
-        let mut obj = vec![
-            ("version".into(), json::num_u64(SNAPSHOT_VERSION)),
-            ("consumed".into(), json::num_u64(self.consumed)),
-            ("partial".into(), JsonVal::Str(Cow::Borrowed(&self.partial))),
-        ];
-        if let Some(from) = self.window.from {
-            obj.push(("from".into(), json::num_u64(from.as_secs())));
-        }
-        if let Some(until) = self.window.until {
-            obj.push(("until".into(), json::num_u64(until.as_secs())));
-        }
-        if let Some(cell) = &self.default_cell {
-            obj.push(("default_cell".into(), JsonVal::Str(Cow::Borrowed(cell))));
-        }
-        obj.push(("cells".into(), self.state.to_json()));
+        let ReplayCursor { window, default_cell, partial, consumed, state } = self;
         let mut out = String::new();
-        json::write_into(&JsonVal::Obj(obj), &mut out);
+        put_delimited(&mut out, "{", '}', |out| {
+            put_field!(out, &SNAPSHOT_VERSION, "version");
+            put_field!(out, consumed, "consumed");
+            put_field!(out, partial, "partial");
+            put_field!(out, &window.from, "from");
+            put_field!(out, &window.until, "until");
+            put_field!(out, default_cell, "default_cell");
+            put_field!(out, state, "cells");
+        });
         out
     }
 
@@ -166,26 +159,21 @@ impl ReplayCursor {
     /// version mismatch).
     pub fn resume(snapshot: &str) -> Result<Self, String> {
         let mut f = Fields::new(json::parse(snapshot)?.into_obj()?);
-        let version = f.require("version")?.as_u64()?;
+        let version: u64 = take_field!(&mut f, "version");
         if version != SNAPSHOT_VERSION {
             return Err(format!(
                 "snapshot version {version} is not the supported {SNAPSHOT_VERSION}"
             ));
         }
-        let consumed = f.require("consumed")?.as_u64()?;
-        let partial = f.require("partial")?.into_string()?;
-        let from = f.take("from").map(|v| v.as_u64().map(SimTime::from_secs)).transpose()?;
-        let until = f.take("until").map(|v| v.as_u64().map(SimTime::from_secs)).transpose()?;
-        let default_cell = f.take("default_cell").map(JsonVal::into_string).transpose()?;
-        let state = ReplayState::from_json(f.require("cells")?)?;
+        let cursor = ReplayCursor {
+            consumed: take_field!(&mut f, "consumed"),
+            partial: take_field!(&mut f, "partial"),
+            window: TimeWindow { from: take_field!(&mut f, "from"), until: take_field!(&mut f, "until") },
+            default_cell: take_field!(&mut f, "default_cell"),
+            state: take_field!(&mut f, "cells"),
+        };
         f.finish()?;
-        Ok(ReplayCursor {
-            window: TimeWindow { from, until },
-            default_cell,
-            partial,
-            consumed,
-            state,
-        })
+        Ok(cursor)
     }
 }
 

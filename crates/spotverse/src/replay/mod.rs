@@ -21,8 +21,6 @@
 //!   renders the deterministic text the `spotverse analyse` CLI and the
 //!   golden-analytics snapshots share.
 
-mod json;
-
 pub mod analytics;
 pub mod cursor;
 pub mod parse;

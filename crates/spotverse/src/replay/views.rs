@@ -7,16 +7,15 @@
 //! what makes the trace log the system of record: any figure a live run
 //! reports must be recomputable from the log alone.
 
-use std::borrow::Cow;
-use std::str::FromStr;
-
 use cloud_market::Region;
+use sim_kernel::json::{self, push_json_str, Fields, JsonVal};
 use sim_kernel::SimTime;
+
+use crate::codec::{array_codec, object_codec, put_delimited, put_field, take_field, Codec};
 
 use crate::health::BreakerState;
 use crate::trace::{DecisionKind, TraceEvent, TraceRecord};
 
-use super::json::{self, num_f64, num_u64, Fields, JsonVal};
 use super::parse::TraceLine;
 
 /// Number of regions tracked by the flat per-region arrays.
@@ -524,357 +523,167 @@ pub fn replay_lines(lines: &[TraceLine], window: TimeWindow) -> ReplayState {
 // Snapshot serialization (cursor resume).
 // ---------------------------------------------------------------------------
 
-fn num_i64(n: i64) -> JsonVal<'static> {
-    JsonVal::Num(Cow::Owned(n.to_string()))
-}
+object_codec!(RunSummary {
+    strategy,
+    seed,
+    workloads,
+    chaos,
+    regime,
+    started_at,
+    ended_at,
+    last_completion,
+    completed,
+    aborted,
+    decisions,
+    migrations,
+});
 
-fn as_i64(v: &JsonVal<'_>) -> Result<i64, String> {
-    match v {
-        JsonVal::Num(raw) => raw.parse::<i64>().map_err(|_| format!("`{raw}` is not an i64")),
-        other => Err(format!("expected integer, found {}", other.type_name())),
-    }
-}
+object_codec!(RegionLedger {
+    spot_launches: "spot",
+    on_demand_launches: "od",
+    interruptions,
+    completions,
+    expirations,
+    request_opens: "opens",
+    request_failures: "failures",
+    capacity_deferrals: "deferrals",
+    billed,
+});
 
-fn u64_arr(values: &[u64]) -> JsonVal<'static> {
-    JsonVal::Arr(values.iter().map(|v| num_u64(*v)).collect())
-}
+array_codec!(BreakerTransition [at, region, from, to]);
 
-fn take_u64_arr<const N: usize>(fields: &mut Fields<'_>, key: &str) -> Result<[u64; N], String> {
-    let items = fields.require(key)?.into_arr()?;
-    if items.len() != N {
-        return Err(format!("`{key}` must have {N} entries, found {}", items.len()));
-    }
-    let mut out = [0u64; N];
-    for (slot, item) in out.iter_mut().zip(items) {
-        *slot = item.as_u64()?;
-    }
-    Ok(out)
-}
+array_codec!(CheckpointView [
+    saves,
+    recorded,
+    torn,
+    restores,
+    scratch_restores,
+    corrupt_dropped,
+    units_saved,
+    units_restored,
+]);
 
-fn opt_time(t: Option<SimTime>) -> Option<JsonVal<'static>> {
-    t.map(|t| num_u64(t.as_secs()))
-}
+array_codec!(ShardView [
+    dispatches,
+    cells_dispatched,
+    lease_expiries,
+    redrives,
+    dead_lettered,
+    completions,
+    duplicates,
+    max_attempt,
+]);
 
-fn push_opt<'a>(
-    obj: &mut Vec<(Cow<'a, str>, JsonVal<'a>)>,
-    key: &'static str,
-    v: Option<JsonVal<'a>>,
-) {
-    if let Some(v) = v {
-        obj.push((key.into(), v));
-    }
-}
+array_codec!(ResilienceView [
+    collection_failures,
+    retryable_failures,
+    stale_serves,
+    degraded_decisions,
+    degraded_seconds,
+    chaos_faults,
+]);
 
-fn opt_str(s: &Option<String>) -> Option<JsonVal<'_>> {
-    s.as_deref().map(|s| JsonVal::Str(Cow::Borrowed(s)))
-}
-
-fn take_time(fields: &mut Fields<'_>, key: &str) -> Result<Option<SimTime>, String> {
-    fields.take(key).map(|v| v.as_u64().map(SimTime::from_secs)).transpose()
-}
-
-impl RunSummary {
-    fn to_json(&self) -> JsonVal<'_> {
-        let mut obj = Vec::new();
-        push_opt(&mut obj, "strategy", opt_str(&self.strategy));
-        push_opt(&mut obj, "seed", self.seed.map(num_u64));
-        push_opt(&mut obj, "workloads", self.workloads.map(|w| num_u64(w as u64)));
-        push_opt(&mut obj, "chaos", opt_str(&self.chaos));
-        push_opt(&mut obj, "regime", opt_str(&self.regime));
-        push_opt(&mut obj, "started_at", opt_time(self.started_at));
-        push_opt(&mut obj, "ended_at", opt_time(self.ended_at));
-        push_opt(&mut obj, "last_completion", opt_time(self.last_completion));
-        obj.push(("completed".into(), num_u64(self.completed as u64)));
-        obj.push(("aborted".into(), JsonVal::Bool(self.aborted)));
-        obj.push(("decisions".into(), num_u64(self.decisions)));
-        obj.push(("migrations".into(), num_u64(self.migrations)));
-        JsonVal::Obj(obj)
-    }
-
-    fn from_json(v: JsonVal<'_>) -> Result<Self, String> {
-        let mut f = Fields::new(v.into_obj()?);
-        let out = RunSummary {
-            strategy: f.take("strategy").map(JsonVal::into_string).transpose()?,
-            seed: f.take("seed").map(|v| v.as_u64()).transpose()?,
-            workloads: f.take("workloads").map(|v| v.as_usize()).transpose()?,
-            chaos: f.take("chaos").map(JsonVal::into_string).transpose()?,
-            regime: f.take("regime").map(JsonVal::into_string).transpose()?,
-            started_at: take_time(&mut f, "started_at")?,
-            ended_at: take_time(&mut f, "ended_at")?,
-            last_completion: take_time(&mut f, "last_completion")?,
-            completed: f.require("completed")?.as_usize()?,
-            aborted: f.require("aborted")?.as_bool()?,
-            decisions: f.require("decisions")?.as_u64()?,
-            migrations: f.require("migrations")?.as_u64()?,
-        };
-        f.finish()?;
-        Ok(out)
-    }
-}
-
-impl RegionLedger {
-    fn to_json(self) -> JsonVal<'static> {
-        JsonVal::Obj(vec![
-            ("spot".into(), num_u64(self.spot_launches)),
-            ("od".into(), num_u64(self.on_demand_launches)),
-            ("interruptions".into(), num_u64(self.interruptions)),
-            ("completions".into(), num_u64(self.completions)),
-            ("expirations".into(), num_u64(self.expirations)),
-            ("opens".into(), num_u64(self.request_opens)),
-            ("failures".into(), num_u64(self.request_failures)),
-            ("deferrals".into(), num_u64(self.capacity_deferrals)),
-            ("billed".into(), num_f64(self.billed)),
-        ])
-    }
-
-    fn from_json(v: JsonVal<'_>) -> Result<Self, String> {
-        let mut f = Fields::new(v.into_obj()?);
-        let out = RegionLedger {
-            spot_launches: f.require("spot")?.as_u64()?,
-            on_demand_launches: f.require("od")?.as_u64()?,
-            interruptions: f.require("interruptions")?.as_u64()?,
-            completions: f.require("completions")?.as_u64()?,
-            expirations: f.require("expirations")?.as_u64()?,
-            request_opens: f.require("opens")?.as_u64()?,
-            request_failures: f.require("failures")?.as_u64()?,
-            capacity_deferrals: f.require("deferrals")?.as_u64()?,
-            billed: f.require("billed")?.as_f64()?,
-        };
-        f.finish()?;
-        Ok(out)
-    }
-}
-
-impl CellState {
-    /// Serializes the cell to a JSON value for cursor snapshots.
-    pub(crate) fn to_json(&self) -> JsonVal<'_> {
-        let mut obj = vec![("summary".into(), self.summary.to_json())];
-        let ledger: Vec<JsonVal> =
-            self.ledger.regions.iter().map(|l| l.to_json()).collect();
-        obj.push(("ledger".into(), JsonVal::Arr(ledger)));
-        obj.push(("unattributed".into(), num_f64(self.ledger.unattributed_billed)));
-        let transitions: Vec<JsonVal> = self
-            .breakers
-            .transitions
-            .iter()
-            .map(|t| {
-                JsonVal::Arr(vec![
-                    num_u64(t.at.as_secs()),
-                    JsonVal::Str(Cow::Borrowed(t.region.name())),
-                    JsonVal::Str(t.from.label().into()),
-                    JsonVal::Str(t.to.label().into()),
-                ])
-            })
-            .collect();
-        obj.push(("transitions".into(), JsonVal::Arr(transitions)));
-        obj.push(("trips".into(), u64_arr(&self.breakers.trips)));
-        obj.push((
-            "breaker_states".into(),
-            JsonVal::Arr(
-                self.breakers
-                    .current
-                    .iter()
-                    .map(|s| JsonVal::Str(s.label().into()))
-                    .collect(),
-            ),
-        ));
-        let curve: Vec<JsonVal> = self
-            .occupancy
-            .curve
-            .iter()
-            .map(|(t, n)| JsonVal::Arr(vec![num_u64(t.as_secs()), num_i64(*n)]))
-            .collect();
-        obj.push(("curve".into(), JsonVal::Arr(curve)));
-        obj.push((
-            "occupancy".into(),
-            JsonVal::Obj(vec![
-                ("running".into(), num_i64(self.occupancy.running)),
-                ("peak".into(), num_i64(self.occupancy.peak)),
-                ("arrived".into(), num_u64(self.occupancy.arrived)),
-                ("late_arrivals".into(), num_u64(self.occupancy.late_arrivals)),
-                ("expired".into(), num_u64(self.occupancy.expired)),
-                ("deferred".into(), num_u64(self.occupancy.deferred)),
-                ("instance_seconds".into(), num_u64(self.occupancy.instance_seconds)),
-            ]),
-        ));
-        let mut occ_extra = Vec::new();
-        push_opt(&mut occ_extra, "last_change", opt_time(self.occupancy.last_change));
-        obj.extend(occ_extra);
-        obj.push((
-            "checkpoints".into(),
-            u64_arr(&[
-                self.checkpoints.saves,
-                self.checkpoints.recorded,
-                self.checkpoints.torn,
-                self.checkpoints.restores,
-                self.checkpoints.scratch_restores,
-                self.checkpoints.corrupt_dropped,
-                self.checkpoints.units_saved,
-                self.checkpoints.units_restored,
-            ]),
-        ));
-        obj.push((
-            "shards".into(),
-            u64_arr(&[
-                self.shards.dispatches,
-                self.shards.cells_dispatched,
-                self.shards.lease_expiries,
-                self.shards.redrives,
-                self.shards.dead_lettered,
-                self.shards.completions,
-                self.shards.duplicates,
-                u64::from(self.shards.max_attempt),
-            ]),
-        ));
-        obj.push((
-            "resilience".into(),
-            u64_arr(&[
-                self.resilience.collection_failures,
-                self.resilience.retryable_failures,
-                self.resilience.stale_serves,
-                self.resilience.degraded_decisions,
-                self.resilience.degraded_seconds,
-                self.resilience.chaos_faults,
-            ]),
-        ));
-        obj.push(("events".into(), num_u64(self.events)));
-        push_opt(&mut obj, "dropped", self.dropped.map(num_u64));
-        JsonVal::Obj(obj)
-    }
-
-    /// Rebuilds a cell from its snapshot value.
-    pub(crate) fn from_json(v: JsonVal<'_>) -> Result<Self, String> {
-        let mut f = Fields::new(v.into_obj()?);
-        let summary = RunSummary::from_json(f.require("summary")?)?;
-        let ledger_items = f.require("ledger")?.into_arr()?;
-        if ledger_items.len() != REGIONS {
-            return Err(format!("ledger must have {REGIONS} entries"));
-        }
-        let mut regions = [RegionLedger::default(); REGIONS];
-        for (slot, item) in regions.iter_mut().zip(ledger_items) {
-            *slot = RegionLedger::from_json(item)?;
-        }
-        let ledger = CostLedgerView {
-            regions,
-            unattributed_billed: f.require("unattributed")?.as_f64()?,
-        };
-        let transitions = f
-            .require("transitions")?
-            .into_arr()?
-            .into_iter()
-            .map(|item| {
-                let mut parts = item.into_arr()?;
-                if parts.len() != 4 {
-                    return Err("breaker transition must have 4 entries".to_owned());
-                }
-                let to = parts.pop().expect("len 4").as_str()?.parse()?;
-                let from = parts.pop().expect("len 3").as_str()?.parse()?;
-                let region = parts.pop().expect("len 2");
-                let region = region.as_str()?;
-                let region =
-                    Region::from_str(region).map_err(|_| format!("unknown region `{region}`"))?;
-                let at = SimTime::from_secs(parts.pop().expect("len 1").as_u64()?);
-                Ok(BreakerTransition { at, region, from, to })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let trips = take_u64_arr::<REGIONS>(&mut f, "trips")?;
-        let state_items = f.require("breaker_states")?.into_arr()?;
-        if state_items.len() != REGIONS {
-            return Err(format!("breaker_states must have {REGIONS} entries"));
-        }
-        let mut current = [BreakerState::Closed; REGIONS];
-        for (slot, item) in current.iter_mut().zip(state_items) {
-            *slot = item.as_str()?.parse()?;
-        }
-        let curve = f
-            .require("curve")?
-            .into_arr()?
-            .into_iter()
-            .map(|item| {
-                let mut parts = item.into_arr()?;
-                if parts.len() != 2 {
-                    return Err("curve point must have 2 entries".to_owned());
-                }
-                let n = as_i64(&parts.pop().expect("len 2"))?;
-                let t = SimTime::from_secs(parts.pop().expect("len 1").as_u64()?);
-                Ok((t, n))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let mut occ = Fields::new(f.require("occupancy")?.into_obj()?);
-        let occupancy = OccupancyView {
-            curve,
-            running: as_i64(&occ.require("running")?)?,
-            peak: as_i64(&occ.require("peak")?)?,
-            arrived: occ.require("arrived")?.as_u64()?,
-            late_arrivals: occ.require("late_arrivals")?.as_u64()?,
-            expired: occ.require("expired")?.as_u64()?,
-            deferred: occ.require("deferred")?.as_u64()?,
-            instance_seconds: occ.require("instance_seconds")?.as_u64()?,
-            last_change: take_time(&mut f, "last_change")?,
-        };
-        occ.finish()?;
-        let cp = take_u64_arr::<8>(&mut f, "checkpoints")?;
-        let sh = take_u64_arr::<8>(&mut f, "shards")?;
-        let rs = take_u64_arr::<6>(&mut f, "resilience")?;
-        let events = f.require("events")?.as_u64()?;
-        let dropped = f.take("dropped").map(|v| v.as_u64()).transpose()?;
-        f.finish()?;
-        Ok(CellState {
+/// One object per cell, with the ledger, breaker and occupancy views
+/// flattened into it beside the positional counter arrays.
+impl Codec for CellState {
+    fn put(&self, out: &mut String) {
+        let CellState {
             summary,
             ledger,
-            breakers: BreakerView { transitions, trips, current },
-            occupancy,
-            checkpoints: CheckpointView {
-                saves: cp[0],
-                recorded: cp[1],
-                torn: cp[2],
-                restores: cp[3],
-                scratch_restores: cp[4],
-                corrupt_dropped: cp[5],
-                units_saved: cp[6],
-                units_restored: cp[7],
-            },
-            shards: ShardView {
-                dispatches: sh[0],
-                cells_dispatched: sh[1],
-                lease_expiries: sh[2],
-                redrives: sh[3],
-                dead_lettered: sh[4],
-                completions: sh[5],
-                duplicates: sh[6],
-                max_attempt: u32::try_from(sh[7])
-                    .map_err(|_| "max_attempt exceeds u32".to_owned())?,
-            },
-            resilience: ResilienceView {
-                collection_failures: rs[0],
-                retryable_failures: rs[1],
-                stale_serves: rs[2],
-                degraded_decisions: rs[3],
-                degraded_seconds: rs[4],
-                chaos_faults: rs[5],
-            },
+            breakers,
+            occupancy: occ,
+            checkpoints,
+            shards,
+            resilience,
             events,
             dropped,
-        })
+        } = self;
+        put_delimited(out, "{", '}', |out| {
+            put_field!(out, summary, "summary");
+            put_field!(out, &ledger.regions, "ledger");
+            put_field!(out, &ledger.unattributed_billed, "unattributed");
+            put_field!(out, &breakers.transitions, "transitions");
+            put_field!(out, &breakers.trips, "trips");
+            put_field!(out, &breakers.current, "breaker_states");
+            put_field!(out, &occ.curve, "curve");
+            out.push_str(",\"occupancy\":");
+            put_delimited(out, "{", '}', |out| {
+                put_field!(out, &occ.running, "running");
+                put_field!(out, &occ.peak, "peak");
+                put_field!(out, &occ.arrived, "arrived");
+                put_field!(out, &occ.late_arrivals, "late_arrivals");
+                put_field!(out, &occ.expired, "expired");
+                put_field!(out, &occ.deferred, "deferred");
+                put_field!(out, &occ.instance_seconds, "instance_seconds");
+            });
+            put_field!(out, &occ.last_change, "last_change");
+            put_field!(out, checkpoints, "checkpoints");
+            put_field!(out, shards, "shards");
+            put_field!(out, resilience, "resilience");
+            put_field!(out, events, "events");
+            put_field!(out, dropped, "dropped");
+        });
+    }
+
+    fn take(v: JsonVal<'_>) -> Result<Self, String> {
+        let mut f = Fields::new(v.into_obj()?);
+        let mut occ = Fields::new(f.require("occupancy")?.into_obj()?);
+        let cell = CellState {
+            summary: take_field!(&mut f, "summary"),
+            ledger: CostLedgerView {
+                regions: take_field!(&mut f, "ledger"),
+                unattributed_billed: take_field!(&mut f, "unattributed"),
+            },
+            breakers: BreakerView {
+                transitions: take_field!(&mut f, "transitions"),
+                trips: take_field!(&mut f, "trips"),
+                current: take_field!(&mut f, "breaker_states"),
+            },
+            occupancy: OccupancyView {
+                curve: take_field!(&mut f, "curve"),
+                running: take_field!(&mut occ, "running"),
+                peak: take_field!(&mut occ, "peak"),
+                arrived: take_field!(&mut occ, "arrived"),
+                late_arrivals: take_field!(&mut occ, "late_arrivals"),
+                expired: take_field!(&mut occ, "expired"),
+                deferred: take_field!(&mut occ, "deferred"),
+                instance_seconds: take_field!(&mut occ, "instance_seconds"),
+                last_change: take_field!(&mut f, "last_change"),
+            },
+            checkpoints: take_field!(&mut f, "checkpoints"),
+            shards: take_field!(&mut f, "shards"),
+            resilience: take_field!(&mut f, "resilience"),
+            events: take_field!(&mut f, "events"),
+            dropped: take_field!(&mut f, "dropped"),
+        };
+        occ.finish()?;
+        f.finish()?;
+        Ok(cell)
     }
 }
 
-impl ReplayState {
-    pub(crate) fn to_json(&self) -> JsonVal<'_> {
-        JsonVal::Obj(
-            self.cells
-                .iter()
-                .map(|(key, cell)| (Cow::Borrowed(key.as_str()), cell.to_json()))
-                .collect(),
-        )
+/// One object keyed by cell, in first-seen order.
+impl Codec for ReplayState {
+    fn put(&self, out: &mut String) {
+        put_delimited(out, "{", '}', |out| {
+            for (key, cell) in &self.cells {
+                out.push(',');
+                push_json_str(out, key);
+                out.push(':');
+                cell.put(out);
+            }
+        });
     }
 
-    pub(crate) fn from_json(v: JsonVal<'_>) -> Result<Self, String> {
+    fn take(v: JsonVal<'_>) -> Result<Self, String> {
         let cells = v
             .into_obj()?
             .into_iter()
-            .map(|(key, cell)| Ok((key.into_owned(), CellState::from_json(cell)?)))
-            .collect::<Result<Vec<_>, String>>()?;
+            .map(|(key, cell)| {
+                let cell = CellState::take(cell).map_err(|e| format!("cell `{key}`: {e}"))?;
+                Ok((key.into_owned(), cell))
+            })
+            .collect::<Result<_, String>>()?;
         Ok(ReplayState { cells })
     }
 }
@@ -883,7 +692,7 @@ impl ReplayState {
 #[must_use]
 pub fn state_to_json(state: &ReplayState) -> String {
     let mut out = String::new();
-    json::write_into(&state.to_json(), &mut out);
+    state.put(&mut out);
     out
 }
 
@@ -893,7 +702,7 @@ pub fn state_to_json(state: &ReplayState) -> String {
 ///
 /// Returns a message describing the first malformed element.
 pub fn state_from_json(input: &str) -> Result<ReplayState, String> {
-    ReplayState::from_json(json::parse(input)?)
+    ReplayState::take(json::parse(input)?)
 }
 
 #[cfg(test)]

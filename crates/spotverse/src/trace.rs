@@ -24,8 +24,11 @@ use std::fmt::Write as _;
 
 use cloud_compute::InstanceId;
 use cloud_market::Region;
+use sim_kernel::json::{push_json_str, Fields};
 use sim_kernel::{RingBuffer, SimDuration, SimTime};
 
+use crate::codec::{field_key, push_uint, put_field, take_field};
+use crate::fleet::Priority;
 use crate::health::BreakerState;
 use crate::optimizer::{CandidateVerdict, Placement};
 
@@ -64,6 +67,31 @@ pub enum DecisionKind {
     /// A relaunch decision after an interruption or failed request.
     Migration,
 }
+
+labels!(DecisionKind, "decision kind", {
+    Initial => "initial",
+    Migration => "migration",
+});
+
+/// A chaos fault that actively perturbed a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosFaultKind {
+    /// A spot request was declined inside a blackout window.
+    SpotBlackout,
+    /// A spot reclaim happened under active chaos stress.
+    ChaosInterruption,
+    /// An interruption notice arrived shorter than the standard warning.
+    NoticeShortened,
+    /// A durable-looking checkpoint generation was corrupt.
+    CheckpointCorruption,
+}
+
+labels!(ChaosFaultKind, "chaos fault kind", {
+    SpotBlackout => "spot_blackout",
+    ChaosInterruption => "chaos_interruption",
+    NoticeShortened => "notice_shortened",
+    CheckpointCorruption => "checkpoint_corruption",
+});
 
 /// One consequential controller event.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,8 +236,8 @@ pub enum TraceEvent {
     },
     /// A chaos fault actively perturbed the run.
     ChaosFault {
-        /// Canonical fault label (e.g. `"spot_blackout"`).
-        kind: &'static str,
+        /// Which fault.
+        kind: ChaosFaultKind,
         /// Affected region, when the fault is region-scoped.
         region: Option<Region>,
     },
@@ -224,9 +252,9 @@ pub enum TraceEvent {
         /// (the default), in which case no `tenant` field is emitted —
         /// committed golden traces stay byte-identical.
         tenants: Vec<String>,
-        /// Priority label per batch entry. Empty when every entry is the
+        /// Priority per batch entry. Empty when every entry is the
         /// default tier, in which case no `priority` field is emitted.
-        priorities: Vec<&'static str>,
+        priorities: Vec<Priority>,
     },
     /// A launch was deferred because the target region was at its
     /// concurrent-instance capacity cap.
@@ -293,39 +321,6 @@ pub enum TraceEvent {
         /// Whether the run hit the max-runtime deadline.
         aborted: bool,
     },
-}
-
-impl TraceEvent {
-    /// Canonical snake_case label used as the JSONL `event` field.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceEvent::RunStarted { .. } => "run_started",
-            TraceEvent::CollectionFailed { .. } => "collection_failed",
-            TraceEvent::StaleServe { .. } => "stale_serve",
-            TraceEvent::DegradedDecision { .. } => "degraded_decision",
-            TraceEvent::DegradedInterval { .. } => "degraded_interval",
-            TraceEvent::Decision { .. } => "decision",
-            TraceEvent::Launched { .. } => "launched",
-            TraceEvent::RequestOpen { .. } => "request_open",
-            TraceEvent::RequestFailed { .. } => "request_failed",
-            TraceEvent::Interrupted { .. } => "interrupted",
-            TraceEvent::CheckpointSave { .. } => "checkpoint_save",
-            TraceEvent::CheckpointTorn { .. } => "checkpoint_torn",
-            TraceEvent::CheckpointRestore { .. } => "checkpoint_restore",
-            TraceEvent::Completed { .. } => "completed",
-            TraceEvent::Breaker { .. } => "breaker",
-            TraceEvent::ChaosFault { .. } => "chaos_fault",
-            TraceEvent::WorkloadsArrived { .. } => "workloads_arrived",
-            TraceEvent::CapacityDeferred { .. } => "capacity_deferred",
-            TraceEvent::WorkloadExpired { .. } => "workload_expired",
-            TraceEvent::ShardDispatched { .. } => "shard_dispatched",
-            TraceEvent::LeaseExpired { .. } => "lease_expired",
-            TraceEvent::ShardRedriven { .. } => "shard_redriven",
-            TraceEvent::ShardDeadLettered { .. } => "shard_dead_lettered",
-            TraceEvent::ShardCompleted { .. } => "shard_completed",
-            TraceEvent::RunEnded { .. } => "run_ended",
-        }
-    }
 }
 
 /// One recorded event: a sequence number, a sim-time stamp, and the event.
@@ -417,63 +412,89 @@ impl RunTrace {
 
 // --- canonical JSONL ------------------------------------------------------
 //
-// The workspace has no serialization dependency, so the canonical form is
-// hand-rolled: fixed key order (seq, t, event, then variant fields in
-// declaration order), `None` fields omitted, floats via Rust's
-// shortest-round-trip `Display`, and lowercase labels throughout. Golden tests compare this
-// byte-for-byte.
+// A record is one JSON object: `seq`, `t` and `event` (the variant's
+// label), then the variant's fields in the order `trace_schema!` lists
+// them. The table below is the one place the format is spelled out: the
+// macro generates `TraceEvent::label`, the writer arms of
+// `append_record_json` and the reader `decode_event` that
+// `replay::parse_trace_line` calls. The generated patterns and struct
+// literals name every field without `..`, so a field missing from the
+// table fails to compile. The per-type work is in the `Codec` impls of
+// `crate::codec`. Golden tests compare the output byte-for-byte.
 
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// The trace schema. Each line is `Variant "label" { fields }`; a field
+/// is written under its own name unless renamed (`field: "key"`), and
+/// `[omit_empty]` leaves an empty collection out of the line.
+macro_rules! trace_schema {
+    ($(
+        $variant:ident $label:literal {
+            $($field:ident $(: $key:literal)? $([$mode:ident])?),+ $(,)?
+        }
+    )+) => {
+        impl TraceEvent {
+            /// Canonical snake_case label used as the JSONL `event` field.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $label,)+
+                }
             }
-            c => out.push(c),
         }
-    }
-    out.push('"');
-}
 
-fn push_placement(out: &mut String, p: Placement) {
-    let label = match p {
-        Placement::Spot(r) => format!("spot:{}", r.name()),
-        Placement::OnDemand(r) => format!("od:{}", r.name()),
+        /// Appends the event's fields, each as `,"key":value`.
+        fn append_event_fields(out: &mut String, event: &TraceEvent) {
+            match event {
+                $(TraceEvent::$variant { $($field),+ } => {
+                    $(put_field!(out, $field, field_key!($field $($key)?) $(, $mode)?);)+
+                })+
+            }
+        }
+
+        /// Decodes the fields of the event labelled `label`, taking each
+        /// from `fields`. The caller rejects any field left over.
+        pub(crate) fn decode_event(
+            label: &str,
+            fields: &mut Fields<'_>,
+        ) -> Result<TraceEvent, String> {
+            match label {
+                $($label => Ok(TraceEvent::$variant {
+                    $($field: take_field!(fields, field_key!($field $($key)?) $(, $mode)?),)+
+                }),)+
+                other => Err(format!("unknown event `{other}`")),
+            }
+        }
     };
-    push_json_str(out, &label);
 }
 
-fn push_region_list(out: &mut String, regions: &[Region]) {
-    out.push('[');
-    for (i, r) in regions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(out, r.name());
+trace_schema! {
+    RunStarted "run_started" { strategy, seed, workloads, chaos, regime }
+    CollectionFailed "collection_failed" { retryable }
+    StaleServe "stale_serve" { age: "age_s" }
+    DegradedDecision "degraded_decision" { age: "age_s" }
+    DegradedInterval "degraded_interval" { duration: "duration_s" }
+    Decision "decision" {
+        kind, workload, previous, degraded, quarantined, candidates, placements,
     }
-    out.push(']');
-}
-
-fn push_candidates(out: &mut String, candidates: &[CandidateVerdict]) {
-    out.push('[');
-    for (i, c) in candidates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"region\":");
-        push_json_str(out, c.region.name());
-        let _ = write!(out, ",\"combined\":{},\"price\":{}", c.combined, c.spot_price);
-        out.push_str(",\"outcome\":");
-        push_json_str(out, &c.outcome.label());
-        out.push('}');
+    Launched "launched" { workload, region, spot, instance }
+    RequestOpen "request_open" { workload, region, blackout }
+    RequestFailed "request_failed" { workload, region }
+    Interrupted "interrupted" { workload, region, instance, billed }
+    CheckpointSave "checkpoint_save" { workload, generation, units, recorded }
+    CheckpointTorn "checkpoint_torn" { workload, generation }
+    CheckpointRestore "checkpoint_restore" { workload, units, corrupt_dropped, scratch }
+    Completed "completed" { workload, region, instance, billed }
+    Breaker "breaker" { region, from, to }
+    ChaosFault "chaos_fault" { kind, region }
+    WorkloadsArrived "workloads_arrived" {
+        batch, tenants: "tenant" [omit_empty], priorities: "priority" [omit_empty],
     }
-    out.push(']');
+    CapacityDeferred "capacity_deferred" { workload, region }
+    WorkloadExpired "workload_expired" { workload, region, billed }
+    ShardDispatched "shard_dispatched" { shard, attempt, cells }
+    LeaseExpired "lease_expired" { shard, attempt }
+    ShardRedriven "shard_redriven" { shard, attempt, backoff_s }
+    ShardDeadLettered "shard_dead_lettered" { shard, attempts }
+    ShardCompleted "shard_completed" { shard, attempt, duplicate }
+    RunEnded "run_ended" { completed, aborted }
 }
 
 /// Appends one record as a canonical JSON line (no trailing newline).
@@ -485,189 +506,13 @@ pub fn append_record_json(out: &mut String, cell: Option<&str>, record: &TraceRe
         push_json_str(out, cell);
         out.push(',');
     }
-    let _ = write!(out, "\"seq\":{},\"t\":{},\"event\":", record.seq, record.at.as_secs());
+    out.push_str("\"seq\":");
+    push_uint(out, record.seq);
+    out.push_str(",\"t\":");
+    push_uint(out, record.at.as_secs());
+    out.push_str(",\"event\":");
     push_json_str(out, record.event.label());
-    match &record.event {
-        TraceEvent::RunStarted { strategy, seed, workloads, chaos, regime } => {
-            out.push_str(",\"strategy\":");
-            push_json_str(out, strategy);
-            let _ = write!(out, ",\"seed\":{seed},\"workloads\":{workloads}");
-            if let Some(chaos) = chaos {
-                out.push_str(",\"chaos\":");
-                push_json_str(out, chaos);
-            }
-            if let Some(regime) = regime {
-                out.push_str(",\"regime\":");
-                push_json_str(out, regime);
-            }
-        }
-        TraceEvent::CollectionFailed { retryable } => {
-            let _ = write!(out, ",\"retryable\":{retryable}");
-        }
-        TraceEvent::StaleServe { age } | TraceEvent::DegradedDecision { age } => {
-            let _ = write!(out, ",\"age_s\":{}", age.as_secs());
-        }
-        TraceEvent::DegradedInterval { duration } => {
-            let _ = write!(out, ",\"duration_s\":{}", duration.as_secs());
-        }
-        TraceEvent::Decision {
-            kind,
-            workload,
-            previous,
-            degraded,
-            quarantined,
-            candidates,
-            placements,
-        } => {
-            let kind = match kind {
-                DecisionKind::Initial => "initial",
-                DecisionKind::Migration => "migration",
-            };
-            let _ = write!(out, ",\"kind\":\"{kind}\"");
-            if let Some(w) = workload {
-                let _ = write!(out, ",\"workload\":{w}");
-            }
-            if let Some(prev) = previous {
-                out.push_str(",\"previous\":");
-                push_json_str(out, prev.name());
-            }
-            let _ = write!(out, ",\"degraded\":{degraded},\"quarantined\":");
-            push_region_list(out, quarantined);
-            if let Some(candidates) = candidates {
-                out.push_str(",\"candidates\":");
-                push_candidates(out, candidates);
-            }
-            out.push_str(",\"placements\":[");
-            for (i, p) in placements.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_placement(out, *p);
-            }
-            out.push(']');
-        }
-        TraceEvent::Launched { workload, region, spot, instance } => {
-            let _ = write!(out, ",\"workload\":{workload},\"region\":");
-            push_json_str(out, region.name());
-            let _ = write!(out, ",\"spot\":{spot},\"instance\":\"{instance}\"");
-        }
-        TraceEvent::RequestOpen { workload, region, blackout } => {
-            let _ = write!(out, ",\"workload\":{workload},\"region\":");
-            push_json_str(out, region.name());
-            let _ = write!(out, ",\"blackout\":{blackout}");
-        }
-        TraceEvent::RequestFailed { workload, region } => {
-            let _ = write!(out, ",\"workload\":{workload},\"region\":");
-            push_json_str(out, region.name());
-        }
-        TraceEvent::Interrupted { workload, region, instance, billed }
-        | TraceEvent::Completed { workload, region, instance, billed } => {
-            let _ = write!(out, ",\"workload\":{workload},\"region\":");
-            push_json_str(out, region.name());
-            let _ = write!(out, ",\"instance\":\"{instance}\",\"billed\":{billed}");
-        }
-        TraceEvent::CheckpointSave { workload, generation, units, recorded } => {
-            let _ = write!(
-                out,
-                ",\"workload\":{workload},\"generation\":{generation},\"units\":{units},\"recorded\":{recorded}"
-            );
-        }
-        TraceEvent::CheckpointTorn { workload, generation } => {
-            let _ = write!(out, ",\"workload\":{workload},\"generation\":{generation}");
-        }
-        TraceEvent::CheckpointRestore { workload, units, corrupt_dropped, scratch } => {
-            let _ = write!(
-                out,
-                ",\"workload\":{workload},\"units\":{units},\"corrupt_dropped\":{corrupt_dropped},\"scratch\":{scratch}"
-            );
-        }
-        TraceEvent::Breaker { region, from, to } => {
-            out.push_str(",\"region\":");
-            push_json_str(out, region.name());
-            let _ = write!(
-                out,
-                ",\"from\":\"{}\",\"to\":\"{}\"",
-                from.label(),
-                to.label()
-            );
-        }
-        TraceEvent::ChaosFault { kind, region } => {
-            out.push_str(",\"kind\":");
-            push_json_str(out, kind);
-            if let Some(region) = region {
-                out.push_str(",\"region\":");
-                push_json_str(out, region.name());
-            }
-        }
-        TraceEvent::WorkloadsArrived { batch, tenants, priorities } => {
-            out.push_str(",\"batch\":[");
-            for (i, w) in batch.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{w}");
-            }
-            out.push(']');
-            if !tenants.is_empty() {
-                out.push_str(",\"tenant\":[");
-                for (i, t) in tenants.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_json_str(out, t);
-                }
-                out.push(']');
-            }
-            if !priorities.is_empty() {
-                out.push_str(",\"priority\":[");
-                for (i, p) in priorities.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_json_str(out, p);
-                }
-                out.push(']');
-            }
-        }
-        TraceEvent::CapacityDeferred { workload, region } => {
-            let _ = write!(out, ",\"workload\":{workload},\"region\":");
-            push_json_str(out, region.name());
-        }
-        TraceEvent::WorkloadExpired { workload, region, billed } => {
-            let _ = write!(out, ",\"workload\":{workload}");
-            if let Some(region) = region {
-                out.push_str(",\"region\":");
-                push_json_str(out, region.name());
-            }
-            if let Some(billed) = billed {
-                let _ = write!(out, ",\"billed\":{billed}");
-            }
-        }
-        TraceEvent::ShardDispatched { shard, attempt, cells } => {
-            let _ = write!(out, ",\"shard\":{shard},\"attempt\":{attempt},\"cells\":{cells}");
-        }
-        TraceEvent::LeaseExpired { shard, attempt } => {
-            let _ = write!(out, ",\"shard\":{shard},\"attempt\":{attempt}");
-        }
-        TraceEvent::ShardRedriven { shard, attempt, backoff_s } => {
-            let _ = write!(
-                out,
-                ",\"shard\":{shard},\"attempt\":{attempt},\"backoff_s\":{backoff_s}"
-            );
-        }
-        TraceEvent::ShardDeadLettered { shard, attempts } => {
-            let _ = write!(out, ",\"shard\":{shard},\"attempts\":{attempts}");
-        }
-        TraceEvent::ShardCompleted { shard, attempt, duplicate } => {
-            let _ = write!(
-                out,
-                ",\"shard\":{shard},\"attempt\":{attempt},\"duplicate\":{duplicate}"
-            );
-        }
-        TraceEvent::RunEnded { completed, aborted } => {
-            let _ = write!(out, ",\"completed\":{completed},\"aborted\":{aborted}");
-        }
-    }
+    append_event_fields(out, &record.event);
     out.push('}');
 }
 
@@ -824,8 +669,25 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
+        let record = TraceRecord {
+            seq: 0,
+            at: SimTime::ZERO,
+            event: TraceEvent::RunStarted {
+                strategy: "a\"b\\c\nd\u{1}".to_owned(),
+                seed: 1,
+                workloads: 1,
+                chaos: None,
+                regime: None,
+            },
+        };
         let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        append_record_json(&mut out, None, &record);
+        assert!(out.contains(",\"strategy\":\"a\\\"b\\\\c\\nd\\u0001\","), "{out}");
+        let mut fields = Fields::new(sim_kernel::json::parse(&out).unwrap().into_obj().unwrap());
+        for key in ["seq", "t", "event"] {
+            fields.require(key).unwrap();
+        }
+        assert_eq!(decode_event("run_started", &mut fields).unwrap(), record.event);
+        fields.finish().unwrap();
     }
 }

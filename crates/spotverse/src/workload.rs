@@ -22,7 +22,7 @@ use crate::experiment::{CheckpointBackend, LOG_BUCKET};
 use crate::fleet::Event;
 use crate::optimizer::Placement;
 use crate::resilience::{retry_with_backoff, BackoffPolicy};
-use crate::trace::TraceEvent;
+use crate::trace::{ChaosFaultKind, TraceEvent};
 
 /// Where a workload is in its lifecycle. Purely observational: phases are
 /// derived from the same transitions the event loop already performs, so
@@ -190,7 +190,10 @@ impl WorkloadRuntime {
                 if warning < INTERRUPTION_NOTICE {
                     cp.tracer.record(
                         now,
-                        TraceEvent::ChaosFault { kind: "notice_shortened", region: Some(region) },
+                        TraceEvent::ChaosFault {
+                            kind: ChaosFaultKind::NoticeShortened,
+                            region: Some(region),
+                        },
                     );
                 }
                 let notice_at = (at - warning).max(now);
@@ -408,7 +411,10 @@ impl WorkloadRuntime {
                 self.checkpoints.durable.pop();
                 cp.tracer.record(
                     now,
-                    TraceEvent::ChaosFault { kind: "checkpoint_corruption", region: None },
+                    TraceEvent::ChaosFault {
+                        kind: ChaosFaultKind::CheckpointCorruption,
+                        region: None,
+                    },
                 );
             } else {
                 break top.units;

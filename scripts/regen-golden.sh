@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Regenerate the committed golden traces under tests/golden/ and show what
+# Regenerate the committed goldens under tests/golden/ (traces, analytics,
+# the tournament leaderboard and the .ga workflows) and show what
 # changed. Use after an intentional change to the trace schema or to
 # simulation behavior; review the diff before committing — every hunk is a
 # behavior change the golden suite would otherwise have caught.
@@ -16,10 +17,14 @@ UPDATE_GOLDEN=1 cargo test -q -p spotverse-integration --test golden_analytics
 echo "==> regenerating golden tournament leaderboard (UPDATE_GOLDEN=1)"
 UPDATE_GOLDEN=1 cargo test -q -p spotverse-integration --test golden_tournament
 
+echo "==> regenerating golden .ga workflows (UPDATE_GOLDEN=1)"
+UPDATE_GOLDEN=1 cargo test -q -p spotverse-integration --test golden_workflows
+
 echo "==> re-running the suites against the fresh goldens"
 cargo test -q -p spotverse-integration --test golden_traces
 cargo test -q -p spotverse-integration --test golden_analytics
 cargo test -q -p spotverse-integration --test golden_tournament
+cargo test -q -p spotverse-integration --test golden_workflows
 
 echo "==> golden diff summary"
 git --no-pager diff --stat -- tests/golden

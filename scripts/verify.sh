@@ -31,6 +31,9 @@ cargo test -q -p spotverse-integration --test golden_analytics
 echo "==> golden tournament: committed leaderboard snapshot"
 cargo test -q -p spotverse-integration --test golden_tournament
 
+echo "==> golden workflows: committed .ga exports of the paper workflows"
+cargo test -q -p spotverse-integration --test golden_workflows
+
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
