@@ -10,7 +10,7 @@ use galaxy_flow::{DataFormat, RecoveryMode, Tool, ToolCategory, Workflow};
 use sim_kernel::SimDuration;
 
 /// The 23 steps: (label, tool, weight, output format). Weights are relative
-/// durations; the builder normalizes them to the requested total.
+/// durations; [`step_table`] normalizes them to the requested total.
 const STEPS: [(&str, &str, u32, DataFormat); 23] = [
     ("fetch-vcf-collection", "sra-toolkit", 3, DataFormat::Vcf),
     ("fetch-reference-genome", "sra-toolkit", 1, DataFormat::Fasta),
@@ -37,13 +37,40 @@ const STEPS: [(&str, &str, u32, DataFormat); 23] = [
     ("export-results", "galaxy-export", 1, DataFormat::Tabular),
 ];
 
-/// Builds the 23-step Genome Reconstruction workload with the given total
-/// duration.
+/// The workflow's name.
+pub const NAME: &str = "sars-cov-2-genome-reconstruction";
+
+/// An interruption forces recomputation from the beginning.
+pub const RECOVERY: RecoveryMode = RecoveryMode::RestartFromScratch;
+
+/// The step table for a run of `total`: each step's `(duration, shards)`,
+/// in workflow order. Every step is monolithic and gets its weight's
+/// share of `total`; the last one takes the rounding remainder, so the
+/// durations sum exactly to `total`.
 ///
 /// # Panics
 ///
 /// Panics if `total` is shorter than 23 seconds (every step needs a
 /// positive duration).
+pub fn step_table(total: SimDuration) -> [(SimDuration, u32); 23] {
+    assert!(
+        total.as_secs() >= 23,
+        "genome reconstruction needs ≥23 s, got {total}"
+    );
+    let weight_sum: u32 = STEPS.iter().map(|&(_, _, w, _)| w).sum();
+    let secs = total.as_secs() as f64;
+    crate::split_with_remainder(total, |i| {
+        secs * f64::from(STEPS[i].2) / f64::from(weight_sum)
+    })
+    .map(|d| (d, 1))
+}
+
+/// Builds the 23-step Genome Reconstruction workload with the given total
+/// duration.
+///
+/// # Panics
+///
+/// As [`step_table`].
 ///
 /// # Examples
 ///
@@ -55,34 +82,11 @@ const STEPS: [(&str, &str, u32, DataFormat); 23] = [
 /// assert_eq!(wf.len(), 23);
 /// ```
 pub fn genome_reconstruction_workload(total: SimDuration) -> Workflow {
-    assert!(
-        total.as_secs() >= 23,
-        "genome reconstruction needs ≥23 s, got {total}"
-    );
-    let weight_sum: u32 = STEPS.iter().map(|&(_, _, w, _)| w).sum();
-    let mut b = Workflow::builder(
-        "sars-cov-2-genome-reconstruction",
-        RecoveryMode::RestartFromScratch,
-    );
-    let mut prev = None;
-    let mut allocated = SimDuration::ZERO;
-    for (i, (label, tool, weight, format)) in STEPS.iter().enumerate() {
-        let duration = if i == STEPS.len() - 1 {
-            total - allocated
-        } else {
-            let d = SimDuration::from_secs(
-                (total.as_secs() as f64 * f64::from(*weight) / f64::from(weight_sum)).round()
-                    as u64,
-            )
-            .max(SimDuration::from_secs(1));
-            allocated += d;
-            d
-        };
-        let inputs: Vec<_> = prev.into_iter().collect();
-        let id = b.add_step_full(*label, *tool, duration, &inputs, 1, *format, 0.05);
-        prev = Some(id);
-    }
-    b.build().expect("genome reconstruction workflow is statically valid")
+    let steps = STEPS
+        .iter()
+        .zip(step_table(total))
+        .map(|(&(label, tool, _, format), step)| (label, tool, step, format, 0.05));
+    crate::build_chain(NAME, RECOVERY, steps)
 }
 
 /// The tools the workload needs installed.

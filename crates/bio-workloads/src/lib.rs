@@ -39,3 +39,55 @@ pub mod qiime;
 pub mod spec;
 
 pub use spec::{paper_fleet, workload_fleet, WorkloadKind, WorkloadSpec};
+
+use galaxy_flow::{DataFormat, RecoveryMode, Workflow};
+use sim_kernel::SimDuration;
+
+/// One step of a built-in workflow: label, tool, `(duration, shards)` from
+/// the kind's step table, output format and output size in GiB.
+type ChainStep = (&'static str, &'static str, (SimDuration, u32), DataFormat, f64);
+
+/// Builds a linear workflow in which each step consumes the previous
+/// step's output — the shape of all three paper workloads.
+fn build_chain(
+    name: &'static str,
+    recovery: RecoveryMode,
+    steps: impl IntoIterator<Item = ChainStep>,
+) -> Workflow {
+    let mut b = Workflow::builder(name, recovery);
+    let mut prev = None;
+    for (label, tool, (duration, shards), format, size_gib) in steps {
+        let inputs: Vec<_> = prev.into_iter().collect();
+        prev = Some(b.add_step_full(label, tool, duration, &inputs, shards, format, size_gib));
+    }
+    b.build()
+        .unwrap_or_else(|e| panic!("built-in workflow `{name}` is invalid: {e}"))
+}
+
+/// Splits `total` over `N` steps: step `i` gets `secs(i)` rounded to the
+/// nearest second (at least one second), and the last step takes the
+/// remainder, so the durations sum exactly to `total`.
+///
+/// # Panics
+///
+/// Panics if the first `N - 1` steps leave nothing for the last one.
+fn split_with_remainder<const N: usize>(
+    total: SimDuration,
+    secs: impl Fn(usize) -> f64,
+) -> [SimDuration; N] {
+    let mut allocated = SimDuration::ZERO;
+    // `from_fn` fills the array in ascending index order.
+    std::array::from_fn(|i| {
+        if i == N - 1 {
+            assert!(
+                allocated < total,
+                "{total} is too short to give each of {N} steps a positive duration"
+            );
+            total - allocated
+        } else {
+            let d = SimDuration::from_secs(secs(i).round() as u64).max(SimDuration::from_secs(1));
+            allocated += d;
+            d
+        }
+    })
+}

@@ -18,6 +18,44 @@ pub const DEFAULT_SHARDS: u32 = 20;
 /// chosen to upload within the two-minute notice).
 pub const DATASET_GIB: f64 = 1.0;
 
+/// The workflow's name.
+pub const NAME: &str = "ngs-data-preprocessing";
+
+/// An interruption resumes from the last completed shard.
+pub const RECOVERY: RecoveryMode = RecoveryMode::ResumeFromCheckpoint;
+
+/// The four steps: (label, tool, output format, output size in GiB).
+const STEPS: [(&str, &str, DataFormat, f64); 4] = [
+    ("fetch-sra-dataset", "sra-toolkit", DataFormat::Sra, DATASET_GIB),
+    ("fastqc-per-shard", "fastqc", DataFormat::Html, 0.02),
+    ("cutadapt-per-shard", "cutadapt", DataFormat::FastqGz, 0.5),
+    ("multiqc-aggregate", "multiqc", DataFormat::Html, 0.01),
+];
+
+/// The step table for a run of `total` over `shards` shards: each step's
+/// `(duration, shards)`, in workflow order. A small fixed prologue
+/// (fetch, 3 %) and epilogue (report, 2 %) wrap the sharded body, which
+/// per-shard QC (55 %) and per-shard trimming share.
+///
+/// # Panics
+///
+/// Panics if `shards == 0` or `total` is shorter than one second per shard.
+pub fn step_table(total: SimDuration, shards: u32) -> [(SimDuration, u32); 4] {
+    assert!(shards > 0, "NGS preprocessing needs at least one shard");
+    assert!(
+        total.as_secs() >= u64::from(shards) + 3,
+        "total {total} too short for {shards} shards"
+    );
+    let fetch = SimDuration::from_secs((total.as_secs() as f64 * 0.03).round() as u64)
+        .max(SimDuration::from_secs(1));
+    let report = SimDuration::from_secs((total.as_secs() as f64 * 0.02).round() as u64)
+        .max(SimDuration::from_secs(1));
+    let body = total - fetch - report;
+    let qc = SimDuration::from_secs(body.as_secs() * 55 / 100);
+    let trim = body - qc;
+    [(fetch, 1), (qc, shards), (trim, shards), (report, 1)]
+}
+
 /// Builds the NGS preprocessing checkpoint workload.
 ///
 /// `total` is the uninterrupted duration; `shards` controls checkpoint
@@ -25,7 +63,7 @@ pub const DATASET_GIB: f64 = 1.0;
 ///
 /// # Panics
 ///
-/// Panics if `shards == 0` or `total` is shorter than one second per shard.
+/// As [`step_table`].
 ///
 /// # Examples
 ///
@@ -37,59 +75,11 @@ pub const DATASET_GIB: f64 = 1.0;
 /// assert!(wf.is_checkpointable());
 /// ```
 pub fn ngs_preprocessing_workload(total: SimDuration, shards: u32) -> Workflow {
-    assert!(shards > 0, "NGS preprocessing needs at least one shard");
-    assert!(
-        total.as_secs() >= u64::from(shards) + 3,
-        "total {total} too short for {shards} shards"
-    );
-    // Fixed small prologue/epilogue around the sharded body.
-    let fetch = SimDuration::from_secs((total.as_secs() as f64 * 0.03).round() as u64)
-        .max(SimDuration::from_secs(1));
-    let report = SimDuration::from_secs((total.as_secs() as f64 * 0.02).round() as u64)
-        .max(SimDuration::from_secs(1));
-    let body = total - fetch - report;
-    // Split the body between per-shard QC and per-shard trimming.
-    let qc = SimDuration::from_secs(body.as_secs() * 55 / 100);
-    let trim = body - qc;
-
-    let mut b = Workflow::builder("ngs-data-preprocessing", RecoveryMode::ResumeFromCheckpoint);
-    let fetch_id = b.add_step_full(
-        "fetch-sra-dataset",
-        "sra-toolkit",
-        fetch,
-        &[],
-        1,
-        DataFormat::Sra,
-        DATASET_GIB,
-    );
-    let qc_id = b.add_step_full(
-        "fastqc-per-shard",
-        "fastqc",
-        qc,
-        &[fetch_id],
-        shards,
-        DataFormat::Html,
-        0.02,
-    );
-    let trim_id = b.add_step_full(
-        "cutadapt-per-shard",
-        "cutadapt",
-        trim,
-        &[qc_id],
-        shards,
-        DataFormat::FastqGz,
-        0.5,
-    );
-    b.add_step_full(
-        "multiqc-aggregate",
-        "multiqc",
-        report,
-        &[trim_id],
-        1,
-        DataFormat::Html,
-        0.01,
-    );
-    b.build().expect("NGS preprocessing workflow is statically valid")
+    let steps = STEPS
+        .iter()
+        .zip(step_table(total, shards))
+        .map(|(&(label, tool, format, size_gib), step)| (label, tool, step, format, size_gib));
+    crate::build_chain(NAME, RECOVERY, steps)
 }
 
 /// The tools the workload needs installed.

@@ -19,13 +19,35 @@ const STEPS: [(&str, &str, f64, DataFormat); 5] = [
     ("diversity-analysis", "qiime2-diversity", 0.25, DataFormat::Qza),
 ];
 
-/// Builds the QIIME 2 standard general workload with the given total
-/// duration.
+/// The workflow's name.
+pub const NAME: &str = "qiime2-standard-general";
+
+/// An interruption restarts the analysis from the beginning.
+pub const RECOVERY: RecoveryMode = RecoveryMode::RestartFromScratch;
+
+/// The step table for a run of `total`: each step's `(duration, shards)`,
+/// in workflow order. Every step is monolithic; the last one takes the
+/// rounding remainder, so the durations sum exactly to `total`.
 ///
 /// # Panics
 ///
 /// Panics if `total` is shorter than one minute (each step must get a
 /// positive duration).
+pub fn step_table(total: SimDuration) -> [(SimDuration, u32); 5] {
+    assert!(
+        total >= SimDuration::from_mins(1),
+        "QIIME 2 workload needs at least one minute, got {total}"
+    );
+    let secs = total.as_secs() as f64;
+    crate::split_with_remainder(total, |i| secs * STEPS[i].2).map(|d| (d, 1))
+}
+
+/// Builds the QIIME 2 standard general workload with the given total
+/// duration.
+///
+/// # Panics
+///
+/// As [`step_table`].
 ///
 /// # Examples
 ///
@@ -38,29 +60,11 @@ const STEPS: [(&str, &str, f64, DataFormat); 5] = [
 /// assert!(!wf.is_checkpointable());
 /// ```
 pub fn standard_general_workload(total: SimDuration) -> Workflow {
-    assert!(
-        total >= SimDuration::from_mins(1),
-        "QIIME 2 workload needs at least one minute, got {total}"
-    );
-    let mut b = Workflow::builder("qiime2-standard-general", RecoveryMode::RestartFromScratch);
-    let mut prev = None;
-    let mut allocated = SimDuration::ZERO;
-    for (i, (label, tool, share, format)) in STEPS.iter().enumerate() {
-        // Give the final step the rounding remainder so durations sum
-        // exactly to `total`.
-        let duration = if i == STEPS.len() - 1 {
-            total - allocated
-        } else {
-            let d = SimDuration::from_secs((total.as_secs() as f64 * share).round() as u64)
-                .max(SimDuration::from_secs(1));
-            allocated += d;
-            d
-        };
-        let inputs: Vec<_> = prev.into_iter().collect();
-        let id = b.add_step_full(*label, *tool, duration, &inputs, 1, *format, 0.2);
-        prev = Some(id);
-    }
-    b.build().expect("QIIME 2 workflow is statically valid")
+    let steps = STEPS
+        .iter()
+        .zip(step_table(total))
+        .map(|(&(label, tool, _, format), step)| (label, tool, step, format, 0.2));
+    crate::build_chain(NAME, RECOVERY, steps)
 }
 
 /// The tools the workload needs installed.

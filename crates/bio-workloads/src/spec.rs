@@ -5,7 +5,7 @@
 //! workload kind and duration; [`workload_fleet`] draws a deterministic
 //! fleet with per-workload durations jittered inside the paper's window.
 
-use galaxy_flow::{Tool, Workflow};
+use galaxy_flow::{ExecutionPlan, Tool, Workflow, WorkflowInvocation};
 use sim_kernel::{SimDuration, SimRng};
 
 use crate::genome_reconstruction;
@@ -74,11 +74,44 @@ impl WorkloadSpec {
             WorkloadKind::GenomeReconstruction => {
                 genome_reconstruction::genome_reconstruction_workload(self.duration)
             }
-            WorkloadKind::NgsPreprocessing => ngs_preprocessing::ngs_preprocessing_workload(
-                self.duration,
-                self.shards.unwrap_or(ngs_preprocessing::DEFAULT_SHARDS),
-            ),
+            WorkloadKind::NgsPreprocessing => {
+                ngs_preprocessing::ngs_preprocessing_workload(self.duration, self.shard_count())
+            }
         }
+    }
+
+    /// A fresh invocation of this spec's workflow, built from the kind's
+    /// step table without materializing the [`Workflow`] — equal to
+    /// `WorkflowInvocation::new(&self.build_workflow())`, at one
+    /// allocation instead of one per step and unit.
+    ///
+    /// # Panics
+    ///
+    /// As [`WorkloadSpec::build_workflow`]: when the duration is too short
+    /// for the kind, or a sharded kind's shard override is zero.
+    pub fn invocation(&self) -> WorkflowInvocation {
+        let total = self.duration;
+        let (name, recovery, plan) = match self.kind {
+            WorkloadKind::StandardGeneral => {
+                (qiime::NAME, qiime::RECOVERY, ExecutionPlan::from_steps(qiime::step_table(total)))
+            }
+            WorkloadKind::GenomeReconstruction => (
+                genome_reconstruction::NAME,
+                genome_reconstruction::RECOVERY,
+                ExecutionPlan::from_steps(genome_reconstruction::step_table(total)),
+            ),
+            WorkloadKind::NgsPreprocessing => (
+                ngs_preprocessing::NAME,
+                ngs_preprocessing::RECOVERY,
+                ExecutionPlan::from_steps(ngs_preprocessing::step_table(total, self.shard_count())),
+            ),
+        };
+        WorkflowInvocation::from_plan(name, recovery, plan)
+    }
+
+    /// The shard count of a sharded kind: the override, else the default.
+    fn shard_count(&self) -> u32 {
+        self.shards.unwrap_or(ngs_preprocessing::DEFAULT_SHARDS)
     }
 
     /// The tools this spec's workflow needs.
@@ -138,6 +171,8 @@ pub fn paper_fleet(kind: WorkloadKind, count: usize, rng: &SimRng) -> Vec<Worklo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn fleet_durations_inside_window() {
@@ -215,5 +250,45 @@ mod tests {
         assert_eq!(WorkloadKind::NgsPreprocessing.to_string(), "NGS data preprocessing");
         assert!(WorkloadKind::NgsPreprocessing.is_checkpointable());
         assert!(!WorkloadKind::GenomeReconstruction.is_checkpointable());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The table-built invocation equals the one flattened from the
+        /// built workflow — same name, recovery mode and units — and where
+        /// the builder rejects an input, so does the table.
+        #[test]
+        fn invocation_matches_the_built_workflow(
+            kind in (0..WorkloadKind::ALL.len()).prop_map(|i| WorkloadKind::ALL[i]),
+            secs in (any::<bool>(), 0u64..2_000, 0u64..200_000)
+                .prop_map(|(short, a, b)| if short { a } else { b }),
+            shards in (any::<bool>(), 0u32..200).prop_map(|(set, n)| set.then_some(n)),
+        ) {
+            let spec = WorkloadSpec {
+                id: "w-00".into(),
+                kind,
+                duration: SimDuration::from_secs(secs),
+                shards,
+            };
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                WorkflowInvocation::new(&spec.build_workflow())
+            }));
+            let direct = catch_unwind(AssertUnwindSafe(|| spec.invocation()));
+            match (built, direct) {
+                (Ok(built), Ok(direct)) => {
+                    prop_assert_eq!(built.workflow_name(), direct.workflow_name());
+                    prop_assert_eq!(built.plan().units(), direct.plan().units());
+                    prop_assert_eq!(built, direct);
+                }
+                (Err(_), Err(_)) => {}
+                (built, direct) => prop_assert!(
+                    false,
+                    "{spec:?}: builder ok = {}, table ok = {}",
+                    built.is_ok(),
+                    direct.is_ok()
+                ),
+            }
+        }
     }
 }

@@ -8,7 +8,6 @@
 //! interruption time) that they are responsible for scheduling as events.
 //! This keeps the compute substrate reusable under any orchestration model.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sim_kernel::{SimDuration, SimRng, SimTime};
@@ -160,13 +159,14 @@ pub struct Ec2 {
     config: Ec2Config,
     rng: SimRng,
     ledger: BillingLedger,
-    instances: HashMap<InstanceId, InstanceRecord>,
+    /// Every instance ever created, in id order: ids are minted densely
+    /// from 1, so the record of id `n` sits at index `n - 1`.
+    instances: Vec<InstanceRecord>,
     /// Exact count of running spot instances per (region, type), kept in
     /// lockstep with `instances` so `crowding_multiplier` is O(1) instead
     /// of a scan over every record ever created (which made spot requests
     /// superlinear in fleet size).
     running_spot: [[u32; InstanceType::ALL.len()]; Region::ALL.len()],
-    next_instance: u64,
     spot_attempts: u64,
     spot_fulfillments: u64,
     injector: Option<Box<dyn FaultInjector>>,
@@ -180,9 +180,8 @@ impl Ec2 {
             config,
             rng: rng.fork("ec2"),
             ledger: BillingLedger::new(),
-            instances: HashMap::new(),
+            instances: Vec::new(),
             running_spot: [[0; InstanceType::ALL.len()]; Region::ALL.len()],
-            next_instance: 1,
             spot_attempts: 0,
             spot_fulfillments: 0,
             injector: None,
@@ -234,7 +233,6 @@ impl Ec2 {
             return Ok(SpotRequestOutcome::OpenNoCapacity);
         }
         self.spot_fulfillments += 1;
-        let id = self.fresh_id();
         let ready_at = at + self.config.boot_delay;
         let hazard = self
             .injector
@@ -262,10 +260,7 @@ impl Ec2 {
         // request at the workload level; keep it anyway (realism), but
         // never earlier than the notice period after launch.
         let interruption_at = interruption_at.map(|t| t.max(at + INTERRUPTION_NOTICE));
-        self.instances.insert(
-            id,
-            InstanceRecord::new(id, region, instance_type, PurchaseModel::Spot, at, ready_at),
-        );
+        let id = self.create(region, instance_type, PurchaseModel::Spot, at, ready_at);
         self.running_spot[region as usize][instance_type as usize] += 1;
         Ok(SpotRequestOutcome::Fulfilled(LaunchedSpot {
             instance: id,
@@ -291,19 +286,8 @@ impl Ec2 {
                 instance_type,
             }));
         }
-        let id = self.fresh_id();
         let ready_at = at + self.config.boot_delay;
-        self.instances.insert(
-            id,
-            InstanceRecord::new(
-                id,
-                region,
-                instance_type,
-                PurchaseModel::OnDemand,
-                at,
-                ready_at,
-            ),
-        );
+        let id = self.create(region, instance_type, PurchaseModel::OnDemand, at, ready_at);
         Ok(LaunchedSpot {
             instance: id,
             ready_at,
@@ -330,7 +314,7 @@ impl Ec2 {
         // Compute the bill before mutating the record so market errors leave
         // the instance untouched.
         let (region, itype, model, launched_at, running) = {
-            let rec = self.instances.get(&id).ok_or(Ec2Error::UnknownInstance(id))?;
+            let rec = self.instance(id).ok_or(Ec2Error::UnknownInstance(id))?;
             (
                 rec.region(),
                 rec.instance_type(),
@@ -348,10 +332,8 @@ impl Ec2 {
             PurchaseModel::OnDemand => ServiceKind::OnDemandInstance,
         };
         self.ledger.charge(at, service, region, cost);
-        self.instances
-            .get_mut(&id)
-            .expect("checked above")
-            .terminate(at, reason, cost);
+        let slot = Self::slot(id).expect("checked above");
+        self.instances[slot].terminate(at, reason, cost);
         if model == PurchaseModel::Spot {
             self.running_spot[region as usize][itype as usize] -= 1;
         }
@@ -395,19 +377,22 @@ impl Ec2 {
 
     /// Looks up an instance record.
     pub fn instance(&self, id: InstanceId) -> Option<&InstanceRecord> {
-        self.instances.get(&id)
+        self.instances.get(Self::slot(id)?)
+    }
+
+    /// The index of `id`'s record; `None` for id 0, which is never minted.
+    fn slot(id: InstanceId) -> Option<usize> {
+        usize::try_from(id.raw().checked_sub(1)?).ok()
     }
 
     /// Number of currently running instances.
     pub fn running_count(&self) -> usize {
-        self.instances.values().filter(|r| r.is_running()).count()
+        self.instances.iter().filter(|r| r.is_running()).count()
     }
 
     /// All instance records, in id order.
-    pub fn instances(&self) -> Vec<&InstanceRecord> {
-        let mut v: Vec<&InstanceRecord> = self.instances.values().collect();
-        v.sort_by_key(|r| r.id());
-        v
+    pub fn instances(&self) -> &[InstanceRecord] {
+        &self.instances
     }
 
     /// The billing ledger.
@@ -440,9 +425,18 @@ impl Ec2 {
             * (others / self.config.crowding_fleet_scale).min(1.0)
     }
 
-    fn fresh_id(&mut self) -> InstanceId {
-        let id = InstanceId::new(self.next_instance);
-        self.next_instance += 1;
+    /// Records a new running instance under the next id.
+    fn create(
+        &mut self,
+        region: Region,
+        instance_type: InstanceType,
+        model: PurchaseModel,
+        at: SimTime,
+        ready_at: SimTime,
+    ) -> InstanceId {
+        let id = InstanceId::new(self.instances.len() as u64 + 1);
+        self.instances
+            .push(InstanceRecord::new(id, region, instance_type, model, at, ready_at));
         id
     }
 }
@@ -640,7 +634,7 @@ mod tests {
                 for itype in InstanceType::ALL {
                     let scan = e
                         .instances
-                        .values()
+                        .iter()
                         .filter(|r| {
                             r.is_running()
                                 && r.region() == region
@@ -656,6 +650,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ids_never_minted_are_unknown() {
+        let mut e = ec2(12);
+        let first = e
+            .launch_on_demand(Region::UsEast1, InstanceType::M5Xlarge, SimTime::ZERO)
+            .unwrap();
+        let second = fulfill(&mut e, Region::EuWest1, SimTime::ZERO);
+        assert_eq!((first.instance.raw(), second.instance.raw()), (1, 2));
+        let next = InstanceId::from_raw(3);
+        for id in [InstanceId::from_raw(0), next, InstanceId::from_raw(u64::MAX)] {
+            assert!(e.instance(id).is_none(), "{id} was never minted");
+            let err = e
+                .terminate(id, SimTime::from_hours(1), TerminationReason::Manual)
+                .unwrap_err();
+            assert_eq!(err, Ec2Error::UnknownInstance(id));
+        }
+        assert_eq!(e.instance(first.instance).unwrap().id(), first.instance);
+        assert_eq!(e.instance(second.instance).unwrap().id(), second.instance);
+    }
+
+    #[test]
+    fn instances_are_listed_in_id_order() {
+        let mut e = ec2(13);
+        for i in 0..12u64 {
+            let at = SimTime::from_hours(i);
+            let id = if i % 3 == 0 {
+                e.launch_on_demand(Region::UsWest2, InstanceType::M5Xlarge, at)
+                    .unwrap()
+                    .instance
+            } else {
+                fulfill(&mut e, Region::ALL[i as usize], at).instance
+            };
+            if i % 2 == 0 {
+                let end = e.instance(id).unwrap().launched_at() + SimDuration::from_mins(30);
+                e.terminate(id, end, TerminationReason::Completed).unwrap();
+            }
+        }
+        let ids: Vec<u64> = e.instances().iter().map(|r| r.id().raw()).collect();
+        assert_eq!(ids, (1..=12).collect::<Vec<_>>());
+        assert_eq!(e.running_count(), 6);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! episode processes, and a fleet that finishes inside the first month
 //! never pays for the remaining months of the horizon.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sim_kernel::{SimDuration, SimRng, SimTime};
@@ -605,10 +604,14 @@ impl MarketState {
 pub struct SpotMarket {
     config: MarketConfig,
     horizon: SimTime,
-    states: HashMap<(Region, InstanceType), MarketState>,
-    /// Regions offering each instance type, in catalog order (precomputed
-    /// so the hot `regions_offering` query is allocation-free).
-    offerings: HashMap<InstanceType, Vec<Region>>,
+    /// The market of each (region, instance type), indexed
+    /// `[region as usize][instance_type as usize]`; `None` where the type
+    /// is not offered.
+    states: [[Option<MarketState>; InstanceType::ALL.len()]; Region::ALL.len()],
+    /// Regions offering each instance type, in catalog order, indexed by
+    /// `instance_type as usize` (precomputed so the hot
+    /// `regions_offering` query is allocation-free).
+    offerings: [Vec<Region>; InstanceType::ALL.len()],
 }
 
 impl SpotMarket {
@@ -635,7 +638,7 @@ impl SpotMarket {
     /// queried in arbitrary orders, against this.
     pub fn new_eager(config: MarketConfig) -> Self {
         let market = Self::build(config);
-        for state in market.states.values() {
+        for state in market.states.iter().flatten().flatten() {
             state.daily_placement.force_all();
             state.hourly_price.force_all();
         }
@@ -651,34 +654,26 @@ impl SpotMarket {
         // what makes regime shocks cross-region correlated.
         let spec = config.regime.spec();
         let schedule = Arc::new(RegimeSchedule::build(config.regime, config.horizon_days, &rng));
-        let states: HashMap<(Region, InstanceType), MarketState> = InstanceType::ALL
-            .into_iter()
-            .flat_map(|itype| {
-                profiles::profiles_for(itype).into_iter().map(move |p| (itype, p))
-            })
-            .map(|(itype, p)| {
-                (
-                    (p.region(), itype),
-                    MarketState::build(
-                        p,
-                        config.horizon_days,
-                        &rng,
-                        spec,
-                        Arc::clone(&schedule),
-                    ),
-                )
-            })
-            .collect();
-        let offerings = InstanceType::ALL
-            .into_iter()
-            .map(|itype| {
-                let regions: Vec<Region> = Region::ALL
-                    .into_iter()
-                    .filter(|r| states.contains_key(&(*r, itype)))
-                    .collect();
-                (itype, regions)
-            })
-            .collect();
+        let mut states: [[Option<MarketState>; InstanceType::ALL.len()]; Region::ALL.len()] =
+            Default::default();
+        for itype in InstanceType::ALL {
+            for p in profiles::profiles_for(itype) {
+                let region = p.region();
+                states[region as usize][itype as usize] = Some(MarketState::build(
+                    p,
+                    config.horizon_days,
+                    &rng,
+                    spec,
+                    Arc::clone(&schedule),
+                ));
+            }
+        }
+        let offerings = InstanceType::ALL.map(|itype| {
+            Region::ALL
+                .into_iter()
+                .filter(|&r| states[r as usize][itype as usize].is_some())
+                .collect()
+        });
         SpotMarket {
             config,
             horizon: SimTime::from_days(u64::from(config.horizon_days)),
@@ -707,12 +702,12 @@ impl SpotMarket {
     /// Precomputed at construction; this is on the Monitor's collection
     /// hot path, so it must not allocate.
     pub fn regions_offering(&self, instance_type: InstanceType) -> &[Region] {
-        self.offerings.get(&instance_type).map_or(&[], Vec::as_slice)
+        &self.offerings[instance_type as usize]
     }
 
     /// Whether `instance_type` is offered in `region`.
     pub fn is_available(&self, region: Region, instance_type: InstanceType) -> bool {
-        self.states.contains_key(&(region, instance_type))
+        self.states[region as usize][instance_type as usize].is_some()
     }
 
     /// `(filled, total)` lazy-trajectory segment counts summed across
@@ -720,7 +715,7 @@ impl SpotMarket {
     /// actually been paid for. Benches and tests use this to assert that
     /// short experiments leave most of the market unmaterialized.
     pub fn materialized_segments(&self) -> (usize, usize) {
-        self.states.values().fold((0, 0), |(filled, total), s| {
+        self.states.iter().flatten().flatten().fold((0, 0), |(filled, total), s| {
             let (pf, pt) = s.daily_placement.segments_filled();
             let (hf, ht) = s.hourly_price.segments_filled();
             (filled + pf + hf, total + pt + ht)
@@ -732,10 +727,12 @@ impl SpotMarket {
         region: Region,
         instance_type: InstanceType,
     ) -> Result<&MarketState, MarketError> {
-        self.states.get(&(region, instance_type)).ok_or(MarketError::Unavailable {
-            region,
-            instance_type,
-        })
+        self.states[region as usize][instance_type as usize]
+            .as_ref()
+            .ok_or(MarketError::Unavailable {
+                region,
+                instance_type,
+            })
     }
 
     fn check_horizon(&self, at: SimTime) -> Result<(), MarketError> {

@@ -50,24 +50,35 @@ pub struct ExecutionPlan {
 impl ExecutionPlan {
     /// Flattens a workflow into its unit sequence.
     pub fn new(workflow: &Workflow) -> Self {
-        let mut units = Vec::new();
-        for (i, step) in workflow.steps().iter().enumerate() {
-            let shards = step.shards();
+        Self::from_steps(workflow.steps().iter().map(|s| (s.duration(), s.shards())))
+    }
+
+    /// Builds the plan from each step's `(duration, shards)`, in execution
+    /// order. A step of `shards` shards becomes that many units of
+    /// `duration / shards`, rounded to the second and at least one second.
+    ///
+    /// The iterator is walked twice — once to size the unit vector — so a
+    /// plan costs one allocation however many units it has.
+    pub fn from_steps<I>(steps: I) -> Self
+    where
+        I: IntoIterator<Item = (SimDuration, u32)>,
+        I::IntoIter: Clone,
+    {
+        let steps = steps.into_iter();
+        let unit_count = steps.clone().map(|(_, shards)| shards as usize).sum();
+        let mut units = Vec::with_capacity(unit_count);
+        let mut total = SimDuration::ZERO;
+        for (i, (duration, shards)) in steps.enumerate() {
             let per_shard = SimDuration::from_secs(
-                (step.duration().as_secs() as f64 / f64::from(shards)).round() as u64,
+                (duration.as_secs() as f64 / f64::from(shards)).round() as u64,
             )
             .max(SimDuration::from_secs(1));
+            let step = StepId::from_index(i);
             for shard in 0..shards {
-                units.push(WorkUnit {
-                    step: workflow.topological_order()[i],
-                    shard,
-                    duration: per_shard,
-                });
+                units.push(WorkUnit { step, shard, duration: per_shard });
+                total += per_shard;
             }
         }
-        let total = units
-            .iter()
-            .fold(SimDuration::ZERO, |acc, u| acc + u.duration);
         ExecutionPlan { units, total }
     }
 
@@ -92,6 +103,10 @@ impl ExecutionPlan {
     ///
     /// Panics if `units_done` exceeds the unit count.
     pub fn remaining_after(&self, units_done: usize) -> SimDuration {
+        // Every launch of a restart-from-scratch workload asks from zero.
+        if units_done == 0 {
+            return self.total;
+        }
         assert!(
             units_done <= self.units.len(),
             "remaining_after: units_done {units_done} > unit count {}",
@@ -199,10 +214,21 @@ pub struct WorkflowInvocation {
 impl WorkflowInvocation {
     /// Creates a fresh invocation of a workflow.
     pub fn new(workflow: &Workflow) -> Self {
+        Self::from_plan(workflow.name_shared(), workflow.recovery(), ExecutionPlan::new(workflow))
+    }
+
+    /// Creates a fresh invocation from a plan built without its
+    /// [`Workflow`] — for callers that know the step table but need none
+    /// of the DAG's labels, tools or edges.
+    pub fn from_plan(
+        workflow_name: impl Into<Cow<'static, str>>,
+        recovery: RecoveryMode,
+        plan: ExecutionPlan,
+    ) -> Self {
         WorkflowInvocation {
-            workflow_name: workflow.name_shared(),
-            recovery: workflow.recovery(),
-            plan: ExecutionPlan::new(workflow),
+            workflow_name: workflow_name.into(),
+            recovery,
+            plan,
             units_done: 0,
             interruptions: 0,
         }

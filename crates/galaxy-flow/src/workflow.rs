@@ -18,6 +18,10 @@ use crate::tool::ToolId;
 pub struct StepId(u32);
 
 impl StepId {
+    pub(crate) fn from_index(index: usize) -> Self {
+        StepId(index as u32)
+    }
+
     /// The raw index.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -209,12 +213,6 @@ impl Workflow {
             .fold(SimDuration::ZERO, |acc, s| acc + s.duration())
     }
 
-    /// Step ids in a valid execution order (insertion order, by
-    /// construction).
-    pub fn topological_order(&self) -> Vec<StepId> {
-        (0..self.steps.len() as u32).map(StepId).collect()
-    }
-
     /// Re-checks all invariants (useful after deserialization).
     ///
     /// # Errors
@@ -339,7 +337,6 @@ mod tests {
         let wf = b.build().unwrap();
         assert_eq!(wf.len(), 3);
         assert_eq!(wf.total_duration(), mins(30));
-        assert_eq!(wf.topological_order().len(), 3);
         assert_eq!(wf.step(a).unwrap().label(), "a");
         assert!(!wf.is_checkpointable());
         assert!(wf.validate().is_ok());

@@ -48,7 +48,8 @@ impl<E> Ord for Scheduled<E> {
 /// A time-ordered queue of simulation events.
 ///
 /// Cancellation is lazy: cancelled tokens are remembered and the matching
-/// entries are skipped when popped.
+/// entries are skipped when popped. A queue that never cancels pays no
+/// lookup per pop.
 ///
 /// # Examples
 ///
@@ -99,9 +100,12 @@ impl<E> EventQueue<E> {
     ///
     /// Returns `true` if the token had not already fired or been cancelled.
     /// Cancelling an already-delivered event is a silent no-op that returns
-    /// `false`.
+    /// `false` and leaves [`len`](Self::len) unchanged.
+    ///
+    /// Scans the pending events, so it costs O(n); nothing on a hot path
+    /// cancels.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        if token.0 >= self.next_seq {
+        if !self.heap.iter().any(|entry| entry.seq == token.0) {
             return false;
         }
         self.cancelled.insert(token.0)
@@ -110,7 +114,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
+            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
                 continue;
             }
             return Some((entry.time, entry.event));
@@ -122,7 +126,7 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled heads so the peek is accurate.
         while let Some(head) = self.heap.peek() {
-            if self.cancelled.contains(&head.seq) {
+            if !self.cancelled.is_empty() && self.cancelled.contains(&head.seq) {
                 let seq = head.seq;
                 self.heap.pop();
                 self.cancelled.remove(&seq);
@@ -133,7 +137,7 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Number of scheduled entries, including not-yet-skipped cancellations.
+    /// Number of live events: scheduled, not yet delivered, not cancelled.
     pub fn len(&self) -> usize {
         self.heap.len().saturating_sub(self.cancelled.len())
     }
@@ -179,7 +183,20 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), "keep")));
         assert_eq!(q.pop(), None);
         // Cancelling after delivery is a no-op.
-        assert!(!q.cancel(keep) || q.pop().is_none());
+        assert!(!q.cancel(keep), "cancelling a delivered event reports false");
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn cancelling_a_delivered_event_keeps_len() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_secs(1), 'a');
+        q.schedule(SimTime::from_secs(2), 'b');
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 'a')));
+        assert!(!q.cancel(a));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 'b')));
     }
 
     #[test]

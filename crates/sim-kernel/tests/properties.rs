@@ -56,6 +56,38 @@ proptest! {
         prop_assert_eq!(seen, expected);
     }
 
+    /// Cancelling tokens that were already delivered reports `false` and
+    /// never changes `len()`; the events still pending are all delivered.
+    #[test]
+    fn cancelling_delivered_tokens_keeps_len(
+        times in prop::collection::vec(0u64..100, 1..100),
+        pops in 0usize..100,
+    ) {
+        let mut q = EventQueue::new();
+        let tokens: Vec<_> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| q.schedule(SimTime::from_secs(t), i))
+            .collect();
+        let mut delivered = Vec::new();
+        for _ in 0..pops.min(times.len()) {
+            let (_, idx) = q.pop().expect("scheduled events remain");
+            delivered.push(idx);
+        }
+        let pending = q.len();
+        prop_assert_eq!(pending, times.len() - delivered.len());
+        for &idx in &delivered {
+            prop_assert!(!q.cancel(tokens[idx]), "delivered token {} cancelled", idx);
+            prop_assert_eq!(q.len(), pending);
+            prop_assert_eq!(q.is_empty(), pending == 0);
+        }
+        let mut rest = 0;
+        while q.pop().is_some() {
+            rest += 1;
+        }
+        prop_assert_eq!(rest, pending);
+    }
+
     /// Welford merge equals sequential accumulation.
     #[test]
     fn stats_merge_is_associative_with_sequential(

@@ -22,6 +22,7 @@
 //! deferred to the retry sweep, which re-asks the strategy.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use aws_stack::{ObjectBody, RetryPolicy};
@@ -249,8 +250,12 @@ struct FleetModel {
     strategy: Box<dyn Strategy>,
     strategy_rng: SimRng,
     workloads: Vec<WorkloadRuntime>,
-    /// Arrival batches: (absolute time, workload indices), ascending.
-    batches: Vec<(SimTime, Vec<usize>)>,
+    /// Workload indices in arrival order: ascending arrival time, and
+    /// within one instant higher priority tiers first, then index order.
+    arrival_order: Vec<usize>,
+    /// Arrival batches, ascending: (absolute time, the batch's range in
+    /// `arrival_order`).
+    batches: Vec<(SimTime, Range<usize>)>,
     completed: usize,
     expired: usize,
     interruptions: CumulativeCounter,
@@ -467,11 +472,8 @@ impl FleetModel {
         // loop schedules anything.
         let mut first_arrival = 0;
         if self.batches.first().is_some_and(|(at, _)| *at == now) {
-            // Batches are placed exactly once, so the index list can be
-            // moved out instead of cloned.
-            let ids = std::mem::take(&mut self.batches[0].1);
             first_arrival = 1;
-            self.place_batch(&ids, now, scheduler);
+            self.place_arrivals(0, now, scheduler);
         }
         for b in first_arrival..self.batches.len() {
             scheduler.schedule_at(self.batches[b].0, Event::Arrive(b));
@@ -484,12 +486,9 @@ impl FleetModel {
     }
 
     fn handle_arrive(&mut self, b: usize, now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
-        // Each batch arrives exactly once: move the index list out rather
-        // than cloning it per arrival (at 10k workloads that's 10k Vec
-        // allocations on the dispatch hot path), and only materialize the
-        // trace payload when the recorder is actually on.
-        let ids = std::mem::take(&mut self.batches[b].1);
+        // Only materialize the trace payload when the recorder is on.
         if self.cp.tracer.enabled() {
+            let ids = &self.arrival_order[self.batches[b].1.clone()];
             let workloads = &self.config.workloads;
             let tenants = if ids.iter().any(|&w| workloads[w].tenant.is_some()) {
                 ids.iter()
@@ -506,10 +505,18 @@ impl FleetModel {
             };
             self.cp.tracer.record(
                 now,
-                TraceEvent::WorkloadsArrived { batch: ids.clone(), tenants, priorities },
+                TraceEvent::WorkloadsArrived { batch: ids.to_vec(), tenants, priorities },
             );
         }
-        self.place_batch(&ids, now, scheduler);
+        self.place_arrivals(b, now, scheduler);
+    }
+
+    /// Places arrival batch `b`. The order vector is lent out for the
+    /// call, so placing a batch copies no indices.
+    fn place_arrivals(&mut self, b: usize, now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
+        let order = std::mem::take(&mut self.arrival_order);
+        self.place_batch(&order[self.batches[b].1.clone()], now, scheduler);
+        self.arrival_order = order;
     }
 
     fn handle_launch(&mut self, w: usize, now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
@@ -976,24 +983,29 @@ fn region_count_map(counts: &[u64; Region::ALL.len()]) -> BTreeMap<Region, u64> 
         .collect()
 }
 
-/// Groups workload indices into arrival batches, ascending by time.
+/// Orders workload indices by arrival and groups them into batches, one
+/// per distinct arrival time, ascending.
 ///
-/// Sorting a pre-sized flat vector replaces the old per-instant
-/// `BTreeMap` build: one allocation up front instead of a node per
-/// distinct arrival time, and the stable sort preserves the
-/// index-ascending order within a batch that the map's push order gave.
-fn arrival_batches(workloads: &[WorkloadRuntime]) -> Vec<(SimTime, Vec<usize>)> {
-    let mut arrivals: Vec<(SimTime, usize)> = Vec::with_capacity(workloads.len());
-    arrivals.extend(workloads.iter().enumerate().map(|(w, r)| (r.arrival, w)));
-    arrivals.sort_by_key(|&(at, _)| at);
-    let mut batches: Vec<(SimTime, Vec<usize>)> = Vec::new();
-    for (at, w) in arrivals {
+/// Priority semantics: within one arrival batch, higher tiers are handed
+/// to the strategy (and launched) first. The sort is stable, so an
+/// all-default fleet keeps exact index order — committed golden traces
+/// are untouched. Batches are ranges into the one order vector, so a
+/// fleet's batches cost two allocations, not one per arrival instant.
+fn arrival_batches(
+    workloads: &[WorkloadRuntime],
+    fleet: &[FleetWorkload],
+) -> (Vec<usize>, Vec<(SimTime, Range<usize>)>) {
+    let mut order: Vec<usize> = (0..workloads.len()).collect();
+    order.sort_by_key(|&w| (workloads[w].arrival, std::cmp::Reverse(fleet[w].priority)));
+    let mut batches: Vec<(SimTime, Range<usize>)> = Vec::new();
+    for (i, &w) in order.iter().enumerate() {
+        let at = workloads[w].arrival;
         match batches.last_mut() {
-            Some((t, ids)) if *t == at => ids.push(w),
-            _ => batches.push((at, vec![w])),
+            Some((t, ids)) if *t == at => ids.end = i + 1,
+            _ => batches.push((at, i..i + 1)),
         }
     }
-    batches
+    (order, batches)
 }
 
 /// Runs a fleet, building a fresh market from the config.
@@ -1054,14 +1066,7 @@ pub fn run_fleet_on(
             WorkloadRuntime::new(&fw.spec, arrival, arrival + config.max_runtime)
         })
         .collect();
-    let mut batches = arrival_batches(&workloads);
-    // Priority semantics: within one arrival batch, higher tiers are
-    // handed to the strategy (and launched) first. The sort is stable, so
-    // an all-default fleet keeps exact index order — committed golden
-    // traces are untouched.
-    for (_, ids) in &mut batches {
-        ids.sort_by_key(|&w| std::cmp::Reverse(config.workloads[w].priority));
-    }
+    let (arrival_order, batches) = arrival_batches(&workloads, &config.workloads);
     let horizon = workloads
         .iter()
         .map(|w| w.deadline)
@@ -1073,6 +1078,7 @@ pub fn run_fleet_on(
         strategy,
         strategy_rng: root_rng.fork("strategy"),
         workloads,
+        arrival_order,
         batches,
         completed: 0,
         expired: 0,

@@ -100,17 +100,24 @@ pub(crate) struct WorkloadRuntime {
     /// The object-store/EFS key this workload's working set lives under,
     /// interned at construction: the hot paths (notice uploads, resume
     /// downloads, proactive ticks) borrow or clone it instead of
-    /// re-formatting the same string on every event.
+    /// re-formatting the same string on every event. Empty (and never
+    /// read) for kinds that do not checkpoint.
     checkpoint_key: String,
 }
 
 impl WorkloadRuntime {
+    /// Builds the runtime from the spec's step table; no
+    /// [`galaxy_flow::Workflow`] is materialized, so a workload costs a
+    /// few allocations however many steps and shards it has.
     pub(crate) fn new(spec: &WorkloadSpec, arrival: SimTime, deadline: SimTime) -> Self {
-        let workflow = spec.build_workflow();
         WorkloadRuntime {
-            checkpoint_key: format!("checkpoints/{}/dataset", spec.id),
+            checkpoint_key: if spec.kind.is_checkpointable() {
+                format!("checkpoints/{}/dataset", spec.id)
+            } else {
+                String::new()
+            },
             spec: spec.clone(),
-            invocation: WorkflowInvocation::new(&workflow),
+            invocation: spec.invocation(),
             placement: Placement::Spot(Region::UsEast1), // overwritten at arrival
             running: None,
             completed_at: None,

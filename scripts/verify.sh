@@ -21,6 +21,24 @@ echo "==> benchmark: cargo build --release --manifest-path perfbench/Cargo.toml"
 # with `git checkout perfbench/Cargo.lock`.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench smoke: each benchmark workload for one second"
+# Every operation checks its text against the CLI's byte for byte (and
+# its own invariants), so a break shows here as correct=false or a
+# failed operation, before a full benchmark run would meet it.
+for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trace; do
+    result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 2>/dev/null | tail -n 1 || true)
+    if ! python3 -c '
+import json, sys
+result = json.loads(sys.argv[1])
+sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1)
+' "$result" 2>/dev/null; then
+        echo "==> perfbench smoke FAILED: $workload: ${result:-no result line}" >&2
+        exit 1
+    fi
+    echo "    $workload: correct, 0 failed"
+done
+
 echo "==> golden traces: byte-identical replay of committed traces"
 # Drift fails here; bless intentional changes with scripts/regen-golden.sh.
 cargo test -q -p spotverse-integration --test golden_traces
@@ -33,6 +51,11 @@ cargo test -q -p spotverse-integration --test golden_tournament
 
 echo "==> golden workflows: committed .ga exports of the paper workflows"
 cargo test -q -p spotverse-integration --test golden_workflows
+
+echo "==> fleet allocations: one loadgen fleet run allocates no more than pinned"
+# Exact allocation counts of `run_fleet_on` on 1,000- and 2,000-workload
+# Poisson fleets; a hot-path regression fails here without a timer.
+cargo test -q -p spotverse-integration --test fleet_allocs
 
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
