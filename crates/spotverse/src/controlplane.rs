@@ -62,8 +62,9 @@ pub struct ControlPlane {
     /// Serve decisions from one parsed snapshot per collection epoch
     /// instead of re-scanning and re-parsing the KV rows per decision.
     /// The underlying scan is unbilled and side-effect-free, so the two
-    /// modes are observationally identical; `false` is the ablation arm
-    /// the `fleet_scale` bench measures against.
+    /// modes are observationally identical; `false` is the reference
+    /// path of `loadgen_determinism::snapshot_reuse_is_observationally_identical`,
+    /// its only reason to exist.
     pub(crate) snapshot_reuse: bool,
     /// The parsed snapshot for the current collection epoch: assessments
     /// in catalog order plus the oldest `collected_at` stamp. Cleared by

@@ -132,8 +132,9 @@ pub struct FleetConfig {
     /// Serve every decision within a snapshot epoch from one parsed
     /// assessment read instead of re-scanning the Monitor's KV rows per
     /// decision. Observationally identical either way (the underlying
-    /// scan is unbilled and side-effect-free); `false` exists as the
-    /// ablation arm for the `fleet_scale` bench.
+    /// scan is unbilled and side-effect-free); `false` is the reference
+    /// path of `loadgen_determinism::snapshot_reuse_is_observationally_identical`,
+    /// its only reason to exist.
     pub reuse_decision_snapshot: bool,
 }
 

@@ -10,9 +10,6 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> benches: cargo build --benches"
-cargo build --benches
-
 echo "==> benchmark: cargo build --release --manifest-path perfbench/Cargo.toml"
 # perfbench is a workspace of its own, outside the root workspace, so
 # nothing above compiles it; this catches a change that breaks an API it
@@ -51,6 +48,11 @@ cargo test -q -p spotverse-integration --test golden_tournament
 
 echo "==> golden workflows: committed .ga exports of the paper workflows"
 cargo test -q -p spotverse-integration --test golden_workflows
+
+echo "==> golden paper: every table, figure and ablation, check by check"
+# All 28 shape checks asserted by name, and each figure's text pinned
+# against tests/golden/paper/ so no reproduced number moves unnoticed.
+cargo test -q -p spotverse-integration --test golden_paper
 
 echo "==> fleet allocations: one loadgen fleet run allocates no more than pinned"
 # Exact allocation counts of `run_fleet_on` on 1,000- and 2,000-workload
@@ -163,11 +165,5 @@ if ! grep -q "completed=3" <<<"$analyse_out"; then
     echo "$analyse_out" >&2
     exit 1
 fi
-
-echo "==> bench baselines: committed BENCH_*.json vs scripts/bench_baselines"
-# Cheap self-consistency gate — compares the committed numbers, does not
-# re-run benches. scripts/bench.sh re-measures and then runs this same
-# comparison against fresh numbers.
-scripts/bench_compare.sh
 
 echo "==> verify OK"

@@ -10,52 +10,16 @@
 //! golden_analytics`).
 
 use std::fs;
-use std::path::PathBuf;
 
 use bio_workloads::WorkloadKind;
 use spotverse::{
     append_trace_jsonl, merged_trace_jsonl, render_analysis, replay_str, run_matrix_orchestrated,
     MarketCache, OrchestratorConfig, SweepCell, TimeWindow, TraceConfig,
 };
-use spotverse_integration::{spotverse_strategy, traced_config};
-
-fn golden_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
-}
-
-fn check_snapshot(name: &str, actual: &str) {
-    let path = golden_root().join("analytics").join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden/analytics");
-        fs::write(&path, actual).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing analytics snapshot {} ({e}); generate it with scripts/regen-golden.sh",
-            path.display()
-        )
-    });
-    if actual != expected {
-        let line = actual
-            .lines()
-            .zip(expected.lines())
-            .position(|(a, b)| a != b)
-            .map_or_else(
-                || actual.lines().count().min(expected.lines().count()) + 1,
-                |i| i + 1,
-            );
-        panic!(
-            "analytics snapshot drift in {name} at line {line};\n  actual: {}\n  golden: {}\n\
-             if the change is intentional, re-bless with scripts/regen-golden.sh",
-            actual.lines().nth(line - 1).unwrap_or("<end>"),
-            expected.lines().nth(line - 1).unwrap_or("<end>"),
-        );
-    }
-}
+use spotverse_integration::{assert_golden, golden_path, spotverse_strategy, traced_config};
 
 fn analyse_golden_trace(trace_name: &str) -> String {
-    let path = golden_root().join(trace_name);
+    let path = golden_path(trace_name);
     let doc = fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!("missing golden trace {} ({e}); run scripts/regen-golden.sh", path.display())
     });
@@ -71,14 +35,17 @@ fn experiment_golden_analytics_match() {
         "spotverse_ngs3_seed2024_t6.jsonl",
         "spotverse_genome10_seed2024_region_flap.jsonl",
     ] {
-        let snapshot = trace.replace(".jsonl", ".txt");
-        check_snapshot(&snapshot, &analyse_golden_trace(trace));
+        let snapshot = format!("analytics/{}", trace.replace(".jsonl", ".txt"));
+        assert_golden(&snapshot, &analyse_golden_trace(trace));
     }
 }
 
 #[test]
 fn fleet_golden_analytics_match() {
-    check_snapshot("fleet_ngs3_seed2024_cap1.txt", &analyse_golden_trace("fleet_ngs3_seed2024_cap1.jsonl"));
+    assert_golden(
+        "analytics/fleet_ngs3_seed2024_cap1.txt",
+        &analyse_golden_trace("fleet_ngs3_seed2024_cap1.jsonl"),
+    );
 }
 
 /// The `sweep_shard_chaos` orchestrated run: per-cell traces merged with
@@ -110,5 +77,5 @@ fn sweep_shard_chaos_analytics_match() {
         report.trace.as_ref().expect("tracing enabled"),
     );
     let state = replay_str(&doc, TimeWindow::ALL).expect("orchestrated trace parses");
-    check_snapshot("sweep_shard_chaos.txt", &render_analysis(&state));
+    assert_golden("analytics/sweep_shard_chaos.txt", &render_analysis(&state));
 }

@@ -9,8 +9,7 @@
 //! `UPDATE_GOLDEN=1 cargo test -p spotverse-integration --test
 //! golden_tournament`).
 
-use std::fs;
-use std::path::PathBuf;
+use spotverse_integration::assert_golden;
 
 /// The exact argv `scripts/verify.sh` replays against the snapshot.
 const GOLDEN_ARGS: [&str; 9] = [
@@ -25,44 +24,10 @@ const GOLDEN_ARGS: [&str; 9] = [
     "regime",
 ];
 
-fn snapshot_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("golden")
-        .join("tournament")
-        .join("leaderboard.txt")
-}
-
 #[test]
 fn tournament_leaderboard_matches_snapshot() {
     let actual = spotverse_cli::run(GOLDEN_ARGS).expect("golden tournament runs");
-    let path = snapshot_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden/tournament");
-        fs::write(&path, &actual).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing tournament snapshot {} ({e}); generate it with scripts/regen-golden.sh",
-            path.display()
-        )
-    });
-    if actual != expected {
-        let line = actual
-            .lines()
-            .zip(expected.lines())
-            .position(|(a, b)| a != b)
-            .map_or_else(
-                || actual.lines().count().min(expected.lines().count()) + 1,
-                |i| i + 1,
-            );
-        panic!(
-            "tournament leaderboard drift at line {line};\n  actual: {}\n  golden: {}\n\
-             if the change is intentional, re-bless with scripts/regen-golden.sh",
-            actual.lines().nth(line - 1).unwrap_or("<end>"),
-            expected.lines().nth(line - 1).unwrap_or("<end>"),
-        );
-    }
+    assert_golden("tournament/leaderboard.txt", &actual);
 }
 
 /// The snapshot itself must describe a tournament that did real work:
