@@ -3,22 +3,21 @@
 //! commands are unit-testable without capturing stdout).
 
 use std::fmt;
-use std::sync::Arc;
 
-use bio_workloads::{paper_fleet, WorkloadKind};
+use bio_workloads::{paper_fleet, WorkloadKind, WorkloadSpec};
 use chaos::ChaosScenario;
 use cloud_market::history::{archive_to_csv, collect_archive};
-use cloud_market::{InstanceType, MarketRegime, Region, SpotMarket};
+use cloud_market::{InstanceType, MarketConfig, MarketRegime, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    merged_fleet_trace_jsonl, merged_trace_jsonl, render_tournament, resolve_jobs,
-    run_experiment_on, run_fleet_matrix, run_matrix, run_matrix_orchestrated, run_tournament,
-    summary_line, trace_to_jsonl, BidPriceAwareStrategy, CellOutcome, CheckpointAdaptiveStrategy,
-    ExperimentConfig, ExperimentReport, FleetConfig, FleetReport, FleetSweepCell, LoadProfile,
-    MarketCache, Monitor, NaiveMultiRegionStrategy, OnDemandStrategy, OrchestratorConfig,
-    SingleRegionStrategy, SkyPilotStrategy, SpotVerseConfig, render_analysis,
-    render_analysis_json, ReplayCursor, SpotVerseStrategy, Strategy, SweepCell, TimeWindow,
-    TournamentChaos, TournamentConfig, TraceConfig, WorkloadPhase,
+    merged_trace_jsonl, render_analysis, render_analysis_json, render_tournament, resolve_jobs,
+    run_experiment, run_matrix, run_matrix_orchestrated, run_tournament, summary_line,
+    trace_to_jsonl, BidPriceAwareStrategy, CellConfig, CellOutcome, CheckpointAdaptiveStrategy,
+    ExperimentConfig, ExperimentReport, FleetConfig, FleetReport, LoadProfile, MarketCache,
+    Monitor, NaiveMultiRegionStrategy, OnDemandStrategy, OrchestratorConfig, ReplayCursor,
+    SingleRegionStrategy, SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy, Strategy,
+    SweepCell, SweepOutcome, TimeWindow, TournamentChaos, TournamentConfig, TraceConfig,
+    WorkloadPhase,
 };
 
 use crate::args::{ArgError, ParsedArgs};
@@ -193,33 +192,26 @@ fn parse_instance_type(name: &str) -> Result<InstanceType, CliError> {
         .map_err(|e| CliError::BadInput(format!("{e}")))
 }
 
-fn parse_region(name: &str) -> Result<Region, CliError> {
-    name.parse()
-        .map_err(|e| CliError::BadInput(format!("{e}")))
+/// An optional flag that must be a positive integer when given, such as
+/// `--jobs` (absent means "resolve from the environment") or
+/// `--capacity` (absent means unbounded).
+fn opt_positive<T>(args: &ParsedArgs, flag: &str) -> Result<Option<T>, CliError>
+where
+    T: std::str::FromStr + Default + PartialOrd,
+{
+    args.opt_str(flag)
+        .map(|raw| {
+            raw.parse::<T>()
+                .ok()
+                .filter(|n| *n > T::default())
+                .ok_or_else(|| {
+                    CliError::BadInput(format!("--{flag}: `{raw}` is not a positive integer"))
+                })
+        })
+        .transpose()
 }
 
-/// The `--jobs` flag: absent means "resolve from the environment".
-fn parse_jobs(args: &ParsedArgs) -> Result<Option<usize>, CliError> {
-    match args.opt_str("jobs") {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .map(Some)
-            .ok_or_else(|| {
-                CliError::BadInput(format!("--jobs: `{raw}` is not a positive integer"))
-            }),
-    }
-}
-
-/// Shared experiment scaffolding from common flags.
-struct CommonConfig {
-    config: ExperimentConfig,
-    instance_type: InstanceType,
-}
-
-/// `--regime` on a single-experiment command: one named regime, default
+/// `--regime` on a single-regime command: one named regime, default
 /// `baseline` (`tournament` interprets the flag itself to allow `all`).
 fn parse_regime(args: &ParsedArgs) -> Result<MarketRegime, CliError> {
     args.str_or("regime", "baseline")
@@ -227,47 +219,154 @@ fn parse_regime(args: &ParsedArgs) -> Result<MarketRegime, CliError> {
         .map_err(CliError::BadInput)
 }
 
-fn common_config(args: &ParsedArgs) -> Result<CommonConfig, CliError> {
-    let seed = args.u64_or("seed", 2024)?;
-    let instances = args.u64_or("instances", 20)? as usize;
-    if instances == 0 {
-        return Err(CliError::BadInput("--instances must be positive".into()));
+/// A `u64` flag that must be positive.
+fn positive(args: &ParsedArgs, flag: &str, default: u64) -> Result<u64, CliError> {
+    match args.u64_or(flag, default)? {
+        0 => Err(CliError::BadInput(format!("--{flag} must be positive"))),
+        n => Ok(n),
     }
-    let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
-    let kind = parse_workload(args.str_or("workload", "genome"))?;
-    let start_day = args.u64_or("start-day", 1)?;
-    let rng = SimRng::seed_from_u64(seed);
-    let mut config = ExperimentConfig::new(seed, instance_type, paper_fleet(kind, instances, &rng));
-    config.start = SimTime::from_days(start_day);
-    config.market = config.market.with_regime(parse_regime(args)?);
-    Ok(CommonConfig {
-        config,
-        instance_type,
+}
+
+/// A chaos scenario by name; `or_all` adds the `all` a command also
+/// accepts to the list the error names.
+fn parse_scenario(name: &str, or_all: bool) -> Result<ChaosScenario, CliError> {
+    chaos::by_name(name).ok_or_else(|| {
+        CliError::BadInput(format!(
+            "unknown scenario `{name}` (expected {}{})",
+            chaos::SCENARIO_NAMES.join(" | "),
+            if or_all { " | all" } else { "" },
+        ))
     })
 }
 
-fn build_strategy(
-    name: &str,
+/// The paper's five strategies: what `compare` runs, and what `fleet` and
+/// `sweep` run for `--strategy all`.
+const PAPER_STRATEGIES: [&str; 5] = [
+    "single-region",
+    "naive-multi",
+    "skypilot",
+    "spotverse",
+    "on-demand",
+];
+
+/// The flags every run command shares, parsed once: the fleet, where and
+/// when it starts, and what the strategies are built with.
+struct Run {
+    seed: u64,
+    instances: usize,
     instance_type: InstanceType,
+    kind: WorkloadKind,
+    start: SimTime,
     threshold: u8,
     region: Region,
-) -> Result<Box<dyn Strategy>, CliError> {
-    match name {
-        "spotverse" => Ok(Box::new(SpotVerseStrategy::new(
-            SpotVerseConfig::builder(instance_type)
-                .threshold(threshold)
-                .build(),
-        ))),
-        "single-region" => Ok(Box::new(SingleRegionStrategy::new(region))),
-        "on-demand" => Ok(Box::new(OnDemandStrategy::new())),
-        "skypilot" => Ok(Box::new(SkyPilotStrategy::new())),
-        "naive-multi" => Ok(Box::new(NaiveMultiRegionStrategy::paper_motivational())),
-        "bid-price" => Ok(Box::new(BidPriceAwareStrategy::new())),
-        "checkpoint-adaptive" => Ok(Box::new(CheckpointAdaptiveStrategy::new())),
-        other => Err(CliError::BadInput(format!(
-            "unknown strategy `{other}` (expected spotverse | single-region | on-demand | \
-             skypilot | naive-multi | bid-price | checkpoint-adaptive)"
-        ))),
+}
+
+impl Run {
+    fn parse(args: &ParsedArgs) -> Result<Run, CliError> {
+        let seed = args.u64_or("seed", 2024)?;
+        let instances = positive(args, "instances", 20)? as usize;
+        let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
+        let kind = parse_workload(args.str_or("workload", "genome"))?;
+        let start_day = args.u64_or("start-day", 1)?;
+        let horizon = MarketConfig::default().horizon_days;
+        if start_day >= u64::from(horizon) {
+            return Err(CliError::BadInput(format!(
+                "--start-day: day {start_day} is not before the {horizon}-day market horizon"
+            )));
+        }
+        let threshold = args.u8_or("threshold", 6)?;
+        let region = args
+            .str_or("region", "ca-central-1")
+            .parse()
+            .map_err(|e| CliError::BadInput(format!("{e}")))?;
+        Ok(Run {
+            seed,
+            instances,
+            instance_type,
+            kind,
+            start: SimTime::from_days(start_day),
+            threshold,
+            region,
+        })
+    }
+
+    /// The paper fleet of `--instances` `--workload` workloads, drawn at
+    /// `seed`.
+    fn specs(&self, seed: u64) -> Vec<WorkloadSpec> {
+        paper_fleet(self.kind, self.instances, &SimRng::seed_from_u64(seed))
+    }
+
+    /// An experiment over [`specs`](Self::specs) at `seed`, on a market in
+    /// `regime`.
+    fn experiment(&self, seed: u64, regime: MarketRegime) -> ExperimentConfig {
+        let mut config = ExperimentConfig::new(seed, self.instance_type, self.specs(seed));
+        config.start = self.start;
+        config.market = config.market.with_regime(regime);
+        config
+    }
+
+    /// The fleet arriving `spacing` apart, from `--start-day`.
+    fn staggered(&self, spacing: SimDuration) -> FleetConfig {
+        let mut fleet = FleetConfig::staggered(
+            self.seed,
+            self.instance_type,
+            self.specs(self.seed),
+            spacing,
+        );
+        fleet.start = self.start;
+        fleet
+    }
+
+    fn strategy(&self, name: &str) -> Result<Box<dyn Strategy>, CliError> {
+        match name {
+            "spotverse" => Ok(Box::new(SpotVerseStrategy::new(
+                SpotVerseConfig::builder(self.instance_type)
+                    .threshold(self.threshold)
+                    .build(),
+            ))),
+            "single-region" => Ok(Box::new(SingleRegionStrategy::new(self.region))),
+            "on-demand" => Ok(Box::new(OnDemandStrategy::new())),
+            "skypilot" => Ok(Box::new(SkyPilotStrategy::new())),
+            "naive-multi" => Ok(Box::new(NaiveMultiRegionStrategy::paper_motivational())),
+            "bid-price" => Ok(Box::new(BidPriceAwareStrategy::new())),
+            "checkpoint-adaptive" => Ok(Box::new(CheckpointAdaptiveStrategy::new())),
+            other => Err(CliError::BadInput(format!(
+                "unknown strategy `{other}` (expected spotverse | single-region | on-demand | \
+                 skypilot | naive-multi | bid-price | checkpoint-adaptive)"
+            ))),
+        }
+    }
+
+    /// A `--strategy` value: `all` gives `all`; one name is validated up
+    /// front so [`strategy_for`](Self::strategy_for) can rely on it.
+    fn strategies<'a>(&self, arg: &'a str, all: &[&'a str]) -> Result<Vec<&'a str>, CliError> {
+        if arg == "all" {
+            return Ok(all.to_vec());
+        }
+        self.strategy(arg)?;
+        Ok(vec![arg])
+    }
+
+    /// The per-cell strategy factory, over names already validated.
+    fn strategy_for(&self) -> impl Fn(&str) -> Box<dyn Strategy> + Sync + '_ {
+        |name| {
+            self.strategy(name)
+                .expect("strategy names validated before the run")
+        }
+    }
+
+    /// Runs `cells` in-process on `jobs` workers (resolved as
+    /// [`resolve_jobs`] does) over one market cache.
+    fn matrix<C: CellConfig>(
+        &self,
+        cells: &[SweepCell<C>],
+        jobs: Option<usize>,
+    ) -> Vec<SweepOutcome<C::Report>> {
+        let strategy_for = self.strategy_for();
+        let jobs = resolve_jobs(jobs, cells.len());
+        run_matrix(cells, jobs, &MarketCache::new(), |cell| {
+            strategy_for(&cell.strategy)
+        })
     }
 }
 
@@ -298,18 +397,10 @@ fn render_report(report: &ExperimentReport) -> String {
 
 /// `spotverse simulate`.
 pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
-    let common = common_config(args)?;
-    let threshold = args.u8_or("threshold", 6)?;
-    let region = parse_region(args.str_or("region", "ca-central-1"))?;
-    let strategy = build_strategy(
-        args.str_or("strategy", "spotverse"),
-        common.instance_type,
-        threshold,
-        region,
-    )?;
-    let market = Arc::new(SpotMarket::new(common.config.market));
-    let report = run_experiment_on(market, common.config, strategy);
-    Ok(render_report(&report))
+    let run = Run::parse(args)?;
+    let config = run.experiment(run.seed, parse_regime(args)?);
+    let strategy = run.strategy(args.str_or("strategy", "spotverse"))?;
+    Ok(render_report(&run_experiment(config, strategy)))
 }
 
 fn phase_name(phase: WorkloadPhase) -> &'static str {
@@ -358,50 +449,20 @@ fn render_fleet_report(report: &FleetReport) -> String {
 /// `spotverse fleet`: N workloads with staggered arrivals multiplexed
 /// over one shared control plane, optionally capacity-capped per region.
 /// `--strategy all` sweeps every strategy over the same fleet shape on
-/// one cached market via the fleet sweep engine.
+/// one cached market via the sweep engine.
 pub fn fleet(args: &ParsedArgs) -> Result<String, CliError> {
-    let seed = args.u64_or("seed", 2024)?;
-    let instances = args.u64_or("instances", 20)? as usize;
-    if instances == 0 {
-        return Err(CliError::BadInput("--instances must be positive".into()));
-    }
-    let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
-    let kind = parse_workload(args.str_or("workload", "genome"))?;
-    let start_day = args.u64_or("start-day", 1)?;
-    let spacing_mins = args.u64_or("spacing-mins", 60)?;
-    let deadline_days = args.u64_or("deadline-days", 30)?;
-    if deadline_days == 0 {
-        return Err(CliError::BadInput("--deadline-days must be positive".into()));
-    }
-    let capacity = match args.opt_str("capacity") {
-        None => None,
-        Some(raw) => match raw.parse::<u32>() {
-            Ok(k) if k > 0 => Some(k),
-            _ => {
-                return Err(CliError::BadInput(format!(
-                    "--capacity: `{raw}` is not a positive integer"
-                )))
-            }
-        },
-    };
+    let run = Run::parse(args)?;
+    let spacing = SimDuration::from_mins(args.u64_or("spacing-mins", 60)?);
+    let deadline = SimDuration::from_days(positive(args, "deadline-days", 30)?);
+    let capacity = opt_positive(args, "capacity")?;
     let output = args.str_or("output", "table");
     if !matches!(output, "table" | "trace") {
         return Err(CliError::BadInput(format!(
             "--output: `{output}` is not table | trace"
         )));
     }
-    let threshold = args.u8_or("threshold", 6)?;
-    let region = parse_region(args.str_or("region", "ca-central-1"))?;
-    let strategy_arg = args.str_or("strategy", "spotverse");
-    let strategies: Vec<&str> = if strategy_arg == "all" {
-        vec!["single-region", "naive-multi", "skypilot", "spotverse", "on-demand"]
-    } else {
-        // Validate a user-supplied name up front so the sweep closure can
-        // rely on it.
-        build_strategy(strategy_arg, instance_type, threshold, region)?;
-        vec![strategy_arg]
-    };
-    let jobs_flag = parse_jobs(args)?;
+    let strategies = run.strategies(args.str_or("strategy", "spotverse"), &PAPER_STRATEGIES)?;
+    let jobs = opt_positive(args, "jobs")?;
 
     let mut config = match args.opt_str("loadgen") {
         Some(profile_name) => {
@@ -415,48 +476,32 @@ pub fn fleet(args: &ParsedArgs) -> Result<String, CliError> {
                         CliError::BadInput(format!("--rate: `{raw}` is not a positive number"))
                     })?,
             };
-            let count = args.u64_or("workloads", 100)? as usize;
-            if count == 0 {
-                return Err(CliError::BadInput("--workloads must be positive".into()));
-            }
+            let count = positive(args, "workloads", 100)? as usize;
             let profile = LoadProfile::named(profile_name, rate).ok_or_else(|| {
                 CliError::BadInput(format!(
                     "unknown loadgen profile `{profile_name}` (expected poisson | diurnal | burst)"
                 ))
             })?;
-            profile.generate(seed, count, instance_type)
+            let mut generated = profile.generate(run.seed, count, run.instance_type);
+            generated.start = run.start;
+            generated
         }
-        None => {
-            let rng = SimRng::seed_from_u64(seed);
-            let specs = paper_fleet(kind, instances, &rng);
-            FleetConfig::staggered(
-                seed,
-                instance_type,
-                specs,
-                SimDuration::from_mins(spacing_mins),
-            )
-        }
+        None => run.staggered(spacing),
     };
-    config.start = SimTime::from_days(start_day);
-    config.max_runtime = SimDuration::from_days(deadline_days);
+    config.max_runtime = deadline;
     config.region_capacity = capacity;
     config.market = config.market.with_regime(parse_regime(args)?);
     if output == "trace" {
         config.trace = TraceConfig::enabled();
     }
 
-    let cells: Vec<FleetSweepCell> = strategies
+    let cells: Vec<SweepCell<FleetConfig>> = strategies
         .iter()
-        .map(|name| FleetSweepCell::new(*name, *name, config.clone()))
+        .map(|name| SweepCell::new(*name, *name, config.clone()))
         .collect();
-    let cache = MarketCache::new();
-    let jobs = resolve_jobs(jobs_flag, cells.len());
-    let outcomes = run_fleet_matrix(&cells, jobs, &cache, |cell| {
-        build_strategy(&cell.strategy, instance_type, threshold, region)
-            .expect("fleet strategy names validated before the sweep")
-    });
+    let outcomes = run.matrix(&cells, jobs);
     if output == "trace" {
-        return Ok(merged_fleet_trace_jsonl(&outcomes));
+        return Ok(merged_trace_jsonl(&outcomes));
     }
     let mut out = String::new();
     for outcome in &outcomes {
@@ -472,32 +517,14 @@ pub fn fleet(args: &ParsedArgs) -> Result<String, CliError> {
 /// per strategy, executed on the parallel sweep engine. All cells share a
 /// single cached market construction.
 pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
-    let common = common_config(args)?;
-    let threshold = args.u8_or("threshold", 6)?;
-    let region = parse_region(args.str_or("region", "ca-central-1"))?;
-    let jobs_flag = parse_jobs(args)?;
-    let names = ["single-region", "naive-multi", "skypilot", "spotverse", "on-demand"];
-    let cells: Vec<SweepCell> = names
+    let run = Run::parse(args)?;
+    let config = run.experiment(run.seed, parse_regime(args)?);
+    let jobs = opt_positive(args, "jobs")?;
+    let cells: Vec<SweepCell> = PAPER_STRATEGIES
         .iter()
-        .map(|name| SweepCell::new(*name, *name, common.config.clone()))
+        .map(|name| SweepCell::new(*name, *name, config.clone()))
         .collect();
-    let cache = MarketCache::new();
-    let jobs = resolve_jobs(jobs_flag, cells.len());
-    let outcomes = run_matrix(&cells, jobs, &cache, |cell| {
-        build_strategy(&cell.strategy, common.instance_type, threshold, region)
-            .expect("compare strategy names are from the fixed list")
-    });
-    let mut out = String::new();
-    for outcome in &outcomes {
-        match &outcome.result {
-            Ok(report) => {
-                out.push_str(&summary_line(report));
-                out.push('\n');
-            }
-            Err(e) => out.push_str(&format!("{:<20} FAILED: {e}\n", outcome.strategy)),
-        }
-    }
-    Ok(out)
+    Ok(render_sweep_cells(&run.matrix(&cells, jobs)))
 }
 
 /// `spotverse sweep`: a strategies × seeds cell matrix. In-process it runs
@@ -508,29 +535,9 @@ pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
 /// print byte-identical cell output (`--output trace` is byte-identical
 /// end to end).
 pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
-    let base_seed = args.u64_or("seed", 2024)?;
-    let instances = args.u64_or("instances", 20)? as usize;
-    if instances == 0 {
-        return Err(CliError::BadInput("--instances must be positive".into()));
-    }
-    let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
-    let kind = parse_workload(args.str_or("workload", "genome"))?;
-    let start_day = args.u64_or("start-day", 1)?;
-    let threshold = args.u8_or("threshold", 6)?;
-    let region = parse_region(args.str_or("region", "ca-central-1"))?;
-    let seeds = args.u64_or("seeds", 1)?;
-    if seeds == 0 {
-        return Err(CliError::BadInput("--seeds must be positive".into()));
-    }
-    let strategy_arg = args.str_or("strategy", "spotverse");
-    let strategies: Vec<&str> = if strategy_arg == "all" {
-        vec!["single-region", "naive-multi", "skypilot", "spotverse", "on-demand"]
-    } else {
-        // Validate a user-supplied name up front so the sweep closure can
-        // rely on it.
-        build_strategy(strategy_arg, instance_type, threshold, region)?;
-        vec![strategy_arg]
-    };
+    let run = Run::parse(args)?;
+    let seeds = positive(args, "seeds", 1)?;
+    let strategies = run.strategies(args.str_or("strategy", "spotverse"), &PAPER_STRATEGIES)?;
     let orchestrated = match args.str_or("orchestrated", "false") {
         "true" => true,
         "false" => false,
@@ -546,65 +553,45 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
             "unknown output `{output}` (expected table | trace)"
         )));
     }
-    let scenario = match args.opt_str("scenario") {
-        None => None,
-        Some(name) => Some(chaos::by_name(name).ok_or_else(|| {
-            CliError::BadInput(format!(
-                "unknown scenario `{name}` (expected {})",
-                chaos::SCENARIO_NAMES.join(" | ")
-            ))
-        })?),
-    };
+    let scenario = args
+        .opt_str("scenario")
+        .map(|name| parse_scenario(name, false))
+        .transpose()?;
     if scenario.is_some() && !orchestrated {
         return Err(CliError::BadInput(
             "--scenario faults the orchestration services; it requires --orchestrated true".into(),
         ));
     }
     let regime = parse_regime(args)?;
+    let jobs = opt_positive(args, "jobs")?;
     let mut cells: Vec<SweepCell> = Vec::with_capacity(strategies.len() * seeds as usize);
     for name in &strategies {
-        for s in 0..seeds {
-            let seed = base_seed + s;
-            let rng = SimRng::seed_from_u64(seed);
-            let mut config =
-                ExperimentConfig::new(seed, instance_type, paper_fleet(kind, instances, &rng));
-            config.start = SimTime::from_days(start_day);
-            config.market = config.market.with_regime(regime);
+        for seed in run.seed..run.seed + seeds {
+            let mut config = run.experiment(seed, regime);
             if output == "trace" {
                 config.trace = TraceConfig::enabled();
             }
             cells.push(SweepCell::new(format!("{name}/s{seed}"), *name, config));
         }
     }
-    let cache = MarketCache::new();
-    let strategy_for = |cell: &SweepCell| {
-        build_strategy(&cell.strategy, instance_type, threshold, region)
-            .expect("sweep strategy names validated before the sweep")
-    };
     if !orchestrated {
-        let jobs = resolve_jobs(parse_jobs(args)?, cells.len());
-        let outcomes = run_matrix(&cells, jobs, &cache, strategy_for);
+        let outcomes = run.matrix(&cells, jobs);
         return Ok(match output {
             "trace" => merged_trace_jsonl(&outcomes),
             _ => render_sweep_cells(&outcomes),
         });
     }
-    let shard_size = args.u64_or("shard-size", 1)? as usize;
-    if shard_size == 0 {
-        return Err(CliError::BadInput("--shard-size must be positive".into()));
-    }
-    let max_attempts = args.u64_or("max-attempts", 4)? as u32;
-    if max_attempts == 0 {
-        return Err(CliError::BadInput("--max-attempts must be positive".into()));
-    }
     let orch_config = OrchestratorConfig {
-        seed: base_seed,
-        shard_size,
-        max_attempts,
+        seed: run.seed,
+        shard_size: positive(args, "shard-size", 1)? as usize,
+        max_attempts: positive(args, "max-attempts", 4)? as u32,
         chaos: scenario,
         ..OrchestratorConfig::default()
     };
-    let report = run_matrix_orchestrated(&cells, &orch_config, &cache, strategy_for);
+    let strategy_for = run.strategy_for();
+    let report = run_matrix_orchestrated(&cells, &orch_config, &MarketCache::new(), |cell| {
+        strategy_for(&cell.strategy)
+    });
     if output == "trace" {
         return Ok(merged_trace_jsonl(&report.outcomes));
     }
@@ -648,8 +635,8 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Cell rows shared by both sweep modes: a summary line per successful
-/// cell, a FAILED line per failed (e.g. dead-lettered) cell.
+/// Cell rows shared by `compare` and both sweep modes: a summary line per
+/// successful cell, a FAILED line per failed (e.g. dead-lettered) cell.
 fn render_sweep_cells(outcomes: &[CellOutcome]) -> String {
     let mut out = String::new();
     for outcome in outcomes {
@@ -701,31 +688,17 @@ fn chaos_row(label: &str, outcome: &CellOutcome, baseline: Option<&ExperimentRep
 /// compiled against the experiment seed, and is compared against that
 /// strategy's fault-free run.
 pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
-    let common = common_config(args)?;
-    let threshold = args.u8_or("threshold", 6)?;
-    let region = parse_region(args.str_or("region", "ca-central-1"))?;
-    let scenario_arg = args.str_or("scenario", "all");
-    let strategy_arg = args.str_or("strategy", "all");
-    let scenarios: Vec<ChaosScenario> = if scenario_arg == "all" {
-        chaos::library()
-    } else {
-        vec![chaos::by_name(scenario_arg).ok_or_else(|| {
-            CliError::BadInput(format!(
-                "unknown scenario `{scenario_arg}` (expected {} | all)",
-                chaos::SCENARIO_NAMES.join(" | ")
-            ))
-        })?]
+    let run = Run::parse(args)?;
+    let base = run.experiment(run.seed, parse_regime(args)?);
+    let scenarios: Vec<ChaosScenario> = match args.str_or("scenario", "all") {
+        "all" => chaos::library(),
+        name => vec![parse_scenario(name, true)?],
     };
-    let strategies: Vec<&str> = if strategy_arg == "all" {
-        vec!["single-region", "skypilot", "spotverse"]
-    } else {
-        // Validate a user-supplied name up front so the sweep closure can
-        // rely on it.
-        build_strategy(strategy_arg, common.instance_type, threshold, region)?;
-        vec![strategy_arg]
-    };
-    let jobs_flag = parse_jobs(args)?;
-    let fleet = common.config.workloads.len();
+    let strategies = run.strategies(
+        args.str_or("strategy", "all"),
+        &["single-region", "skypilot", "spotverse"],
+    )?;
+    let jobs = opt_positive(args, "jobs")?;
     // Strategy-major cells: per strategy one fault-free baseline followed
     // by one cell per scenario. All cells share one cached market — chaos
     // faults overlay on the read path and never mutate the base market.
@@ -735,10 +708,10 @@ pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
         cells.push(SweepCell::new(
             format!("{name}/fault-free"),
             *name,
-            common.config.clone(),
+            base.clone(),
         ));
         for scenario in &scenarios {
-            let mut config = common.config.clone();
+            let mut config = base.clone();
             config.chaos = Some(scenario.clone());
             cells.push(SweepCell::new(
                 format!("{name}/{}", scenario.name()),
@@ -747,16 +720,12 @@ pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
             ));
         }
     }
-    let cache = MarketCache::new();
-    let jobs = resolve_jobs(jobs_flag, cells.len());
-    let outcomes = run_matrix(&cells, jobs, &cache, |cell| {
-        build_strategy(&cell.strategy, common.instance_type, threshold, region)
-            .expect("chaos strategy names validated before the sweep")
-    });
+    let outcomes = run.matrix(&cells, jobs);
     let mut out = format!(
-        "chaos degradation matrix  (seed {}, fleet {fleet})\n\
+        "chaos degradation matrix  (seed {}, fleet {})\n\
          {:<14} {:<19} {:>9} {:>11} {:>12} {:>10} {:>11} {:>6} {:>6} {:>6} {:>6} {:>7}\n",
-        common.config.seed,
+        run.seed,
+        run.instances,
         "strategy",
         "scenario",
         "completed",
@@ -786,51 +755,19 @@ pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `spotverse tournament`: every strategy under every market regime,
 /// ranked per regime on completions, then billed cost, then makespan.
-/// Cells run on the fleet sweep engine with tracing on; the per-regime
-/// win matrices are replayed from the merged traces, so the leaderboard
+/// Cells run on the sweep engine with tracing on; the per-regime win
+/// matrices are replayed from the merged traces, so the leaderboard
 /// agrees with `spotverse analyse` by construction.
 pub fn tournament(args: &ParsedArgs) -> Result<String, CliError> {
-    let seed = args.u64_or("seed", 2024)?;
-    let instances = args.u64_or("instances", 20)? as usize;
-    if instances == 0 {
-        return Err(CliError::BadInput("--instances must be positive".into()));
-    }
-    let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
-    let kind = parse_workload(args.str_or("workload", "genome"))?;
-    let start_day = args.u64_or("start-day", 1)?;
-    let spacing_mins = args.u64_or("spacing-mins", 60)?;
-    let deadline_days = args.u64_or("deadline-days", 30)?;
-    if deadline_days == 0 {
-        return Err(CliError::BadInput("--deadline-days must be positive".into()));
-    }
-    let reps = args.u64_or("seeds", 1)?;
-    if reps == 0 {
-        return Err(CliError::BadInput("--seeds must be positive".into()));
-    }
-    let threshold = args.u8_or("threshold", 6)?;
-    let region = parse_region(args.str_or("region", "ca-central-1"))?;
-    let strategy_arg = args.str_or("strategy", "all");
-    let strategies: Vec<&str> = if strategy_arg == "all" {
-        vec![
-            "single-region",
-            "naive-multi",
-            "skypilot",
-            "spotverse",
-            "on-demand",
-            "bid-price",
-            "checkpoint-adaptive",
-        ]
-    } else {
-        // Validate a user-supplied name up front so the sweep closure can
-        // rely on it.
-        build_strategy(strategy_arg, instance_type, threshold, region)?;
-        vec![strategy_arg]
-    };
-    let regime_arg = args.str_or("regime", "all");
-    let regimes: Vec<MarketRegime> = if regime_arg == "all" {
-        MarketRegime::ALL.to_vec()
-    } else {
-        vec![regime_arg.parse().map_err(CliError::BadInput)?]
+    let run = Run::parse(args)?;
+    let spacing = SimDuration::from_mins(args.u64_or("spacing-mins", 60)?);
+    let deadline = SimDuration::from_days(positive(args, "deadline-days", 30)?);
+    let reps = positive(args, "seeds", 1)?;
+    let field = [&PAPER_STRATEGIES[..], &["bid-price", "checkpoint-adaptive"]].concat();
+    let strategies = run.strategies(args.str_or("strategy", "all"), &field)?;
+    let regimes: Vec<MarketRegime> = match args.str_or("regime", "all") {
+        "all" => MarketRegime::ALL.to_vec(),
+        name => vec![name.parse().map_err(CliError::BadInput)?],
     };
     let chaos_mode = match args.str_or("chaos", "off") {
         "off" => TournamentChaos::Off,
@@ -842,18 +779,10 @@ pub fn tournament(args: &ParsedArgs) -> Result<String, CliError> {
             ))
         })?),
     };
-    let jobs_flag = parse_jobs(args)?;
+    let jobs = opt_positive(args, "jobs")?;
 
-    let rng = SimRng::seed_from_u64(seed);
-    let mut fleet = FleetConfig::staggered(
-        seed,
-        instance_type,
-        paper_fleet(kind, instances, &rng),
-        SimDuration::from_mins(spacing_mins),
-    );
-    fleet.start = SimTime::from_days(start_day);
-    fleet.max_runtime = SimDuration::from_days(deadline_days);
-
+    let mut fleet = run.staggered(spacing);
+    fleet.max_runtime = deadline;
     let mut config = TournamentConfig::new(
         strategies.iter().map(|s| (*s).to_owned()).collect(),
         regimes,
@@ -861,18 +790,15 @@ pub fn tournament(args: &ParsedArgs) -> Result<String, CliError> {
         fleet,
     );
     config.chaos = chaos_mode;
-    let cache = MarketCache::new();
-    let jobs = resolve_jobs(jobs_flag, config.cells());
-    let report = run_tournament(&config, jobs, &cache, |name| {
-        build_strategy(name, instance_type, threshold, region)
-            .expect("tournament strategy names validated before the sweep")
-    });
+    let jobs = resolve_jobs(jobs, config.cells());
+    let report = run_tournament(&config, jobs, &MarketCache::new(), run.strategy_for());
     let mut out = format!(
-        "tournament: {} strategies × {} regimes × {} seed(s)  ({} cells, fleet {instances})\n",
+        "tournament: {} strategies × {} regimes × {} seed(s)  ({} cells, fleet {})\n",
         config.strategies.len(),
         config.regimes.len(),
         reps,
         config.cells(),
+        run.instances,
     );
     out.push_str(&render_tournament(&report));
     Ok(out)
@@ -882,27 +808,14 @@ pub fn tournament(args: &ParsedArgs) -> Result<String, CliError> {
 /// enabled, printed as canonical JSONL — one record per line, stable key
 /// order, byte-identical across runs at the same seed.
 pub fn trace(args: &ParsedArgs) -> Result<String, CliError> {
-    let mut common = common_config(args)?;
-    let threshold = args.u8_or("threshold", 6)?;
-    let region = parse_region(args.str_or("region", "ca-central-1"))?;
-    let strategy = build_strategy(
-        args.str_or("strategy", "spotverse"),
-        common.instance_type,
-        threshold,
-        region,
-    )?;
+    let run = Run::parse(args)?;
+    let mut config = run.experiment(run.seed, parse_regime(args)?);
+    let strategy = run.strategy(args.str_or("strategy", "spotverse"))?;
     if let Some(name) = args.opt_str("scenario") {
-        let scenario = chaos::by_name(name).ok_or_else(|| {
-            CliError::BadInput(format!(
-                "unknown scenario `{name}` (expected {})",
-                chaos::SCENARIO_NAMES.join(" | ")
-            ))
-        })?;
-        common.config.chaos = Some(scenario);
+        config.chaos = Some(parse_scenario(name, false)?);
     }
-    common.config.trace = TraceConfig::enabled();
-    let market = Arc::new(SpotMarket::new(common.config.market));
-    let report = run_experiment_on(market, common.config, strategy);
+    config.trace = TraceConfig::enabled();
+    let report = run_experiment(config, strategy);
     let run_trace = report.trace.expect("tracing was enabled for this run");
     Ok(trace_to_jsonl(&run_trace))
 }
@@ -939,10 +852,7 @@ pub fn advisor(args: &ParsedArgs) -> Result<String, CliError> {
 pub fn traces(args: &ParsedArgs) -> Result<String, CliError> {
     let seed = args.u64_or("seed", 2024)?;
     let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
-    let days = args.u64_or("days", 14)?;
-    if days == 0 {
-        return Err(CliError::BadInput("--days must be positive".into()));
-    }
+    let days = positive(args, "days", 14)?;
     let market = SpotMarket::new(
         cloud_market::MarketConfig::with_seed(seed).with_regime(parse_regime(args)?),
     );
@@ -1016,10 +926,7 @@ pub fn analyse(args: &ParsedArgs) -> Result<String, CliError> {
 /// `spotverse workflow`: export a paper workflow as a `.ga` document.
 pub fn workflow(args: &ParsedArgs) -> Result<String, CliError> {
     let kind = parse_workload(args.str_or("workload", "genome"))?;
-    let hours = args.u64_or("duration-hours", 10)?;
-    if hours == 0 {
-        return Err(CliError::BadInput("--duration-hours must be positive".into()));
-    }
+    let hours = positive(args, "duration-hours", 10)?;
     let spec = bio_workloads::WorkloadSpec {
         id: "cli-export".into(),
         kind,
@@ -1029,26 +936,22 @@ pub fn workflow(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(to_ga_json(&spec.build_workflow()))
 }
 
+/// The flags every run command takes (see `Run`, plus `--regime`), then
+/// the command's own.
+macro_rules! run_flags {
+    ($($extra:literal),* $(,)?) => {
+        &[
+            "seed", "instances", "instance-type", "workload", "start-day", "threshold", "region",
+            "regime", $($extra),*
+        ]
+    };
+}
+
 /// Flag schemas per command.
 pub fn schema(command: &str) -> &'static [&'static str] {
     match command {
-        "simulate" => &[
-            "seed",
-            "instances",
-            "instance-type",
-            "workload",
-            "start-day",
-            "strategy",
-            "threshold",
-            "region",
-            "regime",
-        ],
-        "fleet" => &[
-            "seed",
-            "instances",
-            "instance-type",
-            "workload",
-            "start-day",
+        "simulate" => run_flags!["strategy"],
+        "fleet" => run_flags![
             "loadgen",
             "workloads",
             "rate",
@@ -1056,33 +959,12 @@ pub fn schema(command: &str) -> &'static [&'static str] {
             "capacity",
             "deadline-days",
             "strategy",
-            "threshold",
-            "region",
-            "regime",
             "output",
             "jobs",
         ],
-        "compare" => &[
-            "seed",
-            "instances",
-            "instance-type",
-            "workload",
-            "start-day",
-            "threshold",
-            "region",
-            "regime",
-            "jobs",
-        ],
-        "sweep" => &[
-            "seed",
-            "instances",
-            "instance-type",
-            "workload",
-            "start-day",
+        "compare" => run_flags!["jobs"],
+        "sweep" => run_flags![
             "strategy",
-            "threshold",
-            "region",
-            "regime",
             "seeds",
             "orchestrated",
             "scenario",
@@ -1091,48 +973,17 @@ pub fn schema(command: &str) -> &'static [&'static str] {
             "output",
             "jobs",
         ],
-        "chaos" => &[
-            "seed",
-            "instances",
-            "instance-type",
-            "workload",
-            "start-day",
-            "strategy",
-            "threshold",
-            "region",
-            "regime",
-            "scenario",
-            "jobs",
-        ],
-        "tournament" => &[
-            "seed",
-            "instances",
-            "instance-type",
-            "workload",
-            "start-day",
+        "chaos" => run_flags!["strategy", "scenario", "jobs"],
+        "tournament" => run_flags![
             "spacing-mins",
             "deadline-days",
             "strategy",
-            "threshold",
-            "region",
-            "regime",
             "seeds",
             "chaos",
             "jobs",
         ],
+        "trace" => run_flags!["strategy", "scenario"],
         "advisor" => &["seed", "instance-type", "day"],
-        "trace" => &[
-            "seed",
-            "instances",
-            "instance-type",
-            "workload",
-            "start-day",
-            "strategy",
-            "threshold",
-            "region",
-            "regime",
-            "scenario",
-        ],
         "analyse" => &["from", "until", "output"],
         "traces" => &["seed", "instance-type", "days", "regime"],
         "workflow" => &["workload", "duration-hours"],
@@ -1420,6 +1271,17 @@ mod tests {
         assert!(run(["simulate", "--region", "mars-north-1"]).is_err());
         assert!(run(["simulate", "--instances", "0"]).is_err());
         assert!(run(["simulate", "--bogus", "1"]).is_err());
+    }
+
+    #[test]
+    fn every_run_command_rejects_a_start_day_at_the_horizon() {
+        for command in ["simulate", "fleet", "compare", "sweep", "chaos", "tournament", "trace"] {
+            let err = run([command, "--start-day", "210"]).unwrap_err();
+            assert!(
+                err.to_string().contains("210-day market horizon"),
+                "{command}: {err}"
+            );
+        }
     }
 
     #[test]

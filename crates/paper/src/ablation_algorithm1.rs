@@ -12,8 +12,8 @@
 use bio_workloads::WorkloadKind;
 use cloud_market::InstanceType;
 use spotverse::{
-    run_repetitions, AblatedSpotVerseStrategy, AggregateReport, MigrationPolicy, RepetitionMarket,
-    SpotVerseConfig, SpotVerseStrategy,
+    run_repetitions, AblatedSpotVerseStrategy, AggregateReport, MigrationPolicy, SpotVerseConfig,
+    SpotVerseStrategy,
 };
 
 use crate::{bench_config, bench_fleet, Figure, BENCH_SEED};
@@ -30,10 +30,7 @@ fn run_variant(
         bench_fleet(WorkloadKind::StandardGeneral, 40, BENCH_SEED),
         1,
     );
-    (
-        label.to_owned(),
-        run_repetitions(&config, make, REPS, RepetitionMarket::Reseeded),
-    )
+    (label.to_owned(), run_repetitions(&config, make, REPS))
 }
 
 /// The Algorithm 1 ablation.

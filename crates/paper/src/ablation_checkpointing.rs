@@ -12,9 +12,7 @@
 
 use bio_workloads::WorkloadKind;
 use cloud_market::{InstanceType, Region};
-use spotverse::{
-    run_repetitions, AggregateReport, CheckpointBackend, RepetitionMarket, SingleRegionStrategy,
-};
+use spotverse::{run_repetitions, AggregateReport, CheckpointBackend, SingleRegionStrategy};
 
 use crate::{bench_config, bench_fleet, Figure, BENCH_SEED};
 
@@ -31,7 +29,6 @@ fn run_variant(shards: Option<u32>, backend: CheckpointBackend) -> AggregateRepo
         &config,
         || Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
         REPS,
-        RepetitionMarket::Reseeded,
     )
 }
 

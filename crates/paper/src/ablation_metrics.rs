@@ -11,7 +11,7 @@ use bio_workloads::WorkloadKind;
 use cloud_market::InstanceType;
 use spotverse::{
     run_repetitions, AggregateReport, ForecastingSpotVerseStrategy, MetricAvailability,
-    ProviderAdaptedStrategy, RepetitionMarket, SpotVerseConfig, Strategy,
+    ProviderAdaptedStrategy, SpotVerseConfig, Strategy,
 };
 
 use crate::{bench_config, bench_fleet, Figure, BENCH_SEED};
@@ -28,10 +28,7 @@ fn run_variant(
         bench_fleet(WorkloadKind::StandardGeneral, 40, BENCH_SEED),
         1,
     );
-    (
-        label.to_owned(),
-        run_repetitions(&config, make, REPS, RepetitionMarket::Reseeded),
-    )
+    (label.to_owned(), run_repetitions(&config, make, REPS))
 }
 
 /// The metric-availability ablation.

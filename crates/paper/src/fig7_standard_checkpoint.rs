@@ -7,7 +7,7 @@ use cloud_market::{InstanceType, Region};
 use sim_kernel::SimDuration;
 use spotverse::{
     run_repetitions, AggregateReport, ExperimentReport, InitialPlacement, OnDemandStrategy,
-    RepetitionMarket, SingleRegionStrategy, SpotVerseConfig, SpotVerseStrategy, Strategy,
+    SingleRegionStrategy, SpotVerseConfig, SpotVerseStrategy, Strategy,
 };
 
 use crate::{bench_config, bench_fleet, hours, Figure, BENCH_SEED};
@@ -24,7 +24,7 @@ where
         bench_fleet(kind, 40, BENCH_SEED),
         start_day,
     );
-    run_repetitions(&config, factory, REPS, RepetitionMarket::Reseeded)
+    run_repetitions(&config, factory, REPS)
 }
 
 fn spotverse() -> Box<dyn Strategy> {

@@ -6,8 +6,8 @@
 use bio_workloads::WorkloadKind;
 use cloud_market::{cheapest_spot_region_at_start, InstanceType};
 use spotverse::{
-    run_repetitions, AggregateReport, InitialPlacement, OnDemandStrategy, RepetitionMarket,
-    SingleRegionStrategy, SpotVerseConfig, SpotVerseStrategy,
+    run_repetitions, AggregateReport, InitialPlacement, OnDemandStrategy, SingleRegionStrategy,
+    SpotVerseConfig, SpotVerseStrategy,
 };
 
 use crate::{bench_config, bench_fleet, hours, Figure, BENCH_SEED};
@@ -28,7 +28,6 @@ fn run_type(itype: InstanceType) -> Row {
         &config,
         || Box::new(SingleRegionStrategy::new(baseline)),
         REPS,
-        RepetitionMarket::Reseeded,
     );
     let spotverse = run_repetitions(
         &config,
@@ -40,14 +39,8 @@ fn run_type(itype: InstanceType) -> Row {
             ))
         },
         REPS,
-        RepetitionMarket::Reseeded,
     );
-    let on_demand = run_repetitions(
-        &config,
-        || Box::new(OnDemandStrategy::new()),
-        REPS,
-        RepetitionMarket::Reseeded,
-    );
+    let on_demand = run_repetitions(&config, || Box::new(OnDemandStrategy::new()), REPS);
     Row {
         single,
         spotverse,

@@ -5,8 +5,7 @@
 use bio_workloads::WorkloadKind;
 use cloud_market::{InstanceType, Region};
 use spotverse::{
-    run_repetitions, AggregateReport, InitialPlacement, RepetitionMarket, SpotVerseConfig,
-    SpotVerseStrategy,
+    run_repetitions, AggregateReport, InitialPlacement, SpotVerseConfig, SpotVerseStrategy,
 };
 
 use crate::{bench_config, bench_fleet, hours, pct, Figure, BENCH_SEED};
@@ -35,7 +34,6 @@ fn run(kind: WorkloadKind, placement: InitialPlacement) -> AggregateReport {
             ))
         },
         REPS,
-        RepetitionMarket::Reseeded,
     )
 }
 

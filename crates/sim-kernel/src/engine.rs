@@ -1,7 +1,7 @@
 //! The simulation engine: drives a [`Model`] by delivering events in time
 //! order until the queue drains or a horizon is reached.
 
-use crate::event::{EventQueue, EventToken};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A discrete-event model.
@@ -30,7 +30,7 @@ impl<'a, E> Scheduler<'a, E> {
     }
 
     /// Schedules `event` to fire `delay` after now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventToken {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.queue.schedule(self.now + delay, event)
     }
 
@@ -40,18 +40,13 @@ impl<'a, E> Scheduler<'a, E> {
     ///
     /// Panics if `at` precedes the current instant; time travel would break
     /// determinism.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "schedule_at: {at} precedes current time {}",
             self.now
         );
         self.queue.schedule(at, event)
-    }
-
-    /// Cancels a previously scheduled event.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        self.queue.cancel(token)
     }
 }
 
@@ -136,7 +131,7 @@ impl<M: Model> Simulation<M> {
     /// # Panics
     ///
     /// Panics if `at` precedes the current instant.
-    pub fn schedule_at(&mut self, at: SimTime, event: M::Event) -> EventToken {
+    pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
         assert!(at >= self.now, "schedule_at precedes current time");
         self.queue.schedule(at, event)
     }

@@ -5,13 +5,9 @@
 //! whole-simulation runs reproducible bit-for-bit for a given seed.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Handle to a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventToken(u64);
 
 #[derive(Debug)]
 struct Scheduled<E> {
@@ -47,10 +43,6 @@ impl<E> Ord for Scheduled<E> {
 
 /// A time-ordered queue of simulation events.
 ///
-/// Cancellation is lazy: cancelled tokens are remembered and the matching
-/// entries are skipped when popped. A queue that never cancels pays no
-/// lookup per pop.
-///
 /// # Examples
 ///
 /// ```
@@ -66,7 +58,6 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
 }
 
@@ -81,70 +72,37 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
         }
     }
 
-    /// Schedules `event` to fire at `time` and returns a cancellation token.
+    /// Schedules `event` to fire at `time`.
     ///
     /// Events at equal times fire in scheduling order.
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventToken {
+    pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled { time, seq, event });
-        EventToken(seq)
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the token had not already fired or been cancelled.
-    /// Cancelling an already-delivered event is a silent no-op that returns
-    /// `false` and leaves [`len`](Self::len) unchanged.
-    ///
-    /// Scans the pending events, so it costs O(n); nothing on a hot path
-    /// cancels.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        if !self.heap.iter().any(|entry| entry.seq == token.0) {
-            return false;
-        }
-        self.cancelled.insert(token.0)
-    }
-
-    /// Removes and returns the earliest live event.
+    /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            return Some((entry.time, entry.event));
-        }
-        None
+        self.heap.pop().map(|entry| (entry.time, entry.event))
     }
 
-    /// The firing time of the earliest live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop cancelled heads so the peek is accurate.
-        while let Some(head) = self.heap.peek() {
-            if !self.cancelled.is_empty() && self.cancelled.contains(&head.seq) {
-                let seq = head.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(head.time);
-            }
-        }
-        None
+    /// The firing time of the earliest event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|head| head.time)
     }
 
-    /// Number of live events: scheduled, not yet delivered, not cancelled.
+    /// Number of events scheduled and not yet delivered.
     pub fn len(&self) -> usize {
-        self.heap.len().saturating_sub(self.cancelled.len())
+        self.heap.len()
     }
 
-    /// True if no live events remain.
+    /// True if no events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -171,59 +129,5 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancellation_skips_event() {
-        let mut q = EventQueue::new();
-        let keep = q.schedule(SimTime::from_secs(1), "keep");
-        let drop = q.schedule(SimTime::from_secs(2), "drop");
-        assert!(q.cancel(drop));
-        assert!(!q.cancel(drop), "double-cancel reports false");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(1), "keep")));
-        assert_eq!(q.pop(), None);
-        // Cancelling after delivery is a no-op.
-        assert!(!q.cancel(keep), "cancelling a delivered event reports false");
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn cancelling_a_delivered_event_keeps_len() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), 'a');
-        q.schedule(SimTime::from_secs(2), 'b');
-        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 'a')));
-        assert!(!q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 'b')));
-    }
-
-    #[test]
-    fn peek_time_sees_through_cancellations() {
-        let mut q = EventQueue::new();
-        let first = q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(5), ());
-        q.cancel(first);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(2), ());
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_unknown_token_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventToken(99)));
     }
 }

@@ -59,7 +59,7 @@ mod time;
 mod trace;
 
 pub use engine::{Model, RunOutcome, Scheduler, Simulation};
-pub use event::{EventQueue, EventToken};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::{CumulativeCounter, TimeSeries};
 pub use stats::{percentile, RunningStats};

@@ -132,13 +132,11 @@ pub use optimizer::{
 };
 pub use provider::{degrade_assessments, MetricAvailability, ProviderAdaptedStrategy};
 pub use report::{compare, normalized_cost, resilience_summary, summary_line, Comparison};
-pub use repetitions::{
-    repetition_config, repetition_config_shared_market, run_repetitions, AggregateReport,
-    RepetitionMarket,
-};
+pub use repetitions::{repetition_config, run_repetitions, AggregateReport};
 pub use sweep::{
     merged_fleet_trace_jsonl, merged_trace_jsonl, resolve_jobs, run_fleet_matrix, run_matrix,
-    CellOutcome, FleetCellOutcome, FleetSweepCell, MarketCache, SweepCell, SweepOutcome, JOBS_ENV,
+    CellConfig, CellOutcome, FleetCellOutcome, FleetSweepCell, MarketCache, SweepCell,
+    SweepOutcome, JOBS_ENV,
 };
 pub use tournament::{
     render_tournament, run_tournament, RegimeStanding, TournamentChaos, TournamentConfig,

@@ -43,8 +43,8 @@ use sim_kernel::json::push_json_str;
 use sim_kernel::{EventQueue, SimDuration, SimTime};
 
 use crate::strategy::Strategy;
-use crate::sweep::{run_cell, CellOutcome, MarketCache, SweepCell, SweepOutcome};
-use crate::trace::{append_trace_jsonl, RunTrace, TraceConfig, TraceEvent, Tracer};
+use crate::sweep::{merged_trace_jsonl, run_cell, CellOutcome, MarketCache, SweepCell};
+use crate::trace::{RunTrace, TraceConfig, TraceEvent, Tracer};
 
 /// KV table holding one lease record per shard.
 pub const LEASE_TABLE: &str = "sweep-leases";
@@ -666,12 +666,7 @@ impl<'a> Orchestrator<'a> {
                         shard.history.len()
                     );
                     for i in shard.cells.clone() {
-                        outcomes.push(SweepOutcome {
-                            label: self.cells[i].label.clone(),
-                            strategy: self.cells[i].strategy.clone(),
-                            retries: 0,
-                            result: Err(reason.clone()),
-                        });
+                        outcomes.push(self.cells[i].outcome(0, Err(reason.clone())));
                     }
                     dead_letters.push(DeadLetter {
                         shard: index,
@@ -788,13 +783,7 @@ fn shard_payload(outcomes: &[CellOutcome]) -> String {
         }
         out.push_str("}\n");
     }
-    for o in outcomes {
-        if let Ok(report) = &o.result {
-            if let Some(trace) = &report.trace {
-                append_trace_jsonl(&mut out, Some(&o.label), trace);
-            }
-        }
-    }
+    out.push_str(&merged_trace_jsonl(outcomes));
     out
 }
 

@@ -74,37 +74,9 @@ pub fn repetition_config(base: &ExperimentConfig, rep: u32) -> ExperimentConfig 
     }
 }
 
-/// The configuration for repetition `rep` with the *market held fixed*:
-/// only the decision streams (strategy, backoff, compute RNGs) re-seed.
-/// Sweeps built this way sample strategy variance on one price history —
-/// and perform exactly one market construction through a [`MarketCache`].
-pub fn repetition_config_shared_market(base: &ExperimentConfig, rep: u32) -> ExperimentConfig {
-    let seed = base.seed.wrapping_add(u64::from(rep).wrapping_mul(0x9E37_79B9));
-    ExperimentConfig {
-        seed,
-        market: base.market,
-        workloads: base.workloads.clone(),
-        ..base.clone()
-    }
-}
-
-/// How repetitions derive their market from the base config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepetitionMarket {
-    /// Re-seed the market *and* the decision streams per repetition — the
-    /// paper's protocol ([`repetition_config`]).
-    #[default]
-    Reseeded,
-    /// Hold the market fixed and re-seed only the decision streams
-    /// ([`repetition_config_shared_market`]): all cells share one cached
-    /// market construction and only decision randomness varies.
-    Shared,
-}
-
 /// Runs `reps` repetitions of an experiment on the sweep engine's worker
-/// pool. `market` picks the repetition protocol: re-seed everything (the
-/// paper's), or hold the market fixed to sample decision variance on one
-/// price history.
+/// pool, each re-seeding the market and the decision streams
+/// ([`repetition_config`], the paper's protocol).
 ///
 /// The factory builds a fresh strategy per repetition (strategies may hold
 /// state).
@@ -116,18 +88,19 @@ pub fn run_repetitions<F>(
     base: &ExperimentConfig,
     strategy_factory: F,
     reps: u32,
-    market: RepetitionMarket,
 ) -> AggregateReport
 where
     F: Fn() -> Box<dyn Strategy> + Sync,
 {
     assert!(reps > 0, "run_repetitions: need at least one repetition");
-    let per_rep = match market {
-        RepetitionMarket::Reseeded => repetition_config,
-        RepetitionMarket::Shared => repetition_config_shared_market,
-    };
     let cells: Vec<SweepCell> = (0..reps)
-        .map(|r| SweepCell::new(format!("rep-{r}"), String::new(), per_rep(base, r)))
+        .map(|r| {
+            SweepCell::new(
+                format!("rep-{r}"),
+                String::new(),
+                repetition_config(base, r),
+            )
+        })
         .collect();
     let cache = MarketCache::new();
     let jobs = resolve_jobs(None, cells.len());
@@ -161,8 +134,16 @@ mod tests {
     #[test]
     fn repetitions_vary_seeds_but_stay_deterministic() {
         let base = base(4, 21);
-        let a = run_repetitions(&base, || Box::new(SingleRegionStrategy::new(Region::CaCentral1)), 3, RepetitionMarket::Reseeded);
-        let b = run_repetitions(&base, || Box::new(SingleRegionStrategy::new(Region::CaCentral1)), 3, RepetitionMarket::Reseeded);
+        let a = run_repetitions(
+            &base,
+            || Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
+            3,
+        );
+        let b = run_repetitions(
+            &base,
+            || Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
+            3,
+        );
         assert_eq!(a.repetitions(), 3);
         assert_eq!(a.interruptions.mean(), b.interruptions.mean());
         assert_eq!(a.cost.mean(), b.cost.mean());
@@ -184,27 +165,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_market_repetitions_vary_decisions_only() {
-        let base = base(4, 33);
-        let r1 = repetition_config_shared_market(&base, 1);
-        assert_eq!(r1.market, base.market, "market config must stay fixed");
-        assert_ne!(r1.seed, base.seed, "decision seed must move");
+    fn aggregate_stats_match_runs() {
+        let base = base(3, 6);
         let agg = run_repetitions(
             &base,
             || Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-            3,
-            RepetitionMarket::Shared,
+            2,
         );
-        assert_eq!(agg.repetitions(), 3);
-        // Decision streams differ, so repetitions still vary.
-        let costs: Vec<f64> = agg.runs.iter().map(|r| r.cost.total.amount()).collect();
-        assert!(costs.windows(2).any(|w| w[0] != w[1]), "{costs:?}");
-    }
-
-    #[test]
-    fn aggregate_stats_match_runs() {
-        let base = base(3, 6);
-        let agg = run_repetitions(&base, || Box::new(SingleRegionStrategy::new(Region::CaCentral1)), 2, RepetitionMarket::default());
         let manual_mean = agg.runs.iter().map(|r| r.interruptions as f64).sum::<f64>() / 2.0;
         assert!((agg.interruptions.mean() - manual_mean).abs() < 1e-12);
         assert_eq!(agg.makespan_hours.count(), 2);

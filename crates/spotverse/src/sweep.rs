@@ -12,8 +12,12 @@
 //! `Arc<SpotMarket>` clones, so a whole matrix at one seed performs
 //! exactly one market construction.
 //!
-//! Determinism contract: the [`CellOutcome`] vector is in cell order and
-//! each cell is a pure function of its [`ExperimentConfig`] and strategy,
+//! Experiment cells and fleet cells are one [`SweepCell<C>`](SweepCell)
+//! over any [`CellConfig`] ([`ExperimentConfig`] or [`FleetConfig`]), run
+//! by the one [`run_matrix`] and merged by the one [`merged_trace_jsonl`].
+//!
+//! Determinism contract: the outcome vector is in cell order and each
+//! cell is a pure function of its config and strategy,
 //! so the output is bit-identical for any `jobs` value (covered by
 //! integration tests). Cells run under `catch_unwind` with one
 //! deterministic retry, so one panicking cell degrades to a structured
@@ -95,32 +99,6 @@ impl MarketCache {
     }
 }
 
-/// One cell of an experiment matrix.
-#[derive(Debug, Clone)]
-pub struct SweepCell {
-    /// Display label (e.g. `"spotverse/region_blackout"`).
-    pub label: String,
-    /// Strategy selector the cell's strategy factory keys on.
-    pub strategy: String,
-    /// The full experiment configuration, chaos scenario included.
-    pub config: ExperimentConfig,
-}
-
-impl SweepCell {
-    /// A cell running `strategy` under `config`, labelled `label`.
-    pub fn new(
-        label: impl Into<String>,
-        strategy: impl Into<String>,
-        config: ExperimentConfig,
-    ) -> Self {
-        SweepCell {
-            label: label.into(),
-            strategy: strategy.into(),
-            config,
-        }
-    }
-}
-
 /// Resolves the worker count for a sweep of `cells` cells: an explicit
 /// request (`--jobs`) wins, then the [`JOBS_ENV`] environment variable,
 /// then `min(cells, available_parallelism)`. Always at least 1.
@@ -149,9 +127,9 @@ fn resolve_jobs_from(explicit: Option<usize>, env: Option<usize>, cells: usize) 
 /// One bad cell never poisons its matrix — neighbours complete and the
 /// caller decides how to surface the failure.
 ///
-/// Generic over the report type: experiment matrices produce
-/// [`CellOutcome`] (= `SweepOutcome<ExperimentReport>`), fleet matrices
-/// produce [`FleetCellOutcome`] (= `SweepOutcome<FleetReport>`).
+/// Generic over the report type: experiment cells produce
+/// [`CellOutcome`] (= `SweepOutcome<ExperimentReport>`), fleet cells
+/// [`FleetCellOutcome`] (= `SweepOutcome<FleetReport>`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome<R> {
     /// The cell's display label.
@@ -202,17 +180,106 @@ impl<R> SweepOutcome<R> {
     }
 }
 
+/// What a matrix cell runs: a configuration that names its market and
+/// runs on it. Implemented by [`ExperimentConfig`] and [`FleetConfig`], so
+/// both kinds of cell share [`SweepCell`], [`run_matrix`] and
+/// [`merged_trace_jsonl`].
+pub trait CellConfig: Clone + Sync {
+    /// What one run of the cell reports.
+    type Report: Send;
+
+    /// The market the cell runs on: its [`MarketCache`] key.
+    fn market_config(&self) -> MarketConfig;
+
+    /// Runs the cell on `market` under `strategy`.
+    fn run_on(self, market: Arc<SpotMarket>, strategy: Box<dyn Strategy>) -> Self::Report;
+}
+
+impl CellConfig for ExperimentConfig {
+    type Report = ExperimentReport;
+
+    fn market_config(&self) -> MarketConfig {
+        self.market
+    }
+
+    fn run_on(self, market: Arc<SpotMarket>, strategy: Box<dyn Strategy>) -> ExperimentReport {
+        run_experiment_on(market, self, strategy)
+    }
+}
+
+impl CellConfig for FleetConfig {
+    type Report = FleetReport;
+
+    fn market_config(&self) -> MarketConfig {
+        self.market
+    }
+
+    fn run_on(self, market: Arc<SpotMarket>, strategy: Box<dyn Strategy>) -> FleetReport {
+        run_fleet_on(market, self, strategy)
+    }
+}
+
+impl AsRef<ExperimentReport> for ExperimentReport {
+    fn as_ref(&self) -> &ExperimentReport {
+        self
+    }
+}
+
+/// A fleet report's aggregate is the run's classic report (and trace).
+impl AsRef<ExperimentReport> for FleetReport {
+    fn as_ref(&self) -> &ExperimentReport {
+        &self.aggregate
+    }
+}
+
+/// One cell of a matrix: an experiment cell by default, a fleet cell as
+/// [`FleetSweepCell`].
+#[derive(Debug, Clone)]
+pub struct SweepCell<C = ExperimentConfig> {
+    /// Display label (e.g. `"spotverse/region_blackout"`).
+    pub label: String,
+    /// Strategy selector the cell's strategy factory keys on.
+    pub strategy: String,
+    /// The full configuration, chaos scenario included.
+    pub config: C,
+}
+
+/// A cell running a [`FleetConfig`]. An alias, kept because `perfbench`
+/// names it.
+pub type FleetSweepCell = SweepCell<FleetConfig>;
+
+impl<C> SweepCell<C> {
+    /// A cell running `strategy` under `config`, labelled `label`.
+    pub fn new(label: impl Into<String>, strategy: impl Into<String>, config: C) -> Self {
+        SweepCell {
+            label: label.into(),
+            strategy: strategy.into(),
+            config,
+        }
+    }
+
+    /// This cell's outcome after `retries` retries.
+    pub(crate) fn outcome<R>(&self, retries: u32, result: Result<R, String>) -> SweepOutcome<R> {
+        SweepOutcome {
+            label: self.label.clone(),
+            strategy: self.strategy.clone(),
+            retries,
+            result,
+        }
+    }
+}
+
 /// Merges the traces of a sweep's outcomes into one canonical JSONL
 /// document: cells in matrix order, each cell's records prefixed with its
-/// label via the `"cell"` key. Failed cells and cells that ran with
-/// tracing disabled contribute nothing. Because [`run_matrix`] returns
-/// outcomes in cell order regardless of `jobs`, the merged document is
-/// byte-identical for any parallelism — the property the golden-trace
-/// suite pins down.
-pub fn merged_trace_jsonl(outcomes: &[CellOutcome]) -> String {
+/// label via the `"cell"` key. Fleet outcomes contribute their aggregate
+/// trace. Failed cells and cells that ran with tracing disabled
+/// contribute nothing. Because [`run_matrix`] returns outcomes in cell
+/// order regardless of `jobs`, the merged document is byte-identical for
+/// any parallelism — the property the golden-trace suite pins down.
+pub fn merged_trace_jsonl<R: AsRef<ExperimentReport>>(outcomes: &[SweepOutcome<R>]) -> String {
     let mut out = String::new();
     for outcome in outcomes {
-        if let Some(trace) = outcome.report().and_then(|r| r.trace.as_ref()) {
+        if let Some(trace) = outcome.report().and_then(|r| r.as_ref().trace.as_ref()) {
             crate::trace::append_trace_jsonl(&mut out, Some(&outcome.label), trace);
         }
     }
@@ -230,77 +297,64 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one cell body with panic isolation and exactly one deterministic
-/// retry. Cells are pure functions of their config, so the retry only
-/// rescues transient host-level failures; a deterministic panic fails
-/// identically twice and is reported as the cell's error.
-fn run_guarded<R>(label: &str, strategy: &str, body: impl Fn() -> R) -> SweepOutcome<R> {
-    let mut retries = 0;
-    let mut last_error = String::new();
-    for attempt in 0..2u32 {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&body)) {
-            Ok(report) => {
-                return SweepOutcome {
-                    label: label.to_owned(),
-                    strategy: strategy.to_owned(),
-                    retries,
-                    result: Ok(report),
-                }
-            }
-            Err(payload) => {
-                last_error = panic_message(payload);
-                if attempt == 0 {
-                    retries = 1;
-                }
-            }
-        }
-    }
-    SweepOutcome {
-        label: label.to_owned(),
-        strategy: strategy.to_owned(),
-        retries,
-        result: Err(last_error),
-    }
-}
-
-/// The bounded worker pool shared by every matrix flavour: items are
-/// claimed off an atomic counter and results filed into index-addressed
-/// slots, so the output is in item order for any `jobs ≥ 1`. A worker
-/// that dies surfaces its claimed-but-unfiled items through `lost`
-/// instead of poisoning the matrix.
-fn run_pool<T, O, W, L>(items: &[T], jobs: usize, run_one: W, lost: L) -> Vec<O>
+/// Runs every cell of a matrix on a bounded worker pool and returns one
+/// outcome per cell **in cell order**, regardless of which thread
+/// finished first: cells are claimed off an atomic counter and results
+/// filed into index-addressed slots.
+///
+/// `strategy_for` builds a fresh strategy per cell (strategies may hold
+/// state); it runs on the worker thread executing the cell. Markets are
+/// shared through `cache`, so all cells at one seed reuse a single
+/// construction.
+///
+/// Each cell is wrapped in `catch_unwind` with one deterministic retry:
+/// a panicking cell becomes a `Failed` outcome while its neighbours run
+/// to completion. A worker that dies surfaces its claimed-but-unfiled
+/// cells as failures instead of poisoning the matrix.
+///
+/// Output is bit-identical for any `jobs ≥ 1`: each cell derives every
+/// random stream from its own config seed and shares nothing mutable
+/// with its neighbours.
+///
+/// # Panics
+///
+/// Panics if `jobs` is zero.
+pub fn run_matrix<C, F>(
+    cells: &[SweepCell<C>],
+    jobs: usize,
+    cache: &MarketCache,
+    strategy_for: F,
+) -> Vec<SweepOutcome<C::Report>>
 where
-    T: Sync,
-    O: Send,
-    W: Fn(&T) -> O + Sync,
-    L: Fn(&T) -> O,
+    C: CellConfig,
+    F: Fn(&SweepCell<C>) -> Box<dyn Strategy> + Sync,
 {
     assert!(jobs > 0, "run_matrix: need at least one worker");
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let jobs = jobs.min(items.len());
-    if jobs == 1 {
-        return items.iter().map(run_one).collect();
+    let jobs = jobs.min(cells.len());
+    if jobs <= 1 {
+        return cells
+            .iter()
+            .map(|cell| run_cell(cell, cache, &strategy_for))
+            .collect();
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<O>> = (0..items.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<SweepOutcome<C::Report>>> = (0..cells.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let run_one = &run_one;
+        let strategy_for = &strategy_for;
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, run_one(item)));
+                        let Some(cell) = cells.get(i) else { break };
+                        local.push((i, run_cell(cell, cache, strategy_for)));
                     }
                     local
                 })
             })
             .collect();
-        // run_guarded never unwinds, so a join failure means the worker
+        // run_cell never unwinds, so a join failure means the worker
         // itself died; its claimed-but-unfiled cells surface as
         // structured failures below instead of poisoning the matrix.
         for handle in handles {
@@ -313,157 +367,48 @@ where
     });
     slots
         .into_iter()
-        .enumerate()
-        .map(|(i, slot)| slot.unwrap_or_else(|| lost(&items[i])))
+        .zip(cells)
+        .map(|(slot, cell)| {
+            slot.unwrap_or_else(|| cell.outcome(0, Err("sweep worker lost".to_owned())))
+        })
         .collect()
 }
 
-/// Runs every cell of a matrix on a bounded worker pool and returns one
-/// [`CellOutcome`] per cell **in cell order**, regardless of which thread
-/// finished first.
-///
-/// `strategy_for` builds a fresh strategy per cell (strategies may hold
-/// state); it runs on the worker thread executing the cell. Markets are
-/// shared through `cache`, so all cells at one seed reuse a single
-/// construction.
-///
-/// Each cell is wrapped in `catch_unwind` with one deterministic retry:
-/// a panicking cell becomes a `Failed` outcome while its neighbours run
-/// to completion.
-///
-/// Output is bit-identical for any `jobs ≥ 1`: each cell derives every
-/// random stream from its own config seed and shares nothing mutable
-/// with its neighbours.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn run_matrix<F>(
-    cells: &[SweepCell],
-    jobs: usize,
-    cache: &MarketCache,
-    strategy_for: F,
-) -> Vec<CellOutcome>
-where
-    F: Fn(&SweepCell) -> Box<dyn Strategy> + Sync,
-{
-    run_pool(cells, jobs, |cell| run_cell(cell, cache, &strategy_for), lost_outcome)
-}
+/// [`run_matrix`] under the fleet name `perfbench` uses.
+pub use run_matrix as run_fleet_matrix;
+
+/// [`merged_trace_jsonl`] under the fleet name `perfbench` uses.
+pub use merged_trace_jsonl as merged_fleet_trace_jsonl;
 
 /// Executes one cell exactly as `run_matrix` does — the shared path the
 /// orchestrator's shard workers also take, so an orchestrated sweep is
 /// byte-identical to the in-process pool cell for cell.
-pub(crate) fn run_cell<F>(cell: &SweepCell, cache: &MarketCache, strategy_for: &F) -> CellOutcome
-where
-    F: Fn(&SweepCell) -> Box<dyn Strategy> + Sync,
-{
-    run_guarded(&cell.label, &cell.strategy, || {
-        let market = cache.get_or_build(cell.config.market);
-        run_experiment_on(market, cell.config.clone(), strategy_for(cell))
-    })
-}
-
-/// One cell of a *fleet* matrix: a [`FleetConfig`] instead of an
-/// [`ExperimentConfig`], sharing the same market cache and worker pool.
-#[derive(Debug, Clone)]
-pub struct FleetSweepCell {
-    /// Display label (e.g. `"fleet/spotverse/cap2"`).
-    pub label: String,
-    /// Strategy selector the cell's strategy factory keys on.
-    pub strategy: String,
-    /// The full fleet configuration.
-    pub config: FleetConfig,
-}
-
-impl FleetSweepCell {
-    /// A fleet cell running `strategy` under `config`, labelled `label`.
-    pub fn new(
-        label: impl Into<String>,
-        strategy: impl Into<String>,
-        config: FleetConfig,
-    ) -> Self {
-        FleetSweepCell {
-            label: label.into(),
-            strategy: strategy.into(),
-            config,
-        }
-    }
-}
-
-fn lost_outcome<R>(cell: &(impl HasCellIdentity + ?Sized)) -> SweepOutcome<R> {
-    SweepOutcome {
-        label: cell.label().to_owned(),
-        strategy: cell.strategy().to_owned(),
-        retries: 0,
-        result: Err("sweep worker lost".to_owned()),
-    }
-}
-
-trait HasCellIdentity {
-    fn label(&self) -> &str;
-    fn strategy(&self) -> &str;
-}
-
-impl HasCellIdentity for SweepCell {
-    fn label(&self) -> &str {
-        &self.label
-    }
-    fn strategy(&self) -> &str {
-        &self.strategy
-    }
-}
-
-impl HasCellIdentity for FleetSweepCell {
-    fn label(&self) -> &str {
-        &self.label
-    }
-    fn strategy(&self) -> &str {
-        &self.strategy
-    }
-}
-
-/// Runs a matrix of fleet cells on the same bounded worker pool and
-/// market cache as [`run_matrix`], returning one [`FleetCellOutcome`] per
-/// cell **in cell order**. Shares the full determinism contract: output
-/// is bit-identical for any `jobs ≥ 1`, cells are panic-isolated with one
-/// deterministic retry, and same-config cells share one market build.
 ///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn run_fleet_matrix<F>(
-    cells: &[FleetSweepCell],
-    jobs: usize,
+/// The cell runs with panic isolation and exactly one deterministic
+/// retry. Cells are pure functions of their config, so the retry only
+/// rescues transient host-level failures; a deterministic panic fails
+/// identically twice and is reported as the cell's error.
+pub(crate) fn run_cell<C, F>(
+    cell: &SweepCell<C>,
     cache: &MarketCache,
-    strategy_for: F,
-) -> Vec<FleetCellOutcome>
+    strategy_for: &F,
+) -> SweepOutcome<C::Report>
 where
-    F: Fn(&FleetSweepCell) -> Box<dyn Strategy> + Sync,
+    C: CellConfig,
+    F: Fn(&SweepCell<C>) -> Box<dyn Strategy>,
 {
-    run_pool(
-        cells,
-        jobs,
-        |cell| {
-            run_guarded(&cell.label, &cell.strategy, || {
-                let market = cache.get_or_build(cell.config.market);
-                run_fleet_on(market, cell.config.clone(), strategy_for(cell))
-            })
-        },
-        lost_outcome,
-    )
-}
-
-/// [`merged_trace_jsonl`] for fleet matrices: merges the aggregate traces
-/// of fleet outcomes into one canonical JSONL document, cells in matrix
-/// order, records prefixed with the cell label.
-pub fn merged_fleet_trace_jsonl(outcomes: &[FleetCellOutcome]) -> String {
-    let mut out = String::new();
-    for outcome in outcomes {
-        if let Some(trace) = outcome.report().and_then(|r| r.aggregate.trace.as_ref()) {
-            crate::trace::append_trace_jsonl(&mut out, Some(&outcome.label), trace);
+    let body = || {
+        let market = cache.get_or_build(cell.config.market_config());
+        cell.config.clone().run_on(market, strategy_for(cell))
+    };
+    let mut retries = 0;
+    loop {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&body)) {
+            Ok(report) => return cell.outcome(retries, Ok(report)),
+            Err(_) if retries == 0 => retries = 1,
+            Err(payload) => return cell.outcome(retries, Err(panic_message(payload))),
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -623,10 +568,12 @@ mod tests {
     #[test]
     fn empty_matrix_is_a_no_op() {
         let cache = MarketCache::new();
-        assert!(run_matrix(&[], 4, &cache, |_| -> Box<dyn Strategy> {
-            unreachable!("no cells to build for")
-        })
-        .is_empty());
+        assert!(
+            run_matrix::<ExperimentConfig, _>(&[], 4, &cache, |_| -> Box<dyn Strategy> {
+                unreachable!("no cells to build for")
+            })
+            .is_empty()
+        );
         assert!(cache.is_empty());
     }
 

@@ -5,7 +5,7 @@
 //! strategy should I run?" a conditional question — the answer under a
 //! capacity crunch need not match the calm baseline. The tournament
 //! answers it mechanically: a fleet matrix of (strategy × regime × seed)
-//! cells runs on the shared sweep pool ([`run_fleet_matrix`]), every
+//! cells runs on the shared sweep pool ([`run_matrix`]), every
 //! cell traced, and the per-regime merged traces feed the replay
 //! analytics ([`win_matrix`]) so the pairwise cost wins are derived from
 //! the same event-sourced ground truth as `spotverse analyse`.
@@ -25,7 +25,7 @@ use cloud_market::MarketRegime;
 use crate::fleet::FleetConfig;
 use crate::replay::{replay_str, win_matrix, ReplayState, TimeWindow, WinMatrix};
 use crate::strategy::Strategy;
-use crate::sweep::{merged_fleet_trace_jsonl, run_fleet_matrix, FleetSweepCell, MarketCache};
+use crate::sweep::{merged_trace_jsonl, run_matrix, MarketCache, SweepCell};
 use crate::trace::TraceConfig;
 
 /// How fault injection enters the tournament matrix.
@@ -98,7 +98,7 @@ impl TournamentConfig {
     /// The fleet cells, regime-major then strategy then seed, so one
     /// regime's cells are a contiguous block in matrix (and outcome)
     /// order.
-    fn build_cells(&self) -> Vec<FleetSweepCell> {
+    fn build_cells(&self) -> Vec<SweepCell<FleetConfig>> {
         let mut cells = Vec::with_capacity(self.cells());
         for &regime in &self.regimes {
             let scenario = self.scenario_for(regime);
@@ -112,7 +112,7 @@ impl TournamentConfig {
                     config.chaos = scenario.clone();
                     config.trace = TraceConfig::enabled();
                     let label = format!("{strategy}@{}/s{seed}", regime.name());
-                    cells.push(FleetSweepCell::new(label, strategy.clone(), config));
+                    cells.push(SweepCell::new(label, strategy.clone(), config));
                 }
             }
         }
@@ -204,7 +204,7 @@ where
     F: Fn(&str) -> Box<dyn Strategy> + Sync,
 {
     let cells = config.build_cells();
-    let outcomes = run_fleet_matrix(&cells, jobs, cache, |cell| strategy_for(&cell.strategy));
+    let outcomes = run_matrix(&cells, jobs, cache, |cell| strategy_for(&cell.strategy));
     let mut failed = Vec::new();
     let mut standings = Vec::with_capacity(config.regimes.len());
     let block = config.strategies.len() * config.reps as usize;
@@ -257,7 +257,7 @@ where
         // The win matrix is replayed from the regime's merged trace, not
         // taken from the in-memory reports: the leaderboard and
         // `spotverse analyse` must never disagree about who beat whom.
-        let merged = merged_fleet_trace_jsonl(slice);
+        let merged = merged_trace_jsonl(slice);
         let state: ReplayState = replay_str(&merged, TimeWindow::ALL)
             .expect("tournament traces replay cleanly");
         let wins = win_matrix(&state);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate the committed goldens under tests/golden/ (traces, analytics,
-# the tournament leaderboard, the .ga workflows and the paper's figures)
+# the tournament leaderboard, the .ga workflows, the CLI's outputs, errors
+# and flag schemas, and the paper's figures)
 # and show what changed. Use after an intentional change to the trace
 # schema or to simulation behavior; review the diff before committing —
 # every hunk is a behavior change the golden suite would otherwise have
@@ -21,6 +22,9 @@ UPDATE_GOLDEN=1 cargo test -q -p spotverse-integration --test golden_tournament
 echo "==> regenerating golden .ga workflows (UPDATE_GOLDEN=1)"
 UPDATE_GOLDEN=1 cargo test -q -p spotverse-integration --test golden_workflows
 
+echo "==> regenerating golden CLI outputs, errors and schemas (UPDATE_GOLDEN=1)"
+UPDATE_GOLDEN=1 cargo test -q -p spotverse-integration --test golden_cli
+
 echo "==> regenerating golden paper figures (UPDATE_GOLDEN=1)"
 # Writes the figures' text; their shape checks must still all pass.
 UPDATE_GOLDEN=1 cargo test -q -p spotverse-integration --test golden_paper
@@ -30,6 +34,7 @@ cargo test -q -p spotverse-integration --test golden_traces
 cargo test -q -p spotverse-integration --test golden_analytics
 cargo test -q -p spotverse-integration --test golden_tournament
 cargo test -q -p spotverse-integration --test golden_workflows
+cargo test -q -p spotverse-integration --test golden_cli
 cargo test -q -p spotverse-integration --test golden_paper
 
 echo "==> golden diff summary"

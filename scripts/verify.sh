@@ -49,6 +49,11 @@ cargo test -q -p spotverse-integration --test golden_tournament
 echo "==> golden workflows: committed .ga exports of the paper workflows"
 cargo test -q -p spotverse-integration --test golden_workflows
 
+echo "==> golden cli: every command's output, error messages and flag schemas"
+# One golden per argv, one line per bad argv and each command's sorted
+# flag list, so argument handling cannot drift unnoticed.
+cargo test -q -p spotverse-integration --test golden_cli
+
 echo "==> golden paper: every table, figure and ablation, check by check"
 # All 28 shape checks asserted by name, and each figure's text pinned
 # against tests/golden/paper/ so no reproduced number moves unnoticed.

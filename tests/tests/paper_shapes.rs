@@ -8,7 +8,7 @@ use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{cheapest_spot_region_at_start, InstanceType, Region, SpotMarket};
 use sim_kernel::{SimRng, SimTime};
 use spotverse::{
-    compare, run_experiment_on, run_repetitions, RepetitionMarket, ExperimentConfig, InitialPlacement,
+    compare, run_experiment_on, run_repetitions, ExperimentConfig, InitialPlacement,
     OnDemandStrategy, SingleRegionStrategy, SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy,
 };
 
@@ -28,7 +28,7 @@ fn spotverse_beats_single_region_standard() {
         &base,
         || Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
         3,
-     RepetitionMarket::Reseeded,);
+    );
     let sv = run_repetitions(
         &base,
         || {
@@ -39,7 +39,7 @@ fn spotverse_beats_single_region_standard() {
             ))
         },
         3,
-     RepetitionMarket::Reseeded,);
+    );
     assert!(
         sv.interruptions.mean() < single.interruptions.mean(),
         "interruptions: sv {} vs single {}",
@@ -85,7 +85,7 @@ fn spotverse_undercuts_on_demand_substantially() {
 #[test]
 fn spotverse_beats_skypilot() {
     let base = config(WorkloadKind::StandardGeneral, 20, 203, 1);
-    let sky = run_repetitions(&base, || Box::new(SkyPilotStrategy::new()), 3, RepetitionMarket::Reseeded);
+    let sky = run_repetitions(&base, || Box::new(SkyPilotStrategy::new()), 3);
     let sv = run_repetitions(
         &base,
         || {
@@ -94,7 +94,7 @@ fn spotverse_beats_skypilot() {
             )))
         },
         3,
-     RepetitionMarket::Reseeded,);
+    );
     assert!(sv.interruptions.mean() < sky.interruptions.mean());
     assert!(sv.makespan_hours.mean() < sky.makespan_hours.mean());
     assert!(sv.cost.mean() < sky.cost.mean());
@@ -158,7 +158,7 @@ fn initial_distribution_reduces_interruptions_in_wobble_window() {
             ))
         },
         3,
-     RepetitionMarket::Reseeded,);
+    );
     let distributed = run_repetitions(
         &base,
         || {
@@ -167,7 +167,7 @@ fn initial_distribution_reduces_interruptions_in_wobble_window() {
             )))
         },
         3,
-     RepetitionMarket::Reseeded,);
+    );
     assert!(
         distributed.interruptions.mean() < concentrated.interruptions.mean(),
         "distributed {} vs concentrated {}",
@@ -186,12 +186,12 @@ fn checkpointing_pays_off_under_interruptions() {
         &standard,
         || Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
         3,
-     RepetitionMarket::Reseeded,);
+    );
     let c = run_repetitions(
         &checkpoint,
         || Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
         3,
-     RepetitionMarket::Reseeded,);
+    );
     assert!(
         c.mean_completion_hours.mean() < s.mean_completion_hours.mean(),
         "checkpoint {} vs standard {}",
