@@ -51,30 +51,18 @@ pub trait FaultInjector: std::fmt::Debug + Send {
     }
 }
 
-/// Configuration of the compute control plane.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ec2Config {
-    /// Fixed boot delay from launch until the workload can start.
-    pub boot_delay: SimDuration,
-    /// Global crowding scale: concentrating this account's spot instances
-    /// in one (region, type) market raises the marginal reclaim hazard by
-    /// `1 + scale * region_depth * min(1, others / fleet_scale)`, where
-    /// `region_depth` is [`Region::capacity_depth_coefficient`] — the
-    /// effect behind the paper's initial-distribution experiment (§5.2.3).
-    pub crowding_coefficient: f64,
-    /// Fleet size at which crowding saturates.
-    pub crowding_fleet_scale: f64,
-}
+/// Fixed boot delay from launch until the workload can start.
+const BOOT_DELAY: SimDuration = SimDuration::from_secs(150);
 
-impl Default for Ec2Config {
-    fn default() -> Self {
-        Ec2Config {
-            boot_delay: SimDuration::from_secs(150),
-            crowding_coefficient: 1.0,
-            crowding_fleet_scale: 40.0,
-        }
-    }
-}
+/// Global crowding scale: concentrating this account's spot instances in
+/// one (region, type) market raises the marginal reclaim hazard by
+/// `1 + CROWDING_COEFFICIENT * region_depth * min(1, others / CROWDING_FLEET_SCALE)`,
+/// where `region_depth` is [`Region::capacity_depth_coefficient`] — the
+/// effect behind the paper's initial-distribution experiment (§5.2.3).
+pub const CROWDING_COEFFICIENT: f64 = 1.0;
+
+/// Fleet size at which crowding saturates.
+pub const CROWDING_FLEET_SCALE: f64 = 40.0;
 
 /// Errors from the compute control plane.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,12 +129,12 @@ pub struct LaunchedSpot {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use cloud_compute::{Ec2, Ec2Config, SpotRequestOutcome, TerminationReason};
+/// use cloud_compute::{Ec2, SpotRequestOutcome, TerminationReason};
 /// use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
 /// use sim_kernel::{SimRng, SimTime};
 ///
 /// let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(3)));
-/// let mut ec2 = Ec2::new(market, Ec2Config::default(), SimRng::seed_from_u64(3));
+/// let mut ec2 = Ec2::new(market, SimRng::seed_from_u64(3));
 /// let outcome = ec2.request_spot(Region::ApNortheast3, InstanceType::M5Xlarge, SimTime::ZERO)?;
 /// if let SpotRequestOutcome::Fulfilled(launch) = outcome {
 ///     ec2.terminate(launch.instance, SimTime::from_hours(1), TerminationReason::Completed)?;
@@ -156,7 +144,6 @@ pub struct LaunchedSpot {
 #[derive(Debug)]
 pub struct Ec2 {
     market: Arc<SpotMarket>,
-    config: Ec2Config,
     rng: SimRng,
     ledger: BillingLedger,
     /// Every instance ever created, in id order: ids are minted densely
@@ -174,10 +161,9 @@ pub struct Ec2 {
 
 impl Ec2 {
     /// Creates a control plane over a market.
-    pub fn new(market: Arc<SpotMarket>, config: Ec2Config, rng: SimRng) -> Self {
+    pub fn new(market: Arc<SpotMarket>, rng: SimRng) -> Self {
         Ec2 {
             market,
-            config,
             rng: rng.fork("ec2"),
             ledger: BillingLedger::new(),
             instances: Vec::new(),
@@ -198,11 +184,6 @@ impl Ec2 {
     /// The market this control plane trades against.
     pub fn market(&self) -> &SpotMarket {
         &self.market
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> Ec2Config {
-        self.config
     }
 
     /// Attempts a spot request at `at`.
@@ -233,7 +214,7 @@ impl Ec2 {
             return Ok(SpotRequestOutcome::OpenNoCapacity);
         }
         self.spot_fulfillments += 1;
-        let ready_at = at + self.config.boot_delay;
+        let ready_at = at + BOOT_DELAY;
         let hazard = self
             .injector
             .as_ref()
@@ -286,7 +267,7 @@ impl Ec2 {
                 instance_type,
             }));
         }
-        let ready_at = at + self.config.boot_delay;
+        let ready_at = at + BOOT_DELAY;
         let id = self.create(region, instance_type, PurchaseModel::OnDemand, at, ready_at);
         Ok(LaunchedSpot {
             instance: id,
@@ -420,9 +401,9 @@ impl Ec2 {
     /// based on how many of this account's spot instances already run there.
     pub fn crowding_multiplier(&self, region: Region, instance_type: InstanceType) -> f64 {
         let others = f64::from(self.running_spot[region as usize][instance_type as usize]);
-        1.0 + self.config.crowding_coefficient
+        1.0 + CROWDING_COEFFICIENT
             * region.capacity_depth_coefficient()
-            * (others / self.config.crowding_fleet_scale).min(1.0)
+            * (others / CROWDING_FLEET_SCALE).min(1.0)
     }
 
     /// Records a new running instance under the next id.
@@ -448,7 +429,7 @@ mod tests {
 
     fn ec2(seed: u64) -> Ec2 {
         let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(seed)));
-        Ec2::new(market, Ec2Config::default(), SimRng::seed_from_u64(seed))
+        Ec2::new(market, SimRng::seed_from_u64(seed))
     }
 
     fn fulfill(ec2: &mut Ec2, region: Region, at: SimTime) -> LaunchedSpot {
@@ -467,7 +448,7 @@ mod tests {
         let launch = fulfill(&mut e, Region::ApNortheast3, SimTime::ZERO);
         assert_eq!(e.running_count(), 1);
         let rec = e.instance(launch.instance).unwrap();
-        assert_eq!(rec.ready_at() - rec.launched_at(), e.config().boot_delay);
+        assert_eq!(rec.ready_at() - rec.launched_at(), BOOT_DELAY);
         let end = rec.launched_at() + SimDuration::from_hours(10);
         let cost = e
             .terminate(launch.instance, end, TerminationReason::Completed)
@@ -514,7 +495,7 @@ mod tests {
         let cost = e
             .terminate(
                 launch.instance,
-                SimTime::from_hours(10) + e.config().boot_delay,
+                SimTime::from_hours(10) + BOOT_DELAY,
                 TerminationReason::Completed,
             )
             .unwrap();

@@ -18,12 +18,12 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use cloud_compute::{Ec2, Ec2Config, SpotRequestOutcome};
+//! use cloud_compute::{Ec2, SpotRequestOutcome};
 //! use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
 //! use sim_kernel::{SimRng, SimTime};
 //!
 //! let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(9)));
-//! let mut ec2 = Ec2::new(market, Ec2Config::default(), SimRng::seed_from_u64(9));
+//! let mut ec2 = Ec2::new(market, SimRng::seed_from_u64(9));
 //! match ec2.request_spot(Region::UsWest1, InstanceType::M5Xlarge, SimTime::ZERO)? {
 //!     SpotRequestOutcome::Fulfilled(launch) => {
 //!         // schedule workload start at launch.ready_at, interruption
@@ -49,6 +49,7 @@ pub mod transfer;
 pub use ami::{Ami, AmiCatalog, AmiError, AmiId};
 pub use billing::{BillingLedger, LineItem, ServiceKind};
 pub use ec2::{
-    Ec2, Ec2Config, Ec2Error, FaultInjector, LaunchedSpot, SpotRequestOutcome, INTERRUPTION_NOTICE,
+    Ec2, Ec2Error, FaultInjector, LaunchedSpot, SpotRequestOutcome, CROWDING_COEFFICIENT,
+    CROWDING_FLEET_SCALE, INTERRUPTION_NOTICE,
 };
 pub use instance::{InstanceId, InstanceRecord, InstanceState, PurchaseModel, TerminationReason};

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cloud_compute::{
-    transfer, AmiCatalog, BillingLedger, Ec2, Ec2Config, PurchaseModel, ServiceKind,
-    SpotRequestOutcome, TerminationReason,
+    transfer, AmiCatalog, BillingLedger, Ec2, PurchaseModel, ServiceKind, SpotRequestOutcome,
+    TerminationReason, CROWDING_COEFFICIENT, CROWDING_FLEET_SCALE,
 };
 use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket, Usd};
 use sim_kernel::{SimDuration, SimRng, SimTime};
@@ -44,12 +44,12 @@ proptest! {
     #[test]
     fn crowding_multiplier_is_monotone(seed in 0u64..100, launches in 1usize..60) {
         let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(seed)));
-        let mut ec2 = Ec2::new(market, Ec2Config::default(), SimRng::seed_from_u64(seed));
+        let mut ec2 = Ec2::new(market, SimRng::seed_from_u64(seed));
         let region = Region::ApNortheast3;
         let itype = InstanceType::M5Xlarge;
         let mut last = ec2.crowding_multiplier(region, itype);
         prop_assert_eq!(last, 1.0);
-        let cap = 1.0 + ec2.config().crowding_coefficient * region.capacity_depth_coefficient();
+        let cap = 1.0 + CROWDING_COEFFICIENT * region.capacity_depth_coefficient();
         let mut t = SimTime::from_days(1);
         for _ in 0..launches {
             // Force a running instance via on-demand (deterministic).
@@ -72,7 +72,7 @@ proptest! {
                 last = m;
             }
         }
-        if spot_running as f64 >= ec2.config().crowding_fleet_scale {
+        if spot_running as f64 >= CROWDING_FLEET_SCALE {
             prop_assert!((last - cap).abs() < 1e-9, "should saturate at {cap}, got {last}");
         }
     }
@@ -89,7 +89,7 @@ proptest! {
         let rate = market
             .on_demand_price(Region::EuWest2, InstanceType::C52xlarge)
             .rate();
-        let mut ec2 = Ec2::new(market, Ec2Config::default(), SimRng::seed_from_u64(seed));
+        let mut ec2 = Ec2::new(market, SimRng::seed_from_u64(seed));
         let mut expected_total = 0.0;
         for secs in &runtimes {
             let launch = ec2
@@ -133,7 +133,7 @@ proptest! {
         len_mins in 1u64..3000,
     ) {
         let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(seed)));
-        let ec2 = Ec2::new(market, Ec2Config::default(), SimRng::seed_from_u64(seed));
+        let ec2 = Ec2::new(market, SimRng::seed_from_u64(seed));
         let start = SimTime::from_hours(start_hour);
         let end = start + SimDuration::from_mins(len_mins);
         let spot = ec2

@@ -2,8 +2,8 @@
 //!
 //! Everything the Controller shares across workloads lives here: the
 //! simulated cloud services (EC2, object store, shared filesystem, KV,
-//! functions, metrics), the Monitor collection pipeline with its
-//! [`SnapshotMemo`], the [`RegionHealth`] circuit breakers and telemetry
+//! functions, metrics), the [`Monitor`] collection pipeline with its
+//! per-epoch snapshot, the [`RegionHealth`] circuit breakers and telemetry
 //! freshness tracking, the chaos overlay wiring, the checkpoint store
 //! provisioning, and the run's [`Tracer`].
 //!
@@ -20,17 +20,24 @@ use aws_stack::{
     SharedFileSystem,
 };
 use chaos::ChaosEngine;
-use cloud_compute::{Ec2, Ec2Config};
+use cloud_compute::Ec2;
 use cloud_market::{InstanceType, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 
 use crate::experiment::{CheckpointBackend, CheckpointTelemetry, INTERRUPTION_HANDLER, LOG_BUCKET};
-use crate::health::{
-    BreakerTransition, HealthConfig, RegionHealth, ResilienceTelemetry, TelemetryFreshness,
-};
-use crate::monitor::{CollectOutcome, Monitor, MonitorError, SnapshotMemo};
+use crate::fleet::MONITOR_PERIOD;
+use crate::health::{BreakerTransition, RegionHealth, ResilienceTelemetry, TelemetryFreshness};
+use crate::monitor::{CollectOutcome, Monitor, MonitorError, MARKET_EPOCH};
 use crate::optimizer::RegionAssessment;
 use crate::trace::{TraceConfig, TraceEvent, Tracer};
+
+/// Snapshot age past which decisions degrade to cheapest-on-demand
+/// placement instead of trusting expired metrics.
+pub(crate) const TELEMETRY_TTL: SimDuration = SimDuration::from_hours(2);
+
+// A healthy pipeline never degrades: the worst-case age of a good
+// snapshot is one market epoch plus one monitor period (~1¼ h).
+const _: () = assert!(TELEMETRY_TTL.as_secs() > MARKET_EPOCH.as_secs() + MONITOR_PERIOD.as_secs());
 
 /// The shared control plane: simulated cloud services, the Monitor
 /// collection pipeline, region-health breakers, chaos wiring, and the
@@ -45,9 +52,6 @@ pub struct ControlPlane {
     pub(crate) functions: FunctionRuntime,
     pub(crate) metrics: MetricsService,
     pub(crate) monitor: Monitor,
-    pub(crate) monitor_memo: SnapshotMemo,
-    pub(crate) monitor_pipeline: bool,
-    pub(crate) telemetry_ttl: SimDuration,
     pub(crate) checkpoint_backend: CheckpointBackend,
     pub(crate) chaos: Option<ChaosEngine>,
     pub(crate) telemetry: CheckpointTelemetry,
@@ -59,25 +63,11 @@ pub struct ControlPlane {
     pub(crate) collect_failing: bool,
     pub(crate) degraded_since: Option<SimTime>,
     pub(crate) tracer: Tracer,
-    /// Serve decisions from one parsed snapshot per collection epoch
-    /// instead of re-scanning and re-parsing the KV rows per decision.
-    /// The underlying scan is unbilled and side-effect-free, so the two
-    /// modes are observationally identical; `false` is the reference
-    /// path of `loadgen_determinism::snapshot_reuse_is_observationally_identical`,
-    /// its only reason to exist.
-    pub(crate) snapshot_reuse: bool,
-    /// The parsed snapshot for the current collection epoch: assessments
-    /// in catalog order plus the oldest `collected_at` stamp. Cleared by
-    /// every collection attempt that could have touched the rows. Shared
-    /// by `Arc` so serving a decision is a refcount bump, not a per-
-    /// decision `Vec` clone.
-    pub(crate) snapshot_cache: Option<(Arc<[RegionAssessment]>, SimTime)>,
 }
 
 impl std::fmt::Debug for ControlPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControlPlane")
-            .field("monitor_pipeline", &self.monitor_pipeline)
             .field("checkpoint_backend", &self.checkpoint_backend)
             .field("chaos", &self.chaos.is_some())
             .finish_non_exhaustive()
@@ -91,19 +81,16 @@ impl ControlPlane {
     /// shared-filesystem backend) an EFS mounted in every region. Each
     /// managed service gets its own seeded fault stream when a chaos
     /// engine is active.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         market: Arc<SpotMarket>,
         instance_type: InstanceType,
         seed: u64,
-        monitor_pipeline: bool,
         checkpoint_backend: CheckpointBackend,
-        health: &HealthConfig,
         trace: &TraceConfig,
         chaos: Option<ChaosEngine>,
         root_rng: &SimRng,
     ) -> Self {
-        let mut ec2 = Ec2::new(Arc::clone(&market), Ec2Config::default(), root_rng.fork("ec2"));
+        let mut ec2 = Ec2::new(Arc::clone(&market), root_rng.fork("ec2"));
         if let Some(engine) = &chaos {
             ec2.set_fault_injector(engine.compute_injector());
         }
@@ -117,22 +104,17 @@ impl ControlPlane {
             functions: FunctionRuntime::new(),
             metrics: MetricsService::new(Region::UsEast1),
             monitor: Monitor::new(instance_type, Region::UsEast1),
-            monitor_memo: SnapshotMemo::new(),
-            monitor_pipeline,
-            telemetry_ttl: health.telemetry_ttl,
             checkpoint_backend,
             chaos,
             telemetry: CheckpointTelemetry::default(),
             backoff_rng: root_rng.fork("backoff"),
             monitor_backoff: 0,
-            health: RegionHealth::new(health.breaker.clone(), seed),
+            health: RegionHealth::new(seed),
             freshness: TelemetryFreshness::default(),
             quarantined_decisions: 0,
             collect_failing: false,
             degraded_since: None,
             tracer: Tracer::new(trace),
-            snapshot_reuse: true,
-            snapshot_cache: None,
         };
 
         // Hand each managed service its own seeded fault stream.
@@ -164,83 +146,38 @@ impl ControlPlane {
 
     /// Current optimizer inputs plus whether the decision must *degrade*.
     ///
-    /// With the pipeline enabled, the Monitor's latest persisted snapshot
-    /// is served as long as it is within the telemetry TTL; while
-    /// collection is failing, each such serve is a counted *stale serve*
-    /// of last-good data. Past the TTL the snapshot is still returned but
-    /// flagged degraded: the caller places cheapest-on-demand instead of
-    /// trusting expired metrics. Without the pipeline (or before the
-    /// first snapshot) decisions read the market directly — either way
-    /// they observe it *through* any active fault overlay.
+    /// The Monitor's latest persisted snapshot is served as long as it is
+    /// within [`TELEMETRY_TTL`]; while collection is failing, each such
+    /// serve is a counted *stale serve* of last-good data. Past the TTL
+    /// the snapshot is still returned but flagged degraded: the caller
+    /// places cheapest-on-demand instead of trusting expired metrics.
+    /// Before the first snapshot, decisions read the market directly,
+    /// observed *through* any active fault overlay.
     pub(crate) fn decision_inputs(&mut self, now: SimTime) -> (Arc<[RegionAssessment]>, bool) {
-        if self.monitor_pipeline {
-            let ttl = self.telemetry_ttl;
-            if self.snapshot_reuse {
-                // Batched assessment: every decision sharing a snapshot
-                // epoch reuses one parsed read. The rows only change when
-                // a collection runs, which clears the cache, so this
-                // serves the exact values the per-decision scan would.
-                if self.snapshot_cache.is_none() {
-                    self.snapshot_cache = self
-                        .monitor
-                        .read_snapshot(&self.kv)
-                        .ok()
-                        .map(|(rows, at)| (rows.into(), at));
-                }
-                if let Some((rows, collected_at)) = &self.snapshot_cache {
-                    let snapshot = Arc::clone(rows);
-                    let age = now.saturating_duration_since(*collected_at);
-                    if age <= ttl {
-                        if self.collect_failing {
-                            self.freshness.stale_serves += 1;
-                            self.freshness.max_staleness = self.freshness.max_staleness.max(age);
-                            self.tracer.record(now, TraceEvent::StaleServe { age });
-                        }
-                        return (snapshot, false);
-                    }
-                    self.freshness.degraded_decisions += 1;
-                    self.freshness.max_staleness = self.freshness.max_staleness.max(age);
-                    if self.degraded_since.is_none() {
-                        self.degraded_since = Some(now);
-                    }
-                    self.tracer.record(now, TraceEvent::DegradedDecision { age });
-                    return (snapshot, true);
-                }
-                // No snapshot yet: fall through to the fresh market read,
-                // exactly like the uncached NoSnapshot path.
-            } else {
-                match self.monitor.assessments_no_older_than(&self.kv, now, ttl) {
-                    Ok((snapshot, age)) => {
-                        if self.collect_failing {
-                            self.freshness.stale_serves += 1;
-                            self.freshness.max_staleness = self.freshness.max_staleness.max(age);
-                            self.tracer.record(now, TraceEvent::StaleServe { age });
-                        }
-                        return (snapshot.into(), false);
-                    }
-                    Err(MonitorError::Stale { .. }) => {
-                        if let Ok((snapshot, age)) =
-                            self.monitor.latest_assessments_with_age(&self.kv, now)
-                        {
-                            self.freshness.degraded_decisions += 1;
-                            self.freshness.max_staleness = self.freshness.max_staleness.max(age);
-                            if self.degraded_since.is_none() {
-                                self.degraded_since = Some(now);
-                            }
-                            self.tracer.record(now, TraceEvent::DegradedDecision { age });
-                            return (snapshot.into(), true);
-                        }
-                    }
-                    Err(_) => {}
-                }
+        let Some((snapshot, collected_at)) = self.monitor.snapshot(&self.kv) else {
+            let overlay = self.chaos.as_ref().map(|c| c.overlay());
+            let fresh = self
+                .monitor
+                .fresh_assessments_with_overlay(&self.market, overlay, now)
+                .expect("market assessments within horizon");
+            return (fresh.into(), false);
+        };
+        let age = now.saturating_duration_since(collected_at);
+        if age <= TELEMETRY_TTL {
+            if self.collect_failing {
+                self.freshness.stale_serves += 1;
+                self.freshness.max_staleness = self.freshness.max_staleness.max(age);
+                self.tracer.record(now, TraceEvent::StaleServe { age });
             }
+            return (snapshot, false);
         }
-        let overlay = self.chaos.as_ref().map(|c| c.overlay());
-        let snapshot = self
-            .monitor
-            .fresh_assessments_with_overlay(&self.market, overlay, now)
-            .expect("market assessments within horizon");
-        (snapshot.into(), false)
+        self.freshness.degraded_decisions += 1;
+        self.freshness.max_staleness = self.freshness.max_staleness.max(age);
+        if self.degraded_since.is_none() {
+            self.degraded_since = Some(now);
+        }
+        self.tracer.record(now, TraceEvent::DegradedDecision { age });
+        (snapshot, true)
     }
 
     /// Marks the collection pipeline healthy again and settles any open
@@ -270,7 +207,7 @@ impl ControlPlane {
     }
 
     /// One monitor collection cycle, observed through the fault overlay.
-    /// Memoized per market epoch: a tick inside the hour of the last
+    /// Memoized per market epoch: a tick inside the epoch of the last
     /// successful collection (with an unchanged overlay window set) skips
     /// the redundant market reads and KV writes.
     pub(crate) fn run_monitor_collection(
@@ -278,24 +215,15 @@ impl ControlPlane {
         now: SimTime,
     ) -> Result<CollectOutcome, MonitorError> {
         let overlay = self.chaos.as_ref().map(|c| c.overlay());
-        let result = self.monitor.collect_memoized(
+        self.monitor.collect(
             &self.market,
             overlay,
             now,
-            &mut self.monitor_memo,
             &mut self.functions,
             &mut self.kv,
             &mut self.metrics,
             self.ec2.ledger_mut(),
-        );
-        // Any attempt that was not an epoch-memo hit may have rewritten
-        // snapshot rows — including a *failed* cycle that persisted some
-        // rows before the fault — so the parsed-snapshot cache must be
-        // rebuilt on the next decision.
-        if !matches!(result, Ok(CollectOutcome::Reused)) {
-            self.snapshot_cache = None;
-        }
-        result
+        )
     }
 
     /// The run's resilience telemetry, assembled from the breakers and
@@ -325,4 +253,210 @@ pub(crate) fn cheapest_on_demand(assessments: &[RegionAssessment]) -> Region {
         })
         .expect("assessments cover at least one region")
         .region
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cloud_market::MarketConfig;
+    use proptest::prelude::*;
+
+    use crate::monitor::METRICS_TABLE;
+
+    /// One step of a driven run.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// A monitor tick, followed up as `fleet.rs` does.
+        Collect,
+        /// An Optimizer decision.
+        Decide,
+    }
+
+    /// The freshness bookkeeping the plane should have done, recomputed
+    /// from scratch by the model.
+    #[derive(Debug, Default)]
+    struct Model {
+        freshness: TelemetryFreshness,
+        failing: bool,
+        degraded_since: Option<SimTime>,
+    }
+
+    /// Which freshness paths a checked run reached.
+    #[derive(Debug, Default)]
+    struct Reached {
+        /// A failed collection left rows with different `collected_at`
+        /// stamps behind.
+        partial_write: bool,
+        stale_serve: bool,
+        degraded: bool,
+    }
+
+    /// The records traced since the last call.
+    fn drain(cp: &mut ControlPlane) -> Vec<(SimTime, TraceEvent)> {
+        let tracer = std::mem::replace(&mut cp.tracer, Tracer::new(&TraceConfig::enabled()));
+        let trace = tracer.finish().expect("tracing is enabled");
+        trace.events.into_iter().map(|r| (r.at, r.event)).collect()
+    }
+
+    /// How many distinct `collected_at` stamps the snapshot rows carry.
+    fn distinct_stamps(cp: &ControlPlane) -> usize {
+        let mut stamps: Vec<u64> = cp
+            .kv
+            .scan_prefix(METRICS_TABLE, "")
+            .expect("metrics table exists")
+            .iter()
+            .map(|(_, item)| item["collected_at"].as_number().expect("numeric stamp") as u64)
+            .collect();
+        stamps.sort_unstable();
+        stamps.dedup();
+        stamps.len()
+    }
+
+    /// Drives one control plane through `steps` (each `gap` seconds after
+    /// the last) under chaos scenario `scenario_idx - 1` of the library (0 =
+    /// none). Every decision is checked against a brute-force model: a
+    /// fresh KV scan, the TTL rule and the overlay fallback. The freshness
+    /// counters and the trace are checked after every step.
+    fn check_run(
+        market: &Arc<SpotMarket>,
+        seed: u64,
+        scenario_idx: usize,
+        steps: &[(Step, u64)],
+    ) -> Result<Reached, TestCaseError> {
+        let start = SimTime::from_days(1);
+        let chaos = scenario_idx
+            .checked_sub(1)
+            .map(|i| ChaosEngine::new(&chaos::library()[i], seed, start));
+        let mut cp = ControlPlane::new(
+            Arc::clone(market),
+            InstanceType::M5Xlarge,
+            seed,
+            CheckpointBackend::ObjectStore,
+            &TraceConfig::enabled(),
+            chaos,
+            &SimRng::seed_from_u64(seed),
+        );
+        let mut model = Model::default();
+        let mut reached = Reached::default();
+        let mut now = start;
+        for &(step, gap) in steps {
+            now += SimDuration::from_secs(gap);
+            let mut expected = Vec::new();
+            match step {
+                Step::Collect => match cp.run_monitor_collection(now) {
+                    Ok(_) => {
+                        cp.note_collection_success(now);
+                        model.failing = false;
+                        if let Some(since) = model.degraded_since.take() {
+                            let duration = now.saturating_duration_since(since);
+                            model.freshness.degraded_time += duration;
+                            expected.push((now, TraceEvent::DegradedInterval { duration }));
+                        }
+                    }
+                    Err(_) => {
+                        cp.note_collection_failure();
+                        model.failing = true;
+                        model.freshness.collection_failures += 1;
+                        reached.partial_write |= distinct_stamps(&cp) > 1;
+                    }
+                },
+                Step::Decide => {
+                    let (got, degraded) = cp.decision_inputs(now);
+                    let (want, want_degraded) = match cp.monitor.read_snapshot(&cp.kv) {
+                        Ok((rows, collected_at)) => {
+                            let age = now.saturating_duration_since(collected_at);
+                            let f = &mut model.freshness;
+                            if age <= TELEMETRY_TTL {
+                                if model.failing {
+                                    f.stale_serves += 1;
+                                    f.max_staleness = f.max_staleness.max(age);
+                                    expected.push((now, TraceEvent::StaleServe { age }));
+                                    reached.stale_serve = true;
+                                }
+                                (rows, false)
+                            } else {
+                                f.degraded_decisions += 1;
+                                f.max_staleness = f.max_staleness.max(age);
+                                model.degraded_since.get_or_insert(now);
+                                expected.push((now, TraceEvent::DegradedDecision { age }));
+                                reached.degraded = true;
+                                (rows, true)
+                            }
+                        }
+                        Err(_) => {
+                            let overlay = cp.chaos.as_ref().map(|c| c.overlay());
+                            let fresh = cp
+                                .monitor
+                                .fresh_assessments_with_overlay(&cp.market, overlay, now)
+                                .expect("within the market horizon");
+                            (fresh, false)
+                        }
+                    };
+                    prop_assert_eq!(&got[..], &want[..], "assessments at {:?}", now);
+                    prop_assert_eq!(degraded, want_degraded, "degraded flag at {:?}", now);
+                }
+            }
+            prop_assert_eq!(cp.freshness, model.freshness, "after {:?} at {:?}", step, now);
+            prop_assert_eq!(cp.collect_failing, model.failing);
+            prop_assert_eq!(cp.degraded_since, model.degraded_since);
+            prop_assert_eq!(drain(&mut cp), expected, "trace after {:?} at {:?}", step, now);
+        }
+        Ok(reached)
+    }
+
+    /// A gap between steps: inside a quarter hour, inside the hour, across
+    /// an hour boundary, or past the TTL.
+    fn gap() -> impl Strategy<Value = u64> {
+        (0u8..4, 0u64..900).prop_map(|(band, secs)| match band {
+            0 => secs,
+            1 => 900 + 3 * secs,
+            2 => 3600 + 4 * secs,
+            _ => 7200 + 8 * secs,
+        })
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..2).prop_map(|i| if i == 0 { Step::Collect } else { Step::Decide })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-epoch snapshot serves exactly what a fresh KV scan per
+        /// decision would, with the same freshness counters and trace,
+        /// across failed and partially written collections under every
+        /// chaos scenario.
+        #[test]
+        fn decisions_match_a_fresh_scan_per_decision(
+            seed in 0u64..500,
+            steps in prop::collection::vec((step(), gap()), 1..40),
+        ) {
+            let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(seed)));
+            for scenario_idx in 0..=chaos::library().len() {
+                check_run(&market, seed, scenario_idx, &steps)?;
+            }
+        }
+    }
+
+    /// The proptest above is not vacuous: one fixed run under
+    /// `throttle_storm` reaches a partially written failed collection, a
+    /// stale serve and a degraded decision past the TTL, and still matches
+    /// the model at every step.
+    #[test]
+    fn throttle_storm_reaches_every_freshness_path() {
+        let idx = 1 + chaos::library()
+            .iter()
+            .position(|s| s.name() == "throttle_storm")
+            .expect("throttle_storm is in the library");
+        let mut steps = vec![(Step::Collect, 0), (Step::Decide, 300)];
+        for _ in 0..12 {
+            steps.extend([(Step::Collect, 3600), (Step::Decide, 300)]);
+        }
+        steps.push((Step::Decide, 3 * 3600));
+        let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(7)));
+        let reached = check_run(&market, 7, idx, &steps).expect("matches the model");
+        assert!(reached.partial_write, "{reached:?}");
+        assert!(reached.stale_serve, "{reached:?}");
+        assert!(reached.degraded, "{reached:?}");
+    }
 }

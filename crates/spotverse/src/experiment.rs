@@ -27,7 +27,7 @@ use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket, Usd};
 use sim_kernel::{SimDuration, SimTime, TimeSeries};
 
 use crate::fleet::FleetConfig;
-use crate::health::{HealthConfig, ResilienceTelemetry};
+use crate::health::ResilienceTelemetry;
 use crate::strategy::Strategy;
 use crate::trace::{RunTrace, TraceConfig};
 
@@ -61,32 +61,22 @@ pub struct ExperimentConfig {
     pub workloads: Vec<WorkloadSpec>,
     /// When the fleet starts (offset into the market horizon).
     pub start: SimTime,
-    /// Monitor collection period (default 15 minutes).
-    pub monitor_period: SimDuration,
-    /// Open-request retry sweep interval (the paper's 15 minutes).
-    pub retry_interval: SimDuration,
     /// Hard deadline after `start`; workloads still unfinished then are
     /// reported as incomplete.
     pub max_runtime: SimDuration,
-    /// Route optimizer inputs through the Monitor→KV snapshot pipeline
-    /// (true reproduces the paper's architecture; false reads the market
-    /// directly).
-    pub monitor_pipeline: bool,
     /// Where checkpoint working sets are persisted.
     pub checkpoint_backend: CheckpointBackend,
     /// Optional fault-injection scenario, compiled against `seed` and
     /// `start`. `None` runs fault-free.
     pub chaos: Option<ChaosScenario>,
-    /// Resilience control plane tuning: breaker policy and telemetry TTL.
-    pub health: HealthConfig,
     /// Decision-trace recording (off by default; purely observational, so
     /// enabling it changes no other report field).
     pub trace: TraceConfig,
 }
 
 impl ExperimentConfig {
-    /// A standard configuration: monitor pipeline on, 15-minute sweeps,
-    /// 30-day guard, start at day 1 of the market horizon.
+    /// A standard configuration: 30-day guard, start at day 1 of the
+    /// market horizon.
     pub fn new(seed: u64, instance_type: InstanceType, workloads: Vec<WorkloadSpec>) -> Self {
         ExperimentConfig {
             seed,
@@ -94,13 +84,9 @@ impl ExperimentConfig {
             instance_type,
             workloads,
             start: SimTime::from_days(1),
-            monitor_period: SimDuration::from_mins(15),
-            retry_interval: SimDuration::from_mins(15),
             max_runtime: SimDuration::from_days(30),
-            monitor_pipeline: true,
             checkpoint_backend: CheckpointBackend::ObjectStore,
             chaos: None,
-            health: HealthConfig::default(),
             trace: TraceConfig::default(),
         }
     }

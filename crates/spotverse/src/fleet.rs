@@ -43,6 +43,13 @@ use crate::strategy::{Strategy, StrategyContext};
 use crate::trace::{ChaosFaultKind, DecisionKind, TraceEvent, Tracer};
 use crate::workload::{WorkloadPhase, WorkloadReport, WorkloadRuntime};
 
+/// The Monitor's collection period: the metrics collector runs on a
+/// 15-minute schedule.
+pub(crate) const MONITOR_PERIOD: SimDuration = SimDuration::from_mins(15);
+/// The open-request retry sweep: the paper's Controller re-tries open
+/// spot requests every 15 minutes.
+const RETRY_INTERVAL: SimDuration = SimDuration::from_mins(15);
+
 /// A tenant's scheduling tier within an arrival batch.
 ///
 /// Priorities order placement *within* a batch of workloads arriving
@@ -109,33 +116,18 @@ pub struct FleetConfig {
     pub workloads: Vec<FleetWorkload>,
     /// When the fleet starts (offset into the market horizon).
     pub start: SimTime,
-    /// Monitor collection period.
-    pub monitor_period: SimDuration,
-    /// Open-request retry sweep interval.
-    pub retry_interval: SimDuration,
     /// Per-workload runtime budget: workload `w`'s deadline is
     /// `start + arrival(w) + max_runtime`.
     pub max_runtime: SimDuration,
-    /// Route optimizer inputs through the Monitor→KV snapshot pipeline.
-    pub monitor_pipeline: bool,
     /// Where checkpoint working sets are persisted.
     pub checkpoint_backend: crate::experiment::CheckpointBackend,
     /// Optional fault-injection scenario.
     pub chaos: Option<chaos::ChaosScenario>,
-    /// Resilience control plane tuning.
-    pub health: crate::health::HealthConfig,
     /// Decision-trace recording.
     pub trace: crate::trace::TraceConfig,
     /// Per-region cap on *concurrently running* instances (`None` =
     /// unbounded, the classic experiment behavior).
     pub region_capacity: Option<u32>,
-    /// Serve every decision within a snapshot epoch from one parsed
-    /// assessment read instead of re-scanning the Monitor's KV rows per
-    /// decision. Observationally identical either way (the underlying
-    /// scan is unbilled and side-effect-free); `false` is the reference
-    /// path of `loadgen_determinism::snapshot_reuse_is_observationally_identical`,
-    /// its only reason to exist.
-    pub reuse_decision_snapshot: bool,
 }
 
 impl FleetConfig {
@@ -152,16 +144,11 @@ impl FleetConfig {
             instance_type,
             workloads,
             start: SimTime::from_days(1),
-            monitor_period: SimDuration::from_mins(15),
-            retry_interval: SimDuration::from_mins(15),
             max_runtime: SimDuration::from_days(30),
-            monitor_pipeline: true,
             checkpoint_backend: crate::experiment::CheckpointBackend::ObjectStore,
             chaos: None,
-            health: crate::health::HealthConfig::default(),
             trace: crate::trace::TraceConfig::default(),
             region_capacity: None,
-            reuse_decision_snapshot: true,
         }
     }
 
@@ -181,16 +168,11 @@ impl FleetConfig {
                 .map(|spec| FleetWorkload::new(spec.clone(), SimDuration::ZERO))
                 .collect(),
             start: config.start,
-            monitor_period: config.monitor_period,
-            retry_interval: config.retry_interval,
             max_runtime: config.max_runtime,
-            monitor_pipeline: config.monitor_pipeline,
             checkpoint_backend: config.checkpoint_backend,
             chaos: config.chaos.clone(),
-            health: config.health.clone(),
             trace: config.trace,
             region_capacity: None,
-            reuse_decision_snapshot: true,
         }
     }
 
@@ -464,7 +446,7 @@ impl FleetModel {
                     .record(now, TraceEvent::CollectionFailed { retryable: e.is_retryable() });
             }
         }
-        scheduler.schedule_in(self.config.monitor_period, Event::MonitorTick);
+        scheduler.schedule_in(MONITOR_PERIOD, Event::MonitorTick);
 
         // Place the batch present at the start (all of it, for a classic
         // experiment), then schedule the later arrival batches and any
@@ -535,7 +517,7 @@ impl FleetModel {
                 now,
                 TraceEvent::CapacityDeferred { workload: w, region: placement.region() },
             );
-            scheduler.schedule_in(self.config.retry_interval, Event::Retry(w));
+            scheduler.schedule_in(RETRY_INTERVAL, Event::Retry(w));
             return;
         }
         match placement {
@@ -595,7 +577,7 @@ impl FleetModel {
                         .tracer
                         .record(now, TraceEvent::RequestOpen { workload: w, region, blackout });
                     // The Controller's periodic sweep picks it back up.
-                    scheduler.schedule_in(self.config.retry_interval, Event::Retry(w));
+                    scheduler.schedule_in(RETRY_INTERVAL, Event::Retry(w));
                 }
                 // A failed request (e.g. a region knocked out from under
                 // an in-flight placement) also lands on the retry sweep
@@ -608,7 +590,7 @@ impl FleetModel {
                     self.cp
                         .tracer
                         .record(now, TraceEvent::RequestFailed { workload: w, region });
-                    scheduler.schedule_in(self.config.retry_interval, Event::Retry(w));
+                    scheduler.schedule_in(RETRY_INTERVAL, Event::Retry(w));
                 }
             },
             Placement::OnDemand(region) => {
@@ -910,7 +892,7 @@ impl FleetModel {
             Ok(_) => {
                 self.cp.note_collection_success(now);
                 self.cp.monitor_backoff = 0;
-                scheduler.schedule_in(self.config.monitor_period, Event::MonitorTick);
+                scheduler.schedule_in(MONITOR_PERIOD, Event::MonitorTick);
             }
             Err(e) if e.is_retryable() => {
                 // Back off with jitter, bounded by the normal period, and
@@ -926,7 +908,7 @@ impl FleetModel {
                 };
                 let delay = policy
                     .delay(self.cp.monitor_backoff, &mut self.cp.backoff_rng)
-                    .min(self.config.monitor_period);
+                    .min(MONITOR_PERIOD);
                 self.cp.monitor_backoff = (self.cp.monitor_backoff + 1).min(8);
                 scheduler.schedule_in(delay, Event::MonitorTick);
             }
@@ -937,7 +919,7 @@ impl FleetModel {
             Err(_) => {
                 self.cp.note_collection_failure();
                 self.cp.tracer.record(now, TraceEvent::CollectionFailed { retryable: false });
-                scheduler.schedule_in(self.config.monitor_period, Event::MonitorTick);
+                scheduler.schedule_in(MONITOR_PERIOD, Event::MonitorTick);
             }
         }
     }
@@ -1045,18 +1027,15 @@ pub fn run_fleet_on(
         .chaos
         .as_ref()
         .map(|scenario| ChaosEngine::new(scenario, config.seed, config.start));
-    let mut cp = ControlPlane::new(
+    let cp = ControlPlane::new(
         Arc::clone(&market),
         config.instance_type,
         config.seed,
-        config.monitor_pipeline,
         config.checkpoint_backend,
-        &config.health,
         &config.trace,
         chaos_engine,
         &root_rng,
     );
-    cp.snapshot_reuse = config.reuse_decision_snapshot;
 
     let start = config.start;
     let workloads: Vec<WorkloadRuntime> = config

@@ -61,40 +61,23 @@ pub struct BreakerTransition {
     pub to: BreakerState,
 }
 
-/// Tuning knobs for the per-region breakers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerPolicy {
-    /// Unhealed strikes that trip a closed breaker.
-    pub strike_threshold: u32,
-    /// Quarantine after the first trip; doubles per subsequent trip.
-    pub base_quarantine: SimDuration,
-    /// Ceiling on the doubling.
-    pub max_quarantine: SimDuration,
-    /// Upper bound of the hash-derived jitter added to each quarantine
-    /// (decorrelates same-instant trips across regions).
-    pub jitter: SimDuration,
-}
+/// Unhealed strikes that trip a closed breaker.
+const STRIKE_THRESHOLD: u32 = 2;
+/// Quarantine after the first trip; doubles per subsequent trip.
+const BASE_QUARANTINE: SimDuration = SimDuration::from_hours(1);
+/// Ceiling on the doubling.
+const MAX_QUARANTINE: SimDuration = SimDuration::from_hours(8);
+/// Upper bound of the hash-derived jitter added to each quarantine
+/// (decorrelates same-instant trips across regions).
+const QUARANTINE_JITTER: SimDuration = SimDuration::from_mins(10);
 
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy {
-            strike_threshold: 2,
-            base_quarantine: SimDuration::from_hours(1),
-            max_quarantine: SimDuration::from_hours(8),
-            jitter: SimDuration::from_mins(10),
-        }
-    }
-}
-
-impl BreakerPolicy {
-    /// The quarantine for trip number `trip` (1-based): exponential in
-    /// the trip count, capped, plus seeded jitter.
-    fn quarantine(&self, seed: u64, region: Region, trip: u32) -> SimDuration {
-        let base = self.base_quarantine.as_secs();
-        let doubled = base.saturating_mul(1u64.checked_shl(trip.saturating_sub(1)).unwrap_or(u64::MAX));
-        let capped = doubled.min(self.max_quarantine.as_secs());
-        SimDuration::from_secs(capped + jitter_secs(seed, region, trip, self.jitter))
-    }
+/// The quarantine for trip number `trip` (1-based): exponential in the
+/// trip count, capped, plus seeded jitter.
+fn quarantine(seed: u64, region: Region, trip: u32) -> SimDuration {
+    let base = BASE_QUARANTINE.as_secs();
+    let doubled = base.saturating_mul(1u64.checked_shl(trip.saturating_sub(1)).unwrap_or(u64::MAX));
+    let capped = doubled.min(MAX_QUARANTINE.as_secs());
+    SimDuration::from_secs(capped + jitter_secs(seed, region, trip, QUARANTINE_JITTER))
 }
 
 /// A deterministic draw in `[0, jitter]` seconds from a keyed hash —
@@ -155,7 +138,6 @@ impl RegionBreaker {
 /// The Controller's per-region breaker ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionHealth {
-    policy: BreakerPolicy,
     seed: u64,
     breakers: BTreeMap<Region, RegionBreaker>,
     trips: u64,
@@ -164,11 +146,9 @@ pub struct RegionHealth {
 }
 
 impl RegionHealth {
-    /// An empty ledger under `policy`, with quarantine jitter keyed by
-    /// `seed`.
-    pub fn new(policy: BreakerPolicy, seed: u64) -> Self {
+    /// An empty ledger, with quarantine jitter keyed by `seed`.
+    pub fn new(seed: u64) -> Self {
         RegionHealth {
-            policy,
             seed,
             breakers: BTreeMap::new(),
             trips: 0,
@@ -221,7 +201,7 @@ impl RegionHealth {
     }
 
     /// Records a chaos-attributed launch rejection in `region`. In
-    /// `Closed` this is a strike (tripping at the policy threshold); in
+    /// `Closed` this is a strike (tripping at `STRIKE_THRESHOLD`); in
     /// `HalfOpen` it is a failed probe and re-trips with an escalated
     /// quarantine; in `Open` it is ignored (the region should not have
     /// been asked).
@@ -230,14 +210,14 @@ impl RegionHealth {
     /// trace layer can log it. Lazy `Open → HalfOpen` expiry is not an
     /// observation; it surfaces as the `from` state of the next one.
     pub fn record_rejection(&mut self, region: Region, at: SimTime) -> Option<BreakerTransition> {
-        let (seed, policy) = (self.seed, self.policy.clone());
+        let seed = self.seed;
         let breaker = self.breakers.entry(region).or_insert_with(RegionBreaker::new);
         match breaker.state_at(at) {
             BreakerState::Closed => {
                 breaker.state = BreakerState::Closed;
                 breaker.strikes += 1;
-                if breaker.strikes >= policy.strike_threshold {
-                    Self::trip(breaker, &policy, seed, region, at);
+                if breaker.strikes >= STRIKE_THRESHOLD {
+                    Self::trip(breaker, seed, region, at);
                     self.trips += 1;
                     return Some(BreakerTransition {
                         region,
@@ -250,7 +230,7 @@ impl RegionHealth {
             BreakerState::HalfOpen => {
                 self.probes += 1;
                 self.probe_failures += 1;
-                Self::trip(breaker, &policy, seed, region, at);
+                Self::trip(breaker, seed, region, at);
                 self.trips += 1;
                 Some(BreakerTransition {
                     region,
@@ -303,17 +283,11 @@ impl RegionHealth {
         }
     }
 
-    fn trip(
-        breaker: &mut RegionBreaker,
-        policy: &BreakerPolicy,
-        seed: u64,
-        region: Region,
-        at: SimTime,
-    ) {
+    fn trip(breaker: &mut RegionBreaker, seed: u64, region: Region, at: SimTime) {
         breaker.trips += 1;
         breaker.state = BreakerState::Open;
         breaker.strikes = 0;
-        breaker.reopen_at = at + policy.quarantine(seed, region, breaker.trips);
+        breaker.reopen_at = at + quarantine(seed, region, breaker.trips);
     }
 }
 
@@ -350,26 +324,6 @@ pub struct ResilienceTelemetry {
     pub freshness: TelemetryFreshness,
 }
 
-/// Resilience-plane configuration carried by
-/// [`ExperimentConfig`](crate::ExperimentConfig).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Breaker tuning.
-    pub breaker: BreakerPolicy,
-    /// Snapshot age past which decisions degrade to cheapest-on-demand
-    /// placement instead of trusting expired metrics.
-    pub telemetry_ttl: SimDuration,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            breaker: BreakerPolicy::default(),
-            telemetry_ttl: SimDuration::from_hours(2),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,16 +341,9 @@ mod tests {
         assert!("half_open".parse::<BreakerState>().unwrap_err().contains("half_open"));
     }
 
-    fn no_jitter() -> BreakerPolicy {
-        BreakerPolicy {
-            jitter: SimDuration::ZERO,
-            ..BreakerPolicy::default()
-        }
-    }
-
     #[test]
     fn strikes_accumulate_and_trip_at_threshold() {
-        let mut h = RegionHealth::new(no_jitter(), 7);
+        let mut h = RegionHealth::new(7);
         assert_eq!(h.record_rejection(Region::CaCentral1, t(1)), None);
         assert_eq!(h.state(Region::CaCentral1, t(1)), BreakerState::Closed);
         assert_eq!(
@@ -416,7 +363,7 @@ mod tests {
 
     #[test]
     fn fulfillment_heals_closed_strikes() {
-        let mut h = RegionHealth::new(no_jitter(), 7);
+        let mut h = RegionHealth::new(7);
         h.record_rejection(Region::UsWest1, t(1));
         h.record_fulfillment(Region::UsWest1, t(2));
         h.record_rejection(Region::UsWest1, t(3));
@@ -427,7 +374,7 @@ mod tests {
 
     #[test]
     fn fulfillment_never_creates_entries() {
-        let mut h = RegionHealth::new(BreakerPolicy::default(), 7);
+        let mut h = RegionHealth::new(7);
         for region in Region::ALL {
             h.record_fulfillment(region, t(1));
         }
@@ -438,29 +385,32 @@ mod tests {
 
     #[test]
     fn quarantine_relaxes_to_half_open_then_probe_decides() {
-        let mut h = RegionHealth::new(no_jitter(), 7);
+        let mut h = RegionHealth::new(7);
         h.record_rejection(Region::EuNorth1, t(1));
         h.record_rejection(Region::EuNorth1, t(1));
-        // Base quarantine is 1 h: open until t+1h, half-open after.
+        // Base quarantine is 1 h plus at most the jitter: open until then,
+        // half-open after.
+        let after = t(2) + QUARANTINE_JITTER;
         assert_eq!(h.state(Region::EuNorth1, t(1)), BreakerState::Open);
-        assert_eq!(h.state(Region::EuNorth1, t(2)), BreakerState::HalfOpen);
-        assert!(h.quarantined(t(2)).is_empty(), "half-open is served again");
+        assert_eq!(h.state(Region::EuNorth1, t(2) - SimDuration::from_secs(1)), BreakerState::Open);
+        assert_eq!(h.state(Region::EuNorth1, after), BreakerState::HalfOpen);
+        assert!(h.quarantined(after).is_empty(), "half-open is served again");
         // A successful probe closes (and reports the transition).
         assert_eq!(
-            h.record_fulfillment(Region::EuNorth1, t(2)),
+            h.record_fulfillment(Region::EuNorth1, after),
             Some(BreakerTransition {
                 region: Region::EuNorth1,
                 from: BreakerState::HalfOpen,
                 to: BreakerState::Closed,
             })
         );
-        assert_eq!(h.state(Region::EuNorth1, t(2)), BreakerState::Closed);
+        assert_eq!(h.state(Region::EuNorth1, after), BreakerState::Closed);
         assert_eq!((h.probes(), h.probe_failures()), (1, 0));
     }
 
     #[test]
     fn failed_probe_re_trips_with_escalated_quarantine() {
-        let mut h = RegionHealth::new(no_jitter(), 7);
+        let mut h = RegionHealth::new(7);
         h.record_rejection(Region::EuWest1, t(0));
         h.record_rejection(Region::EuWest1, t(0));
         // First quarantine: 1 h. Probe at t=2h fails; the observation
@@ -475,16 +425,18 @@ mod tests {
         );
         assert_eq!(h.trips(), 2);
         assert_eq!((h.probes(), h.probe_failures()), (1, 1));
-        // Second quarantine doubles to 2 h: still open at +1.5h, half-open
-        // after +2h.
+        // Second quarantine doubles to 2 h: still open at +1h, half-open
+        // after +2h plus the jitter.
         assert_eq!(h.state(Region::EuWest1, t(3)), BreakerState::Open);
-        assert_eq!(h.state(Region::EuWest1, t(4)), BreakerState::HalfOpen);
+        assert_eq!(h.state(Region::EuWest1, t(4) + QUARANTINE_JITTER), BreakerState::HalfOpen);
     }
 
     #[test]
     fn quarantine_doubles_but_caps() {
-        let policy = no_jitter();
-        let q = |trip| policy.quarantine(7, Region::UsEast1, trip);
+        let q = |trip| {
+            let jitter = jitter_secs(7, Region::UsEast1, trip, QUARANTINE_JITTER);
+            quarantine(7, Region::UsEast1, trip) - SimDuration::from_secs(jitter)
+        };
         assert_eq!(q(1), SimDuration::from_hours(1));
         assert_eq!(q(2), SimDuration::from_hours(2));
         assert_eq!(q(4), SimDuration::from_hours(8));
@@ -518,18 +470,16 @@ mod tests {
             strikes in 2u32..6,
             probe_offsets in prop::collection::vec(0u64..7200, 1..8),
         ) {
-            let policy = BreakerPolicy::default();
-            let threshold = policy.strike_threshold;
-            let mut h = RegionHealth::new(policy.clone(), seed);
+            let mut h = RegionHealth::new(seed);
             let region = Region::ApNortheast3;
             let trip_at = t(1);
-            for _ in 0..strikes.max(threshold) {
+            for _ in 0..strikes.max(STRIKE_THRESHOLD) {
                 h.record_rejection(region, trip_at);
             }
             prop_assert_eq!(h.state(region, trip_at), BreakerState::Open);
             // The quarantine is at least the base window; inside it the
             // region is always excluded.
-            let min_q = policy.base_quarantine.as_secs();
+            let min_q = BASE_QUARANTINE.as_secs();
             for &off in &probe_offsets {
                 let at = trip_at + SimDuration::from_secs(off % min_q);
                 prop_assert!(h.is_quarantined(region, at));
@@ -544,12 +494,11 @@ mod tests {
             seed in 0u64..u64::MAX,
             re_trips in 0u32..6,
         ) {
-            let policy = BreakerPolicy::default();
-            let mut h = RegionHealth::new(policy.clone(), seed);
+            let mut h = RegionHealth::new(seed);
             let region = Region::EuWest3;
             let mut now = t(1);
             let bound = SimDuration::from_secs(
-                policy.max_quarantine.as_secs() + policy.jitter.as_secs() + 1,
+                MAX_QUARANTINE.as_secs() + QUARANTINE_JITTER.as_secs() + 1,
             );
             h.record_rejection(region, now);
             h.record_rejection(region, now);
@@ -569,7 +518,7 @@ mod tests {
             prop_assert!(h.quarantined(now).is_empty());
         }
 
-        /// The ledger is a pure function of (seed, policy, event trace):
+        /// The ledger is a pure function of (seed, event trace):
         /// replaying the same events gives identical states and counters.
         #[test]
         fn deterministic_under_fixed_seed(
@@ -577,7 +526,7 @@ mod tests {
             events in prop::collection::vec((0u8..3, 0usize..12, 0u64..200), 1..40),
         ) {
             let run = || {
-                let mut h = RegionHealth::new(BreakerPolicy::default(), seed);
+                let mut h = RegionHealth::new(seed);
                 for &(kind, region_idx, hour) in &events {
                     let region = Region::ALL[region_idx % Region::ALL.len()];
                     match kind {

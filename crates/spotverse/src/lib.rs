@@ -109,12 +109,9 @@ pub use loadgen::{ArrivalProcess, LoadProfile, TenantClass, WorkloadMix};
 pub use workload::{WorkloadPhase, WorkloadReport};
 pub use resilience::{retry_with_backoff, BackoffPolicy, RetryOutcome};
 pub use health::{
-    BreakerPolicy, BreakerState, BreakerTransition, HealthConfig, RegionHealth,
-    ResilienceTelemetry, TelemetryFreshness,
+    BreakerState, BreakerTransition, RegionHealth, ResilienceTelemetry, TelemetryFreshness,
 };
-pub use monitor::{
-    CollectOutcome, Monitor, MonitorError, SnapshotMemo, COLLECTOR_FUNCTION, METRICS_TABLE,
-};
+pub use monitor::{CollectOutcome, Monitor, MonitorError, COLLECTOR_FUNCTION, METRICS_TABLE};
 pub use deadline::{DeadlineAwareStrategy, DeadlinePolicy};
 pub use orchestrate::{
     run_matrix_orchestrated, AttemptRecord, DeadLetter, OrchestratedSweepReport,

@@ -8,6 +8,8 @@
 //! snapshot, so decisions are made on *observed* (possibly minutes-stale)
 //! metrics, exactly as in the real system.
 
+use std::sync::Arc;
+
 use aws_stack::{AttrValue, FunctionConfig, FunctionRuntime, Item, KvError, KvStore, MetricKey, MetricsService, RetryPolicy};
 use cloud_compute::BillingLedger;
 use cloud_market::{
@@ -23,6 +25,10 @@ pub const METRICS_TABLE: &str = "spotverse-metrics";
 /// The function name of the collector.
 pub const COLLECTOR_FUNCTION: &str = "spotverse-metrics-collector";
 
+/// The market epoch: prices step hourly (bands and placement scores
+/// daily), so the market's metrics cannot change inside one.
+pub(crate) const MARKET_EPOCH: SimDuration = SimDuration::from_hours(1);
+
 /// Monitor errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MonitorError {
@@ -32,19 +38,14 @@ pub enum MonitorError {
     Kv(KvError),
     /// No snapshot has been collected yet.
     NoSnapshot,
-    /// The latest snapshot is older than the caller's freshness bound.
-    Stale {
-        /// Snapshot age in whole hours.
-        age_hours: u64,
-    },
 }
 
 impl MonitorError {
     /// Whether retrying the same operation later can plausibly succeed
     /// without any other intervention. Only transient throttling
-    /// qualifies: market rejections, missing snapshots, and staleness
-    /// need a different response (degrade, wait for a collection), not a
-    /// blind retry.
+    /// qualifies: market rejections and missing snapshots need a
+    /// different response (degrade, wait for a collection), not a blind
+    /// retry.
     pub fn is_retryable(&self) -> bool {
         matches!(self, MonitorError::Kv(KvError::Throttled { .. }))
     }
@@ -56,9 +57,6 @@ impl std::fmt::Display for MonitorError {
             MonitorError::Market(e) => write!(f, "market: {e}"),
             MonitorError::Kv(e) => write!(f, "kv store: {e}"),
             MonitorError::NoSnapshot => write!(f, "no metrics snapshot collected yet"),
-            MonitorError::Stale { age_hours } => {
-                write!(f, "metrics snapshot is stale ({age_hours} h old)")
-            }
         }
     }
 }
@@ -68,7 +66,7 @@ impl std::error::Error for MonitorError {
         match self {
             MonitorError::Market(e) => Some(e),
             MonitorError::Kv(e) => Some(e),
-            MonitorError::NoSnapshot | MonitorError::Stale { .. } => None,
+            MonitorError::NoSnapshot => None,
         }
     }
 }
@@ -85,49 +83,29 @@ impl From<KvError> for MonitorError {
     }
 }
 
-/// Epoch memo for the Monitor's collection cycle.
+/// The Monitor's per-epoch snapshot.
 ///
-/// Market metrics cannot change within an hour (prices step hourly; bands
-/// and placement scores daily), so a 15-minute `MonitorTick` that lands in
-/// the same *epoch* as the last successful collection would persist an
-/// identical snapshot. The memo records the epoch key of the latest
-/// durable snapshot — (market hour, active-overlay fingerprint) — and
-/// [`Monitor::collect_memoized`] skips the market reads, function
-/// invocation, and KV writes entirely when the key matches. The key
-/// changes on every hour boundary and whenever the chaos overlay's active
-/// window set mutates, so faulted snapshots are never reused across a
-/// fault edge.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SnapshotMemo {
+/// A 15-minute tick that lands in the same epoch as the last successful
+/// collection would persist an identical snapshot. `key` is that
+/// collection's epoch — (market hour, active-overlay fingerprint) — and a
+/// tick with a matching key skips the market reads, the collector
+/// invocation and the KV writes. The key changes on every hour boundary
+/// and whenever the chaos overlay's active window set mutates, so faulted
+/// snapshots are never reused across a fault edge.
+///
+/// `rows` is the snapshot parsed back from the KV rows: assessments in
+/// catalog order plus the oldest `collected_at` stamp. It is filled by the
+/// first read after a collection attempt and dropped by every attempt that
+/// is not [`CollectOutcome::Reused`] — a failed one may have rewritten
+/// some rows before the fault. Shared by `Arc`, so serving a decision is a
+/// refcount bump.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct EpochSnapshot {
     key: Option<(u64, u64)>,
-    hits: u64,
-    refreshes: u64,
+    rows: Option<(Arc<[RegionAssessment]>, SimTime)>,
 }
 
-impl SnapshotMemo {
-    /// An empty memo (first collection always runs).
-    pub fn new() -> Self {
-        SnapshotMemo::default()
-    }
-
-    /// Collections skipped because the persisted snapshot was still
-    /// epoch-fresh.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Collections that actually re-read the market.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
-    }
-
-    /// Drops the memoized epoch so the next collection runs in full.
-    pub fn invalidate(&mut self) {
-        self.key = None;
-    }
-}
-
-/// What a memoized collection cycle did.
+/// What a collection cycle did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectOutcome {
     /// The market was re-read and `n` regions persisted.
@@ -157,11 +135,13 @@ fn overlay_fingerprint(overlay: Option<&MarketOverlay>, at: SimTime, regions: &[
     h
 }
 
-/// The Monitor component.
+/// The Monitor component: the metrics collector and its per-epoch
+/// snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Monitor {
     instance_type: InstanceType,
     home_region: Region,
+    snapshot: EpochSnapshot,
 }
 
 impl Monitor {
@@ -171,6 +151,7 @@ impl Monitor {
         Monitor {
             instance_type,
             home_region,
+            snapshot: EpochSnapshot::default(),
         }
     }
 
@@ -189,36 +170,21 @@ impl Monitor {
     }
 
     /// Runs one collection cycle: the collector function reads every
-    /// region's metrics from the market and persists them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::Market`] or [`MonitorError::Kv`] on substrate
-    /// failures.
-    pub fn collect(
-        &self,
-        market: &SpotMarket,
-        at: SimTime,
-        functions: &mut FunctionRuntime,
-        kv: &mut KvStore,
-        metrics: &mut MetricsService,
-        ledger: &mut BillingLedger,
-    ) -> Result<usize, MonitorError> {
-        self.collect_with_overlay(market, None, at, functions, kv, metrics, ledger)
-    }
-
-    /// Like [`collect`](Monitor::collect), but observing the market through
-    /// a fault overlay: blacked-out or degraded regions report their pinned
-    /// (capped) scores, so the persisted snapshot — and every decision made
-    /// from it — sees the fault.
+    /// region's metrics from the market, observed through a fault overlay
+    /// (blacked-out or degraded regions report their pinned, capped
+    /// scores), and persists them. A cycle inside the epoch of the last
+    /// successful collection is skipped and returns
+    /// [`CollectOutcome::Reused`]: it would persist byte-identical rows.
+    /// The epoch only advances on success, so a throttled cycle retries in
+    /// full.
     ///
     /// # Errors
     ///
     /// Returns [`MonitorError::Market`] or [`MonitorError::Kv`] on substrate
     /// failures.
     #[allow(clippy::too_many_arguments)]
-    pub fn collect_with_overlay(
-        &self,
+    pub fn collect(
+        &mut self,
         market: &SpotMarket,
         overlay: Option<&MarketOverlay>,
         at: SimTime,
@@ -226,8 +192,13 @@ impl Monitor {
         kv: &mut KvStore,
         metrics: &mut MetricsService,
         ledger: &mut BillingLedger,
-    ) -> Result<usize, MonitorError> {
+    ) -> Result<CollectOutcome, MonitorError> {
         let regions = market.regions_offering(self.instance_type);
+        let key = (at.as_secs() / MARKET_EPOCH.as_secs(), overlay_fingerprint(overlay, at, regions));
+        if self.snapshot.key == Some(key) {
+            return Ok(CollectOutcome::Reused);
+        }
+        self.snapshot.rows = None;
         // Gather outside the function body so market errors surface typed.
         let mut rows = Vec::with_capacity(regions.len());
         for &region in regions {
@@ -241,11 +212,9 @@ impl Monitor {
             }
             rows.push((region, spot, od, placement, stability));
         }
-        // The Lambda invocation (billed; retried by the runtime on demand).
-        functions
-            .invoke(COLLECTOR_FUNCTION, at, RetryPolicy::default(), ledger, |_| Ok(()))
-            .map_err(|e| MonitorError::Kv(KvError::NoSuchTable(e.to_string())))
-            .ok();
+        // The invocation is billed either way; its failure does not gate
+        // the rows.
+        let _ = functions.invoke(COLLECTOR_FUNCTION, at, RetryPolicy::default(), ledger, |_| Ok(()));
         let count = rows.len();
         for (region, spot, od, placement, stability) in rows {
             let mut item = Item::new();
@@ -272,101 +241,29 @@ impl Monitor {
                 ledger,
             );
         }
-        Ok(count)
+        self.snapshot.key = Some(key);
+        Ok(CollectOutcome::Fresh(count))
     }
 
-    /// Like [`collect_with_overlay`](Monitor::collect_with_overlay), but
-    /// memoized per market epoch: when the persisted snapshot is still
-    /// epoch-fresh (same market hour, same active overlay windows), the
-    /// cycle is skipped entirely — no market reads, no collector
-    /// invocation, no KV writes — because it would persist byte-identical
-    /// rows. The memo is only advanced on a *successful* collection, so a
-    /// throttled cycle retries in full.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::Market`] or [`MonitorError::Kv`] on substrate
-    /// failures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect_memoized(
-        &self,
-        market: &SpotMarket,
-        overlay: Option<&MarketOverlay>,
-        at: SimTime,
-        memo: &mut SnapshotMemo,
-        functions: &mut FunctionRuntime,
-        kv: &mut KvStore,
-        metrics: &mut MetricsService,
-        ledger: &mut BillingLedger,
-    ) -> Result<CollectOutcome, MonitorError> {
-        let regions = market.regions_offering(self.instance_type);
-        let key = (at.as_secs() / 3600, overlay_fingerprint(overlay, at, regions));
-        if memo.key == Some(key) {
-            memo.hits += 1;
-            return Ok(CollectOutcome::Reused);
+    /// The persisted snapshot as optimizer inputs plus its oldest
+    /// `collected_at` stamp, or `None` before the first collection. The KV
+    /// rows are scanned and parsed once per collection epoch; the scan is
+    /// unbilled and side-effect-free, so this serves exactly what
+    /// [`read_snapshot`](Monitor::read_snapshot) would.
+    pub(crate) fn snapshot(&mut self, kv: &KvStore) -> Option<(Arc<[RegionAssessment]>, SimTime)> {
+        if self.snapshot.rows.is_none() {
+            self.snapshot.rows = self.read_snapshot(kv).ok().map(|(rows, at)| (rows.into(), at));
         }
-        let n = self.collect_with_overlay(market, overlay, at, functions, kv, metrics, ledger)?;
-        memo.key = Some(key);
-        memo.refreshes += 1;
-        Ok(CollectOutcome::Fresh(n))
+        self.snapshot.rows.clone()
     }
 
-    /// Reads the latest persisted snapshot as optimizer inputs.
+    /// Scans and parses the persisted snapshot: assessments in catalog
+    /// order plus the oldest `collected_at` stamp across the rows.
     ///
     /// # Errors
     ///
     /// Returns [`MonitorError::NoSnapshot`] before the first collection and
     /// [`MonitorError::Kv`] on store failures.
-    pub fn latest_assessments(
-        &self,
-        kv: &KvStore,
-    ) -> Result<Vec<RegionAssessment>, MonitorError> {
-        self.read_snapshot(kv).map(|(out, _)| out)
-    }
-
-    /// Reads the latest persisted snapshot along with its age at `now` —
-    /// how long ago its oldest row was collected. The Optimizer uses the
-    /// age to decide whether stale metrics are still trustworthy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::NoSnapshot`] before the first collection and
-    /// [`MonitorError::Kv`] on store failures.
-    pub fn latest_assessments_with_age(
-        &self,
-        kv: &KvStore,
-        now: SimTime,
-    ) -> Result<(Vec<RegionAssessment>, SimDuration), MonitorError> {
-        let (out, collected_at) = self.read_snapshot(kv)?;
-        Ok((out, now.saturating_duration_since(collected_at)))
-    }
-
-    /// Like [`latest_assessments_with_age`](Monitor::latest_assessments_with_age),
-    /// but enforcing a freshness bound: a snapshot older than `ttl` is
-    /// refused with [`MonitorError::Stale`] so the caller degrades
-    /// deliberately instead of trusting expired metrics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::Stale`] past the TTL, plus everything
-    /// [`latest_assessments_with_age`](Monitor::latest_assessments_with_age)
-    /// returns.
-    pub fn assessments_no_older_than(
-        &self,
-        kv: &KvStore,
-        now: SimTime,
-        ttl: SimDuration,
-    ) -> Result<(Vec<RegionAssessment>, SimDuration), MonitorError> {
-        let (out, age) = self.latest_assessments_with_age(kv, now)?;
-        if age > ttl {
-            return Err(MonitorError::Stale { age_hours: age.as_secs() / 3600 });
-        }
-        Ok((out, age))
-    }
-
-    /// The shared snapshot read: parsed assessments in catalog order plus
-    /// the oldest `collected_at` stamp across the rows. Crate-visible so
-    /// the control plane can fill its per-epoch snapshot cache.
     pub(crate) fn read_snapshot(
         &self,
         kv: &KvStore,
@@ -484,35 +381,32 @@ mod tests {
         }
     }
 
+    fn collect(f: &mut Fixture, overlay: Option<&MarketOverlay>, at: SimTime) -> CollectOutcome {
+        f.monitor
+            .collect(&f.market, overlay, at, &mut f.functions, &mut f.kv, &mut f.metrics, &mut f.ledger)
+            .unwrap()
+    }
+
+    fn persisted(f: &Fixture) -> Vec<RegionAssessment> {
+        f.monitor.read_snapshot(&f.kv).unwrap().0
+    }
+
     #[test]
     fn collect_persists_all_regions() {
         let mut f = fixture();
-        let n = f
-            .monitor
-            .collect(
-                &f.market,
-                SimTime::from_hours(1),
-                &mut f.functions,
-                &mut f.kv,
-                &mut f.metrics,
-                &mut f.ledger,
-            )
-            .unwrap();
-        assert_eq!(n, 12);
+        assert_eq!(collect(&mut f, None, SimTime::from_hours(1)), CollectOutcome::Fresh(12));
         assert_eq!(f.functions.invocation_count(), 1);
         assert!(f.ledger.total().amount() > 0.0);
-        let assessments = f.monitor.latest_assessments(&f.kv).unwrap();
-        assert_eq!(assessments.len(), 12);
+        assert_eq!(persisted(&f).len(), 12);
     }
 
     #[test]
     fn snapshot_matches_market_at_collection_instant() {
         let mut f = fixture();
         let at = SimTime::from_days(2);
-        f.monitor
-            .collect(&f.market, at, &mut f.functions, &mut f.kv, &mut f.metrics, &mut f.ledger)
-            .unwrap();
-        let persisted = f.monitor.latest_assessments(&f.kv).unwrap();
+        collect(&mut f, None, at);
+        let (persisted, collected_at) = f.monitor.read_snapshot(&f.kv).unwrap();
+        assert_eq!(collected_at, at);
         let fresh = f.monitor.fresh_assessments(&f.market, at).unwrap();
         for (p, fr) in persisted.iter().zip(fresh.iter()) {
             assert_eq!(p.region, fr.region);
@@ -525,11 +419,8 @@ mod tests {
     #[test]
     fn snapshot_is_stale_until_next_collection() {
         let mut f = fixture();
-        let early = SimTime::from_days(1);
-        f.monitor
-            .collect(&f.market, early, &mut f.functions, &mut f.kv, &mut f.metrics, &mut f.ledger)
-            .unwrap();
-        let snapshot = f.monitor.latest_assessments(&f.kv).unwrap();
+        collect(&mut f, None, SimTime::from_days(1));
+        let snapshot = persisted(&f);
         let later_fresh = f
             .monitor
             .fresh_assessments(&f.market, SimTime::from_days(40))
@@ -543,39 +434,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_age_is_tracked_and_ttl_enforced() {
-        let mut f = fixture();
-        let collected = SimTime::from_hours(10);
-        f.monitor
-            .collect(&f.market, collected, &mut f.functions, &mut f.kv, &mut f.metrics, &mut f.ledger)
-            .unwrap();
-        let now = SimTime::from_hours(13);
-        let (set, age) = f.monitor.latest_assessments_with_age(&f.kv, now).unwrap();
-        assert_eq!(set.len(), 12);
-        assert_eq!(age, SimDuration::from_hours(3));
-        // Within the bound: served with its age.
-        let (_, age) = f
-            .monitor
-            .assessments_no_older_than(&f.kv, now, SimDuration::from_hours(4))
-            .unwrap();
-        assert_eq!(age, SimDuration::from_hours(3));
-        // Past the bound: refused as stale, and staleness is not retryable.
-        let err = f
-            .monitor
-            .assessments_no_older_than(&f.kv, now, SimDuration::from_hours(2))
-            .unwrap_err();
-        assert_eq!(err, MonitorError::Stale { age_hours: 3 });
-        assert!(!err.is_retryable());
+    fn only_throttling_is_retryable() {
         assert!(MonitorError::Kv(KvError::Throttled { table: "t".into() }).is_retryable());
+        assert!(!MonitorError::Kv(KvError::NoSuchTable("t".into())).is_retryable());
+        assert!(!MonitorError::NoSnapshot.is_retryable());
     }
 
     #[test]
     fn no_snapshot_error_before_first_collection() {
-        let f = fixture();
-        assert!(matches!(
-            f.monitor.latest_assessments(&f.kv),
-            Err(MonitorError::NoSnapshot)
-        ));
+        let mut f = fixture();
+        assert!(matches!(f.monitor.read_snapshot(&f.kv), Err(MonitorError::NoSnapshot)));
+        assert_eq!(f.monitor.snapshot(&f.kv), None);
     }
 
     #[test]
@@ -589,44 +458,25 @@ mod tests {
     #[test]
     fn memoized_collection_skips_within_an_epoch() {
         let mut f = fixture();
-        let mut memo = SnapshotMemo::new();
-        let collect_at = |f: &mut Fixture, memo: &mut SnapshotMemo, at| {
-            f.monitor
-                .collect_memoized(
-                    &f.market,
-                    None,
-                    at,
-                    memo,
-                    &mut f.functions,
-                    &mut f.kv,
-                    &mut f.metrics,
-                    &mut f.ledger,
-                )
-                .unwrap()
-        };
         // Four 15-minute ticks inside hour 24: one fresh read, three hits.
         let base = SimTime::from_days(1);
-        assert_eq!(collect_at(&mut f, &mut memo, base), CollectOutcome::Fresh(12));
+        assert_eq!(collect(&mut f, None, base), CollectOutcome::Fresh(12));
         for tick in 1..4 {
-            let at = base + sim_kernel::SimDuration::from_mins(15 * tick);
-            assert_eq!(collect_at(&mut f, &mut memo, at), CollectOutcome::Reused);
+            let at = base + SimDuration::from_mins(15 * tick);
+            assert_eq!(collect(&mut f, None, at), CollectOutcome::Reused);
         }
         assert_eq!(f.functions.invocation_count(), 1, "reused ticks must not invoke");
-        assert_eq!((memo.refreshes(), memo.hits()), (1, 3));
         // Crossing the hour boundary refreshes.
-        let next_hour = base + sim_kernel::SimDuration::from_hours(1);
-        assert_eq!(collect_at(&mut f, &mut memo, next_hour), CollectOutcome::Fresh(12));
+        let next_hour = base + MARKET_EPOCH;
+        assert_eq!(collect(&mut f, None, next_hour), CollectOutcome::Fresh(12));
         assert_eq!(f.functions.invocation_count(), 2);
         // Reused ticks leave the persisted snapshot untouched and valid.
-        let snapshot = f.monitor.latest_assessments(&f.kv).unwrap();
+        let snapshot = persisted(&f);
         let fresh = f.monitor.fresh_assessments(&f.market, next_hour).unwrap();
         for (p, fr) in snapshot.iter().zip(fresh.iter()) {
             assert_eq!(p.placement, fr.placement);
             assert!((p.spot_price.rate() - fr.spot_price.rate()).abs() < 1e-12);
         }
-        // Explicit invalidation forces a full cycle even in-epoch.
-        memo.invalidate();
-        assert_eq!(collect_at(&mut f, &mut memo, next_hour), CollectOutcome::Fresh(12));
     }
 
     #[test]
@@ -635,37 +485,19 @@ mod tests {
         let mut f = fixture();
         let mut overlay = MarketOverlay::new();
         // A window opening mid-hour: same market hour, different active set.
-        let open = SimTime::from_hours(24) + sim_kernel::SimDuration::from_mins(30);
+        let open = SimTime::from_hours(24) + SimDuration::from_mins(30);
         let mut w = OverlayWindow::new(Some(vec![Region::UsEast1]), open, SimTime::from_days(2));
         w.placement_cap = Some(cloud_market::PlacementScore::MIN);
         overlay.push(w);
-        let mut memo = SnapshotMemo::new();
-        let collect_at = |f: &mut Fixture, memo: &mut SnapshotMemo, at| {
-            f.monitor
-                .collect_memoized(
-                    &f.market,
-                    Some(&overlay),
-                    at,
-                    memo,
-                    &mut f.functions,
-                    &mut f.kv,
-                    &mut f.metrics,
-                    &mut f.ledger,
-                )
-                .unwrap()
-        };
         let before = SimTime::from_hours(24);
-        assert_eq!(collect_at(&mut f, &mut memo, before), CollectOutcome::Fresh(12));
+        assert_eq!(collect(&mut f, Some(&overlay), before), CollectOutcome::Fresh(12));
         // 15 minutes later, still pre-window: reused.
-        let still_before = before + sim_kernel::SimDuration::from_mins(15);
-        assert_eq!(collect_at(&mut f, &mut memo, still_before), CollectOutcome::Reused);
+        let still_before = before + SimDuration::from_mins(15);
+        assert_eq!(collect(&mut f, Some(&overlay), still_before), CollectOutcome::Reused);
         // The window opens inside the same hour: must re-collect so the
         // snapshot observes the fault.
-        assert_eq!(collect_at(&mut f, &mut memo, open), CollectOutcome::Fresh(12));
-        let pinned = f
-            .monitor
-            .latest_assessments(&f.kv)
-            .unwrap()
+        assert_eq!(collect(&mut f, Some(&overlay), open), CollectOutcome::Fresh(12));
+        let pinned = persisted(&f)
             .into_iter()
             .find(|a| a.region == Region::UsEast1)
             .unwrap();
@@ -675,15 +507,15 @@ mod tests {
     #[test]
     fn p3_snapshot_covers_only_offering_regions() {
         let market = SpotMarket::new(MarketConfig::with_seed(3));
-        let monitor = Monitor::new(InstanceType::P32xlarge, Region::UsEast1);
+        let mut monitor = Monitor::new(InstanceType::P32xlarge, Region::UsEast1);
         let mut functions = FunctionRuntime::new();
         let mut kv = KvStore::new();
         monitor.provision(&mut functions, &mut kv);
         let mut metrics = MetricsService::new(Region::UsEast1);
         let mut ledger = BillingLedger::new();
         let n = monitor
-            .collect(&market, SimTime::ZERO, &mut functions, &mut kv, &mut metrics, &mut ledger)
+            .collect(&market, None, SimTime::ZERO, &mut functions, &mut kv, &mut metrics, &mut ledger)
             .unwrap();
-        assert_eq!(n, 9, "p3 is offered in 9 of 12 regions");
+        assert_eq!(n, CollectOutcome::Fresh(9), "p3 is offered in 9 of 12 regions");
     }
 }

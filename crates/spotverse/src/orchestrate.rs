@@ -59,32 +59,49 @@ const DISPATCH_SOURCE: &str = "spotverse.sweep";
 /// Detail type for shard dispatches.
 const DISPATCH_DETAIL_TYPE: &str = "Sweep Shard Dispatch";
 
-/// Tuning for the sweep orchestrator.
+/// How long a claimed lease lives without renewal.
+const LEASE_DURATION: SimDuration = SimDuration::from_mins(10);
+/// Interval between a worker's lease renewals.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_mins(3);
+/// How long the parent waits for a dispatched shard to claim its lease
+/// before declaring the dispatch lost.
+const CLAIM_TIMEOUT: SimDuration = SimDuration::from_mins(3);
+/// Parent supervision cadence (lease scans).
+const SUPERVISE_INTERVAL: SimDuration = SimDuration::from_secs(45);
+/// Event-bus delivery latency from dispatch to worker start.
+const DISPATCH_LATENCY: SimDuration = SimDuration::from_secs(5);
+/// Modelled sim-time duration of one shard execution.
+const SHARD_EXEC_DURATION: SimDuration = SimDuration::from_mins(8);
+/// The executor function's timeout.
+const EXECUTOR_TIMEOUT: SimDuration = SimDuration::from_mins(15);
+/// Backoff between re-drives; `jitter` spreads simultaneous re-drives.
+const REDRIVE_BACKOFF: RetryPolicy = RetryPolicy {
+    max_attempts: 1,
+    initial_backoff: SimDuration::from_secs(60),
+    backoff_rate: 2.0,
+    max_delay: SimDuration::from_mins(15),
+    jitter: SimDuration::from_secs(45),
+};
+/// Home region for the orchestration services.
+const HOME_REGION: Region = Region::UsEast1;
+
+// A live worker renews its lease before it lapses, a dispatch is
+// delivered before the parent gives up on its claim, and a shard
+// finishes inside its function's timeout.
+const _: () = assert!(HEARTBEAT_INTERVAL.as_secs() < LEASE_DURATION.as_secs());
+const _: () = assert!(DISPATCH_LATENCY.as_secs() < CLAIM_TIMEOUT.as_secs());
+const _: () = assert!(SHARD_EXEC_DURATION.as_secs() <= EXECUTOR_TIMEOUT.as_secs());
+
+/// Run settings for the sweep orchestrator. Lease, heartbeat, claim and
+/// re-drive timing are constants of this module.
 #[derive(Debug, Clone)]
 pub struct OrchestratorConfig {
     /// Seed for backoff jitter and the chaos engine.
     pub seed: u64,
     /// Cells per shard (≥ 1).
     pub shard_size: usize,
-    /// How long a claimed lease lives without renewal.
-    pub lease_duration: SimDuration,
-    /// Interval between a worker's lease renewals.
-    pub heartbeat_interval: SimDuration,
-    /// How long the parent waits for a dispatched shard to claim its
-    /// lease before declaring the dispatch lost.
-    pub claim_timeout: SimDuration,
-    /// Parent supervision cadence (lease scans).
-    pub supervise_interval: SimDuration,
-    /// Event-bus delivery latency from dispatch to worker start.
-    pub dispatch_latency: SimDuration,
-    /// Modelled sim-time duration of one shard execution.
-    pub shard_exec_duration: SimDuration,
     /// Attempts before a shard is dead-lettered (≥ 1).
     pub max_attempts: u32,
-    /// Backoff between re-drives; `jitter` spreads simultaneous re-drives.
-    pub redrive_backoff: RetryPolicy,
-    /// Home region for the orchestration services.
-    pub region: Region,
     /// Chaos injected into the *orchestration* services (not the cells).
     pub chaos: Option<ChaosScenario>,
     /// Orchestration-event trace collection.
@@ -96,21 +113,7 @@ impl Default for OrchestratorConfig {
         OrchestratorConfig {
             seed: 2024,
             shard_size: 1,
-            lease_duration: SimDuration::from_mins(10),
-            heartbeat_interval: SimDuration::from_mins(3),
-            claim_timeout: SimDuration::from_mins(3),
-            supervise_interval: SimDuration::from_secs(45),
-            dispatch_latency: SimDuration::from_secs(5),
-            shard_exec_duration: SimDuration::from_mins(8),
             max_attempts: 4,
-            redrive_backoff: RetryPolicy {
-                max_attempts: 1,
-                initial_backoff: SimDuration::from_secs(60),
-                backoff_rate: 2.0,
-                max_delay: SimDuration::from_mins(15),
-                jitter: SimDuration::from_secs(45),
-            },
-            region: Region::UsEast1,
             chaos: None,
             trace: TraceConfig::default(),
         }
@@ -274,15 +277,15 @@ impl<'a> Orchestrator<'a> {
         let mut store = ObjectStore::new();
         let mut bus = EventBus::new();
         let mut functions = FunctionRuntime::new();
-        kv.create_table(LEASE_TABLE, config.region).expect("fresh lease table");
-        kv.create_table(DEADLETTER_TABLE, config.region).expect("fresh dead-letter table");
-        store.create_bucket(RESULT_BUCKET, config.region).expect("fresh result bucket");
+        kv.create_table(LEASE_TABLE, HOME_REGION).expect("fresh lease table");
+        kv.create_table(DEADLETTER_TABLE, HOME_REGION).expect("fresh dead-letter table");
+        store.create_bucket(RESULT_BUCKET, HOME_REGION).expect("fresh result bucket");
         functions.register(
             EXECUTOR_FUNCTION,
-            config.region,
+            HOME_REGION,
             FunctionConfig {
-                exec_duration: config.shard_exec_duration,
-                timeout: config.shard_exec_duration.max(SimDuration::from_mins(15)),
+                exec_duration: SHARD_EXEC_DURATION,
+                timeout: EXECUTOR_TIMEOUT,
                 ..FunctionConfig::default()
             },
         );
@@ -340,7 +343,7 @@ impl<'a> Orchestrator<'a> {
             self.queue.schedule(SimTime::ZERO, OrchEvent::Dispatch { shard, attempt: 1 });
         }
         self.queue
-            .schedule(SimTime::ZERO + self.config.supervise_interval, OrchEvent::Supervise);
+            .schedule(SimTime::ZERO + SUPERVISE_INTERVAL, OrchEvent::Supervise);
         while let Some((now, event)) = self.queue.pop() {
             match event {
                 OrchEvent::Dispatch { shard, attempt } => self.dispatch(shard, attempt, now),
@@ -394,7 +397,7 @@ impl<'a> Orchestrator<'a> {
         ));
         for _ in targets {
             self.queue.schedule(
-                now + self.config.dispatch_latency,
+                now + DISPATCH_LATENCY,
                 OrchEvent::WorkerStart { shard, attempt },
             );
         }
@@ -425,7 +428,7 @@ impl<'a> Orchestrator<'a> {
         }
         let exec = self.next_exec;
         let owner = format!("exec-{exec}/s{shard}a{attempt}");
-        let expires = now + self.config.lease_duration;
+        let expires = now + LEASE_DURATION;
         let claim = self.kv.conditional_put(
             LEASE_TABLE,
             &Self::lease_key(shard),
@@ -446,12 +449,12 @@ impl<'a> Orchestrator<'a> {
             Err(_) => return,
         }
         self.next_exec += 1;
-        let finish_at = now + self.config.shard_exec_duration;
+        let finish_at = now + SHARD_EXEC_DURATION;
         self.executions.insert(
             exec,
             Execution { shard, attempt, owner, finish_at, fenced: false },
         );
-        let first_heartbeat = now + self.config.heartbeat_interval;
+        let first_heartbeat = now + HEARTBEAT_INTERVAL;
         if first_heartbeat < finish_at {
             self.queue.schedule(first_heartbeat, OrchEvent::Heartbeat { exec });
         }
@@ -472,7 +475,7 @@ impl<'a> Orchestrator<'a> {
         let renewed = self.kv.conditional_put(
             LEASE_TABLE,
             &Self::lease_key(shard),
-            lease_item(&owner, attempt, now + self.config.lease_duration, "held"),
+            lease_item(&owner, attempt, now + LEASE_DURATION, "held"),
             now,
             &mut self.ledger,
             |cur| cur.is_some_and(|item| lease_owner(item) == owner),
@@ -483,7 +486,7 @@ impl<'a> Orchestrator<'a> {
             }
             return;
         }
-        let next = now + self.config.heartbeat_interval;
+        let next = now + HEARTBEAT_INTERVAL;
         if next < finish_at {
             self.queue.schedule(next, OrchEvent::Heartbeat { exec });
         }
@@ -521,7 +524,7 @@ impl<'a> Orchestrator<'a> {
             RESULT_BUCKET,
             Self::lease_key(shard),
             ObjectBody::from_text(payload),
-            self.config.region,
+            HOME_REGION,
             now,
             &mut self.ledger,
         );
@@ -532,7 +535,7 @@ impl<'a> Orchestrator<'a> {
         let _ = self.kv.conditional_put(
             LEASE_TABLE,
             &Self::lease_key(shard),
-            lease_item(&owner, attempt, now + self.config.lease_duration, "done"),
+            lease_item(&owner, attempt, now + LEASE_DURATION, "done"),
             now,
             &mut self.ledger,
             |cur| cur.is_some_and(|item| lease_owner(item) == owner),
@@ -570,7 +573,7 @@ impl<'a> Orchestrator<'a> {
                     let holder_attempt = lease_attempt(&item);
                     if lease_expires(&item) <= now
                         && (holder_attempt == attempt
-                            || now >= dispatched_at + self.config.claim_timeout)
+                            || now >= dispatched_at + CLAIM_TIMEOUT)
                     {
                         self.lease_expiries += 1;
                         self.tracer.record(
@@ -583,7 +586,7 @@ impl<'a> Orchestrator<'a> {
                     // straggler) is healthy: it will complete or expire.
                 }
                 None => {
-                    if now >= dispatched_at + self.config.claim_timeout {
+                    if now >= dispatched_at + CLAIM_TIMEOUT {
                         self.fail_attempt(
                             shard,
                             attempt,
@@ -597,7 +600,7 @@ impl<'a> Orchestrator<'a> {
         }
         if !self.all_terminal() {
             self.queue
-                .schedule(now + self.config.supervise_interval, OrchEvent::Supervise);
+                .schedule(now + SUPERVISE_INTERVAL, OrchEvent::Supervise);
         }
     }
 
@@ -617,7 +620,7 @@ impl<'a> Orchestrator<'a> {
             failure: reason.to_owned(),
         });
         if attempt < self.config.max_attempts {
-            let backoff = self.config.redrive_backoff.backoff_jittered(
+            let backoff = REDRIVE_BACKOFF.backoff_jittered(
                 attempt,
                 self.config.seed,
                 &Self::lease_key(shard),

@@ -1,14 +1,14 @@
 //! The per-workload runtime: one workload's state machine over the shared
 //! control plane.
 //!
-//! A [`WorkloadRuntime`] owns exactly the state that belongs to a single
+//! A `WorkloadRuntime` owns exactly the state that belongs to a single
 //! workload — its running instance, workflow invocation progress,
 //! checkpoint ledger, arrival time, deadline, and billed-cost ledger —
 //! and steps through launch → run → interrupted → migrate → done (the
 //! [`WorkloadPhase`] lifecycle). Everything shared across workloads
 //! (market telemetry, breakers, chaos, the tracer) stays in the
-//! [`ControlPlane`](crate::controlplane::ControlPlane); the fleet event
-//! loop in [`crate::fleet`] multiplexes many runtimes over one scheduler.
+//! [`ControlPlane`]; the fleet event loop in [`crate::fleet`] multiplexes
+//! many runtimes over one scheduler.
 
 use aws_stack::{KvError, ObjectBody, ObjectStoreError};
 use bio_workloads::WorkloadSpec;

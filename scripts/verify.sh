@@ -67,6 +67,10 @@ cargo test -q -p spotverse-integration --test fleet_allocs
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc: cargo doc --workspace --no-deps with warnings denied"
+# Catches doc links left pointing at renamed or deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> chaos smoke: full scenario library x all strategies, 2 workers"
 chaos_out=$(cargo run --release --quiet --bin spotverse -- \
     chaos --instances 4 --workload ngs --jobs 2)

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use bio_workloads::{workload_fleet, WorkloadKind};
-use cloud_compute::{Ec2, Ec2Config, PurchaseModel, SpotRequestOutcome, TerminationReason};
+use cloud_compute::{Ec2, PurchaseModel, SpotRequestOutcome, TerminationReason};
 use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
@@ -70,7 +70,7 @@ proptest! {
         split_pct in 1u64..99,
     ) {
         let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(seed)));
-        let ec2 = Ec2::new(market, Ec2Config::default(), SimRng::seed_from_u64(seed));
+        let ec2 = Ec2::new(market, SimRng::seed_from_u64(seed));
         let start = SimTime::from_hours(start_hours);
         let len = SimDuration::from_mins(len_minutes);
         let end = start + len;
@@ -98,7 +98,7 @@ proptest! {
     fn sampled_interruptions_respect_bounds(seed in 0u64..100, day in 0u64..150) {
         let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(seed)));
         let horizon = market.horizon();
-        let mut ec2 = Ec2::new(market, Ec2Config::default(), SimRng::seed_from_u64(seed));
+        let mut ec2 = Ec2::new(market, SimRng::seed_from_u64(seed));
         let at = SimTime::from_days(day);
         for _ in 0..5 {
             if let SpotRequestOutcome::Fulfilled(launch) =

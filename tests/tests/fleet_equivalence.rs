@@ -48,16 +48,11 @@ fn fleet_of_one(config: &ExperimentConfig) -> FleetConfig {
             priority: spotverse::Priority::Standard,
         }],
         start: config.start,
-        monitor_period: config.monitor_period,
-        retry_interval: config.retry_interval,
         max_runtime: config.max_runtime,
-        monitor_pipeline: config.monitor_pipeline,
         checkpoint_backend: config.checkpoint_backend,
         chaos: config.chaos.clone(),
-        health: config.health.clone(),
         trace: config.trace,
         region_capacity: None,
-        reuse_decision_snapshot: true,
     }
 }
 

@@ -63,35 +63,6 @@ fn cost_breakdown_components_sum_to_total() {
 }
 
 #[test]
-fn monitor_pipeline_and_direct_market_agree_qualitatively() {
-    // The Monitor's persisted snapshot is at most one period stale; both
-    // configurations must produce complete runs with similar spend.
-    let mut with_pipeline = config(WorkloadKind::GenomeReconstruction, 5, 103);
-    with_pipeline.monitor_pipeline = true;
-    let mut direct = with_pipeline.clone();
-    direct.monitor_pipeline = false;
-    let market = Arc::new(SpotMarket::new(with_pipeline.market));
-    let a = run_experiment_on(
-        Arc::clone(&market),
-        with_pipeline,
-        Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
-            InstanceType::M5Xlarge,
-        ))),
-    );
-    let b = run_experiment_on(
-        market,
-        direct,
-        Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
-            InstanceType::M5Xlarge,
-        ))),
-    );
-    assert_eq!(a.completed, 5);
-    assert_eq!(b.completed, 5);
-    let ratio = a.cost.total.amount() / b.cost.total.amount();
-    assert!((0.5..2.0).contains(&ratio), "costs diverged: {ratio}");
-}
-
-#[test]
 fn on_demand_is_deterministic_and_interruption_free() {
     let base = config(WorkloadKind::StandardGeneral, 8, 104);
     let a = run_experiment(base.clone(), Box::new(OnDemandStrategy::new()));

@@ -67,7 +67,6 @@ fn sweep_shard_chaos_analytics_match() {
         max_attempts: 2,
         chaos: Some(chaos::sweep_shard_chaos()),
         trace: TraceConfig::enabled(),
-        ..OrchestratorConfig::default()
     };
     let report = run_matrix_orchestrated(&cells, &config, &cache, |_| spotverse_strategy());
     let mut doc = merged_trace_jsonl(&report.outcomes);

@@ -1,15 +1,13 @@
 //! Load-generator determinism: a `(seed, profile)` pair is a complete
 //! description of a generated fleet. The arrival schedule, the workload
-//! mix, and the tenant draw must replay identically; running the fleet
-//! through the sweep engine must be `--jobs`-invariant; and the
-//! assessment-snapshot cache the generator's scale motivated must be
-//! invisible in every report.
+//! mix, and the tenant draw must replay identically, and running the fleet
+//! through the sweep engine must be `--jobs`-invariant.
 
 use proptest::prelude::*;
 
 use cloud_market::InstanceType;
 use spotverse::{
-    merged_fleet_trace_jsonl, run_fleet, run_fleet_matrix, FleetConfig, FleetSweepCell,
+    merged_fleet_trace_jsonl, run_fleet_matrix, FleetConfig, FleetSweepCell,
     LoadProfile, MarketCache, TraceConfig,
 };
 use spotverse_integration::spotverse_strategy;
@@ -102,58 +100,4 @@ proptest! {
             "merged traces must be byte-identical across --jobs"
         );
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The snapshot-epoch assessment cache is purely an optimization: with
-    /// it disabled, every field of the report — workload outcomes, cost
-    /// ledger, trace — must match the cached run exactly. The chaos axis
-    /// reaches failed and partially written collections, where the cache
-    /// must be invalidated.
-    #[test]
-    fn snapshot_reuse_is_observationally_identical(
-        seed in 0u64..500,
-        profile_idx in 0usize..3,
-        count in 2usize..40,
-        scenario_idx in 0usize..=chaos::library().len(),
-    ) {
-        let run = |reuse: bool| {
-            run_fleet(fleet(seed, profile_idx, count, scenario_idx, reuse), spotverse_strategy())
-        };
-        prop_assert_eq!(run(true), run(false));
-    }
-}
-
-/// A traced loadgen fleet under chaos scenario `scenario_idx - 1` of the
-/// library (0 = no chaos), with the snapshot cache on or off.
-fn fleet(
-    seed: u64,
-    profile_idx: usize,
-    count: usize,
-    scenario_idx: usize,
-    reuse: bool,
-) -> FleetConfig {
-    let mut config = profile(profile_idx, 24.0).generate(seed, count, InstanceType::M5Xlarge);
-    config.trace = TraceConfig::enabled();
-    config.reuse_decision_snapshot = reuse;
-    config.chaos = scenario_idx.checked_sub(1).map(|i| chaos::library()[i].clone());
-    config
-}
-
-/// The chaos axis above is not vacuous: a library scenario makes the
-/// Monitor fail collections and serve stale snapshots, and the cached
-/// run still equals the uncached one.
-#[test]
-fn snapshot_reuse_survives_failed_collections() {
-    let idx = 1 + chaos::library()
-        .iter()
-        .position(|s| s.name() == "throttle_storm")
-        .expect("throttle_storm is in the library");
-    let cached = run_fleet(fleet(7, 0, 30, idx, true), spotverse_strategy());
-    let freshness = cached.aggregate.resilience.freshness;
-    assert!(freshness.collection_failures > 0, "{freshness:?}");
-    assert!(freshness.stale_serves > 0, "{freshness:?}");
-    assert_eq!(cached, run_fleet(fleet(7, 0, 30, idx, false), spotverse_strategy()));
 }

@@ -234,7 +234,6 @@ fn replay_shard_view_equals_orchestration_stats() {
             max_attempts: 2,
             chaos: scenario.clone(),
             trace: TraceConfig::enabled(),
-            ..OrchestratorConfig::default()
         };
         let report = run_matrix_orchestrated(&cells, &config, &cache, |_| spotverse_strategy());
         let doc = trace_to_jsonl(report.trace.as_ref().expect("tracing enabled"));
