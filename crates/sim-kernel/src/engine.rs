@@ -31,7 +31,7 @@ impl<'a, E> Scheduler<'a, E> {
 
     /// Schedules `event` to fire `delay` after now.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.schedule(self.now + delay, event)
+        self.queue.schedule_in(self.now, delay, event)
     }
 
     /// Schedules `event` at an absolute instant.

@@ -1,7 +1,92 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 use sim_kernel::{percentile, EventQueue, RunningStats, SimDuration, SimRng, SimTime, TimeSeries};
+
+/// The queue as a plain binary heap keyed by `(time, seq)`: the reference
+/// the lane-backed [`EventQueue`] must match delivery for delivery.
+#[derive(Default)]
+struct ReferenceQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    next_seq: u64,
+}
+
+impl ReferenceQueue {
+    fn schedule(&mut self, time: SimTime, event: usize) {
+        self.heap.push(Reverse((time, self.next_seq, event)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        self.heap
+            .pop()
+            .map(|Reverse((time, _, event))| (time, event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((time, _, _))| *time)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any interleaving of `schedule`, `schedule_in`, `pop`, `peek_time`
+    /// and `len` delivers the same `(time, event)` sequence as the
+    /// reference heap. The clock is set from each pop, as `Simulation`
+    /// does. Times span a minute, so many events tie at one instant across
+    /// the heap and the lanes; `schedule_in` repeats the delays 0 and
+    /// 900 s and mixes in a dozen others, so lanes fill up, empty and are
+    /// re-keyed; and absolute times land before lane tails and before the
+    /// clock, so events fall back to the heap and the clock can go back.
+    #[test]
+    fn queue_matches_a_reference_heap(
+        ops in prop::collection::vec((0u8..10, 0u64..60), 1..400),
+    ) {
+        let mut queue = EventQueue::new();
+        let mut reference = ReferenceQueue::default();
+        let mut now = SimTime::ZERO;
+        for (id, (kind, x)) in ops.into_iter().enumerate() {
+            match kind {
+                0 | 1 => {
+                    let at = if kind == 0 {
+                        now + SimDuration::from_secs(x % 4)
+                    } else {
+                        SimTime::from_secs(x)
+                    };
+                    queue.schedule(at, id);
+                    reference.schedule(at, id);
+                }
+                2..=4 => {
+                    let delay = SimDuration::from_secs(match kind {
+                        2 => 0,
+                        3 => 900,
+                        _ => x % 12,
+                    });
+                    queue.schedule_in(now, delay, id);
+                    reference.schedule(now + delay, id);
+                }
+                5..=7 => {
+                    let got = queue.pop();
+                    prop_assert_eq!(got, reference.pop());
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                }
+                8 => prop_assert_eq!(queue.peek_time(), reference.peek_time()),
+                _ => prop_assert_eq!(queue.len(), reference.heap.len()),
+            }
+        }
+        while let Some(got) = queue.pop() {
+            prop_assert_eq!(Some(got), reference.pop());
+        }
+        prop_assert_eq!(reference.pop(), None);
+        prop_assert!(queue.is_empty());
+    }
+}
 
 proptest! {
     /// The queue always delivers events in non-decreasing time order, and

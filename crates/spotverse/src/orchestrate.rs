@@ -343,7 +343,7 @@ impl<'a> Orchestrator<'a> {
             self.queue.schedule(SimTime::ZERO, OrchEvent::Dispatch { shard, attempt: 1 });
         }
         self.queue
-            .schedule(SimTime::ZERO + SUPERVISE_INTERVAL, OrchEvent::Supervise);
+            .schedule_in(SimTime::ZERO, SUPERVISE_INTERVAL, OrchEvent::Supervise);
         while let Some((now, event)) = self.queue.pop() {
             match event {
                 OrchEvent::Dispatch { shard, attempt } => self.dispatch(shard, attempt, now),
@@ -396,8 +396,9 @@ impl<'a> Orchestrator<'a> {
             now,
         ));
         for _ in targets {
-            self.queue.schedule(
-                now + DISPATCH_LATENCY,
+            self.queue.schedule_in(
+                now,
+                DISPATCH_LATENCY,
                 OrchEvent::WorkerStart { shard, attempt },
             );
         }
@@ -454,11 +455,10 @@ impl<'a> Orchestrator<'a> {
             exec,
             Execution { shard, attempt, owner, finish_at, fenced: false },
         );
-        let first_heartbeat = now + HEARTBEAT_INTERVAL;
-        if first_heartbeat < finish_at {
-            self.queue.schedule(first_heartbeat, OrchEvent::Heartbeat { exec });
+        if now + HEARTBEAT_INTERVAL < finish_at {
+            self.queue.schedule_in(now, HEARTBEAT_INTERVAL, OrchEvent::Heartbeat { exec });
         }
-        self.queue.schedule(finish_at, OrchEvent::WorkerFinish { exec });
+        self.queue.schedule_in(now, SHARD_EXEC_DURATION, OrchEvent::WorkerFinish { exec });
     }
 
     /// Conditional lease renewal. Rejection means the lease was taken
@@ -486,9 +486,8 @@ impl<'a> Orchestrator<'a> {
             }
             return;
         }
-        let next = now + HEARTBEAT_INTERVAL;
-        if next < finish_at {
-            self.queue.schedule(next, OrchEvent::Heartbeat { exec });
+        if now + HEARTBEAT_INTERVAL < finish_at {
+            self.queue.schedule_in(now, HEARTBEAT_INTERVAL, OrchEvent::Heartbeat { exec });
         }
     }
 
@@ -600,7 +599,7 @@ impl<'a> Orchestrator<'a> {
         }
         if !self.all_terminal() {
             self.queue
-                .schedule(now + SUPERVISE_INTERVAL, OrchEvent::Supervise);
+                .schedule_in(now, SUPERVISE_INTERVAL, OrchEvent::Supervise);
         }
     }
 

@@ -22,9 +22,18 @@ echo "==> perfbench smoke: each benchmark workload for one second"
 # Every operation checks its text against the CLI's byte for byte (and
 # its own invariants), so a break shows here as correct=false or a
 # failed operation, before a full benchmark run would meet it.
+# fleet_loadgen runs traced at seed 2024, and its simulation counters
+# must equal perfbench/counters.json: the 100k fleet has many more
+# same-instant events than the small goldens, so it is where a change to
+# event order shows. counters.json is only read; its allocs.* entries
+# are older than the current code and are not compared.
 for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trace; do
+    args=(--workload "$workload" --seconds 1)
+    if [ "$workload" = fleet_loadgen ]; then
+        args+=(--seed 2024 --trace 1)
+    fi
     result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seconds 1 2>/dev/null | tail -n 1 || true)
+        "${args[@]}" 2>/dev/null | tail -n 1 || true)
     if ! python3 -c '
 import json, sys
 result = json.loads(sys.argv[1])
@@ -34,6 +43,20 @@ sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1
         exit 1
     fi
     echo "    $workload: correct, 0 failed"
+    if [ "$workload" = fleet_loadgen ] && ! python3 -c '
+import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+pinned = json.load(open("perfbench/counters.json"))["fleet_loadgen"]["counters"]
+keys = ["fleet.events", "ec2.spot_attempts", "ec2.launches", "ec2.interruptions",
+        "optimizer.calls", "checkpoint.writes", "market.segments_materialized"]
+got = {k: metrics.get(k, {}).get("value") for k in keys}
+drift = [f"    {k}: {got[k]} != {pinned[k]}" for k in keys if got[k] != pinned[k]]
+print("\n".join(drift) or "    fleet_loadgen: 7 simulation counters equal counters.json")
+sys.exit(1 if drift else 0)
+' "$result"; then
+        echo "==> perfbench smoke FAILED: fleet_loadgen counters differ from perfbench/counters.json" >&2
+        exit 1
+    fi
 done
 
 echo "==> golden traces: byte-identical replay of committed traces"
