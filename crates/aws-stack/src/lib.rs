@@ -11,7 +11,7 @@
 //! | AWS Lambda | [`FunctionRuntime`] (memory/duration billing) |
 //! | AWS Step Functions | [`RetryPolicy`] (retry with backoff) |
 //! | Amazon EventBridge | [`EventBus`] (rules routing interruption notices) |
-//! | Amazon CloudWatch | [`MetricsService`] + [`Schedule`] (metrics, periodic rules) |
+//! | Amazon CloudWatch | [`MetricsService`] (billed custom-metric puts) |
 //!
 //! All services bill into the shared
 //! [`BillingLedger`](cloud_compute::BillingLedger) so experiment reports can
@@ -21,19 +21,21 @@
 //! # Examples
 //!
 //! ```
-//! use aws_stack::{MetricKey, MetricsService, Schedule};
+//! use aws_stack::{AttrValue, Item, KvStore};
 //! use cloud_compute::BillingLedger;
 //! use cloud_market::Region;
-//! use sim_kernel::{SimDuration, SimTime};
+//! use sim_kernel::SimTime;
 //!
-//! // The Monitor's collection schedule: every 5 minutes.
-//! let mut cw = MetricsService::new(Region::UsEast1);
-//! cw.put_schedule(Schedule::new(
-//!     "collect-spot-metrics",
-//!     SimDuration::from_mins(5),
-//!     SimTime::ZERO,
-//! ));
-//! assert_eq!(cw.schedules()[0].occurrences(SimTime::ZERO, SimTime::from_hours(1)).len(), 12);
+//! // The Controller's checkpoint table, as DynamoDB: one progress record
+//! // per workload, billed per request.
+//! let mut kv = KvStore::new();
+//! let mut ledger = BillingLedger::new();
+//! kv.create_table("spotverse-checkpoints", Region::UsEast1)?;
+//! let mut item = Item::new();
+//! item.insert("units_done".into(), AttrValue::N(8.0));
+//! kv.put_item("spotverse-checkpoints", "ngs-0", item, SimTime::ZERO, &mut ledger)?;
+//! assert_eq!(ledger.len(), 1);
+//! # Ok::<(), aws_stack::KvError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -57,7 +59,7 @@ pub use functions::{
     RetryPolicy,
 };
 pub use kv_store::{AttrValue, Item, KvError, KvStore};
-pub use metrics::{MetricKey, MetricsError, MetricsService, Schedule, Statistic};
+pub use metrics::MetricsService;
 pub use object_store::{
     ObjectBody, ObjectStore, ObjectStoreError, StoredObject, TransferOutcome,
 };

@@ -2,13 +2,10 @@
 
 use proptest::prelude::*;
 
-use aws_stack::{
-    AttrValue, BusEvent, EventBus, Item, KvStore, MetricKey, MetricsService, ObjectBody,
-    ObjectStore, Rule, Schedule, Statistic,
-};
+use aws_stack::{AttrValue, BusEvent, EventBus, Item, KvStore, ObjectBody, ObjectStore, Rule};
 use cloud_compute::BillingLedger;
 use cloud_market::Region;
-use sim_kernel::{SimDuration, SimTime};
+use sim_kernel::SimTime;
 
 proptest! {
     /// KV put/get round-trips arbitrary numeric and string attributes.
@@ -85,48 +82,6 @@ proptest! {
             prop_assert_eq!(outcome.cost.amount(), 0.0);
         }
         prop_assert!(outcome.completes_at >= SimTime::ZERO);
-    }
-
-    /// Schedules fire exactly floor((to-from)/period) ± 1 times in a
-    /// window, all on period boundaries.
-    #[test]
-    fn schedule_occurrences_are_on_grid(
-        period_mins in 1u64..120,
-        start in 0u64..10_000,
-        window in 1u64..500_000,
-    ) {
-        let s = Schedule::new("s", SimDuration::from_mins(period_mins), SimTime::from_secs(start));
-        let from = SimTime::from_secs(start);
-        let to = SimTime::from_secs(start + window);
-        let occ = s.occurrences(from, to);
-        let period = period_mins * 60;
-        for t in &occ {
-            prop_assert_eq!((t.as_secs() - start) % period, 0);
-            prop_assert!(*t >= from && *t < to);
-        }
-        let expected = window.div_ceil(period);
-        prop_assert_eq!(occ.len() as u64, expected);
-    }
-
-    /// Metric statistics agree with a direct computation over the window.
-    #[test]
-    fn metric_statistics_match_reference(
-        values in prop::collection::vec(-1e6f64..1e6, 1..40),
-    ) {
-        let mut cw = MetricsService::new(Region::UsEast1);
-        let mut ledger = BillingLedger::new();
-        let key = MetricKey::new("ns", "m", "d");
-        for (i, v) in values.iter().enumerate() {
-            cw.put_metric(key.clone(), SimTime::from_secs(i as u64), *v, &mut ledger);
-        }
-        let to = SimTime::from_secs(values.len() as u64);
-        let sum = cw.statistic(&key, Statistic::Sum, SimTime::ZERO, to).unwrap();
-        let avg = cw.statistic(&key, Statistic::Average, SimTime::ZERO, to).unwrap();
-        let count = cw.statistic(&key, Statistic::SampleCount, SimTime::ZERO, to).unwrap();
-        let expected_sum: f64 = values.iter().sum();
-        prop_assert!((sum - expected_sum).abs() < 1e-6 * (1.0 + expected_sum.abs()));
-        prop_assert_eq!(count as usize, values.len());
-        prop_assert!((avg - expected_sum / values.len() as f64).abs() < 1e-6 * (1.0 + avg.abs()));
     }
 
     /// Concurrent lease claims: for any interleaving of claimants over a

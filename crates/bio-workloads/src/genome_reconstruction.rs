@@ -6,7 +6,7 @@
 //! reconstructs consensus genomes in FASTA format, and classifies lineages
 //! with Pangolin. Any interruption forces recomputation from the beginning.
 
-use galaxy_flow::{DataFormat, RecoveryMode, Tool, ToolCategory, Workflow};
+use galaxy_flow::{DataFormat, RecoveryMode, Workflow};
 use sim_kernel::SimDuration;
 
 /// The 23 steps: (label, tool, weight, output format). Weights are relative
@@ -89,28 +89,6 @@ pub fn genome_reconstruction_workload(total: SimDuration) -> Workflow {
     crate::build_chain(NAME, RECOVERY, steps)
 }
 
-/// The tools the workload needs installed.
-pub fn required_tools() -> Vec<Tool> {
-    let mut seen = std::collections::BTreeSet::new();
-    STEPS
-        .iter()
-        .filter(|(_, tool, _, _)| seen.insert(*tool))
-        .map(|(_, tool, _, _)| {
-            let category = match *tool {
-                "sra-toolkit" => ToolCategory::DataRetrieval,
-                "pangolin" | "scorpio" => ToolCategory::Classification,
-                "mafft" | "trimal" => ToolCategory::Alignment,
-                "multiqc" => ToolCategory::Reporting,
-                t if t.starts_with("bcftools") || t.starts_with("vcf") || t == "vt-decompose" => {
-                    ToolCategory::VariantAnalysis
-                }
-                _ => ToolCategory::General,
-            };
-            Tool::new(*tool, *tool, "1.0", category)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,20 +124,6 @@ mod tests {
             .iter()
             .any(|s| s.output_format() == DataFormat::Fasta));
         assert!(wf.steps().iter().any(|s| s.tool().as_str() == "pangolin"));
-    }
-
-    #[test]
-    fn required_tools_cover_every_step_without_duplicates() {
-        let wf = genome_reconstruction_workload(SimDuration::from_hours(10));
-        let tools = required_tools();
-        for step in wf.steps() {
-            assert!(tools.iter().any(|t| t.id() == step.tool()));
-        }
-        let mut ids: Vec<&str> = tools.iter().map(|t| t.id().as_str()).collect();
-        let before = ids.len();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), before, "tool list has duplicates");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! is uploaded, and a replacement instance in any region resumes from the
 //! last completed shard.
 
-use galaxy_flow::{DataFormat, RecoveryMode, Tool, ToolCategory, Workflow};
+use galaxy_flow::{DataFormat, RecoveryMode, Workflow};
 use sim_kernel::SimDuration;
 
 /// Default shard count (the segmented FastQC dataset).
@@ -82,16 +82,6 @@ pub fn ngs_preprocessing_workload(total: SimDuration, shards: u32) -> Workflow {
     crate::build_chain(NAME, RECOVERY, steps)
 }
 
-/// The tools the workload needs installed.
-pub fn required_tools() -> Vec<Tool> {
-    vec![
-        Tool::new("sra-toolkit", "SRA Toolkit", "3.0", ToolCategory::DataRetrieval),
-        Tool::new("fastqc", "FastQC", "0.12.1", ToolCategory::QualityControl),
-        Tool::new("cutadapt", "Cutadapt", "4.4", ToolCategory::SequenceTrimming),
-        Tool::new("multiqc", "MultiQC", "1.14", ToolCategory::Reporting),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,15 +140,6 @@ mod tests {
             Region::ApNortheast3,
             DATASET_GIB
         ));
-    }
-
-    #[test]
-    fn required_tools_cover_every_step() {
-        let wf = ngs_preprocessing_workload(SimDuration::from_hours(10), 4);
-        let tools = required_tools();
-        for step in wf.steps() {
-            assert!(tools.iter().any(|t| t.id() == step.tool()));
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! lasts 10–11 hours regardless of instance specs; here the requested total
 //! duration is distributed over the steps in fixed proportions.
 
-use galaxy_flow::{DataFormat, RecoveryMode, Tool, ToolCategory, Workflow};
+use galaxy_flow::{DataFormat, RecoveryMode, Workflow};
 use sim_kernel::SimDuration;
 
 /// Step proportions (label, tool, share of total duration, output format).
@@ -67,17 +67,6 @@ pub fn standard_general_workload(total: SimDuration) -> Workflow {
     crate::build_chain(NAME, RECOVERY, steps)
 }
 
-/// The tools the workload needs installed.
-pub fn required_tools() -> Vec<Tool> {
-    vec![
-        Tool::new("qiime2-tools-import", "QIIME 2 import", "2024.2", ToolCategory::DataRetrieval),
-        Tool::new("qiime2-demux", "QIIME 2 demux", "2024.2", ToolCategory::QualityControl),
-        Tool::new("dada2", "DADA2", "1.26", ToolCategory::QualityControl),
-        Tool::new("qiime2-phylogeny", "QIIME 2 phylogeny", "2024.2", ToolCategory::Phylogenetics),
-        Tool::new("qiime2-diversity", "QIIME 2 diversity", "2024.2", ToolCategory::Reporting),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,19 +109,6 @@ mod tests {
             .max_by_key(|s| s.duration())
             .unwrap();
         assert_eq!(longest.label(), "dada2-denoise");
-    }
-
-    #[test]
-    fn required_tools_cover_every_step() {
-        let wf = standard_general_workload(SimDuration::from_hours(10));
-        let tools = required_tools();
-        for step in wf.steps() {
-            assert!(
-                tools.iter().any(|t| t.id() == step.tool()),
-                "missing tool {}",
-                step.tool()
-            );
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! workload kind and duration; [`workload_fleet`] draws a deterministic
 //! fleet with per-workload durations jittered inside the paper's window.
 
-use galaxy_flow::{ExecutionPlan, Tool, Workflow, WorkflowInvocation};
+use galaxy_flow::{ExecutionPlan, Workflow, WorkflowInvocation};
 use sim_kernel::{SimDuration, SimRng};
 
 use crate::genome_reconstruction;
@@ -113,15 +113,6 @@ impl WorkloadSpec {
     fn shard_count(&self) -> u32 {
         self.shards.unwrap_or(ngs_preprocessing::DEFAULT_SHARDS)
     }
-
-    /// The tools this spec's workflow needs.
-    pub fn required_tools(&self) -> Vec<Tool> {
-        match self.kind {
-            WorkloadKind::StandardGeneral => qiime::required_tools(),
-            WorkloadKind::GenomeReconstruction => genome_reconstruction::required_tools(),
-            WorkloadKind::NgsPreprocessing => ngs_preprocessing::required_tools(),
-        }
-    }
 }
 
 /// Draws a fleet of `count` workloads of one kind with durations uniform in
@@ -205,7 +196,6 @@ mod tests {
                 let wf = spec.build_workflow();
                 assert!(wf.validate().is_ok());
                 assert_eq!(wf.is_checkpointable(), kind.is_checkpointable());
-                assert!(!spec.required_tools().is_empty());
             }
         }
     }

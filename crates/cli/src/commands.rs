@@ -30,6 +30,16 @@ pub enum CliError {
     Args(ArgError),
     /// A flag value outside its domain (e.g. unknown strategy name).
     BadInput(String),
+    /// The run finished but some of its cells failed. `output` is the
+    /// command's full rendered output, failed cells included.
+    FailedCells {
+        /// What the command printed.
+        output: String,
+        /// Cells that failed.
+        failed: usize,
+        /// Cells run.
+        cells: usize,
+    },
 }
 
 impl fmt::Display for CliError {
@@ -37,6 +47,9 @@ impl fmt::Display for CliError {
         match self {
             CliError::Args(e) => write!(f, "{e}"),
             CliError::BadInput(msg) => f.write_str(msg),
+            CliError::FailedCells { failed, cells, .. } => {
+                write!(f, "{failed} of {cells} cells failed")
+            }
         }
     }
 }
@@ -46,6 +59,17 @@ impl std::error::Error for CliError {}
 impl From<ArgError> for CliError {
     fn from(e: ArgError) -> Self {
         CliError::Args(e)
+    }
+}
+
+/// `output` when every cell succeeded, else [`CliError::FailedCells`]
+/// carrying it.
+fn unless_failed<R>(output: String, outcomes: &[SweepOutcome<R>]) -> Result<String, CliError> {
+    let failed = outcomes.iter().filter(|o| !o.is_ok()).count();
+    if failed == 0 {
+        Ok(output)
+    } else {
+        Err(CliError::FailedCells { output, failed, cells: outcomes.len() })
     }
 }
 
@@ -501,7 +525,7 @@ pub fn fleet(args: &ParsedArgs) -> Result<String, CliError> {
         .collect();
     let outcomes = run.matrix(&cells, jobs);
     if output == "trace" {
-        return Ok(merged_trace_jsonl(&outcomes));
+        return unless_failed(merged_trace_jsonl(&outcomes), &outcomes);
     }
     let mut out = String::new();
     for outcome in &outcomes {
@@ -510,7 +534,7 @@ pub fn fleet(args: &ParsedArgs) -> Result<String, CliError> {
             Err(e) => out.push_str(&format!("{:<20} FAILED: {e}\n", outcome.strategy)),
         }
     }
-    Ok(out)
+    unless_failed(out, &outcomes)
 }
 
 /// `spotverse compare`: every strategy on the same market, one sweep cell
@@ -524,7 +548,8 @@ pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
         .iter()
         .map(|name| SweepCell::new(*name, *name, config.clone()))
         .collect();
-    Ok(render_sweep_cells(&run.matrix(&cells, jobs)))
+    let outcomes = run.matrix(&cells, jobs);
+    unless_failed(render_sweep_cells(&outcomes), &outcomes)
 }
 
 /// `spotverse sweep`: a strategies × seeds cell matrix. In-process it runs
@@ -576,10 +601,11 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
     }
     if !orchestrated {
         let outcomes = run.matrix(&cells, jobs);
-        return Ok(match output {
+        let out = match output {
             "trace" => merged_trace_jsonl(&outcomes),
             _ => render_sweep_cells(&outcomes),
-        });
+        };
+        return unless_failed(out, &outcomes);
     }
     let orch_config = OrchestratorConfig {
         seed: run.seed,
@@ -593,7 +619,7 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
         strategy_for(&cell.strategy)
     });
     if output == "trace" {
-        return Ok(merged_trace_jsonl(&report.outcomes));
+        return unless_failed(merged_trace_jsonl(&report.outcomes), &report.outcomes);
     }
     let mut out = render_sweep_cells(&report.outcomes);
     let s = &report.stats;
@@ -632,7 +658,7 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
         }
         out.push('\n');
     }
-    Ok(out)
+    unless_failed(out, &report.outcomes)
 }
 
 /// Cell rows shared by `compare` and both sweep modes: a summary line per
@@ -750,7 +776,7 @@ pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
     if recovered > 0 {
         out.push_str(&format!("({recovered} cell(s) recovered after one retry)\n"));
     }
-    Ok(out)
+    unless_failed(out, &outcomes)
 }
 
 /// `spotverse tournament`: every strategy under every market regime,
@@ -801,7 +827,10 @@ pub fn tournament(args: &ParsedArgs) -> Result<String, CliError> {
         run.instances,
     );
     out.push_str(&render_tournament(&report));
-    Ok(out)
+    match report.failed.len() {
+        0 => Ok(out),
+        failed => Err(CliError::FailedCells { output: out, failed, cells: config.cells() }),
+    }
 }
 
 /// `spotverse trace`: one experiment with the decision-trace recorder

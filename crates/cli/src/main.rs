@@ -2,6 +2,8 @@
 
 use std::process::ExitCode;
 
+use spotverse_cli::CliError;
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match spotverse_cli::run(argv) {
@@ -10,8 +12,14 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("run `spotverse help` for usage");
+            if let CliError::FailedCells { output, .. } = &e {
+                // The table stays on stdout, failed rows and all.
+                print!("{output}");
+                eprintln!("error: {e}");
+            } else {
+                eprintln!("error: {e}");
+                eprintln!("run `spotverse help` for usage");
+            }
             ExitCode::FAILURE
         }
     }

@@ -11,8 +11,7 @@
 //! * on-demand launches that always succeed and never interrupt,
 //! * per-second billing against the market's hourly spot price curve,
 //!   recorded in a [`BillingLedger`] with per-service/per-region rollups,
-//! * AMI propagation across regions ([`AmiCatalog`]) and a shared
-//!   inter-region [`transfer`] tariff.
+//! * a shared inter-region [`transfer`] tariff.
 //!
 //! # Examples
 //!
@@ -40,13 +39,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod ami;
 mod billing;
 mod ec2;
 mod instance;
 pub mod transfer;
 
-pub use ami::{Ami, AmiCatalog, AmiError, AmiId};
 pub use billing::{BillingLedger, LineItem, ServiceKind};
 pub use ec2::{
     Ec2, Ec2Error, FaultInjector, LaunchedSpot, SpotRequestOutcome, CROWDING_COEFFICIENT,

@@ -2,8 +2,8 @@
 //!
 //! The paper's cost model (§5.1.2) explicitly accounts for cross-region S3
 //! uploads/downloads incurred by checkpoint workloads under the multi-region
-//! strategy; these helpers give one shared tariff to the AMI catalog, the
-//! object store, and the checkpoint path.
+//! strategy; these helpers give one shared tariff to the object store and
+//! the checkpoint path.
 
 use cloud_market::{Region, Usd};
 use sim_kernel::SimDuration;

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cloud_compute::{
-    transfer, AmiCatalog, BillingLedger, Ec2, PurchaseModel, ServiceKind, SpotRequestOutcome,
-    TerminationReason, CROWDING_COEFFICIENT, CROWDING_FLEET_SCALE,
+    transfer, Ec2, PurchaseModel, ServiceKind, SpotRequestOutcome, TerminationReason,
+    CROWDING_COEFFICIENT, CROWDING_FLEET_SCALE,
 };
 use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket, Usd};
 use sim_kernel::{SimDuration, SimRng, SimTime};
@@ -108,19 +108,6 @@ proptest! {
         }
         let billed = ec2.ledger().total_for_service(ServiceKind::OnDemandInstance);
         prop_assert!((billed.amount() - expected_total).abs() < 1e-6);
-    }
-
-    /// AMI propagation is idempotent: propagating twice charges once.
-    #[test]
-    fn ami_propagation_is_idempotent(size in 0.5f64..50.0, home in any_region()) {
-        let mut catalog = AmiCatalog::new();
-        let mut ledger = BillingLedger::new();
-        let ami = catalog.register("img", size, home);
-        catalog.propagate(ami, Region::ALL, SimTime::ZERO, &mut ledger).unwrap();
-        let first = ledger.total();
-        catalog.propagate(ami, Region::ALL, SimTime::from_hours(1), &mut ledger).unwrap();
-        prop_assert_eq!(ledger.total(), first);
-        prop_assert_eq!(catalog.get(ami).unwrap().regions().count(), 12);
     }
 
     /// Spot usage cost over an interval never exceeds the on-demand cost

@@ -1,10 +1,8 @@
-//! Spot market history: a `describe-spot-price-history`-style query API
-//! and a SpotLake-style dataset archive.
+//! Spot market history: a SpotLake-style dataset archive.
 //!
-//! The paper's Monitor builds on exactly these data sources: AWS's price
-//! history API (§5.1.2 uses it for the cost model) and the SpotLake
-//! archive service (related work §6, \[85\]) that joins prices with
-//! Interruption-Frequency and Placement-Score snapshots.
+//! The SpotLake archive service (related work §6, \[85\]) joins spot
+//! prices with Interruption-Frequency and Placement-Score snapshots;
+//! `spotverse traces` exports the same join as CSV.
 
 use sim_kernel::{SimDuration, SimTime};
 
@@ -12,92 +10,6 @@ use crate::advisor::{InterruptionBand, PlacementScore};
 use crate::instance::InstanceType;
 use crate::market::{MarketError, SpotMarket};
 use crate::region::Region;
-
-/// One price observation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PricePoint {
-    /// Observation instant.
-    pub at: SimTime,
-    /// Spot price in USD/hour.
-    pub price: f64,
-}
-
-/// A `describe-spot-price-history` query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PriceHistoryQuery {
-    /// The region to query.
-    pub region: Region,
-    /// The instance type to query.
-    pub instance_type: InstanceType,
-    /// Window start (inclusive).
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub to: SimTime,
-    /// Sampling granularity.
-    pub granularity: SimDuration,
-}
-
-impl PriceHistoryQuery {
-    /// Executes the query against a market.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MarketError`] for unknown markets or out-of-horizon
-    /// windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from >= to` or the granularity is zero.
-    pub fn run(&self, market: &SpotMarket) -> Result<Vec<PricePoint>, MarketError> {
-        assert!(self.from < self.to, "empty query window");
-        assert!(!self.granularity.is_zero(), "zero granularity");
-        let mut out = Vec::new();
-        let mut t = self.from;
-        while t < self.to {
-            let price = market.spot_price(self.region, self.instance_type, t)?;
-            out.push(PricePoint {
-                at: t,
-                price: price.rate(),
-            });
-            t += self.granularity;
-        }
-        Ok(out)
-    }
-}
-
-/// Summary statistics over a price history.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PriceSummary {
-    /// Lowest observed price.
-    pub min: f64,
-    /// Highest observed price.
-    pub max: f64,
-    /// Mean price.
-    pub mean: f64,
-    /// Coefficient of variation (stddev / mean).
-    pub cv: f64,
-}
-
-/// Summarizes a price series.
-///
-/// Returns `None` for an empty series.
-pub fn summarize(points: &[PricePoint]) -> Option<PriceSummary> {
-    if points.is_empty() {
-        return None;
-    }
-    let n = points.len() as f64;
-    let mean = points.iter().map(|p| p.price).sum::<f64>() / n;
-    let var = points.iter().map(|p| (p.price - mean).powi(2)).sum::<f64>() / n;
-    Some(PriceSummary {
-        min: points.iter().map(|p| p.price).fold(f64::INFINITY, f64::min),
-        max: points
-            .iter()
-            .map(|p| p.price)
-            .fold(f64::NEG_INFINITY, f64::max),
-        mean,
-        cv: if mean > 0.0 { var.sqrt() / mean } else { 0.0 },
-    })
-}
 
 /// One SpotLake-style archive row: price joined with advisor metrics.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,36 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn history_query_samples_the_window() {
-        let m = market();
-        let q = PriceHistoryQuery {
-            region: Region::UsEast1,
-            instance_type: InstanceType::M5Xlarge,
-            from: SimTime::from_days(5),
-            to: SimTime::from_days(6),
-            granularity: SimDuration::from_hours(1),
-        };
-        let points = q.run(&m).unwrap();
-        assert_eq!(points.len(), 24);
-        assert!(points.windows(2).all(|w| w[0].at < w[1].at));
-        assert!(points.iter().all(|p| p.price > 0.0));
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let points = vec![
-            PricePoint { at: SimTime::ZERO, price: 1.0 },
-            PricePoint { at: SimTime::from_secs(1), price: 3.0 },
-        ];
-        let s = summarize(&points).unwrap();
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.mean, 2.0);
-        assert!((s.cv - 0.5).abs() < 1e-12);
-        assert_eq!(summarize(&[]), None);
-    }
-
-    #[test]
     fn archive_covers_all_offering_regions() {
         let m = market();
         let rows = collect_archive(
@@ -247,47 +129,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty query window")]
+    #[should_panic(expected = "empty archive window")]
     fn inverted_window_panics() {
         let m = market();
-        let _ = PriceHistoryQuery {
-            region: Region::UsEast1,
-            instance_type: InstanceType::M5Xlarge,
-            from: SimTime::from_days(2),
-            to: SimTime::from_days(1),
-            granularity: SimDuration::from_hours(1),
-        }
-        .run(&m);
+        let _ = collect_archive(
+            &m,
+            InstanceType::M5Xlarge,
+            SimTime::from_days(2),
+            SimTime::from_days(1),
+            SimDuration::from_hours(1),
+        );
     }
 
     #[test]
     fn history_reflects_early_surge() {
         // ca-central's early surge must be visible in its price history.
         let m = market();
-        let early = PriceHistoryQuery {
-            region: Region::CaCentral1,
-            instance_type: InstanceType::M5Xlarge,
-            from: SimTime::from_days(1),
-            to: SimTime::from_days(3),
-            granularity: SimDuration::from_hours(1),
-        }
-        .run(&m)
-        .unwrap();
-        let late = PriceHistoryQuery {
-            region: Region::CaCentral1,
-            instance_type: InstanceType::M5Xlarge,
-            from: SimTime::from_days(60),
-            to: SimTime::from_days(62),
-            granularity: SimDuration::from_hours(1),
-        }
-        .run(&m)
-        .unwrap();
-        let mean = |ps: &[PricePoint]| summarize(ps).unwrap().mean;
-        assert!(
-            mean(&early) > mean(&late),
-            "surge window {} should exceed calm window {}",
-            mean(&early),
-            mean(&late)
-        );
+        let mean = |from_day: u64| {
+            let from = SimTime::from_days(from_day);
+            let rows = collect_archive(
+                &m,
+                InstanceType::M5Xlarge,
+                from,
+                from + SimDuration::from_days(2),
+                SimDuration::from_hours(1),
+            )
+            .unwrap();
+            let prices: Vec<f64> = rows
+                .iter()
+                .filter(|r| r.region == Region::CaCentral1)
+                .map(|r| r.spot_price)
+                .collect();
+            prices.iter().sum::<f64>() / prices.len() as f64
+        };
+        let (early, late) = (mean(1), mean(60));
+        assert!(early > late, "surge window {early} should exceed calm window {late}");
     }
 }

@@ -57,10 +57,6 @@ impl From<WorkflowError> for GaFormatError {
     }
 }
 
-fn format_name(format: DataFormat) -> &'static str {
-    format.extension()
-}
-
 fn format_from_name(name: &str) -> DataFormat {
     match name {
         "fastq" => DataFormat::Fastq,
@@ -116,7 +112,7 @@ pub fn to_ga_json(workflow: &Workflow) -> String {
                 ("tool_id".into(), text(step.tool().as_str())),
                 ("type".into(), text("tool")),
                 ("annotation".into(), text(annotation)),
-                ("output_format".into(), text(format_name(step.output_format()))),
+                ("output_format".into(), text(step.output_format().extension())),
                 ("input_connections".into(), sorted_obj(connections)),
             ]);
             (i.to_string().into(), obj)

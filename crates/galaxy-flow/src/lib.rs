@@ -1,20 +1,15 @@
 //! # galaxy-flow
 //!
-//! A Galaxy-like workflow-management substrate: the open-source, web-based
-//! platform the paper's bioinformatics workloads run on, reduced to the
-//! surfaces SpotVerse interacts with —
+//! The Galaxy workflow model the paper's bioinformatics workloads run
+//! through, reduced to what the SpotVerse runs read:
 //!
-//! * a [`ToolShed`] of versioned tools gated behind `admin_users`
-//!   ([`GalaxyInstance::install_tool`]),
-//! * [`History`] / [`Dataset`] provenance,
 //! * validated DAG [`Workflow`]s with monolithic and *sharded*
-//!   (checkpointable) steps,
+//!   (checkpointable) steps, each naming a [`ToolId`] and an output
+//!   [`DataFormat`];
 //! * [`WorkflowInvocation`]s with the paper's two interruption semantics —
 //!   restart-from-scratch and resume-from-checkpoint
-//!   ([`RecoveryMode`]),
-//! * a [`CheckpointStore`] abstraction for durable shard progress, and
-//! * a [`PlanemoRunner`] that executes workflows headlessly through the
-//!   API-key path the paper's user-data script uses.
+//!   ([`RecoveryMode`]) — over a flat [`ExecutionPlan`] of work units;
+//! * the Galaxy `.ga` workflow codec ([`to_ga_json`], [`from_ga_json`]).
 //!
 //! # Examples
 //!
@@ -38,22 +33,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod checkpoint;
 mod dataset;
 pub mod ga_format;
-mod galaxy;
 mod invocation;
-mod planemo;
 mod tool;
 mod workflow;
 
-pub use checkpoint::{CheckpointError, CheckpointRecord, CheckpointStore, InMemoryCheckpointStore};
-pub use dataset::{DataFormat, Dataset, DatasetId, History, HistoryItem};
+pub use dataset::DataFormat;
 pub use ga_format::{from_ga_json, to_ga_json, GaFormatError};
-pub use galaxy::{GalaxyConfig, GalaxyError, GalaxyInstance};
 pub use invocation::{
     ExecutionPlan, InvocationError, InvocationStatus, RunProgress, WorkUnit, WorkflowInvocation,
 };
-pub use planemo::{PlanemoError, PlanemoRunner, RunReport, StepTiming};
-pub use tool::{Tool, ToolCategory, ToolId, ToolRequirements, ToolShed, ToolShedError};
+pub use tool::ToolId;
 pub use workflow::{RecoveryMode, StepId, Workflow, WorkflowBuilder, WorkflowError, WorkflowStep};

@@ -3,11 +3,8 @@
 
 use proptest::prelude::*;
 
-use galaxy_flow::{
-    CheckpointRecord, CheckpointStore, ExecutionPlan, InMemoryCheckpointStore, RecoveryMode,
-    Workflow, WorkflowInvocation,
-};
-use sim_kernel::{SimDuration, SimTime};
+use galaxy_flow::{ExecutionPlan, RecoveryMode, Workflow, WorkflowInvocation};
+use sim_kernel::SimDuration;
 
 /// An arbitrary small workflow: 1–6 steps, each with 1–8 shards and a
 /// duration of minutes to hours.
@@ -106,31 +103,6 @@ proptest! {
         prop_assert!(inv.is_completed());
         prop_assert_eq!(inv.remaining_duration(), SimDuration::ZERO);
         prop_assert!((inv.fraction_done() - 1.0).abs() < 1e-12);
-    }
-
-    /// The checkpoint store is monotone under arbitrary interleavings of
-    /// saves: the persisted frontier never decreases.
-    #[test]
-    fn checkpoint_store_frontier_is_monotone(saves in prop::collection::vec(0usize..50, 1..30)) {
-        let mut store = InMemoryCheckpointStore::new();
-        let mut frontier = 0usize;
-        for (i, units) in saves.iter().enumerate() {
-            let result = store.save(
-                "w",
-                CheckpointRecord {
-                    units_done: *units,
-                    updated_at: SimTime::from_secs(i as u64),
-                },
-            );
-            if *units >= frontier {
-                prop_assert!(result.is_ok());
-                frontier = *units;
-            } else {
-                prop_assert!(result.is_err(), "stale save {units} < frontier {frontier} accepted");
-            }
-            let persisted = store.load("w").unwrap().unwrap().units_done;
-            prop_assert_eq!(persisted, frontier);
-        }
     }
 
     /// resume_from round-trips with units_done for every valid offset.

@@ -55,8 +55,6 @@ impl<'a, E> Scheduler<'a, E> {
 pub enum RunOutcome {
     /// The event queue drained.
     Drained,
-    /// The horizon was reached with events still pending.
-    HorizonReached,
     /// The model requested an early stop (via [`Simulation::run_until`]'s
     /// predicate).
     Stopped,
@@ -161,20 +159,6 @@ impl<M: Model> Simulation<M> {
         RunOutcome::Drained
     }
 
-    /// Runs until the queue drains or the next event would fire after
-    /// `horizon` (the clock never advances past the horizon).
-    pub fn run_until_horizon(&mut self, horizon: SimTime) -> RunOutcome {
-        loop {
-            match self.queue.peek_time() {
-                None => return RunOutcome::Drained,
-                Some(t) if t > horizon => return RunOutcome::HorizonReached,
-                Some(_) => {
-                    self.step();
-                }
-            }
-        }
-    }
-
     /// Runs until the queue drains or `stop` returns `true` (checked after
     /// each delivered event).
     pub fn run_until<F>(&mut self, mut stop: F) -> RunOutcome
@@ -226,19 +210,6 @@ mod tests {
             ]
         );
         assert_eq!(sim.events_delivered(), 3);
-    }
-
-    #[test]
-    fn horizon_stops_clock() {
-        let mut sim = Simulation::new(Recorder { seen: Vec::new() });
-        sim.schedule_at(SimTime::from_secs(1), 0);
-        sim.schedule_at(SimTime::from_secs(100), 0);
-        assert_eq!(
-            sim.run_until_horizon(SimTime::from_secs(10)),
-            RunOutcome::HorizonReached
-        );
-        assert_eq!(sim.now(), SimTime::from_secs(1));
-        assert_eq!(sim.model().seen.len(), 1);
     }
 
     #[test]

@@ -108,33 +108,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Time-weighted mean of the step function between the first and last
-    /// points. Returns the single value for a one-point series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the series is empty.
-    pub fn time_weighted_mean(&self) -> f64 {
-        assert!(!self.points.is_empty(), "time_weighted_mean: empty series");
-        if self.points.len() == 1 {
-            return self.points[0].1;
-        }
-        let mut weighted = 0.0;
-        let mut total_secs = 0.0;
-        for pair in self.points.windows(2) {
-            let (t0, v0) = pair[0];
-            let (t1, _) = pair[1];
-            let dt = (t1 - t0).as_secs() as f64;
-            weighted += v0 * dt;
-            total_secs += dt;
-        }
-        if total_secs == 0.0 {
-            self.points[0].1
-        } else {
-            weighted / total_secs
-        }
-    }
 }
 
 impl<'a> IntoIterator for &'a TimeSeries {
@@ -241,16 +214,6 @@ mod tests {
         );
         let values: Vec<f64> = samples.iter().map(|&(_, v)| v).collect();
         assert_eq!(values, vec![1.0, 1.0, 1.0, 3.0, 3.0]);
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_span() {
-        let mut s = TimeSeries::new("x");
-        s.push(SimTime::from_secs(0), 0.0);
-        s.push(SimTime::from_secs(90), 10.0); // 0.0 held for 90 s
-        s.push(SimTime::from_secs(100), 0.0); // 10.0 held for 10 s
-        let mean = s.time_weighted_mean();
-        assert!((mean - 1.0).abs() < 1e-12, "mean {mean}");
     }
 
     #[test]

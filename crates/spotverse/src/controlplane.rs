@@ -31,6 +31,10 @@ use crate::monitor::{CollectOutcome, Monitor, MonitorError, MARKET_EPOCH};
 use crate::optimizer::RegionAssessment;
 use crate::trace::{TraceConfig, TraceEvent, Tracer};
 
+/// The KV table the Controller writes shard progress to (the paper's
+/// DynamoDB checkpoint table).
+pub const CHECKPOINT_TABLE: &str = "spotverse-checkpoints";
+
 /// Snapshot age past which decisions degrade to cheapest-on-demand
 /// placement instead of trusting expired metrics.
 pub(crate) const TELEMETRY_TTL: SimDuration = SimDuration::from_hours(2);
@@ -132,7 +136,7 @@ impl ControlPlane {
             .create_bucket(LOG_BUCKET, Region::UsEast1)
             .expect("fresh object store");
         cp.kv
-            .create_table("spotverse-checkpoints", Region::UsEast1)
+            .create_table(CHECKPOINT_TABLE, Region::UsEast1)
             .expect("fresh kv store");
         if cp.checkpoint_backend == CheckpointBackend::SharedFileSystem {
             let fs = cp.efs.create(Region::UsEast1);
@@ -221,7 +225,7 @@ impl ControlPlane {
             now,
             &mut self.functions,
             &mut self.kv,
-            &mut self.metrics,
+            &self.metrics,
             self.ec2.ledger_mut(),
         )
     }

@@ -101,7 +101,7 @@ pub struct CostBreakdown {
     pub spot_instances: Usd,
     /// On-demand instance usage.
     pub on_demand_instances: Usd,
-    /// Cross-region data transfer (checkpoints, AMI copies).
+    /// Cross-region data transfer (checkpoints).
     pub data_transfer: Usd,
     /// Shared serverless services (functions, KV, metrics, storage fees).
     pub shared_services: Usd,

@@ -34,7 +34,7 @@ use sim_kernel::{
     CumulativeCounter, Model, Scheduler, SimDuration, SimRng, SimTime, Simulation,
 };
 
-use crate::controlplane::{cheapest_on_demand, ControlPlane};
+use crate::controlplane::{cheapest_on_demand, ControlPlane, CHECKPOINT_TABLE};
 use crate::experiment::{
     CostBreakdown, ExperimentConfig, ExperimentReport, INTERRUPTION_HANDLER, LOG_BUCKET,
 };
@@ -844,7 +844,7 @@ impl FleetModel {
             let FleetModel { workloads, cp, .. } = self;
             let ControlPlane { kv, ec2, .. } = cp;
             let _ = kv.update_item(
-                "spotverse-checkpoints",
+                CHECKPOINT_TABLE,
                 &workloads[w].spec.id,
                 now,
                 ec2.ledger_mut(),

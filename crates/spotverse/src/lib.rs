@@ -73,7 +73,6 @@ macro_rules! labels {
     };
 }
 
-mod checkpointing;
 mod codec;
 mod config;
 pub mod controlplane;
@@ -97,9 +96,8 @@ pub mod tournament;
 pub mod trace;
 pub mod workload;
 
-pub use checkpointing::{KvCheckpointStore, CHECKPOINT_TABLE};
 pub use config::{InitialPlacement, SpotVerseConfig, SpotVerseConfigBuilder};
-pub use controlplane::ControlPlane;
+pub use controlplane::{ControlPlane, CHECKPOINT_TABLE};
 pub use experiment::{
     run_experiment, run_experiment_on, CheckpointBackend, CheckpointTelemetry, CostBreakdown,
     ExperimentConfig, ExperimentReport, INTERRUPTION_HANDLER, LOG_BUCKET,

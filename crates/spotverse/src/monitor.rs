@@ -1,7 +1,7 @@
 //! The Monitor component (paper §3.2, §4).
 //!
-//! A metrics-collector function, triggered on a CloudWatch-like schedule,
-//! gathers on-demand/spot prices, Interruption Frequency (as the Stability
+//! A metrics-collector function, triggered every monitor period (the
+//! paper's CloudWatch rule), gathers on-demand/spot prices, Interruption Frequency (as the Stability
 //! Score) and Spot Placement Scores for every region offering the managed
 //! instance type, and persists them to the KV store — SpotVerse's
 //! centralized data plane. The Optimizer consumes the latest persisted
@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use aws_stack::{AttrValue, FunctionConfig, FunctionRuntime, Item, KvError, KvStore, MetricKey, MetricsService, RetryPolicy};
+use aws_stack::{AttrValue, FunctionConfig, FunctionRuntime, Item, KvError, KvStore, MetricsService, RetryPolicy};
 use cloud_compute::BillingLedger;
 use cloud_market::{
     InstanceType, MarketError, MarketOverlay, PlacementScore, Region, SpotMarket, StabilityScore,
@@ -190,7 +190,7 @@ impl Monitor {
         at: SimTime,
         functions: &mut FunctionRuntime,
         kv: &mut KvStore,
-        metrics: &mut MetricsService,
+        metrics: &MetricsService,
         ledger: &mut BillingLedger,
     ) -> Result<CollectOutcome, MonitorError> {
         let regions = market.regions_offering(self.instance_type);
@@ -230,16 +230,7 @@ impl Monitor {
                 at,
                 ledger,
             )?;
-            metrics.put_metric(
-                MetricKey::new(
-                    "SpotVerse",
-                    "spot_price",
-                    format!("region={region},type={}", self.instance_type),
-                ),
-                at,
-                spot.rate(),
-                ledger,
-            );
+            metrics.put_metric(at, ledger);
         }
         self.snapshot.key = Some(key);
         Ok(CollectOutcome::Fresh(count))
@@ -383,7 +374,7 @@ mod tests {
 
     fn collect(f: &mut Fixture, overlay: Option<&MarketOverlay>, at: SimTime) -> CollectOutcome {
         f.monitor
-            .collect(&f.market, overlay, at, &mut f.functions, &mut f.kv, &mut f.metrics, &mut f.ledger)
+            .collect(&f.market, overlay, at, &mut f.functions, &mut f.kv, &f.metrics, &mut f.ledger)
             .unwrap()
     }
 
@@ -511,10 +502,10 @@ mod tests {
         let mut functions = FunctionRuntime::new();
         let mut kv = KvStore::new();
         monitor.provision(&mut functions, &mut kv);
-        let mut metrics = MetricsService::new(Region::UsEast1);
+        let metrics = MetricsService::new(Region::UsEast1);
         let mut ledger = BillingLedger::new();
         let n = monitor
-            .collect(&market, None, SimTime::ZERO, &mut functions, &mut kv, &mut metrics, &mut ledger)
+            .collect(&market, None, SimTime::ZERO, &mut functions, &mut kv, &metrics, &mut ledger)
             .unwrap();
         assert_eq!(n, CollectOutcome::Fresh(9), "p3 is offered in 9 of 12 regions");
     }

@@ -17,7 +17,7 @@ use cloud_market::{Region, Usd};
 use galaxy_flow::WorkflowInvocation;
 use sim_kernel::{Scheduler, SimDuration, SimTime};
 
-use crate::controlplane::ControlPlane;
+use crate::controlplane::{ControlPlane, CHECKPOINT_TABLE};
 use crate::experiment::{CheckpointBackend, LOG_BUCKET};
 use crate::fleet::Event;
 use crate::optimizer::Placement;
@@ -309,7 +309,7 @@ impl WorkloadRuntime {
             now,
             |e| matches!(e, KvError::Throttled { .. }),
             |at| {
-                kv.update_item("spotverse-checkpoints", spec_id, at, ec2.ledger_mut(), |item| {
+                kv.update_item(CHECKPOINT_TABLE, spec_id, at, ec2.ledger_mut(), |item| {
                     item.insert("units_done".into(), aws_stack::AttrValue::N(units_done as f64));
                     item.insert("generation".into(), aws_stack::AttrValue::N(generation as f64));
                     item.insert("at".into(), aws_stack::AttrValue::N(at.as_secs() as f64));

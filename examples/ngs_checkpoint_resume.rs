@@ -1,95 +1,85 @@
-//! Walk through the checkpoint workload's interruption/resume cycle by
-//! hand: an NGS preprocessing invocation runs on a spot instance, receives
-//! a two-minute interruption notice, persists its shard progress to the
-//! KV-backed checkpoint store, and a replacement instance in another
-//! region resumes from the last completed shard — losing at most one
-//! shard of work.
+//! Follow one checkpoint workload through its interruptions in the
+//! decision trace: an NGS preprocessing workload starts on spot in
+//! ca-central-1; at each two-minute notice the Controller saves its shard
+//! progress to the checkpoint table, the instance is reclaimed, the
+//! workload resumes from the saved shard count, and the Optimizer picks
+//! the region it relaunches in.
 //!
 //! ```text
 //! cargo run --release -p spotverse-examples --bin ngs_checkpoint_resume
 //! ```
 
-use bio_workloads::ngs_preprocessing::{ngs_preprocessing_workload, DATASET_GIB};
-use cloud_market::Region;
-use galaxy_flow::{CheckpointRecord, CheckpointStore, WorkflowInvocation};
-use sim_kernel::{SimDuration, SimTime};
-use spotverse::KvCheckpointStore;
+use bio_workloads::ngs_preprocessing::DATASET_GIB;
+use bio_workloads::{paper_fleet, WorkloadKind};
+use cloud_market::{InstanceType, Region};
+use sim_kernel::SimRng;
+use spotverse::trace::{DecisionKind, TraceConfig, TraceEvent};
+use spotverse::{
+    run_experiment, summary_line, ExperimentConfig, InitialPlacement, Placement, SpotVerseConfig,
+    SpotVerseStrategy,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let workflow = ngs_preprocessing_workload(SimDuration::from_hours(10), 20);
+    // Most seeds finish this one workload uninterrupted; 37 is the first
+    // whose market reclaims it (three times).
+    let seed = 37;
+    let instance_type = InstanceType::M5Xlarge;
+    let workloads = paper_fleet(WorkloadKind::NgsPreprocessing, 1, &SimRng::seed_from_u64(seed));
+    let units = workloads[0].invocation().plan().unit_count();
     println!(
-        "workflow `{}`: {} units over {} steps, dataset {DATASET_GIB} GiB",
-        workflow.name(),
-        galaxy_flow::ExecutionPlan::new(&workflow).unit_count(),
-        workflow.len(),
+        "workload `{}`: {units} checkpointable units over a {DATASET_GIB} GiB dataset",
+        workloads[0].id
     );
 
-    let mut store = KvCheckpointStore::new(Region::UsEast1);
-    let workload_id = "ngs-w-00";
-
-    // --- First instance: ca-central-1 spot ------------------------------
-    let mut invocation = WorkflowInvocation::new(&workflow);
-    let boot = SimTime::from_secs(150);
-    let notice_at = boot + SimDuration::from_hours_f64(4.3);
-    let progress = invocation.record_execution(notice_at - boot)?;
-    println!(
-        "\n[ca-central-1] ran {} and completed {} units ({:.0}% done)",
-        SimDuration::from_hours_f64(4.3),
-        progress.units_completed,
-        invocation.fraction_done() * 100.0
+    let mut config = ExperimentConfig::new(seed, instance_type, workloads);
+    config.trace = TraceConfig::enabled();
+    let strategy = SpotVerseStrategy::new(
+        SpotVerseConfig::builder(instance_type)
+            .initial_placement(InitialPlacement::SingleRegion(Region::CaCentral1))
+            .build(),
     );
+    let report = run_experiment(config, Box::new(strategy));
+    println!("{}\n", summary_line(&report));
 
-    // Two-minute notice: upload the checkpoint record.
-    store.set_clock(notice_at);
-    store.save(
-        workload_id,
-        CheckpointRecord {
-            units_done: invocation.units_done(),
-            updated_at: notice_at,
-        },
-    )?;
-    println!(
-        "[ca-central-1] interruption notice: checkpointed {} units (1 GiB dataset fits the 2-minute window: {})",
-        invocation.units_done(),
-        cloud_compute::transfer::fits_in_interruption_notice(
-            Region::CaCentral1,
-            Region::UsEast1,
-            DATASET_GIB
+    // Per interruption the trace holds, in this order: the notice's
+    // checkpoint save, the reclaim, the restore of the saved units onto the
+    // workload, and the Optimizer's migration decision for its relaunch.
+    let trace = report.trace.as_ref().ok_or("tracing was enabled")?;
+    let mut counts = [0u64; 4];
+    for record in &trace.events {
+        let (kind, line) = match &record.event {
+            TraceEvent::CheckpointSave { generation, units, recorded, .. } => {
+                (0, format!("checkpoint_save     generation {generation}: {units} units (recorded: {recorded})"))
+            }
+            TraceEvent::Interrupted { region, instance, billed, .. } => {
+                (1, format!("interrupted         {instance} in {region}, billed ${billed:.4}"))
+            }
+            TraceEvent::CheckpointRestore { units, scratch, .. } => {
+                (2, format!("checkpoint_restore  resume from {units} units (scratch: {scratch})"))
+            }
+            TraceEvent::Decision { kind: DecisionKind::Migration, previous, placements, .. } => {
+                let from = previous.map_or_else(|| "-".to_owned(), |r| r.to_string());
+                let to = match placements[0] {
+                    Placement::Spot(r) => format!("spot in {r}"),
+                    Placement::OnDemand(r) => format!("on-demand in {r}"),
+                };
+                (3, format!("decision migration  {from} -> {to}"))
+            }
+            _ => continue,
+        };
+        counts[kind] += 1;
+        println!("{:>14}  {line}", record.at.to_string());
+    }
+    if report.interruptions == 0 || counts.iter().any(|&n| n != report.interruptions) {
+        return Err(format!(
+            "expected one save, reclaim, restore and migration per interruption ({}), got {counts:?}",
+            report.interruptions
         )
-    );
-    invocation.handle_interruption();
-
-    // A stale writer (the dying instance's duplicate upload) is rejected.
-    let stale = store.save(
-        workload_id,
-        CheckpointRecord {
-            units_done: 1,
-            updated_at: notice_at + SimDuration::from_secs(30),
-        },
-    );
-    println!("[ca-central-1] stale duplicate write rejected: {}", stale.is_err());
-
-    // --- Replacement instance: eu-north-1 spot ---------------------------
-    let record = store.load(workload_id)?.expect("checkpoint persisted");
-    let mut resumed = WorkflowInvocation::new(&workflow);
-    resumed.resume_from(record.units_done)?;
+        .into());
+    }
     println!(
-        "\n[eu-north-1] resumed from checkpoint: {} units done, {} remaining",
-        resumed.units_done(),
-        resumed.remaining_duration()
-    );
-
-    let finish = resumed.record_execution(resumed.remaining_duration())?;
-    assert!(finish.finished);
-    store.clear(workload_id)?;
-    // The only lost work is the partially-completed shard at notice time.
-    let plan = galaxy_flow::ExecutionPlan::new(&workflow);
-    let completed_work = plan.total_duration() - plan.remaining_after(record.units_done);
-    let lost = (notice_at - boot).saturating_sub(completed_work);
-    println!("[eu-north-1] finished; work lost to the interruption: {lost} (< one shard)");
-    println!(
-        "\ncheckpoint store billed ${:.6} for the KV traffic",
-        store.ledger().total().amount()
+        "\n{} checkpoint writes, {} throttled retries",
+        report.checkpoints.writes, report.checkpoints.throttled_retries
     );
     Ok(())
 }

@@ -1,13 +1,15 @@
 //! Cross-crate property-based tests: invariants that span the market, the
-//! compute plane, the optimizer, and the experiment engine.
+//! compute plane, the optimizer, the experiment engine, and the paper
+//! workloads' Galaxy workflows.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use bio_workloads::{workload_fleet, WorkloadKind};
+use bio_workloads::{paper_fleet, workload_fleet, WorkloadKind};
 use cloud_compute::{Ec2, PurchaseModel, SpotRequestOutcome, TerminationReason};
 use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
+use galaxy_flow::{ExecutionPlan, WorkflowInvocation};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
     run_experiment, ExperimentConfig, MigrationPolicy, Monitor, Optimizer, SingleRegionStrategy,
@@ -159,4 +161,53 @@ proptest! {
             "billed at least the useful work"
         );
     }
+}
+
+/// The flat execution plan the runs advance and the workflow DAG it is
+/// built from agree on total work, for each of the paper's workloads:
+/// exactly for the monolithic ones, and up to the plan's per-shard
+/// rounding (at most half a second per unit) for the sharded NGS
+/// workload.
+#[test]
+fn execution_plan_matches_workflow_duration() {
+    for kind in WorkloadKind::ALL {
+        let workflow = paper_fleet(kind, 1, &SimRng::seed_from_u64(4))[0].build_workflow();
+        let plan = ExecutionPlan::new(&workflow);
+        let (planned, nominal) = (plan.total_duration().as_secs(), workflow.total_duration().as_secs());
+        if kind.is_checkpointable() {
+            let rounding = planned.abs_diff(nominal);
+            assert!(2 * rounding <= plan.unit_count() as u64, "{kind}: {planned} s vs {nominal} s");
+        } else {
+            assert_eq!(planned, nominal, "{kind}");
+        }
+    }
+}
+
+/// The paper's two interruption semantics on its own workloads: the
+/// standard Genome Reconstruction restarts from scratch, the sharded NGS
+/// preprocessing workload resumes from its last checkpoint.
+#[test]
+fn standard_vs_checkpoint_interruption_semantics() {
+    let standard = paper_fleet(WorkloadKind::GenomeReconstruction, 1, &SimRng::seed_from_u64(5))[0]
+        .build_workflow();
+    let checkpoint =
+        paper_fleet(WorkloadKind::NgsPreprocessing, 1, &SimRng::seed_from_u64(5))[0].build_workflow();
+
+    let mut std_inv = WorkflowInvocation::new(&standard);
+    let mut ckpt_inv = WorkflowInvocation::new(&checkpoint);
+    let four_hours = SimDuration::from_hours(4);
+    std_inv.record_execution(four_hours).unwrap();
+    ckpt_inv.record_execution(four_hours).unwrap();
+    let std_before = std_inv.units_done();
+    let ckpt_before = ckpt_inv.units_done();
+    assert!(std_before > 0, "23-step workflow completes early steps in 4 h");
+    assert!(ckpt_before > 0);
+
+    std_inv.handle_interruption();
+    ckpt_inv.handle_interruption();
+    assert_eq!(std_inv.units_done(), 0, "standard restarts from scratch");
+    assert_eq!(ckpt_inv.units_done(), ckpt_before, "checkpoint resumes");
+    // Checkpoint workload now needs strictly less time than a full run.
+    assert!(ckpt_inv.remaining_duration() < checkpoint.total_duration());
+    assert_eq!(std_inv.remaining_duration(), standard.total_duration());
 }
