@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use sim_kernel::{SimDuration, SimTime};
+use sim_kernel::{keyed_hash, SimDuration, SimRng, SimTime};
 
 use cloud_compute::{BillingLedger, ServiceKind};
 use cloud_market::{Region, Usd};
@@ -39,23 +39,19 @@ impl Default for FunctionConfig {
     }
 }
 
-/// A Step-Functions-like retry policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A Step-Functions-like retry policy: capped exponential backoff that
+/// doubles per retry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts (≥ 1).
     pub max_attempts: u32,
-    /// Delay before the first retry.
+    /// Delay before the first retry; each later retry doubles it.
     pub initial_backoff: SimDuration,
-    /// Backoff multiplier between retries.
-    pub backoff_rate: f64,
-    /// Hard cap on any single backoff delay. Geometric growth overflows
-    /// `f64` to `inf` for large retry counts; the cap keeps the delay
-    /// finite (and bounded) no matter how many retries have elapsed.
+    /// Hard cap on any single backoff delay, however many retries have
+    /// elapsed.
     pub max_delay: SimDuration,
-    /// Maximum deterministic jitter added by [`RetryPolicy::backoff_jittered`].
-    /// Zero (the default) disables jitter entirely, so plain
-    /// [`RetryPolicy::backoff_before`] users are byte-identical to before
-    /// the field existed.
+    /// Maximum deterministic jitter added by [`RetryPolicy::backoff_jittered`];
+    /// zero (the default) adds none.
     pub jitter: SimDuration,
 }
 
@@ -64,7 +60,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             initial_backoff: SimDuration::from_secs(30),
-            backoff_rate: 2.0,
             max_delay: SimDuration::from_hours(1),
             jitter: SimDuration::ZERO,
         }
@@ -72,49 +67,37 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The backoff before retry number `retry` (1-based), capped at
-    /// [`RetryPolicy::max_delay`].
+    /// The backoff before retry number `retry` (1-based): the initial
+    /// backoff doubled `retry - 1` times, capped at
+    /// [`RetryPolicy::max_delay`] (or at the initial backoff, if larger).
     pub fn backoff_before(&self, retry: u32) -> SimDuration {
         let cap = self.max_delay.as_secs().max(self.initial_backoff.as_secs());
-        // powi on an i32 exponent: clamp huge retry counts before the cast
-        // can wrap; anything past the clamp is already far beyond the cap.
-        let exponent = retry.saturating_sub(1).min(1024) as i32;
-        let raw = self.initial_backoff.as_secs() as f64 * self.backoff_rate.powi(exponent);
-        let secs = if raw.is_finite() && raw < cap as f64 {
-            raw.round() as u64
-        } else {
-            cap
-        };
-        SimDuration::from_secs(secs.min(cap))
+        let doubling = 1u64.checked_shl(retry.saturating_sub(1)).unwrap_or(u64::MAX);
+        SimDuration::from_secs(self.initial_backoff.as_secs().saturating_mul(doubling).min(cap))
     }
 
-    /// [`RetryPolicy::backoff_before`] plus a deterministic jitter draw in
-    /// `[0, jitter]` seconds, hashed from `(seed, retry, key)` — the same
-    /// construction as the health-breaker quarantine jitter. Distinct keys
-    /// (e.g. shard ids) spread re-dispatches so they don't thundering-herd
-    /// the event bus; identical inputs always produce the identical delay.
+    /// [`RetryPolicy::backoff_before`] plus deterministic jitter in
+    /// `[0, jitter]` seconds, taken from the [`keyed_hash`] of
+    /// `(seed, retry, key)`. Distinct keys (e.g. shard ids) spread
+    /// re-dispatches so they don't thundering-herd the event bus; identical
+    /// inputs always produce the identical delay.
     pub fn backoff_jittered(&self, retry: u32, seed: u64, key: &str) -> SimDuration {
         let base = self.backoff_before(retry);
         let max_jitter = self.jitter.as_secs();
         if max_jitter == 0 {
             return base;
         }
-        // FNV-1a over the inputs, then a SplitMix64 finalizer.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for byte in seed
-            .to_le_bytes()
-            .iter()
-            .chain(u64::from(retry).to_le_bytes().iter())
-            .chain(key.as_bytes())
-        {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        let mut z = h.wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
-        base + SimDuration::from_secs(z % (max_jitter + 1))
+        base + SimDuration::from_secs(keyed_hash(seed, u64::from(retry), key) % (max_jitter + 1))
+    }
+
+    /// [`RetryPolicy::backoff_before`] (at least one second) with "equal
+    /// jitter": half of it fixed, the rest drawn uniformly from `rng`, so
+    /// callers throttled at the same instant retry apart. Ignores
+    /// [`RetryPolicy::jitter`].
+    pub fn backoff_equal_jitter(&self, retry: u32, rng: &mut SimRng) -> SimDuration {
+        let full = self.backoff_before(retry).as_secs().max(1);
+        let half = full / 2;
+        SimDuration::from_secs(half + rng.uniform_u64(full - half + 1))
     }
 }
 
@@ -423,7 +406,6 @@ mod tests {
         let p = RetryPolicy {
             max_attempts: 5,
             initial_backoff: SimDuration::from_secs(10),
-            backoff_rate: 2.0,
             ..RetryPolicy::default()
         };
         assert_eq!(p.backoff_before(1), SimDuration::from_secs(10));
@@ -436,14 +418,12 @@ mod tests {
         let p = RetryPolicy {
             max_attempts: 100,
             initial_backoff: SimDuration::from_secs(30),
-            backoff_rate: 2.0,
             max_delay: SimDuration::from_mins(15),
             jitter: SimDuration::ZERO,
         };
-        // 30 * 2^63 would be ~2.8e20 — far past u64 seconds as a SimTime
-        // increment; the cap keeps it finite and bounded.
+        // 30 * 2^63 overflows u64 seconds; the cap keeps it bounded.
         assert_eq!(p.backoff_before(64), SimDuration::from_mins(15));
-        // Still capped where the f64 itself is infinite.
+        // Still capped where the doubling itself no longer fits in u64.
         assert_eq!(p.backoff_before(4096), SimDuration::from_mins(15));
         // And untouched below the cap.
         assert_eq!(p.backoff_before(2), SimDuration::from_secs(60));

@@ -9,7 +9,7 @@
 
 use cloud_compute::{FaultInjector, INTERRUPTION_NOTICE};
 use cloud_market::{MarketOverlay, OverlayWindow, PlacementScore, Region};
-use sim_kernel::{SimDuration, SimRng, SimTime};
+use sim_kernel::{keyed_hash, SimDuration, SimRng, SimTime};
 
 use crate::scenario::{ChaosScenario, FaultDirective, RegionScope};
 
@@ -232,27 +232,10 @@ fn scope_regions(scope: &RegionScope) -> Option<Vec<Region>> {
     }
 }
 
-/// A deterministic draw in `[0, 1)` from a keyed hash — FNV-1a over the
-/// key material finished with SplitMix64, matching the kernel's substream
-/// derivation style.
+/// A deterministic draw in `[0, 1)`: the top 53 bits of the kernel's
+/// [`keyed_hash`] of `(seed, generation, workload)`.
 fn hash_unit(seed: u64, workload: &str, generation: u64) -> f64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET;
-    for chunk in [seed, generation] {
-        for byte in chunk.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    for byte in workload.bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    // SplitMix64 finalizer.
-    let mut z = h.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+    (keyed_hash(seed, generation, workload) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Pure window-driven injector for the compute substrate.
@@ -480,6 +463,42 @@ mod tests {
         // Outside the window nothing corrupts.
         let clean = ChaosEngine::new(&scenario::region_blackout(), 7, SimTime::ZERO);
         assert!(!clean.checkpoint_corrupted("ngs-shard-3", 0, t(1)));
+    }
+
+    /// `hash_unit` as it was before it called [`keyed_hash`], kept as the
+    /// reference the shared hash must reproduce bit for bit.
+    fn reference_hash_unit(seed: u64, workload: &str, generation: u64) -> f64 {
+        let mut h: u64 = 0xcbf29ce484222325;
+        for chunk in [seed, generation] {
+            for byte in chunk.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x100000001b3);
+            }
+        }
+        for byte in workload.bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x100000001b3);
+        }
+        let mut z = h.wrapping_add(0x9e3779b97f4a7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn hash_unit_matches_its_reference() {
+        let mut keys = vec!["", "ngs-shard-3", "genome-0"];
+        keys.extend(Region::ALL.iter().map(|r| r.name()));
+        for seed in [0, 1, 7, 2024, 0x5eed_5eed_5eed_5eed, u64::MAX] {
+            for key in &keys {
+                for generation in 0..=64 {
+                    assert_eq!(
+                        hash_unit(seed, key, generation).to_bits(),
+                        reference_hash_unit(seed, key, generation).to_bits(),
+                        "seed {seed} {key:?} generation {generation}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -625,13 +625,6 @@ impl SpotMarket {
         Self::build(config)
     }
 
-    /// Identical to [`SpotMarket::new`]; retained for callers that predate
-    /// the removal of the scoped-thread parallel build (lazy segments made
-    /// construction too cheap to be worth parallelising).
-    pub fn new_serial(config: MarketConfig) -> Self {
-        Self::build(config)
-    }
-
     /// The reference construction: builds the market and materializes
     /// every trajectory up front in one front-to-back pass — exactly the
     /// old eager precompute. Equivalence tests compare lazy markets,
@@ -1002,7 +995,6 @@ mod tests {
                 );
             }
             assert_eq!(lazy, eager, "seed {seed}");
-            assert_eq!(SpotMarket::new_serial(config), eager, "seed {seed} via new_serial()");
         }
     }
 

@@ -12,8 +12,7 @@
 use bio_workloads::WorkloadKind;
 use cloud_market::InstanceType;
 use spotverse::{
-    run_repetitions, AblatedSpotVerseStrategy, AggregateReport, MigrationPolicy, SpotVerseConfig,
-    SpotVerseStrategy,
+    run_repetitions, AggregateReport, MigrationPolicy, SpotVerseConfig, SpotVerseStrategy,
 };
 
 use crate::{bench_config, bench_fleet, Figure, BENCH_SEED};
@@ -46,13 +45,13 @@ pub fn ablation_algorithm1() -> Figure {
         )))
     });
     let no_migration = run_variant("no migration (relaunch in place)", || {
-        Box::new(AblatedSpotVerseStrategy::new(
+        Box::new(SpotVerseStrategy::ablated(
             SpotVerseConfig::paper_default(InstanceType::M5Xlarge),
             MigrationPolicy::StayPut,
         ))
     });
     let no_random = run_variant("no random pick (always cheapest of top-R)", || {
-        Box::new(AblatedSpotVerseStrategy::new(
+        Box::new(SpotVerseStrategy::ablated(
             SpotVerseConfig::paper_default(InstanceType::M5Xlarge),
             MigrationPolicy::CheapestQualifying,
         ))

@@ -60,8 +60,8 @@ mod trace;
 
 pub use engine::{Model, RunOutcome, Scheduler, Simulation};
 pub use event::EventQueue;
-pub use rng::SimRng;
+pub use rng::{keyed_hash, SimRng};
 pub use series::{CumulativeCounter, TimeSeries};
-pub use stats::{percentile, RunningStats};
+pub use stats::RunningStats;
 pub use time::{SimDuration, SimTime};
 pub use trace::RingBuffer;

@@ -33,14 +33,34 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes a label into a stream discriminant (FNV-1a).
-fn hash_label(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.bytes() {
+/// FNV-1a offset basis: the hash state before any byte.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Hashes a label into a stream discriminant (FNV-1a).
+fn hash_label(label: &str) -> u64 {
+    fnv1a(FNV_OFFSET, label.as_bytes())
+}
+
+/// A pure keyed hash of `(seed, n, key)`: FNV-1a over the little-endian
+/// bytes of `seed` and `n` and then the bytes of `key`, finished with
+/// SplitMix64.
+///
+/// For draws that must not consume an RNG stream, so asking twice (at a
+/// write and at its read, or in a replay) gives the same answer and every
+/// other stream is left untouched: checkpoint corruption verdicts,
+/// quarantine jitter and re-drive jitter.
+pub fn keyed_hash(seed: u64, n: u64, key: &str) -> u64 {
+    let h = fnv1a(FNV_OFFSET, &seed.to_le_bytes());
+    splitmix64(fnv1a(fnv1a(h, &n.to_le_bytes()), key.as_bytes()))
 }
 
 impl SimRng {

@@ -1,5 +1,4 @@
-//! Online statistics used by experiment reports: running moments and
-//! quantiles.
+//! Online statistics used by experiment reports: running moments.
 
 /// Welford running mean/variance with min/max tracking.
 ///
@@ -135,30 +134,6 @@ impl Extend<f64> for RunningStats {
     }
 }
 
-/// Linear-interpolated percentile of a sample (sorts a copy).
-///
-/// Returns `None` for an empty sample.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 100]` or any value is NaN.
-pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("percentile: NaN value"));
-    if sorted.len() == 1 {
-        return Some(sorted[0]);
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,15 +186,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_observation_panics() {
         RunningStats::new().record(f64::NAN);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&v, 0.0), Some(10.0));
-        assert_eq!(percentile(&v, 100.0), Some(40.0));
-        assert_eq!(percentile(&v, 50.0), Some(25.0));
-        assert_eq!(percentile(&[], 50.0), None);
-        assert_eq!(percentile(&[7.0], 99.0), Some(7.0));
     }
 }

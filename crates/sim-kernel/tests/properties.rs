@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use sim_kernel::{percentile, EventQueue, RunningStats, SimDuration, SimRng, SimTime, TimeSeries};
+use sim_kernel::{EventQueue, RunningStats, SimDuration, SimRng, SimTime, TimeSeries};
 
 /// The queue as a plain binary heap keyed by `(time, seq)`: the reference
 /// the lane-backed [`EventQueue`] must match delivery for delivery.
@@ -126,18 +126,6 @@ proptest! {
             prop_assert!((merged.mean() - sequential.mean()).abs() < 1e-6 * (1.0 + sequential.mean().abs()));
             prop_assert!((merged.variance() - sequential.variance()).abs() < 1e-4 * (1.0 + sequential.variance().abs()));
         }
-    }
-
-    /// Percentiles are monotone in `p` and bracketed by min/max.
-    #[test]
-    fn percentile_is_monotone_and_bounded(values in prop::collection::vec(-1e9f64..1e9, 1..200)) {
-        let p25 = percentile(&values, 25.0).unwrap();
-        let p50 = percentile(&values, 50.0).unwrap();
-        let p75 = percentile(&values, 75.0).unwrap();
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(p25 <= p50 && p50 <= p75);
-        prop_assert!(lo <= p25 && p75 <= hi);
     }
 
     /// Step-function lookups return the most recent value.

@@ -243,22 +243,6 @@ impl ControlPlane {
     }
 }
 
-/// The degraded-mode placement: the cheapest on-demand region by price,
-/// ties broken by region name. On-demand prices are static catalog data,
-/// so they stay trustworthy even when every dynamic metric has expired.
-pub(crate) fn cheapest_on_demand(assessments: &[RegionAssessment]) -> Region {
-    assessments
-        .iter()
-        .min_by(|a, b| {
-            a.on_demand_price
-                .rate()
-                .total_cmp(&b.on_demand_price.rate())
-                .then_with(|| a.region.name().cmp(b.region.name()))
-        })
-        .expect("assessments cover at least one region")
-        .region
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

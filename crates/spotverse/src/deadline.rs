@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use cloud_market::Region;
 use sim_kernel::{SimDuration, SimTime};
 
-use crate::config::{InitialPlacement, SpotVerseConfig};
+use crate::config::SpotVerseConfig;
 use crate::optimizer::{MigrationPolicy, Optimizer, Placement};
 use crate::strategy::{Strategy, StrategyContext};
 
@@ -109,14 +109,7 @@ impl Strategy for DeadlineAwareStrategy {
             out.extend(std::iter::repeat_n(Placement::OnDemand(od), n));
             return;
         }
-        match self.optimizer.config().initial_placement() {
-            InitialPlacement::SingleRegion(region) => {
-                out.extend(std::iter::repeat_n(Placement::Spot(*region), n));
-            }
-            InitialPlacement::Distributed => {
-                self.optimizer.initial_placements_into(ctx.assessments, n, &[], out);
-            }
-        }
+        self.optimizer.initial_placements_into(ctx.assessments, n, &[], out);
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous: Region) -> Placement {

@@ -34,11 +34,11 @@ use sim_kernel::{
     CumulativeCounter, Model, Scheduler, SimDuration, SimRng, SimTime, Simulation,
 };
 
-use crate::controlplane::{cheapest_on_demand, ControlPlane, CHECKPOINT_TABLE};
+use crate::controlplane::{ControlPlane, CHECKPOINT_TABLE};
 use crate::experiment::{
     CostBreakdown, ExperimentConfig, ExperimentReport, INTERRUPTION_HANDLER, LOG_BUCKET,
 };
-use crate::optimizer::Placement;
+use crate::optimizer::{cheapest_on_demand, Placement};
 use crate::strategy::{Strategy, StrategyContext};
 use crate::trace::{ChaosFaultKind, DecisionKind, TraceEvent, Tracer};
 use crate::workload::{WorkloadPhase, WorkloadReport, WorkloadRuntime};
@@ -46,6 +46,16 @@ use crate::workload::{WorkloadPhase, WorkloadReport, WorkloadRuntime};
 /// The Monitor's collection period: the metrics collector runs on a
 /// 15-minute schedule.
 pub(crate) const MONITOR_PERIOD: SimDuration = SimDuration::from_mins(15);
+/// Re-collection after a throttled Monitor tick: 30 s doubling to an
+/// 8 min cap, retried until a collection succeeds.
+pub(crate) const MONITOR_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: u32::MAX,
+    initial_backoff: SimDuration::from_secs(30),
+    max_delay: SimDuration::from_mins(8),
+    jitter: SimDuration::ZERO,
+};
+// A retried collection lands before the next scheduled one would.
+const _: () = assert!(MONITOR_RETRY.max_delay.as_secs() <= MONITOR_PERIOD.as_secs());
 /// The open-request retry sweep: the paper's Controller re-tries open
 /// spot requests every 15 minutes.
 const RETRY_INTERVAL: SimDuration = SimDuration::from_mins(15);
@@ -320,7 +330,7 @@ impl FleetModel {
             // guaranteed capacity at the cheapest on-demand rate. Skips
             // the strategy (and its RNG) entirely — only reachable under
             // chaos, so fault-free streams are untouched.
-            let placement = Placement::OnDemand(cheapest_on_demand(&assessments));
+            let placement = Placement::OnDemand(cheapest_on_demand(assessments.iter()));
             if self.cp.tracer.enabled() {
                 self.cp.tracer.record(
                     now,
@@ -384,7 +394,7 @@ impl FleetModel {
         placements.clear();
         if degraded {
             placements.extend(std::iter::repeat_n(
-                Placement::OnDemand(cheapest_on_demand(&assessments)),
+                Placement::OnDemand(cheapest_on_demand(assessments.iter())),
                 n,
             ));
         } else {
@@ -901,14 +911,8 @@ impl FleetModel {
                 self.cp.note_collection_failure();
                 self.cp.tracer.record(now, TraceEvent::CollectionFailed { retryable: true });
                 self.cp.telemetry.throttled_retries += 1;
-                let policy = crate::resilience::BackoffPolicy {
-                    max_attempts: u32::MAX,
-                    base: SimDuration::from_secs(30),
-                    cap: SimDuration::from_mins(8),
-                };
-                let delay = policy
-                    .delay(self.cp.monitor_backoff, &mut self.cp.backoff_rng)
-                    .min(MONITOR_PERIOD);
+                let delay = MONITOR_RETRY
+                    .backoff_equal_jitter(self.cp.monitor_backoff + 1, &mut self.cp.backoff_rng);
                 self.cp.monitor_backoff = (self.cp.monitor_backoff + 1).min(8);
                 scheduler.schedule_in(delay, Event::MonitorTick);
             }

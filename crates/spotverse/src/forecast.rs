@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use cloud_market::{PlacementScore, Region, UsdPerHour};
 
-use crate::config::{InitialPlacement, SpotVerseConfig};
+use crate::config::SpotVerseConfig;
 use crate::optimizer::{MigrationPolicy, Optimizer, Placement, RegionAssessment};
 use crate::strategy::{Strategy, StrategyContext};
 
@@ -171,14 +171,7 @@ impl Strategy for ForecastingSpotVerseStrategy {
     ) {
         self.forecaster.observe(ctx.assessments);
         let predicted = self.forecaster.predict(ctx.assessments);
-        match self.optimizer.config().initial_placement() {
-            InitialPlacement::SingleRegion(region) => {
-                out.extend(std::iter::repeat_n(Placement::Spot(*region), n));
-            }
-            InitialPlacement::Distributed => {
-                self.optimizer.initial_placements_into(&predicted, n, &[], out);
-            }
-        }
+        self.optimizer.initial_placements_into(&predicted, n, &[], out);
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous: Region) -> Placement {

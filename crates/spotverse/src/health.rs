@@ -12,8 +12,7 @@
 //! and the next launch there is a *probe*. A fulfilled probe closes the
 //! breaker; a rejected probe re-trips it with a longer quarantine.
 //!
-//! Determinism rules (the same discipline as
-//! [`BackoffPolicy`](crate::resilience::BackoffPolicy)):
+//! Determinism rules:
 //!
 //! * strikes are only recorded for **chaos-attributed** failures, so a
 //!   fault-free run never creates a breaker entry — the ledger stays
@@ -27,6 +26,7 @@
 
 use std::collections::BTreeMap;
 
+use aws_stack::RetryPolicy;
 use cloud_market::Region;
 use sim_kernel::{SimDuration, SimTime};
 
@@ -63,47 +63,21 @@ pub struct BreakerTransition {
 
 /// Unhealed strikes that trip a closed breaker.
 const STRIKE_THRESHOLD: u32 = 2;
-/// Quarantine after the first trip; doubles per subsequent trip.
-const BASE_QUARANTINE: SimDuration = SimDuration::from_hours(1);
-/// Ceiling on the doubling.
-const MAX_QUARANTINE: SimDuration = SimDuration::from_hours(8);
-/// Upper bound of the hash-derived jitter added to each quarantine
-/// (decorrelates same-instant trips across regions).
-const QUARANTINE_JITTER: SimDuration = SimDuration::from_mins(10);
+/// The quarantine per trip: 1 h after the first, doubling per later trip
+/// up to 8 h, plus up to 10 min of keyed jitter (decorrelates
+/// same-instant trips across regions). Every trip quarantines, so the
+/// attempt budget is unbounded.
+pub(crate) const QUARANTINE: RetryPolicy = RetryPolicy {
+    max_attempts: u32::MAX,
+    initial_backoff: SimDuration::from_hours(1),
+    max_delay: SimDuration::from_hours(8),
+    jitter: SimDuration::from_mins(10),
+};
 
-/// The quarantine for trip number `trip` (1-based): exponential in the
-/// trip count, capped, plus seeded jitter.
-fn quarantine(seed: u64, region: Region, trip: u32) -> SimDuration {
-    let base = BASE_QUARANTINE.as_secs();
-    let doubled = base.saturating_mul(1u64.checked_shl(trip.saturating_sub(1)).unwrap_or(u64::MAX));
-    let capped = doubled.min(MAX_QUARANTINE.as_secs());
-    SimDuration::from_secs(capped + jitter_secs(seed, region, trip, QUARANTINE_JITTER))
-}
-
-/// A deterministic draw in `[0, jitter]` seconds from a keyed hash —
-/// FNV-1a over `(seed, region, trip)` finished with SplitMix64, matching
-/// the chaos engine's pure-draw style. Never consumes RNG state.
-fn jitter_secs(seed: u64, region: Region, trip: u32, jitter: SimDuration) -> u64 {
-    let max = jitter.as_secs();
-    if max == 0 {
-        return 0;
-    }
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET;
-    for chunk in [seed, u64::from(trip)] {
-        for byte in chunk.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    for byte in region.name().bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    let mut z = h.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^= z >> 31;
-    z % (max + 1)
+/// The quarantine for trip number `trip` (1-based), its jitter a pure
+/// hash of `(seed, trip, region)` that consumes no RNG state.
+pub(crate) fn quarantine(seed: u64, region: Region, trip: u32) -> SimDuration {
+    QUARANTINE.backoff_jittered(trip, seed, region.name())
 }
 
 /// One region's breaker record.
@@ -390,7 +364,7 @@ mod tests {
         h.record_rejection(Region::EuNorth1, t(1));
         // Base quarantine is 1 h plus at most the jitter: open until then,
         // half-open after.
-        let after = t(2) + QUARANTINE_JITTER;
+        let after = t(2) + QUARANTINE.jitter;
         assert_eq!(h.state(Region::EuNorth1, t(1)), BreakerState::Open);
         assert_eq!(h.state(Region::EuNorth1, t(2) - SimDuration::from_secs(1)), BreakerState::Open);
         assert_eq!(h.state(Region::EuNorth1, after), BreakerState::HalfOpen);
@@ -428,33 +402,29 @@ mod tests {
         // Second quarantine doubles to 2 h: still open at +1h, half-open
         // after +2h plus the jitter.
         assert_eq!(h.state(Region::EuWest1, t(3)), BreakerState::Open);
-        assert_eq!(h.state(Region::EuWest1, t(4) + QUARANTINE_JITTER), BreakerState::HalfOpen);
+        assert_eq!(h.state(Region::EuWest1, t(4) + QUARANTINE.jitter), BreakerState::HalfOpen);
     }
 
     #[test]
     fn quarantine_doubles_but_caps() {
-        let q = |trip| {
-            let jitter = jitter_secs(7, Region::UsEast1, trip, QUARANTINE_JITTER);
-            quarantine(7, Region::UsEast1, trip) - SimDuration::from_secs(jitter)
-        };
-        assert_eq!(q(1), SimDuration::from_hours(1));
-        assert_eq!(q(2), SimDuration::from_hours(2));
-        assert_eq!(q(4), SimDuration::from_hours(8));
-        assert_eq!(q(10), SimDuration::from_hours(8), "capped at max_quarantine");
+        for (trip, hours) in [(1, 1), (2, 2), (4, 8), (10, 8)] {
+            let q = quarantine(7, Region::UsEast1, trip);
+            let base = SimDuration::from_hours(hours);
+            assert!(base <= q && q <= base + QUARANTINE.jitter, "trip {trip}: {q:?}");
+        }
     }
 
     #[test]
     fn jitter_is_bounded_and_keyed() {
-        let jitter = SimDuration::from_mins(10);
         for trip in 1..8 {
-            let j = jitter_secs(7, Region::UsEast1, trip, jitter);
-            assert!(j <= jitter.as_secs());
-            assert_eq!(j, jitter_secs(7, Region::UsEast1, trip, jitter));
+            let q = quarantine(7, Region::UsEast1, trip);
+            assert!(q - QUARANTINE.backoff_before(trip) <= QUARANTINE.jitter);
+            assert_eq!(q, quarantine(7, Region::UsEast1, trip));
         }
         // Different regions decorrelate (at least one differs over a few
         // trips).
-        let a: Vec<u64> = (1..8).map(|i| jitter_secs(7, Region::UsEast1, i, jitter)).collect();
-        let b: Vec<u64> = (1..8).map(|i| jitter_secs(7, Region::EuWest1, i, jitter)).collect();
+        let a: Vec<SimDuration> = (1..8).map(|i| quarantine(7, Region::UsEast1, i)).collect();
+        let b: Vec<SimDuration> = (1..8).map(|i| quarantine(7, Region::EuWest1, i)).collect();
         assert_ne!(a, b);
     }
 
@@ -479,7 +449,7 @@ mod tests {
             prop_assert_eq!(h.state(region, trip_at), BreakerState::Open);
             // The quarantine is at least the base window; inside it the
             // region is always excluded.
-            let min_q = BASE_QUARANTINE.as_secs();
+            let min_q = QUARANTINE.initial_backoff.as_secs();
             for &off in &probe_offsets {
                 let at = trip_at + SimDuration::from_secs(off % min_q);
                 prop_assert!(h.is_quarantined(region, at));
@@ -498,7 +468,7 @@ mod tests {
             let region = Region::EuWest3;
             let mut now = t(1);
             let bound = SimDuration::from_secs(
-                MAX_QUARANTINE.as_secs() + QUARANTINE_JITTER.as_secs() + 1,
+                QUARANTINE.max_delay.as_secs() + QUARANTINE.jitter.as_secs() + 1,
             );
             h.record_rejection(region, now);
             h.record_rejection(region, now);

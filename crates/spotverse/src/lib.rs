@@ -105,7 +105,7 @@ pub use experiment::{
 pub use fleet::{run_fleet, run_fleet_on, FleetConfig, FleetReport, FleetWorkload, Priority};
 pub use loadgen::{ArrivalProcess, LoadProfile, TenantClass, WorkloadMix};
 pub use workload::{WorkloadPhase, WorkloadReport};
-pub use resilience::{retry_with_backoff, BackoffPolicy, RetryOutcome};
+pub use resilience::{retry_with_backoff, RetryOutcome};
 pub use health::{
     BreakerState, BreakerTransition, RegionHealth, ResilienceTelemetry, TelemetryFreshness,
 };
@@ -142,7 +142,6 @@ pub use trace::{
     TraceConfig, TraceEvent, TraceRecord, Tracer,
 };
 pub use strategy::{
-    AblatedSpotVerseStrategy, BidPriceAwareStrategy, CheckpointAdaptiveStrategy,
-    NaiveMultiRegionStrategy, OnDemandStrategy, SingleRegionStrategy, SkyPilotStrategy,
-    SpotVerseStrategy, Strategy, StrategyContext,
+    BidPriceAwareStrategy, CheckpointAdaptiveStrategy, NaiveMultiRegionStrategy, OnDemandStrategy,
+    SingleRegionStrategy, SkyPilotStrategy, SpotVerseStrategy, Strategy, StrategyContext,
 };

@@ -9,12 +9,13 @@
 //! interrupted in. When no region meets the threshold, the workload falls
 //! back to the cheapest on-demand instance.
 
+use std::cmp::Ordering;
 use std::str::FromStr;
 
 use cloud_market::{CombinedScore, PlacementScore, Region, StabilityScore, UsdPerHour};
 use sim_kernel::SimRng;
 
-use crate::config::SpotVerseConfig;
+use crate::config::{InitialPlacement, SpotVerseConfig};
 
 /// One region's assessment at a decision instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,6 +37,50 @@ impl RegionAssessment {
     pub fn combined(&self) -> CombinedScore {
         CombinedScore::new(self.placement, self.stability)
     }
+
+    /// The spot ranking every strategy uses: cheaper spot price first.
+    pub(crate) fn cmp_spot(&self, other: &Self) -> Ordering {
+        cmp_price(self, other, |a| a.spot_price)
+    }
+}
+
+/// Orders two assessments by `price`, ties broken by region name, so a
+/// ranking never depends on the order the regions were assessed in.
+fn cmp_price(
+    a: &RegionAssessment,
+    b: &RegionAssessment,
+    price: impl Fn(&RegionAssessment) -> UsdPerHour,
+) -> Ordering {
+    price(a)
+        .rate()
+        .total_cmp(&price(b).rate())
+        .then_with(|| a.region.name().cmp(b.region.name()))
+}
+
+/// The region with the cheapest spot price among `candidates`, or `None`
+/// when there are none.
+pub fn cheapest_spot<'a>(
+    candidates: impl IntoIterator<Item = &'a RegionAssessment>,
+) -> Option<Region> {
+    candidates.into_iter().min_by(|a, b| a.cmp_spot(b)).map(|a| a.region)
+}
+
+/// The on-demand fallback: the region with the cheapest on-demand price
+/// among `candidates`. On-demand prices are static catalog data, so they
+/// stay trustworthy even when every dynamic metric has expired.
+///
+/// # Panics
+///
+/// Panics if `candidates` is empty (the market always offers at least one
+/// region per instance type).
+pub fn cheapest_on_demand<'a>(
+    candidates: impl IntoIterator<Item = &'a RegionAssessment>,
+) -> Region {
+    candidates
+        .into_iter()
+        .min_by(|a, b| cmp_price(a, b, |x| x.on_demand_price))
+        .expect("cheapest_on_demand: no candidate regions")
+        .region
 }
 
 /// Where Algorithm 1 decides to run something.
@@ -181,12 +226,7 @@ impl Optimizer {
             .filter(|a| a.combined().meets(self.config.threshold()))
             .copied()
             .collect();
-        selected.sort_by(|a, b| {
-            a.spot_price
-                .rate()
-                .total_cmp(&b.spot_price.rate())
-                .then_with(|| a.region.name().cmp(b.region.name()))
-        });
+        selected.sort_by(RegionAssessment::cmp_spot);
         selected.truncate(self.config.max_regions());
         selected
     }
@@ -195,24 +235,15 @@ impl Optimizer {
     ///
     /// # Panics
     ///
-    /// Panics if `assessments` is empty (the market always offers at least
-    /// one region per instance type).
+    /// Panics if no assessed region is admissible.
     pub fn cheapest_on_demand(&self, assessments: &[RegionAssessment]) -> Region {
-        assessments
-            .iter()
-            .filter(|a| self.config.allows_region(a.region))
-            .min_by(|a, b| {
-                a.on_demand_price
-                    .rate()
-                    .total_cmp(&b.on_demand_price.rate())
-                    .then_with(|| a.region.name().cmp(b.region.name()))
-            })
-            .expect("cheapest_on_demand: no admissible regions")
-            .region
+        cheapest_on_demand(assessments.iter().filter(|a| self.config.allows_region(a.region)))
     }
 
-    /// Initial placement for `n` workloads: round-robin over the selected
-    /// regions, or all-on-demand when the threshold filters everything out.
+    /// Initial placement for `n` workloads: all on spot in the configured
+    /// region under [`InitialPlacement::SingleRegion`]; otherwise
+    /// round-robin over the selected regions, or all-on-demand when the
+    /// threshold filters everything out.
     ///
     /// `excluded` regions are dropped before selection (see
     /// [`select_regions`](Optimizer::select_regions)). The on-demand
@@ -239,6 +270,10 @@ impl Optimizer {
         excluded: &[Region],
         out: &mut Vec<Placement>,
     ) {
+        if let InitialPlacement::SingleRegion(region) = self.config.initial_placement() {
+            out.extend(std::iter::repeat_n(Placement::Spot(*region), n));
+            return;
+        }
         let selected = self.select_regions(assessments, excluded);
         if selected.is_empty() {
             let od = self.cheapest_on_demand(assessments);
@@ -341,8 +376,6 @@ impl Optimizer {
 mod tests {
     use super::*;
     use cloud_market::InstanceType;
-
-    use crate::config::InitialPlacement;
 
     fn assessment(region: Region, placement: u8, stability: u8, price: f64) -> RegionAssessment {
         RegionAssessment {

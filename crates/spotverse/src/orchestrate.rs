@@ -75,10 +75,9 @@ const SHARD_EXEC_DURATION: SimDuration = SimDuration::from_mins(8);
 /// The executor function's timeout.
 const EXECUTOR_TIMEOUT: SimDuration = SimDuration::from_mins(15);
 /// Backoff between re-drives; `jitter` spreads simultaneous re-drives.
-const REDRIVE_BACKOFF: RetryPolicy = RetryPolicy {
+pub(crate) const REDRIVE_BACKOFF: RetryPolicy = RetryPolicy {
     max_attempts: 1,
     initial_backoff: SimDuration::from_secs(60),
-    backoff_rate: 2.0,
     max_delay: SimDuration::from_mins(15),
     jitter: SimDuration::from_secs(45),
 };

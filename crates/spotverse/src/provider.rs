@@ -9,7 +9,7 @@
 
 use cloud_market::{PlacementScore, Region, StabilityScore};
 
-use crate::config::{InitialPlacement, SpotVerseConfig};
+use crate::config::SpotVerseConfig;
 use crate::optimizer::{MigrationPolicy, Optimizer, Placement, RegionAssessment};
 use crate::strategy::{Strategy, StrategyContext};
 
@@ -128,14 +128,7 @@ impl Strategy for ProviderAdaptedStrategy {
         out: &mut Vec<Placement>,
     ) {
         let degraded = degrade_assessments(ctx.assessments, self.availability);
-        match self.optimizer.config().initial_placement() {
-            InitialPlacement::SingleRegion(region) => {
-                out.extend(std::iter::repeat_n(Placement::Spot(*region), n));
-            }
-            InitialPlacement::Distributed => {
-                self.optimizer.initial_placements_into(&degraded, n, &[], out);
-            }
-        }
+        self.optimizer.initial_placements_into(&degraded, n, &[], out);
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous: Region) -> Placement {

@@ -17,9 +17,10 @@ use std::fmt;
 use cloud_market::{InstanceType, Region};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 
-use crate::config::{InitialPlacement, SpotVerseConfig};
+use crate::config::SpotVerseConfig;
 use crate::optimizer::{
-    CandidateVerdict, MigrationPolicy, Optimizer, Placement, RegionAssessment,
+    cheapest_on_demand, cheapest_spot, CandidateVerdict, MigrationPolicy, Optimizer, Placement,
+    RegionAssessment,
 };
 
 /// Everything a strategy may look at when deciding a placement.
@@ -41,44 +42,6 @@ pub struct StrategyContext<'a> {
     pub quarantined: &'a [Region],
     /// The strategy's random stream.
     pub rng: &'a mut SimRng,
-}
-
-impl StrategyContext<'_> {
-    /// The region with the cheapest spot price.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no assessments.
-    pub fn cheapest_spot_region(&self) -> Region {
-        self.assessments
-            .iter()
-            .min_by(|a, b| {
-                a.spot_price
-                    .rate()
-                    .total_cmp(&b.spot_price.rate())
-                    .then_with(|| a.region.name().cmp(b.region.name()))
-            })
-            .expect("cheapest_spot_region: empty assessments")
-            .region
-    }
-
-    /// The region with the cheapest on-demand price.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no assessments.
-    pub fn cheapest_on_demand_region(&self) -> Region {
-        self.assessments
-            .iter()
-            .min_by(|a, b| {
-                a.on_demand_price
-                    .rate()
-                    .total_cmp(&b.on_demand_price.rate())
-                    .then_with(|| a.region.name().cmp(b.region.name()))
-            })
-            .expect("cheapest_on_demand_region: empty assessments")
-            .region
-    }
 }
 
 /// A placement strategy under experiment.
@@ -194,12 +157,12 @@ impl Strategy for OnDemandStrategy {
         n: usize,
         out: &mut Vec<Placement>,
     ) {
-        let region = self.pinned.unwrap_or_else(|| ctx.cheapest_on_demand_region());
+        let region = self.pinned.unwrap_or_else(|| cheapest_on_demand(ctx.assessments));
         out.extend(std::iter::repeat_n(Placement::OnDemand(region), n));
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, _previous: Region) -> Placement {
-        Placement::OnDemand(self.pinned.unwrap_or_else(|| ctx.cheapest_on_demand_region()))
+        Placement::OnDemand(self.pinned.unwrap_or_else(|| cheapest_on_demand(ctx.assessments)))
     }
 }
 
@@ -260,6 +223,10 @@ impl SkyPilotStrategy {
     pub fn new() -> Self {
         SkyPilotStrategy
     }
+
+    fn pick(ctx: &StrategyContext<'_>) -> Placement {
+        Placement::Spot(cheapest_spot(ctx.assessments).expect("skypilot: empty assessments"))
+    }
 }
 
 impl Strategy for SkyPilotStrategy {
@@ -274,21 +241,21 @@ impl Strategy for SkyPilotStrategy {
         out: &mut Vec<Placement>,
     ) {
         // SkyPilot provisions each job in the cheapest available market.
-        out.extend(std::iter::repeat_n(Placement::Spot(ctx.cheapest_spot_region()), n));
+        out.extend(std::iter::repeat_n(Self::pick(ctx), n));
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, _previous: Region) -> Placement {
         // Automatic relaunch, still cheapest-first — possibly the very
         // region that just reclaimed the instance.
-        Placement::Spot(ctx.cheapest_spot_region())
+        Self::pick(ctx)
     }
 }
 
 /// Bid-price-aware provisioning: spot capacity is only worth holding
-/// while the market clears below a fixed fraction of the on-demand rate.
+/// while the market clears below 60 % of the on-demand rate.
 ///
 /// Each decision picks the cheapest non-quarantined region whose spot
-/// price is at or under `bid_fraction × on_demand_price`; when no region
+/// price is at or under `BID_FRACTION × on_demand_price`; when no region
 /// qualifies — a capacity crunch or a correlated price shock pushing the
 /// whole market toward on-demand parity — the strategy takes guaranteed
 /// capacity at the cheapest on-demand rate instead of overpaying for
@@ -296,67 +263,27 @@ impl Strategy for SkyPilotStrategy {
 /// baseline market it behaves like a slightly pickier SkyPilot, while
 /// under price-spiking regimes it sidesteps the interruption storm
 /// entirely.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BidPriceAwareStrategy {
-    bid_fraction: f64,
-}
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BidPriceAwareStrategy;
+
+/// The bid as a fraction of the regional on-demand rate.
+const BID_FRACTION: f64 = 0.6;
 
 impl BidPriceAwareStrategy {
-    /// The default bid: 60 % of the regional on-demand rate.
+    /// Creates the strategy.
     pub fn new() -> Self {
-        BidPriceAwareStrategy::with_bid_fraction(0.6)
+        BidPriceAwareStrategy
     }
 
-    /// Creates the strategy with an explicit bid fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < bid_fraction <= 1`.
-    pub fn with_bid_fraction(bid_fraction: f64) -> Self {
-        assert!(
-            bid_fraction > 0.0 && bid_fraction <= 1.0,
-            "bid_fraction must be in (0, 1]"
-        );
-        BidPriceAwareStrategy { bid_fraction }
-    }
-
-    /// The bid as a fraction of the on-demand rate.
-    pub fn bid_fraction(&self) -> f64 {
-        self.bid_fraction
-    }
-
-    fn pick(&self, ctx: &StrategyContext<'_>) -> Placement {
-        let mut best: Option<&RegionAssessment> = None;
-        for a in ctx.assessments {
-            if ctx.quarantined.contains(&a.region) {
-                continue;
-            }
-            if a.spot_price.rate() > self.bid_fraction * a.on_demand_price.rate() {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => a
-                    .spot_price
-                    .rate()
-                    .total_cmp(&b.spot_price.rate())
-                    .then_with(|| a.region.name().cmp(b.region.name()))
-                    .is_lt(),
-            };
-            if better {
-                best = Some(a);
-            }
+    fn pick(ctx: &StrategyContext<'_>) -> Placement {
+        let qualifying = ctx.assessments.iter().filter(|a| {
+            !ctx.quarantined.contains(&a.region)
+                && a.spot_price.rate() <= BID_FRACTION * a.on_demand_price.rate()
+        });
+        match cheapest_spot(qualifying) {
+            Some(region) => Placement::Spot(region),
+            None => Placement::OnDemand(cheapest_on_demand(ctx.assessments)),
         }
-        match best {
-            Some(a) => Placement::Spot(a.region),
-            None => Placement::OnDemand(ctx.cheapest_on_demand_region()),
-        }
-    }
-}
-
-impl Default for BidPriceAwareStrategy {
-    fn default() -> Self {
-        BidPriceAwareStrategy::new()
     }
 }
 
@@ -371,11 +298,11 @@ impl Strategy for BidPriceAwareStrategy {
         n: usize,
         out: &mut Vec<Placement>,
     ) {
-        out.extend(std::iter::repeat_n(self.pick(ctx), n));
+        out.extend(std::iter::repeat_n(Self::pick(ctx), n));
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, _previous: Region) -> Placement {
-        self.pick(ctx)
+        Self::pick(ctx)
     }
 }
 
@@ -385,72 +312,41 @@ impl Strategy for BidPriceAwareStrategy {
 ///
 /// The mean Stability Score across the current assessments (1 = worst
 /// band, 3 = calmest) is mapped linearly onto
-/// `[min_interval, max_interval]`: a calm market earns a wide cadence
-/// (few checkpoint uploads wasted), a hazardous one — a capacity-crunch
-/// week, a correlated shock — tightens it so an interruption loses
-/// minutes of work instead of hours. The cadence is re-judged at every
-/// placement decision, so the policy tracks regime swings mid-run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointAdaptiveStrategy {
-    min_interval: SimDuration,
-    max_interval: SimDuration,
-}
+/// `[MIN_CHECKPOINT_INTERVAL, MAX_CHECKPOINT_INTERVAL]` (1 h to 6 h): a
+/// calm market earns a wide cadence (few checkpoint uploads wasted), a
+/// hazardous one — a capacity-crunch week, a correlated shock — tightens
+/// it so an interruption loses minutes of work instead of hours. The
+/// cadence is re-judged at every placement decision, so the policy tracks
+/// regime swings mid-run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CheckpointAdaptiveStrategy;
+
+/// The checkpoint cadence under peak hazard (every region in stability
+/// band 1).
+const MIN_CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_hours(1);
+/// The checkpoint cadence in a calm market (every region in band 3).
+const MAX_CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_hours(6);
 
 impl CheckpointAdaptiveStrategy {
-    /// The default cadence band: 1 h under peak hazard, 6 h when calm.
+    /// Creates the policy.
     pub fn new() -> Self {
-        CheckpointAdaptiveStrategy::with_band(
-            SimDuration::from_hours(1),
-            SimDuration::from_hours(6),
-        )
-    }
-
-    /// Creates the policy with an explicit cadence band.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the band is empty or inverted.
-    pub fn with_band(min_interval: SimDuration, max_interval: SimDuration) -> Self {
-        assert!(
-            SimDuration::ZERO < min_interval && min_interval <= max_interval,
-            "cadence band must satisfy 0 < min <= max"
-        );
-        CheckpointAdaptiveStrategy { min_interval, max_interval }
+        CheckpointAdaptiveStrategy
     }
 
     /// The most stable non-quarantined region; ties break on the cheaper
     /// spot price, then the region name.
-    fn most_stable(&self, ctx: &StrategyContext<'_>) -> Placement {
-        let mut best: Option<&RegionAssessment> = None;
-        for a in ctx.assessments {
-            if ctx.quarantined.contains(&a.region) {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => b
-                    .stability
-                    .cmp(&a.stability)
-                    .then_with(|| a.spot_price.rate().total_cmp(&b.spot_price.rate()))
-                    .then_with(|| a.region.name().cmp(b.region.name()))
-                    .is_lt(),
-            };
-            if better {
-                best = Some(a);
-            }
-        }
-        match best {
+    fn most_stable(ctx: &StrategyContext<'_>) -> Placement {
+        let most_stable = ctx
+            .assessments
+            .iter()
+            .filter(|a| !ctx.quarantined.contains(&a.region))
+            .min_by(|a, b| b.stability.cmp(&a.stability).then_with(|| a.cmp_spot(b)));
+        match most_stable {
             Some(a) => Placement::Spot(a.region),
             // Everything quarantined: guaranteed capacity is the only
             // sensible fallback.
-            None => Placement::OnDemand(ctx.cheapest_on_demand_region()),
+            None => Placement::OnDemand(cheapest_on_demand(ctx.assessments)),
         }
-    }
-}
-
-impl Default for CheckpointAdaptiveStrategy {
-    fn default() -> Self {
-        CheckpointAdaptiveStrategy::new()
     }
 }
 
@@ -465,16 +361,16 @@ impl Strategy for CheckpointAdaptiveStrategy {
         n: usize,
         out: &mut Vec<Placement>,
     ) {
-        out.extend(std::iter::repeat_n(self.most_stable(ctx), n));
+        out.extend(std::iter::repeat_n(Self::most_stable(ctx), n));
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, _previous: Region) -> Placement {
-        self.most_stable(ctx)
+        Self::most_stable(ctx)
     }
 
     fn checkpoint_interval(&self, ctx: &StrategyContext<'_>) -> Option<SimDuration> {
         if ctx.assessments.is_empty() {
-            return Some(self.max_interval);
+            return Some(MAX_CHECKPOINT_INTERVAL);
         }
         let sum: u64 = ctx
             .assessments
@@ -482,18 +378,22 @@ impl Strategy for CheckpointAdaptiveStrategy {
             .map(|a| u64::from(a.stability.value()))
             .sum();
         let mean = sum as f64 / ctx.assessments.len() as f64;
-        // Stability 1 (hazardous) → min_interval, 3 (calm) → max_interval.
+        // Stability 1 (hazardous) → the minimum, 3 (calm) → the maximum.
         let t = ((mean - 1.0) / 2.0).clamp(0.0, 1.0);
-        let span = (self.max_interval - self.min_interval).as_secs() as f64;
-        let secs = self.min_interval.as_secs() + (t * span).round() as u64;
+        let span = (MAX_CHECKPOINT_INTERVAL - MIN_CHECKPOINT_INTERVAL).as_secs() as f64;
+        let secs = MIN_CHECKPOINT_INTERVAL.as_secs() + (t * span).round() as u64;
         Some(SimDuration::from_secs(secs))
     }
 }
 
-/// SpotVerse: Algorithm 1.
+/// SpotVerse: Algorithm 1, or — for the component-ablation bench, which
+/// attributes the paper's gains to individual design choices — Algorithm 1
+/// with its migration rule replaced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpotVerseStrategy {
     optimizer: Optimizer,
+    policy: MigrationPolicy,
+    name: &'static str,
 }
 
 impl SpotVerseStrategy {
@@ -501,79 +401,29 @@ impl SpotVerseStrategy {
     pub fn new(config: SpotVerseConfig) -> Self {
         SpotVerseStrategy {
             optimizer: Optimizer::new(config),
+            policy: MigrationPolicy::RandomTopR,
+            name: "spotverse",
+        }
+    }
+
+    /// Creates an ablation variant with an explicit migration policy,
+    /// named `spotverse-ablate-<component>`.
+    pub fn ablated(config: SpotVerseConfig, policy: MigrationPolicy) -> Self {
+        let name = match policy {
+            MigrationPolicy::RandomTopR => "spotverse-ablate-none",
+            MigrationPolicy::CheapestQualifying => "spotverse-ablate-random-pick",
+            MigrationPolicy::StayPut => "spotverse-ablate-migration",
+        };
+        SpotVerseStrategy {
+            optimizer: Optimizer::new(config),
+            policy,
+            name,
         }
     }
 
     /// The underlying optimizer.
     pub fn optimizer(&self) -> &Optimizer {
         &self.optimizer
-    }
-}
-
-impl Strategy for SpotVerseStrategy {
-    fn name(&self) -> &str {
-        "spotverse"
-    }
-
-    fn initial_placements_into(
-        &mut self,
-        ctx: &mut StrategyContext<'_>,
-        n: usize,
-        out: &mut Vec<Placement>,
-    ) {
-        match self.optimizer.config().initial_placement() {
-            InitialPlacement::SingleRegion(region) => {
-                out.extend(std::iter::repeat_n(Placement::Spot(*region), n));
-            }
-            InitialPlacement::Distributed => self
-                .optimizer
-                .initial_placements_into(ctx.assessments, n, ctx.quarantined, out),
-        }
-    }
-
-    fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous: Region) -> Placement {
-        self.optimizer.migration_target(
-            ctx.assessments,
-            previous,
-            MigrationPolicy::RandomTopR,
-            ctx.quarantined,
-            ctx.rng,
-        )
-    }
-
-    fn explain_candidates(
-        &self,
-        assessments: &[RegionAssessment],
-        quarantined: &[Region],
-        previous: Option<Region>,
-    ) -> Option<Vec<CandidateVerdict>> {
-        Some(self.optimizer.explain_selection(assessments, quarantined, previous))
-    }
-}
-
-/// SpotVerse with one Algorithm-1 component knocked out or replaced —
-/// used by the component-ablation bench to attribute the paper's gains to
-/// individual design choices.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AblatedSpotVerseStrategy {
-    optimizer: Optimizer,
-    policy: MigrationPolicy,
-    name: String,
-}
-
-impl AblatedSpotVerseStrategy {
-    /// Creates the ablated strategy with an explicit migration policy.
-    pub fn new(config: SpotVerseConfig, policy: MigrationPolicy) -> Self {
-        let name = match policy {
-            MigrationPolicy::RandomTopR => "spotverse-ablate-none",
-            MigrationPolicy::CheapestQualifying => "spotverse-ablate-random-pick",
-            MigrationPolicy::StayPut => "spotverse-ablate-migration",
-        };
-        AblatedSpotVerseStrategy {
-            optimizer: Optimizer::new(config),
-            policy,
-            name: name.to_owned(),
-        }
     }
 
     /// The migration policy in effect.
@@ -582,9 +432,9 @@ impl AblatedSpotVerseStrategy {
     }
 }
 
-impl Strategy for AblatedSpotVerseStrategy {
+impl Strategy for SpotVerseStrategy {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn initial_placements_into(
@@ -593,14 +443,8 @@ impl Strategy for AblatedSpotVerseStrategy {
         n: usize,
         out: &mut Vec<Placement>,
     ) {
-        match self.optimizer.config().initial_placement() {
-            InitialPlacement::SingleRegion(region) => {
-                out.extend(std::iter::repeat_n(Placement::Spot(*region), n));
-            }
-            InitialPlacement::Distributed => self
-                .optimizer
-                .initial_placements_into(ctx.assessments, n, ctx.quarantined, out),
-        }
+        self.optimizer
+            .initial_placements_into(ctx.assessments, n, ctx.quarantined, out);
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous: Region) -> Placement {
@@ -628,6 +472,7 @@ mod tests {
     use super::*;
     use cloud_market::{MarketConfig, SpotMarket};
 
+    use crate::config::InitialPlacement;
     use crate::monitor::Monitor;
 
     fn assessments(at: SimTime) -> Vec<RegionAssessment> {
@@ -706,7 +551,7 @@ mod tests {
         let mut ctx = ctx_with(&a, &mut rng);
         let mut s = SkyPilotStrategy::new();
         let placements = s.initial_placements(&mut ctx, 3);
-        let cheapest = ctx.cheapest_spot_region();
+        let cheapest = cheapest_spot(&a).unwrap();
         assert!(placements.iter().all(|p| p.region() == cheapest && p.is_spot()));
         // SkyPilot may relaunch into the interrupted region.
         assert_eq!(s.relocate(&mut ctx, cheapest).region(), cheapest);
@@ -769,7 +614,7 @@ mod tests {
         let s = SpotVerseStrategy::new(SpotVerseConfig::paper_default(InstanceType::M5Xlarge));
         let verdicts = s.explain_candidates(&a, &[], None).expect("spotverse explains");
         assert_eq!(verdicts.len(), a.len(), "one verdict per assessed region");
-        let ablated = AblatedSpotVerseStrategy::new(
+        let ablated = SpotVerseStrategy::ablated(
             SpotVerseConfig::paper_default(InstanceType::M5Xlarge),
             MigrationPolicy::CheapestQualifying,
         );
@@ -796,26 +641,25 @@ mod tests {
             assert!(picked.spot_price.rate() <= 0.6 * picked.on_demand_price.rate());
         }
         assert_eq!(s.name(), "bid-price");
-        assert!((s.bid_fraction() - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn bid_price_falls_back_to_on_demand_when_nothing_qualifies() {
-        let a = assessments(SimTime::ZERO);
+        // A market where every spot price clears at 70 % of on-demand,
+        // above the 60 % bid: every placement must be guaranteed capacity.
+        let a: Vec<RegionAssessment> = assessments(SimTime::ZERO)
+            .iter()
+            .map(|x| RegionAssessment {
+                spot_price: cloud_market::UsdPerHour::new(0.7 * x.on_demand_price.rate()),
+                ..*x
+            })
+            .collect();
         let mut rng = SimRng::seed_from_u64(12);
         let mut ctx = ctx_with(&a, &mut rng);
-        // An absurdly tight bid: no spot market clears at 0.1 % of
-        // on-demand, so every placement must be guaranteed capacity.
-        let mut s = BidPriceAwareStrategy::with_bid_fraction(0.001);
+        let mut s = BidPriceAwareStrategy::new();
         let placements = s.initial_placements(&mut ctx, 2);
         assert!(placements.iter().all(|p| !p.is_spot()));
         assert!(!s.relocate(&mut ctx, Region::UsEast1).is_spot());
-    }
-
-    #[test]
-    #[should_panic(expected = "bid_fraction")]
-    fn bid_price_rejects_out_of_range_fraction() {
-        BidPriceAwareStrategy::with_bid_fraction(1.5);
     }
 
     #[test]
@@ -881,7 +725,7 @@ mod tests {
         let a = assessments(SimTime::ZERO);
         let mut rng = SimRng::seed_from_u64(8);
         let mut ctx = ctx_with(&a, &mut rng);
-        let mut s = AblatedSpotVerseStrategy::new(
+        let mut s = SpotVerseStrategy::ablated(
             SpotVerseConfig::paper_default(InstanceType::M5Xlarge),
             crate::optimizer::MigrationPolicy::StayPut,
         );
@@ -898,7 +742,7 @@ mod tests {
         let a = assessments(SimTime::ZERO);
         let mut rng = SimRng::seed_from_u64(9);
         let mut ctx = ctx_with(&a, &mut rng);
-        let mut s = AblatedSpotVerseStrategy::new(
+        let mut s = SpotVerseStrategy::ablated(
             SpotVerseConfig::paper_default(InstanceType::M5Xlarge),
             crate::optimizer::MigrationPolicy::CheapestQualifying,
         );

@@ -21,7 +21,7 @@ use crate::controlplane::{ControlPlane, CHECKPOINT_TABLE};
 use crate::experiment::{CheckpointBackend, LOG_BUCKET};
 use crate::fleet::Event;
 use crate::optimizer::Placement;
-use crate::resilience::{retry_with_backoff, BackoffPolicy};
+use crate::resilience::{retry_with_backoff, CHECKPOINT_WRITE_RETRY};
 use crate::trace::{ChaosFaultKind, TraceEvent};
 
 /// Where a workload is in its lifecycle. Purely observational: phases are
@@ -299,12 +299,11 @@ impl WorkloadRuntime {
         let generation = self.checkpoints.next_generation;
         self.checkpoints.next_generation += 1;
         cp.telemetry.writes += 1;
-        let policy = BackoffPolicy::default();
 
         // KV progress record, retried with jittered backoff when throttled.
         let (kv, ec2, rng) = (&mut cp.kv, &mut cp.ec2, &mut cp.backoff_rng);
         let record = retry_with_backoff(
-            &policy,
+            &CHECKPOINT_WRITE_RETRY,
             rng,
             now,
             |e| matches!(e, KvError::Throttled { .. }),
@@ -325,7 +324,7 @@ impl WorkloadRuntime {
             CheckpointBackend::ObjectStore => {
                 let (s3, ec2, rng) = (&mut cp.s3, &mut cp.ec2, &mut cp.backoff_rng);
                 let put = retry_with_backoff(
-                    &policy,
+                    &CHECKPOINT_WRITE_RETRY,
                     rng,
                     record.finished_at,
                     |e| matches!(e, ObjectStoreError::Throttled { .. }),

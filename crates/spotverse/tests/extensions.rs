@@ -7,7 +7,7 @@ use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{InstanceType, Region, Usd};
 use sim_kernel::{SimRng, SimTime};
 use spotverse::{
-    run_experiment, AblatedSpotVerseStrategy, CheckpointBackend, ExperimentConfig,
+    run_experiment, CheckpointBackend, ExperimentConfig,
     ForecastingSpotVerseStrategy, MetricAvailability, MigrationPolicy, ProviderAdaptedStrategy,
     SingleRegionStrategy, SpotVerseConfig, SpotVerseStrategy,
 };
@@ -101,7 +101,7 @@ fn stay_put_ablation_keeps_interruptions_in_one_region() {
     cfg = cfg.initial_placement(spotverse::InitialPlacement::SingleRegion(Region::CaCentral1));
     let report = run_experiment(
         base,
-        Box::new(AblatedSpotVerseStrategy::new(cfg.build(), MigrationPolicy::StayPut)),
+        Box::new(SpotVerseStrategy::ablated(cfg.build(), MigrationPolicy::StayPut)),
     );
     assert_eq!(report.completed, 6);
     // Every launch and interruption stays in the start region.

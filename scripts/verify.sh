@@ -4,6 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Resolving perfbench (a workspace of its own) rewrites its Cargo.lock,
+# dropping crates this repository no longer has. That file belongs to the
+# benchmark, so put it back on exit, failed runs included, unless it
+# already had uncommitted changes when the script started.
+if git diff --quiet HEAD -- perfbench/Cargo.lock 2>/dev/null; then
+    trap 'git checkout --quiet -- perfbench/Cargo.lock' EXIT
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -13,9 +21,7 @@ cargo test -q
 echo "==> benchmark: cargo build --release --manifest-path perfbench/Cargo.toml"
 # perfbench is a workspace of its own, outside the root workspace, so
 # nothing above compiles it; this catches a change that breaks an API it
-# uses. Cargo may rewrite perfbench/Cargo.lock here (dropping crates the
-# repository no longer has). Do not commit that rewrite: restore the file
-# with `git checkout perfbench/Cargo.lock`.
+# uses. The Cargo.lock rewrite this causes is undone on exit (see top).
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> perfbench smoke: each benchmark workload for one second"
