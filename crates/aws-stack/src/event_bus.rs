@@ -47,11 +47,10 @@ pub struct Rule {
     source_prefix: String,
     detail_type: Option<String>,
     target: String,
-    enabled: bool,
 }
 
 impl Rule {
-    /// Creates an enabled rule.
+    /// Creates a rule.
     pub fn new(
         name: impl Into<String>,
         source_prefix: impl Into<String>,
@@ -63,7 +62,6 @@ impl Rule {
             source_prefix: source_prefix.into(),
             detail_type,
             target: target.into(),
-            enabled: true,
         }
     }
 
@@ -79,8 +77,7 @@ impl Rule {
 
     /// Whether the rule matches an event.
     pub fn matches(&self, event: &BusEvent) -> bool {
-        self.enabled
-            && event.source.starts_with(&self.source_prefix)
+        event.source.starts_with(&self.source_prefix)
             && self
                 .detail_type
                 .as_ref()
@@ -93,15 +90,12 @@ impl Rule {
 pub enum EventBusError {
     /// A rule with that name already exists.
     RuleExists(String),
-    /// No rule with that name.
-    NoSuchRule(String),
 }
 
 impl fmt::Display for EventBusError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EventBusError::RuleExists(n) => write!(f, "rule `{n}` already exists"),
-            EventBusError::NoSuchRule(n) => write!(f, "no such rule `{n}`"),
         }
     }
 }
@@ -135,7 +129,6 @@ impl std::error::Error for EventBusError {}
 #[derive(Debug, Default)]
 pub struct EventBus {
     rules: Vec<Rule>,
-    published: u64,
     delivered: u64,
     lost: u64,
     duplicated: u64,
@@ -170,27 +163,11 @@ impl EventBus {
         Ok(())
     }
 
-    /// Disables a rule (it stops matching but remains installed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EventBusError::NoSuchRule`] for unknown names.
-    pub fn disable_rule(&mut self, name: &str) -> Result<(), EventBusError> {
-        let rule = self
-            .rules
-            .iter_mut()
-            .find(|r| r.name == name)
-            .ok_or_else(|| EventBusError::NoSuchRule(name.to_owned()))?;
-        rule.enabled = false;
-        Ok(())
-    }
-
     /// Publishes an event, returning the targets it was routed to, in rule
     /// installation order. With a fault injector installed, each matched
     /// target may be dropped ([`ServiceFault::Lost`]/`Throttled`) or
     /// appear twice ([`ServiceFault::Duplicate`]).
     pub fn publish(&mut self, event: BusEvent) -> Vec<String> {
-        self.published += 1;
         let matched: Vec<String> = self
             .rules
             .iter()
@@ -220,11 +197,6 @@ impl EventBus {
     /// Installed rules.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
-    }
-
-    /// Total events published.
-    pub fn published_count(&self) -> u64 {
-        self.published
     }
 
     /// Total deliveries (event × matching rule).
@@ -268,7 +240,6 @@ mod tests {
         .unwrap();
         bus.put_rule(Rule::new("r2", "aws.s3", None, "other")).unwrap();
         assert_eq!(bus.publish(interruption_event()), vec!["handler".to_string()]);
-        assert_eq!(bus.published_count(), 1);
         assert_eq!(bus.delivered_count(), 1);
     }
 
@@ -288,15 +259,6 @@ mod tests {
         bus.put_rule(Rule::new("a", "aws.ec2", None, "t1")).unwrap();
         bus.put_rule(Rule::new("b", "aws.ec2", None, "t2")).unwrap();
         assert_eq!(bus.publish(interruption_event()), vec!["t1".to_string(), "t2".to_string()]);
-    }
-
-    #[test]
-    fn disabled_rules_stop_matching() {
-        let mut bus = EventBus::new();
-        bus.put_rule(Rule::new("a", "aws.ec2", None, "t")).unwrap();
-        bus.disable_rule("a").unwrap();
-        assert!(bus.publish(interruption_event()).is_empty());
-        assert_eq!(bus.rules().len(), 1);
     }
 
     /// Scripted injector: plays back a fixed fate per delivery, in order.
@@ -357,10 +319,6 @@ mod tests {
         assert!(matches!(
             bus.put_rule(Rule::new("a", "y", None, "t2")),
             Err(EventBusError::RuleExists(_))
-        ));
-        assert!(matches!(
-            bus.disable_rule("ghost"),
-            Err(EventBusError::NoSuchRule(_))
         ));
     }
 }

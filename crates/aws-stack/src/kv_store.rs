@@ -52,14 +52,6 @@ impl AttrValue {
             _ => None,
         }
     }
-
-    /// The list items, if this is a list.
-    pub fn as_list(&self) -> Option<&[AttrValue]> {
-        match self {
-            AttrValue::L(items) => Some(items),
-            _ => None,
-        }
-    }
 }
 
 impl From<&str> for AttrValue {
@@ -446,8 +438,6 @@ mod tests {
         assert_eq!(AttrValue::from("x").as_str(), Some("x"));
         assert_eq!(AttrValue::from(2.0).as_number(), Some(2.0));
         assert_eq!(AttrValue::from(true).as_bool(), Some(true));
-        let l = AttrValue::L(vec![AttrValue::N(1.0)]);
-        assert_eq!(l.as_list().unwrap().len(), 1);
         assert_eq!(AttrValue::from("x").as_number(), None);
         assert_eq!(AttrValue::from(String::from("y")).as_str(), Some("y"));
     }

@@ -314,23 +314,6 @@ impl ObjectStore {
         })
     }
 
-    /// Lists keys in a bucket with a prefix, in lexicographic order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ObjectStoreError::NoSuchBucket`] for unknown buckets.
-    pub fn list_keys(&self, bucket: &str, prefix: &str) -> Result<Vec<&str>, ObjectStoreError> {
-        let b = self
-            .buckets
-            .get(bucket)
-            .ok_or_else(|| ObjectStoreError::NoSuchBucket(bucket.to_owned()))?;
-        Ok(b.objects
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.as_str())
-            .collect())
-    }
-
     /// Total put operations served.
     pub fn put_count(&self) -> u64 {
         self.put_count
@@ -425,24 +408,6 @@ mod tests {
             s3.create_bucket("logs", Region::UsEast1),
             Err(ObjectStoreError::BucketExists(_))
         ));
-    }
-
-    #[test]
-    fn list_keys_filters_by_prefix() {
-        let (mut s3, mut ledger) = store();
-        for key in ["run-1/a", "run-1/b", "run-2/a"] {
-            s3.put_object(
-                "logs",
-                key,
-                ObjectBody::from_text("x"),
-                Region::UsEast1,
-                SimTime::ZERO,
-                &mut ledger,
-            )
-            .unwrap();
-        }
-        assert_eq!(s3.list_keys("logs", "run-1/").unwrap(), vec!["run-1/a", "run-1/b"]);
-        assert_eq!(s3.list_keys("logs", "run-9/").unwrap(), Vec::<&str>::new());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! down exactly the way the paper's cost model does (§5.1.2: instance usage,
 //! shared serverless services, and cross-region data transfer).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use sim_kernel::SimTime;
@@ -68,7 +67,7 @@ pub struct LineItem {
     pub amount: Usd,
 }
 
-/// An append-only cost ledger with per-service and per-region rollups.
+/// An append-only cost ledger with per-service totals.
 ///
 /// # Examples
 ///
@@ -118,41 +117,6 @@ impl BillingLedger {
             .sum()
     }
 
-    /// Total attributed to one region.
-    pub fn total_for_region(&self, region: Region) -> Usd {
-        self.items
-            .iter()
-            .filter(|i| i.region == region)
-            .map(|i| i.amount)
-            .sum()
-    }
-
-    /// Total instance spend (spot + on-demand).
-    pub fn instance_total(&self) -> Usd {
-        self.total_for_service(ServiceKind::SpotInstance)
-            + self.total_for_service(ServiceKind::OnDemandInstance)
-    }
-
-    /// Per-region rollup, in region order.
-    pub fn by_region(&self) -> BTreeMap<Region, Usd> {
-        let mut map = BTreeMap::new();
-        for item in &self.items {
-            let entry = map.entry(item.region).or_insert(Usd::ZERO);
-            *entry += item.amount;
-        }
-        map
-    }
-
-    /// Per-service rollup, in service order.
-    pub fn by_service(&self) -> BTreeMap<ServiceKind, Usd> {
-        let mut map = BTreeMap::new();
-        for item in &self.items {
-            let entry = map.entry(item.service).or_insert(Usd::ZERO);
-            *entry += item.amount;
-        }
-        map
-    }
-
     /// Number of line items.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -199,8 +163,6 @@ mod tests {
         ledger.charge(t(2), ServiceKind::DataTransfer, Region::UsEast1, Usd::new(0.5));
         assert_eq!(ledger.total(), Usd::new(5.5));
         assert_eq!(ledger.total_for_service(ServiceKind::SpotInstance), Usd::new(5.0));
-        assert_eq!(ledger.total_for_region(Region::UsEast1), Usd::new(2.5));
-        assert_eq!(ledger.instance_total(), Usd::new(5.0));
         assert_eq!(ledger.len(), 3);
     }
 
@@ -209,20 +171,6 @@ mod tests {
         let mut ledger = BillingLedger::new();
         ledger.charge(t(0), ServiceKind::Metrics, Region::UsEast1, Usd::ZERO);
         assert!(ledger.is_empty());
-    }
-
-    #[test]
-    fn rollup_maps_cover_all_items() {
-        let mut ledger = BillingLedger::new();
-        ledger.charge(t(0), ServiceKind::SpotInstance, Region::UsEast1, Usd::new(1.0));
-        ledger.charge(t(0), ServiceKind::KvStore, Region::UsEast1, Usd::new(0.25));
-        ledger.charge(t(0), ServiceKind::SpotInstance, Region::EuWest2, Usd::new(2.0));
-        let by_region = ledger.by_region();
-        assert_eq!(by_region[&Region::UsEast1], Usd::new(1.25));
-        assert_eq!(by_region[&Region::EuWest2], Usd::new(2.0));
-        let by_service = ledger.by_service();
-        assert_eq!(by_service[&ServiceKind::SpotInstance], Usd::new(3.0));
-        assert_eq!(by_service[&ServiceKind::KvStore], Usd::new(0.25));
     }
 
     #[test]

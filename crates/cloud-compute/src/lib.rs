@@ -10,7 +10,7 @@
 //!   instant (the two-minute notice fires [`INTERRUPTION_NOTICE`] before it),
 //! * on-demand launches that always succeed and never interrupt,
 //! * per-second billing against the market's hourly spot price curve,
-//!   recorded in a [`BillingLedger`] with per-service/per-region rollups,
+//!   recorded in a [`BillingLedger`] of per-service, per-region line items,
 //! * a shared inter-region [`transfer`] tariff.
 //!
 //! # Examples

@@ -9,7 +9,7 @@
 //! * [`WorkflowInvocation`]s with the paper's two interruption semantics —
 //!   restart-from-scratch and resume-from-checkpoint
 //!   ([`RecoveryMode`]) — over a flat [`ExecutionPlan`] of work units;
-//! * the Galaxy `.ga` workflow codec ([`to_ga_json`], [`from_ga_json`]).
+//! * the Galaxy `.ga` workflow export ([`to_ga_json`]).
 //!
 //! # Examples
 //!
@@ -40,7 +40,7 @@ mod tool;
 mod workflow;
 
 pub use dataset::DataFormat;
-pub use ga_format::{from_ga_json, to_ga_json, GaFormatError};
+pub use ga_format::to_ga_json;
 pub use invocation::{
     ExecutionPlan, InvocationError, InvocationStatus, RunProgress, WorkUnit, WorkflowInvocation,
 };

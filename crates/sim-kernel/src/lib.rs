@@ -18,8 +18,8 @@
 //! * **Reporting** — [`RunningStats`], [`TimeSeries`], and
 //!   [`CumulativeCounter`] capture exactly the quantities the paper plots.
 //! * **Interchange** — [`json`] is the workspace's one JSON codec: Galaxy
-//!   `.ga` workflows and canonical trace JSONL are both written and read
-//!   with it.
+//!   `.ga` workflows are written with it, and canonical trace JSONL is
+//!   both written and read with it.
 //!
 //! # Examples
 //!
@@ -56,7 +56,6 @@ mod rng;
 mod series;
 mod stats;
 mod time;
-mod trace;
 
 pub use engine::{Model, RunOutcome, Scheduler, Simulation};
 pub use event::EventQueue;
@@ -64,4 +63,3 @@ pub use rng::{keyed_hash, SimRng};
 pub use series::{CumulativeCounter, TimeSeries};
 pub use stats::RunningStats;
 pub use time::{SimDuration, SimTime};
-pub use trace::RingBuffer;

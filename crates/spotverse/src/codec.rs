@@ -1,6 +1,7 @@
 //! Typed field codecs for the JSON this crate writes: the trace JSONL
-//! (`trace_schema!` in `trace.rs`) and the replay cursor snapshot
-//! (`replay/views.rs`, `replay/cursor.rs`).
+//! (`trace_schema!` in `trace.rs`), which `replay` reads back, and the
+//! `analyse --output json` document (`replay/views.rs`,
+//! `replay/analytics.rs`).
 //!
 //! [`Codec`] says how one Rust type is written and read back; [`Field`]
 //! places a value under a key, leaving `None` out. [`object_codec!`] and

@@ -270,7 +270,8 @@ struct FleetModel {
     /// no tick is ever scheduled and existing streams are untouched.
     checkpoint_cadence: Option<SimDuration>,
     capacity_deferrals: u64,
-    /// Global abort horizon: the latest per-workload deadline.
+    /// Global abort horizon: the latest per-workload deadline, capped at
+    /// the market horizon.
     horizon: SimTime,
     aborted: bool,
 }
@@ -1051,11 +1052,14 @@ pub fn run_fleet_on(
         })
         .collect();
     let (arrival_order, batches) = arrival_batches(&workloads, &config.workloads);
+    // The run stops at the last deadline, or where the market's price
+    // history ends if that comes first.
     let horizon = workloads
         .iter()
         .map(|w| w.deadline)
         .max()
-        .expect("non-empty fleet");
+        .expect("non-empty fleet")
+        .min(market.horizon());
 
     let mut model = FleetModel {
         cp,

@@ -50,7 +50,7 @@
 macro_rules! labels {
     ($ty:ident, $what:literal, { $($variant:ident => $label:literal),+ $(,)? }) => {
         impl $ty {
-            /// The label traces and replay snapshots use for this value.
+            /// The label traces and the analysis JSON use for this value.
             #[must_use]
             pub fn label(self) -> &'static str {
                 match self {

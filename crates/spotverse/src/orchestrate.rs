@@ -857,7 +857,7 @@ mod tests {
         let cells = small_cells(2);
         let cache = MarketCache::new();
         let config = OrchestratorConfig {
-            trace: TraceConfig { enabled: true, capacity: 256 },
+            trace: TraceConfig::enabled(),
             ..OrchestratorConfig::default()
         };
         let report = run_matrix_orchestrated(&cells, &config, &cache, strategy_for);

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use sim_kernel::json::push_json_str;
 
-use crate::codec::{object_codec, put_delimited, put_field, Codec};
+use crate::codec::{object_codec, put_delimited, put_field};
 
 use super::views::{CellState, ReplayState};
 
@@ -321,33 +321,41 @@ pub fn render_analysis(state: &ReplayState) -> String {
                 let _ = writeln!(out, "    makespan h: {}", fmt_pct(mk));
             }
         }
-        let wm = win_matrix(state);
-        if wm.strategies.len() > 1 && wm.contested_seeds > 0 {
-            let _ = writeln!(
-                out,
-                "win matrix (cheaper-than counts over {} contested seeds)",
-                wm.contested_seeds
-            );
-            let width = wm.strategies.iter().map(|s| s.len()).max().unwrap_or(0).max(4);
-            let _ = write!(out, "  {:<width$}", "");
-            for s in &wm.strategies {
-                let _ = write!(out, " {s:>width$}");
-            }
-            out.push('\n');
-            for (i, row) in wm.wins.iter().enumerate() {
-                let _ = write!(out, "  {:<width$}", wm.strategies[i]);
-                for (j, w) in row.iter().enumerate() {
-                    if i == j {
-                        let _ = write!(out, " {:>width$}", "-");
-                    } else {
-                        let _ = write!(out, " {w:>width$}");
-                    }
-                }
-                out.push('\n');
-            }
-        }
+        win_matrix(state).render(&mut out, "");
     }
     out
+}
+
+impl WinMatrix {
+    /// Writes the matrix as a table under `indent`, or nothing when fewer
+    /// than two strategies or no contested seeds are present.
+    pub(crate) fn render(&self, out: &mut String, indent: &str) {
+        if self.strategies.len() < 2 || self.contested_seeds == 0 {
+            return;
+        }
+        let _ = writeln!(
+            out,
+            "{indent}win matrix (cheaper-than counts over {} contested seeds)",
+            self.contested_seeds
+        );
+        let width = self.strategies.iter().map(String::len).max().unwrap_or(0).max(4);
+        let _ = write!(out, "{indent}  {:<width$}", "");
+        for s in &self.strategies {
+            let _ = write!(out, " {s:>width$}");
+        }
+        out.push('\n');
+        for (i, row) in self.wins.iter().enumerate() {
+            let _ = write!(out, "{indent}  {:<width$}", self.strategies[i]);
+            for (j, w) in row.iter().enumerate() {
+                if i == j {
+                    let _ = write!(out, " {:>width$}", "-");
+                } else {
+                    let _ = write!(out, " {w:>width$}");
+                }
+            }
+            out.push('\n');
+        }
+    }
 }
 
 object_codec!(Percentiles { count, min, p50, p90, p99, max, mean });
@@ -368,12 +376,7 @@ pub fn render_analysis_json(state: &ReplayState) -> String {
                 out.push(',');
                 push_json_str(out, key);
                 out.push(':');
-                cell.put(out);
-                // Reopen the cell's snapshot object to add the derived totals.
-                out.pop();
-                put_field!(out, &cell.ledger.billed_total(), "billed_total");
-                put_field!(out, &cell.summary.makespan_secs(), "makespan_s");
-                out.push('}');
+                cell.put_json(out);
             }
         });
         put_field!(out, &strategy_distributions(state), "distributions");

@@ -4,22 +4,13 @@
 //! be split anywhere, including mid-escape — buffers the trailing
 //! partial line, and folds each completed line into a [`ReplayState`].
 //! Because every view is a pure fold, the final state is identical for
-//! any chunking of the same document, and a cursor serialized mid-stream
-//! with [`ReplayCursor::snapshot`] resumes via [`ReplayCursor::resume`]
-//! to the same final state as an uninterrupted pass.
-
-use sim_kernel::json::{self, Fields};
-
-use crate::codec::{put_delimited, put_field, take_field};
+//! any chunking of the same document.
 
 use super::parse::{parse_trace_line, TraceParseError};
 use super::views::{ReplayState, TimeWindow};
 
-/// Snapshot format version; bumped when the layout changes.
-const SNAPSHOT_VERSION: u64 = 1;
-
-/// An incremental, resumable trace replayer.
-#[derive(Debug, Clone, PartialEq)]
+/// An incremental trace replayer.
+#[derive(Debug)]
 pub struct ReplayCursor {
     window: TimeWindow,
     /// Cell key assigned to records with no `"cell"` prefix (used by the
@@ -55,12 +46,6 @@ impl ReplayCursor {
     /// Sets the cell key used for records with no `"cell"` prefix.
     pub fn set_default_cell(&mut self, cell: Option<String>) {
         self.default_cell = cell;
-    }
-
-    /// Lines fully consumed so far.
-    #[must_use]
-    pub fn lines_consumed(&self) -> u64 {
-        self.consumed
     }
 
     /// The state folded so far (excluding any buffered partial line).
@@ -132,49 +117,6 @@ impl ReplayCursor {
         }
         Ok(self.state)
     }
-
-    /// Serializes the cursor — window, position, buffered partial line,
-    /// and all folded view state — to canonical JSON text.
-    #[must_use]
-    pub fn snapshot(&self) -> String {
-        let ReplayCursor { window, default_cell, partial, consumed, state } = self;
-        let mut out = String::new();
-        put_delimited(&mut out, "{", '}', |out| {
-            put_field!(out, &SNAPSHOT_VERSION, "version");
-            put_field!(out, consumed, "consumed");
-            put_field!(out, partial, "partial");
-            put_field!(out, &window.from, "from");
-            put_field!(out, &window.until, "until");
-            put_field!(out, default_cell, "default_cell");
-            put_field!(out, state, "cells");
-        });
-        out
-    }
-
-    /// Rebuilds a cursor from a [`ReplayCursor::snapshot`] string.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed element (including a
-    /// version mismatch).
-    pub fn resume(snapshot: &str) -> Result<Self, String> {
-        let mut f = Fields::new(json::parse(snapshot)?.into_obj()?);
-        let version: u64 = take_field!(&mut f, "version");
-        if version != SNAPSHOT_VERSION {
-            return Err(format!(
-                "snapshot version {version} is not the supported {SNAPSHOT_VERSION}"
-            ));
-        }
-        let cursor = ReplayCursor {
-            consumed: take_field!(&mut f, "consumed"),
-            partial: take_field!(&mut f, "partial"),
-            window: TimeWindow { from: take_field!(&mut f, "from"), until: take_field!(&mut f, "until") },
-            default_cell: take_field!(&mut f, "default_cell"),
-            state: take_field!(&mut f, "cells"),
-        };
-        f.finish()?;
-        Ok(cursor)
-    }
 }
 
 /// Replays a whole document through a fresh cursor in one pass.
@@ -208,18 +150,6 @@ mod tests {
             cursor.feed(&DOC[split..]).unwrap();
             assert_eq!(cursor.finish().unwrap(), whole, "split at {split}");
         }
-    }
-
-    #[test]
-    fn snapshot_resume_matches() {
-        let whole = replay_str(DOC, TimeWindow::ALL).unwrap();
-        let split = 100;
-        let mut cursor = ReplayCursor::default();
-        cursor.feed(&DOC[..split]).unwrap();
-        let snap = cursor.snapshot();
-        let mut resumed = ReplayCursor::resume(&snap).unwrap();
-        resumed.feed(&DOC[split..]).unwrap();
-        assert_eq!(resumed.finish().unwrap(), whole);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!   ([`parse_trace_jsonl`] / [`trace_lines_to_jsonl`]), rejecting
 //!   corrupt lines with an error naming the line number.
 //! - [`views`] holds the pure fold aggregates: `fold(state, record)`
-//!   has no clocks and no I/O, so replay is deterministic, chunkable,
-//!   and resumable with identical results.
+//!   has no clocks and no I/O, so replay is deterministic and chunkable
+//!   with identical results.
 //! - [`cursor`] feeds arbitrary text chunks through the folds,
-//!   buffering partial lines; [`ReplayCursor::snapshot`] /
-//!   [`ReplayCursor::resume`] serialize the whole position + state.
+//!   buffering partial lines.
 //! - [`analytics`] derives distribution-level figures (percentiles,
 //!   per-strategy cost/makespan summaries, pairwise win matrices) and
 //!   renders the deterministic text the `spotverse analyse` CLI and the
@@ -33,7 +32,6 @@ pub use analytics::{
 pub use cursor::{replay_str, ReplayCursor};
 pub use parse::{parse_trace_jsonl, parse_trace_line, trace_lines_to_jsonl, TraceLine, TraceParseError};
 pub use views::{
-    replay_lines, state_from_json, state_to_json, BreakerTransition, BreakerView, CellState,
-    CheckpointView, CostLedgerView, OccupancyView, RegionLedger, ReplayState, ResilienceView,
-    RunSummary, ShardView, TimeWindow,
+    replay_lines, BreakerTransition, BreakerView, CellState, CheckpointView, CostLedgerView,
+    OccupancyView, RegionLedger, ReplayState, ResilienceView, RunSummary, ShardView, TimeWindow,
 };

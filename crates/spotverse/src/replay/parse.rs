@@ -50,7 +50,7 @@ pub enum TraceLine {
     Truncated {
         /// The `"cell"` prefix, if present.
         cell: Option<String>,
-        /// Records dropped once the ring buffer filled.
+        /// Records dropped once the trace reached its cap.
         dropped: u64,
     },
 }

@@ -2,16 +2,15 @@
 //!
 //! Every view is a pure fold: `fold(state, record) -> state` with no
 //! clocks, no I/O, and no dependence on chunking — replaying a trace in
-//! one pass, in arbitrary chunk splits, or resuming from a serialized
-//! snapshot yields byte-identical view state. That purity contract is
-//! what makes the trace log the system of record: any figure a live run
-//! reports must be recomputable from the log alone.
+//! one pass or in arbitrary chunk splits yields byte-identical view
+//! state. That purity contract is what makes the trace log the system of
+//! record: any figure a live run reports must be recomputable from the
+//! log alone.
 
 use cloud_market::Region;
-use sim_kernel::json::{self, push_json_str, Fields, JsonVal};
 use sim_kernel::SimTime;
 
-use crate::codec::{array_codec, object_codec, put_delimited, put_field, take_field, Codec};
+use crate::codec::{array_codec, object_codec, put_delimited, put_field};
 
 use crate::health::BreakerState;
 use crate::trace::{DecisionKind, TraceEvent, TraceRecord};
@@ -520,7 +519,7 @@ pub fn replay_lines(lines: &[TraceLine], window: TimeWindow) -> ReplayState {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot serialization (cursor resume).
+// JSON output (`spotverse analyse --output json`).
 // ---------------------------------------------------------------------------
 
 object_codec!(RunSummary {
@@ -583,10 +582,11 @@ array_codec!(ResilienceView [
     chaos_faults,
 ]);
 
-/// One object per cell, with the ledger, breaker and occupancy views
-/// flattened into it beside the positional counter arrays.
-impl Codec for CellState {
-    fn put(&self, out: &mut String) {
+impl CellState {
+    /// Writes the cell as one JSON object: the ledger, breaker and
+    /// occupancy views flattened beside the positional counter arrays,
+    /// then the derived `billed_total` and `makespan_s`.
+    pub(crate) fn put_json(&self, out: &mut String) {
         let CellState {
             summary,
             ledger,
@@ -622,87 +622,10 @@ impl Codec for CellState {
             put_field!(out, resilience, "resilience");
             put_field!(out, events, "events");
             put_field!(out, dropped, "dropped");
+            put_field!(out, &ledger.billed_total(), "billed_total");
+            put_field!(out, &summary.makespan_secs(), "makespan_s");
         });
     }
-
-    fn take(v: JsonVal<'_>) -> Result<Self, String> {
-        let mut f = Fields::new(v.into_obj()?);
-        let mut occ = Fields::new(f.require("occupancy")?.into_obj()?);
-        let cell = CellState {
-            summary: take_field!(&mut f, "summary"),
-            ledger: CostLedgerView {
-                regions: take_field!(&mut f, "ledger"),
-                unattributed_billed: take_field!(&mut f, "unattributed"),
-            },
-            breakers: BreakerView {
-                transitions: take_field!(&mut f, "transitions"),
-                trips: take_field!(&mut f, "trips"),
-                current: take_field!(&mut f, "breaker_states"),
-            },
-            occupancy: OccupancyView {
-                curve: take_field!(&mut f, "curve"),
-                running: take_field!(&mut occ, "running"),
-                peak: take_field!(&mut occ, "peak"),
-                arrived: take_field!(&mut occ, "arrived"),
-                late_arrivals: take_field!(&mut occ, "late_arrivals"),
-                expired: take_field!(&mut occ, "expired"),
-                deferred: take_field!(&mut occ, "deferred"),
-                instance_seconds: take_field!(&mut occ, "instance_seconds"),
-                last_change: take_field!(&mut f, "last_change"),
-            },
-            checkpoints: take_field!(&mut f, "checkpoints"),
-            shards: take_field!(&mut f, "shards"),
-            resilience: take_field!(&mut f, "resilience"),
-            events: take_field!(&mut f, "events"),
-            dropped: take_field!(&mut f, "dropped"),
-        };
-        occ.finish()?;
-        f.finish()?;
-        Ok(cell)
-    }
-}
-
-/// One object keyed by cell, in first-seen order.
-impl Codec for ReplayState {
-    fn put(&self, out: &mut String) {
-        put_delimited(out, "{", '}', |out| {
-            for (key, cell) in &self.cells {
-                out.push(',');
-                push_json_str(out, key);
-                out.push(':');
-                cell.put(out);
-            }
-        });
-    }
-
-    fn take(v: JsonVal<'_>) -> Result<Self, String> {
-        let cells = v
-            .into_obj()?
-            .into_iter()
-            .map(|(key, cell)| {
-                let cell = CellState::take(cell).map_err(|e| format!("cell `{key}`: {e}"))?;
-                Ok((key.into_owned(), cell))
-            })
-            .collect::<Result<_, String>>()?;
-        Ok(ReplayState { cells })
-    }
-}
-
-/// Serializes a [`ReplayState`] snapshot to canonical JSON text.
-#[must_use]
-pub fn state_to_json(state: &ReplayState) -> String {
-    let mut out = String::new();
-    state.put(&mut out);
-    out
-}
-
-/// Parses a snapshot produced by [`state_to_json`].
-///
-/// # Errors
-///
-/// Returns a message describing the first malformed element.
-pub fn state_from_json(input: &str) -> Result<ReplayState, String> {
-    ReplayState::take(json::parse(input)?)
 }
 
 #[cfg(test)]
@@ -757,37 +680,64 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips() {
-        let mut state = ReplayState::default();
-        let cell = state.cell_mut("spotverse/s1");
-        cell.fold(&record(
-            0,
-            86400,
-            TraceEvent::RunStarted {
-                strategy: "spotverse".to_owned(),
-                seed: 7,
-                workloads: 3,
-                chaos: Some("region_flap".to_owned()),
-                regime: Some("capacity_crunch".to_owned()),
+        let cell = Some("spotverse/s1".to_owned());
+        let lines = vec![
+            TraceLine::Record {
+                cell: cell.clone(),
+                record: record(
+                    0,
+                    86400,
+                    TraceEvent::RunStarted {
+                        strategy: "spotverse".to_owned(),
+                        seed: 7,
+                        workloads: 3,
+                        chaos: Some("region_flap".to_owned()),
+                        regime: Some("capacity_crunch".to_owned()),
+                    },
+                ),
             },
-        ));
-        cell.fold(&record(
-            1,
-            90000,
-            TraceEvent::Breaker {
-                region: Region::ALL[3],
-                from: BreakerState::Closed,
-                to: BreakerState::Open,
+            TraceLine::Record {
+                cell: cell.clone(),
+                record: record(
+                    1,
+                    90000,
+                    TraceEvent::Breaker {
+                        region: Region::ALL[3],
+                        from: BreakerState::Closed,
+                        to: BreakerState::Open,
+                    },
+                ),
             },
-        ));
-        state.cell_mut("").fold(&record(
-            0,
-            0,
-            TraceEvent::ShardDispatched { shard: 0, attempt: 1, cells: 9 },
-        ));
-        let text = state_to_json(&state);
-        let back = state_from_json(&text).unwrap();
+            TraceLine::Truncated { cell, dropped: 4 },
+            TraceLine::Record {
+                cell: None,
+                record: record(0, 0, TraceEvent::ShardDispatched { shard: 0, attempt: 1, cells: 9 }),
+            },
+        ];
+        let state = replay_lines(&lines, TimeWindow::ALL);
+        assert_eq!(state.cells.len(), 2);
+        assert_eq!(state.cell("spotverse/s1").unwrap().dropped, Some(4));
+
+        // Writing the trace out and reading it back folds to the same views.
+        let text = crate::replay::trace_lines_to_jsonl(&lines);
+        let reread = crate::replay::parse_trace_jsonl(&text).unwrap();
+        assert_eq!(reread, lines);
+        let back = replay_lines(&reread, TimeWindow::ALL);
         assert_eq!(back, state);
-        assert_eq!(state_to_json(&back), text);
+
+        // The JSON view of each cell is a well-formed object and stable.
+        for ((_, a), (_, b)) in state.cells.iter().zip(&back.cells) {
+            let (mut ja, mut jb) = (String::new(), String::new());
+            a.put_json(&mut ja);
+            b.put_json(&mut jb);
+            assert_eq!(ja, jb);
+            let mut fields = sim_kernel::json::Fields::new(
+                sim_kernel::json::parse(&ja).unwrap().into_obj().unwrap(),
+            );
+            for key in ["summary", "ledger", "occupancy", "billed_total"] {
+                fields.require(key).unwrap();
+            }
+        }
     }
 
     #[test]

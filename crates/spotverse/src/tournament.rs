@@ -303,31 +303,7 @@ pub fn render_tournament(report: &TournamentReport) -> String {
                 row.interruptions,
             );
         }
-        let wm = &standing.wins;
-        if wm.strategies.len() > 1 && wm.contested_seeds > 0 {
-            let _ = writeln!(
-                out,
-                "  win matrix (cheaper-than counts over {} contested seeds)",
-                wm.contested_seeds
-            );
-            let width = wm.strategies.iter().map(String::len).max().unwrap_or(0).max(4);
-            let _ = write!(out, "    {:<width$}", "");
-            for s in &wm.strategies {
-                let _ = write!(out, " {s:>width$}");
-            }
-            out.push('\n');
-            for (i, row) in wm.wins.iter().enumerate() {
-                let _ = write!(out, "    {:<width$}", wm.strategies[i]);
-                for (j, w) in row.iter().enumerate() {
-                    if i == j {
-                        let _ = write!(out, " {:>width$}", "-");
-                    } else {
-                        let _ = write!(out, " {w:>width$}");
-                    }
-                }
-                out.push('\n');
-            }
-        }
+        standing.wins.render(&mut out, "  ");
     }
     if !report.failed.is_empty() {
         let _ = writeln!(out, "failed cells: {}", report.failed.join(", "));

@@ -11,11 +11,11 @@
 //! * Tracing is **purely observational**: the tracer consumes no RNG and
 //!   touches no counters, so enabling it leaves every other report field
 //!   bit-identical to an untraced run.
-//! * Records are collected per experiment (one sweep cell = one run) in a
-//!   single-threaded [`RingBuffer`] that keeps the *first* N events, so
-//!   the retained prefix never depends on run length. Sweeps merge
-//!   per-cell traces in cell order, which keeps the merged JSONL
-//!   byte-identical for any `--jobs` value.
+//! * Records are collected per experiment (one sweep cell = one run) by a
+//!   single-threaded [`Tracer`] that keeps the *first* [`TRACE_CAPACITY`]
+//!   events and counts the rest, so the retained prefix never depends on
+//!   run length. Sweeps merge per-cell traces in cell order, which keeps
+//!   the merged JSONL byte-identical for any `--jobs` value.
 //! * The JSONL export is canonical — fixed key order, lowercase labels,
 //!   shortest-round-trip float formatting — so golden traces can be
 //!   compared byte-for-byte.
@@ -25,37 +25,29 @@ use std::fmt::Write as _;
 use cloud_compute::InstanceId;
 use cloud_market::Region;
 use sim_kernel::json::{push_json_str, Fields};
-use sim_kernel::{RingBuffer, SimDuration, SimTime};
+use sim_kernel::{SimDuration, SimTime};
 
 use crate::codec::{field_key, push_uint, put_field, take_field};
 use crate::fleet::Priority;
 use crate::health::BreakerState;
 use crate::optimizer::{CandidateVerdict, Placement};
 
-/// Default cap on retained records per run; overflow is counted, not kept.
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
+/// Records retained per run; later ones are counted, not kept.
+pub const TRACE_CAPACITY: usize = 65_536;
 
 /// Per-run tracing configuration, carried on `ExperimentConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceConfig {
     /// Whether to record a trace (off by default: benches and ordinary
     /// sweeps pay nothing).
     pub enabled: bool,
-    /// Maximum records retained; later events only bump the dropped count.
-    pub capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig { enabled: false, capacity: DEFAULT_TRACE_CAPACITY }
-    }
 }
 
 impl TraceConfig {
-    /// An enabled configuration with the default capacity.
+    /// A configuration that records a trace.
     #[must_use]
     pub fn enabled() -> Self {
-        TraceConfig { enabled: true, ..TraceConfig::default() }
+        TraceConfig { enabled: true }
     }
 }
 
@@ -345,7 +337,10 @@ pub struct Tracer {
 
 #[derive(Debug)]
 struct TracerInner {
-    ring: RingBuffer<TraceRecord>,
+    /// The first [`TRACE_CAPACITY`] records, in emission order.
+    records: Vec<TraceRecord>,
+    /// Records emitted past the cap.
+    dropped: u64,
     seq: u64,
 }
 
@@ -354,7 +349,9 @@ impl Tracer {
     #[must_use]
     pub fn new(config: &TraceConfig) -> Self {
         let inner = config.enabled.then(|| TracerInner {
-            ring: RingBuffer::new(config.capacity.max(1)),
+            // Traces are usually far smaller than the cap; grow on demand.
+            records: Vec::new(),
+            dropped: 0,
             seq: 0,
         });
         Tracer { inner }
@@ -379,16 +376,19 @@ impl Tracer {
         if let Some(inner) = &mut self.inner {
             let seq = inner.seq;
             inner.seq += 1;
-            inner.ring.push(TraceRecord { seq, at, event });
+            if inner.records.len() < TRACE_CAPACITY {
+                inner.records.push(TraceRecord { seq, at, event });
+            } else {
+                inner.dropped += 1;
+            }
         }
     }
 
     /// Consumes the tracer into a [`RunTrace`] (or `None` when disabled).
     #[must_use]
     pub fn finish(self) -> Option<RunTrace> {
-        let inner = self.inner?;
-        let (events, dropped) = inner.ring.into_parts();
-        Some(RunTrace { events, dropped })
+        let TracerInner { records, dropped, .. } = self.inner?;
+        Some(RunTrace { events: records, dropped })
     }
 }
 
@@ -614,19 +614,58 @@ mod tests {
 
     #[test]
     fn enabled_tracer_sequences_and_caps() {
-        let mut tracer = Tracer::new(&TraceConfig { enabled: true, capacity: 2 });
+        let mut tracer = Tracer::new(&TraceConfig::enabled());
         assert!(tracer.enabled());
-        for i in 0..4u64 {
+        for i in 0..TRACE_CAPACITY as u64 + 2 {
             tracer.record(
                 SimTime::from_secs(i),
                 TraceEvent::CollectionFailed { retryable: true },
             );
         }
         let trace = tracer.finish().unwrap();
-        assert_eq!(trace.events.len(), 2);
+        assert_eq!(trace.events.len(), TRACE_CAPACITY);
         assert_eq!(trace.dropped, 2);
-        assert_eq!(trace.events[0].seq, 0);
-        assert_eq!(trace.events[1].seq, 1);
+        for (i, record) in trace.events.iter().enumerate() {
+            assert_eq!(record.seq, i as u64);
+            assert_eq!(record.at, SimTime::from_secs(i as u64));
+        }
+    }
+
+    #[test]
+    fn retains_first_n_and_counts_overflow() {
+        let mut tracer = Tracer::new(&TraceConfig::enabled());
+        for i in 0..TRACE_CAPACITY as u64 + 3 {
+            tracer.record(SimTime::from_secs(i), TraceEvent::RunEnded { completed: 0, aborted: false });
+        }
+        let trace = tracer.finish().unwrap();
+        // The retained prefix is the first records, not the latest ones.
+        assert_eq!(trace.events.first().map(|r| r.seq), Some(0));
+        assert_eq!(trace.events.last().map(|r| r.seq), Some(TRACE_CAPACITY as u64 - 1));
+        assert_eq!(trace.dropped, 3);
+        let jsonl = trace_to_jsonl(&trace);
+        assert_eq!(jsonl.lines().count(), TRACE_CAPACITY + 1);
+        assert_eq!(jsonl.lines().last(), Some("{\"truncated\":true,\"dropped\":3}"));
+    }
+
+    #[test]
+    fn iter_preserves_push_order() {
+        let mut tracer = Tracer::new(&TraceConfig::enabled());
+        // Emission order wins over timestamps: nothing is re-sorted.
+        let pushed: Vec<(SimTime, TraceEvent)> = sample_records()
+            .into_iter()
+            .rev()
+            .map(|r| (r.at, r.event))
+            .collect();
+        for (at, event) in pushed.clone() {
+            tracer.record(at, event);
+        }
+        let trace = tracer.finish().unwrap();
+        assert_eq!(trace.dropped, 0);
+        let seqs: Vec<u64> = trace.events.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        let kept: Vec<(SimTime, TraceEvent)> =
+            trace.events.into_iter().map(|r| (r.at, r.event)).collect();
+        assert_eq!(kept, pushed);
     }
 
     #[test]

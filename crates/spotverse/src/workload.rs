@@ -250,14 +250,15 @@ impl WorkloadRuntime {
     /// pending slot is always consumed at the reclaim before another save
     /// can start, so this is a structural no-op on existing runs.
     fn promote_settled_pending(&mut self, w: usize, now: SimTime, cp: &mut ControlPlane) {
-        let Some(p) = self.checkpoints.pending else {
-            return;
-        };
-        if p.completes_at > now {
-            return;
+        if let Some(p) = self.checkpoints.pending.take_if(|p| p.completes_at <= now) {
+            self.judge_pending(p, w, now, cp);
         }
-        self.checkpoints.pending = None;
-        if p.recorded {
+    }
+
+    /// Logs a write taken out of the pending slot at `now` as durable if
+    /// its upload finished by then and its KV record landed, else as torn.
+    fn judge_pending(&mut self, p: PendingCheckpoint, w: usize, now: SimTime, cp: &mut ControlPlane) {
+        if p.recorded && p.completes_at <= now {
             self.checkpoints.durable.push(DurableCheckpoint {
                 generation: p.generation,
                 units: p.units,
@@ -391,17 +392,7 @@ impl WorkloadRuntime {
     /// older ones; with none left the workload restarts from scratch.
     pub(crate) fn settle_checkpoints(&mut self, w: usize, now: SimTime, cp: &mut ControlPlane) {
         if let Some(p) = self.checkpoints.pending.take() {
-            if p.recorded && p.completes_at <= now {
-                self.checkpoints.durable.push(DurableCheckpoint {
-                    generation: p.generation,
-                    units: p.units,
-                    written_at: p.completes_at,
-                });
-            } else {
-                cp.telemetry.torn_writes += 1;
-                cp.tracer
-                    .record(now, TraceEvent::CheckpointTorn { workload: w, generation: p.generation });
-            }
+            self.judge_pending(p, w, now, cp);
         }
         let prior = self.invocation.units_done();
         let mut dropped = 0u64;

@@ -133,6 +133,20 @@ if [ "$fleet_status" -ne 0 ] || grep -q "FAILED" <<<"$fleet_out"; then
     exit 1
 fi
 
+echo "==> horizon smoke: a loadgen fleet arriving past the market horizon stops there"
+# Arrivals run past the 210-day price history; every strategy's run must
+# stop at the horizon with exit 0, not panic reading the market beyond it.
+horizon_status=0
+horizon_err=$(cargo run --release --quiet --bin spotverse -- \
+    fleet --loadgen poisson --workloads 1000 --rate 0.2 --strategy all 2>&1 >/dev/null) \
+    || horizon_status=$?
+if [ "$horizon_status" -ne 0 ] || grep -q "panicked" <<<"$horizon_err"; then
+    echo "==> horizon smoke FAILED: exit $horizon_status" >&2
+    echo "$horizon_err" >&2
+    exit 1
+fi
+echo "    all strategies stop at the horizon, exit 0"
+
 echo "==> tournament smoke: strategies x regimes leaderboard vs committed snapshot"
 # The same argv the golden_tournament suite pins; the CLI output must
 # match the committed leaderboard byte-for-byte and show real work.

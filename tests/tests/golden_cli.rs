@@ -146,6 +146,16 @@ const OUTPUTS: &[(&str, &[&str])] = &[
         &["traces", "--days", "2", "--regime", "correlated_shock"],
     ),
     ("workflow_ngs.ga", &["workflow", "--workload", "ngs"]),
+    (
+        "analyse_sweep_and_fleet.json",
+        &[
+            "analyse",
+            "golden/cli/sweep_trace.jsonl",
+            "golden/fleet_ngs3_seed2024_cap1.jsonl",
+            "--output",
+            "json",
+        ],
+    ),
 ];
 
 /// Every bad argv the CLI must reject, in `errors.txt` order.

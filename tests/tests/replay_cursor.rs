@@ -1,6 +1,5 @@
-//! Incremental-cursor equivalence: replaying a trace in one pass, in
-//! arbitrary chunk splits, or across a serialize/resume boundary must
-//! yield identical final views — the fold purity contract that makes
+//! Incremental-cursor equivalence: replaying a trace in one pass or in
+//! arbitrary chunk splits must yield identical final views — the fold purity contract that makes
 //! `analyse` deterministic regardless of how the bytes arrive.
 
 use std::fs;
@@ -61,42 +60,6 @@ proptest! {
         let chunked = replay_chunked(&doc, &splits, TimeWindow::ALL);
         prop_assert_eq!(chunked, whole, "splits {:?}", splits);
     }
-
-    /// Serializing the cursor at any byte offset and resuming from the
-    /// snapshot yields the same final views as never stopping.
-    #[test]
-    fn snapshot_resume_equals_uninterrupted(split_raw in 0usize..100_000) {
-        let doc = golden("fleet_ngs3_seed2024_cap1.jsonl");
-        let whole = replay_str(&doc, TimeWindow::ALL).expect("golden parses");
-        let mut split = split_raw % (doc.len() + 1);
-        while !doc.is_char_boundary(split) {
-            split -= 1;
-        }
-        let mut cursor = ReplayCursor::default();
-        cursor.feed(&doc[..split]).expect("head feeds cleanly");
-        let snapshot = cursor.snapshot();
-        drop(cursor);
-        let mut resumed = ReplayCursor::resume(&snapshot).expect("snapshot parses back");
-        resumed.feed(&doc[split..]).expect("tail feeds cleanly");
-        prop_assert_eq!(resumed.finish().expect("finishes"), whole, "split at {}", split);
-    }
-}
-
-/// A snapshot round-trips bit-for-bit: resume → snapshot again is the
-/// identical string, so snapshots can themselves be archived and diffed.
-#[test]
-fn snapshot_is_stable_under_round_trip() {
-    let doc = golden("spotverse_ngs3_seed2024_t6.jsonl");
-    let mut cursor = ReplayCursor::new(TimeWindow {
-        from: Some(SimTime::from_secs(86_400)),
-        until: None,
-    });
-    cursor.set_default_cell(Some("t6".to_owned()));
-    cursor.feed(&doc[..doc.len() / 2]).expect("head feeds");
-    let snap = cursor.snapshot();
-    let resumed = ReplayCursor::resume(&snap).expect("snapshot parses");
-    assert_eq!(resumed, cursor);
-    assert_eq!(resumed.snapshot(), snap);
 }
 
 /// The time-windowed replay equals pre-filtering the parsed records by
