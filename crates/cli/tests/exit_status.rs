@@ -52,7 +52,8 @@ fn a_failed_cell_keeps_its_table_and_exits_non_zero() {
 #[test]
 fn a_fleet_reaching_the_market_horizon_stops_there_and_exits_zero() {
     // Arrivals run past the 210-day market horizon; every strategy's run
-    // stops at the horizon instead of reading the market beyond it.
+    // stops at the horizon instead of reading the market beyond it, and
+    // every workload still open there expires.
     let out = Command::new(env!("CARGO_BIN_EXE_spotverse"))
         .args([
             "fleet", "--loadgen", "poisson", "--workloads", "1000", "--rate", "0.2", "--strategy",
@@ -65,4 +66,43 @@ fn a_fleet_reaching_the_market_horizon_stops_there_and_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
     assert!(stderr.is_empty(), "stderr:\n{stderr}");
     assert!(!stdout.contains("FAILED"), "stdout:\n{stdout}");
+
+    // Each strategy prints `<name> completed C/1000 ...`, then
+    // `fleet: E expired, ...`, then one row per workload whose third
+    // column is its phase.
+    let lines: Vec<&str> = stdout.lines().collect();
+    let headers: Vec<usize> = (0..lines.len())
+        .filter(|&i| !lines[i].starts_with(' ') && lines[i].contains(" completed "))
+        .collect();
+    assert_eq!(headers.len(), 5, "one block per strategy:\n{stdout}");
+    for (k, &start) in headers.iter().enumerate() {
+        let end = headers.get(k + 1).copied().unwrap_or(lines.len());
+        let header = lines[start];
+        let completed: usize = header
+            .split_whitespace()
+            .nth(2)
+            .and_then(|c| c.strip_suffix("/1000"))
+            .and_then(|c| c.parse().ok())
+            .unwrap_or_else(|| panic!("no completed count in {header:?}"));
+        let expired: usize = lines[start + 1]
+            .trim()
+            .strip_prefix("fleet: ")
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|e| e.parse().ok())
+            .unwrap_or_else(|| panic!("no expired count after {header:?}"));
+        assert_eq!(completed + expired, 1000, "{header}");
+        let rows: Vec<&str> = lines[start..end]
+            .iter()
+            .copied()
+            .filter(|l| l.trim_start().starts_with("g-"))
+            .collect();
+        assert_eq!(rows.len(), 1000, "{header}");
+        for row in rows {
+            let phase = row.split_whitespace().nth(2);
+            assert!(
+                matches!(phase, Some("completed" | "expired")),
+                "{header}: open workload left at the horizon: {row}"
+            );
+        }
+    }
 }

@@ -15,12 +15,15 @@
 //!   practice (the effect SpotVerse exploits).
 //!
 //! Every trajectory is a pure function of the seed, so any strategy run
-//! against the same [`MarketConfig`] observes the identical market. The
-//! expensive trajectories (hourly prices, daily placement scores) are
-//! materialized lazily in [`MARKET_SEGMENT_DAYS`]-day segments on first
-//! query (DESIGN.md §13): construction only walks the cheap daily band and
-//! episode processes, and a fleet that finishes inside the first month
-//! never pays for the remaining months of the horizon.
+//! against the same [`MarketConfig`] observes the identical market. Nothing
+//! is built before it is queried (DESIGN.md §1 and §13): construction only
+//! draws the regime schedule every (region, instance type) shares; each
+//! pair's cheap daily band and episode processes are walked on its first
+//! query; and the expensive trajectories (hourly prices, daily placement
+//! scores) materialize in [`MARKET_SEGMENT_DAYS`]-day segments on first
+//! touch. A run that places one instance type never pays for the other
+//! five, and a fleet that finishes inside the first month never pays for
+//! the remaining months of the horizon.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -217,6 +220,12 @@ pub const MARKET_SEGMENT_DAYS: usize = 14;
 
 const SEGMENT_HOURS: usize = MARKET_SEGMENT_DAYS * 24;
 
+/// Segments of `seg_len` covering a trajectory of `len` values (at least
+/// one, so an empty horizon still has a segment to count).
+fn segment_count(len: usize, seg_len: usize) -> usize {
+    len.div_ceil(seg_len).max(1)
+}
+
 /// A sequential trajectory generator: each call appends the next `n`
 /// values, advancing internal state (RNG stream position, process carry)
 /// so successive calls chain into one continuous sequence — the key to
@@ -249,11 +258,10 @@ type Segment<T> = OnceLock<Box<[T]>>;
 
 impl<G: SegmentGen> LazyTrack<G> {
     fn new(len: usize, seg_len: usize, gen: G) -> Self {
-        let n_segs = len.div_ceil(seg_len).max(1);
         LazyTrack {
             len,
             seg_len,
-            segments: (0..n_segs).map(|_| OnceLock::new()).collect(),
+            segments: (0..segment_count(len, seg_len)).map(|_| OnceLock::new()).collect(),
             gen: Mutex::new((0, gen)),
         }
     }
@@ -600,79 +608,91 @@ impl MarketState {
 /// let od = market.on_demand_price(Region::CaCentral1, InstanceType::M5Xlarge);
 /// assert!(price < od);
 /// ```
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct SpotMarket {
     config: MarketConfig,
     horizon: SimTime,
-    /// The market of each (region, instance type), indexed
-    /// `[region as usize][instance_type as usize]`; `None` where the type
-    /// is not offered.
-    states: [[Option<MarketState>; InstanceType::ALL.len()]; Region::ALL.len()],
+    /// The `"spot-market"` stream every state's streams fork from.
+    rng: SimRng,
+    /// The regime's static generator calibration.
+    spec: RegimeSpec,
+    /// The per-day regime program every state shares.
+    schedule: Arc<RegimeSchedule>,
+    /// Whether each (region, instance type) is offered, indexed
+    /// `[region as usize][instance_type as usize]`.
+    offered: [[bool; InstanceType::ALL.len()]; Region::ALL.len()],
+    /// The market of each offered (region, instance type), indexed like
+    /// `offered` and built on its first query.
+    states: [[OnceLock<MarketState>; InstanceType::ALL.len()]; Region::ALL.len()],
     /// Regions offering each instance type, in catalog order, indexed by
     /// `instance_type as usize` (precomputed so the hot
     /// `regions_offering` query is allocation-free).
     offerings: [Vec<Region>; InstanceType::ALL.len()],
 }
 
+/// Logical equality: the same config and the same values in every offered
+/// state, building and materializing both sides the way `LazyTrack`'s
+/// equality does. Used by determinism tests comparing lazy and eager
+/// builds.
+impl PartialEq for SpotMarket {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.horizon == other.horizon
+            && self.offered == other.offered
+            && self.offerings == other.offerings
+            && self.offered_states().eq(other.offered_states())
+    }
+}
+
 impl SpotMarket {
-    /// Builds the market. Construction only walks the cheap daily band
-    /// and episode processes per (region, instance type); the hourly
-    /// price and daily placement trajectories materialize lazily in
-    /// [`MARKET_SEGMENT_DAYS`]-day segments on first query, bit-identical
-    /// to the eager reference build ([`SpotMarket::new_eager`]) because
-    /// segments fill front-to-back with chained generator state.
+    /// Builds the market. Construction only draws the regime schedule;
+    /// each (region, instance type) state walks its cheap daily band and
+    /// episode processes on its first query, and its hourly price and
+    /// daily placement trajectories materialize in
+    /// [`MARKET_SEGMENT_DAYS`]-day segments on first touch. Both stay
+    /// bit-identical to the eager reference build
+    /// ([`SpotMarket::new_eager`]): every state's streams are forks of one
+    /// parent stream, and a fork is a pure function of `(seed, label)`, so
+    /// the order states are built in cannot change a value; segments fill
+    /// front-to-back with chained generator state.
     pub fn new(config: MarketConfig) -> Self {
-        Self::build(config)
-    }
-
-    /// The reference construction: builds the market and materializes
-    /// every trajectory up front in one front-to-back pass — exactly the
-    /// old eager precompute. Equivalence tests compare lazy markets,
-    /// queried in arbitrary orders, against this.
-    pub fn new_eager(config: MarketConfig) -> Self {
-        let market = Self::build(config);
-        for state in market.states.iter().flatten().flatten() {
-            state.daily_placement.force_all();
-            state.hourly_price.force_all();
-        }
-        market
-    }
-
-    fn build(config: MarketConfig) -> Self {
         let rng = SimRng::seed_from_u64(config.seed).fork("spot-market");
         // One schedule per market, built from the same parent RNG through
         // regime-specific fork labels (fork is a pure function of
         // `(seed, label)`, so baseline streams are untouched) and shared
         // by every (region, instance type) state — shared application is
         // what makes regime shocks cross-region correlated.
-        let spec = config.regime.spec();
         let schedule = Arc::new(RegimeSchedule::build(config.regime, config.horizon_days, &rng));
-        let mut states: [[Option<MarketState>; InstanceType::ALL.len()]; Region::ALL.len()] =
-            Default::default();
-        for itype in InstanceType::ALL {
-            for p in profiles::profiles_for(itype) {
-                let region = p.region();
-                states[region as usize][itype as usize] = Some(MarketState::build(
-                    p,
-                    config.horizon_days,
-                    &rng,
-                    spec,
-                    Arc::clone(&schedule),
-                ));
-            }
-        }
+        let offered = Region::ALL.map(|r| InstanceType::ALL.map(|t| profiles::is_offered(r, t)));
         let offerings = InstanceType::ALL.map(|itype| {
             Region::ALL
                 .into_iter()
-                .filter(|&r| states[r as usize][itype as usize].is_some())
+                .filter(|&r| offered[r as usize][itype as usize])
                 .collect()
         });
         SpotMarket {
             config,
             horizon: SimTime::from_days(u64::from(config.horizon_days)),
-            states,
+            rng,
+            spec: config.regime.spec(),
+            schedule,
+            offered,
+            states: Default::default(),
             offerings,
         }
+    }
+
+    /// The reference construction: builds every offered state and
+    /// materializes every trajectory up front in one front-to-back pass —
+    /// exactly the old eager precompute. Equivalence tests compare lazy
+    /// markets, queried in arbitrary orders, against this.
+    pub fn new_eager(config: MarketConfig) -> Self {
+        let market = Self::new(config);
+        for state in market.offered_states() {
+            state.daily_placement.force_all();
+            state.hourly_price.force_all();
+        }
+        market
     }
 
     /// The configuration the market was built from.
@@ -700,32 +720,54 @@ impl SpotMarket {
 
     /// Whether `instance_type` is offered in `region`.
     pub fn is_available(&self, region: Region, instance_type: InstanceType) -> bool {
-        self.states[region as usize][instance_type as usize].is_some()
+        self.offered[region as usize][instance_type as usize]
     }
 
     /// `(filled, total)` lazy-trajectory segment counts summed across
-    /// every (region, instance type) market — how much of the horizon has
-    /// actually been paid for. Benches and tests use this to assert that
-    /// short experiments leave most of the market unmaterialized.
+    /// every offered (region, instance type) market — how much of the
+    /// horizon has actually been paid for. Benches and tests use this to
+    /// assert that short experiments leave most of the market
+    /// unmaterialized. A state not yet built has filled none of its
+    /// segments; the total counts every offered state, built or not.
     pub fn materialized_segments(&self) -> (usize, usize) {
-        self.states.iter().flatten().flatten().fold((0, 0), |(filled, total), s| {
-            let (pf, pt) = s.daily_placement.segments_filled();
-            let (hf, ht) = s.hourly_price.segments_filled();
-            (filled + pf + hf, total + pt + ht)
+        let filled = self.states.iter().flatten().filter_map(OnceLock::get).fold(0, |n, s| {
+            n + s.daily_placement.segments_filled().0 + s.hourly_price.segments_filled().0
+        });
+        let days = self.config.horizon_days as usize;
+        let per_state =
+            segment_count(days, MARKET_SEGMENT_DAYS) + segment_count(days * 24, SEGMENT_HOURS);
+        let offered = self.offered.iter().flatten().filter(|&&o| o).count();
+        (filled, offered * per_state)
+    }
+
+    /// Every offered state, building those not yet built.
+    fn offered_states(&self) -> impl Iterator<Item = &MarketState> {
+        Region::ALL.into_iter().flat_map(move |r| {
+            InstanceType::ALL.into_iter().filter_map(move |t| self.state(r, t).ok())
         })
     }
 
+    /// The state of `(region, instance_type)`, built on its first query.
     fn state(
         &self,
         region: Region,
         instance_type: InstanceType,
     ) -> Result<&MarketState, MarketError> {
-        self.states[region as usize][instance_type as usize]
-            .as_ref()
-            .ok_or(MarketError::Unavailable {
+        if !self.is_available(region, instance_type) {
+            return Err(MarketError::Unavailable {
                 region,
                 instance_type,
-            })
+            });
+        }
+        Ok(self.states[region as usize][instance_type as usize].get_or_init(|| {
+            MarketState::build(
+                profiles::profile(region, instance_type),
+                self.config.horizon_days,
+                &self.rng,
+                self.spec,
+                Arc::clone(&self.schedule),
+            )
+        }))
     }
 
     fn check_horizon(&self, at: SimTime) -> Result<(), MarketError> {
@@ -952,6 +994,78 @@ mod tests {
 
     fn market() -> SpotMarket {
         SpotMarket::new(MarketConfig::with_seed(7))
+    }
+
+    /// The (region, instance type) pairs whose state has been built.
+    fn built(m: &SpotMarket) -> Vec<(Region, InstanceType)> {
+        Region::ALL
+            .into_iter()
+            .flat_map(|r| InstanceType::ALL.map(|t| (r, t)))
+            .filter(|&(r, t)| m.states[r as usize][t as usize].get().is_some())
+            .collect()
+    }
+
+    #[test]
+    fn construction_builds_no_state() {
+        let m = market();
+        assert!(built(&m).is_empty());
+        assert_eq!(m.regions_offering(InstanceType::M5Xlarge).len(), 12);
+        assert!(built(&m).is_empty(), "offering lookups must not build states");
+    }
+
+    #[test]
+    fn a_query_builds_exactly_its_own_state() {
+        let m = market();
+        m.spot_price(Region::EuWest1, InstanceType::C52xlarge, SimTime::from_days(3))
+            .unwrap();
+        assert_eq!(built(&m), [(Region::EuWest1, InstanceType::C52xlarge)]);
+        m.hazard_rate(Region::EuWest1, InstanceType::C52xlarge, SimTime::from_days(90))
+            .unwrap();
+        assert_eq!(built(&m), [(Region::EuWest1, InstanceType::C52xlarge)]);
+    }
+
+    #[test]
+    fn an_unoffered_pair_is_unavailable_and_builds_nothing() {
+        let m = market();
+        let err = m
+            .spot_price(Region::ApNortheast3, InstanceType::P32xlarge, SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MarketError::Unavailable {
+                region: Region::ApNortheast3,
+                instance_type: InstanceType::P32xlarge,
+            }
+        );
+        assert!(built(&m).is_empty());
+    }
+
+    #[test]
+    fn the_horizon_check_precedes_the_offering_check() {
+        let m = market();
+        let past = m.horizon();
+        for (region, itype) in [
+            (Region::ApNortheast3, InstanceType::P32xlarge),
+            (Region::UsEast1, InstanceType::M5Xlarge),
+        ] {
+            let err = m.spot_price(region, itype, past).unwrap_err();
+            assert_eq!(err, MarketError::BeyondHorizon { at: past, horizon: past });
+        }
+        assert!(built(&m).is_empty());
+    }
+
+    #[test]
+    fn the_segment_total_counts_unbuilt_states() {
+        // 69 offered pairs (72 less three p3.2xlarge gaps), each with 15
+        // placement and 15 price segments over the 210-day horizon.
+        let m = market();
+        assert_eq!(m.materialized_segments(), (0, 2_070));
+        m.placement_score(Region::UsWest1, InstanceType::M5Xlarge, SimTime::from_days(20))
+            .unwrap();
+        assert_eq!(m.materialized_segments(), (2, 2_070));
+        let eager = SpotMarket::new_eager(MarketConfig::with_seed(7));
+        assert_eq!(eager.materialized_segments(), (2_070, 2_070));
+        assert_eq!(built(&eager).len(), 69);
     }
 
     #[test]

@@ -73,7 +73,6 @@ pub struct MarketProfile {
     base_band: InterruptionBand,
     placement_mean: f64,
     hazard_scale: f64,
-    available: bool,
     surges: Vec<PriceSurge>,
 }
 
@@ -128,7 +127,7 @@ impl MarketProfile {
     /// Whether the instance type is offered in this region at all (the paper
     /// notes p3.2xlarge is missing from some regions).
     pub fn is_available(&self) -> bool {
-        self.available
+        is_offered(self.region, self.instance_type)
     }
 
     /// The demand surges this market experiences over the horizon.
@@ -253,7 +252,6 @@ pub fn profile(region: Region, instance_type: InstanceType) -> MarketProfile {
         Region::UsEast1 | Region::UsEast2 | Region::UsWest2 | Region::ApSoutheast2 => 1.9,
         _ => 1.0,
     };
-    let mut available = true;
 
     // Cheap regions attract demand early in the horizon (the paper's §2.2
     // observation): the baseline-cheapest region surges hardest.
@@ -329,14 +327,8 @@ pub fn profile(region: Region, instance_type: InstanceType) -> MarketProfile {
 
     if instance_type == InstanceType::P32xlarge {
         // Figure 4c: p3.2xlarge placement scores are consistent across
-        // regions; the paper excluded regions where p3 is not offered.
+        // regions.
         placement = 4.0;
-        if matches!(
-            region,
-            Region::ApNortheast3 | Region::EuWest3 | Region::EuNorth1
-        ) {
-            available = false;
-        }
     }
 
     MarketProfile {
@@ -347,17 +339,27 @@ pub fn profile(region: Region, instance_type: InstanceType) -> MarketProfile {
         base_band: band,
         placement_mean: placement,
         hazard_scale,
-        available,
         surges,
     }
+}
+
+/// Whether `instance_type` is offered in `region` at all: the paper
+/// excluded the regions where p3.2xlarge is not offered. Answers without
+/// building the [`profile`], which allocates its surge list.
+pub fn is_offered(region: Region, instance_type: InstanceType) -> bool {
+    !(instance_type == InstanceType::P32xlarge
+        && matches!(
+            region,
+            Region::ApNortheast3 | Region::EuWest3 | Region::EuNorth1
+        ))
 }
 
 /// All available profiles for an instance type.
 pub fn profiles_for(instance_type: InstanceType) -> Vec<MarketProfile> {
     Region::ALL
         .into_iter()
+        .filter(|&r| is_offered(r, instance_type))
         .map(|r| profile(r, instance_type))
-        .filter(MarketProfile::is_available)
         .collect()
 }
 

@@ -273,6 +273,10 @@ struct FleetModel {
     /// Global abort horizon: the latest per-workload deadline, capped at
     /// the market horizon.
     horizon: SimTime,
+    /// Whether the market horizon comes before the last deadline, so the
+    /// run stops where the price history ends and every workload still
+    /// unsettled there expires.
+    expire_at_horizon: bool,
     aborted: bool,
 }
 
@@ -866,10 +870,11 @@ impl FleetModel {
         }
     }
 
-    /// A workload hit its per-workload deadline unfinished: terminate its
-    /// instance (if any) and retire it from the fleet. Only scheduled for
-    /// workloads whose deadline precedes the global horizon, so classic
-    /// experiments never see this event.
+    /// A workload hit its per-workload deadline, or the market horizon,
+    /// unfinished: terminate its instance (if any) and retire it from the
+    /// fleet. Only scheduled for workloads whose deadline precedes the
+    /// global horizon, and run for every unsettled workload when the run
+    /// stops at the market horizon, so classic experiments never see it.
     fn handle_expire(&mut self, w: usize, now: SimTime) {
         if self.workloads[w].settled() {
             return;
@@ -935,6 +940,13 @@ impl Model for FleetModel {
 
     fn handle(&mut self, now: SimTime, event: Event, scheduler: &mut Scheduler<'_, Event>) {
         if now >= self.horizon {
+            if self.expire_at_horizon {
+                // Expiring at the horizon itself bills each instance up to
+                // it, which reads only prices before it.
+                for w in 0..self.workloads.len() {
+                    self.handle_expire(w, self.horizon);
+                }
+            }
             self.aborted = true;
             return;
         }
@@ -1054,12 +1066,12 @@ pub fn run_fleet_on(
     let (arrival_order, batches) = arrival_batches(&workloads, &config.workloads);
     // The run stops at the last deadline, or where the market's price
     // history ends if that comes first.
-    let horizon = workloads
+    let last_deadline = workloads
         .iter()
         .map(|w| w.deadline)
         .max()
-        .expect("non-empty fleet")
-        .min(market.horizon());
+        .expect("non-empty fleet");
+    let horizon = last_deadline.min(market.horizon());
 
     let mut model = FleetModel {
         cp,
@@ -1079,6 +1091,7 @@ pub fn run_fleet_on(
         checkpoint_cadence: None,
         capacity_deferrals: 0,
         horizon,
+        expire_at_horizon: horizon < last_deadline,
         aborted: false,
         config,
     };

@@ -28,14 +28,26 @@ echo "==> perfbench smoke: each benchmark workload for one second"
 # Every operation checks its text against the CLI's byte for byte (and
 # its own invariants), so a break shows here as correct=false or a
 # failed operation, before a full benchmark run would meet it.
-# fleet_loadgen runs traced at seed 2024, and its simulation counters
-# must equal perfbench/counters.json: the 100k fleet has many more
-# same-instant events than the small goldens, so it is where a change to
-# event order shows. counters.json is only read; its allocs.* entries
-# are older than the current code and are not compared.
+# fleet_loadgen and sweep_orchestrated run traced at seed 2024, and their
+# deterministic counters must equal perfbench/counters.json. The 100k
+# fleet has many more same-instant events than the small goldens, so it
+# is where a change to event order shows; the sweep builds 400 markets
+# and runs 2,000 orchestrated cells, so it is where a change to market
+# construction or orchestration shows. counters.json is only read; its
+# allocs.* entries are older than the current code and are not compared.
 for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trace; do
     args=(--workload "$workload" --seconds 1)
-    if [ "$workload" = fleet_loadgen ]; then
+    keys=""
+    case "$workload" in
+        fleet_loadgen)
+            keys="fleet.events ec2.spot_attempts ec2.launches ec2.interruptions
+                  optimizer.calls checkpoint.writes market.segments_materialized" ;;
+        sweep_orchestrated)
+            keys="market.builds market.cache_hits market.segments_materialized
+                  fleet.events ec2.spot_attempts ec2.launches ec2.interruptions
+                  optimizer.calls checkpoint.writes orchestrate.dispatches" ;;
+    esac
+    if [ -n "$keys" ]; then
         args+=(--seed 2024 --trace 1)
     fi
     result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
@@ -49,18 +61,17 @@ sys.exit(0 if result.get("correct") is True and result.get("failed") == 0 else 1
         exit 1
     fi
     echo "    $workload: correct, 0 failed"
-    if [ "$workload" = fleet_loadgen ] && ! python3 -c '
+    if [ -n "$keys" ] && ! python3 -c '
 import json, sys
+workload, keys = sys.argv[2], sys.argv[3].split()
 metrics = json.loads(sys.argv[1])["metrics"]
-pinned = json.load(open("perfbench/counters.json"))["fleet_loadgen"]["counters"]
-keys = ["fleet.events", "ec2.spot_attempts", "ec2.launches", "ec2.interruptions",
-        "optimizer.calls", "checkpoint.writes", "market.segments_materialized"]
+pinned = json.load(open("perfbench/counters.json"))[workload]["counters"]
 got = {k: metrics.get(k, {}).get("value") for k in keys}
-drift = [f"    {k}: {got[k]} != {pinned[k]}" for k in keys if got[k] != pinned[k]]
-print("\n".join(drift) or "    fleet_loadgen: 7 simulation counters equal counters.json")
+drift = [f"    {k}: {got[k]} != {pinned.get(k)}" for k in keys if got[k] != pinned.get(k)]
+print("\n".join(drift) or f"    {workload}: {len(keys)} counters equal counters.json")
 sys.exit(1 if drift else 0)
-' "$result"; then
-        echo "==> perfbench smoke FAILED: fleet_loadgen counters differ from perfbench/counters.json" >&2
+' "$result" "$workload" "$keys"; then
+        echo "==> perfbench smoke FAILED: $workload counters differ from perfbench/counters.json" >&2
         exit 1
     fi
 done

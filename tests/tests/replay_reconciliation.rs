@@ -7,14 +7,14 @@
 //! reproduce.
 
 use bio_workloads::{paper_fleet, WorkloadKind};
-use cloud_market::InstanceType;
+use cloud_market::{InstanceType, Usd};
 use proptest::prelude::*;
-use sim_kernel::{SimDuration, SimRng};
+use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::replay::strategy_distributions;
 use spotverse::{
     merged_trace_jsonl, replay_str, run_fleet, run_matrix, run_matrix_orchestrated,
     trace_to_jsonl, CellState, ExperimentReport, FleetConfig, MarketCache, OrchestratorConfig,
-    SweepCell, TimeWindow, TraceConfig,
+    SweepCell, TimeWindow, TraceConfig, WorkloadPhase,
 };
 use spotverse_integration::{spotverse_strategy, spotverse_with_threshold, traced_config};
 
@@ -175,6 +175,47 @@ fn replay_views_equal_live_fleet_report() {
         }
         assert_reconciles(&cell, &report.aggregate, &label);
     }
+}
+
+/// A fleet whose deadlines run past the market horizon stops there, and
+/// every workload still open expires at the horizon: the one running
+/// there is terminated and billed, the ones not yet arrived expire with
+/// no instance. Every workload ends exactly once, and the billed dollars
+/// agree across the workload rows, the billing ledger and the replay.
+#[test]
+fn a_fleet_stopped_at_the_market_horizon_settles_and_bills_every_workload() {
+    let seed = 21;
+    let rng = SimRng::seed_from_u64(seed);
+    let specs = paper_fleet(WorkloadKind::NgsPreprocessing, 4, &rng);
+    let mut config =
+        FleetConfig::staggered(seed, InstanceType::M5Xlarge, specs, SimDuration::from_hours(2));
+    // Arrivals at 209d22h, 210d00h, 210d02h, 210d04h: only the first
+    // arrives before the 210-day horizon, with hours of work left there.
+    config.start = SimTime::from_days(209) + SimDuration::from_hours(22);
+    config.trace = TraceConfig::enabled();
+    let report = run_fleet(config, spotverse_strategy());
+
+    assert_eq!(report.aggregate.completed, 0);
+    assert_eq!(report.expired, 4, "every workload expires at the horizon");
+    assert!(report.workloads.iter().all(|w| w.phase == WorkloadPhase::Expired));
+    let running_at_horizon = &report.workloads[0];
+    assert!(running_at_horizon.launches >= 1 && running_at_horizon.billed > Usd::ZERO);
+    assert!(report.workloads[1..].iter().all(|w| w.launches == 0 && w.billed == Usd::ZERO));
+
+    let rows: f64 = report.workloads.iter().map(|w| w.billed.amount()).sum();
+    let ledger = (report.aggregate.cost.spot_instances
+        + report.aggregate.cost.on_demand_instances)
+        .amount();
+    assert!((rows - ledger).abs() < 1e-9, "rows {rows} vs ledger {ledger}");
+
+    let doc = trace_to_jsonl(report.aggregate.trace.as_ref().expect("tracing enabled"));
+    let cell = replay_single(&doc);
+    assert_eq!(cell.occupancy.expired as usize, report.expired);
+    assert!(
+        (cell.ledger.billed_total() - ledger).abs() < 1e-9,
+        "replay {} vs ledger {ledger}",
+        cell.ledger.billed_total()
+    );
 }
 
 /// Merged sweep traces reconcile cell by cell, and the distribution layer
