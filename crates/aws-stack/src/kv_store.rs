@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 use sim_kernel::SimTime;
 
@@ -78,8 +79,9 @@ impl From<bool> for AttrValue {
     }
 }
 
-/// An item: attribute name → value.
-pub type Item = BTreeMap<String, AttrValue>;
+/// An item: attribute name → value. Every attribute name is a literal, so
+/// naming one never allocates.
+pub type Item = BTreeMap<&'static str, AttrValue>;
 
 /// Key-value store errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,6 +128,18 @@ struct Table {
     items: BTreeMap<String, Item>,
 }
 
+impl Table {
+    /// Applies `f` to the row under `key`, inserted empty if absent. The
+    /// row is looked up by `&str` first, so an existing row is written in
+    /// place and only a new one allocates its key.
+    fn with_row<R>(&mut self, key: &str, f: impl FnOnce(&mut Item) -> R) -> R {
+        match self.items.get_mut(key) {
+            Some(row) => f(row),
+            None => f(self.items.entry(key.to_owned()).or_default()),
+        }
+    }
+}
+
 /// The DynamoDB-like store.
 ///
 /// # Examples
@@ -140,10 +154,10 @@ struct Table {
 /// let mut ledger = BillingLedger::new();
 /// db.create_table("checkpoints", Region::UsEast1)?;
 /// let mut item = aws_stack::Item::new();
-/// item.insert("shards_done".into(), AttrValue::N(3.0));
+/// item.insert("shards_done", AttrValue::N(3.0));
 /// db.put_item("checkpoints", "workload-7", item, SimTime::ZERO, &mut ledger)?;
 /// let got = db.get_item("checkpoints", "workload-7", SimTime::ZERO, &mut ledger)?;
-/// assert_eq!(got.unwrap()["shards_done"].as_number(), Some(3.0));
+/// assert_eq!(got.map(|item| item["shards_done"].as_number()), Some(Some(3.0)));
 /// # Ok::<(), aws_stack::KvError>(())
 /// ```
 #[derive(Debug, Default)]
@@ -207,7 +221,8 @@ impl KvStore {
         Ok(())
     }
 
-    /// Writes an item (full replace).
+    /// Writes an item (full replace). The key is copied only when the
+    /// row is new.
     ///
     /// # Errors
     ///
@@ -215,7 +230,7 @@ impl KvStore {
     pub fn put_item(
         &mut self,
         table: &str,
-        key: impl Into<String>,
+        key: &str,
         item: Item,
         at: SimTime,
         ledger: &mut BillingLedger,
@@ -226,12 +241,12 @@ impl KvStore {
             .get_mut(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
         ledger.charge(at, ServiceKind::KvStore, t.region, Usd::new(WRITE_PRICE));
-        t.items.insert(key.into(), item);
+        t.with_row(key, |row| *row = item);
         self.writes += 1;
         Ok(())
     }
 
-    /// Reads an item, if present.
+    /// Reads an item, if present, borrowed from the store.
     ///
     /// # Errors
     ///
@@ -242,7 +257,7 @@ impl KvStore {
         key: &str,
         at: SimTime,
         ledger: &mut BillingLedger,
-    ) -> Result<Option<Item>, KvError> {
+    ) -> Result<Option<&Item>, KvError> {
         self.check_fault(ServiceOp::KvRead, table, at)?;
         let t = self
             .tables
@@ -250,11 +265,12 @@ impl KvStore {
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
         ledger.charge(at, ServiceKind::KvStore, t.region, Usd::new(READ_PRICE));
         self.reads += 1;
-        Ok(t.items.get(key).cloned())
+        Ok(t.items.get(key))
     }
 
     /// Updates an item in place via a closure; the closure receives the
-    /// current item (default-empty when absent) and mutates it.
+    /// current item (default-empty when absent) and mutates it. The key is
+    /// copied only when the row is new.
     ///
     /// # Errors
     ///
@@ -276,15 +292,14 @@ impl KvStore {
             .get_mut(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
         ledger.charge(at, ServiceKind::KvStore, t.region, Usd::new(WRITE_PRICE));
-        let item = t.items.entry(key.to_owned()).or_default();
-        update(item);
+        t.with_row(key, update);
         self.writes += 1;
         Ok(())
     }
 
     /// Writes an item only if `condition` holds over the current item (absent
     /// items are presented as `None`) — the optimistic-concurrency primitive
-    /// checkpoint writers use.
+    /// checkpoint writers use. The key is copied only when the row is new.
     ///
     /// # Errors
     ///
@@ -314,7 +329,7 @@ impl KvStore {
                 key: key.to_owned(),
             });
         }
-        t.items.insert(key.to_owned(), item);
+        t.with_row(key, |row| *row = item);
         Ok(())
     }
 
@@ -329,7 +344,7 @@ impl KvStore {
             .get(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
         Ok(t.items
-            .range(prefix.to_owned()..)
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(k, v)| (k.as_str(), v))
             .collect())
@@ -358,7 +373,7 @@ mod tests {
 
     fn item(n: f64) -> Item {
         let mut i = Item::new();
-        i.insert("v".into(), AttrValue::N(n));
+        i.insert("v", AttrValue::N(n));
         i
     }
 
@@ -383,12 +398,12 @@ mod tests {
     fn update_creates_or_mutates() {
         let (mut db, mut ledger) = db();
         db.update_item("t", "k", SimTime::ZERO, &mut ledger, |i| {
-            i.insert("count".into(), AttrValue::N(1.0));
+            i.insert("count", AttrValue::N(1.0));
         })
         .unwrap();
         db.update_item("t", "k", SimTime::ZERO, &mut ledger, |i| {
             let cur = i.get("count").and_then(AttrValue::as_number).unwrap_or(0.0);
-            i.insert("count".into(), AttrValue::N(cur + 1.0));
+            i.insert("count", AttrValue::N(cur + 1.0));
         })
         .unwrap();
         let got = db.get_item("t", "k", SimTime::ZERO, &mut ledger).unwrap().unwrap();
@@ -411,6 +426,80 @@ mod tests {
             cur.and_then(|i| i["v"].as_number()) == Some(1.0)
         })
         .unwrap();
+    }
+
+    /// Every row in the table, in key order, as (key, attribute "v").
+    fn rows(db: &KvStore) -> Vec<(String, Option<f64>)> {
+        db.scan_prefix("t", "")
+            .unwrap()
+            .into_iter()
+            .map(|(k, item)| (k.to_owned(), item.get("v").and_then(AttrValue::as_number)))
+            .collect()
+    }
+
+    /// One billed write per call, each a `KvStore` line item at the call's
+    /// instant; no reads.
+    fn assert_billed_writes(db: &KvStore, ledger: &BillingLedger, writes: u64) {
+        assert_eq!(db.writes(), writes);
+        assert_eq!(db.reads(), 0);
+        assert_eq!(ledger.len() as u64, writes);
+        assert!(ledger.iter().all(|line| line.service == ServiceKind::KvStore
+            && line.region == Region::UsEast1
+            && line.amount == Usd::new(WRITE_PRICE)));
+    }
+
+    #[test]
+    fn put_item_replaces_an_existing_row_and_inserts_a_new_one() {
+        let (mut db, mut ledger) = db();
+        db.put_item("t", "k", item(1.0), SimTime::ZERO, &mut ledger).unwrap();
+        let mut wider = item(2.0);
+        wider.insert("extra", AttrValue::Bool(true));
+        db.put_item("t", "k", wider, SimTime::ZERO, &mut ledger).unwrap();
+        // Full replace: the second write's attributes, and only those.
+        db.put_item("t", "k", item(3.0), SimTime::ZERO, &mut ledger).unwrap();
+        db.put_item("t", "j", item(4.0), SimTime::ZERO, &mut ledger).unwrap();
+        assert_eq!(rows(&db), vec![("j".into(), Some(4.0)), ("k".into(), Some(3.0))]);
+        assert_eq!(db.scan_prefix("t", "k").unwrap()[0].1, &item(3.0));
+        assert_billed_writes(&db, &ledger, 4);
+    }
+
+    #[test]
+    fn update_item_mutates_an_existing_row_and_inserts_a_new_one() {
+        let (mut db, mut ledger) = db();
+        db.put_item("t", "k", item(1.0), SimTime::ZERO, &mut ledger).unwrap();
+        db.update_item("t", "k", SimTime::ZERO, &mut ledger, |i| {
+            assert_eq!(i, &item(1.0), "the closure sees the stored row");
+            i.insert("v", AttrValue::N(2.0));
+        })
+        .unwrap();
+        db.update_item("t", "j", SimTime::ZERO, &mut ledger, |i| {
+            assert!(i.is_empty(), "a new row starts empty");
+            i.insert("v", AttrValue::N(5.0));
+        })
+        .unwrap();
+        assert_eq!(rows(&db), vec![("j".into(), Some(5.0)), ("k".into(), Some(2.0))]);
+        assert_billed_writes(&db, &ledger, 3);
+    }
+
+    #[test]
+    fn conditional_put_replaces_an_existing_row_and_inserts_a_new_one() {
+        let (mut db, mut ledger) = db();
+        db.conditional_put("t", "k", item(1.0), SimTime::ZERO, &mut ledger, |_| true).unwrap();
+        let mut wider = item(2.0);
+        wider.insert("extra", AttrValue::Bool(true));
+        db.conditional_put("t", "k", wider, SimTime::ZERO, &mut ledger, |cur| {
+            cur == Some(&item(1.0))
+        })
+        .unwrap();
+        db.conditional_put("t", "k", item(3.0), SimTime::ZERO, &mut ledger, |_| true).unwrap();
+        db.conditional_put("t", "j", item(4.0), SimTime::ZERO, &mut ledger, |_| true).unwrap();
+        // A rejected write is billed and counted but leaves the row alone.
+        assert!(db
+            .conditional_put("t", "k", item(9.0), SimTime::ZERO, &mut ledger, |_| false)
+            .is_err());
+        assert_eq!(rows(&db), vec![("j".into(), Some(4.0)), ("k".into(), Some(3.0))]);
+        assert_eq!(db.scan_prefix("t", "k").unwrap()[0].1, &item(3.0));
+        assert_billed_writes(&db, &ledger, 5);
     }
 
     #[test]

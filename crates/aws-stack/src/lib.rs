@@ -32,7 +32,7 @@
 //! let mut ledger = BillingLedger::new();
 //! kv.create_table("spotverse-checkpoints", Region::UsEast1)?;
 //! let mut item = Item::new();
-//! item.insert("units_done".into(), AttrValue::N(8.0));
+//! item.insert("units_done", AttrValue::N(8.0));
 //! kv.put_item("spotverse-checkpoints", "ngs-0", item, SimTime::ZERO, &mut ledger)?;
 //! assert_eq!(ledger.len(), 1);
 //! # Ok::<(), aws_stack::KvError>(())
@@ -55,8 +55,7 @@ pub use file_system::{
     FileEntry, FileSystemError, FileSystemId, IoOutcome, SharedFileSystem,
 };
 pub use functions::{
-    FunctionConfig, FunctionError, FunctionRuntime, InvocationOutcome, InvocationRecord,
-    RetryPolicy,
+    FunctionConfig, FunctionError, FunctionRuntime, InvocationOutcome, RetryPolicy,
 };
 pub use kv_store::{AttrValue, Item, KvError, KvStore};
 pub use metrics::MetricsService;

@@ -19,9 +19,9 @@ proptest! {
         db.create_table("t", Region::UsEast1).unwrap();
         for (k, n) in keys.iter().zip(numbers.iter()) {
             let mut item = Item::new();
-            item.insert("n".into(), AttrValue::N(*n));
-            item.insert("k".into(), AttrValue::S(k.clone()));
-            db.put_item("t", k.clone(), item, SimTime::ZERO, &mut ledger).unwrap();
+            item.insert("n", AttrValue::N(*n));
+            item.insert("k", AttrValue::S(k.clone()));
+            db.put_item("t", k, item, SimTime::ZERO, &mut ledger).unwrap();
         }
         for (k, n) in keys.iter().zip(numbers.iter()) {
             // Later writes to the same key overwrite; find the last value
@@ -48,7 +48,7 @@ proptest! {
         let mut ledger = BillingLedger::new();
         db.create_table("t", Region::UsEast1).unwrap();
         for k in &keys {
-            db.put_item("t", k.clone(), Item::new(), SimTime::ZERO, &mut ledger).unwrap();
+            db.put_item("t", k, Item::new(), SimTime::ZERO, &mut ledger).unwrap();
         }
         let scanned: Vec<String> = db
             .scan_prefix("t", &prefix)
@@ -100,7 +100,7 @@ proptest! {
         for (key_idx, owner) in &claims {
             let key = format!("shard-{key_idx}");
             let mut item = Item::new();
-            item.insert("owner".into(), AttrValue::S(format!("claimant-{owner}")));
+            item.insert("owner", AttrValue::S(format!("claimant-{owner}")));
             let won = kv
                 .conditional_put("leases", &key, item, SimTime::ZERO, &mut ledger, |cur| {
                     cur.is_none()
@@ -143,8 +143,8 @@ proptest! {
             now += gap;
             let at = SimTime::from_secs(now);
             let mut item = Item::new();
-            item.insert("owner".into(), AttrValue::S(format!("claimant-{i}")));
-            item.insert("expires".into(), AttrValue::N((now + LEASE_SECS) as f64));
+            item.insert("owner", AttrValue::S(format!("claimant-{i}")));
+            item.insert("expires", AttrValue::N((now + LEASE_SECS) as f64));
             let won = kv
                 .conditional_put("leases", "shard-0", item, at, &mut ledger, |cur| {
                     match cur {
@@ -184,7 +184,7 @@ proptest! {
                     continue; // idempotent duplicate: result already durable
                 }
                 let mut item = Item::new();
-                item.insert("owner".into(), AttrValue::S(format!("exec-{i}")));
+                item.insert("owner", AttrValue::S(format!("exec-{i}")));
                 if kv
                     .conditional_put("leases", &key, item, SimTime::ZERO, &mut ledger, |cur| {
                         cur.is_none()

@@ -864,7 +864,7 @@ impl FleetModel {
                 now,
                 ec2.ledger_mut(),
                 |item| {
-                    item.insert("completed".into(), aws_stack::AttrValue::Bool(true));
+                    item.insert("completed", aws_stack::AttrValue::Bool(true));
                 },
             );
         }

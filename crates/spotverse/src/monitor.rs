@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use aws_stack::{AttrValue, FunctionConfig, FunctionRuntime, Item, KvError, KvStore, MetricsService, RetryPolicy};
+use aws_stack::{AttrValue, FunctionConfig, FunctionRuntime, KvError, KvStore, MetricsService, RetryPolicy};
 use cloud_compute::BillingLedger;
 use cloud_market::{
     InstanceType, MarketError, MarketOverlay, PlacementScore, Region, SpotMarket, StabilityScore,
@@ -105,6 +105,39 @@ struct EpochSnapshot {
     rows: Option<(Arc<[RegionAssessment]>, SimTime)>,
 }
 
+/// The Monitor's KV rows: one per region offering its instance type,
+/// keyed `"{instance_type}/{region}"`, plus the `"{instance_type}/"` scan
+/// prefix they share. Built on the first collection; every later one
+/// gathers into `rows` and writes each row in place, so a steady-state
+/// collection allocates nothing per row.
+#[derive(Debug, Clone, PartialEq)]
+struct PersistedRows {
+    prefix: String,
+    /// Each row's key and the values the latest collection gathered for
+    /// it, in `regions_offering` order.
+    rows: Vec<(String, RegionAssessment)>,
+}
+
+impl PersistedRows {
+    fn new(instance_type: InstanceType, regions: &[Region]) -> Self {
+        let prefix = format!("{instance_type}/");
+        let rows = regions
+            .iter()
+            .map(|&region| {
+                let assessment = RegionAssessment {
+                    region,
+                    placement: PlacementScore::MIN,
+                    stability: StabilityScore::MIN,
+                    spot_price: UsdPerHour::new(0.0),
+                    on_demand_price: UsdPerHour::new(0.0),
+                };
+                (format!("{prefix}{region}"), assessment)
+            })
+            .collect();
+        PersistedRows { prefix, rows }
+    }
+}
+
 /// What a collection cycle did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectOutcome {
@@ -142,6 +175,7 @@ pub struct Monitor {
     instance_type: InstanceType,
     home_region: Region,
     snapshot: EpochSnapshot,
+    persisted: Option<PersistedRows>,
 }
 
 impl Monitor {
@@ -152,6 +186,7 @@ impl Monitor {
             instance_type,
             home_region,
             snapshot: EpochSnapshot::default(),
+            persisted: None,
         }
     }
 
@@ -199,37 +234,39 @@ impl Monitor {
             return Ok(CollectOutcome::Reused);
         }
         self.snapshot.rows = None;
-        // Gather outside the function body so market errors surface typed.
-        let mut rows = Vec::with_capacity(regions.len());
-        for &region in regions {
-            let spot = market.spot_price(region, self.instance_type, at)?;
-            let od = market.on_demand_price(region, self.instance_type);
-            let mut placement = market.placement_score(region, self.instance_type, at)?;
-            let mut stability = market.stability_score(region, self.instance_type, at)?;
+        let instance_type = self.instance_type;
+        let persisted =
+            self.persisted.get_or_insert_with(|| PersistedRows::new(instance_type, regions));
+        debug_assert!(
+            persisted.rows.iter().map(|(_, a)| a.region).eq(regions.iter().copied()),
+            "a monitor serves one market"
+        );
+        // Gather before invoking so market errors surface typed.
+        for (_, row) in &mut persisted.rows {
+            let region = row.region;
+            row.spot_price = market.spot_price(region, instance_type, at)?;
+            row.on_demand_price = market.on_demand_price(region, instance_type);
+            row.placement = market.placement_score(region, instance_type, at)?;
+            row.stability = market.stability_score(region, instance_type, at)?;
             if let Some(overlay) = overlay {
-                placement = overlay.placement_score(region, at, placement);
-                stability = overlay.stability_score(region, at, stability);
+                row.placement = overlay.placement_score(region, at, row.placement);
+                row.stability = overlay.stability_score(region, at, row.stability);
             }
-            rows.push((region, spot, od, placement, stability));
         }
         // The invocation is billed either way; its failure does not gate
         // the rows.
         let _ = functions.invoke(COLLECTOR_FUNCTION, at, RetryPolicy::default(), ledger, |_| Ok(()));
-        let count = rows.len();
-        for (region, spot, od, placement, stability) in rows {
-            let mut item = Item::new();
-            item.insert("spot_price".into(), AttrValue::N(spot.rate()));
-            item.insert("on_demand_price".into(), AttrValue::N(od.rate()));
-            item.insert("placement_score".into(), AttrValue::N(f64::from(placement.value())));
-            item.insert("stability_score".into(), AttrValue::N(f64::from(stability.value())));
-            item.insert("collected_at".into(), AttrValue::N(at.as_secs() as f64));
-            kv.put_item(
-                METRICS_TABLE,
-                format!("{}/{}", self.instance_type, region),
-                item,
-                at,
-                ledger,
-            )?;
+        let count = persisted.rows.len();
+        // Every write sets all five attributes, so the row in place ends up
+        // exactly what a full replace would store.
+        for (row_key, row) in &persisted.rows {
+            kv.update_item(METRICS_TABLE, row_key, at, ledger, |item| {
+                item.insert("spot_price", AttrValue::N(row.spot_price.rate()));
+                item.insert("on_demand_price", AttrValue::N(row.on_demand_price.rate()));
+                item.insert("placement_score", AttrValue::N(f64::from(row.placement.value())));
+                item.insert("stability_score", AttrValue::N(f64::from(row.stability.value())));
+                item.insert("collected_at", AttrValue::N(at.as_secs() as f64));
+            })?;
             metrics.put_metric(at, ledger);
         }
         self.snapshot.key = Some(key);
@@ -259,8 +296,11 @@ impl Monitor {
         &self,
         kv: &KvStore,
     ) -> Result<(Vec<RegionAssessment>, SimTime), MonitorError> {
-        let prefix = format!("{}/", self.instance_type);
-        let rows = kv.scan_prefix(METRICS_TABLE, &prefix)?;
+        // A monitor that never collected has written no rows.
+        let Some(PersistedRows { prefix, .. }) = &self.persisted else {
+            return Err(MonitorError::NoSnapshot);
+        };
+        let rows = kv.scan_prefix(METRICS_TABLE, prefix)?;
         if rows.is_empty() {
             return Err(MonitorError::NoSnapshot);
         }
@@ -404,6 +444,31 @@ mod tests {
             assert_eq!(p.placement, fr.placement);
             assert_eq!(p.stability, fr.stability);
             assert!((p.spot_price.rate() - fr.spot_price.rate()).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn rows_hold_exactly_the_collected_attributes() {
+        let mut f = fixture();
+        // The second collection rewrites the first one's rows in place.
+        for at in [SimTime::from_days(2), SimTime::from_days(2) + MARKET_EPOCH] {
+            assert_eq!(collect(&mut f, None, at), CollectOutcome::Fresh(12));
+            let fresh = f.monitor.fresh_assessments(&f.market, at).unwrap();
+            let prefix = format!("{}/", InstanceType::M5Xlarge);
+            let rows = f.kv.scan_prefix(METRICS_TABLE, &prefix).unwrap();
+            assert_eq!(rows.len(), fresh.len());
+            for a in &fresh {
+                let key = format!("{prefix}{}", a.region);
+                let (_, row) = rows.iter().find(|(k, _)| *k == key).expect("a row per region");
+                let want = aws_stack::Item::from([
+                    ("spot_price", AttrValue::N(a.spot_price.rate())),
+                    ("on_demand_price", AttrValue::N(a.on_demand_price.rate())),
+                    ("placement_score", AttrValue::N(f64::from(a.placement.value()))),
+                    ("stability_score", AttrValue::N(f64::from(a.stability.value()))),
+                    ("collected_at", AttrValue::N(at.as_secs() as f64)),
+                ]);
+                assert_eq!(*row, &want, "row {key} at {at:?}");
+            }
         }
     }
 

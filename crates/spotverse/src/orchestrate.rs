@@ -556,20 +556,22 @@ impl<'a> Orchestrator<'a> {
             let ShardPhase::InFlight { attempt, dispatched_at } = self.shards[shard].phase else {
                 continue;
             };
+            // (done, holder attempt, expiry), read out of the borrowed
+            // lease before anything acts on it.
             let lease = match self.kv.get_item(
                 LEASE_TABLE,
                 &Self::lease_key(shard),
                 now,
                 &mut self.ledger,
             ) {
-                Ok(lease) => lease,
+                Ok(lease) => lease
+                    .map(|item| (lease_state(item) == "done", lease_attempt(item), lease_expires(item))),
                 Err(_) => continue, // scan throttled; try next tick
             };
             match lease {
-                Some(item) if lease_state(&item) == "done" => {}
-                Some(item) => {
-                    let holder_attempt = lease_attempt(&item);
-                    if lease_expires(&item) <= now
+                Some((true, ..)) => {}
+                Some((false, holder_attempt, expires)) => {
+                    if expires <= now
                         && (holder_attempt == attempt
                             || now >= dispatched_at + CLAIM_TIMEOUT)
                     {
@@ -642,7 +644,7 @@ impl<'a> Orchestrator<'a> {
             let item = dead_letter_item(shard, &self.shards[shard].history);
             self.shards[shard].recorded = self
                 .kv
-                .put_item(DEADLETTER_TABLE, Self::lease_key(shard), item, now, &mut self.ledger)
+                .put_item(DEADLETTER_TABLE, &Self::lease_key(shard), item, now, &mut self.ledger)
                 .is_ok();
         }
     }
@@ -705,10 +707,10 @@ impl<'a> Orchestrator<'a> {
 
 fn lease_item(owner: &str, attempt: u32, expires: SimTime, state: &str) -> Item {
     let mut item = Item::new();
-    item.insert("owner".into(), AttrValue::S(owner.to_owned()));
-    item.insert("attempt".into(), AttrValue::N(f64::from(attempt)));
-    item.insert("expires".into(), AttrValue::N(expires.as_secs() as f64));
-    item.insert("state".into(), AttrValue::S(state.to_owned()));
+    item.insert("owner", AttrValue::S(owner.to_owned()));
+    item.insert("attempt", AttrValue::N(f64::from(attempt)));
+    item.insert("expires", AttrValue::N(expires.as_secs() as f64));
+    item.insert("state", AttrValue::S(state.to_owned()));
     item
 }
 
@@ -730,10 +732,10 @@ fn lease_expires(item: &Item) -> SimTime {
 
 fn dead_letter_item(shard: usize, history: &[AttemptRecord]) -> Item {
     let mut item = Item::new();
-    item.insert("shard".into(), AttrValue::N(shard as f64));
-    item.insert("attempts".into(), AttrValue::N(history.len() as f64));
+    item.insert("shard", AttrValue::N(shard as f64));
+    item.insert("attempts", AttrValue::N(history.len() as f64));
     item.insert(
-        "history".into(),
+        "history",
         AttrValue::L(
             history
                 .iter()

@@ -310,9 +310,9 @@ impl WorkloadRuntime {
             |e| matches!(e, KvError::Throttled { .. }),
             |at| {
                 kv.update_item(CHECKPOINT_TABLE, spec_id, at, ec2.ledger_mut(), |item| {
-                    item.insert("units_done".into(), aws_stack::AttrValue::N(units_done as f64));
-                    item.insert("generation".into(), aws_stack::AttrValue::N(generation as f64));
-                    item.insert("at".into(), aws_stack::AttrValue::N(at.as_secs() as f64));
+                    item.insert("units_done", aws_stack::AttrValue::N(units_done as f64));
+                    item.insert("generation", aws_stack::AttrValue::N(generation as f64));
+                    item.insert("at", aws_stack::AttrValue::N(at.as_secs() as f64));
                 })
             },
         );

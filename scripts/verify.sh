@@ -28,13 +28,16 @@ echo "==> perfbench smoke: each benchmark workload for one second"
 # Every operation checks its text against the CLI's byte for byte (and
 # its own invariants), so a break shows here as correct=false or a
 # failed operation, before a full benchmark run would meet it.
-# fleet_loadgen and sweep_orchestrated run traced at seed 2024, and their
-# deterministic counters must equal perfbench/counters.json. The 100k
-# fleet has many more same-instant events than the small goldens, so it
-# is where a change to event order shows; the sweep builds 400 markets
-# and runs 2,000 orchestrated cells, so it is where a change to market
-# construction or orchestration shows. counters.json is only read; its
-# allocs.* entries are older than the current code and are not compared.
+# fleet_loadgen, tournament_regimes and sweep_orchestrated run traced at
+# seed 2024, and their deterministic counters must equal
+# perfbench/counters.json. The 100k fleet has many more same-instant
+# events than the small goldens, so it is where a change to event order
+# shows; the tournament is the only workload whose chaos throttles the
+# Monitor's KV writes, so it is where a change to fault order shows; the
+# sweep builds 400 markets and runs 2,000 orchestrated cells, so it is
+# where a change to market construction or orchestration shows.
+# counters.json is only read; its allocs.* entries are older than the
+# current code and are not compared.
 for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trace; do
     args=(--workload "$workload" --seconds 1)
     keys=""
@@ -42,6 +45,13 @@ for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trac
         fleet_loadgen)
             keys="fleet.events ec2.spot_attempts ec2.launches ec2.interruptions
                   optimizer.calls checkpoint.writes market.segments_materialized" ;;
+        tournament_regimes)
+            keys="fleet.events optimizer.calls
+                  market.builds market.cache_hits market.segments_materialized
+                  ec2.spot_attempts ec2.launches ec2.interruptions
+                  monitor.stale_serves monitor.degraded_decisions monitor.collection_failures
+                  health.breaker_trips health.quarantined_decisions checkpoint.throttled_retries
+                  trace.records trace.bytes" ;;
         sweep_orchestrated)
             keys="market.builds market.cache_hits market.segments_materialized
                   fleet.events ec2.spot_attempts ec2.launches ec2.interruptions
@@ -99,9 +109,11 @@ echo "==> golden paper: every table, figure and ablation, check by check"
 # against tests/golden/paper/ so no reproduced number moves unnoticed.
 cargo test -q -p spotverse-integration --test golden_paper
 
-echo "==> fleet allocations: one loadgen fleet run allocates no more than pinned"
+echo "==> fleet allocations: fleet runs and Monitor collections allocate exactly as pinned"
 # Exact allocation counts of `run_fleet_on` on 1,000- and 2,000-workload
-# Poisson fleets; a hot-path regression fails here without a timer.
+# Poisson fleets and on the sweep's one-workload NGS cell, and of 24
+# steady-state Monitor collections; a hot-path regression fails here
+# without a timer, and an improvement must be re-pinned.
 cargo test -q -p spotverse-integration --test fleet_allocs
 
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"

@@ -1,49 +1,41 @@
-//! Allocation gate for one fleet run. Building the market with
-//! `SpotMarket::new` and running one `run_fleet_on` call on it over a
-//! seeded Poisson loadgen fleet — what a one-cell CLI run pays — costs a
-//! fixed number of heap allocations: the market's shared regime schedule
-//! and the states of the (region, instance type) pairs the run queries, a
-//! few per workload to set it up (its spec, its execution plan, a
-//! checkpoint key for the kinds that checkpoint) and a few per event after
-//! that. This test counts them exactly and fails when a change makes
-//! market construction, set-up or dispatch allocate more, long before a
-//! timer would notice.
+//! Allocation gates, counted exactly.
 //!
-//! Before set-up stopped building a Galaxy `Workflow` per workload, and
-//! before the market, EC2 and arrival batches moved from hash maps and
-//! per-batch vectors to flat arrays, the same two runs made 61,804
-//! allocations (1,000 workloads, 4,469 events: 61.8 per workload, 13.83
-//! per event) and 115,264 (2,000 workloads, 8,928 events: 57.6 per
-//! workload, 12.91 per event). After that change the runs made 17,329
-//! (3.88 per event) and 28,602 (3.20 per event). The event queue's lanes
-//! and heap now reserve one capacity on first use, which took one
-//! reallocation off each run (17,328 and 28,601). The Monitor's metric
-//! puts then stopped building a metric key and a stored series entry per
-//! region per collection, which left 14,289 and 24,398. The
-//! per-event figure falls with fleet size because part of the count is a
-//! fixed cost per run (market states and segments, control-plane
-//! provisioning).
+//! - A fleet run: building the market with `SpotMarket::new` and running
+//!   one `run_fleet_on` call on it over a seeded Poisson loadgen fleet —
+//!   what a one-cell CLI run pays. That is the market's shared regime
+//!   schedule and the states of the (region, instance type) pairs the run
+//!   queries, a few allocations per workload to set it up (its spec, its
+//!   execution plan, a checkpoint key for the kinds that checkpoint) and a
+//!   few per event after that.
+//! - The one-workload NGS cell an orchestrated sweep runs once per shard,
+//!   over the same span. Its count is mostly fixed per-cell cost: market
+//!   states, control-plane provisioning and the Monitor's first write of
+//!   each KV row.
+//! - A warm Monitor's hourly collections. Each rewrites its 12 KV rows in
+//!   place, so a day of them allocates only when the billing ledger's
+//!   line-item vector grows.
 //!
-//! The counted span used to start after `SpotMarket::new`, when
-//! construction built all 69 offered (region, instance type) states. The
-//! market now builds
-//! a state on its first query, so the 12 m5.xlarge states this fleet reads
-//! are built inside `run_fleet_on`; the span was widened to take in
-//! `SpotMarket::new` as well. Over the widened span, the eager-state market
-//! made 15,734 and 25,843 allocations; the pins below are the lazy
-//! market's.
+//! A change that makes market construction, set-up, dispatch or the
+//! Monitor→KV pipeline allocate more fails here long before a timer would
+//! notice; one that allocates less must re-pin, so no pin goes stale.
+//! docs/performance.md records each earlier pin and what moved it.
 //!
-//! The count is kept per thread, so the test harness's other threads do
-//! not disturb it; the file holds one test so nothing else shares the
-//! counting allocator's thread.
+//! The count is kept per thread, so tests running on other threads do
+//! not disturb it, and each test counts only the span it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use cloud_market::{InstanceType, MarketRegime, SpotMarket};
-use sim_kernel::{SimDuration, SimTime};
-use spotverse::{run_fleet_on, LoadProfile, SpotVerseConfig, SpotVerseStrategy};
+use aws_stack::{FunctionRuntime, KvStore, MetricsService};
+use bio_workloads::{paper_fleet, WorkloadKind};
+use cloud_compute::BillingLedger;
+use cloud_market::{InstanceType, MarketConfig, MarketRegime, Region, SpotMarket};
+use sim_kernel::{SimDuration, SimRng, SimTime};
+use spotverse::{
+    run_fleet_on, CollectOutcome, ExperimentConfig, FleetConfig, LoadProfile, Monitor,
+    SpotVerseConfig, SpotVerseStrategy,
+};
 
 /// Forwards to [`System`] and counts the calling thread's allocations.
 struct Counting;
@@ -94,8 +86,27 @@ const SEED: u64 = 2024;
 /// 100,000 workloads) scaled to 1,000 workloads.
 const RATE_PER_HOUR: f64 = 80.0;
 
-/// (workloads, events the run must deliver, most allocations allowed).
-const PINNED: [(usize, u64, u64); 2] = [(1_000, 4_469, 14_551), (2_000, 8_928, 24_660)];
+/// (workloads, events the run must deliver, exact allocations).
+const PINNED: [(usize, u64, u64); 2] = [(1_000, 4_469, FLEET_1000), (2_000, 8_928, FLEET_2000)];
+const FLEET_1000: u64 = 7_216;
+const FLEET_2000: u64 = 14_041;
+/// Events and exact allocations of the one-workload NGS cell.
+const SMALL_CELL: (u64, u64) = (45, 389);
+/// Exact allocations of 24 hourly steady-state Monitor collections.
+const MONITOR_DAY: u64 = 5;
+
+/// The thread's allocation count across `f`, and what `f` returned.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+fn spotverse_strategy() -> Box<SpotVerseStrategy> {
+    Box::new(SpotVerseStrategy::new(
+        SpotVerseConfig::builder(InstanceType::M5Xlarge).threshold(6).build(),
+    ))
+}
 
 /// Allocations and events of one `SpotMarket::new` plus `run_fleet_on`;
 /// the config and strategy are built before counting starts.
@@ -109,15 +120,12 @@ fn count_run(workloads: usize) -> (u64, u64) {
     config.max_runtime = SimDuration::from_days(30);
     config.region_capacity = None;
     config.market = config.market.with_regime(MarketRegime::Baseline);
-    let strategy = Box::new(SpotVerseStrategy::new(
-        SpotVerseConfig::builder(InstanceType::M5Xlarge).threshold(6).build(),
-    ));
+    let strategy = spotverse_strategy();
 
-    let before = ALLOCS.with(Cell::get);
-    let market = Arc::new(SpotMarket::new(config.market));
-    let report = run_fleet_on(market, config, strategy);
-    let allocs = ALLOCS.with(Cell::get) - before;
-
+    let (allocs, report) = counted(|| {
+        let market = Arc::new(SpotMarket::new(config.market));
+        run_fleet_on(market, config, strategy)
+    });
     assert_eq!(report.aggregate.completed + report.expired, workloads);
     (allocs, report.events)
 }
@@ -125,7 +133,7 @@ fn count_run(workloads: usize) -> (u64, u64) {
 #[test]
 fn fleet_allocations_stay_pinned() {
     let mut report = String::new();
-    let mut over = Vec::new();
+    let mut drift = Vec::new();
     for (workloads, events, pinned) in PINNED {
         let (allocs, delivered) = count_run(workloads);
         report.push_str(&format!(
@@ -135,13 +143,71 @@ fn fleet_allocations_stay_pinned() {
             allocs as f64 / delivered as f64,
         ));
         if delivered != events {
-            over.push(format!("{workloads} workloads: {delivered} events, not {events}"));
-        } else if allocs > pinned {
-            over.push(format!("{workloads} workloads: {allocs} > {pinned}"));
+            drift.push(format!("{workloads} workloads: {delivered} events, not {events}"));
+        } else if allocs != pinned {
+            drift.push(format!("{workloads} workloads: {allocs} allocations, pinned {pinned}"));
         }
     }
     assert!(
-        over.is_empty(),
-        "the fleet allocates more than pinned, or the simulation changed: {over:?}\n{report}"
+        drift.is_empty(),
+        "the fleet's allocations or the simulation changed; re-pin an improvement: \
+         {drift:?}\n{report}"
     );
+}
+
+/// The one-workload NGS cell an orchestrated sweep runs once per shard:
+/// `SpotMarket::new` plus the run, on the SpotVerse strategy.
+#[test]
+fn small_cell_allocations_stay_pinned() {
+    let rng = SimRng::seed_from_u64(SEED);
+    let mut config = ExperimentConfig::new(
+        SEED,
+        InstanceType::M5Xlarge,
+        paper_fleet(WorkloadKind::NgsPreprocessing, 1, &rng),
+    );
+    config.market = config.market.with_regime(MarketRegime::Baseline);
+    let config = FleetConfig::from_experiment(&config);
+    let strategy = spotverse_strategy();
+
+    let (allocs, report) = counted(|| {
+        let market = Arc::new(SpotMarket::new(config.market));
+        run_fleet_on(market, config, strategy)
+    });
+    assert_eq!(report.aggregate.completed, 1);
+    assert_eq!(
+        (report.events, allocs),
+        SMALL_CELL,
+        "the small cell's (events, allocations) changed; re-pin an improvement"
+    );
+}
+
+/// A warm Monitor's hourly collection rewrites its rows in place: 24 of
+/// them, each fresh, allocate fewer than one block per collection — only
+/// the billing ledger's line-item vector still grows.
+#[test]
+fn steady_state_monitor_collections_stay_pinned() {
+    let market = SpotMarket::new(MarketConfig::with_seed(SEED));
+    let mut monitor = Monitor::new(InstanceType::M5Xlarge, Region::UsEast1);
+    let mut functions = FunctionRuntime::new();
+    let mut kv = KvStore::new();
+    monitor.provision(&mut functions, &mut kv);
+    let metrics = MetricsService::new(Region::UsEast1);
+    let mut ledger = BillingLedger::new();
+    let mut collect = |at: SimTime| {
+        monitor
+            .collect(&market, None, at, &mut functions, &mut kv, &metrics, &mut ledger)
+            .expect("collection inside the horizon")
+    };
+    let start = SimTime::from_days(1);
+    // The warm-up builds the market states, the row keys and the rows.
+    assert_eq!(collect(start), CollectOutcome::Fresh(12));
+
+    let (allocs, ()) = counted(|| {
+        for hour in 1..=24 {
+            let at = start + SimDuration::from_hours(hour);
+            assert_eq!(collect(at), CollectOutcome::Fresh(12));
+        }
+    });
+    assert!(allocs < 24, "{allocs} allocations: a collection allocates per call or per row");
+    assert_eq!(allocs, MONITOR_DAY, "re-pin an improvement");
 }
