@@ -1,16 +1,18 @@
-//! A lossless, borrowing JSON value model: parser, compact and indented
-//! writers, and the one string escaper the workspace uses.
+//! JSON for the workspace: one pull reader ([`Scanner`]), a lossless,
+//! borrowing value model built on it ([`parse`], [`JsonVal`]), compact and
+//! indented writers, and the one string escaper.
 //!
-//! To read a document and write it back byte-identically, the parser
-//! loses nothing: objects keep their source key order and numbers keep
-//! their raw source text, so `2`, `2.0`, and a 20-significant-digit
-//! price all survive exactly. Canonical trace JSONL is read with
-//! [`parse`] and [`Fields`] and its strings escaped with [`push_json_str`];
-//! Galaxy `.ga` workflows are written with [`write_pretty`].
+//! Canonical trace JSONL is decoded straight into typed records by reading
+//! its tokens from a [`Scanner`], with no value tree in between, and its
+//! strings are escaped with [`push_json_str`]. Galaxy `.ga` workflows are
+//! written with [`write_pretty`].
 //!
-//! Parsed values borrow from the input: a number is a slice of the source
-//! and so is every string without escapes, so a canonical trace line
-//! allocates only its arrays and objects. Each input byte is scanned once.
+//! To read a document and write it back byte-identically, [`parse`] loses
+//! nothing: objects keep their source key order and numbers keep their
+//! raw source text, so `2`, `2.0`, and a 20-significant-digit price all
+//! survive exactly. Parsed values borrow from the input: a number is a
+//! slice of the source and so is every string without escapes. Each input
+//! byte is scanned once.
 //!
 //! # Examples
 //!
@@ -74,26 +76,6 @@ impl<'a> JsonVal<'a> {
     pub fn as_usize(&self) -> Result<usize, String> {
         let n = self.as_u64()?;
         usize::try_from(n).map_err(|_| format!("`{n}` exceeds usize"))
-    }
-
-    /// The number as an `f64`.
-    #[inline]
-    pub fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            JsonVal::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| format!("`{raw}` is not a number")),
-            other => Err(format!("expected a number, found {}", other.type_name())),
-        }
-    }
-
-    /// The boolean.
-    #[inline]
-    pub fn as_bool(&self) -> Result<bool, String> {
-        match self {
-            JsonVal::Bool(b) => Ok(*b),
-            other => Err(format!("expected a bool, found {}", other.type_name())),
-        }
     }
 
     /// The string, borrowed.
@@ -161,35 +143,301 @@ pub fn num_u64(n: u64) -> JsonVal<'static> {
 /// Parses one complete JSON document, rejecting trailing garbage,
 /// duplicate keys and non-finite numbers.
 pub fn parse(input: &str) -> Result<JsonVal<'_>, String> {
-    let mut p = Scanner { src: input, pos: 0 };
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != input.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
+    let mut reader = Scanner::new(input);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
-struct Scanner<'a> {
+/// A pull reader over one JSON document: the one tokenizer behind
+/// [`parse`] and the typed trace decoders.
+///
+/// Each read skips leading whitespace, checks the grammar of the token it
+/// reads and leaves the reader just past it. Objects and arrays are read
+/// entry by entry: [`begin_object`](Self::begin_object) then
+/// [`next_key`](Self::next_key) until it returns `None`, reading one value
+/// after each key; [`begin_array`](Self::begin_array) then
+/// [`next_item`](Self::next_item) until it returns `false`, reading one
+/// value after each `true`. Errors end with the byte offset they were
+/// found at.
+///
+/// ```
+/// use sim_kernel::json::Scanner;
+///
+/// let mut r = Scanner::new(r#"{"id": 7, "tags": ["a", "b"]}"#);
+/// r.begin_object()?;
+/// assert_eq!(r.next_key()?.as_deref(), Some("id"));
+/// assert_eq!(r.read_u64()?, 7);
+/// assert_eq!(r.next_key()?.as_deref(), Some("tags"));
+/// r.begin_array()?;
+/// while r.next_item()? {
+///     r.read_str()?;
+/// }
+/// assert_eq!(r.next_key()?, None);
+/// r.finish()?;
+/// # Ok::<(), String>(())
+/// ```
+///
+/// The reader does not track keys: a caller that reads an object into
+/// typed slots rejects a repeated key itself.
+#[derive(Debug)]
+pub struct Scanner<'a> {
     src: &'a str,
     pos: usize,
+    /// Whether a container was just opened, so its first entry needs no
+    /// `,` before it. The next `next_key` or `next_item` clears it, before
+    /// any nested container can open, so one flag serves every level.
+    open: bool,
+}
+
+/// The kind of the value a reader is at, from its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Null,
+    Bool,
+    Num,
+    Str,
+    Arr,
+    Obj,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Null => "null",
+            Kind::Bool => "bool",
+            Kind::Num => "number",
+            Kind::Str => "string",
+            Kind::Arr => "array",
+            Kind::Obj => "object",
+        }
+    }
+}
+
+/// The error for a value of the wrong kind.
+#[cold]
+#[inline(never)]
+fn mismatch<T>(what: &str, found: Kind) -> Result<T, String> {
+    Err(format!("expected {what}, found {}", found.name()))
 }
 
 impl<'a> Scanner<'a> {
+    /// A reader at the start of `src`.
+    #[must_use]
+    #[inline]
+    pub fn new(src: &'a str) -> Self {
+        Scanner { src, pos: 0, open: false }
+    }
+
+    /// Checks that only whitespace follows the value read.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.src.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing garbage at byte {}", self.pos))
+        }
+    }
+
+    /// Reads the `{` that opens an object.
+    #[inline]
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        self.expect_kind(Kind::Obj, "an object")?;
+        self.pos += 1;
+        self.open = true;
+        Ok(())
+    }
+
+    /// Reads the next key of the object being read and the `:` after it,
+    /// or its closing `}` and returns `None`.
+    #[inline]
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.more(b'}')? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Reads the next key if it is `key` spelled the way a canonical
+    /// writer spells it: no whitespace around it and no escapes in it.
+    /// Otherwise reads nothing and returns `false`, so the caller reads the
+    /// key with [`next_key`](Self::next_key). A decoder that knows the
+    /// order its writer uses tries each key this way first, which skips
+    /// tokenizing the keys of canonical input. `key` must need no escaping.
+    #[inline]
+    pub fn next_key_is(&mut self, key: &str) -> bool {
+        debug_assert!(!key.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20));
+        let comma = usize::from(!self.open);
+        let rest = &self.src.as_bytes()[self.pos..];
+        let len = comma + key.len() + 3;
+        let matched = rest.len() >= len
+            && (self.open || rest[0] == b',')
+            && rest[comma] == b'"'
+            && rest[comma + 1..len - 2] == *key.as_bytes()
+            && rest[len - 2..len] == *b"\":";
+        if matched {
+            self.pos += len;
+            self.open = false;
+        }
+        matched
+    }
+
+    /// Reads the `[` that opens an array.
+    #[inline]
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        self.expect_kind(Kind::Arr, "an array")?;
+        self.pos += 1;
+        self.open = true;
+        Ok(())
+    }
+
+    /// Whether the array being read has another item; reads its closing
+    /// `]` when not.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.more(b']')
+    }
+
+    /// Reads a string, borrowed from the input unless it has escapes.
+    #[inline]
+    pub fn read_str(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect_kind(Kind::Str, "a string")?;
+        self.string()
+    }
+
+    /// Reads an unsigned integer; fractions, exponents and negatives fail.
+    #[inline]
+    pub fn read_u64(&mut self) -> Result<u64, String> {
+        self.expect_kind(Kind::Num, "an integer")?;
+        // Plain digits are summed as they are scanned; anything else (a
+        // sign, fraction, exponent, leading zero or overflow) is scanned
+        // again as a whole number, to fail with the grammar's message or
+        // as a number that is not an unsigned integer.
+        let start = self.pos;
+        let mut n: u64 = 0;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            let leading_zero = n == 0 && self.pos > start;
+            match n.checked_mul(10).and_then(|n| n.checked_add(u64::from(d - b'0'))) {
+                Some(next) if !leading_zero => n = next,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        if self.pos > start && !matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+            return Ok(n);
+        }
+        self.pos = start;
+        let raw = self.number()?;
+        raw.parse().map_err(|_| format!("`{raw}` is not an unsigned integer"))
+    }
+
+    /// Reads a number as an `f64`.
+    #[inline]
+    pub fn read_f64(&mut self) -> Result<f64, String> {
+        self.expect_kind(Kind::Num, "a number")?;
+        let raw = self.number()?;
+        raw.parse().map_err(|_| format!("`{raw}` is not a number"))
+    }
+
+    /// Reads `true` or `false`.
+    #[inline]
+    pub fn read_bool(&mut self) -> Result<bool, String> {
+        self.expect_kind(Kind::Bool, "a bool")?;
+        if self.peek() == Some(b't') {
+            self.keyword("true").map(|()| true)
+        } else {
+            self.keyword("false").map(|()| false)
+        }
+    }
+
+    /// Reads any one value under the full grammar, building nothing, and
+    /// returns its source text. Keys are not checked for repeats: the
+    /// text is meant to be read again by a typed reader.
+    pub fn skip_value(&mut self) -> Result<&'a str, String> {
+        let kind = self.kind()?;
+        let start = self.pos;
+        match kind {
+            Kind::Obj => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            Kind::Arr => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip_value()?;
+                }
+            }
+            Kind::Str => {
+                self.string()?;
+            }
+            Kind::Num => {
+                self.number()?;
+            }
+            Kind::Bool => {
+                self.read_bool()?;
+            }
+            Kind::Null => self.keyword("null")?,
+        }
+        Ok(&self.src[start..self.pos])
+    }
+
+    /// Reads any one value into a tree, rejecting repeated keys.
+    fn value(&mut self) -> Result<JsonVal<'a>, String> {
+        Ok(match self.kind()? {
+            Kind::Obj => {
+                self.begin_object()?;
+                let mut entries: Vec<(Cow<'a, str>, JsonVal<'a>)> = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    if entries.iter().any(|(k, _)| *k == key) {
+                        return self.err(format!("duplicate key `{key}`"));
+                    }
+                    entries.push((key, self.value()?));
+                }
+                JsonVal::Obj(entries)
+            }
+            Kind::Arr => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                JsonVal::Arr(items)
+            }
+            Kind::Str => JsonVal::Str(self.string()?),
+            Kind::Num => JsonVal::Num(Cow::Borrowed(self.number()?)),
+            Kind::Bool => JsonVal::Bool(self.read_bool()?),
+            Kind::Null => {
+                self.keyword("null")?;
+                JsonVal::Null
+            }
+        })
+    }
+
+    #[cold]
+    #[inline(never)]
     fn err<T>(&self, message: impl Into<String>) -> Result<T, String> {
         Err(format!("{} (byte {})", message.into(), self.pos))
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn eat(&mut self, b: u8) -> bool {
         let found = self.peek() == Some(b);
         if found {
@@ -198,6 +446,7 @@ impl<'a> Scanner<'a> {
         found
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.eat(b) {
             Ok(())
@@ -206,31 +455,72 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonVal<'a>, String> {
+    /// Skips whitespace and names the kind of value that starts there.
+    #[inline]
+    fn kind(&mut self) -> Result<Kind, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonVal::Str(self.string()?)),
-            Some(b't') => self.keyword("true", JsonVal::Bool(true)),
-            Some(b'f') => self.keyword("false", JsonVal::Bool(false)),
-            Some(b'n') => self.keyword("null", JsonVal::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Num),
+            _ => self.not_a_value(),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn not_a_value<T>(&self) -> Result<T, String> {
+        match self.peek() {
             Some(b) => self.err(format!("unexpected byte `{}`", b as char)),
             None => self.err("unexpected end of input"),
         }
     }
 
-    fn keyword(&mut self, word: &str, value: JsonVal<'a>) -> Result<JsonVal<'a>, String> {
+    /// [`kind`](Self::kind), failing unless it is `want`.
+    #[inline]
+    fn expect_kind(&mut self, want: Kind, what: &str) -> Result<(), String> {
+        match self.kind()? {
+            kind if kind == want => Ok(()),
+            kind => mismatch(what, kind),
+        }
+    }
+
+    /// After an entry of the container being read, reads the `,` before
+    /// the next one (true) or the `close` that ends it (false).
+    #[inline]
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        if std::mem::take(&mut self.open) {
+            return Ok(!self.eat(close));
+        }
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => self.err(format!("expected `,` or `{}`", close as char)),
+        }
+    }
+
+    #[inline]
+    fn keyword(&mut self, word: &str) -> Result<(), String> {
         if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             self.err(format!("expected `{word}`"))
         }
     }
 
     /// Skips ASCII digits and returns how many there were.
+    #[inline]
     fn digits(&mut self) -> usize {
         let start = self.pos;
         while self.peek().is_some_and(|b| b.is_ascii_digit()) {
@@ -240,7 +530,8 @@ impl<'a> Scanner<'a> {
     }
 
     /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, finite.
-    fn number(&mut self) -> Result<JsonVal<'a>, String> {
+    #[inline]
+    fn number(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         self.eat(b'-');
         let int_digits = match self.peek() {
@@ -273,12 +564,13 @@ impl<'a> Scanner<'a> {
         if (exponent || int_digits > 300) && !raw.parse::<f64>().is_ok_and(f64::is_finite) {
             return self.err(format!("invalid number `{raw}`"));
         }
-        Ok(JsonVal::Num(Cow::Borrowed(raw)))
+        Ok(raw)
     }
 
     /// Advances to the next `"` or `\` and returns it. Both are ASCII, so
     /// they always fall on character boundaries and the bytes skipped are
     /// whole characters.
+    #[inline]
     fn run(&mut self) -> Result<u8, String> {
         let rest = &self.src.as_bytes()[self.pos..];
         match rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) {
@@ -298,13 +590,26 @@ impl<'a> Scanner<'a> {
 
     /// A string without escapes is borrowed from the input; only one with
     /// escapes is copied.
+    #[inline]
     fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let start = self.pos;
-        if self.run()? == b'"' {
-            self.pos += 1;
-            return Ok(Cow::Borrowed(&self.src[start..self.pos - 1]));
+        let rest = &self.src.as_bytes()[start..];
+        match rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20) {
+            Some(len) if rest[len] == b'"' => {
+                self.pos += len + 1;
+                Ok(Cow::Borrowed(&self.src[start..start + len]))
+            }
+            _ => self.escaped_string(start),
         }
+    }
+
+    /// The rest of a string that opened at `start`, past its first
+    /// escape or up to the error that ends it.
+    #[inline(never)]
+    fn escaped_string(&mut self, start: usize) -> Result<Cow<'a, str>, String> {
+        self.pos = start;
+        self.run()?;
         let mut out = String::from(&self.src[start..self.pos]);
         loop {
             self.escape(&mut out)?;
@@ -378,58 +683,6 @@ impl<'a> Scanner<'a> {
         }
         self.pos += 4;
         Ok(code)
-    }
-
-    fn array(&mut self) -> Result<JsonVal<'a>, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(JsonVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonVal::Arr(items));
-                }
-                _ => return self.err("expected `,` or `]`"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonVal<'a>, String> {
-        self.expect(b'{')?;
-        // Most trace records have eight fields: reserving them up front
-        // saves growing the vector through four.
-        let mut entries: Vec<(Cow<'a, str>, JsonVal<'a>)> = Vec::with_capacity(8);
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(JsonVal::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if entries.iter().any(|(k, _)| *k == key) {
-                return self.err(format!("duplicate key `{key}`"));
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonVal::Obj(entries));
-                }
-                _ => return self.err("expected `,` or `}`"),
-            }
-        }
     }
 }
 
@@ -540,47 +793,6 @@ fn new_line(out: &mut String, separate: bool, depth: usize) {
     }
     out.push('\n');
     out.extend(std::iter::repeat_n("  ", depth));
-}
-
-/// Field cursor over a parsed object: every field must be taken exactly
-/// once, so corrupt or unexpected fields fail loudly instead of being
-/// silently ignored.
-#[derive(Debug)]
-pub struct Fields<'a> {
-    entries: Vec<(Cow<'a, str>, Option<JsonVal<'a>>)>,
-}
-
-impl<'a> Fields<'a> {
-    /// A cursor over an object's entries.
-    #[must_use]
-    #[inline]
-    pub fn new(obj: Vec<(Cow<'a, str>, JsonVal<'a>)>) -> Self {
-        Fields { entries: obj.into_iter().map(|(k, v)| (k, Some(v))).collect() }
-    }
-
-    /// Takes an optional field.
-    #[inline]
-    pub fn take(&mut self, key: &str) -> Option<JsonVal<'a>> {
-        self.entries
-            .iter_mut()
-            .find(|(k, v)| k == key && v.is_some())
-            .and_then(|(_, v)| v.take())
-    }
-
-    /// Takes a required field.
-    #[inline]
-    pub fn require(&mut self, key: &str) -> Result<JsonVal<'a>, String> {
-        self.take(key).ok_or_else(|| format!("missing field `{key}`"))
-    }
-
-    /// Rejects any field not taken by the decoder.
-    #[inline]
-    pub fn finish(self) -> Result<(), String> {
-        match self.entries.iter().find(|(_, v)| v.is_some()) {
-            Some((k, _)) => Err(format!("unexpected field `{k}`")),
-            None => Ok(()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -754,15 +966,79 @@ mod tests {
     }
 
     #[test]
-    fn fields_cursor_is_exhaustive() {
-        let obj = parse("{\"a\":1,\"b\":\"x\"}").unwrap().into_obj().unwrap();
-        let mut fields = Fields::new(obj.clone());
-        assert_eq!(fields.require("a").unwrap().as_u64().unwrap(), 1);
-        assert!(fields.finish().unwrap_err().contains("`b`"));
-        let mut fields = Fields::new(obj);
-        fields.require("a").unwrap();
-        assert_eq!(fields.take("b").unwrap().as_str().unwrap(), "x");
-        assert!(fields.take("b").is_none(), "fields are taken at most once");
-        fields.finish().unwrap();
+    fn pull_reads_walk_a_document() {
+        let mut r = Scanner::new(" { \"n\" : 18446744073709551615 , \"xs\":[ 0.5 ,true,\"\\u00e9\" ], \"o\":{}} ");
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("n"));
+        assert_eq!(r.read_u64().unwrap(), u64::MAX);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("xs"));
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.read_f64().unwrap(), 0.5);
+        assert!(r.next_item().unwrap());
+        assert!(r.read_bool().unwrap());
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.read_str().unwrap(), Cow::Owned(s) if s == "é"));
+        assert!(!r.next_item().unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("o"));
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn typed_reads_keep_the_grammar() {
+        let read = |doc: &str| {
+            let mut r = Scanner::new(doc);
+            let n = r.read_u64()?;
+            r.finish().map(|()| n)
+        };
+        assert_eq!(read("0"), Ok(0));
+        assert_eq!(read(" 42 "), Ok(42));
+        for bad in ["01", "-0", "-1", "1.0", "1e2", "18446744073709551616", "\"1\"", "1 2", ""] {
+            assert!(read(bad).is_err(), "`{bad}` read as an unsigned integer");
+        }
+        assert!(read("\"1\"").unwrap_err().contains("found string"));
+        assert!(Scanner::new("1e999").read_f64().is_err(), "non-finite numbers rejected");
+        assert!(Scanner::new("null").read_bool().unwrap_err().contains("found null"));
+        assert!(Scanner::new("[1]").begin_object().unwrap_err().contains("found array"));
+        assert!(Scanner::new("\"a\tb\"").read_str().is_err(), "raw control characters rejected");
+    }
+
+    #[test]
+    fn next_key_is_matches_only_the_canonical_spelling() {
+        let mut r = Scanner::new("{\"a\":1, \"b\":2,\"c\\u0064\":3,\"e\" :4}");
+        r.begin_object().unwrap();
+        assert!(!r.next_key_is("b"), "another key");
+        assert!(r.next_key_is("a"));
+        r.read_u64().unwrap();
+        assert!(!r.next_key_is("b"), "whitespace before the key");
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("b"));
+        r.read_u64().unwrap();
+        assert!(!r.next_key_is("cd"), "an escape in the key");
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("cd"));
+        r.read_u64().unwrap();
+        assert!(!r.next_key_is("e"), "whitespace before the `:`");
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("e"));
+        r.read_u64().unwrap();
+        assert!(!r.next_key_is("e"), "the end of the object");
+        assert_eq!(r.next_key().unwrap(), None);
+    }
+
+    #[test]
+    fn skip_value_returns_the_value_text() {
+        let doc = "[{\"k\":[1,{}],\"s\":\"x\\\"y\"}, -2.5e3 ,null]";
+        let mut r = Scanner::new(doc);
+        assert_eq!(r.skip_value(), Ok(doc));
+        let mut r = Scanner::new(doc);
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.skip_value(), Ok("{\"k\":[1,{}],\"s\":\"x\\\"y\"}"));
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.skip_value(), Ok("-2.5e3"));
+        for bad in ["{\"a\" 1}", "[1,]", "\"open", "01", "nul"] {
+            assert!(Scanner::new(bad).skip_value().is_err(), "`{bad}` skipped");
+        }
     }
 }

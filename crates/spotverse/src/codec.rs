@@ -1,21 +1,26 @@
 //! Typed field codecs for the JSON this crate writes: the trace JSONL
 //! (`trace_schema!` in `trace.rs`), which `replay` reads back, and the
 //! `analyse --output json` document (`replay/views.rs`,
-//! `replay/analytics.rs`).
+//! `replay/analytics.rs`), which nothing reads back.
 //!
-//! [`Codec`] says how one Rust type is written and read back; [`Field`]
-//! places a value under a key, leaving `None` out. [`object_codec!`] and
-//! [`array_codec!`] derive both directions for a struct from one list of
-//! its fields; their expansions name every field without `..`, so a field
-//! missing from the list fails to compile. Parsing and string escaping go
-//! through `sim_kernel::json`.
+//! [`Codec`] says how one Rust type is written; [`Decode`] reads the types
+//! a trace holds straight from a `sim_kernel::json::Scanner`, with no
+//! value tree in between. [`Field`] places a value under a key, leaving
+//! `None` out; [`read_field`] and [`finish_field`] read one back into a
+//! slot, rejecting a repeated key and naming a missing one.
+//! [`object_codec!`] and [`array_codec!`] derive the writer for a struct
+//! from one list of its fields, and `object_codec!` its reader too when
+//! asked; their expansions name every field without `..`, so a field
+//! missing from the list fails to compile. Tokenizing and string escaping
+//! go through `sim_kernel::json`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::str::FromStr;
 
 use cloud_compute::InstanceId;
 use cloud_market::Region;
-use sim_kernel::json::{push_json_str, Fields, JsonVal};
+use sim_kernel::json::{push_json_str, Scanner};
 use sim_kernel::{SimDuration, SimTime};
 
 use crate::fleet::Priority;
@@ -23,18 +28,21 @@ use crate::health::BreakerState;
 use crate::optimizer::{CandidateOutcome, CandidateVerdict, Placement};
 use crate::trace::{ChaosFaultKind, DecisionKind};
 
-/// How one type is written as JSON text and read back from a parsed value.
-pub(crate) trait Codec: Sized {
+/// How one type is written as JSON text.
+pub(crate) trait Codec {
     fn put(&self, out: &mut String);
-    fn take(v: JsonVal<'_>) -> Result<Self, String>;
+}
+
+/// How one type a trace holds is read back from the JSON reader.
+pub(crate) trait Decode: Sized {
+    fn read(r: &mut Scanner<'_>) -> Result<Self, String>;
 }
 
 /// A value under a key: `,"key":value`. An `Option` is left out when
 /// `None` and read back as `None` when absent.
-pub(crate) trait Field: Sized {
+pub(crate) trait Field {
     /// Appends `prefix` (`,"key":`) and the value.
     fn put_field(&self, prefix: &str, out: &mut String);
-    fn take_field(fields: &mut Fields<'_>, key: &str) -> Result<Self, String>;
 }
 
 impl<T: Codec> Field for T {
@@ -42,11 +50,6 @@ impl<T: Codec> Field for T {
     fn put_field(&self, prefix: &str, out: &mut String) {
         out.push_str(prefix);
         self.put(out);
-    }
-
-    #[inline]
-    fn take_field(fields: &mut Fields<'_>, key: &str) -> Result<Self, String> {
-        T::take(fields.require(key)?).map_err(|e| format!("`{key}`: {e}"))
     }
 }
 
@@ -57,11 +60,58 @@ impl<T: Codec> Field for Option<T> {
             value.put_field(prefix, out);
         }
     }
+}
+
+/// The read side of [`Field`]: what a key's value decodes to, and what
+/// its absence means.
+pub(crate) trait ReadField: Sized {
+    fn read_value(r: &mut Scanner<'_>) -> Result<Self, String>;
+    fn absent(key: &str) -> Result<Self, String>;
+}
+
+impl<T: Decode> ReadField for T {
+    #[inline]
+    fn read_value(r: &mut Scanner<'_>) -> Result<Self, String> {
+        T::read(r)
+    }
 
     #[inline]
-    fn take_field(fields: &mut Fields<'_>, key: &str) -> Result<Self, String> {
-        fields.take(key).map(T::take).transpose().map_err(|e| format!("`{key}`: {e}"))
+    fn absent(key: &str) -> Result<Self, String> {
+        Err(format!("missing field `{key}`"))
     }
+}
+
+impl<T: Decode> ReadField for Option<T> {
+    #[inline]
+    fn read_value(r: &mut Scanner<'_>) -> Result<Self, String> {
+        T::read(r).map(Some)
+    }
+
+    #[inline]
+    fn absent(_key: &str) -> Result<Self, String> {
+        Ok(None)
+    }
+}
+
+/// Reads the value of `key` into its empty `slot`; a second value for
+/// the same key is an error.
+#[inline]
+pub(crate) fn read_field<F: ReadField>(
+    slot: &mut Option<F>,
+    key: &str,
+    r: &mut Scanner<'_>,
+) -> Result<(), String> {
+    if slot.is_some() {
+        return Err(format!("duplicate key `{key}`"));
+    }
+    *slot = Some(F::read_value(r).map_err(|e| format!("`{key}`: {e}"))?);
+    Ok(())
+}
+
+/// The value read into `slot`, or what the key's absence means.
+#[inline]
+pub(crate) fn finish_field<F: ReadField>(slot: Option<F>, key: &str) -> Result<F, String> {
+    slot.map_or_else(|| F::absent(key), Ok)
 }
 
 /// Writes `items` — each appended with a leading `,` — between `open` and
@@ -98,8 +148,8 @@ pub(crate) fn push_uint(out: &mut String, mut n: u64) {
 }
 
 /// An unsigned integer that must fit `T`.
-fn uint<T: TryFrom<u64>>(v: &JsonVal<'_>) -> Result<T, String> {
-    let n = v.as_u64()?;
+fn uint<T: TryFrom<u64>>(r: &mut Scanner<'_>) -> Result<T, String> {
+    let n = r.read_u64()?;
     T::try_from(n).map_err(|_| format!("`{n}` exceeds {}", std::any::type_name::<T>()))
 }
 
@@ -124,21 +174,24 @@ fn placement(s: &str) -> Result<Placement, String> {
     }
 }
 
-/// One [`Codec`] per row: `Type: |value, out| write, |json| read;`.
+/// One [`Codec`] per row, `Type: |value, out| write`, and a [`Decode`]
+/// when the row goes on `, |reader| read`.
 macro_rules! codecs {
-    ($($ty:ty: |$value:ident, $out:ident| $put:expr, |$json:ident| $take:expr;)+) => {$(
+    ($($ty:ty: |$value:ident, $out:ident| $put:expr $(, |$r:ident| $read:expr)?;)+) => {$(
         impl Codec for $ty {
             #[inline]
             fn put(&self, $out: &mut String) {
                 let $value = self;
                 $put;
             }
-
-            #[inline]
-            fn take($json: JsonVal<'_>) -> Result<Self, String> {
-                $take
-            }
         }
+
+        $(impl Decode for $ty {
+            #[inline]
+            fn read($r: &mut Scanner<'_>) -> Result<Self, String> {
+                $read
+            }
+        })?
     )+};
 }
 
@@ -146,32 +199,29 @@ macro_rules! codecs {
 // `Display`, instants and durations in whole seconds, strings escaped,
 // everything else as its lowercase label.
 codecs! {
-    u8: |n, out| push_uint(out, u64::from(*n)), |v| uint(&v);
-    u32: |n, out| push_uint(out, u64::from(*n)), |v| uint(&v);
-    u64: |n, out| push_uint(out, *n), |v| v.as_u64();
-    usize: |n, out| push_uint(out, *n as u64), |v| v.as_usize();
-    i64: |n, out| write!(out, "{n}").expect("writing to a String"), |v| match &v {
-        JsonVal::Num(raw) => raw.parse().map_err(|_| format!("`{raw}` is not an i64")),
-        other => Err(format!("expected an integer, found {}", other.type_name())),
-    };
-    bool: |b, out| out.push_str(if *b { "true" } else { "false" }), |v| v.as_bool();
-    f64: |x, out| write!(out, "{x}").expect("writing to a String"), |v| v.as_f64();
-    String: |s, out| push_json_str(out, s), |v| v.into_string();
-    SimTime: |t, out| push_uint(out, t.as_secs()), |v| v.as_u64().map(SimTime::from_secs);
-    SimDuration: |d, out| push_uint(out, d.as_secs()), |v| v.as_u64().map(SimDuration::from_secs);
-    Region: |r, out| push_json_str(out, r.name()), |v| region(v.as_str()?);
+    u8: |n, out| push_uint(out, u64::from(*n)), |r| uint(r);
+    u32: |n, out| push_uint(out, u64::from(*n)), |r| uint(r);
+    u64: |n, out| push_uint(out, *n), |r| r.read_u64();
+    usize: |n, out| push_uint(out, *n as u64), |r| uint(r);
+    i64: |n, out| write!(out, "{n}").expect("writing to a String");
+    bool: |b, out| out.push_str(if *b { "true" } else { "false" }), |r| r.read_bool();
+    f64: |x, out| write!(out, "{x}").expect("writing to a String"), |r| r.read_f64();
+    String: |s, out| push_json_str(out, s), |r| r.read_str().map(Cow::into_owned);
+    SimTime: |t, out| push_uint(out, t.as_secs());
+    SimDuration: |d, out| push_uint(out, d.as_secs()), |r| r.read_u64().map(SimDuration::from_secs);
+    Region: |r, out| push_json_str(out, r.name()), |r| region(&r.read_str()?);
     InstanceId: |id, out| write!(out, "\"{id}\"").expect("writing to a String"),
-        |v| instance_id(v.as_str()?);
+        |r| instance_id(&r.read_str()?);
     Placement: |p, out| {
         out.push_str(if matches!(p, Placement::Spot(_)) { "\"spot:" } else { "\"od:" });
         out.push_str(p.region().name());
         out.push('"');
-    }, |v| placement(v.as_str()?);
-    CandidateOutcome: |o, out| push_json_str(out, &o.label()), |v| v.as_str()?.parse();
-    DecisionKind: |k, out| push_json_str(out, k.label()), |v| v.as_str()?.parse();
-    ChaosFaultKind: |k, out| push_json_str(out, k.label()), |v| v.as_str()?.parse();
-    BreakerState: |s, out| push_json_str(out, s.label()), |v| v.as_str()?.parse();
-    Priority: |p, out| push_json_str(out, p.label()), |v| v.as_str()?.parse();
+    }, |r| placement(&r.read_str()?);
+    CandidateOutcome: |o, out| push_json_str(out, &o.label()), |r| r.read_str()?.parse();
+    DecisionKind: |k, out| push_json_str(out, k.label()), |r| r.read_str()?.parse();
+    ChaosFaultKind: |k, out| push_json_str(out, k.label()), |r| r.read_str()?.parse();
+    BreakerState: |s, out| push_json_str(out, s.label()), |r| r.read_str()?.parse();
+    Priority: |p, out| push_json_str(out, p.label()), |r| r.read_str()?.parse();
 }
 
 fn put_items<'a, T: Codec + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
@@ -189,21 +239,22 @@ impl<T: Codec> Codec for Vec<T> {
     fn put(&self, out: &mut String) {
         put_items(out, self);
     }
+}
 
-    fn take(v: JsonVal<'_>) -> Result<Self, String> {
-        v.into_arr()?.into_iter().map(T::take).collect()
+impl<T: Decode> Decode for Vec<T> {
+    fn read(r: &mut Scanner<'_>) -> Result<Self, String> {
+        let mut items = Vec::new();
+        r.begin_array()?;
+        while r.next_item()? {
+            items.push(T::read(r)?);
+        }
+        Ok(items)
     }
 }
 
 impl<T: Codec, const N: usize> Codec for [T; N] {
     fn put(&self, out: &mut String) {
         put_items(out, self);
-    }
-
-    fn take(v: JsonVal<'_>) -> Result<Self, String> {
-        let items = Vec::<T>::take(v)?;
-        let found = items.len();
-        items.try_into().map_err(|_| format!("expected {N} entries, found {found}"))
     }
 }
 
@@ -215,14 +266,6 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
         out.push(',');
         self.1.put(out);
         out.push(']');
-    }
-
-    fn take(v: JsonVal<'_>) -> Result<Self, String> {
-        let [a, b]: [JsonVal<'_>; 2] = v
-            .into_arr()?
-            .try_into()
-            .map_err(|items: Vec<_>| format!("expected a pair, found {} entries", items.len()))?;
-        Ok((A::take(a)?, B::take(b)?))
     }
 }
 
@@ -248,19 +291,22 @@ macro_rules! put_field {
     };
 }
 
-/// Reads one field back; an absent `omit_empty` field is empty.
+/// The value read into a field's slot once its object is read; an absent
+/// `omit_empty` field is empty.
 macro_rules! take_field {
-    ($fields:expr, $key:expr) => {
-        $crate::codec::Field::take_field($fields, $key)?
+    ($slot:expr, $key:expr) => {
+        $crate::codec::finish_field($slot, $key)?
     };
-    ($fields:expr, $key:expr, omit_empty) => {
-        <Option<_> as $crate::codec::Field>::take_field($fields, $key)?.unwrap_or_default()
+    ($slot:expr, $key:expr, omit_empty) => {
+        $slot.unwrap_or_default()
     };
 }
 
 /// A struct as a JSON object, one entry per listed field in list order.
 /// A field is keyed by its name unless renamed (`field: "key"`);
-/// `[omit_empty]` leaves an empty collection out.
+/// `[omit_empty]` leaves an empty collection out. Ending the list with
+/// `read` also derives a [`Decode`] that takes the keys in any order and
+/// rejects a repeated, unknown or missing one.
 macro_rules! object_codec {
     ($ty:ident { $($field:ident $(: $key:literal)? $([$mode:ident])?),+ $(,)? }) => {
         impl $crate::codec::Codec for $ty {
@@ -272,16 +318,34 @@ macro_rules! object_codec {
                     );)+
                 });
             }
+        }
+    };
+    ($ty:ident { $($field:ident $(: $key:literal)? $([$mode:ident])?),+ $(,)? } read) => {
+        $crate::codec::object_codec!($ty { $($field $(: $key)? $([$mode])?),+ });
 
-            fn take(v: sim_kernel::json::JsonVal<'_>) -> Result<Self, String> {
-                let mut fields = sim_kernel::json::Fields::new(v.into_obj()?);
-                let value = $ty {
+        impl $crate::codec::Decode for $ty {
+            fn read(r: &mut sim_kernel::json::Scanner<'_>) -> Result<Self, String> {
+                $(let mut $field = None;)+
+                r.begin_object()?;
+                // The writer's own spelling and order, tried first.
+                $(if r.next_key_is($crate::codec::field_key!($field $($key)?)) {
+                    $crate::codec::read_field(
+                        &mut $field, $crate::codec::field_key!($field $($key)?), r,
+                    )?;
+                })+
+                while let Some(key) = r.next_key()? {
+                    match &*key {
+                        $(k if k == $crate::codec::field_key!($field $($key)?) => {
+                            $crate::codec::read_field(&mut $field, k, r)?;
+                        })+
+                        other => return Err(format!("unexpected field `{other}`")),
+                    }
+                }
+                Ok($ty {
                     $($field: $crate::codec::take_field!(
-                        &mut fields, $crate::codec::field_key!($field $($key)?) $(, $mode)?
+                        $field, $crate::codec::field_key!($field $($key)?) $(, $mode)?
                     ),)+
-                };
-                fields.finish()?;
-                Ok(value)
+                })
             }
         }
     };
@@ -298,26 +362,10 @@ macro_rules! array_codec {
                     $crate::codec::Codec::put($field, out);)+
                 });
             }
-
-            fn take(v: sim_kernel::json::JsonVal<'_>) -> Result<Self, String> {
-                const LEN: usize = [$(stringify!($field)),+].len();
-                let items = v.into_arr()?;
-                if items.len() != LEN {
-                    return Err(format!(
-                        "{} must have {LEN} entries, found {}",
-                        stringify!($ty),
-                        items.len()
-                    ));
-                }
-                let mut items = items.into_iter();
-                Ok($ty {
-                    $($field: $crate::codec::Codec::take(items.next().expect("length checked"))?,)+
-                })
-            }
         }
     };
 }
 
 pub(crate) use {array_codec, field_key, object_codec, put_field, take_field};
 
-object_codec!(CandidateVerdict { region, combined, spot_price: "price", outcome });
+object_codec!(CandidateVerdict { region, combined, spot_price: "price", outcome } read);

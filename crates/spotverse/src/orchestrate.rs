@@ -217,6 +217,9 @@ enum ShardPhase {
 }
 
 struct Shard {
+    /// The shard's lease, result-object and dead-letter key,
+    /// `shard-<index>`, built once.
+    key: String,
     cells: std::ops::Range<usize>,
     phase: ShardPhase,
     history: Vec<AttemptRecord>,
@@ -305,7 +308,9 @@ impl<'a> Orchestrator<'a> {
         let shard_size = config.shard_size.max(1);
         let shards: Vec<Shard> = (0..cells.len())
             .step_by(shard_size)
-            .map(|start| Shard {
+            .enumerate()
+            .map(|(index, start)| Shard {
+                key: format!("shard-{index}"),
                 cells: start..(start + shard_size).min(cells.len()),
                 phase: ShardPhase::Waiting,
                 history: Vec::new(),
@@ -372,10 +377,6 @@ impl<'a> Orchestrator<'a> {
         )
     }
 
-    fn lease_key(shard: usize) -> String {
-        format!("shard-{shard}")
-    }
-
     /// Publishes a shard dispatch on the bus; each delivered copy starts a
     /// worker after the delivery latency. A lost delivery starts nothing —
     /// supervision catches it via the claim timeout.
@@ -420,7 +421,7 @@ impl<'a> Orchestrator<'a> {
         }
         // Idempotency pre-check: a result for this shard already exists —
         // this execution is a duplicate delivery or a late re-drive.
-        if self.store.get_metadata(RESULT_BUCKET, &Self::lease_key(shard)).is_ok() {
+        if self.store.get_metadata(RESULT_BUCKET, &self.shards[shard].key).is_ok() {
             self.duplicate_executions += 1;
             self.tracer
                 .record(now, TraceEvent::ShardCompleted { shard, attempt, duplicate: true });
@@ -431,7 +432,7 @@ impl<'a> Orchestrator<'a> {
         let expires = now + LEASE_DURATION;
         let claim = self.kv.conditional_put(
             LEASE_TABLE,
-            &Self::lease_key(shard),
+            &self.shards[shard].key,
             lease_item(&owner, attempt, expires, "held"),
             now,
             &mut self.ledger,
@@ -473,7 +474,7 @@ impl<'a> Orchestrator<'a> {
         let (shard, attempt, owner, finish_at) = (e.shard, e.attempt, e.owner.clone(), e.finish_at);
         let renewed = self.kv.conditional_put(
             LEASE_TABLE,
-            &Self::lease_key(shard),
+            &self.shards[shard].key,
             lease_item(&owner, attempt, now + LEASE_DURATION, "held"),
             now,
             &mut self.ledger,
@@ -503,7 +504,7 @@ impl<'a> Orchestrator<'a> {
             return;
         }
         let (shard, attempt, owner) = (e.shard, e.attempt, e.owner);
-        if self.store.get_metadata(RESULT_BUCKET, &Self::lease_key(shard)).is_ok() {
+        if self.store.get_metadata(RESULT_BUCKET, &self.shards[shard].key).is_ok() {
             // A successor already persisted this shard while we ran: the
             // deterministic payload would be byte-identical, so this is
             // the idempotent no-op the result keying buys us.
@@ -520,7 +521,7 @@ impl<'a> Orchestrator<'a> {
         let payload = shard_payload(&outcomes);
         let persisted = self.store.put_object(
             RESULT_BUCKET,
-            Self::lease_key(shard),
+            self.shards[shard].key.clone(),
             ObjectBody::from_text(payload),
             HOME_REGION,
             now,
@@ -532,7 +533,7 @@ impl<'a> Orchestrator<'a> {
         // Best-effort lease release; failure just lets it expire idle.
         let _ = self.kv.conditional_put(
             LEASE_TABLE,
-            &Self::lease_key(shard),
+            &self.shards[shard].key,
             lease_item(&owner, attempt, now + LEASE_DURATION, "done"),
             now,
             &mut self.ledger,
@@ -560,7 +561,7 @@ impl<'a> Orchestrator<'a> {
             // lease before anything acts on it.
             let lease = match self.kv.get_item(
                 LEASE_TABLE,
-                &Self::lease_key(shard),
+                &self.shards[shard].key,
                 now,
                 &mut self.ledger,
             ) {
@@ -623,7 +624,7 @@ impl<'a> Orchestrator<'a> {
             let backoff = REDRIVE_BACKOFF.backoff_jittered(
                 attempt,
                 self.config.seed,
-                &Self::lease_key(shard),
+                &self.shards[shard].key,
             );
             self.redrives += 1;
             self.tracer.record(
@@ -644,7 +645,7 @@ impl<'a> Orchestrator<'a> {
             let item = dead_letter_item(shard, &self.shards[shard].history);
             self.shards[shard].recorded = self
                 .kv
-                .put_item(DEADLETTER_TABLE, &Self::lease_key(shard), item, now, &mut self.ledger)
+                .put_item(DEADLETTER_TABLE, &self.shards[shard].key, item, now, &mut self.ledger)
                 .is_ok();
         }
     }

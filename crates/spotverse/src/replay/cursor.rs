@@ -4,9 +4,12 @@
 //! be split anywhere, including mid-escape — buffers the trailing
 //! partial line, and folds each completed line into a [`ReplayState`].
 //! Because every view is a pure fold, the final state is identical for
-//! any chunking of the same document.
+//! any chunking of the same document. Lines are split and numbered by the
+//! same rule as `parse_trace_jsonl`, and each is folded under its cell
+//! label borrowed from the line, so a line costs only its record's own
+//! owned fields.
 
-use super::parse::{parse_trace_line, TraceParseError};
+use super::parse::{decode_numbered, LineBody, TraceParseError};
 use super::views::{ReplayState, TimeWindow};
 
 /// An incremental trace replayer.
@@ -56,25 +59,18 @@ impl ReplayCursor {
 
     fn consume_line(&mut self, line: &str) -> Result<(), TraceParseError> {
         self.consumed += 1;
-        if line.is_empty() {
+        let number = usize::try_from(self.consumed).unwrap_or(usize::MAX);
+        let Some(decoded) = decode_numbered(line, number)? else {
             return Ok(());
-        }
-        let parsed = parse_trace_line(line).map_err(|message| TraceParseError {
-            line: usize::try_from(self.consumed).unwrap_or(usize::MAX),
-            message,
-        })?;
-        match (&self.default_cell, parsed.cell()) {
-            (Some(default), None) => {
-                let mut relabelled = parsed;
-                match &mut relabelled {
-                    super::parse::TraceLine::Record { cell, .. }
-                    | super::parse::TraceLine::Truncated { cell, .. } => {
-                        *cell = Some(default.clone());
-                    }
-                }
-                self.state.fold_line(&relabelled, self.window);
-            }
-            _ => self.state.fold_line(&parsed, self.window),
+        };
+        let cell = decoded
+            .cell
+            .as_deref()
+            .or(self.default_cell.as_deref())
+            .unwrap_or("");
+        match &decoded.body {
+            LineBody::Record(record) => self.state.fold_record(cell, record, self.window),
+            LineBody::Truncated { dropped } => self.state.fold_truncation(cell, *dropped),
         }
         Ok(())
     }

@@ -3,19 +3,31 @@
 //! [`parse_trace_line`] inverts `trace::append_record_json` exactly: every
 //! event variant, every optional field, the merged-sweep `cell` prefix,
 //! and the truncation marker line all decode back into typed values, so
-//! `parse → re-serialize` is byte-identical for canonical input. This
-//! module reads the record envelope; the per-variant decoder is generated
-//! from the writer's own table (`trace_schema!` in `trace.rs`). Corrupt
+//! `parse → re-serialize` is byte-identical for canonical input. Corrupt
 //! input — truncated lines, bad JSON, unknown events or labels, wrong
 //! field types, unexpected fields — fails with a structured error naming
 //! the 1-based line number instead of panicking.
+//!
+//! A line is decoded in one pass over its tokens, straight into a
+//! [`TraceRecord`]: this module reads the record envelope (`cell`, `seq`,
+//! `t`, `event`), then streams the rest of the object into the
+//! per-variant decoder generated from the writer's own table
+//! (`trace_schema!` in `trace.rs`). Keys are accepted in any order, so a
+//! variant field written ahead of `event` is kept as raw text until the
+//! label says how to read it. A document is split into lines at `\n` and
+//! empty lines are skipped, by [`parse_trace_jsonl`] and the replay cursor
+//! alike.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use sim_kernel::json::{self, Fields, JsonVal};
+use sim_kernel::json::Scanner;
 use sim_kernel::SimTime;
 
-use crate::trace::{append_record_json, append_truncation_json, decode_event, TraceRecord};
+use crate::codec::{finish_field, read_field};
+use crate::trace::{
+    append_record_json, append_truncation_json, decode_event, TraceRecord, MAX_EVENT_FIELDS,
+};
 
 /// A structured parse failure: which line, and what was wrong with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,38 +79,178 @@ impl TraceLine {
 /// Parses one canonical JSONL line. The error is a bare message; callers
 /// that know the line number wrap it in [`TraceParseError`].
 pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
-    let obj = json::parse(line)?.into_obj()?;
-    let mut fields = Fields::new(obj);
-    let cell = fields.take("cell").map(JsonVal::into_string).transpose()?;
-    if let Some(truncated) = fields.take("truncated") {
-        if !truncated.as_bool()? {
-            return Err("`truncated` must be true".to_owned());
-        }
-        let dropped = fields.require("dropped")?.as_u64()?;
-        fields.finish()?;
-        return Ok(TraceLine::Truncated { cell, dropped });
-    }
-    let seq = fields.require("seq")?.as_u64()?;
-    let at = SimTime::from_secs(fields.require("t")?.as_u64()?);
-    let label = fields.require("event")?;
-    let event = decode_event(label.as_str()?, &mut fields)?;
-    fields.finish()?;
-    Ok(TraceLine::Record { cell, record: TraceRecord { seq, at, event } })
+    decode_line(line).map(DecodedLine::into_line)
 }
 
-/// Parses a whole canonical JSONL document.
+/// Parses a whole canonical JSONL document, skipping empty lines.
 ///
 /// # Errors
 ///
 /// Returns a [`TraceParseError`] naming the first offending line.
 pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceLine>, TraceParseError> {
     input
-        .lines()
+        .split('\n')
         .enumerate()
-        .map(|(i, line)| {
-            parse_trace_line(line).map_err(|message| TraceParseError { line: i + 1, message })
-        })
+        .filter_map(|(i, line)| decode_numbered(line, i + 1).transpose())
+        .map(|decoded| decoded.map(DecodedLine::into_line))
         .collect()
+}
+
+/// A decoded line whose cell label borrows from the input (unless it has
+/// escapes).
+#[derive(Debug)]
+pub(crate) struct DecodedLine<'a> {
+    pub(crate) cell: Option<Cow<'a, str>>,
+    pub(crate) body: LineBody,
+}
+
+/// What a line holds besides its cell label.
+#[derive(Debug)]
+pub(crate) enum LineBody {
+    Record(TraceRecord),
+    Truncated { dropped: u64 },
+}
+
+impl DecodedLine<'_> {
+    fn into_line(self) -> TraceLine {
+        let cell = self.cell.map(Cow::into_owned);
+        match self.body {
+            LineBody::Record(record) => TraceLine::Record { cell, record },
+            LineBody::Truncated { dropped } => TraceLine::Truncated { cell, dropped },
+        }
+    }
+}
+
+/// Decodes line `number` (1-based) of a document: the one rule both
+/// [`parse_trace_jsonl`] and the replay cursor split by. An empty line
+/// holds nothing.
+pub(crate) fn decode_numbered(
+    line: &str,
+    number: usize,
+) -> Result<Option<DecodedLine<'_>>, TraceParseError> {
+    if line.is_empty() {
+        return Ok(None);
+    }
+    decode_line(line).map(Some).map_err(|message| TraceParseError { line: number, message })
+}
+
+/// The keys every line may carry besides its event's fields.
+#[derive(Default)]
+struct Envelope<'a> {
+    cell: Option<Cow<'a, str>>,
+    seq: Option<u64>,
+    t: Option<u64>,
+    truncated: Option<bool>,
+}
+
+impl<'a> Envelope<'a> {
+    /// Reads the value of `key` if it is an envelope key other than
+    /// `event`; returns whether it was.
+    fn read(&mut self, key: &str, r: &mut Scanner<'a>) -> Result<bool, String> {
+        match key {
+            "cell" => {
+                if self.cell.is_some() {
+                    return Err("duplicate key `cell`".to_owned());
+                }
+                self.cell = Some(r.read_str().map_err(|e| format!("`cell`: {e}"))?);
+            }
+            "seq" => read_field(&mut self.seq, key, r)?,
+            "t" => read_field(&mut self.t, key, r)?,
+            "truncated" => {
+                read_field(&mut self.truncated, key, r)?;
+                if self.truncated == Some(false) {
+                    return Err("`truncated` must be true".to_owned());
+                }
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Rejects `key` when `present`: an envelope key that a line of the other
+/// kind carries.
+fn reject(present: bool, key: &str) -> Result<(), String> {
+    if present {
+        Err(format!("unexpected field `{key}`"))
+    } else {
+        Ok(())
+    }
+}
+
+/// Decodes one line in a single pass. The envelope keys are read as they
+/// come; the event's fields stream into its decoder once `event` names
+/// it. Fields ahead of `event` (never in canonical lines, which reach it
+/// within their first four keys) wait as raw text in a stack buffer: an
+/// accepted line has no more of them than the largest event has fields.
+fn decode_line(line: &str) -> Result<DecodedLine<'_>, String> {
+    let mut r = Scanner::new(line);
+    let mut envelope = Envelope::default();
+    let mut before = [const { (Cow::Borrowed(""), "") }; MAX_EVENT_FIELDS];
+    let mut waiting = 0;
+    r.begin_object()?;
+    // A canonical line spells these keys exactly, in this order.
+    for key in ["cell", "seq", "t"] {
+        if r.next_key_is(key) {
+            envelope.read(key, &mut r)?;
+        }
+    }
+    if !r.next_key_is("event") {
+        loop {
+            let Some(key) = r.next_key()? else {
+                r.finish()?;
+                return truncation(envelope, &before[..waiting]);
+            };
+            if envelope.read(&key, &mut r)? {
+                continue;
+            }
+            if key == "event" {
+                break;
+            }
+            if waiting == before.len() {
+                return Err(format!("unexpected field `{key}`"));
+            }
+            before[waiting] = (key, r.skip_value()?);
+            waiting += 1;
+        }
+    }
+    reject(envelope.truncated.is_some(), "event")?;
+    let label = r.read_str().map_err(|e| format!("`event`: {e}"))?;
+    let event = decode_event(&label, &before[..waiting], &mut r, |key, r| {
+        if key == "event" {
+            return Err("duplicate key `event`".to_owned());
+        }
+        envelope.read(key, r)
+    })?;
+    r.finish()?;
+    reject(envelope.truncated.is_some(), "truncated")?;
+    let seq = finish_field(envelope.seq, "seq")?;
+    let at = SimTime::from_secs(finish_field(envelope.t, "t")?);
+    let record = TraceRecord { seq, at, event };
+    Ok(DecodedLine { cell: envelope.cell, body: LineBody::Record(record) })
+}
+
+/// The rest of a line read to its end without an `event`: the
+/// truncation marker, or a record without its label. `before` holds the
+/// line's keys that are not envelope keys.
+fn truncation<'a>(
+    envelope: Envelope<'a>,
+    before: &[(Cow<'a, str>, &'a str)],
+) -> Result<DecodedLine<'a>, String> {
+    if envelope.truncated.is_none() {
+        finish_field(envelope.seq, "seq")?;
+        finish_field(envelope.t, "t")?;
+        return Err("missing field `event`".to_owned());
+    }
+    reject(envelope.seq.is_some(), "seq")?;
+    reject(envelope.t.is_some(), "t")?;
+    let mut dropped = None;
+    for (key, text) in before {
+        reject(key != "dropped", key)?;
+        read_field(&mut dropped, key, &mut Scanner::new(text))?;
+    }
+    let dropped = finish_field(dropped, "dropped")?;
+    Ok(DecodedLine { cell: envelope.cell, body: LineBody::Truncated { dropped } })
 }
 
 /// Re-serializes parsed lines to canonical JSONL (each line

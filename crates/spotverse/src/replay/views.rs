@@ -496,15 +496,25 @@ impl ReplayState {
     pub fn fold_line(&mut self, line: &TraceLine, window: TimeWindow) {
         match line {
             TraceLine::Record { cell, record } => {
-                if window.contains(record.at) {
-                    self.cell_mut(cell.as_deref().unwrap_or("")).fold(record);
-                }
+                self.fold_record(cell.as_deref().unwrap_or(""), record, window);
             }
             TraceLine::Truncated { cell, dropped } => {
-                let state = self.cell_mut(cell.as_deref().unwrap_or(""));
-                state.dropped = Some(state.dropped.unwrap_or(0).saturating_add(*dropped));
+                self.fold_truncation(cell.as_deref().unwrap_or(""), *dropped);
             }
         }
+    }
+
+    /// Folds `record` into `cell` if the window holds it.
+    pub(crate) fn fold_record(&mut self, cell: &str, record: &TraceRecord, window: TimeWindow) {
+        if window.contains(record.at) {
+            self.cell_mut(cell).fold(record);
+        }
+    }
+
+    /// Adds a truncation marker's dropped count to `cell`.
+    pub(crate) fn fold_truncation(&mut self, cell: &str, dropped: u64) {
+        let state = self.cell_mut(cell);
+        state.dropped = Some(state.dropped.unwrap_or(0).saturating_add(dropped));
     }
 }
 
@@ -731,11 +741,9 @@ mod tests {
             a.put_json(&mut ja);
             b.put_json(&mut jb);
             assert_eq!(ja, jb);
-            let mut fields = sim_kernel::json::Fields::new(
-                sim_kernel::json::parse(&ja).unwrap().into_obj().unwrap(),
-            );
+            let doc = sim_kernel::json::parse(&ja).unwrap();
             for key in ["summary", "ledger", "occupancy", "billed_total"] {
-                fields.require(key).unwrap();
+                assert!(doc.get(key).is_some(), "{key} missing from {ja}");
             }
         }
     }

@@ -20,14 +20,15 @@
 //!   shortest-round-trip float formatting — so golden traces can be
 //!   compared byte-for-byte.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use cloud_compute::InstanceId;
 use cloud_market::Region;
-use sim_kernel::json::{push_json_str, Fields};
+use sim_kernel::json::{push_json_str, Scanner};
 use sim_kernel::{SimDuration, SimTime};
 
-use crate::codec::{field_key, push_uint, put_field, take_field};
+use crate::codec::{field_key, push_uint, put_field, read_field, take_field};
 use crate::fleet::Priority;
 use crate::health::BreakerState;
 use crate::optimizer::{CandidateVerdict, Placement};
@@ -416,11 +417,12 @@ impl RunTrace {
 // label), then the variant's fields in the order `trace_schema!` lists
 // them. The table below is the one place the format is spelled out: the
 // macro generates `TraceEvent::label`, the writer arms of
-// `append_record_json` and the reader `decode_event` that
-// `replay::parse_trace_line` calls. The generated patterns and struct
-// literals name every field without `..`, so a field missing from the
-// table fails to compile. The per-type work is in the `Codec` impls of
-// `crate::codec`. Golden tests compare the output byte-for-byte.
+// `append_record_json` and the reader `decode_event` that the replay line
+// decoder (`replay/parse.rs`) streams each record's fields into. The
+// generated patterns and struct literals name every field without `..`,
+// so a field missing from the table fails to compile. The per-type work
+// is in the `Codec` and `Decode` impls of `crate::codec`. Golden tests
+// compare the output byte-for-byte.
 
 /// The trace schema. Each line is `Variant "label" { fields }`; a field
 /// is written under its own name unless renamed (`field: "key"`), and
@@ -449,16 +451,62 @@ macro_rules! trace_schema {
             }
         }
 
-        /// Decodes the fields of the event labelled `label`, taking each
-        /// from `fields`. The caller rejects any field left over.
-        pub(crate) fn decode_event(
+        /// The most fields any event has.
+        pub(crate) const MAX_EVENT_FIELDS: usize = {
+            let mut max = 0;
+            $(
+                let n = [$(stringify!($field)),+].len();
+                if n > max {
+                    max = n;
+                }
+            )+
+            max
+        };
+
+        /// Decodes the fields of the event labelled `label`: those that
+        /// follow from `r` in table order, those met ahead of the label,
+        /// each kept as its key and raw value text in `before`, then the
+        /// rest of the object from `r`, through its closing `}`. A key that
+        /// is not the event's goes to `envelope`, which reads its value
+        /// and returns `true`, or returns `false` and the key is rejected
+        /// as unexpected.
+        pub(crate) fn decode_event<'a>(
             label: &str,
-            fields: &mut Fields<'_>,
+            before: &[(Cow<'a, str>, &'a str)],
+            r: &mut Scanner<'a>,
+            mut envelope: impl FnMut(&str, &mut Scanner<'a>) -> Result<bool, String>,
         ) -> Result<TraceEvent, String> {
             match label {
-                $($label => Ok(TraceEvent::$variant {
-                    $($field: take_field!(fields, field_key!($field $($key)?) $(, $mode)?),)+
-                }),)+
+                $($label => {
+                    $(let mut $field = None;)+
+                    // A canonical line spells the fields exactly, in
+                    // table order; any other key is read below.
+                    $(if r.next_key_is(field_key!($field $($key)?)) {
+                        read_field(&mut $field, field_key!($field $($key)?), r)?;
+                    })+
+                    let mut field = |key: &str, r: &mut Scanner<'a>| -> Result<bool, String> {
+                        match key {
+                            $(k if k == field_key!($field $($key)?) => {
+                                read_field(&mut $field, k, r)?;
+                            })+
+                            _ => return Ok(false),
+                        }
+                        Ok(true)
+                    };
+                    for (key, text) in before {
+                        if !field(key, &mut Scanner::new(text))? {
+                            return Err(format!("unexpected field `{key}`"));
+                        }
+                    }
+                    while let Some(key) = r.next_key()? {
+                        if !field(&key, r)? && !envelope(&key, r)? {
+                            return Err(format!("unexpected field `{key}`"));
+                        }
+                    }
+                    Ok(TraceEvent::$variant {
+                        $($field: take_field!($field, field_key!($field $($key)?) $(, $mode)?),)+
+                    })
+                })+
                 other => Err(format!("unknown event `{other}`")),
             }
         }
@@ -722,11 +770,7 @@ mod tests {
         let mut out = String::new();
         append_record_json(&mut out, None, &record);
         assert!(out.contains(",\"strategy\":\"a\\\"b\\\\c\\nd\\u0001\","), "{out}");
-        let mut fields = Fields::new(sim_kernel::json::parse(&out).unwrap().into_obj().unwrap());
-        for key in ["seq", "t", "event"] {
-            fields.require(key).unwrap();
-        }
-        assert_eq!(decode_event("run_started", &mut fields).unwrap(), record.event);
-        fields.finish().unwrap();
+        let parsed = crate::replay::parse_trace_line(&out).unwrap();
+        assert_eq!(parsed, crate::replay::TraceLine::Record { cell: None, record });
     }
 }

@@ -28,14 +28,16 @@ echo "==> perfbench smoke: each benchmark workload for one second"
 # Every operation checks its text against the CLI's byte for byte (and
 # its own invariants), so a break shows here as correct=false or a
 # failed operation, before a full benchmark run would meet it.
-# fleet_loadgen, tournament_regimes and sweep_orchestrated run traced at
-# seed 2024, and their deterministic counters must equal
-# perfbench/counters.json. The 100k fleet has many more same-instant
-# events than the small goldens, so it is where a change to event order
-# shows; the tournament is the only workload whose chaos throttles the
-# Monitor's KV writes, so it is where a change to fault order shows; the
-# sweep builds 400 markets and runs 2,000 orchestrated cells, so it is
-# where a change to market construction or orchestration shows.
+# Every workload runs traced at seed 2024, and its deterministic counters
+# must equal perfbench/counters.json. The 100k fleet has many more
+# same-instant events than the small goldens, so it is where a change to
+# event order shows; the tournament is the only workload whose chaos
+# throttles the Monitor's KV writes, so it is where a change to fault
+# order shows; the sweep builds 400 markets and runs 2,000 orchestrated
+# cells, so it is where a change to market construction or orchestration
+# shows; analyse replays the 148,894-line merged fleet trace, so it is
+# where a change to what the trace writer emits or the reader counts
+# shows.
 # counters.json is only read; its allocs.* entries are older than the
 # current code and are not compared.
 for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trace; do
@@ -56,6 +58,8 @@ for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trac
             keys="market.builds market.cache_hits market.segments_materialized
                   fleet.events ec2.spot_attempts ec2.launches ec2.interruptions
                   optimizer.calls checkpoint.writes orchestrate.dispatches" ;;
+        analyse_trace)
+            keys="trace.records trace.bytes" ;;
     esac
     if [ -n "$keys" ]; then
         args+=(--seed 2024 --trace 1)

@@ -2,13 +2,19 @@
 //! characters spliced in, and labels mixing multibyte characters with
 //! escapes all go through the line parser and the replay cursor. None may
 //! panic; every document-level error names a line that really fails to
-//! parse; and whatever parses re-serializes to canonical text that parses
-//! back to the same value and the same bytes.
+//! parse; the cursor folds exactly what the whole-document parser reads,
+//! blank lines included; and whatever parses re-serializes to canonical
+//! text that parses back to the same value and the same bytes. Golden
+//! lines with their keys permuted and whitespace spread between their
+//! tokens still parse to the canonical record, and a repeated key never
+//! parses, so the accepted language neither narrows nor widens.
 
+use std::borrow::Cow;
 use std::fs;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
+use sim_kernel::json::{self, push_json_str, JsonVal};
 use spotverse::replay::parse_trace_line;
 use spotverse::{
     parse_trace_jsonl, render_analysis, render_analysis_json, replay_lines, trace_lines_to_jsonl,
@@ -151,12 +157,12 @@ fn check_document(doc: &str, splits: &[usize]) -> Result<(), TestCaseError> {
     let segments: Vec<&str> = doc.split('\n').collect();
     let parsed = parse_trace_jsonl(doc);
     if let Err(e) = &parsed {
-        let bad = doc.lines().nth(e.line.wrapping_sub(1));
+        let bad = segments.get(e.line.wrapping_sub(1));
         prop_assert!(
             bad.is_some(),
             "error names line {} of {}",
             e.line,
-            doc.lines().count()
+            segments.len()
         );
         prop_assert!(
             parse_trace_line(bad.expect("checked")).is_err(),
@@ -175,32 +181,122 @@ fn check_document(doc: &str, splits: &[usize]) -> Result<(), TestCaseError> {
     let replayed = fed
         .and_then(|()| cursor.feed(&doc[prev..]))
         .and_then(|()| cursor.finish());
-    match replayed {
-        Err(e) => {
-            let bad = segments.get(e.line.wrapping_sub(1));
-            prop_assert!(
-                bad.is_some(),
-                "cursor error names line {} of {}",
-                e.line,
-                segments.len()
-            );
-            prop_assert!(
-                parse_trace_line(bad.expect("checked")).is_err(),
-                "line {} parses",
-                e.line
-            );
+    match (&parsed, replayed) {
+        (Err(p), Err(e)) => {
+            prop_assert_eq!(p.line, e.line, "the parser and the cursor fail at one line");
         }
-        Ok(state) => {
-            if let Ok(lines) = &parsed {
-                if !doc.contains('\r') && !segments[..segments.len() - 1].contains(&"") {
-                    prop_assert_eq!(&state, &replay_lines(lines, TimeWindow::ALL));
-                }
-            }
+        (Ok(lines), Ok(state)) => {
+            prop_assert_eq!(&state, &replay_lines(lines, TimeWindow::ALL));
             let _ = render_analysis(&state);
             let _ = render_analysis_json(&state);
         }
+        (p, c) => {
+            return Err(TestCaseError::fail(format!(
+                "parser gave {p:?}, cursor gave {c:?}"
+            )));
+        }
     }
     Ok(())
+}
+
+/// A splitmix64 stream: the shuffles and whitespace of one case.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self, below: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % below as u64) as usize
+    }
+
+    /// JSON whitespace, often none.
+    fn ws(&mut self, out: &mut String) {
+        for _ in 0..self.next(3) {
+            out.push([' ', '\t', '\n', '\r'][self.next(4)]);
+        }
+    }
+
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.next(i + 1));
+        }
+    }
+}
+
+/// Shuffles the keys of the line's top-level object and of the objects
+/// inside its `candidates` array.
+fn permute_keys(value: &mut JsonVal<'_>, draws: &mut Draws) {
+    let JsonVal::Obj(entries) = value else { return };
+    draws.shuffle(entries);
+    for (key, item) in entries.iter_mut() {
+        if key == "candidates" {
+            if let JsonVal::Arr(candidates) = item {
+                for candidate in candidates {
+                    if let JsonVal::Obj(fields) = candidate {
+                        draws.shuffle(fields);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Writes `value` with random whitespace before and after every token.
+fn write_spaced(value: &JsonVal<'_>, draws: &mut Draws, out: &mut String) {
+    draws.ws(out);
+    match value {
+        JsonVal::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_spaced(item, draws, out);
+            }
+            draws.ws(out);
+            out.push(']');
+        }
+        JsonVal::Obj(entries) => {
+            out.push('{');
+            for (i, (key, item)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                draws.ws(out);
+                push_json_str(out, key);
+                draws.ws(out);
+                out.push(':');
+                write_spaced(item, draws, out);
+            }
+            draws.ws(out);
+            out.push('}');
+        }
+        scalar => json::write_into(scalar, out),
+    }
+    draws.ws(out);
+}
+
+/// An object's entries in source order.
+type Entries<'a> = Vec<(Cow<'a, str>, JsonVal<'a>)>;
+
+/// The object the line holds at `index`: 0 is the line itself, `i > 0`
+/// the `i`-th object of its `candidates` array.
+fn object_at<'v, 'a>(value: &'v mut JsonVal<'a>, index: usize) -> Option<&'v mut Entries<'a>> {
+    let JsonVal::Obj(entries) = value else {
+        return None;
+    };
+    if index == 0 {
+        return Some(entries);
+    }
+    let (_, JsonVal::Arr(candidates)) = entries.iter_mut().find(|(k, _)| k == "candidates")? else {
+        return None;
+    };
+    match candidates.get_mut(index - 1)? {
+        JsonVal::Obj(fields) => Some(fields),
+        _ => None,
+    }
 }
 
 proptest! {
@@ -277,5 +373,39 @@ proptest! {
         let mut splits: Vec<usize> = raw_splits.iter().map(|&s| boundary(&doc, s)).collect();
         splits.sort_unstable();
         check_document(&doc, &splits)?;
+    }
+
+    #[test]
+    fn permuted_keys_and_whitespace_parse_to_the_canonical_line(
+        with_candidates in any::<bool>(),
+        pick in any::<usize>(),
+        seed in any::<u64>(),
+        dup in any::<usize>(),
+    ) {
+        let lines: Vec<String> = golden_lines()
+            .into_iter()
+            .filter(|l| !with_candidates || l.contains("\"candidates\":["))
+            .collect();
+        let line = &lines[pick % lines.len()];
+        let canonical = parse_trace_line(line).expect("golden lines parse");
+        let mut draws = Draws(seed);
+        let mut tree = json::parse(line).expect("golden lines are JSON");
+        permute_keys(&mut tree, &mut draws);
+        let mut permuted = String::new();
+        write_spaced(&tree, &mut draws, &mut permuted);
+        prop_assert_eq!(
+            parse_trace_line(&permuted).map_err(|e| format!("{permuted:?}: {e}")),
+            Ok(canonical)
+        );
+
+        // Repeating any key of any object is rejected, wherever the copy lands.
+        let objects = (0..).take_while(|&i| object_at(&mut tree, i).is_some()).count();
+        let target = object_at(&mut tree, dup % objects).expect("object exists");
+        let entry = target[dup % target.len()].clone();
+        let at = draws.next(target.len() + 1);
+        target.insert(at, entry);
+        let mut repeated = String::new();
+        write_spaced(&tree, &mut draws, &mut repeated);
+        prop_assert!(parse_trace_line(&repeated).is_err(), "{:?} parses", repeated);
     }
 }

@@ -12,9 +12,9 @@ use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::InstanceType;
 use sim_kernel::{SimDuration, SimRng};
 use spotverse::{
-    parse_trace_jsonl, replay_str, run_fleet, run_matrix, trace_lines_to_jsonl, trace_to_jsonl,
-    CellState, FleetConfig, MarketCache, SweepCell, TimeWindow, TraceConfig, TraceEvent, TraceLine,
-    TraceRecord,
+    parse_trace_jsonl, replay_lines, replay_str, run_fleet, run_matrix, trace_lines_to_jsonl,
+    trace_to_jsonl, CellState, FleetConfig, MarketCache, SweepCell, TimeWindow, TraceConfig,
+    TraceEvent, TraceLine, TraceRecord,
 };
 use spotverse_integration::{spotverse_strategy, traced_config};
 
@@ -104,6 +104,26 @@ fn corruption_is_rejected_with_line_numbers() {
             "`{bad}` must be rejected with an error"
         );
     }
+}
+
+/// A blank line holds nothing: the whole-document parser skips it as the
+/// replay cursor does, and both count it when they number lines.
+#[test]
+fn blank_lines_are_skipped_by_the_parser_and_the_cursor() {
+    let doc = golden("spotverse_ngs3_seed2024_t6.jsonl");
+    let mut lines: Vec<&str> = doc.lines().collect();
+    lines.insert(2, "");
+    lines.insert(0, "");
+    let spaced = lines.join("\n") + "\n\n";
+    let parsed = parse_trace_jsonl(&spaced).expect("blank lines are skipped");
+    assert_eq!(parsed, parse_trace_jsonl(&doc).expect("golden parses"));
+    let replayed = replay_str(&spaced, TimeWindow::ALL).expect("blank lines are skipped");
+    assert_eq!(replayed, replay_lines(&parsed, TimeWindow::ALL));
+
+    let bad = format!("{spaced}garbage\n");
+    let number = spaced.split('\n').count();
+    assert_eq!(parse_trace_jsonl(&bad).unwrap_err().line, number);
+    assert_eq!(replay_str(&bad, TimeWindow::ALL).unwrap_err().line, number);
 }
 
 fn split_by_cell(lines: &[TraceLine]) -> Vec<(String, Vec<TraceRecord>)> {
