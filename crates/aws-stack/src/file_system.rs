@@ -26,31 +26,6 @@ impl fmt::Display for FileSystemId {
     }
 }
 
-/// A stored file's metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FileEntry {
-    size_gib: f64,
-    written_at: SimTime,
-    writer_region: Region,
-}
-
-impl FileEntry {
-    /// File size in GiB.
-    pub fn size_gib(&self) -> f64 {
-        self.size_gib
-    }
-
-    /// When it was last written.
-    pub fn written_at(&self) -> SimTime {
-        self.written_at
-    }
-
-    /// Which region wrote it.
-    pub fn writer_region(&self) -> Region {
-        self.writer_region
-    }
-}
-
 /// Filesystem errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FileSystemError {
@@ -102,7 +77,8 @@ pub struct IoOutcome {
 struct FileSystem {
     home_region: Region,
     mount_regions: Vec<Region>,
-    files: BTreeMap<String, FileEntry>,
+    /// Each file's size in GiB, by path.
+    files: BTreeMap<String, f64>,
 }
 
 /// Per GiB-month storage price (EFS-like; ~10× object storage).
@@ -228,17 +204,10 @@ impl SharedFileSystem {
             transfer::transfer_cost(from_region, home, size_gib)
         };
         let storage_cost = Usd::new(STORAGE_PRICE_PER_GIB_MONTH * size_gib / 30.0);
-        ledger.charge(at, ServiceKind::DataTransfer, home, transfer_cost);
-        ledger.charge(at, ServiceKind::ObjectStorage, home, storage_cost);
+        ledger.charge(ServiceKind::DataTransfer, transfer_cost);
+        ledger.charge(ServiceKind::ObjectStorage, storage_cost);
         let completes_at = at + Self::io_time(home, from_region, size_gib);
-        fs.files.insert(
-            path.into(),
-            FileEntry {
-                size_gib,
-                written_at: at,
-                writer_region: from_region,
-            },
-        );
+        fs.files.insert(path.into(), size_gib);
         Ok(IoOutcome {
             completes_at,
             cost: transfer_cost + storage_cost,
@@ -258,7 +227,7 @@ impl SharedFileSystem {
         to_region: Region,
         at: SimTime,
         ledger: &mut BillingLedger,
-    ) -> Result<(FileEntry, IoOutcome), FileSystemError> {
+    ) -> Result<IoOutcome, FileSystemError> {
         let fs = self
             .systems
             .get(&id)
@@ -269,28 +238,19 @@ impl SharedFileSystem {
                 region: to_region,
             });
         }
-        let entry = fs
-            .files
-            .get(path)
-            .ok_or_else(|| FileSystemError::NoSuchFile {
-                fs: id,
-                path: path.to_owned(),
-            })?
-            .clone();
+        let size_gib = *fs.files.get(path).ok_or_else(|| FileSystemError::NoSuchFile {
+            fs: id,
+            path: path.to_owned(),
+        })?;
         let home = fs.home_region;
         let cost = if home == to_region {
             Usd::ZERO
         } else {
-            transfer::transfer_cost(home, to_region, entry.size_gib)
+            transfer::transfer_cost(home, to_region, size_gib)
         };
-        ledger.charge(at, ServiceKind::DataTransfer, to_region, cost);
-        let completes_at = at + Self::io_time(home, to_region, entry.size_gib);
-        Ok((entry, IoOutcome { completes_at, cost }))
-    }
-
-    /// Looks up a file's metadata without IO accounting.
-    pub fn stat(&self, id: FileSystemId, path: &str) -> Option<&FileEntry> {
-        self.systems.get(&id).and_then(|fs| fs.files.get(path))
+        ledger.charge(ServiceKind::DataTransfer, cost);
+        let completes_at = at + Self::io_time(home, to_region, size_gib);
+        Ok(IoOutcome { completes_at, cost })
     }
 }
 
@@ -338,10 +298,9 @@ mod tests {
         efs.mount(fs, Region::EuNorth1).unwrap();
         efs.write(fs, "ckpt", 1.0, Region::CaCentral1, SimTime::ZERO, &mut ledger)
             .unwrap();
-        let (entry, out) = efs
+        let out = efs
             .read(fs, "ckpt", Region::EuNorth1, SimTime::from_secs(10), &mut ledger)
             .unwrap();
-        assert_eq!(entry.writer_region(), Region::CaCentral1);
         assert!(out.cost > Usd::ZERO, "cross-region read pays transfer");
         let plain = transfer::transfer_time(Region::CaCentral1, Region::EuNorth1, 1.0);
         assert!(
@@ -381,13 +340,15 @@ mod tests {
     #[test]
     fn overwrite_updates_metadata() {
         let (mut efs, fs, mut ledger) = service();
+        efs.mount(fs, Region::EuNorth1).unwrap();
         efs.write(fs, "f", 1.0, Region::CaCentral1, SimTime::ZERO, &mut ledger)
             .unwrap();
         efs.write(fs, "f", 2.0, Region::CaCentral1, SimTime::from_secs(60), &mut ledger)
             .unwrap();
-        let entry = efs.stat(fs, "f").unwrap();
-        assert_eq!(entry.size_gib(), 2.0);
-        assert_eq!(entry.written_at(), SimTime::from_secs(60));
+        let out = efs
+            .read(fs, "f", Region::EuNorth1, SimTime::from_secs(120), &mut ledger)
+            .unwrap();
+        assert_eq!(out.cost, transfer::transfer_cost(Region::CaCentral1, Region::EuNorth1, 2.0));
     }
 
     #[test]

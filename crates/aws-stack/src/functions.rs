@@ -14,7 +14,7 @@ use std::fmt;
 use sim_kernel::{keyed_hash, SimDuration, SimRng, SimTime};
 
 use cloud_compute::{BillingLedger, ServiceKind};
-use cloud_market::{Region, Usd};
+use cloud_market::Usd;
 
 use crate::fault::{ServiceFault, ServiceFaultInjector, ServiceOp};
 
@@ -158,12 +158,11 @@ const REQUEST_PRICE: f64 = 2.0e-7;
 /// ```
 /// use aws_stack::{FunctionConfig, FunctionRuntime, RetryPolicy};
 /// use cloud_compute::BillingLedger;
-/// use cloud_market::Region;
 /// use sim_kernel::SimTime;
 ///
 /// let mut runtime = FunctionRuntime::new();
 /// let mut ledger = BillingLedger::new();
-/// runtime.register("metrics-collector", Region::UsEast1, FunctionConfig::default());
+/// runtime.register("metrics-collector", FunctionConfig::default());
 /// let outcome = runtime.invoke(
 ///     "metrics-collector",
 ///     SimTime::ZERO,
@@ -176,7 +175,7 @@ const REQUEST_PRICE: f64 = 2.0e-7;
 /// ```
 #[derive(Debug, Default)]
 pub struct FunctionRuntime {
-    functions: BTreeMap<String, (Region, FunctionConfig)>,
+    functions: BTreeMap<String, FunctionConfig>,
     invocations: usize,
     injector: Option<Box<dyn ServiceFaultInjector>>,
 }
@@ -195,8 +194,8 @@ impl FunctionRuntime {
     }
 
     /// Registers (or replaces) a function.
-    pub fn register(&mut self, name: impl Into<String>, region: Region, config: FunctionConfig) {
-        self.functions.insert(name.into(), (region, config));
+    pub fn register(&mut self, name: impl Into<String>, config: FunctionConfig) {
+        self.functions.insert(name.into(), config);
     }
 
     /// Whether a function is registered.
@@ -224,7 +223,7 @@ impl FunctionRuntime {
     where
         F: FnMut(u32) -> Result<T, String>,
     {
-        let (region, config) = self
+        let config = self
             .functions
             .get(name)
             .copied()
@@ -236,7 +235,7 @@ impl FunctionRuntime {
             if attempt > 1 {
                 clock += policy.backoff_before(attempt - 1);
             }
-            self.bill_attempt(region, config, clock, ledger);
+            Self::bill_attempt(config, ledger);
             match self
                 .injector
                 .as_mut()
@@ -280,17 +279,11 @@ impl FunctionRuntime {
         })
     }
 
-    fn bill_attempt(
-        &self,
-        region: Region,
-        config: FunctionConfig,
-        at: SimTime,
-        ledger: &mut BillingLedger,
-    ) {
+    fn bill_attempt(config: FunctionConfig, ledger: &mut BillingLedger) {
         let gb_seconds =
             f64::from(config.memory_mib) / 1024.0 * config.exec_duration.as_secs() as f64;
         let cost = Usd::new(GB_SECOND_PRICE * gb_seconds + REQUEST_PRICE);
-        ledger.charge(at, ServiceKind::FunctionRuntime, region, cost);
+        ledger.charge(ServiceKind::FunctionRuntime, cost);
     }
 
     /// Number of invocations (including failed ones).
@@ -305,7 +298,7 @@ mod tests {
 
     fn runtime() -> (FunctionRuntime, BillingLedger) {
         let mut rt = FunctionRuntime::new();
-        rt.register("f", Region::UsEast1, FunctionConfig::default());
+        rt.register("f", FunctionConfig::default());
         (rt, BillingLedger::new())
     }
 
@@ -420,6 +413,6 @@ mod tests {
         let _ = rt.invoke("f", SimTime::ZERO, RetryPolicy::default(), &mut ledger, |_| {
             Err::<(), _>("x".into())
         });
-        assert_eq!(ledger.len(), 3, "three attempts, three line items");
+        assert_eq!(ledger.len(), 3, "three attempts, three charges");
     }
 }

@@ -12,7 +12,7 @@ use std::ops::Bound;
 use sim_kernel::SimTime;
 
 use cloud_compute::{BillingLedger, ServiceKind};
-use cloud_market::{Region, Usd};
+use cloud_market::Usd;
 
 use crate::fault::{ServiceFault, ServiceFaultInjector, ServiceOp};
 
@@ -122,9 +122,8 @@ impl fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Table {
-    region: Region,
     items: BTreeMap<String, Item>,
 }
 
@@ -147,12 +146,11 @@ impl Table {
 /// ```
 /// use aws_stack::{AttrValue, KvStore};
 /// use cloud_compute::BillingLedger;
-/// use cloud_market::Region;
 /// use sim_kernel::SimTime;
 ///
 /// let mut db = KvStore::new();
 /// let mut ledger = BillingLedger::new();
-/// db.create_table("checkpoints", Region::UsEast1)?;
+/// db.create_table("checkpoints")?;
 /// let mut item = aws_stack::Item::new();
 /// item.insert("shards_done", AttrValue::N(3.0));
 /// db.put_item("checkpoints", "workload-7", item, SimTime::ZERO, &mut ledger)?;
@@ -201,23 +199,17 @@ impl KvStore {
         }
     }
 
-    /// Creates a table homed in `region`.
+    /// Creates a table.
     ///
     /// # Errors
     ///
     /// Returns [`KvError::TableExists`] on duplicates.
-    pub fn create_table(&mut self, name: impl Into<String>, region: Region) -> Result<(), KvError> {
+    pub fn create_table(&mut self, name: impl Into<String>) -> Result<(), KvError> {
         let name = name.into();
         if self.tables.contains_key(&name) {
             return Err(KvError::TableExists(name));
         }
-        self.tables.insert(
-            name,
-            Table {
-                region,
-                items: BTreeMap::new(),
-            },
-        );
+        self.tables.insert(name, Table::default());
         Ok(())
     }
 
@@ -240,7 +232,7 @@ impl KvStore {
             .tables
             .get_mut(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
-        ledger.charge(at, ServiceKind::KvStore, t.region, Usd::new(WRITE_PRICE));
+        ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
         t.with_row(key, |row| *row = item);
         self.writes += 1;
         Ok(())
@@ -263,7 +255,7 @@ impl KvStore {
             .tables
             .get(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
-        ledger.charge(at, ServiceKind::KvStore, t.region, Usd::new(READ_PRICE));
+        ledger.charge(ServiceKind::KvStore, Usd::new(READ_PRICE));
         self.reads += 1;
         Ok(t.items.get(key))
     }
@@ -291,7 +283,7 @@ impl KvStore {
             .tables
             .get_mut(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
-        ledger.charge(at, ServiceKind::KvStore, t.region, Usd::new(WRITE_PRICE));
+        ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
         t.with_row(key, update);
         self.writes += 1;
         Ok(())
@@ -321,7 +313,7 @@ impl KvStore {
             .tables
             .get_mut(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
-        ledger.charge(at, ServiceKind::KvStore, t.region, Usd::new(WRITE_PRICE));
+        ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
         self.writes += 1;
         if !condition(t.items.get(key)) {
             return Err(KvError::ConditionFailed {
@@ -367,7 +359,7 @@ mod tests {
 
     fn db() -> (KvStore, BillingLedger) {
         let mut db = KvStore::new();
-        db.create_table("t", Region::UsEast1).unwrap();
+        db.create_table("t").unwrap();
         (db, BillingLedger::new())
     }
 
@@ -437,15 +429,17 @@ mod tests {
             .collect()
     }
 
-    /// One billed write per call, each a `KvStore` line item at the call's
-    /// instant; no reads.
+    /// One billed write per call, each a `KvStore` charge at the write
+    /// price; no reads.
     fn assert_billed_writes(db: &KvStore, ledger: &BillingLedger, writes: u64) {
         assert_eq!(db.writes(), writes);
         assert_eq!(db.reads(), 0);
         assert_eq!(ledger.len() as u64, writes);
-        assert!(ledger.iter().all(|line| line.service == ServiceKind::KvStore
-            && line.region == Region::UsEast1
-            && line.amount == Usd::new(WRITE_PRICE)));
+        let mut expected = BillingLedger::new();
+        for _ in 0..writes {
+            expected.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
+        }
+        assert_eq!(ledger, &expected);
     }
 
     #[test]
@@ -519,7 +513,7 @@ mod tests {
             db.put_item("nope", "k", Item::new(), SimTime::ZERO, &mut ledger),
             Err(KvError::NoSuchTable(_))
         ));
-        assert!(matches!(db.create_table("t", Region::UsEast1), Err(KvError::TableExists(_))));
+        assert!(matches!(db.create_table("t"), Err(KvError::TableExists(_))));
     }
 
     #[test]

@@ -23,14 +23,13 @@
 //! ```
 //! use aws_stack::{AttrValue, Item, KvStore};
 //! use cloud_compute::BillingLedger;
-//! use cloud_market::Region;
 //! use sim_kernel::SimTime;
 //!
 //! // The Controller's checkpoint table, as DynamoDB: one progress record
 //! // per workload, billed per request.
 //! let mut kv = KvStore::new();
 //! let mut ledger = BillingLedger::new();
-//! kv.create_table("spotverse-checkpoints", Region::UsEast1)?;
+//! kv.create_table("spotverse-checkpoints")?;
 //! let mut item = Item::new();
 //! item.insert("units_done", AttrValue::N(8.0));
 //! kv.put_item("spotverse-checkpoints", "ngs-0", item, SimTime::ZERO, &mut ledger)?;
@@ -51,14 +50,10 @@ mod object_store;
 
 pub use event_bus::{BusEvent, EventBus, EventBusError, Rule};
 pub use fault::{ServiceFault, ServiceFaultInjector, ServiceOp};
-pub use file_system::{
-    FileEntry, FileSystemError, FileSystemId, IoOutcome, SharedFileSystem,
-};
+pub use file_system::{FileSystemError, FileSystemId, IoOutcome, SharedFileSystem};
 pub use functions::{
     FunctionConfig, FunctionError, FunctionRuntime, InvocationOutcome, RetryPolicy,
 };
 pub use kv_store::{AttrValue, Item, KvError, KvStore};
 pub use metrics::MetricsService;
-pub use object_store::{
-    ObjectBody, ObjectStore, ObjectStoreError, StoredObject, TransferOutcome,
-};
+pub use object_store::{ObjectBody, ObjectStore, ObjectStoreError, TransferOutcome};

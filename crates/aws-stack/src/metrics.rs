@@ -5,8 +5,7 @@
 //! snapshot, never a metric series.
 
 use cloud_compute::{BillingLedger, ServiceKind};
-use cloud_market::{Region, Usd};
-use sim_kernel::SimTime;
+use cloud_market::Usd;
 
 /// Cost per 1 000 metric datapoints.
 const PUT_PRICE_PER_1000: f64 = 0.01;
@@ -18,35 +17,26 @@ const PUT_PRICE_PER_1000: f64 = 0.01;
 /// ```
 /// use aws_stack::MetricsService;
 /// use cloud_compute::BillingLedger;
-/// use cloud_market::Region;
-/// use sim_kernel::SimTime;
 ///
-/// let cw = MetricsService::new(Region::UsEast1);
+/// let cw = MetricsService::new();
 /// let mut ledger = BillingLedger::new();
-/// cw.put_metric(SimTime::ZERO, &mut ledger);
-/// cw.put_metric(SimTime::from_secs(60), &mut ledger);
+/// cw.put_metric(&mut ledger);
+/// cw.put_metric(&mut ledger);
 /// assert_eq!(ledger.len(), 2);
 /// assert!((ledger.total().amount() - 2e-5).abs() < 1e-12);
 /// ```
-#[derive(Debug)]
-pub struct MetricsService {
-    home_region: Region,
-}
+#[derive(Debug, Default)]
+pub struct MetricsService;
 
 impl MetricsService {
-    /// Creates a metrics service homed in `region` (billing attribution).
-    pub fn new(region: Region) -> Self {
-        MetricsService { home_region: region }
+    /// Creates the metrics service.
+    pub fn new() -> Self {
+        MetricsService
     }
 
-    /// Charges one datapoint put at `at`.
-    pub fn put_metric(&self, at: SimTime, ledger: &mut BillingLedger) {
-        ledger.charge(
-            at,
-            ServiceKind::Metrics,
-            self.home_region,
-            Usd::new(PUT_PRICE_PER_1000 / 1000.0),
-        );
+    /// Charges one datapoint put.
+    pub fn put_metric(&self, ledger: &mut BillingLedger) {
+        ledger.charge(ServiceKind::Metrics, Usd::new(PUT_PRICE_PER_1000 / 1000.0));
     }
 }
 
@@ -56,10 +46,10 @@ mod tests {
 
     #[test]
     fn each_put_is_one_metrics_line_item() {
-        let cw = MetricsService::new(Region::EuWest1);
+        let cw = MetricsService::new();
         let mut ledger = BillingLedger::new();
-        for secs in [0, 10, 20] {
-            cw.put_metric(SimTime::from_secs(secs), &mut ledger);
+        for _ in 0..3 {
+            cw.put_metric(&mut ledger);
         }
         assert_eq!(ledger.len(), 3);
         let billed = ledger.total_for_service(ServiceKind::Metrics).amount();

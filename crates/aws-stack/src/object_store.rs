@@ -1,10 +1,11 @@
 //! The S3-like object store.
 //!
-//! SpotVerse uses it for: monitoring code artifacts, instance-activity logs
-//! (workload durations and interruption details are reconstructed from
-//! these, §5.1.2), and checkpoint datasets. Cross-region puts/gets pay the
+//! SpotVerse uses it for checkpoint datasets, orchestrated sweep results
+//! and instance-activity logs (§5.1.2). Cross-region puts/gets pay the
 //! shared transfer tariff and take real transfer time — the constraint that
-//! checkpoint uploads must fit the two-minute interruption notice.
+//! checkpoint uploads must fit the two-minute interruption notice. Activity
+//! logs are never read back, so they are billed by their size through
+//! [`ObjectStore::bill_put`] and not stored.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,9 +41,14 @@ impl ObjectBody {
     /// The body size in GiB.
     pub fn size_gib(&self) -> f64 {
         match self {
-            ObjectBody::Inline(bytes) => bytes.len() as f64 / (1024.0 * 1024.0 * 1024.0),
+            ObjectBody::Inline(bytes) => Self::bytes_to_gib(bytes.len()),
             ObjectBody::Synthetic { size_gib } => *size_gib,
         }
+    }
+
+    /// The size in GiB of an inline body of `len` bytes.
+    pub fn bytes_to_gib(len: usize) -> f64 {
+        len as f64 / (1024.0 * 1024.0 * 1024.0)
     }
 
     /// The inline text, if this is an inline body of valid UTF-8.
@@ -51,31 +57,6 @@ impl ObjectBody {
             ObjectBody::Inline(bytes) => std::str::from_utf8(bytes).ok(),
             ObjectBody::Synthetic { .. } => None,
         }
-    }
-}
-
-/// A stored object plus metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoredObject {
-    body: ObjectBody,
-    put_at: SimTime,
-    origin_region: Region,
-}
-
-impl StoredObject {
-    /// The object body.
-    pub fn body(&self) -> &ObjectBody {
-        &self.body
-    }
-
-    /// When the object was written.
-    pub fn put_at(&self) -> SimTime {
-        self.put_at
-    }
-
-    /// The region the writer uploaded from.
-    pub fn origin_region(&self) -> Region {
-        self.origin_region
     }
 }
 
@@ -130,7 +111,7 @@ pub struct TransferOutcome {
 #[derive(Debug)]
 struct Bucket {
     region: Region,
-    objects: BTreeMap<String, StoredObject>,
+    objects: BTreeMap<String, ObjectBody>,
 }
 
 /// The S3-like multi-bucket object store.
@@ -154,14 +135,12 @@ struct Bucket {
 ///     SimTime::ZERO,
 ///     &mut ledger,
 /// )?;
-/// assert!(s3.get_metadata("spotverse-logs", "run-1/interruptions.log").is_ok());
+/// assert!(s3.peek_object("spotverse-logs", "run-1/interruptions.log").is_ok());
 /// # Ok::<(), aws_stack::ObjectStoreError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct ObjectStore {
     buckets: BTreeMap<String, Bucket>,
-    put_count: u64,
-    get_count: u64,
     injector: Option<Box<dyn ServiceFaultInjector>>,
 }
 
@@ -221,12 +200,47 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Writes an object from `from_region`, charging cross-region transfer
-    /// and a small storage fee, and returning when the upload completes.
+    /// Bills a put of `size_gib` from `from_region` without storing
+    /// anything: the fault check, cross-region transfer and a small storage
+    /// fee, returning when the upload would complete. For objects nothing
+    /// reads back, such as activity logs.
     ///
     /// # Errors
     ///
-    /// Returns [`ObjectStoreError::NoSuchBucket`] for unknown buckets.
+    /// Returns [`ObjectStoreError::Throttled`] when a fault injector
+    /// throttles or loses the put, and [`ObjectStoreError::NoSuchBucket`]
+    /// for unknown buckets.
+    pub fn bill_put(
+        &mut self,
+        bucket: &str,
+        size_gib: f64,
+        from_region: Region,
+        at: SimTime,
+        ledger: &mut BillingLedger,
+    ) -> Result<TransferOutcome, ObjectStoreError> {
+        let delay = self.check_fault(ServiceOp::ObjectPut, bucket, at)?;
+        let b = self
+            .buckets
+            .get(bucket)
+            .ok_or_else(|| ObjectStoreError::NoSuchBucket(bucket.to_owned()))?;
+        let transfer_cost = transfer::transfer_cost(from_region, b.region, size_gib);
+        let completes_at = at + transfer::transfer_time(from_region, b.region, size_gib) + delay;
+        let storage_fee = Usd::new(0.0005 * size_gib);
+        ledger.charge(ServiceKind::DataTransfer, transfer_cost);
+        ledger.charge(ServiceKind::ObjectStorage, storage_fee);
+        Ok(TransferOutcome {
+            completes_at,
+            cost: transfer_cost + storage_fee,
+        })
+    }
+
+    /// Writes an object from `from_region`, billed as
+    /// [`ObjectStore::bill_put`] bills it, and returns when the upload
+    /// completes.
+    ///
+    /// # Errors
+    ///
+    /// As [`ObjectStore::bill_put`]; nothing is stored on error.
     pub fn put_object(
         &mut self,
         bucket: &str,
@@ -236,30 +250,10 @@ impl ObjectStore {
         at: SimTime,
         ledger: &mut BillingLedger,
     ) -> Result<TransferOutcome, ObjectStoreError> {
-        let delay = self.check_fault(ServiceOp::ObjectPut, bucket, at)?;
-        let b = self
-            .buckets
-            .get_mut(bucket)
-            .ok_or_else(|| ObjectStoreError::NoSuchBucket(bucket.to_owned()))?;
-        let size = body.size_gib();
-        let transfer_cost = transfer::transfer_cost(from_region, b.region, size);
-        let completes_at = at + transfer::transfer_time(from_region, b.region, size) + delay;
-        let storage_fee = Usd::new(0.0005 * size);
-        ledger.charge(at, ServiceKind::DataTransfer, b.region, transfer_cost);
-        ledger.charge(at, ServiceKind::ObjectStorage, b.region, storage_fee);
-        b.objects.insert(
-            key.into(),
-            StoredObject {
-                body,
-                put_at: at,
-                origin_region: from_region,
-            },
-        );
-        self.put_count += 1;
-        Ok(TransferOutcome {
-            completes_at,
-            cost: transfer_cost + storage_fee,
-        })
+        let outcome = self.bill_put(bucket, body.size_gib(), from_region, at, ledger)?;
+        let b = self.buckets.get_mut(bucket).expect("bill_put found the bucket");
+        b.objects.insert(key.into(), body);
+        Ok(outcome)
     }
 
     /// Reads an object into `to_region`, charging cross-region transfer.
@@ -275,7 +269,7 @@ impl ObjectStore {
         to_region: Region,
         at: SimTime,
         ledger: &mut BillingLedger,
-    ) -> Result<(StoredObject, TransferOutcome), ObjectStoreError> {
+    ) -> Result<(ObjectBody, TransferOutcome), ObjectStoreError> {
         let delay = self.check_fault(ServiceOp::ObjectGet, bucket, at)?;
         let b = self
             .buckets
@@ -289,21 +283,20 @@ impl ObjectStore {
                 key: key.to_owned(),
             })?
             .clone();
-        let size = obj.body().size_gib();
+        let size = obj.size_gib();
         let cost = transfer::transfer_cost(b.region, to_region, size);
         let completes_at = at + transfer::transfer_time(b.region, to_region, size) + delay;
-        ledger.charge(at, ServiceKind::DataTransfer, to_region, cost);
-        self.get_count += 1;
+        ledger.charge(ServiceKind::DataTransfer, cost);
         Ok((obj, TransferOutcome { completes_at, cost }))
     }
 
-    /// Reads object metadata without transfer accounting.
+    /// Reads an object's body without transfer accounting.
     ///
     /// # Errors
     ///
     /// Returns [`ObjectStoreError::NoSuchBucket`] or
     /// [`ObjectStoreError::NoSuchKey`].
-    pub fn get_metadata(&self, bucket: &str, key: &str) -> Result<&StoredObject, ObjectStoreError> {
+    pub fn peek_object(&self, bucket: &str, key: &str) -> Result<&ObjectBody, ObjectStoreError> {
         let b = self
             .buckets
             .get(bucket)
@@ -312,16 +305,6 @@ impl ObjectStore {
             bucket: bucket.to_owned(),
             key: key.to_owned(),
         })
-    }
-
-    /// Total put operations served.
-    pub fn put_count(&self) -> u64 {
-        self.put_count
-    }
-
-    /// Total get operations served.
-    pub fn get_count(&self) -> u64 {
-        self.get_count
     }
 }
 
@@ -350,10 +333,8 @@ mod tests {
         let (obj, outcome) = s3
             .get_object("logs", "a/b", Region::UsEast1, SimTime::from_secs(5), &mut ledger)
             .unwrap();
-        assert_eq!(obj.body().as_text(), Some("hello"));
+        assert_eq!(obj.as_text(), Some("hello"));
         assert_eq!(outcome.cost, Usd::ZERO);
-        assert_eq!(s3.put_count(), 1);
-        assert_eq!(s3.get_count(), 1);
     }
 
     #[test]
@@ -405,25 +386,13 @@ mod tests {
             Err(ObjectStoreError::NoSuchKey { .. })
         ));
         assert!(matches!(
+            s3.bill_put("nope", 1.0, Region::UsEast1, SimTime::ZERO, &mut ledger),
+            Err(ObjectStoreError::NoSuchBucket(_))
+        ));
+        assert!(ledger.is_empty());
+        assert!(matches!(
             s3.create_bucket("logs", Region::UsEast1),
             Err(ObjectStoreError::BucketExists(_))
         ));
-    }
-
-    #[test]
-    fn metadata_records_origin() {
-        let (mut s3, mut ledger) = store();
-        s3.put_object(
-            "logs",
-            "k",
-            ObjectBody::from_text("x"),
-            Region::EuWest2,
-            SimTime::from_secs(42),
-            &mut ledger,
-        )
-        .unwrap();
-        let meta = s3.get_metadata("logs", "k").unwrap();
-        assert_eq!(meta.origin_region(), Region::EuWest2);
-        assert_eq!(meta.put_at(), SimTime::from_secs(42));
     }
 }

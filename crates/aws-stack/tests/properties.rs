@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 
-use aws_stack::{AttrValue, BusEvent, EventBus, Item, KvStore, ObjectBody, ObjectStore, Rule};
+use aws_stack::{
+    AttrValue, BusEvent, EventBus, Item, KvStore, ObjectBody, ObjectStore, ObjectStoreError, Rule,
+};
 use cloud_compute::BillingLedger;
 use cloud_market::Region;
 use sim_kernel::SimTime;
@@ -16,7 +18,7 @@ proptest! {
     ) {
         let mut db = KvStore::new();
         let mut ledger = BillingLedger::new();
-        db.create_table("t", Region::UsEast1).unwrap();
+        db.create_table("t").unwrap();
         for (k, n) in keys.iter().zip(numbers.iter()) {
             let mut item = Item::new();
             item.insert("n", AttrValue::N(*n));
@@ -46,7 +48,7 @@ proptest! {
     ) {
         let mut db = KvStore::new();
         let mut ledger = BillingLedger::new();
-        db.create_table("t", Region::UsEast1).unwrap();
+        db.create_table("t").unwrap();
         for k in &keys {
             db.put_item("t", k, Item::new(), SimTime::ZERO, &mut ledger).unwrap();
         }
@@ -77,11 +79,40 @@ proptest! {
         s3.put_object("b", "k", ObjectBody::from_text(text.clone()), Region::UsEast1, SimTime::ZERO, &mut ledger).unwrap();
         let to = Region::ALL[to_region_idx];
         let (obj, outcome) = s3.get_object("b", "k", to, SimTime::ZERO, &mut ledger).unwrap();
-        prop_assert_eq!(obj.body().as_text(), Some(text.as_str()));
+        prop_assert_eq!(obj.as_text(), Some(text.as_str()));
         if to == Region::UsEast1 || text.is_empty() {
             prop_assert_eq!(outcome.cost.amount(), 0.0);
         }
         prop_assert!(outcome.completes_at >= SimTime::ZERO);
+    }
+
+    /// Billing a put of n bytes without storing it leaves the same ledger
+    /// and returns the same outcome as storing an n-byte inline body, and
+    /// leaves nothing to read back.
+    #[test]
+    fn a_billed_put_matches_a_stored_one(
+        len in 0usize..200_000,
+        from_idx in 0usize..12,
+        at in 0u64..10_000_000,
+    ) {
+        let from = Region::ALL[from_idx];
+        let at = SimTime::from_secs(at);
+        let stores = || {
+            let mut s3 = ObjectStore::new();
+            s3.create_bucket("logs", Region::EuWest1).unwrap();
+            (s3, BillingLedger::new())
+        };
+        let (mut stored, mut stored_ledger) = stores();
+        let body = ObjectBody::Inline(vec![b'x'; len].into());
+        let put = stored.put_object("logs", "k", body, from, at, &mut stored_ledger).unwrap();
+        let (mut billed, mut billed_ledger) = stores();
+        let bill = billed
+            .bill_put("logs", ObjectBody::bytes_to_gib(len), from, at, &mut billed_ledger)
+            .unwrap();
+        prop_assert_eq!(bill, put);
+        prop_assert_eq!(&billed_ledger, &stored_ledger);
+        let read = billed.get_object("logs", "k", from, at, &mut billed_ledger);
+        prop_assert!(matches!(read, Err(ObjectStoreError::NoSuchKey { .. })), "{:?}", read);
     }
 
     /// Concurrent lease claims: for any interleaving of claimants over a
@@ -94,7 +125,7 @@ proptest! {
     ) {
         let mut kv = KvStore::new();
         let mut ledger = BillingLedger::new();
-        kv.create_table("leases", Region::UsEast1).unwrap();
+        kv.create_table("leases").unwrap();
         let mut winners: Vec<Option<usize>> = vec![None; 4];
         let mut successes = [0u32; 4];
         for (key_idx, owner) in &claims {
@@ -136,7 +167,7 @@ proptest! {
         const LEASE_SECS: u64 = 600;
         let mut kv = KvStore::new();
         let mut ledger = BillingLedger::new();
-        kv.create_table("leases", Region::UsEast1).unwrap();
+        kv.create_table("leases").unwrap();
         let mut now = 0u64;
         let mut model_expiry: Option<u64> = None;
         for (i, gap) in gaps.iter().enumerate() {
@@ -176,11 +207,11 @@ proptest! {
             let mut kv = KvStore::new();
             let mut s3 = ObjectStore::new();
             let mut ledger = BillingLedger::new();
-            kv.create_table("leases", Region::UsEast1).unwrap();
+            kv.create_table("leases").unwrap();
             s3.create_bucket("results", Region::UsEast1).unwrap();
             for (i, shard) in stream.iter().enumerate() {
                 let key = format!("shard-{shard}");
-                if s3.get_metadata("results", &key).is_ok() {
+                if s3.peek_object("results", &key).is_ok() {
                     continue; // idempotent duplicate: result already durable
                 }
                 let mut item = Item::new();
@@ -206,8 +237,8 @@ proptest! {
             (0..6)
                 .map(|shard| {
                     let key = format!("shard-{shard}");
-                    s3.get_metadata("results", &key).ok().and_then(|o| {
-                        o.body().as_text().map(str::to_owned)
+                    s3.peek_object("results", &key).ok().and_then(|body| {
+                        body.as_text().map(str::to_owned)
                     })
                 })
                 .collect()

@@ -855,7 +855,7 @@ pub fn advisor(args: &ParsedArgs) -> Result<String, CliError> {
     let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
     let day = args.u64_or("day", 1)?;
     let market = SpotMarket::new(cloud_market::MarketConfig::with_seed(seed));
-    let monitor = Monitor::new(instance_type, Region::UsEast1);
+    let monitor = Monitor::new(instance_type);
     let assessments = monitor
         .fresh_assessments(&market, SimTime::from_days(day))
         .map_err(|e| CliError::BadInput(format!("{e}")))?;

@@ -1,7 +1,7 @@
 //! The `spotverse` binary's exit status: 1 with a structured error on
 //! stderr (never a panic) for bad input, 1 with the table kept on stdout
 //! when some cells of a run failed, and 0 for a run that reaches the
-//! market horizon.
+//! market horizon, arrivals at the last representable instant included.
 
 use std::process::Command;
 
@@ -105,4 +105,20 @@ fn a_fleet_reaching_the_market_horizon_stops_there_and_exits_zero() {
             );
         }
     }
+}
+
+#[test]
+fn arrivals_past_the_last_representable_instant_expire_at_the_horizon() {
+    // At this rate every arrival offset saturates at the largest
+    // representable second; adding the runtime budget to it must not wrap
+    // back before the current instant.
+    let out = Command::new(env!("CARGO_BIN_EXE_spotverse"))
+        .args(["fleet", "--loadgen", "poisson", "--rate", "1e-300", "--workloads", "10"])
+        .output()
+        .expect("spotverse runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    assert!(stdout.contains("fleet: 10 expired"), "stdout:\n{stdout}");
 }

@@ -1,15 +1,13 @@
-//! The billing ledger: every dollar an experiment spends is recorded as a
-//! line item attributed to a service and region, so reports can break costs
-//! down exactly the way the paper's cost model does (§5.1.2: instance usage,
-//! shared serverless services, and cross-region data transfer).
+//! The billing ledger: every dollar an experiment spends is added to a
+//! running total for its service, so reports can break costs down exactly
+//! the way the paper's cost model does (§5.1.2: instance usage, shared
+//! serverless services, and cross-region data transfer).
 
 use std::fmt;
 
-use sim_kernel::SimTime;
+use cloud_market::Usd;
 
-use cloud_market::{Region, Usd};
-
-/// The billable service a line item belongs to.
+/// The billable service a charge belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum ServiceKind {
@@ -54,96 +52,67 @@ impl fmt::Display for ServiceKind {
     }
 }
 
-/// One recorded charge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LineItem {
-    /// When the charge was recorded.
-    pub at: SimTime,
-    /// Which service produced it.
-    pub service: ServiceKind,
-    /// Which region it is attributed to.
-    pub region: Region,
-    /// The amount.
-    pub amount: Usd,
-}
-
-/// An append-only cost ledger with per-service totals.
+/// A cost ledger of running totals: the grand total, one total per
+/// [`ServiceKind`] and the number of charges.
+///
+/// Each total adds its charges in the order they were made, so it is the
+/// same `f64` as summing the charges afterwards. The grand total keeps its
+/// own sum rather than adding up the service totals, which would add in
+/// another order.
 ///
 /// # Examples
 ///
 /// ```
 /// use cloud_compute::{BillingLedger, ServiceKind};
-/// use cloud_market::{Region, Usd};
-/// use sim_kernel::SimTime;
+/// use cloud_market::Usd;
 ///
 /// let mut ledger = BillingLedger::new();
-/// ledger.charge(SimTime::ZERO, ServiceKind::SpotInstance, Region::UsEast1, Usd::new(1.5));
-/// assert_eq!(ledger.total(), Usd::new(1.5));
+/// ledger.charge(ServiceKind::SpotInstance, Usd::new(1.5));
+/// ledger.charge(ServiceKind::DataTransfer, Usd::new(0.25));
+/// assert_eq!(ledger.total(), Usd::new(1.75));
+/// assert_eq!(ledger.total_for_service(ServiceKind::SpotInstance), Usd::new(1.5));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BillingLedger {
-    items: Vec<LineItem>,
+    total: Usd,
+    /// Indexed by `ServiceKind as usize`, the order of [`ServiceKind::ALL`].
+    by_service: [Usd; ServiceKind::ALL.len()],
+    charges: usize,
 }
 
 impl BillingLedger {
     /// Creates an empty ledger.
     pub fn new() -> Self {
-        BillingLedger { items: Vec::new() }
+        BillingLedger::default()
     }
 
     /// Records a charge. Zero-amount charges are dropped.
-    pub fn charge(&mut self, at: SimTime, service: ServiceKind, region: Region, amount: Usd) {
+    pub fn charge(&mut self, service: ServiceKind, amount: Usd) {
         if amount > Usd::ZERO {
-            self.items.push(LineItem {
-                at,
-                service,
-                region,
-                amount,
-            });
+            self.total += amount;
+            self.by_service[service as usize] += amount;
+            self.charges += 1;
         }
     }
 
-    /// Total across all line items.
+    /// Total across all charges.
     pub fn total(&self) -> Usd {
-        self.items.iter().map(|i| i.amount).sum()
+        self.total
     }
 
     /// Total attributed to one service.
     pub fn total_for_service(&self, service: ServiceKind) -> Usd {
-        self.items
-            .iter()
-            .filter(|i| i.service == service)
-            .map(|i| i.amount)
-            .sum()
+        self.by_service[service as usize]
     }
 
-    /// Number of line items.
+    /// Number of charges recorded.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.charges
     }
 
     /// True if nothing has been charged.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Iterates over line items in recording order.
-    pub fn iter(&self) -> std::slice::Iter<'_, LineItem> {
-        self.items.iter()
-    }
-
-    /// Absorbs another ledger's items.
-    pub fn merge(&mut self, other: BillingLedger) {
-        self.items.extend(other.items);
-    }
-}
-
-impl<'a> IntoIterator for &'a BillingLedger {
-    type Item = &'a LineItem;
-    type IntoIter = std::slice::Iter<'a, LineItem>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.iter()
+        self.charges == 0
     }
 }
 
@@ -151,38 +120,32 @@ impl<'a> IntoIterator for &'a BillingLedger {
 mod tests {
     use super::*;
 
-    fn t(secs: u64) -> SimTime {
-        SimTime::from_secs(secs)
-    }
-
     #[test]
     fn totals_roll_up_by_dimension() {
         let mut ledger = BillingLedger::new();
-        ledger.charge(t(0), ServiceKind::SpotInstance, Region::UsEast1, Usd::new(2.0));
-        ledger.charge(t(1), ServiceKind::SpotInstance, Region::EuWest1, Usd::new(3.0));
-        ledger.charge(t(2), ServiceKind::DataTransfer, Region::UsEast1, Usd::new(0.5));
+        ledger.charge(ServiceKind::SpotInstance, Usd::new(2.0));
+        ledger.charge(ServiceKind::SpotInstance, Usd::new(3.0));
+        ledger.charge(ServiceKind::DataTransfer, Usd::new(0.5));
         assert_eq!(ledger.total(), Usd::new(5.5));
         assert_eq!(ledger.total_for_service(ServiceKind::SpotInstance), Usd::new(5.0));
+        assert_eq!(ledger.total_for_service(ServiceKind::DataTransfer), Usd::new(0.5));
+        assert_eq!(ledger.total_for_service(ServiceKind::Metrics), Usd::ZERO);
         assert_eq!(ledger.len(), 3);
     }
 
     #[test]
     fn zero_charges_are_dropped() {
         let mut ledger = BillingLedger::new();
-        ledger.charge(t(0), ServiceKind::Metrics, Region::UsEast1, Usd::ZERO);
+        ledger.charge(ServiceKind::Metrics, Usd::ZERO);
         assert!(ledger.is_empty());
+        assert_eq!(ledger, BillingLedger::new());
     }
 
     #[test]
-    fn merge_combines_ledgers() {
-        let mut a = BillingLedger::new();
-        a.charge(t(0), ServiceKind::SpotInstance, Region::UsEast1, Usd::new(1.0));
-        let mut b = BillingLedger::new();
-        b.charge(t(5), ServiceKind::ObjectStorage, Region::UsEast1, Usd::new(0.1));
-        a.merge(b);
-        assert_eq!(a.total(), Usd::new(1.1));
-        assert_eq!(a.iter().count(), 2);
-        assert_eq!((&a).into_iter().count(), 2);
+    fn service_totals_are_indexed_in_all_order() {
+        for (i, service) in ServiceKind::ALL.into_iter().enumerate() {
+            assert_eq!(service as usize, i);
+        }
     }
 
     #[test]

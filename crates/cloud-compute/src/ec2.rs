@@ -312,7 +312,7 @@ impl Ec2 {
             PurchaseModel::Spot => ServiceKind::SpotInstance,
             PurchaseModel::OnDemand => ServiceKind::OnDemandInstance,
         };
-        self.ledger.charge(at, service, region, cost);
+        self.ledger.charge(service, cost);
         let slot = Self::slot(id).expect("checked above");
         self.instances[slot].terminate(at, reason, cost);
         if model == PurchaseModel::Spot {

@@ -10,7 +10,7 @@
 //!   instant (the two-minute notice fires [`INTERRUPTION_NOTICE`] before it),
 //! * on-demand launches that always succeed and never interrupt,
 //! * per-second billing against the market's hourly spot price curve,
-//!   recorded in a [`BillingLedger`] of per-service, per-region line items,
+//!   summed in a [`BillingLedger`] of per-service running totals,
 //! * a shared inter-region [`transfer`] tariff.
 //!
 //! # Examples
@@ -44,7 +44,7 @@ mod ec2;
 mod instance;
 pub mod transfer;
 
-pub use billing::{BillingLedger, LineItem, ServiceKind};
+pub use billing::{BillingLedger, ServiceKind};
 pub use ec2::{
     Ec2, Ec2Error, FaultInjector, LaunchedSpot, SpotRequestOutcome, CROWDING_COEFFICIENT,
     CROWDING_FLEET_SCALE, INTERRUPTION_NOTICE,

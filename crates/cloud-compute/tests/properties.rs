@@ -5,8 +5,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cloud_compute::{
-    transfer, Ec2, PurchaseModel, ServiceKind, SpotRequestOutcome, TerminationReason,
-    CROWDING_COEFFICIENT, CROWDING_FLEET_SCALE,
+    transfer, BillingLedger, Ec2, PurchaseModel, ServiceKind, SpotRequestOutcome,
+    TerminationReason, CROWDING_COEFFICIENT, CROWDING_FLEET_SCALE,
 };
 use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket, Usd};
 use sim_kernel::{SimDuration, SimRng, SimTime};
@@ -131,5 +131,44 @@ proptest! {
             .unwrap();
         prop_assert!(spot.amount() <= od.amount() + 1e-9, "{spot:?} > {od:?}");
         prop_assert!(spot.amount() > 0.0);
+    }
+
+    /// The ledger's running totals are the sums of its charges, in charge
+    /// order, to the bit: each total equals a sum over the line items the
+    /// ledger once stored, and the count equals their number.
+    #[test]
+    fn ledger_totals_equal_line_item_sums(
+        charges in prop::collection::vec(
+            (0usize..ServiceKind::ALL.len(), 0usize..4, 0.0f64..1.0),
+            0..200,
+        ),
+    ) {
+        let mut ledger = BillingLedger::new();
+        let mut line_items: Vec<(ServiceKind, Usd)> = Vec::new();
+        for &(s, scale, fraction) in &charges {
+            // One charge in four is zero; the rest span ten decades.
+            let amount = fraction * [0.0, 1e-6, 1.0, 1e4][scale];
+            let (service, amount) = (ServiceKind::ALL[s], Usd::new(amount));
+            ledger.charge(service, amount);
+            if amount > Usd::ZERO {
+                line_items.push((service, amount));
+            }
+        }
+        let total: Usd = line_items.iter().map(|&(_, amount)| amount).sum();
+        prop_assert_eq!(ledger.total().amount().to_bits(), total.amount().to_bits());
+        for service in ServiceKind::ALL {
+            let for_service: Usd = line_items
+                .iter()
+                .filter(|&&(s, _)| s == service)
+                .map(|&(_, amount)| amount)
+                .sum();
+            prop_assert_eq!(
+                ledger.total_for_service(service).amount().to_bits(),
+                for_service.amount().to_bits(),
+                "{}", service
+            );
+        }
+        prop_assert_eq!(ledger.len(), line_items.len());
+        prop_assert_eq!(ledger.is_empty(), line_items.is_empty());
     }
 }

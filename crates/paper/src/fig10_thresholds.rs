@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use bio_workloads::{workload_fleet, WorkloadKind};
-use cloud_market::{InstanceType, Region, SpotMarket};
+use cloud_market::{InstanceType, SpotMarket};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
     normalized_cost, run_experiment_on, Monitor, OnDemandStrategy, Optimizer, SpotVerseConfig,
@@ -41,7 +41,7 @@ pub fn fig10_thresholds() -> Figure {
 
     // --- Table 3: the regions each threshold selects ----------------------
     fig.section("table 3 — regions selected per threshold");
-    let monitor = Monitor::new(InstanceType::M5Xlarge, Region::UsEast1);
+    let monitor = Monitor::new(InstanceType::M5Xlarge);
     // Use the day's median spot price per region (24 hourly samples) so a
     // transient demand-episode spike at one instant does not reorder the
     // day's selection — Table 3 reflects the day, not one hour.

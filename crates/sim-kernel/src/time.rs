@@ -170,14 +170,17 @@ impl SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    /// Saturates at the last representable instant instead of wrapping,
+    /// so an arrival or deadline far past any horizon stays past it.
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    /// Saturates like [`Add`].
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -305,6 +308,16 @@ mod tests {
         let t1 = t0 + d;
         assert_eq!(t1 - t0, d);
         assert_eq!(t1 - d, t0);
+    }
+
+    #[test]
+    fn adding_past_the_last_instant_saturates() {
+        let last = SimTime::from_secs(u64::MAX);
+        assert_eq!(last + SimDuration::from_secs(1), last);
+        assert_eq!(SimTime::from_secs(u64::MAX - 1) + SimDuration::from_hours(1), last);
+        let mut t = SimTime::from_secs(u64::MAX - 5);
+        t += SimDuration::from_secs(u64::MAX);
+        assert_eq!(t, last);
     }
 
     #[test]

@@ -106,8 +106,8 @@ impl ControlPlane {
             efs_id: None,
             kv: KvStore::new(),
             functions: FunctionRuntime::new(),
-            metrics: MetricsService::new(Region::UsEast1),
-            monitor: Monitor::new(instance_type, Region::UsEast1),
+            metrics: MetricsService::new(),
+            monitor: Monitor::new(instance_type),
             checkpoint_backend,
             chaos,
             telemetry: CheckpointTelemetry::default(),
@@ -130,14 +130,11 @@ impl ControlPlane {
 
         // Provision the serverless stack.
         cp.monitor.provision(&mut cp.functions, &mut cp.kv);
-        cp.functions
-            .register(INTERRUPTION_HANDLER, Region::UsEast1, FunctionConfig::default());
+        cp.functions.register(INTERRUPTION_HANDLER, FunctionConfig::default());
         cp.s3
             .create_bucket(LOG_BUCKET, Region::UsEast1)
             .expect("fresh object store");
-        cp.kv
-            .create_table(CHECKPOINT_TABLE, Region::UsEast1)
-            .expect("fresh kv store");
+        cp.kv.create_table(CHECKPOINT_TABLE).expect("fresh kv store");
         if cp.checkpoint_backend == CheckpointBackend::SharedFileSystem {
             let fs = cp.efs.create(Region::UsEast1);
             for region in Region::ALL {

@@ -45,7 +45,8 @@ pub enum CheckpointBackend {
     /// storage, WAN-penalized cross-region reads on resume.
     SharedFileSystem,
 }
-/// Bucket holding checkpoints and activity logs.
+/// Bucket holding checkpoints; activity logs are billed against it but not
+/// stored.
 pub const LOG_BUCKET: &str = "spotverse-logs";
 
 /// Experiment configuration.

@@ -22,6 +22,7 @@
 //! deferred to the retry sweep, which re-asks the strategy.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -785,24 +786,15 @@ impl FleetModel {
         }
         self.workloads[w].invocation.handle_interruption();
 
-        // Log the interruption.
-        let log_key = format!("interruptions/{}/{}", self.workloads[w].spec.id, instance);
-        // Activity logging is best-effort: a throttled put loses the log
-        // line, never the run.
-        if self
-            .cp
-            .s3
-            .put_object(
-                LOG_BUCKET,
-                log_key,
-                ObjectBody::from_text(format!("{instance} reclaimed in {region} at {now}")),
-                region,
-                now,
-                self.cp.ec2.ledger_mut(),
-            )
-            .is_err()
-        {
-            self.cp.telemetry.throttled_retries += 1;
+        // Log the interruption. Nothing reads activity logs back, so the
+        // line is billed by its length and not stored. Activity logging is
+        // best-effort: a throttled put loses the log line, never the run.
+        let mut log_len = ByteCount(0);
+        let _ = write!(log_len, "{instance} reclaimed in {region} at {now}");
+        let log_gib = ObjectBody::bytes_to_gib(log_len.0);
+        let ControlPlane { s3, ec2, telemetry, .. } = &mut self.cp;
+        if s3.bill_put(LOG_BUCKET, log_gib, region, now, ec2.ledger_mut()).is_err() {
+            telemetry.throttled_retries += 1;
         }
 
         // The interruption handler (EventBridge → Step Functions → Lambda)
@@ -967,6 +959,17 @@ impl Model for FleetModel {
                 self.handle_checkpoint_tick(w, instance, now, scheduler)
             }
         }
+    }
+}
+
+/// Counts the bytes formatted into it without keeping them: the length of
+/// an activity log line, with no buffer.
+struct ByteCount(usize);
+
+impl std::fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 

@@ -173,18 +173,15 @@ fn overlay_fingerprint(overlay: Option<&MarketOverlay>, at: SimTime, regions: &[
 #[derive(Debug, Clone, PartialEq)]
 pub struct Monitor {
     instance_type: InstanceType,
-    home_region: Region,
     snapshot: EpochSnapshot,
     persisted: Option<PersistedRows>,
 }
 
 impl Monitor {
-    /// Creates a monitor for an instance type, homed in `home_region` (where
-    /// its collector function and table live).
-    pub fn new(instance_type: InstanceType, home_region: Region) -> Self {
+    /// Creates a monitor for an instance type.
+    pub fn new(instance_type: InstanceType) -> Self {
         Monitor {
             instance_type,
-            home_region,
             snapshot: EpochSnapshot::default(),
             persisted: None,
         }
@@ -198,10 +195,10 @@ impl Monitor {
     /// Provisions the collector function and metrics table. Idempotent.
     pub fn provision(&self, functions: &mut FunctionRuntime, kv: &mut KvStore) {
         if !functions.is_registered(COLLECTOR_FUNCTION) {
-            functions.register(COLLECTOR_FUNCTION, self.home_region, FunctionConfig::default());
+            functions.register(COLLECTOR_FUNCTION, FunctionConfig::default());
         }
         // Ignore "already exists": provisioning is idempotent.
-        let _ = kv.create_table(METRICS_TABLE, self.home_region);
+        let _ = kv.create_table(METRICS_TABLE);
     }
 
     /// Runs one collection cycle: the collector function reads every
@@ -267,7 +264,7 @@ impl Monitor {
                 item.insert("stability_score", AttrValue::N(f64::from(row.stability.value())));
                 item.insert("collected_at", AttrValue::N(at.as_secs() as f64));
             })?;
-            metrics.put_metric(at, ledger);
+            metrics.put_metric(ledger);
         }
         self.snapshot.key = Some(key);
         Ok(CollectOutcome::Fresh(count))
@@ -398,7 +395,7 @@ mod tests {
 
     fn fixture() -> Fixture {
         let market = SpotMarket::new(MarketConfig::with_seed(3));
-        let monitor = Monitor::new(InstanceType::M5Xlarge, Region::UsEast1);
+        let monitor = Monitor::new(InstanceType::M5Xlarge);
         let mut functions = FunctionRuntime::new();
         let mut kv = KvStore::new();
         monitor.provision(&mut functions, &mut kv);
@@ -407,7 +404,7 @@ mod tests {
             monitor,
             functions,
             kv,
-            metrics: MetricsService::new(Region::UsEast1),
+            metrics: MetricsService::new(),
             ledger: BillingLedger::new(),
         }
     }
@@ -563,11 +560,11 @@ mod tests {
     #[test]
     fn p3_snapshot_covers_only_offering_regions() {
         let market = SpotMarket::new(MarketConfig::with_seed(3));
-        let mut monitor = Monitor::new(InstanceType::P32xlarge, Region::UsEast1);
+        let mut monitor = Monitor::new(InstanceType::P32xlarge);
         let mut functions = FunctionRuntime::new();
         let mut kv = KvStore::new();
         monitor.provision(&mut functions, &mut kv);
-        let metrics = MetricsService::new(Region::UsEast1);
+        let metrics = MetricsService::new();
         let mut ledger = BillingLedger::new();
         let n = monitor
             .collect(&market, None, SimTime::ZERO, &mut functions, &mut kv, &metrics, &mut ledger)

@@ -279,12 +279,11 @@ impl<'a> Orchestrator<'a> {
         let mut store = ObjectStore::new();
         let mut bus = EventBus::new();
         let mut functions = FunctionRuntime::new();
-        kv.create_table(LEASE_TABLE, HOME_REGION).expect("fresh lease table");
-        kv.create_table(DEADLETTER_TABLE, HOME_REGION).expect("fresh dead-letter table");
+        kv.create_table(LEASE_TABLE).expect("fresh lease table");
+        kv.create_table(DEADLETTER_TABLE).expect("fresh dead-letter table");
         store.create_bucket(RESULT_BUCKET, HOME_REGION).expect("fresh result bucket");
         functions.register(
             EXECUTOR_FUNCTION,
-            HOME_REGION,
             FunctionConfig {
                 exec_duration: SHARD_EXEC_DURATION,
                 timeout: EXECUTOR_TIMEOUT,
@@ -421,7 +420,7 @@ impl<'a> Orchestrator<'a> {
         }
         // Idempotency pre-check: a result for this shard already exists —
         // this execution is a duplicate delivery or a late re-drive.
-        if self.store.get_metadata(RESULT_BUCKET, &self.shards[shard].key).is_ok() {
+        if self.store.peek_object(RESULT_BUCKET, &self.shards[shard].key).is_ok() {
             self.duplicate_executions += 1;
             self.tracer
                 .record(now, TraceEvent::ShardCompleted { shard, attempt, duplicate: true });
@@ -504,7 +503,7 @@ impl<'a> Orchestrator<'a> {
             return;
         }
         let (shard, attempt, owner) = (e.shard, e.attempt, e.owner);
-        if self.store.get_metadata(RESULT_BUCKET, &self.shards[shard].key).is_ok() {
+        if self.store.peek_object(RESULT_BUCKET, &self.shards[shard].key).is_ok() {
             // A successor already persisted this shard while we ran: the
             // deterministic payload would be byte-identical, so this is
             // the idempotent no-op the result keying buys us.

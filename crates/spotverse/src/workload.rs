@@ -169,9 +169,7 @@ impl WorkloadRuntime {
                 }
                 CheckpointBackend::SharedFileSystem => {
                     let fs = cp.efs_id.expect("efs provisioned for this backend");
-                    if let Ok((_, outcome)) =
-                        cp.efs.read(fs, key, region, now, cp.ec2.ledger_mut())
-                    {
+                    if let Ok(outcome) = cp.efs.read(fs, key, region, now, cp.ec2.ledger_mut()) {
                         exec_start = exec_start.max(outcome.completes_at);
                     }
                 }

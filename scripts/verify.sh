@@ -163,16 +163,20 @@ fi
 echo "==> horizon smoke: a loadgen fleet arriving past the market horizon stops there"
 # Arrivals run past the 210-day price history; every strategy's run must
 # stop at the horizon with exit 0, not panic reading the market beyond it.
-horizon_status=0
-horizon_err=$(cargo run --release --quiet --bin spotverse -- \
-    fleet --loadgen poisson --workloads 1000 --rate 0.2 --strategy all 2>&1 >/dev/null) \
-    || horizon_status=$?
-if [ "$horizon_status" -ne 0 ] || grep -q "panicked" <<<"$horizon_err"; then
-    echo "==> horizon smoke FAILED: exit $horizon_status" >&2
-    echo "$horizon_err" >&2
-    exit 1
-fi
-echo "    all strategies stop at the horizon, exit 0"
+# At --rate 1e-300 every arrival lies at the last representable second,
+# so adding a deadline to it must saturate rather than wrap.
+for rate_args in "--workloads 1000 --rate 0.2 --strategy all" "--workloads 10 --rate 1e-300"; do
+    horizon_status=0
+    horizon_err=$(cargo run --release --quiet --bin spotverse -- \
+        fleet --loadgen poisson $rate_args 2>&1 >/dev/null) \
+        || horizon_status=$?
+    if [ "$horizon_status" -ne 0 ] || grep -q "panicked" <<<"$horizon_err"; then
+        echo "==> horizon smoke FAILED: $rate_args: exit $horizon_status" >&2
+        echo "$horizon_err" >&2
+        exit 1
+    fi
+    echo "    $rate_args: stops at the horizon, exit 0"
+done
 
 echo "==> tournament smoke: strategies x regimes leaderboard vs committed snapshot"
 # The same argv the golden_tournament suite pins; the CLI output must

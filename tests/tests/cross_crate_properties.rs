@@ -31,7 +31,7 @@ proptest! {
         interrupted_idx in 0usize..12,
     ) {
         let market = SpotMarket::new(MarketConfig::with_seed(seed));
-        let monitor = Monitor::new(InstanceType::M5Xlarge, Region::UsEast1);
+        let monitor = Monitor::new(InstanceType::M5Xlarge);
         let assessments = monitor
             .fresh_assessments(&market, SimTime::from_days(day))
             .expect("within horizon");

@@ -12,8 +12,8 @@
 //!   states, control-plane provisioning and the Monitor's first write of
 //!   each KV row.
 //! - A warm Monitor's hourly collections. Each rewrites its 12 KV rows in
-//!   place, so a day of them allocates only when the billing ledger's
-//!   line-item vector grows.
+//!   place and bills into the ledger's running totals, so a day of them
+//!   allocates nothing.
 //!
 //! A change that makes market construction, set-up, dispatch or the
 //! Monitor→KV pipeline allocate more fails here long before a timer would
@@ -30,7 +30,7 @@ use std::sync::Arc;
 use aws_stack::{FunctionRuntime, KvStore, MetricsService};
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_compute::BillingLedger;
-use cloud_market::{InstanceType, MarketConfig, MarketRegime, Region, SpotMarket};
+use cloud_market::{InstanceType, MarketConfig, MarketRegime, SpotMarket};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
     run_fleet_on, CollectOutcome, ExperimentConfig, FleetConfig, LoadProfile, Monitor,
@@ -88,12 +88,12 @@ const RATE_PER_HOUR: f64 = 80.0;
 
 /// (workloads, events the run must deliver, exact allocations).
 const PINNED: [(usize, u64, u64); 2] = [(1_000, 4_469, FLEET_1000), (2_000, 8_928, FLEET_2000)];
-const FLEET_1000: u64 = 7_216;
-const FLEET_2000: u64 = 14_041;
+const FLEET_1000: u64 = 6_111;
+const FLEET_2000: u64 = 11_764;
 /// Events and exact allocations of the one-workload NGS cell.
-const SMALL_CELL: (u64, u64) = (45, 389);
+const SMALL_CELL: (u64, u64) = (45, 381);
 /// Exact allocations of 24 hourly steady-state Monitor collections.
-const MONITOR_DAY: u64 = 5;
+const MONITOR_DAY: u64 = 0;
 
 /// The thread's allocation count across `f`, and what `f` returned.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
@@ -181,17 +181,16 @@ fn small_cell_allocations_stay_pinned() {
     );
 }
 
-/// A warm Monitor's hourly collection rewrites its rows in place: 24 of
-/// them, each fresh, allocate fewer than one block per collection — only
-/// the billing ledger's line-item vector still grows.
+/// A warm Monitor's hourly collection rewrites its rows in place and bills
+/// into running totals: 24 of them, each fresh, allocate nothing.
 #[test]
 fn steady_state_monitor_collections_stay_pinned() {
     let market = SpotMarket::new(MarketConfig::with_seed(SEED));
-    let mut monitor = Monitor::new(InstanceType::M5Xlarge, Region::UsEast1);
+    let mut monitor = Monitor::new(InstanceType::M5Xlarge);
     let mut functions = FunctionRuntime::new();
     let mut kv = KvStore::new();
     monitor.provision(&mut functions, &mut kv);
-    let metrics = MetricsService::new(Region::UsEast1);
+    let metrics = MetricsService::new();
     let mut ledger = BillingLedger::new();
     let mut collect = |at: SimTime| {
         monitor
