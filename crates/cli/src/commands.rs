@@ -251,6 +251,18 @@ fn positive(args: &ParsedArgs, flag: &str, default: u64) -> Result<u64, CliError
     }
 }
 
+/// `--seeds`: how many consecutive seeds a matrix runs from `first`. The
+/// last of them must fit in `u64`.
+fn seed_count(args: &ParsedArgs, first: u64) -> Result<u64, CliError> {
+    let seeds = positive(args, "seeds", 1)?;
+    let max = u64::MAX;
+    first.checked_add(seeds - 1).map(|_| seeds).ok_or_else(|| {
+        CliError::BadInput(format!(
+            "--seeds: {seeds} seeds from --seed {first} run past the largest seed {max}"
+        ))
+    })
+}
+
 /// A chaos scenario by name; `or_all` adds the `all` a command also
 /// accepts to the list the error names.
 fn parse_scenario(name: &str, or_all: bool) -> Result<ChaosScenario, CliError> {
@@ -561,7 +573,7 @@ pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
 /// end to end).
 pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
     let run = Run::parse(args)?;
-    let seeds = positive(args, "seeds", 1)?;
+    let seeds = seed_count(args, run.seed)?;
     let strategies = run.strategies(args.str_or("strategy", "spotverse"), &PAPER_STRATEGIES)?;
     let orchestrated = match args.str_or("orchestrated", "false") {
         "true" => true,
@@ -591,7 +603,7 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
     let jobs = opt_positive(args, "jobs")?;
     let mut cells: Vec<SweepCell> = Vec::with_capacity(strategies.len() * seeds as usize);
     for name in &strategies {
-        for seed in run.seed..run.seed + seeds {
+        for seed in run.seed..=run.seed + (seeds - 1) {
             let mut config = run.experiment(seed, regime);
             if output == "trace" {
                 config.trace = TraceConfig::enabled();
@@ -782,13 +794,14 @@ pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
 /// `spotverse tournament`: every strategy under every market regime,
 /// ranked per regime on completions, then billed cost, then makespan.
 /// Cells run on the sweep engine with tracing on; the per-regime win
-/// matrices are replayed from the merged traces, so the leaderboard
-/// agrees with `spotverse analyse` by construction.
+/// matrices are folded from the cells' trace records by the fold
+/// `spotverse analyse` runs over their text, so the leaderboard agrees
+/// with it by construction.
 pub fn tournament(args: &ParsedArgs) -> Result<String, CliError> {
     let run = Run::parse(args)?;
     let spacing = SimDuration::from_mins(args.u64_or("spacing-mins", 60)?);
     let deadline = SimDuration::from_days(positive(args, "deadline-days", 30)?);
-    let reps = positive(args, "seeds", 1)?;
+    let reps = seed_count(args, run.seed)?;
     let field = [&PAPER_STRATEGIES[..], &["bid-price", "checkpoint-adaptive"]].concat();
     let strategies = run.strategies(args.str_or("strategy", "all"), &field)?;
     let regimes: Vec<MarketRegime> = match args.str_or("regime", "all") {
@@ -1290,6 +1303,20 @@ mod tests {
         assert!(err.to_string().contains("meteor"));
         let err = run(["sweep", "--seeds", "0"]).unwrap_err();
         assert!(err.to_string().contains("--seeds"));
+    }
+
+    #[test]
+    fn seed_ranges_must_fit_in_u64() {
+        let max = u64::MAX.to_string();
+        for command in ["sweep", "tournament"] {
+            let err = run([command, "--seed", &max, "--seeds", "2"]).unwrap_err();
+            assert!(matches!(err, CliError::BadInput(_)), "{command}: {err}");
+            assert!(err.to_string().starts_with("--seeds"), "{command}: {err}");
+        }
+        // The largest seed alone still runs its one cell.
+        let argv = ["sweep", "--instances", "1", "--workload", "ngs", "--output", "trace"];
+        let out = run(argv.into_iter().chain(["--seed", &max])).unwrap();
+        assert!(out.starts_with(&format!("{{\"cell\":\"spotverse/s{max}\"")), "{out}");
     }
 
     #[test]

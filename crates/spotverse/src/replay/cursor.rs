@@ -9,16 +9,16 @@
 //! label borrowed from the line, so a line costs only its record's own
 //! owned fields.
 
-use super::parse::{decode_numbered, LineBody, TraceParseError};
+use super::parse::{decode_numbered, TraceParseError};
 use super::views::{ReplayState, TimeWindow};
 
-/// An incremental trace replayer.
-#[derive(Debug)]
+/// An incremental trace replayer; the default folds every record.
+#[derive(Debug, Default)]
 pub struct ReplayCursor {
     window: TimeWindow,
     /// Cell key assigned to records with no `"cell"` prefix (used by the
-    /// CLI to keep multi-file inputs apart). `None` maps them to `""`.
-    default_cell: Option<String>,
+    /// CLI to keep multi-file inputs apart), `""` unless set.
+    default_cell: String,
     /// Trailing bytes of an incomplete line from the previous chunk.
     partial: String,
     /// Lines fully consumed so far (1-based numbering of the *next* line
@@ -27,50 +27,24 @@ pub struct ReplayCursor {
     state: ReplayState,
 }
 
-impl Default for ReplayCursor {
-    fn default() -> Self {
-        ReplayCursor::new(TimeWindow::ALL)
-    }
-}
-
 impl ReplayCursor {
     /// A fresh cursor folding records inside `window`.
     #[must_use]
     pub fn new(window: TimeWindow) -> Self {
-        ReplayCursor {
-            window,
-            default_cell: None,
-            partial: String::new(),
-            consumed: 0,
-            state: ReplayState::default(),
-        }
+        ReplayCursor { window, ..ReplayCursor::default() }
     }
 
-    /// Sets the cell key used for records with no `"cell"` prefix.
+    /// Sets the cell key used for records with no `"cell"` prefix
+    /// (`None` restores `""`).
     pub fn set_default_cell(&mut self, cell: Option<String>) {
-        self.default_cell = cell;
-    }
-
-    /// The state folded so far (excluding any buffered partial line).
-    #[must_use]
-    pub fn state(&self) -> &ReplayState {
-        &self.state
+        self.default_cell = cell.unwrap_or_default();
     }
 
     fn consume_line(&mut self, line: &str) -> Result<(), TraceParseError> {
         self.consumed += 1;
         let number = usize::try_from(self.consumed).unwrap_or(usize::MAX);
-        let Some(decoded) = decode_numbered(line, number)? else {
-            return Ok(());
-        };
-        let cell = decoded
-            .cell
-            .as_deref()
-            .or(self.default_cell.as_deref())
-            .unwrap_or("");
-        match &decoded.body {
-            LineBody::Record(record) => self.state.fold_record(cell, record, self.window),
-            LineBody::Truncated { dropped } => self.state.fold_truncation(cell, *dropped),
+        if let Some(line) = decode_numbered(line, number)? {
+            self.state.fold_line(&line, &self.default_cell, self.window);
         }
         Ok(())
     }

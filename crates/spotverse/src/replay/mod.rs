@@ -12,7 +12,9 @@
 //!   corrupt lines with an error naming the line number.
 //! - [`views`] holds the pure fold aggregates: `fold(state, record)`
 //!   has no clocks and no I/O, so replay is deterministic and chunkable
-//!   with identical results.
+//!   with identical results. Parsed lines enter through
+//!   [`ReplayState::fold_line`], a run's in-memory records through
+//!   [`ReplayState::fold_trace`]; both fold the same state.
 //! - [`cursor`] feeds arbitrary text chunks through the folds,
 //!   buffering partial lines.
 //! - [`analytics`] derives distribution-level figures (percentiles,

@@ -47,13 +47,14 @@ impl fmt::Display for TraceParseError {
 impl std::error::Error for TraceParseError {}
 
 /// One parsed JSONL line: a trace record or the truncation marker, each
-/// with the optional merged-sweep cell label.
+/// with the optional merged-sweep cell label. The label borrows from the
+/// input unless it has escapes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TraceLine {
+pub enum TraceLine<'a> {
     /// A regular record.
     Record {
         /// The `"cell"` prefix of merged sweep traces, if present.
-        cell: Option<String>,
+        cell: Option<Cow<'a, str>>,
         /// The typed record.
         record: TraceRecord,
     },
@@ -61,13 +62,13 @@ pub enum TraceLine {
     /// with.
     Truncated {
         /// The `"cell"` prefix, if present.
-        cell: Option<String>,
+        cell: Option<Cow<'a, str>>,
         /// Records dropped once the trace reached its cap.
         dropped: u64,
     },
 }
 
-impl TraceLine {
+impl TraceLine<'_> {
     /// The cell label, if any.
     pub fn cell(&self) -> Option<&str> {
         match self {
@@ -76,49 +77,17 @@ impl TraceLine {
     }
 }
 
-/// Parses one canonical JSONL line. The error is a bare message; callers
-/// that know the line number wrap it in [`TraceParseError`].
-pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
-    decode_line(line).map(DecodedLine::into_line)
-}
-
 /// Parses a whole canonical JSONL document, skipping empty lines.
 ///
 /// # Errors
 ///
 /// Returns a [`TraceParseError`] naming the first offending line.
-pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceLine>, TraceParseError> {
+pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceLine<'_>>, TraceParseError> {
     input
         .split('\n')
         .enumerate()
         .filter_map(|(i, line)| decode_numbered(line, i + 1).transpose())
-        .map(|decoded| decoded.map(DecodedLine::into_line))
         .collect()
-}
-
-/// A decoded line whose cell label borrows from the input (unless it has
-/// escapes).
-#[derive(Debug)]
-pub(crate) struct DecodedLine<'a> {
-    pub(crate) cell: Option<Cow<'a, str>>,
-    pub(crate) body: LineBody,
-}
-
-/// What a line holds besides its cell label.
-#[derive(Debug)]
-pub(crate) enum LineBody {
-    Record(TraceRecord),
-    Truncated { dropped: u64 },
-}
-
-impl DecodedLine<'_> {
-    fn into_line(self) -> TraceLine {
-        let cell = self.cell.map(Cow::into_owned);
-        match self.body {
-            LineBody::Record(record) => TraceLine::Record { cell, record },
-            LineBody::Truncated { dropped } => TraceLine::Truncated { cell, dropped },
-        }
-    }
 }
 
 /// Decodes line `number` (1-based) of a document: the one rule both
@@ -127,11 +96,11 @@ impl DecodedLine<'_> {
 pub(crate) fn decode_numbered(
     line: &str,
     number: usize,
-) -> Result<Option<DecodedLine<'_>>, TraceParseError> {
+) -> Result<Option<TraceLine<'_>>, TraceParseError> {
     if line.is_empty() {
         return Ok(None);
     }
-    decode_line(line).map(Some).map_err(|message| TraceParseError { line: number, message })
+    parse_trace_line(line).map(Some).map_err(|message| TraceParseError { line: number, message })
 }
 
 /// The keys every line may carry besides its event's fields.
@@ -178,12 +147,15 @@ fn reject(present: bool, key: &str) -> Result<(), String> {
     }
 }
 
-/// Decodes one line in a single pass. The envelope keys are read as they
+/// Parses one canonical JSONL line. The error is a bare message; callers
+/// that know the line number wrap it in [`TraceParseError`].
+///
+/// The line is decoded in one pass. The envelope keys are read as they
 /// come; the event's fields stream into its decoder once `event` names
 /// it. Fields ahead of `event` (never in canonical lines, which reach it
 /// within their first four keys) wait as raw text in a stack buffer: an
 /// accepted line has no more of them than the largest event has fields.
-fn decode_line(line: &str) -> Result<DecodedLine<'_>, String> {
+pub fn parse_trace_line(line: &str) -> Result<TraceLine<'_>, String> {
     let mut r = Scanner::new(line);
     let mut envelope = Envelope::default();
     let mut before = [const { (Cow::Borrowed(""), "") }; MAX_EVENT_FIELDS];
@@ -227,7 +199,7 @@ fn decode_line(line: &str) -> Result<DecodedLine<'_>, String> {
     let seq = finish_field(envelope.seq, "seq")?;
     let at = SimTime::from_secs(finish_field(envelope.t, "t")?);
     let record = TraceRecord { seq, at, event };
-    Ok(DecodedLine { cell: envelope.cell, body: LineBody::Record(record) })
+    Ok(TraceLine::Record { cell: envelope.cell, record })
 }
 
 /// The rest of a line read to its end without an `event`: the
@@ -236,7 +208,7 @@ fn decode_line(line: &str) -> Result<DecodedLine<'_>, String> {
 fn truncation<'a>(
     envelope: Envelope<'a>,
     before: &[(Cow<'a, str>, &'a str)],
-) -> Result<DecodedLine<'a>, String> {
+) -> Result<TraceLine<'a>, String> {
     if envelope.truncated.is_none() {
         finish_field(envelope.seq, "seq")?;
         finish_field(envelope.t, "t")?;
@@ -250,14 +222,14 @@ fn truncation<'a>(
         read_field(&mut dropped, key, &mut Scanner::new(text))?;
     }
     let dropped = finish_field(dropped, "dropped")?;
-    Ok(DecodedLine { cell: envelope.cell, body: LineBody::Truncated { dropped } })
+    Ok(TraceLine::Truncated { cell: envelope.cell, dropped })
 }
 
 /// Re-serializes parsed lines to canonical JSONL (each line
 /// newline-terminated). `trace_lines_to_jsonl(parse_trace_jsonl(doc))`
 /// is byte-identical to `doc` for canonical input.
 #[must_use]
-pub fn trace_lines_to_jsonl(lines: &[TraceLine]) -> String {
+pub fn trace_lines_to_jsonl(lines: &[TraceLine<'_>]) -> String {
     let mut out = String::new();
     for line in lines {
         match line {

@@ -13,7 +13,7 @@ use sim_kernel::SimTime;
 use crate::codec::{array_codec, object_codec, put_delimited, put_field};
 
 use crate::health::BreakerState;
-use crate::trace::{DecisionKind, TraceEvent, TraceRecord};
+use crate::trace::{DecisionKind, RunTrace, TraceEvent, TraceRecord};
 
 use super::parse::TraceLine;
 
@@ -491,28 +491,39 @@ impl ReplayState {
         self.cells.iter().find(|(k, _)| k == key).map(|(_, c)| c)
     }
 
-    /// Folds one parsed line, honouring the time window. Truncation
-    /// markers are always folded (they carry no timestamp).
-    pub fn fold_line(&mut self, line: &TraceLine, window: TimeWindow) {
+    /// Folds one parsed line under its cell label, or under
+    /// `default_cell` when it has none, honouring the time window.
+    /// Truncation markers are always folded (they carry no timestamp).
+    pub fn fold_line(&mut self, line: &TraceLine<'_>, default_cell: &str, window: TimeWindow) {
+        let cell = line.cell().unwrap_or(default_cell);
         match line {
-            TraceLine::Record { cell, record } => {
-                self.fold_record(cell.as_deref().unwrap_or(""), record, window);
-            }
-            TraceLine::Truncated { cell, dropped } => {
-                self.fold_truncation(cell.as_deref().unwrap_or(""), *dropped);
-            }
+            TraceLine::Record { record, .. } => self.fold_record(cell, record, window),
+            TraceLine::Truncated { dropped, .. } => self.fold_truncation(cell, *dropped),
+        }
+    }
+
+    /// Folds a run's trace into `cell`: every record, then the truncation
+    /// count if it dropped any. The state is the one its JSONL text
+    /// (`trace::append_trace_jsonl` under the same label) replays to,
+    /// with no text written or read.
+    pub fn fold_trace(&mut self, cell: &str, trace: &RunTrace) {
+        for record in &trace.events {
+            self.fold_record(cell, record, TimeWindow::ALL);
+        }
+        if trace.dropped > 0 {
+            self.fold_truncation(cell, trace.dropped);
         }
     }
 
     /// Folds `record` into `cell` if the window holds it.
-    pub(crate) fn fold_record(&mut self, cell: &str, record: &TraceRecord, window: TimeWindow) {
+    fn fold_record(&mut self, cell: &str, record: &TraceRecord, window: TimeWindow) {
         if window.contains(record.at) {
             self.cell_mut(cell).fold(record);
         }
     }
 
     /// Adds a truncation marker's dropped count to `cell`.
-    pub(crate) fn fold_truncation(&mut self, cell: &str, dropped: u64) {
+    fn fold_truncation(&mut self, cell: &str, dropped: u64) {
         let state = self.cell_mut(cell);
         state.dropped = Some(state.dropped.unwrap_or(0).saturating_add(dropped));
     }
@@ -520,10 +531,10 @@ impl ReplayState {
 
 /// Replays a full parsed document into a fresh [`ReplayState`].
 #[must_use]
-pub fn replay_lines(lines: &[TraceLine], window: TimeWindow) -> ReplayState {
+pub fn replay_lines(lines: &[TraceLine<'_>], window: TimeWindow) -> ReplayState {
     let mut state = ReplayState::default();
     for line in lines {
-        state.fold_line(line, window);
+        state.fold_line(line, "", window);
     }
     state
 }
@@ -690,7 +701,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips() {
-        let cell = Some("spotverse/s1".to_owned());
+        let cell = Some(std::borrow::Cow::Borrowed("spotverse/s1"));
         let lines = vec![
             TraceLine::Record {
                 cell: cell.clone(),
@@ -762,7 +773,7 @@ mod tests {
         }
         for _ in 0..2 {
             let line = TraceLine::Truncated { cell: None, dropped: u64::MAX };
-            state.fold_line(&line, TimeWindow::ALL);
+            state.fold_line(&line, "", TimeWindow::ALL);
         }
         let cell = state.cell("").unwrap();
         assert_eq!(cell.occupancy.instance_seconds, u64::MAX);

@@ -14,7 +14,8 @@
 //!
 //! Experiment cells and fleet cells are one [`SweepCell<C>`](SweepCell)
 //! over any [`CellConfig`] ([`ExperimentConfig`] or [`FleetConfig`]), run
-//! by the one [`run_matrix`] and merged by the one [`merged_trace_jsonl`].
+//! by the one [`run_matrix`] and merged by the one [`merged_trace_jsonl`]
+//! (as text) or [`merged_trace_state`] (as a folded replay state).
 //!
 //! Determinism contract: the outcome vector is in cell order and each
 //! cell is a pure function of its config and strategy,
@@ -31,7 +32,9 @@ use cloud_market::{MarketConfig, SpotMarket};
 
 use crate::experiment::{run_experiment_on, ExperimentConfig, ExperimentReport};
 use crate::fleet::{run_fleet_on, FleetConfig, FleetReport};
+use crate::replay::ReplayState;
 use crate::strategy::Strategy;
+use crate::trace::RunTrace;
 
 /// Environment variable overriding the default sweep parallelism (a
 /// `--jobs` flag, when present, wins over it).
@@ -278,12 +281,30 @@ impl<C> SweepCell<C> {
 /// any parallelism — the property the golden-trace suite pins down.
 pub fn merged_trace_jsonl<R: AsRef<ExperimentReport>>(outcomes: &[SweepOutcome<R>]) -> String {
     let mut out = String::new();
-    for outcome in outcomes {
-        if let Some(trace) = outcome.report().and_then(|r| r.as_ref().trace.as_ref()) {
-            crate::trace::append_trace_jsonl(&mut out, Some(&outcome.label), trace);
-        }
+    for (label, trace) in cell_traces(outcomes) {
+        crate::trace::append_trace_jsonl(&mut out, Some(label), trace);
     }
     out
+}
+
+/// Folds the traces of a sweep's outcomes into the [`ReplayState`] that
+/// [`merged_trace_jsonl`]'s document replays to, with no text written or
+/// read: each traced cell's records under its label, in matrix order.
+pub fn merged_trace_state<R: AsRef<ExperimentReport>>(
+    outcomes: &[SweepOutcome<R>],
+) -> ReplayState {
+    let mut state = ReplayState::default();
+    for (label, trace) in cell_traces(outcomes) {
+        state.fold_trace(label, trace);
+    }
+    state
+}
+
+/// Each succeeded, traced outcome's label and trace, in matrix order.
+fn cell_traces<R: AsRef<ExperimentReport>>(
+    outcomes: &[SweepOutcome<R>],
+) -> impl Iterator<Item = (&str, &RunTrace)> {
+    outcomes.iter().filter_map(|o| Some((o.label.as_str(), o.report()?.as_ref().trace.as_ref()?)))
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -6,9 +6,10 @@
 //! capacity crunch need not match the calm baseline. The tournament
 //! answers it mechanically: a fleet matrix of (strategy × regime × seed)
 //! cells runs on the shared sweep pool ([`run_matrix`]), every
-//! cell traced, and the per-regime merged traces feed the replay
-//! analytics ([`win_matrix`]) so the pairwise cost wins are derived from
-//! the same event-sourced ground truth as `spotverse analyse`.
+//! cell traced, and each regime's trace records are folded by the replay
+//! ([`merged_trace_state`]) into its analytics ([`win_matrix`]), so
+//! the pairwise cost wins are derived from the same event-sourced ground
+//! truth as `spotverse analyse`, with no JSONL written or read back.
 //!
 //! Ranking is lexicographic and total: completions (more is better),
 //! then billed cost (less), then mean makespan (less), then strategy
@@ -23,9 +24,9 @@ use std::fmt::Write as _;
 use cloud_market::MarketRegime;
 
 use crate::fleet::FleetConfig;
-use crate::replay::{replay_str, win_matrix, ReplayState, TimeWindow, WinMatrix};
+use crate::replay::{win_matrix, WinMatrix};
 use crate::strategy::Strategy;
-use crate::sweep::{merged_trace_jsonl, run_matrix, MarketCache, SweepCell};
+use crate::sweep::{merged_trace_state, run_matrix, MarketCache, SweepCell};
 use crate::trace::TraceConfig;
 
 /// How fault injection enters the tournament matrix.
@@ -95,10 +96,11 @@ impl TournamentConfig {
         }
     }
 
-    /// The fleet cells, regime-major then strategy then seed, so one
-    /// regime's cells are a contiguous block in matrix (and outcome)
-    /// order.
-    fn build_cells(&self) -> Vec<SweepCell<FleetConfig>> {
+    /// The fleet cells [`run_tournament`] runs, regime-major then
+    /// strategy then seed, so one regime's cells are a contiguous block
+    /// in matrix (and outcome) order.
+    #[must_use]
+    pub fn build_cells(&self) -> Vec<SweepCell<FleetConfig>> {
         let mut cells = Vec::with_capacity(self.cells());
         for &regime in &self.regimes {
             let scenario = self.scenario_for(regime);
@@ -142,7 +144,7 @@ pub struct TournamentRow {
 }
 
 /// One regime's full standing: ranked rows plus the seed-matched
-/// pairwise cost win matrix replayed from the regime's merged trace.
+/// pairwise cost win matrix folded from the regime's trace records.
 #[derive(Debug, Clone)]
 pub struct RegimeStanding {
     /// The regime.
@@ -151,7 +153,8 @@ pub struct RegimeStanding {
     pub chaos: Option<String>,
     /// Rows in rank order.
     pub rows: Vec<TournamentRow>,
-    /// Pairwise cost wins over the regime's shared seeds.
+    /// Pairwise cost wins over the regime's shared seeds, folded from
+    /// its succeeded cells' trace records.
     pub wins: WinMatrix,
 }
 
@@ -192,8 +195,7 @@ impl TournamentReport {
 ///
 /// # Panics
 ///
-/// Panics if `jobs` is zero, or if a succeeded cell's trace fails to
-/// replay (impossible for traces the run itself produced).
+/// Panics if `jobs` is zero.
 pub fn run_tournament<F>(
     config: &TournamentConfig,
     jobs: usize,
@@ -254,13 +256,11 @@ where
             row.rank = i + 1;
         }
 
-        // The win matrix is replayed from the regime's merged trace, not
-        // taken from the in-memory reports: the leaderboard and
-        // `spotverse analyse` must never disagree about who beat whom.
-        let merged = merged_trace_jsonl(slice);
-        let state: ReplayState = replay_str(&merged, TimeWindow::ALL)
-            .expect("tournament traces replay cleanly");
-        let wins = win_matrix(&state);
+        // The win matrix is folded from the regime's trace records, each
+        // cell under its label, not taken from the in-memory reports: the
+        // same fold `spotverse analyse` runs over the merged trace's text,
+        // so the two never disagree about who beat whom.
+        let wins = win_matrix(&merged_trace_state(slice));
 
         standings.push(RegimeStanding {
             regime,

@@ -581,7 +581,7 @@ pub fn append_trace_jsonl(out: &mut String, cell: Option<&str>, trace: &RunTrace
 /// Appends the canonical truncation marker line (no trailing newline) a
 /// capacity-capped trace ends with. The read side
 /// ([`crate::replay`]) parses this back into
-/// [`TraceLine::Truncated`](crate::replay::TraceLine).
+/// [`TraceLine::Truncated`](crate::replay::TraceLine::Truncated).
 pub fn append_truncation_json(out: &mut String, cell: Option<&str>, dropped: u64) {
     out.push('{');
     if let Some(cell) = cell {

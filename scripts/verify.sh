@@ -100,6 +100,23 @@ cargo test -q -p spotverse-integration --test golden_analytics
 echo "==> golden tournament: committed leaderboard snapshot"
 cargo test -q -p spotverse-integration --test golden_tournament
 
+echo "==> trace fold: in-process record fold equals text replay"
+# The tournament folds its cells' trace records in-process; `analyse`
+# replays the same records from merged JSONL. Per regime the two folds
+# must be equal cell for cell and give the same win matrix, truncation
+# included. The filter must select the one test, not none.
+fold_out=$(cargo test -q -p spotverse-integration --test trace_roundtrip -- \
+    --exact trace_stats_reconcile_across_merged_cells 2>&1) || {
+    echo "$fold_out" >&2
+    echo "==> trace fold FAILED" >&2
+    exit 1
+}
+if ! grep -q "1 passed" <<<"$fold_out"; then
+    echo "==> trace fold FAILED: trace_stats_reconcile_across_merged_cells did not run" >&2
+    exit 1
+fi
+echo "    record fold equals text replay in every regime"
+
 echo "==> golden workflows: committed .ga exports of the paper workflows"
 cargo test -q -p spotverse-integration --test golden_workflows
 

@@ -194,6 +194,7 @@ const BAD_ARGVS: &[&[&str]] = &[
     &["sweep", "--scenario", "sweep_shard_chaos"],
     &["sweep", "--orchestrated", "true", "--scenario", "meteor"],
     &["sweep", "--seeds", "0"],
+    &["sweep", "--seed", "18446744073709551615", "--seeds", "2"],
     &["sweep", "--orchestrated", "true", "--shard-size", "0"],
     &["sweep", "--orchestrated", "true", "--max-attempts", "0"],
     &["sweep", "--orchestrated", "true", "--jobs", "x"],
@@ -210,6 +211,7 @@ const BAD_ARGVS: &[&[&str]] = &[
     &["tournament", "--regime", "bull-market"],
     &["tournament", "--chaos", "meteor-strike"],
     &["tournament", "--seeds", "0"],
+    &["tournament", "--seed", "18446744073709551615", "--seeds", "2"],
     &["tournament", "--strategy", "blimp"],
     &["tournament", "--deadline-days", "0"],
     &["workflow", "--duration-hours", "0"],

@@ -138,7 +138,7 @@ fn splice(line: &str, at: usize, delete: usize, insert: &str) -> String {
 
 /// Whatever parses re-serializes to canonical text that parses back to
 /// the same line and the same bytes.
-fn check_line(line: &str) -> Result<Option<TraceLine>, TestCaseError> {
+fn check_line(line: &str) -> Result<Option<TraceLine<'_>>, TestCaseError> {
     let Ok(parsed) = parse_trace_line(line) else {
         return Ok(None);
     };

@@ -3,18 +3,23 @@
 //! must fail with a structured error naming the line (never a panic),
 //! and the replay fold (`CellState`) over parsed merged multi-cell JSONL
 //! must equal the fold over the records the writer held — including the
-//! billed dollars of deadline-expired workloads.
+//! billed dollars of deadline-expired workloads. The tournament folds its
+//! records in-process ([`merged_trace_state`]); that fold must equal the
+//! replay of the same records' merged JSONL, truncation included.
 
 use std::fs;
 use std::path::PathBuf;
 
 use bio_workloads::{paper_fleet, WorkloadKind};
-use cloud_market::InstanceType;
+use cloud_market::{InstanceType, MarketRegime, Region};
 use sim_kernel::{SimDuration, SimRng};
+use spotverse::replay::win_matrix;
 use spotverse::{
-    parse_trace_jsonl, replay_lines, replay_str, run_fleet, run_matrix, trace_lines_to_jsonl,
-    trace_to_jsonl, CellState, FleetConfig, MarketCache, SweepCell, TimeWindow, TraceConfig,
-    TraceEvent, TraceLine, TraceRecord,
+    append_trace_jsonl, merged_trace_jsonl, merged_trace_state, parse_trace_jsonl, replay_lines,
+    replay_str, run_fleet, run_fleet_matrix, run_matrix, run_tournament, trace_lines_to_jsonl,
+    trace_to_jsonl, CellState, FleetConfig, MarketCache, OnDemandStrategy, ReplayState, RunTrace,
+    SingleRegionStrategy, Strategy, SweepCell, TimeWindow, TournamentChaos, TournamentConfig,
+    TraceConfig, TraceEvent, TraceLine, TraceRecord,
 };
 use spotverse_integration::{spotverse_strategy, traced_config};
 
@@ -126,11 +131,11 @@ fn blank_lines_are_skipped_by_the_parser_and_the_cursor() {
     assert_eq!(replay_str(&bad, TimeWindow::ALL).unwrap_err().line, number);
 }
 
-fn split_by_cell(lines: &[TraceLine]) -> Vec<(String, Vec<TraceRecord>)> {
+fn split_by_cell(lines: &[TraceLine<'_>]) -> Vec<(String, Vec<TraceRecord>)> {
     let mut cells: Vec<(String, Vec<TraceRecord>)> = Vec::new();
     for line in lines {
         let TraceLine::Record { cell, record } = line else { continue };
-        let key = cell.clone().unwrap_or_default();
+        let key = cell.as_deref().unwrap_or_default().to_owned();
         match cells.iter_mut().find(|(k, _)| *k == key) {
             Some((_, records)) => records.push(record.clone()),
             None => cells.push((key, vec![record.clone()])),
@@ -147,9 +152,31 @@ fn fold(records: &[TraceRecord]) -> CellState {
     state
 }
 
+/// Asserts that the record fold and the text replay hold the same cells,
+/// in the same order, each with the same views.
+fn assert_same_cells(folded: &ReplayState, replayed: &ReplayState, what: &str) {
+    let labels = |s: &ReplayState| s.cells.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+    assert_eq!(labels(folded), labels(replayed), "{what}: the same cells in the same order");
+    for ((key, a), (_, b)) in folded.cells.iter().zip(&replayed.cells) {
+        assert_eq!(a, b, "{what}: cell {key}: record fold equals text replay");
+    }
+}
+
+fn tournament_strategy(name: &str) -> Box<dyn Strategy> {
+    match name {
+        "spotverse" => spotverse_strategy(),
+        "on-demand" => Box::new(OnDemandStrategy::new()),
+        "single-region" => Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
+        other => panic!("unknown strategy {other}"),
+    }
+}
+
 /// The replay fold over parsed merged multi-cell JSONL agrees with the
 /// fold over each constituent run's in-memory records — the read side
-/// must split by cell.
+/// must split by cell — and the in-process record fold agrees with both.
+/// On tournament-shaped cells (every regime, its matched chaos, three
+/// strategies over two shared seeds) the tournament's win matrix equals
+/// the one `spotverse analyse` derives from the regime's merged JSONL.
 #[test]
 fn trace_stats_reconcile_across_merged_cells() {
     let cells: Vec<SweepCell> = (0..3)
@@ -163,7 +190,7 @@ fn trace_stats_reconcile_across_merged_cells() {
         .collect();
     let cache = MarketCache::new();
     let outcomes = run_matrix(&cells, 2, &cache, |_| spotverse_strategy());
-    let merged = spotverse::merged_trace_jsonl(&outcomes);
+    let merged = merged_trace_jsonl(&outcomes);
     let lines = parse_trace_jsonl(&merged).expect("merged trace parses");
     let by_cell = split_by_cell(&lines);
     assert_eq!(by_cell.len(), cells.len(), "every cell present in the merged document");
@@ -176,6 +203,55 @@ fn trace_stats_reconcile_across_merged_cells() {
         let live = fold(&trace.events);
         assert_eq!(fold(records), live, "{key}: read-side fold equals write-side fold");
         assert_eq!(replayed.cell(key), Some(&live), "{key}: cursor replay equals write-side fold");
+    }
+    assert_same_cells(&merged_trace_state(&outcomes), &replayed, "sweep cells");
+
+    // A capped trace: the truncation count folds the same both ways.
+    let flap = outcomes[1].report().and_then(|r| r.trace.as_ref()).expect("tracing enabled");
+    let capped = RunTrace { events: flap.events[..8].to_vec(), dropped: 5 };
+    let mut text = String::new();
+    append_trace_jsonl(&mut text, Some("capped"), &capped);
+    let mut folded = ReplayState::default();
+    folded.fold_trace("capped", &capped);
+    let replayed = replay_str(&text, TimeWindow::ALL).expect("capped trace replays");
+    assert_same_cells(&folded, &replayed, "capped trace");
+    let cell = folded.cell("capped").expect("the marker creates the cell");
+    assert_eq!((cell.events, cell.dropped), (8, Some(5)));
+
+    let strategies = ["spotverse", "on-demand", "single-region"];
+    let reps = 2;
+    let rng = SimRng::seed_from_u64(610);
+    let fleet = FleetConfig::staggered(
+        610,
+        InstanceType::M5Xlarge,
+        paper_fleet(WorkloadKind::NgsPreprocessing, 2, &rng),
+        SimDuration::from_mins(45),
+    );
+    let mut config = TournamentConfig::new(
+        strategies.iter().map(|s| (*s).to_owned()).collect(),
+        MarketRegime::ALL.to_vec(),
+        reps,
+        fleet,
+    );
+    config.chaos = TournamentChaos::RegimeMatched;
+    let report = run_tournament(&config, 2, &cache, tournament_strategy);
+    assert!(report.failed.is_empty(), "failed cells: {:?}", report.failed);
+    assert_eq!(report.standings.len(), MarketRegime::ALL.len());
+    // The tournament's own cells, run again and merged as `spotverse
+    // analyse` reads them: one contiguous block per regime.
+    let outcomes =
+        run_fleet_matrix(&config.build_cells(), 2, &cache, |c| tournament_strategy(&c.strategy));
+    let blocks = outcomes.chunks(strategies.len() * reps as usize);
+    for ((standing, regime), block) in report.standings.iter().zip(MarketRegime::ALL).zip(blocks) {
+        let name = regime.name();
+        assert_eq!(standing.regime, regime);
+        assert!(block.iter().all(|o| o.label.contains(&format!("@{name}/"))), "{name}: block");
+        let replayed =
+            replay_str(&merged_trace_jsonl(block), TimeWindow::ALL).expect("regime trace replays");
+        assert_eq!(replayed.cells.len(), block.len(), "{name}: every cell traced");
+        assert_same_cells(&merged_trace_state(block), &replayed, name);
+        assert_eq!(standing.wins, win_matrix(&replayed), "{name}: win matrix");
+        assert_eq!(standing.wins.contested_seeds, reps as usize, "{name}");
     }
 }
 
