@@ -176,7 +176,6 @@ const REQUEST_PRICE: f64 = 2.0e-7;
 #[derive(Debug, Default)]
 pub struct FunctionRuntime {
     functions: BTreeMap<String, FunctionConfig>,
-    invocations: usize,
     injector: Option<Box<dyn ServiceFaultInjector>>,
 }
 
@@ -261,7 +260,6 @@ impl FunctionRuntime {
             clock += config.exec_duration.min(config.timeout);
             match body(attempt) {
                 Ok(value) => {
-                    self.invocations += 1;
                     return Ok(InvocationOutcome {
                         value,
                         finished_at: clock,
@@ -271,7 +269,6 @@ impl FunctionRuntime {
                 Err(e) => last_error = e,
             }
         }
-        self.invocations += 1;
         Err(FunctionError::RetriesExhausted {
             name: name.to_owned(),
             attempts: max_attempts,
@@ -284,11 +281,6 @@ impl FunctionRuntime {
             f64::from(config.memory_mib) / 1024.0 * config.exec_duration.as_secs() as f64;
         let cost = Usd::new(GB_SECOND_PRICE * gb_seconds + REQUEST_PRICE);
         ledger.charge(ServiceKind::FunctionRuntime, cost);
-    }
-
-    /// Number of invocations (including failed ones).
-    pub fn invocation_count(&self) -> usize {
-        self.invocations
     }
 }
 
@@ -312,7 +304,7 @@ mod tests {
         assert_eq!(out.attempts, 1);
         assert_eq!(out.finished_at, SimTime::from_secs(2));
         assert!(ledger.total_for_service(ServiceKind::FunctionRuntime) > Usd::ZERO);
-        assert_eq!(rt.invocation_count(), 1);
+        assert_eq!(ledger.len(), 1, "one attempt, one charge");
     }
 
     #[test]
@@ -347,7 +339,6 @@ mod tests {
             }
             other => panic!("unexpected error {other}"),
         }
-        assert_eq!(rt.invocation_count(), 1, "a failed invocation still counts");
     }
 
     #[test]

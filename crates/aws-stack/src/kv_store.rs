@@ -161,8 +161,6 @@ impl Table {
 #[derive(Debug, Default)]
 pub struct KvStore {
     tables: BTreeMap<String, Table>,
-    reads: u64,
-    writes: u64,
     injector: Option<Box<dyn ServiceFaultInjector>>,
 }
 
@@ -234,7 +232,6 @@ impl KvStore {
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
         ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
         t.with_row(key, |row| *row = item);
-        self.writes += 1;
         Ok(())
     }
 
@@ -256,7 +253,6 @@ impl KvStore {
             .get(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
         ledger.charge(ServiceKind::KvStore, Usd::new(READ_PRICE));
-        self.reads += 1;
         Ok(t.items.get(key))
     }
 
@@ -285,7 +281,6 @@ impl KvStore {
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
         ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
         t.with_row(key, update);
-        self.writes += 1;
         Ok(())
     }
 
@@ -314,7 +309,6 @@ impl KvStore {
             .get_mut(table)
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
         ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
-        self.writes += 1;
         if !condition(t.items.get(key)) {
             return Err(KvError::ConditionFailed {
                 table: table.to_owned(),
@@ -341,16 +335,6 @@ impl KvStore {
             .map(|(k, v)| (k.as_str(), v))
             .collect())
     }
-
-    /// Total reads served.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes served.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
 }
 
 #[cfg(test)]
@@ -375,9 +359,10 @@ mod tests {
         db.put_item("t", "k", item(1.0), SimTime::ZERO, &mut ledger).unwrap();
         let got = db.get_item("t", "k", SimTime::ZERO, &mut ledger).unwrap().unwrap();
         assert_eq!(got["v"].as_number(), Some(1.0));
-        assert_eq!(db.reads(), 1);
-        assert_eq!(db.writes(), 1);
-        assert!(ledger.total_for_service(ServiceKind::KvStore) > Usd::ZERO);
+        let mut expected = BillingLedger::new();
+        expected.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
+        expected.charge(ServiceKind::KvStore, Usd::new(READ_PRICE));
+        assert_eq!(ledger, expected, "one billed write, one billed read");
     }
 
     #[test]
@@ -431,9 +416,7 @@ mod tests {
 
     /// One billed write per call, each a `KvStore` charge at the write
     /// price; no reads.
-    fn assert_billed_writes(db: &KvStore, ledger: &BillingLedger, writes: u64) {
-        assert_eq!(db.writes(), writes);
-        assert_eq!(db.reads(), 0);
+    fn assert_billed_writes(ledger: &BillingLedger, writes: u64) {
         assert_eq!(ledger.len() as u64, writes);
         let mut expected = BillingLedger::new();
         for _ in 0..writes {
@@ -454,7 +437,7 @@ mod tests {
         db.put_item("t", "j", item(4.0), SimTime::ZERO, &mut ledger).unwrap();
         assert_eq!(rows(&db), vec![("j".into(), Some(4.0)), ("k".into(), Some(3.0))]);
         assert_eq!(db.scan_prefix("t", "k").unwrap()[0].1, &item(3.0));
-        assert_billed_writes(&db, &ledger, 4);
+        assert_billed_writes(&ledger, 4);
     }
 
     #[test]
@@ -472,7 +455,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(rows(&db), vec![("j".into(), Some(5.0)), ("k".into(), Some(2.0))]);
-        assert_billed_writes(&db, &ledger, 3);
+        assert_billed_writes(&ledger, 3);
     }
 
     #[test]
@@ -487,13 +470,13 @@ mod tests {
         .unwrap();
         db.conditional_put("t", "k", item(3.0), SimTime::ZERO, &mut ledger, |_| true).unwrap();
         db.conditional_put("t", "j", item(4.0), SimTime::ZERO, &mut ledger, |_| true).unwrap();
-        // A rejected write is billed and counted but leaves the row alone.
+        // A rejected write is billed but leaves the row alone.
         assert!(db
             .conditional_put("t", "k", item(9.0), SimTime::ZERO, &mut ledger, |_| false)
             .is_err());
         assert_eq!(rows(&db), vec![("j".into(), Some(4.0)), ("k".into(), Some(3.0))]);
         assert_eq!(db.scan_prefix("t", "k").unwrap()[0].1, &item(3.0));
-        assert_billed_writes(&db, &ledger, 5);
+        assert_billed_writes(&ledger, 5);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | Amazon DynamoDB | [`KvStore`] (items, conditional writes) |
 //! | AWS Lambda | [`FunctionRuntime`] (memory/duration billing) |
 //! | AWS Step Functions | [`RetryPolicy`] (retry with backoff) |
-//! | Amazon EventBridge | [`EventBus`] (rules routing interruption notices) |
+//! | Amazon EventBridge | [`EventBus`] (the orchestrator's shard dispatches, at-least-once under chaos) |
 //! | Amazon CloudWatch | [`MetricsService`] (billed custom-metric puts) |
 //!
 //! All services bill into the shared
@@ -48,7 +48,7 @@ mod kv_store;
 mod metrics;
 mod object_store;
 
-pub use event_bus::{BusEvent, EventBus, EventBusError, Rule};
+pub use event_bus::EventBus;
 pub use fault::{ServiceFault, ServiceFaultInjector, ServiceOp};
 pub use file_system::{FileSystemError, FileSystemId, IoOutcome, SharedFileSystem};
 pub use functions::{

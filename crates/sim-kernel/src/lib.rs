@@ -23,33 +23,30 @@
 //!
 //! # Examples
 //!
+//! A model owns its [`EventQueue`] and pops it until the queue drains,
+//! scheduling further events as it reacts to each one:
+//!
 //! ```
-//! use sim_kernel::{Model, Scheduler, SimDuration, SimTime, Simulation};
+//! use sim_kernel::{EventQueue, SimDuration, SimTime};
 //!
-//! /// Counts pings, re-arming itself once.
-//! struct Ping(u32);
-//!
-//! impl Model for Ping {
-//!     type Event = &'static str;
-//!     fn handle(&mut self, _t: SimTime, ev: &'static str, s: &mut Scheduler<'_, &'static str>) {
-//!         self.0 += 1;
-//!         if ev == "first" {
-//!             s.schedule_in(SimDuration::from_mins(2), "second");
-//!         }
+//! let mut queue = EventQueue::new();
+//! queue.schedule(SimTime::ZERO, "first");
+//! let mut pings = 0;
+//! let mut clock = SimTime::ZERO;
+//! while let Some((now, event)) = queue.pop() {
+//!     pings += 1;
+//!     clock = now;
+//!     if event == "first" {
+//!         queue.schedule_in(now, SimDuration::from_mins(2), "second");
 //!     }
 //! }
-//!
-//! let mut sim = Simulation::new(Ping(0));
-//! sim.schedule_at(SimTime::ZERO, "first");
-//! sim.run();
-//! assert_eq!(sim.model().0, 2);
-//! assert_eq!(sim.now(), SimTime::from_secs(120));
+//! assert_eq!(pings, 2);
+//! assert_eq!(clock, SimTime::from_secs(120));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod engine;
 mod event;
 pub mod json;
 mod rng;
@@ -57,7 +54,6 @@ mod series;
 mod stats;
 mod time;
 
-pub use engine::{Model, RunOutcome, Scheduler, Simulation};
 pub use event::EventQueue;
 pub use rng::{keyed_hash, SimRng};
 pub use series::{CumulativeCounter, TimeSeries};

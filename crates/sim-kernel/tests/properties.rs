@@ -36,7 +36,7 @@ proptest! {
 
     /// Any interleaving of `schedule`, `schedule_in`, `pop`, `peek_time`
     /// and `len` delivers the same `(time, event)` sequence as the
-    /// reference heap. The clock is set from each pop, as `Simulation`
+    /// reference heap. The clock is set from each pop, as a model's pop loop
     /// does. Times span a minute, so many events tie at one instant across
     /// the heap and the lanes; `schedule_in` repeats the delays 0 and
     /// 900 s and mixes in a dozen others, so lanes fill up, empty and are

@@ -31,9 +31,7 @@ use bio_workloads::WorkloadSpec;
 use chaos::ChaosEngine;
 use cloud_compute::{InstanceId, ServiceKind, SpotRequestOutcome, TerminationReason};
 use cloud_market::{Region, SpotMarket};
-use sim_kernel::{
-    CumulativeCounter, Model, Scheduler, SimDuration, SimRng, SimTime, Simulation,
-};
+use sim_kernel::{CumulativeCounter, EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::controlplane::{ControlPlane, CHECKPOINT_TABLE};
 use crate::experiment::{
@@ -241,6 +239,7 @@ pub(crate) enum Event {
 struct FleetModel {
     config: FleetConfig,
     cp: ControlPlane,
+    queue: EventQueue<Event>,
     strategy: Box<dyn Strategy>,
     strategy_rng: SimRng,
     workloads: Vec<WorkloadRuntime>,
@@ -389,7 +388,7 @@ impl FleetModel {
 
     /// Places an arrival batch: one strategy decision covering every
     /// workload in the batch, then a launch event per workload.
-    fn place_batch(&mut self, ids: &[usize], now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
+    fn place_batch(&mut self, ids: &[usize], now: SimTime) {
         let (assessments, degraded) = self.cp.decision_inputs(now);
         let n = ids.len();
         let mut quarantined = Vec::new();
@@ -443,12 +442,12 @@ impl FleetModel {
             let w = ids[i];
             self.workloads[w].placement = placement;
             self.workloads[w].phase = WorkloadPhase::Requesting;
-            scheduler.schedule_in(SimDuration::ZERO, Event::Launch(w));
+            self.queue.schedule_in(now, SimDuration::ZERO, Event::Launch(w));
         }
         self.placements_scratch = placements;
     }
 
-    fn handle_start(&mut self, now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
+    fn handle_start(&mut self, now: SimTime) {
         // Prime the Monitor so the first decision has a snapshot. Under a
         // throttle storm the collection may fail; decisions then fall back
         // to fresh market reads until a tick succeeds.
@@ -462,7 +461,7 @@ impl FleetModel {
                     .record(now, TraceEvent::CollectionFailed { retryable: e.is_retryable() });
             }
         }
-        scheduler.schedule_in(MONITOR_PERIOD, Event::MonitorTick);
+        self.queue.schedule_in(now, MONITOR_PERIOD, Event::MonitorTick);
 
         // Place the batch present at the start (all of it, for a classic
         // experiment), then schedule the later arrival batches and any
@@ -472,19 +471,19 @@ impl FleetModel {
         let mut first_arrival = 0;
         if self.batches.first().is_some_and(|(at, _)| *at == now) {
             first_arrival = 1;
-            self.place_arrivals(0, now, scheduler);
+            self.place_arrivals(0, now);
         }
         for b in first_arrival..self.batches.len() {
-            scheduler.schedule_at(self.batches[b].0, Event::Arrive(b));
+            self.queue.schedule(self.batches[b].0, Event::Arrive(b));
         }
         for w in 0..self.workloads.len() {
             if self.workloads[w].deadline < self.horizon {
-                scheduler.schedule_at(self.workloads[w].deadline, Event::Expire(w));
+                self.queue.schedule(self.workloads[w].deadline, Event::Expire(w));
             }
         }
     }
 
-    fn handle_arrive(&mut self, b: usize, now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
+    fn handle_arrive(&mut self, b: usize, now: SimTime) {
         // Only materialize the trace payload when the recorder is on.
         if self.cp.tracer.enabled() {
             let ids = &self.arrival_order[self.batches[b].1.clone()];
@@ -507,18 +506,18 @@ impl FleetModel {
                 TraceEvent::WorkloadsArrived { batch: ids.to_vec(), tenants, priorities },
             );
         }
-        self.place_arrivals(b, now, scheduler);
+        self.place_arrivals(b, now);
     }
 
     /// Places arrival batch `b`. The order vector is lent out for the
     /// call, so placing a batch copies no indices.
-    fn place_arrivals(&mut self, b: usize, now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
+    fn place_arrivals(&mut self, b: usize, now: SimTime) {
         let order = std::mem::take(&mut self.arrival_order);
-        self.place_batch(&order[self.batches[b].1.clone()], now, scheduler);
+        self.place_batch(&order[self.batches[b].1.clone()], now);
         self.arrival_order = order;
     }
 
-    fn handle_launch(&mut self, w: usize, now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
+    fn handle_launch(&mut self, w: usize, now: SimTime) {
         if self.workloads[w].settled() || self.workloads[w].running.is_some() {
             return;
         }
@@ -533,7 +532,7 @@ impl FleetModel {
                 now,
                 TraceEvent::CapacityDeferred { workload: w, region: placement.region() },
             );
-            scheduler.schedule_in(RETRY_INTERVAL, Event::Retry(w));
+            self.queue.schedule_in(now, RETRY_INTERVAL, Event::Retry(w));
             return;
         }
         match placement {
@@ -554,7 +553,7 @@ impl FleetModel {
                             instance: launch.instance,
                         },
                     );
-                    let FleetModel { workloads, cp, .. } = self;
+                    let FleetModel { workloads, cp, queue, .. } = self;
                     workloads[w].begin_execution(
                         w,
                         region,
@@ -562,10 +561,10 @@ impl FleetModel {
                         launch.ready_at,
                         launch.interruption_at,
                         now,
-                        scheduler,
+                        queue,
                         cp,
                     );
-                    self.schedule_checkpoint_tick(w, launch.instance, now, scheduler);
+                    self.schedule_checkpoint_tick(w, launch.instance, now);
                     self.occupy_slot(region);
                 }
                 Ok(SpotRequestOutcome::OpenNoCapacity) => {
@@ -593,7 +592,7 @@ impl FleetModel {
                         .tracer
                         .record(now, TraceEvent::RequestOpen { workload: w, region, blackout });
                     // The Controller's periodic sweep picks it back up.
-                    scheduler.schedule_in(RETRY_INTERVAL, Event::Retry(w));
+                    self.queue.schedule_in(now, RETRY_INTERVAL, Event::Retry(w));
                 }
                 // A failed request (e.g. a region knocked out from under
                 // an in-flight placement) also lands on the retry sweep
@@ -606,7 +605,7 @@ impl FleetModel {
                     self.cp
                         .tracer
                         .record(now, TraceEvent::RequestFailed { workload: w, region });
-                    scheduler.schedule_in(RETRY_INTERVAL, Event::Retry(w));
+                    self.queue.schedule_in(now, RETRY_INTERVAL, Event::Retry(w));
                 }
             },
             Placement::OnDemand(region) => {
@@ -625,7 +624,7 @@ impl FleetModel {
                         instance: launch.instance,
                     },
                 );
-                let FleetModel { workloads, cp, .. } = self;
+                let FleetModel { workloads, cp, queue, .. } = self;
                 workloads[w].begin_execution(
                     w,
                     region,
@@ -633,7 +632,7 @@ impl FleetModel {
                     launch.ready_at,
                     None,
                     now,
-                    scheduler,
+                    queue,
                     cp,
                 );
                 // On-demand instances are never reclaimed, so a proactive
@@ -647,29 +646,17 @@ impl FleetModel {
     /// spot instance, when the strategy asked for a cadence and the
     /// workload can checkpoint at all. A no-op for every classic
     /// strategy (`checkpoint_cadence` stays `None`).
-    fn schedule_checkpoint_tick(
-        &mut self,
-        w: usize,
-        instance: InstanceId,
-        now: SimTime,
-        scheduler: &mut Scheduler<'_, Event>,
-    ) {
+    fn schedule_checkpoint_tick(&mut self, w: usize, instance: InstanceId, now: SimTime) {
         if let Some(interval) = self.checkpoint_cadence {
             if self.workloads[w].spec.kind.is_checkpointable() {
-                scheduler.schedule_at(now + interval, Event::CheckpointTick(w, instance));
+                self.queue.schedule(now + interval, Event::CheckpointTick(w, instance));
             }
         }
     }
 
     /// A proactive checkpoint tick fired: save if the instance is still
     /// the one the tick was armed for, then re-arm the cadence.
-    fn handle_checkpoint_tick(
-        &mut self,
-        w: usize,
-        instance: InstanceId,
-        now: SimTime,
-        scheduler: &mut Scheduler<'_, Event>,
-    ) {
+    fn handle_checkpoint_tick(&mut self, w: usize, instance: InstanceId, now: SimTime) {
         let Some(interval) = self.checkpoint_cadence else {
             return;
         };
@@ -681,7 +668,7 @@ impl FleetModel {
         }
         let FleetModel { workloads, cp, .. } = self;
         workloads[w].proactive_checkpoint(w, now, cp);
-        scheduler.schedule_at(now + interval, Event::CheckpointTick(w, instance));
+        self.queue.schedule(now + interval, Event::CheckpointTick(w, instance));
     }
 
     fn note_launch(&mut self, region: Region) {
@@ -693,7 +680,7 @@ impl FleetModel {
     /// concurrency cap, re-ask the strategy for a target before
     /// requesting again — otherwise a migration aimed at a now-dead
     /// region would spin on it until the fault lifts.
-    fn handle_retry(&mut self, w: usize, now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
+    fn handle_retry(&mut self, w: usize, now: SimTime) {
         if self.workloads[w].settled() || self.workloads[w].running.is_some() {
             return;
         }
@@ -716,16 +703,10 @@ impl FleetModel {
             let placement = self.relocate(w, now, region);
             self.workloads[w].placement = placement;
         }
-        self.handle_launch(w, now, scheduler);
+        self.handle_launch(w, now);
     }
 
-    fn handle_reclaim(
-        &mut self,
-        w: usize,
-        instance: InstanceId,
-        now: SimTime,
-        scheduler: &mut Scheduler<'_, Event>,
-    ) {
+    fn handle_reclaim(&mut self, w: usize, instance: InstanceId, now: SimTime) {
         let Some(running) = &self.workloads[w].running else {
             return;
         };
@@ -811,7 +792,7 @@ impl FleetModel {
         let placement = self.relocate(w, now, region);
         self.workloads[w].placement = placement;
         self.workloads[w].phase = WorkloadPhase::Requesting;
-        scheduler.schedule_at(handler_done.max(now), Event::Launch(w));
+        self.queue.schedule(handler_done.max(now), Event::Launch(w));
     }
 
     fn handle_complete(&mut self, w: usize, instance: InstanceId, now: SimTime) {
@@ -892,7 +873,7 @@ impl FleetModel {
             .record(now, TraceEvent::WorkloadExpired { workload: w, region, billed: billed_amount });
     }
 
-    fn handle_monitor_tick(&mut self, now: SimTime, scheduler: &mut Scheduler<'_, Event>) {
+    fn handle_monitor_tick(&mut self, now: SimTime) {
         if self.done() {
             return;
         }
@@ -900,7 +881,7 @@ impl FleetModel {
             Ok(_) => {
                 self.cp.note_collection_success(now);
                 self.cp.monitor_backoff = 0;
-                scheduler.schedule_in(MONITOR_PERIOD, Event::MonitorTick);
+                self.queue.schedule_in(now, MONITOR_PERIOD, Event::MonitorTick);
             }
             Err(e) if e.is_retryable() => {
                 // Back off with jitter, bounded by the normal period, and
@@ -912,7 +893,7 @@ impl FleetModel {
                 let delay = MONITOR_RETRY
                     .backoff_equal_jitter(self.cp.monitor_backoff + 1, &mut self.cp.backoff_rng);
                 self.cp.monitor_backoff = (self.cp.monitor_backoff + 1).min(8);
-                scheduler.schedule_in(delay, Event::MonitorTick);
+                self.queue.schedule_in(now, delay, Event::MonitorTick);
             }
             // Non-retryable failures (the market refusing a read) don't
             // kill the run either: decisions keep serving the last good
@@ -921,43 +902,26 @@ impl FleetModel {
             Err(_) => {
                 self.cp.note_collection_failure();
                 self.cp.tracer.record(now, TraceEvent::CollectionFailed { retryable: false });
-                scheduler.schedule_in(MONITOR_PERIOD, Event::MonitorTick);
+                self.queue.schedule_in(now, MONITOR_PERIOD, Event::MonitorTick);
             }
         }
     }
-}
 
-impl Model for FleetModel {
-    type Event = Event;
-
-    fn handle(&mut self, now: SimTime, event: Event, scheduler: &mut Scheduler<'_, Event>) {
-        if now >= self.horizon {
-            if self.expire_at_horizon {
-                // Expiring at the horizon itself bills each instance up to
-                // it, which reads only prices before it.
-                for w in 0..self.workloads.len() {
-                    self.handle_expire(w, self.horizon);
-                }
-            }
-            self.aborted = true;
-            return;
-        }
+    fn handle(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::Start => self.handle_start(now, scheduler),
-            Event::Arrive(b) => self.handle_arrive(b, now, scheduler),
-            Event::Launch(w) => self.handle_launch(w, now, scheduler),
-            Event::Retry(w) => self.handle_retry(w, now, scheduler),
+            Event::Start => self.handle_start(now),
+            Event::Arrive(b) => self.handle_arrive(b, now),
+            Event::Launch(w) => self.handle_launch(w, now),
+            Event::Retry(w) => self.handle_retry(w, now),
             Event::Notice(w, instance) => {
                 let FleetModel { workloads, cp, .. } = self;
                 workloads[w].handle_notice(w, instance, now, cp);
             }
-            Event::Reclaim(w, instance) => self.handle_reclaim(w, instance, now, scheduler),
+            Event::Reclaim(w, instance) => self.handle_reclaim(w, instance, now),
             Event::Complete(w, instance) => self.handle_complete(w, instance, now),
             Event::Expire(w) => self.handle_expire(w, now),
-            Event::MonitorTick => self.handle_monitor_tick(now, scheduler),
-            Event::CheckpointTick(w, instance) => {
-                self.handle_checkpoint_tick(w, instance, now, scheduler)
-            }
+            Event::MonitorTick => self.handle_monitor_tick(now),
+            Event::CheckpointTick(w, instance) => self.handle_checkpoint_tick(w, instance, now),
         }
     }
 }
@@ -1078,6 +1042,7 @@ pub fn run_fleet_on(
 
     let mut model = FleetModel {
         cp,
+        queue: EventQueue::new(),
         strategy,
         strategy_rng: root_rng.fork("strategy"),
         workloads,
@@ -1110,12 +1075,31 @@ pub fn run_fleet_on(
         };
         model.cp.tracer.record(start, event);
     }
-    let mut sim = Simulation::new(model);
-    sim.schedule_at(start, Event::Start);
-    sim.run_until(|m| m.done());
-    let final_time = sim.now();
-    let events = sim.events_delivered();
-    let mut model = sim.into_model();
+    // The event that reaches the horizon is counted and stamps the end of
+    // the run, but is not handled.
+    model.queue.schedule(start, Event::Start);
+    let mut final_time = start;
+    let mut events = 0;
+    while let Some((now, event)) = model.queue.pop() {
+        events += 1;
+        debug_assert!(now >= final_time, "event queue went backwards");
+        final_time = now;
+        if now >= model.horizon {
+            if model.expire_at_horizon {
+                // Expiring at the horizon itself bills each instance up to
+                // it, which reads only prices before it.
+                for w in 0..model.workloads.len() {
+                    model.handle_expire(w, model.horizon);
+                }
+            }
+            model.aborted = true;
+            break;
+        }
+        model.handle(now, event);
+        if model.done() {
+            break;
+        }
+    }
 
     // A run that ends while still degraded closes its interval here.
     if let Some(since) = model.cp.degraded_since.take() {

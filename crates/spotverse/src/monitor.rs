@@ -384,6 +384,10 @@ mod tests {
     use super::*;
     use cloud_market::MarketConfig;
 
+    /// Ledger charges of one fresh collection over the 12 regions: the
+    /// collector invocation, then a KV row and a metric datapoint each.
+    const FRESH_CHARGES: usize = 1 + 12 + 12;
+
     struct Fixture {
         market: SpotMarket,
         monitor: Monitor,
@@ -423,7 +427,7 @@ mod tests {
     fn collect_persists_all_regions() {
         let mut f = fixture();
         assert_eq!(collect(&mut f, None, SimTime::from_hours(1)), CollectOutcome::Fresh(12));
-        assert_eq!(f.functions.invocation_count(), 1);
+        assert_eq!(f.ledger.len(), FRESH_CHARGES);
         assert!(f.ledger.total().amount() > 0.0);
         assert_eq!(persisted(&f).len(), 12);
     }
@@ -514,15 +518,16 @@ mod tests {
         // Four 15-minute ticks inside hour 24: one fresh read, three hits.
         let base = SimTime::from_days(1);
         assert_eq!(collect(&mut f, None, base), CollectOutcome::Fresh(12));
+        assert_eq!(f.ledger.len(), FRESH_CHARGES);
         for tick in 1..4 {
             let at = base + SimDuration::from_mins(15 * tick);
             assert_eq!(collect(&mut f, None, at), CollectOutcome::Reused);
         }
-        assert_eq!(f.functions.invocation_count(), 1, "reused ticks must not invoke");
+        assert_eq!(f.ledger.len(), FRESH_CHARGES, "reused ticks must bill nothing");
         // Crossing the hour boundary refreshes.
         let next_hour = base + MARKET_EPOCH;
         assert_eq!(collect(&mut f, None, next_hour), CollectOutcome::Fresh(12));
-        assert_eq!(f.functions.invocation_count(), 2);
+        assert_eq!(f.ledger.len(), 2 * FRESH_CHARGES);
         // Reused ticks leave the persisted snapshot untouched and valid.
         let snapshot = persisted(&f);
         let fresh = f.monitor.fresh_assessments(&f.market, next_hour).unwrap();

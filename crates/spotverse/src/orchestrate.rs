@@ -33,8 +33,8 @@
 //! workers execute cells through the exact same code path.
 
 use aws_stack::{
-    AttrValue, BusEvent, EventBus, FunctionConfig, FunctionRuntime, Item, KvError, KvStore,
-    ObjectBody, ObjectStore, RetryPolicy, Rule,
+    AttrValue, EventBus, FunctionConfig, FunctionRuntime, Item, KvError, KvStore, ObjectBody,
+    ObjectStore, RetryPolicy,
 };
 use chaos::{ChaosEngine, ChaosScenario};
 use cloud_compute::BillingLedger;
@@ -54,10 +54,6 @@ pub const DEADLETTER_TABLE: &str = "sweep-dead-letters";
 pub const RESULT_BUCKET: &str = "sweep-results";
 /// The registered shard-executor function.
 pub const EXECUTOR_FUNCTION: &str = "sweep-shard-executor";
-/// Event source for shard dispatches.
-const DISPATCH_SOURCE: &str = "spotverse.sweep";
-/// Detail type for shard dispatches.
-const DISPATCH_DETAIL_TYPE: &str = "Sweep Shard Dispatch";
 
 /// How long a claimed lease lives without renewal.
 const LEASE_DURATION: SimDuration = SimDuration::from_mins(10);
@@ -290,13 +286,6 @@ impl<'a> Orchestrator<'a> {
                 ..FunctionConfig::default()
             },
         );
-        bus.put_rule(Rule::new(
-            "on-shard-dispatch",
-            DISPATCH_SOURCE,
-            Some(DISPATCH_DETAIL_TYPE.into()),
-            EXECUTOR_FUNCTION,
-        ))
-        .expect("fresh bus");
         if let Some(scenario) = &config.chaos {
             let engine = ChaosEngine::new(scenario, config.seed, SimTime::ZERO);
             kv.set_fault_injector(engine.service_injector("orch-kv"));
@@ -388,13 +377,7 @@ impl<'a> Orchestrator<'a> {
         let cells = self.shards[shard].cells.len();
         self.tracer
             .record(now, TraceEvent::ShardDispatched { shard, attempt, cells });
-        let targets = self.bus.publish(BusEvent::new(
-            DISPATCH_SOURCE,
-            DISPATCH_DETAIL_TYPE,
-            format!("{shard}/a{attempt}"),
-            now,
-        ));
-        for _ in targets {
+        for _ in 0..self.bus.publish(now) {
             self.queue.schedule_in(
                 now,
                 DISPATCH_LATENCY,

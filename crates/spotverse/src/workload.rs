@@ -8,14 +8,14 @@
 //! [`WorkloadPhase`] lifecycle). Everything shared across workloads
 //! (market telemetry, breakers, chaos, the tracer) stays in the
 //! [`ControlPlane`]; the fleet event loop in [`crate::fleet`] multiplexes
-//! many runtimes over one scheduler.
+//! many runtimes over one event queue.
 
 use aws_stack::{KvError, ObjectBody, ObjectStoreError};
 use bio_workloads::WorkloadSpec;
 use cloud_compute::{InstanceId, INTERRUPTION_NOTICE};
 use cloud_market::{Region, Usd};
 use galaxy_flow::WorkflowInvocation;
-use sim_kernel::{Scheduler, SimDuration, SimTime};
+use sim_kernel::{EventQueue, SimDuration, SimTime};
 
 use crate::controlplane::{ControlPlane, CHECKPOINT_TABLE};
 use crate::experiment::{CheckpointBackend, LOG_BUCKET};
@@ -149,7 +149,7 @@ impl WorkloadRuntime {
         ready_at: SimTime,
         interruption_at: Option<SimTime>,
         now: SimTime,
-        scheduler: &mut Scheduler<'_, Event>,
+        queue: &mut EventQueue<Event>,
         cp: &mut ControlPlane,
     ) {
         self.launches += 1;
@@ -202,11 +202,11 @@ impl WorkloadRuntime {
                     );
                 }
                 let notice_at = (at - warning).max(now);
-                scheduler.schedule_at(notice_at, Event::Notice(w, instance));
-                scheduler.schedule_at(at, Event::Reclaim(w, instance));
+                queue.schedule(notice_at, Event::Notice(w, instance));
+                queue.schedule(at, Event::Reclaim(w, instance));
             }
             _ => {
-                scheduler.schedule_at(completion_at, Event::Complete(w, instance));
+                queue.schedule(completion_at, Event::Complete(w, instance));
             }
         }
     }

@@ -14,7 +14,7 @@ use spotverse::replay::strategy_distributions;
 use spotverse::{
     merged_trace_jsonl, replay_str, run_fleet, run_matrix, run_matrix_orchestrated,
     trace_to_jsonl, CellState, ExperimentReport, FleetConfig, MarketCache, OrchestratorConfig,
-    SweepCell, TimeWindow, TraceConfig, WorkloadPhase,
+    SweepCell, TimeWindow, TraceConfig, TraceEvent, WorkloadPhase,
 };
 use spotverse_integration::{spotverse_strategy, spotverse_with_threshold, traced_config};
 
@@ -208,7 +208,20 @@ fn a_fleet_stopped_at_the_market_horizon_settles_and_bills_every_workload() {
         .amount();
     assert!((rows - ledger).abs() < 1e-9, "rows {rows} vs ledger {ledger}");
 
-    let doc = trace_to_jsonl(report.aggregate.trace.as_ref().expect("tracing enabled"));
+    // The first event at or past the horizon stops the run: it is counted
+    // with the events delivered before it, and its instant (the second
+    // arrival, at 210d00h) stamps the end of the run.
+    assert_eq!(report.events, 11);
+    let trace = report.aggregate.trace.as_ref().expect("tracing enabled");
+    let ended = trace
+        .events
+        .iter()
+        .find(|r| matches!(r.event, TraceEvent::RunEnded { .. }))
+        .expect("the run records its end");
+    assert_eq!(ended.at, SimTime::from_days(210));
+    assert_eq!(ended.event, TraceEvent::RunEnded { completed: 0, aborted: true });
+
+    let doc = trace_to_jsonl(trace);
     let cell = replay_single(&doc);
     assert_eq!(cell.occupancy.expired as usize, report.expired);
     assert!(
