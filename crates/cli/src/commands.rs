@@ -1342,15 +1342,27 @@ mod tests {
 
     #[test]
     fn workflow_exports_valid_ga() {
+        // The top-level entries of an exported document, each value as
+        // its source text.
+        let entries = |doc: &str| {
+            let mut r = sim_kernel::json::Scanner::new(doc);
+            r.begin_object().unwrap();
+            let mut out = Vec::new();
+            while let Some(key) = r.next_key().unwrap() {
+                out.push((key.into_owned(), r.skip_value().unwrap().to_owned()));
+            }
+            r.finish().unwrap();
+            out
+        };
         let out = run(["workflow", "--workload", "ngs", "--duration-hours", "8"]).unwrap();
-        let doc = sim_kernel::json::parse(&out).unwrap();
-        let field = |key: &str| doc.get(key).and_then(|v| v.as_str().ok());
-        assert_eq!(field("a_galaxy_workflow"), Some("true"));
-        assert_eq!(field("name"), Some("ngs-data-preprocessing"));
-        assert_eq!(field("annotation"), Some("recovery=resume-from-checkpoint"));
-        let genome = run(["workflow"]).unwrap();
-        let doc = sim_kernel::json::parse(&genome).unwrap();
-        assert_eq!(doc.get("steps").unwrap().as_obj().unwrap().len(), 23);
+        let doc = entries(&out);
+        let field = |key: &str| doc.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
+        assert_eq!(field("a_galaxy_workflow"), Some("\"true\""));
+        assert_eq!(field("name"), Some("\"ngs-data-preprocessing\""));
+        assert_eq!(field("annotation"), Some("\"recovery=resume-from-checkpoint\""));
+        let genome = entries(&run(["workflow"]).unwrap());
+        let steps = genome.iter().find(|(k, _)| k == "steps").unwrap();
+        assert_eq!(entries(&steps.1).len(), 23);
         assert!(run(["workflow", "--duration-hours", "0"]).is_err());
     }
 

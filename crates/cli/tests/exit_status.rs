@@ -1,7 +1,8 @@
 //! The `spotverse` binary's exit status: 1 with a structured error on
 //! stderr (never a panic) for bad input, 1 with the table kept on stdout
 //! when some cells of a run failed, and 0 for a run that reaches the
-//! market horizon, arrivals at the last representable instant included.
+//! market horizon, arrivals at the last representable instant included. A
+//! trace line nested far too deep is bad input like any other.
 
 use std::process::Command;
 
@@ -121,4 +122,23 @@ fn arrivals_past_the_last_representable_instant_expire_at_the_horizon() {
     assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
     assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
     assert!(stdout.contains("fleet: 10 expired"), "stdout:\n{stdout}");
+}
+
+#[test]
+fn a_deeply_nested_trace_line_is_an_error_not_a_stack_overflow() {
+    // A key ahead of `event` holds 50,000 nested arrays (100 KB on one
+    // line); the reader stops at its nesting bound instead of descending
+    // one stack frame per level.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("nested_trace_line.jsonl");
+    let line = format!("{{\"x\":{}{}}}\n", "[".repeat(50_000), "]".repeat(50_000));
+    std::fs::write(&path, line).expect("temp file written");
+    let out = Command::new(env!("CARGO_BIN_EXE_spotverse"))
+        .arg("analyse")
+        .arg(&path)
+        .output()
+        .expect("spotverse runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked") && !stderr.contains("overflowed"), "stderr:\n{stderr}");
+    assert!(stderr.contains("trace line 1: nested deeper than"), "stderr:\n{stderr}");
 }

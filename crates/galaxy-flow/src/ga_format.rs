@@ -1,79 +1,69 @@
-//! The Galaxy `.ga` workflow interchange format.
+//! The Galaxy `.ga` workflow interchange format, export only.
 //!
 //! Galaxy shares workflows as `.ga` JSON documents (the paper's Genome
 //! Reconstruction workflow comes from the Galaxy training materials as one).
-//! This module exports a [`Workflow`] to a `.ga`-shaped document, carrying
-//! the simulator's step timing/sharding metadata in the step `annotation`
-//! field, so exported files remain structurally valid Galaxy workflows.
+//! [`to_ga_json`] writes a [`Workflow`] as one, straight into a `String`
+//! with no value tree in between, carrying the simulator's step
+//! timing/sharding metadata in the step `annotation` field, so exported
+//! files remain structurally valid Galaxy workflows. Nothing in the
+//! workspace reads `.ga` documents back.
 
-use std::borrow::Cow;
+use std::fmt::Write as _;
 
-use sim_kernel::json::{self, num_u64, JsonVal};
+use sim_kernel::json::push_json_str;
 
 use crate::workflow::{RecoveryMode, Workflow};
 
-/// An object with its keys in byte order, as `.ga` documents are written.
-fn sorted_obj<'a>(mut entries: Vec<(Cow<'a, str>, JsonVal<'a>)>) -> JsonVal<'a> {
-    entries.sort_by(|(a, _), (b, _)| a.cmp(b));
-    JsonVal::Obj(entries)
-}
-
-fn text<'a>(s: impl Into<Cow<'a, str>>) -> JsonVal<'a> {
-    JsonVal::Str(s.into())
-}
-
-/// Exports a workflow as a `.ga`-shaped JSON document.
+/// Exports a workflow as a `.ga`-shaped JSON document: indented by two
+/// spaces, with the keys of every object in byte order (so step `"10"`
+/// comes before step `"2"`). The workflow's own strings go through
+/// [`push_json_str`]; keys, numbers and fixed values are written in place.
 pub fn to_ga_json(workflow: &Workflow) -> String {
-    let steps = workflow
-        .steps()
-        .iter()
-        .enumerate()
-        .map(|(i, step)| {
-            let connections = step
-                .inputs()
-                .iter()
-                .enumerate()
-                .map(|(j, dep)| {
-                    let conn = sorted_obj(vec![
-                        ("id".into(), num_u64(dep.index() as u64)),
-                        ("output_name".into(), text("output")),
-                    ]);
-                    (format!("input{j}").into(), conn)
-                })
-                .collect();
-            let annotation = format!(
-                "duration_secs={};shards={};output_gib={}",
-                step.duration().as_secs(),
-                step.shards(),
-                step.output_size_gib(),
-            );
-            let obj = sorted_obj(vec![
-                ("id".into(), num_u64(i as u64)),
-                ("name".into(), text(step.label())),
-                ("tool_id".into(), text(step.tool().as_str())),
-                ("type".into(), text("tool")),
-                ("annotation".into(), text(annotation)),
-                ("output_format".into(), text(step.output_format().extension())),
-                ("input_connections".into(), sorted_obj(connections)),
-            ]);
-            (i.to_string().into(), obj)
-        })
-        .collect();
     let recovery = match workflow.recovery() {
-        RecoveryMode::RestartFromScratch => "recovery=restart-from-scratch",
-        RecoveryMode::ResumeFromCheckpoint => "recovery=resume-from-checkpoint",
+        RecoveryMode::RestartFromScratch => "restart-from-scratch",
+        RecoveryMode::ResumeFromCheckpoint => "resume-from-checkpoint",
     };
-    json::write_pretty(&sorted_obj(vec![
-        ("a_galaxy_workflow".into(), text("true")),
-        ("format-version".into(), text("0.1")),
-        ("name".into(), text(workflow.name())),
-        ("annotation".into(), text(recovery)),
-        ("steps".into(), sorted_obj(steps)),
-    ]))
+    let mut out = String::from("{\n  \"a_galaxy_workflow\": \"true\",\n");
+    let _ = writeln!(out, "  \"annotation\": \"recovery={recovery}\",");
+    out.push_str("  \"format-version\": \"0.1\",\n  \"name\": ");
+    push_json_str(&mut out, workflow.name());
+    out.push_str(",\n  \"steps\": {");
+    for (n, i) in byte_order(workflow.len()).into_iter().enumerate() {
+        let step = &workflow.steps()[i];
+        let (secs, shards, gib) = (step.duration().as_secs(), step.shards(), step.output_size_gib());
+        out.push_str(if n == 0 { "\n" } else { ",\n" });
+        let _ = write!(out, "    \"{i}\": {{\n      \"annotation\": ");
+        let _ = writeln!(out, "\"duration_secs={secs};shards={shards};output_gib={gib}\",");
+        let _ = write!(out, "      \"id\": {i},\n      \"input_connections\": {{");
+        let inputs = step.inputs();
+        for (m, j) in byte_order(inputs.len()).into_iter().enumerate() {
+            out.push_str(if m == 0 { "\n" } else { ",\n" });
+            let _ = write!(out, "        \"input{j}\": {{\n          \"id\": {},\n", inputs[j].index());
+            out.push_str("          \"output_name\": \"output\"\n        }");
+        }
+        out.push_str(if inputs.is_empty() { "}" } else { "\n      }" });
+        out.push_str(",\n      \"name\": ");
+        push_json_str(&mut out, step.label());
+        let format = step.output_format().extension();
+        let _ = write!(out, ",\n      \"output_format\": \"{format}\",\n      \"tool_id\": ");
+        push_json_str(&mut out, step.tool().as_str());
+        out.push_str(",\n      \"type\": \"tool\"\n    }");
+    }
+    out.push_str(if workflow.is_empty() { "}\n}" } else { "\n  }\n}" });
+    out
+}
+
+/// `0..n` in the byte order of their decimal spelling, the order of the
+/// `.ga` keys named after them.
+fn byte_order(n: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_cached_key(usize::to_string);
+    order
 }
 
 #[cfg(test)]
 mod tests {
+    use sim_kernel::json::Scanner;
     use sim_kernel::SimDuration;
 
     use super::*;
@@ -103,24 +93,39 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The string under `key`, if `obj` has one.
-    fn str_field<'v>(obj: &'v JsonVal<'_>, key: &str) -> Option<&'v str> {
-        obj.get(key).and_then(|v| v.as_str().ok())
+    /// The entries of the JSON object `doc`, each value as its source
+    /// text.
+    fn entries(doc: &str) -> Vec<(String, &str)> {
+        let mut r = Scanner::new(doc);
+        r.begin_object().unwrap();
+        let mut out = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            out.push((key.into_owned(), r.skip_value().unwrap()));
+        }
+        r.finish().unwrap();
+        out
+    }
+
+    /// The source text of the value under `key` in the object `doc`.
+    fn field<'d>(doc: &'d str, key: &str) -> &'d str {
+        entries(doc).into_iter().find(|(k, _)| k == key).unwrap().1
+    }
+
+    /// The string under `key` in the object `doc`.
+    fn str_field(doc: &str, key: &str) -> String {
+        Scanner::new(field(doc, key)).read_str().unwrap().into_owned()
     }
 
     /// Step `i` of an exported document.
-    fn step<'v>(doc: &'v JsonVal<'_>, i: usize) -> &'v JsonVal<'v> {
-        doc.get("steps").and_then(|steps| steps.get(&i.to_string())).unwrap()
+    fn step(doc: &str, i: usize) -> &str {
+        field(field(doc, "steps"), &i.to_string())
     }
 
     /// The step ids a step's `inputN` connections name, in `N` order.
-    fn connection_ids(step: &JsonVal<'_>) -> Vec<usize> {
-        let connections = step.get("input_connections").unwrap();
-        (0..connections.as_obj().unwrap().len())
-            .map(|n| {
-                let conn = connections.get(&format!("input{n}")).unwrap();
-                conn.get("id").unwrap().as_usize().unwrap()
-            })
+    fn connection_ids(step: &str) -> Vec<usize> {
+        let connections = field(step, "input_connections");
+        (0..entries(connections).len())
+            .map(|n| field(field(connections, &format!("input{n}")), "id").parse().unwrap())
             .collect()
     }
 
@@ -128,22 +133,21 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let original = sample_workflow();
         let ga = to_ga_json(&original);
-        let doc = json::parse(&ga).unwrap();
-        assert_eq!(str_field(&doc, "name"), Some("ngs-sample"));
-        assert_eq!(doc.get("steps").unwrap().as_obj().unwrap().len(), original.len());
+        assert_eq!(str_field(&ga, "name"), "ngs-sample");
+        assert_eq!(entries(field(&ga, "steps")).len(), original.len());
         for (i, s) in original.steps().iter().enumerate() {
-            let exported = step(&doc, i);
-            assert_eq!(exported.get("id").unwrap().as_usize(), Ok(i));
-            assert_eq!(str_field(exported, "name"), Some(s.label()));
-            assert_eq!(str_field(exported, "tool_id"), Some(s.tool().as_str()));
-            assert_eq!(str_field(exported, "output_format"), Some(s.output_format().extension()));
+            let exported = step(&ga, i);
+            assert_eq!(field(exported, "id"), i.to_string());
+            assert_eq!(str_field(exported, "name"), s.label());
+            assert_eq!(str_field(exported, "tool_id"), s.tool().as_str());
+            assert_eq!(str_field(exported, "output_format"), s.output_format().extension());
             let annotation = format!(
                 "duration_secs={};shards={};output_gib={}",
                 s.duration().as_secs(),
                 s.shards(),
                 s.output_size_gib()
             );
-            assert_eq!(str_field(exported, "annotation"), Some(annotation.as_str()));
+            assert_eq!(str_field(exported, "annotation"), annotation);
             let inputs: Vec<usize> = s.inputs().iter().map(|id| id.index()).collect();
             assert_eq!(connection_ids(exported), inputs);
         }
@@ -152,14 +156,13 @@ mod tests {
     #[test]
     fn document_is_galaxy_shaped() {
         let ga = to_ga_json(&sample_workflow());
-        let doc = json::parse(&ga).unwrap();
-        assert_eq!(str_field(&doc, "a_galaxy_workflow"), Some("true"));
-        assert_eq!(str_field(&doc, "format-version"), Some("0.1"));
-        let steps = doc.get("steps").unwrap();
-        assert_eq!(steps.as_obj().unwrap().len(), 3);
-        let qc = steps.get("1").unwrap();
-        assert_eq!(str_field(qc, "tool_id"), Some("fastqc"));
-        assert!(str_field(qc, "annotation").unwrap().contains("shards=20"));
+        assert_eq!(str_field(&ga, "a_galaxy_workflow"), "true");
+        assert_eq!(str_field(&ga, "format-version"), "0.1");
+        assert_eq!(entries(field(&ga, "steps")).len(), 3);
+        let qc = step(&ga, 1);
+        assert_eq!(str_field(qc, "tool_id"), "fastqc");
+        assert!(str_field(qc, "annotation").contains("shards=20"));
+        assert_eq!(field(step(&ga, 0), "input_connections"), "{}");
     }
 
     #[test]
@@ -172,8 +175,7 @@ mod tests {
             .collect();
         b.add_step("merge", "t", SimDuration::from_mins(5), &sources);
         let ga = to_ga_json(&b.build().unwrap());
-        let doc = json::parse(&ga).unwrap();
-        assert_eq!(connection_ids(step(&doc, 11)), (0..11).collect::<Vec<_>>());
+        assert_eq!(connection_ids(step(&ga, 11)), (0..11).collect::<Vec<_>>());
     }
 
     #[test]
@@ -186,9 +188,8 @@ mod tests {
             prev = Some(b.add_step(format!("step-{i}"), "tool", SimDuration::from_mins(20 + i), &inputs));
         }
         let ga = to_ga_json(&b.build().unwrap());
-        let doc = json::parse(&ga).unwrap();
         for i in 1..23 {
-            assert_eq!(connection_ids(step(&doc, i)), vec![i - 1]);
+            assert_eq!(connection_ids(step(&ga, i)), vec![i - 1]);
         }
     }
 
@@ -204,8 +205,7 @@ mod tests {
             (sample_workflow(), "recovery=resume-from-checkpoint"),
         ] {
             let ga = to_ga_json(&workflow);
-            let doc = json::parse(&ga).unwrap();
-            assert_eq!(str_field(&doc, "annotation"), Some(annotation));
+            assert_eq!(str_field(&ga, "annotation"), annotation);
         }
     }
 }

@@ -6,10 +6,10 @@ use std::fmt;
 
 /// Identifier of a tool, e.g. `"fastqc"`.
 ///
-/// Stored as a `Cow` so the static tool names used by every built-in
-/// workflow never hit the heap — workflow construction sits on the
-/// fleet runtime's per-workload path, where each saved allocation is
-/// multiplied by the fleet size.
+/// Stored as a `Cow` so the static tool names of the built-in workflows
+/// are borrowed, not copied. Workflows are built for `.ga` export and
+/// tests; the fleet runtime builds its plans from step tables and makes
+/// no `Workflow`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ToolId(Cow<'static, str>);
 

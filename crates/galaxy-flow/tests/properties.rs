@@ -118,57 +118,125 @@ proptest! {
     }
 }
 
-mod ga_roundtrip {
+mod ga_export {
     use super::*;
     use galaxy_flow::to_ga_json;
-    use sim_kernel::json::{self, JsonVal};
+    use sim_kernel::json::Scanner;
+
+    /// Text for names, labels and tool ids: quotes, backslashes, control
+    /// characters and multibyte characters among plain ones.
+    const TEXT: &str = "[\u{0}-\u{1f}\"\\/a-z é€😀]{0,12}";
+
+    /// A workflow of 1–24 steps with arbitrary names, labels and tool ids,
+    /// each step taking up to 13 inputs from earlier steps, so that step
+    /// and input counts past ten, whose keys sort out of numeric order,
+    /// are common.
+    fn arb_named_workflow() -> impl Strategy<Value = Workflow> {
+        let step = (TEXT, TEXT, prop::collection::vec(any::<usize>(), 0..14));
+        (TEXT, prop::collection::vec(step, 1..25)).prop_map(|(name, steps)| {
+            let mut b = Workflow::builder(name, RecoveryMode::ResumeFromCheckpoint);
+            let mut ids = Vec::new();
+            for (k, (label, tool, picks)) in steps.into_iter().enumerate() {
+                let inputs: Vec<_> = match k {
+                    0 => Vec::new(),
+                    _ => picks.iter().map(|p| ids[p % k]).collect(),
+                };
+                // The index keeps labels unique and tool ids non-empty.
+                let mins = SimDuration::from_mins(5);
+                ids.push(b.add_step(format!("{k}{label}"), format!("{k}{tool}"), mins, &inputs));
+            }
+            b.build().expect("generated workflow is valid")
+        })
+    }
+
+    /// The entries of the JSON object `doc`, each value as its source text.
+    fn entries(doc: &str) -> Vec<(String, &str)> {
+        let mut r = Scanner::new(doc);
+        r.begin_object().unwrap();
+        let mut out = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            out.push((key.into_owned(), r.skip_value().unwrap()));
+        }
+        r.finish().unwrap();
+        out
+    }
+
+    /// The source text of the value under `key` in the object `doc`.
+    fn field<'d>(doc: &'d str, key: &str) -> &'d str {
+        entries(doc).into_iter().find(|(k, _)| k == key).unwrap().1
+    }
+
+    /// The string under `key` in the object `doc`.
+    fn str_field(doc: &str, key: &str) -> String {
+        Scanner::new(field(doc, key))
+            .read_str()
+            .unwrap()
+            .into_owned()
+    }
+
+    /// Checks that every object in `doc` lists its keys in byte order.
+    fn keys_in_byte_order(doc: &str) -> Result<(), TestCaseError> {
+        let entries = entries(doc);
+        for pair in entries.windows(2) {
+            prop_assert!(
+                pair[0].0 < pair[1].0,
+                "`{}` before `{}`",
+                pair[0].0,
+                pair[1].0
+            );
+        }
+        for (_, value) in entries {
+            if value.starts_with('{') {
+                keys_in_byte_order(value)?;
+            }
+        }
+        Ok(())
+    }
 
     proptest! {
-        /// Every constructible workflow exports to a JSON document that
-        /// parses and writes back byte-identically, with one step per
-        /// workflow step under its own name.
+        /// The export is one JSON value and nothing after it.
         #[test]
-        fn ga_codec_roundtrips(wf in arb_workflow(RecoveryMode::ResumeFromCheckpoint)) {
+        fn ga_export_is_one_json_value(wf in arb_named_workflow()) {
             let ga = to_ga_json(&wf);
-            let doc = json::parse(&ga).unwrap();
-            prop_assert_eq!(&json::write_pretty(&doc), &ga);
-            let steps = doc.get("steps").unwrap();
-            prop_assert_eq!(steps.as_obj().unwrap().len(), wf.len());
+            let mut r = Scanner::new(&ga);
+            prop_assert_eq!(r.skip_value(), Ok(ga.as_str()));
+            prop_assert_eq!(r.finish(), Ok(()));
+        }
+
+        /// The workflow name, step labels and tool ids read back equal,
+        /// whatever characters they hold.
+        #[test]
+        fn ga_export_strings_read_back_equal(wf in arb_named_workflow()) {
+            let ga = to_ga_json(&wf);
+            prop_assert_eq!(str_field(&ga, "name"), wf.name());
+            let steps = field(&ga, "steps");
             for (i, step) in wf.steps().iter().enumerate() {
-                let name = steps.get(&i.to_string()).and_then(|s| s.get("name"));
-                prop_assert_eq!(name.unwrap().as_str(), Ok(step.label()));
+                let exported = field(steps, &i.to_string());
+                prop_assert_eq!(str_field(exported, "name"), step.label());
+                prop_assert_eq!(str_field(exported, "tool_id"), step.tool().as_str());
             }
         }
 
-        /// The JSON writer `.ga` documents are written with produces
-        /// parseable documents for arbitrary string content (escaping is
-        /// total).
+        /// Every object lists its keys in byte order (step `10` before
+        /// step `2`, `input10` before `input2`), each step's `id` is its
+        /// key, and each `inputN` names the step's `N`-th input.
         #[test]
-        fn json_string_escaping_is_total(s in ".*") {
-            let rendered = json::write_pretty(&JsonVal::Str(s.as_str().into()));
-            let parsed = json::parse(&rendered).unwrap();
-            prop_assert_eq!(parsed.as_str(), Ok(s.as_str()));
-        }
-
-        /// Arbitrary nested JSON documents round-trip through
-        /// write ∘ parse, indented or compact.
-        #[test]
-        fn json_document_roundtrip(
-            keys in prop::collection::vec("[a-z]{1,8}", 1..6),
-            numbers in prop::collection::vec(-1e9f64..1e9, 1..6),
-        ) {
-            let map: std::collections::BTreeMap<_, _> = keys
-                .iter()
-                .zip(numbers.iter())
-                .map(|(k, n)| (k.clone(), JsonVal::Num(format!("{}", (*n * 100.0).round() / 100.0).into())))
-                .collect();
-            let entries: Vec<_> = map.into_iter().map(|(k, v)| (k.into(), v)).collect();
-            let doc = JsonVal::Obj(vec![("doc".into(), JsonVal::Arr(vec![JsonVal::Obj(entries)]))]);
-            let pretty = json::write_pretty(&doc);
-            prop_assert_eq!(&json::parse(&pretty).unwrap(), &doc);
-            let mut compact = String::new();
-            json::write_into(&doc, &mut compact);
-            prop_assert_eq!(json::parse(&compact).unwrap(), doc);
+        fn ga_export_keys_sort_in_byte_order_and_ids_match(wf in arb_named_workflow()) {
+            let ga = to_ga_json(&wf);
+            keys_in_byte_order(&ga)?;
+            let steps = entries(field(&ga, "steps"));
+            prop_assert_eq!(steps.len(), wf.len());
+            for (key, exported) in steps {
+                prop_assert_eq!(field(exported, "id"), key.as_str());
+                let inputs = wf.steps()[key.parse::<usize>().unwrap()].inputs();
+                let connections = entries(field(exported, "input_connections"));
+                prop_assert_eq!(connections.len(), inputs.len());
+                for (input, connection) in connections {
+                    let n: usize = input.strip_prefix("input").unwrap().parse().unwrap();
+                    prop_assert_eq!(field(connection, "id"), inputs[n].index().to_string());
+                    prop_assert_eq!(str_field(connection, "output_name"), "output");
+                }
+            }
         }
     }
 }

@@ -1,156 +1,42 @@
-//! JSON for the workspace: one pull reader ([`Scanner`]), a lossless,
-//! borrowing value model built on it ([`parse`], [`JsonVal`]), compact and
-//! indented writers, and the one string escaper.
+//! JSON for the workspace: one pull reader ([`Scanner`]) and one string
+//! escaper ([`push_json_str`]).
 //!
 //! Canonical trace JSONL is decoded straight into typed records by reading
-//! its tokens from a [`Scanner`], with no value tree in between, and its
-//! strings are escaped with [`push_json_str`]. Galaxy `.ga` workflows are
-//! written with [`write_pretty`].
-//!
-//! To read a document and write it back byte-identically, [`parse`] loses
-//! nothing: objects keep their source key order and numbers keep their
-//! raw source text, so `2`, `2.0`, and a 20-significant-digit price all
-//! survive exactly. Parsed values borrow from the input: a number is a
-//! slice of the source and so is every string without escapes. Each input
-//! byte is scanned once.
+//! its tokens from a [`Scanner`], with no value tree in between. Every
+//! string the workspace writes into JSON (trace lines, analysis reports,
+//! Galaxy `.ga` workflows) goes through [`push_json_str`]; each writer puts
+//! its keys, numbers and punctuation in place itself.
 //!
 //! # Examples
 //!
 //! ```
-//! use sim_kernel::json::{self, JsonVal};
+//! use sim_kernel::json::{push_json_str, Scanner};
 //!
-//! let doc = json::parse(r#"{"id":7,"name":"fastqc"}"#)?;
-//! assert_eq!(doc.get("id").map(JsonVal::as_usize), Some(Ok(7)));
-//! let mut out = String::new();
-//! json::write_into(&doc, &mut out);
-//! assert_eq!(out, r#"{"id":7,"name":"fastqc"}"#);
+//! let mut doc = String::from("{\"tool\":");
+//! push_json_str(&mut doc, "fast\"qc");
+//! doc.push('}');
+//! assert_eq!(doc, r#"{"tool":"fast\"qc"}"#);
+//!
+//! let mut r = Scanner::new(&doc);
+//! r.begin_object()?;
+//! assert_eq!(r.next_key()?.as_deref(), Some("tool"));
+//! assert_eq!(r.read_str()?, "fast\"qc");
+//! assert_eq!(r.next_key()?, None);
+//! r.finish()?;
 //! # Ok::<(), String>(())
 //! ```
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// A parsed JSON value with nothing normalized away.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal<'a> {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number, kept as its raw source text.
-    Num(Cow<'a, str>),
-    /// A string (escapes resolved).
-    Str(Cow<'a, str>),
-    /// An array.
-    Arr(Vec<JsonVal<'a>>),
-    /// An object in source key order.
-    Obj(Vec<(Cow<'a, str>, JsonVal<'a>)>),
-}
+/// The deepest nesting of objects and arrays [`Scanner::skip_value`]
+/// reads. Canonical trace lines nest 3 deep; the bound stops a hostile
+/// line from exhausting the stack, which the skip descends one frame per
+/// level.
+const MAX_DEPTH: usize = 128;
 
-impl<'a> JsonVal<'a> {
-    /// The JSON type name, for error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            JsonVal::Null => "null",
-            JsonVal::Bool(_) => "bool",
-            JsonVal::Num(_) => "number",
-            JsonVal::Str(_) => "string",
-            JsonVal::Arr(_) => "array",
-            JsonVal::Obj(_) => "object",
-        }
-    }
-
-    /// The number as a `u64`; fractions, exponents and negatives fail.
-    #[inline]
-    pub fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            JsonVal::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| format!("`{raw}` is not an unsigned integer")),
-            other => Err(format!("expected an integer, found {}", other.type_name())),
-        }
-    }
-
-    /// The number as a `usize`, under the rules of [`as_u64`](Self::as_u64).
-    #[inline]
-    pub fn as_usize(&self) -> Result<usize, String> {
-        let n = self.as_u64()?;
-        usize::try_from(n).map_err(|_| format!("`{n}` exceeds usize"))
-    }
-
-    /// The string, borrowed.
-    #[inline]
-    pub fn as_str(&self) -> Result<&str, String> {
-        match self {
-            JsonVal::Str(s) => Ok(s),
-            other => Err(format!("expected a string, found {}", other.type_name())),
-        }
-    }
-
-    /// The object's entries in source order, borrowed.
-    #[inline]
-    pub fn as_obj(&self) -> Result<&[(Cow<'a, str>, JsonVal<'a>)], String> {
-        match self {
-            JsonVal::Obj(entries) => Ok(entries),
-            other => Err(format!("expected an object, found {}", other.type_name())),
-        }
-    }
-
-    /// The value under `key`, if this is an object that has one.
-    #[must_use]
-    #[inline]
-    pub fn get(&self, key: &str) -> Option<&JsonVal<'a>> {
-        match self {
-            JsonVal::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string as an owned `String`; allocates only if it was borrowed.
-    #[inline]
-    pub fn into_string(self) -> Result<String, String> {
-        match self {
-            JsonVal::Str(s) => Ok(s.into_owned()),
-            other => Err(format!("expected a string, found {}", other.type_name())),
-        }
-    }
-
-    /// The array's items.
-    #[inline]
-    pub fn into_arr(self) -> Result<Vec<JsonVal<'a>>, String> {
-        match self {
-            JsonVal::Arr(items) => Ok(items),
-            other => Err(format!("expected an array, found {}", other.type_name())),
-        }
-    }
-
-    /// The object's entries in source order.
-    #[inline]
-    pub fn into_obj(self) -> Result<Vec<(Cow<'a, str>, JsonVal<'a>)>, String> {
-        match self {
-            JsonVal::Obj(entries) => Ok(entries),
-            other => Err(format!("expected an object, found {}", other.type_name())),
-        }
-    }
-}
-
-/// An integer number value.
-#[must_use]
-pub fn num_u64(n: u64) -> JsonVal<'static> {
-    JsonVal::Num(Cow::Owned(n.to_string()))
-}
-
-/// Parses one complete JSON document, rejecting trailing garbage,
-/// duplicate keys and non-finite numbers.
-pub fn parse(input: &str) -> Result<JsonVal<'_>, String> {
-    let mut reader = Scanner::new(input);
-    let value = reader.value()?;
-    reader.finish()?;
-    Ok(value)
-}
-
-/// A pull reader over one JSON document: the one tokenizer behind
-/// [`parse`] and the typed trace decoders.
+/// A pull reader over one JSON document: the one tokenizer behind the
+/// typed trace decoders.
 ///
 /// Each read skips leading whitespace, checks the grammar of the token it
 /// reads and leaves the reader just past it. Objects and arrays are read
@@ -356,21 +242,33 @@ impl<'a> Scanner<'a> {
 
     /// Reads any one value under the full grammar, building nothing, and
     /// returns its source text. Keys are not checked for repeats: the
-    /// text is meant to be read again by a typed reader.
+    /// text is meant to be read again by a typed reader. Objects and
+    /// arrays nested more than 128 deep are an error.
     pub fn skip_value(&mut self) -> Result<&'a str, String> {
-        let kind = self.kind()?;
+        self.skip_ws();
         let start = self.pos;
+        self.skip_nested(MAX_DEPTH)?;
+        Ok(&self.src[start..self.pos])
+    }
+
+    /// [`skip_value`](Self::skip_value) with `levels` more objects or
+    /// arrays allowed to open.
+    fn skip_nested(&mut self, levels: usize) -> Result<(), String> {
+        let kind = self.kind()?;
+        if levels == 0 && matches!(kind, Kind::Obj | Kind::Arr) {
+            return self.err(format!("nested deeper than {MAX_DEPTH} levels"));
+        }
         match kind {
             Kind::Obj => {
                 self.begin_object()?;
                 while self.next_key()?.is_some() {
-                    self.skip_value()?;
+                    self.skip_nested(levels - 1)?;
                 }
             }
             Kind::Arr => {
                 self.begin_array()?;
                 while self.next_item()? {
-                    self.skip_value()?;
+                    self.skip_nested(levels - 1)?;
                 }
             }
             Kind::Str => {
@@ -384,39 +282,7 @@ impl<'a> Scanner<'a> {
             }
             Kind::Null => self.keyword("null")?,
         }
-        Ok(&self.src[start..self.pos])
-    }
-
-    /// Reads any one value into a tree, rejecting repeated keys.
-    fn value(&mut self) -> Result<JsonVal<'a>, String> {
-        Ok(match self.kind()? {
-            Kind::Obj => {
-                self.begin_object()?;
-                let mut entries: Vec<(Cow<'a, str>, JsonVal<'a>)> = Vec::new();
-                while let Some(key) = self.next_key()? {
-                    if entries.iter().any(|(k, _)| *k == key) {
-                        return self.err(format!("duplicate key `{key}`"));
-                    }
-                    entries.push((key, self.value()?));
-                }
-                JsonVal::Obj(entries)
-            }
-            Kind::Arr => {
-                self.begin_array()?;
-                let mut items = Vec::new();
-                while self.next_item()? {
-                    items.push(self.value()?);
-                }
-                JsonVal::Arr(items)
-            }
-            Kind::Str => JsonVal::Str(self.string()?),
-            Kind::Num => JsonVal::Num(Cow::Borrowed(self.number()?)),
-            Kind::Bool => JsonVal::Bool(self.read_bool()?),
-            Kind::Null => {
-                self.keyword("null")?;
-                JsonVal::Null
-            }
-        })
+        Ok(())
     }
 
     #[cold]
@@ -714,206 +580,101 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Writes a value compactly: source-order keys, raw number text verbatim,
-/// strings through [`push_json_str`]. For a value built by [`parse`] from
-/// compact input, `write_into ∘ parse` is the identity.
-pub fn write_into(value: &JsonVal<'_>, out: &mut String) {
-    match value {
-        JsonVal::Null => out.push_str("null"),
-        JsonVal::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonVal::Num(raw) => out.push_str(raw),
-        JsonVal::Str(s) => push_json_str(out, s),
-        JsonVal::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_into(item, out);
-            }
-            out.push(']');
-        }
-        JsonVal::Obj(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_str(out, key);
-                out.push(':');
-                write_into(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Writes a value indented by two spaces per level, one array item or
-/// object entry per line and `": "` after each key. Empty containers stay
-/// on one line (`[]`, `{}`).
-#[must_use]
-pub fn write_pretty(value: &JsonVal<'_>) -> String {
-    let mut out = String::new();
-    pretty_into(value, 0, &mut out);
-    out
-}
-
-fn pretty_into(value: &JsonVal<'_>, depth: usize, out: &mut String) {
-    match value {
-        JsonVal::Arr(items) if !items.is_empty() => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                new_line(out, i > 0, depth + 1);
-                pretty_into(item, depth + 1, out);
-            }
-            new_line(out, false, depth);
-            out.push(']');
-        }
-        JsonVal::Obj(entries) if !entries.is_empty() => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                new_line(out, i > 0, depth + 1);
-                push_json_str(out, key);
-                out.push_str(": ");
-                pretty_into(item, depth + 1, out);
-            }
-            new_line(out, false, depth);
-            out.push('}');
-        }
-        // Scalars and empty containers.
-        other => write_into(other, out),
-    }
-}
-
-/// Ends the current line (after a `,` separator when `separate`) and
-/// indents the next one to `depth`.
-fn new_line(out: &mut String, separate: bool, depth: usize) {
-    if separate {
-        out.push(',');
-    }
-    out.push('\n');
-    out.extend(std::iter::repeat_n("  ", depth));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Reads one string document the way a typed reader would.
     fn str_of(doc: &str) -> Result<String, String> {
-        parse(doc)?.into_string()
+        let mut r = Scanner::new(doc);
+        let s = r.read_str()?.into_owned();
+        r.finish().map(|()| s)
     }
 
-    fn compact(value: &JsonVal<'_>) -> String {
-        let mut out = String::new();
-        write_into(value, &mut out);
-        out
-    }
-
-    #[test]
-    fn roundtrip_scalars() {
-        for (text, value) in [
-            ("null", JsonVal::Null),
-            ("true", JsonVal::Bool(true)),
-            ("false", JsonVal::Bool(false)),
-            ("42", num_u64(42)),
-            ("-3.5", JsonVal::Num("-3.5".into())),
-            ("\"hi\"", JsonVal::Str("hi".into())),
-        ] {
-            assert_eq!(parse(text).unwrap(), value, "{text}");
-            assert_eq!(compact(&value), text);
-        }
-    }
-
-    #[test]
-    fn roundtrip_nested_document() {
-        let doc = r#"{"a": [1, 2, {"b": "x\"y", "c": null}], "d": true}"#;
-        let parsed = parse(doc).unwrap();
-        let pretty = write_pretty(&parsed);
-        assert_eq!(parse(&pretty).unwrap(), parsed, "write_pretty ∘ parse is identity");
-        assert_eq!(compact(&parsed), r#"{"a":[1,2,{"b":"x\"y","c":null}],"d":true}"#);
-        assert_eq!(
-            pretty,
-            "{\n  \"a\": [\n    1,\n    2,\n    {\n      \"b\": \"x\\\"y\",\n      \"c\": null\n    }\n  ],\n  \"d\": true\n}"
-        );
+    /// Reads one document of any shape under the full grammar.
+    fn check(doc: &str) -> Result<&str, String> {
+        let mut r = Scanner::new(doc);
+        let text = r.skip_value()?;
+        r.finish().map(|()| text)
     }
 
     #[test]
     fn raw_number_text_survives() {
         for raw in ["2", "2.5", "0.05460761339122153", "-3", "1e3", "0", "-0.5", "1E+2"] {
             let doc = format!("{{\"x\":{raw}}}");
-            assert_eq!(compact(&parse(&doc).unwrap()), doc, "raw number `{raw}` must round-trip");
+            let mut r = Scanner::new(&doc);
+            r.begin_object().unwrap();
+            r.next_key().unwrap();
+            assert_eq!(r.skip_value(), Ok(raw), "raw number `{raw}` must survive");
         }
-    }
-
-    #[test]
-    fn integer_rendering_is_clean() {
-        assert_eq!(write_pretty(&num_u64(36000)), "36000");
-        assert_eq!(write_pretty(&parse("0.5").unwrap()), "0.5");
     }
 
     #[test]
     fn key_order_is_preserved() {
-        let doc = "{\"z\":1,\"a\":2,\"m\":[true,null]}";
-        assert_eq!(compact(&parse(doc).unwrap()), doc);
+        let mut r = Scanner::new("{\"z\":1,\"a\":2,\"m\":[true,null]}");
+        r.begin_object().unwrap();
+        let mut keys = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            keys.push(key);
+            r.skip_value().unwrap();
+        }
+        r.finish().unwrap();
+        assert_eq!(keys, ["z", "a", "m"]);
     }
 
     #[test]
     fn empty_containers() {
-        assert_eq!(write_pretty(&parse("[]").unwrap()), "[]");
-        assert_eq!(write_pretty(&parse("{ }").unwrap()), "{}");
-        assert_eq!(compact(&parse("{\"a\":[],\"b\":{}}").unwrap()), "{\"a\":[],\"b\":{}}");
-    }
-
-    #[test]
-    fn accessors() {
-        let doc = parse(r#"{"n": 1, "s": "x", "a": [true]}"#).unwrap();
-        assert_eq!(doc.get("n").map(JsonVal::as_u64), Some(Ok(1)));
-        assert_eq!(doc.get("s").map(JsonVal::as_str), Some(Ok("x")));
-        assert_eq!(doc.get("a").cloned().map(|a| a.into_arr().unwrap().len()), Some(1));
-        assert_eq!(doc.get("missing"), None);
-        assert_eq!(doc.as_obj().map(<[_]>::len), Ok(3));
-        assert!(doc.get("n").unwrap().as_str().unwrap_err().contains("found number"));
-        assert_eq!(JsonVal::Null.get("n"), None);
-        for bad in ["-1", "1.9", "1e2", "18446744073709551616"] {
-            assert!(JsonVal::Num(bad.into()).as_usize().is_err(), "{bad}");
-        }
+        assert_eq!(check("[]"), Ok("[]"));
+        assert_eq!(check("{ }"), Ok("{ }"));
+        let mut r = Scanner::new("{\"a\":[],\"b\":{}}");
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        r.begin_array().unwrap();
+        assert!(!r.next_item().unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("b"));
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
     }
 
     #[test]
     fn errors_carry_offsets() {
-        let err = parse("{\"a\": }").unwrap_err();
+        let err = check("{\"a\": }").unwrap_err();
         assert!(err.ends_with("(byte 6)"), "{err}");
-        assert!(parse("tru").is_err());
+        assert!(check("tru").is_err());
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse("{\"a\":}").is_err());
-        assert!(parse("[1, 2").is_err());
-        assert!(parse("{} trailing").is_err());
-        assert!(parse("\"open").is_err());
-        assert!(parse("1e999").is_err(), "non-finite numbers rejected");
-        assert!(parse(&"9".repeat(400)).is_err(), "non-finite numbers rejected");
-        assert!(parse("{\"a\":1,\"a\":2}").is_err(), "duplicate keys rejected");
-        assert!(parse("\"tab\there\"").is_err(), "raw control characters rejected");
+        assert!(check("{\"a\":}").is_err());
+        assert!(check("[1, 2").is_err());
+        assert!(check("{} trailing").is_err());
+        assert!(check("\"open").is_err());
+        assert!(check("1e999").is_err(), "non-finite numbers rejected");
+        assert!(check(&"9".repeat(400)).is_err(), "non-finite numbers rejected");
+        assert!(check("\"tab\there\"").is_err(), "raw control characters rejected");
     }
 
     #[test]
     fn rejects_numbers_outside_the_json_grammar() {
         for raw in ["01", "-01", "1.", "-.5", ".5", "1e", "1e+", "-", "1.e3", "+1"] {
-            let err = parse(raw).unwrap_err();
+            let err = check(raw).unwrap_err();
             assert!(err.contains("byte"), "`{raw}`: {err}");
-            assert!(parse(&format!("[{raw}]")).is_err(), "`{raw}` inside an array");
+            assert!(check(&format!("[{raw}]")).is_err(), "`{raw}` inside an array");
         }
     }
 
     #[test]
     fn strings_without_escapes_are_borrowed() {
-        let doc = "{\"key\":\"plain ü\",\"esc\":\"a\\nb\"}";
-        let obj = parse(doc).unwrap().into_obj().unwrap();
-        assert!(obj.iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
-        assert!(matches!(obj[0].1, JsonVal::Str(Cow::Borrowed("plain ü"))));
-        assert!(matches!(&obj[1].1, JsonVal::Str(Cow::Owned(s)) if s == "a\nb"));
+        let mut r = Scanner::new("{\"key\":\"plain ü\",\"esc\":\"a\\nb\"}");
+        r.begin_object().unwrap();
+        assert!(matches!(r.next_key().unwrap(), Some(Cow::Borrowed("key"))));
+        assert!(matches!(r.read_str().unwrap(), Cow::Borrowed("plain ü")));
+        assert!(matches!(r.next_key().unwrap(), Some(Cow::Borrowed("esc"))));
+        assert!(matches!(r.read_str().unwrap(), Cow::Owned(s) if s == "a\nb"));
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
     }
 
     #[test]
@@ -939,7 +700,7 @@ mod tests {
     #[test]
     fn unicode_escape_needs_exactly_four_hex_digits() {
         for bad in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\"", "\"\\u04\"", "\"\\u004g\"", "\"\\u00"] {
-            assert!(parse(bad).is_err(), "{bad} must be rejected");
+            assert!(check(bad).is_err(), "{bad} must be rejected");
         }
         assert_eq!(str_of("\"\\u0041\\u004a\\u004A\"").unwrap(), "AJJ");
     }
@@ -960,7 +721,7 @@ mod tests {
             "\"\\ude00\\ud83d\"",
             "\"\\ud83d\\n\"",
         ] {
-            let err = parse(bad).unwrap_err();
+            let err = check(bad).unwrap_err();
             assert!(err.contains("surrogate"), "{bad}: {err}");
         }
     }
@@ -1040,5 +801,24 @@ mod tests {
         for bad in ["{\"a\" 1}", "[1,]", "\"open", "01", "nul"] {
             assert!(Scanner::new(bad).skip_value().is_err(), "`{bad}` skipped");
         }
+    }
+
+    #[test]
+    fn skip_value_bounds_the_nesting() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(check(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(check(&nested("{\"k\":[", "]}", MAX_DEPTH / 2)).is_ok());
+        let err = check(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nested deeper than {MAX_DEPTH} levels (byte {MAX_DEPTH})"));
+        // Far past the bound the skip stops at the bound, one frame per
+        // level, instead of exhausting the stack.
+        let doc = format!("{{\"x\":{}}}", nested("[", "]", 50_000));
+        let mut r = Scanner::new(&doc);
+        r.begin_object().unwrap();
+        r.next_key().unwrap();
+        let err = r.skip_value().unwrap_err();
+        assert!(err.ends_with(&format!("(byte {})", 5 + MAX_DEPTH)), "{err}");
     }
 }

@@ -17,9 +17,10 @@
 //!   multi-day traces).
 //! * **Reporting** — [`RunningStats`], [`TimeSeries`], and
 //!   [`CumulativeCounter`] capture exactly the quantities the paper plots.
-//! * **Interchange** — [`json`] is the workspace's one JSON codec: Galaxy
-//!   `.ga` workflows are written with it, and canonical trace JSONL is
-//!   both written and read with it.
+//! * **Interchange** — [`json`] holds the workspace's one JSON reader and
+//!   its one string escaper: canonical trace JSONL is read with the
+//!   reader, and every string written into trace lines, analysis reports
+//!   and Galaxy `.ga` workflows goes through the escaper.
 //!
 //! # Examples
 //!

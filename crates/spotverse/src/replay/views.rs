@@ -752,9 +752,16 @@ mod tests {
             a.put_json(&mut ja);
             b.put_json(&mut jb);
             assert_eq!(ja, jb);
-            let doc = sim_kernel::json::parse(&ja).unwrap();
+            let mut r = sim_kernel::json::Scanner::new(&ja);
+            r.begin_object().unwrap();
+            let mut keys = Vec::new();
+            while let Some(key) = r.next_key().unwrap() {
+                keys.push(key);
+                r.skip_value().unwrap();
+            }
+            r.finish().unwrap();
             for key in ["summary", "ledger", "occupancy", "billed_total"] {
-                assert!(doc.get(key).is_some(), "{key} missing from {ja}");
+                assert!(keys.contains(&key.into()), "{key} missing from {ja}");
             }
         }
     }

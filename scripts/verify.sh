@@ -195,6 +195,30 @@ for rate_args in "--workloads 1000 --rate 0.2 --strategy all" "--workloads 10 --
     echo "    $rate_args: stops at the horizon, exit 0"
 done
 
+echo "==> parser robustness smoke: a trace line nested 50,000 deep is an error, not an abort"
+# One 100 KB line whose key ahead of `event` holds 50,000 nested arrays.
+# The reader must stop at its nesting bound with exit 1, not overflow the
+# stack. The release binary runs it because its stack frames differ from
+# those of the debug binary that crates/cli/tests/exit_status.rs spawns.
+nested_dir=$(mktemp -d)
+{
+    printf '{"x":'
+    head -c 50000 /dev/zero | tr '\0' '['
+    head -c 50000 /dev/zero | tr '\0' ']'
+    printf '}\n'
+} > "$nested_dir/nested.jsonl"
+nested_status=0
+nested_err=$(cargo run --release --quiet --bin spotverse -- \
+    analyse "$nested_dir/nested.jsonl" 2>&1 >/dev/null) \
+    || nested_status=$?
+rm -rf "$nested_dir"
+if [ "$nested_status" -ne 1 ] || grep -qE "overflowed|panicked" <<<"$nested_err"; then
+    echo "==> parser robustness smoke FAILED: exit $nested_status" >&2
+    echo "$nested_err" >&2
+    exit 1
+fi
+echo "    exit 1: $(head -n 1 <<<"$nested_err")"
+
 echo "==> tournament smoke: strategies x regimes leaderboard vs committed snapshot"
 # The same argv the golden_tournament suite pins; the CLI output must
 # match the committed leaderboard byte-for-byte and show real work.

@@ -14,7 +14,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use sim_kernel::json::{self, push_json_str, JsonVal};
+use sim_kernel::json::{push_json_str, Scanner};
 use spotverse::replay::parse_trace_line;
 use spotverse::{
     parse_trace_jsonl, render_analysis, render_analysis_json, replay_lines, trace_lines_to_jsonl,
@@ -225,16 +225,54 @@ impl Draws {
     }
 }
 
+/// A golden line as a tree whose keys can be permuted: objects keep their
+/// entries in source order, and each scalar is its source text.
+#[derive(Clone)]
+enum Tree<'a> {
+    Scalar(&'a str),
+    Arr(Vec<Tree<'a>>),
+    Obj(Entries<'a>),
+}
+
+/// An object's entries in source order.
+type Entries<'a> = Vec<(Cow<'a, str>, Tree<'a>)>;
+
+/// Reads `line`, one JSON value, into a tree.
+fn tree_of(line: &str) -> Result<Tree<'_>, String> {
+    let mut r = Scanner::new(line);
+    let tree = read_tree(&mut r)?;
+    r.finish().map(|()| tree)
+}
+
+/// Reads the value `r` is at into a tree, one pull read at a time.
+fn read_tree<'a>(r: &mut Scanner<'a>) -> Result<Tree<'a>, String> {
+    if r.begin_object().is_ok() {
+        let mut entries = Vec::new();
+        while let Some(key) = r.next_key()? {
+            entries.push((key, read_tree(r)?));
+        }
+        Ok(Tree::Obj(entries))
+    } else if r.begin_array().is_ok() {
+        let mut items = Vec::new();
+        while r.next_item()? {
+            items.push(read_tree(r)?);
+        }
+        Ok(Tree::Arr(items))
+    } else {
+        r.skip_value().map(Tree::Scalar)
+    }
+}
+
 /// Shuffles the keys of the line's top-level object and of the objects
 /// inside its `candidates` array.
-fn permute_keys(value: &mut JsonVal<'_>, draws: &mut Draws) {
-    let JsonVal::Obj(entries) = value else { return };
+fn permute_keys(value: &mut Tree<'_>, draws: &mut Draws) {
+    let Tree::Obj(entries) = value else { return };
     draws.shuffle(entries);
     for (key, item) in entries.iter_mut() {
         if key == "candidates" {
-            if let JsonVal::Arr(candidates) = item {
+            if let Tree::Arr(candidates) = item {
                 for candidate in candidates {
-                    if let JsonVal::Obj(fields) = candidate {
+                    if let Tree::Obj(fields) = candidate {
                         draws.shuffle(fields);
                     }
                 }
@@ -244,10 +282,10 @@ fn permute_keys(value: &mut JsonVal<'_>, draws: &mut Draws) {
 }
 
 /// Writes `value` with random whitespace before and after every token.
-fn write_spaced(value: &JsonVal<'_>, draws: &mut Draws, out: &mut String) {
+fn write_spaced(value: &Tree<'_>, draws: &mut Draws, out: &mut String) {
     draws.ws(out);
     match value {
-        JsonVal::Arr(items) => {
+        Tree::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
@@ -258,7 +296,7 @@ fn write_spaced(value: &JsonVal<'_>, draws: &mut Draws, out: &mut String) {
             draws.ws(out);
             out.push(']');
         }
-        JsonVal::Obj(entries) => {
+        Tree::Obj(entries) => {
             out.push('{');
             for (i, (key, item)) in entries.iter().enumerate() {
                 if i > 0 {
@@ -273,28 +311,25 @@ fn write_spaced(value: &JsonVal<'_>, draws: &mut Draws, out: &mut String) {
             draws.ws(out);
             out.push('}');
         }
-        scalar => json::write_into(scalar, out),
+        Tree::Scalar(text) => out.push_str(text),
     }
     draws.ws(out);
 }
 
-/// An object's entries in source order.
-type Entries<'a> = Vec<(Cow<'a, str>, JsonVal<'a>)>;
-
 /// The object the line holds at `index`: 0 is the line itself, `i > 0`
 /// the `i`-th object of its `candidates` array.
-fn object_at<'v, 'a>(value: &'v mut JsonVal<'a>, index: usize) -> Option<&'v mut Entries<'a>> {
-    let JsonVal::Obj(entries) = value else {
+fn object_at<'v, 'a>(value: &'v mut Tree<'a>, index: usize) -> Option<&'v mut Entries<'a>> {
+    let Tree::Obj(entries) = value else {
         return None;
     };
     if index == 0 {
         return Some(entries);
     }
-    let (_, JsonVal::Arr(candidates)) = entries.iter_mut().find(|(k, _)| k == "candidates")? else {
+    let (_, Tree::Arr(candidates)) = entries.iter_mut().find(|(k, _)| k == "candidates")? else {
         return None;
     };
     match candidates.get_mut(index - 1)? {
-        JsonVal::Obj(fields) => Some(fields),
+        Tree::Obj(fields) => Some(fields),
         _ => None,
     }
 }
@@ -389,7 +424,7 @@ proptest! {
         let line = &lines[pick % lines.len()];
         let canonical = parse_trace_line(line).expect("golden lines parse");
         let mut draws = Draws(seed);
-        let mut tree = json::parse(line).expect("golden lines are JSON");
+        let mut tree = tree_of(line).expect("golden lines are JSON");
         permute_keys(&mut tree, &mut draws);
         let mut permuted = String::new();
         write_spaced(&tree, &mut draws, &mut permuted);
