@@ -30,6 +30,8 @@ pub enum CliError {
     Args(ArgError),
     /// A flag value outside its domain (e.g. unknown strategy name).
     BadInput(String),
+    /// A trace file `analyse` could not read or parse.
+    BadTrace(String),
     /// The run finished but some of its cells failed. `output` is the
     /// command's full rendered output, failed cells included.
     FailedCells {
@@ -46,7 +48,7 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Args(e) => write!(f, "{e}"),
-            CliError::BadInput(msg) => f.write_str(msg),
+            CliError::BadInput(msg) | CliError::BadTrace(msg) => f.write_str(msg),
             CliError::FailedCells { failed, cells, .. } => {
                 write!(f, "{failed} of {cells} cells failed")
             }
@@ -935,7 +937,7 @@ pub fn analyse(args: &ParsedArgs) -> Result<String, CliError> {
     let multi = files.len() > 1;
     for path in files {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::BadInput(format!("{path}: {e}")))?;
+            .map_err(|e| CliError::BadTrace(format!("{path}: {e}")))?;
         if multi {
             // Keep records from different files apart: unlabelled records
             // get the file stem as their cell key.
@@ -946,16 +948,16 @@ pub fn analyse(args: &ParsedArgs) -> Result<String, CliError> {
         }
         cursor
             .feed(&text)
-            .map_err(|e| CliError::BadInput(format!("{path}: {e}")))?;
+            .map_err(|e| CliError::BadTrace(format!("{path}: {e}")))?;
         if !text.ends_with('\n') {
             cursor
                 .feed("\n")
-                .map_err(|e| CliError::BadInput(format!("{path}: {e}")))?;
+                .map_err(|e| CliError::BadTrace(format!("{path}: {e}")))?;
         }
     }
     let state = cursor
         .finish()
-        .map_err(|e| CliError::BadInput(format!("{e}")))?;
+        .map_err(|e| CliError::BadTrace(format!("{e}")))?;
     match output {
         "table" => Ok(render_analysis(&state)),
         "json" => Ok(render_analysis_json(&state)),

@@ -15,9 +15,10 @@ fn main() -> ExitCode {
             if let CliError::FailedCells { output, .. } = &e {
                 // The table stays on stdout, failed rows and all.
                 print!("{output}");
-                eprintln!("error: {e}");
-            } else {
-                eprintln!("error: {e}");
+            }
+            eprintln!("error: {e}");
+            // Only argv and flag errors are fixed by reading the usage.
+            if matches!(e, CliError::Args(_) | CliError::BadInput(_)) {
                 eprintln!("run `spotverse help` for usage");
             }
             ExitCode::FAILURE

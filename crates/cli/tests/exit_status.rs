@@ -2,7 +2,8 @@
 //! stderr (never a panic) for bad input, 1 with the table kept on stdout
 //! when some cells of a run failed, and 0 for a run that reaches the
 //! market horizon, arrivals at the last representable instant included. A
-//! trace line nested far too deep is bad input like any other.
+//! trace line nested far too deep is bad input like any other. Only argv
+//! and flag errors point at `spotverse help`.
 
 use std::process::Command;
 
@@ -141,4 +142,30 @@ fn a_deeply_nested_trace_line_is_an_error_not_a_stack_overflow() {
     assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
     assert!(!stderr.contains("panicked") && !stderr.contains("overflowed"), "stderr:\n{stderr}");
     assert!(stderr.contains("trace line 1: nested deeper than"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn only_argv_errors_point_at_the_usage() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_spotverse"))
+            .args(args)
+            .output()
+            .expect("spotverse runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let hint = "run `spotverse help` for usage";
+    // A trace that cannot be read is not fixed by reading the usage.
+    let (code, stderr) = run(&["analyse", "/nonexistent"]);
+    assert_eq!(code, Some(1), "stderr:\n{stderr}");
+    assert!(stderr.starts_with("error: /nonexistent: "), "stderr:\n{stderr}");
+    assert!(!stderr.contains(hint), "stderr:\n{stderr}");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("malformed_trace.jsonl");
+    std::fs::write(&path, "not json\n").expect("temp file written");
+    let (code, stderr) = run(&["analyse", path.to_str().expect("utf-8 path")]);
+    assert_eq!(code, Some(1), "stderr:\n{stderr}");
+    assert!(stderr.contains("trace line 1"), "stderr:\n{stderr}");
+    assert!(!stderr.contains(hint), "stderr:\n{stderr}");
+    let (code, stderr) = run(&["fleet", "--strategy", "bogus"]);
+    assert_eq!(code, Some(1), "stderr:\n{stderr}");
+    assert!(stderr.contains(hint), "stderr:\n{stderr}");
 }

@@ -16,8 +16,8 @@ use bio_workloads::WorkloadKind;
 use cloud_market::{InstanceType, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimTime};
 use spotverse::{
-    run_experiment_on, DeadlineAwareStrategy, DeadlinePolicy, ExperimentReport, InitialPlacement,
-    OnDemandStrategy, SpotVerseConfig, SpotVerseStrategy, Strategy,
+    run_experiment_on, DeadlinePolicy, ExperimentReport, InitialPlacement, OnDemandStrategy,
+    SpotVerseConfig, SpotVerseStrategy, Strategy,
 };
 
 use crate::{bench_config, bench_fleet, Figure, BENCH_SEED};
@@ -66,7 +66,7 @@ pub fn ablation_deadline() -> Figure {
             ),
             (
                 "spotverse-deadline",
-                Box::new(DeadlineAwareStrategy::new(
+                Box::new(SpotVerseStrategy::with_deadline(
                     spotverse_config(),
                     DeadlinePolicy {
                         deadline: SimTime::from_days(START_DAY) + deadline,

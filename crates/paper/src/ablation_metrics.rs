@@ -10,8 +10,8 @@
 use bio_workloads::WorkloadKind;
 use cloud_market::InstanceType;
 use spotverse::{
-    run_repetitions, AggregateReport, ForecastingSpotVerseStrategy, MetricAvailability,
-    ProviderAdaptedStrategy, SpotVerseConfig, Strategy,
+    run_repetitions, AggregateReport, MetricAvailability, SpotVerseConfig, SpotVerseStrategy,
+    Strategy,
 };
 
 use crate::{bench_config, bench_fleet, Figure, BENCH_SEED};
@@ -44,7 +44,7 @@ pub fn ablation_metrics() -> Figure {
     // collapses everything → threshold ≤ 7 admits all regions.
     let mut variants: Vec<(String, AggregateReport)> = Vec::new();
     variants.push(run_variant("full metrics (AWS-like)", || {
-        Box::new(ProviderAdaptedStrategy::new(
+        Box::new(SpotVerseStrategy::on_provider(
             SpotVerseConfig::builder(InstanceType::M5Xlarge)
                 .threshold(6)
                 .build(),
@@ -52,7 +52,7 @@ pub fn ablation_metrics() -> Figure {
         ))
     }));
     variants.push(run_variant("interruption-only (Azure-like)", || {
-        Box::new(ProviderAdaptedStrategy::new(
+        Box::new(SpotVerseStrategy::on_provider(
             SpotVerseConfig::builder(InstanceType::M5Xlarge)
                 .threshold(7)
                 .build(),
@@ -60,7 +60,7 @@ pub fn ablation_metrics() -> Figure {
         ))
     }));
     variants.push(run_variant("price-only (GCP-like)", || {
-        Box::new(ProviderAdaptedStrategy::new(
+        Box::new(SpotVerseStrategy::on_provider(
             SpotVerseConfig::builder(InstanceType::M5Xlarge)
                 .threshold(7)
                 .build(),
@@ -68,7 +68,7 @@ pub fn ablation_metrics() -> Figure {
         ))
     }));
     variants.push(run_variant("full + Holt forecasting", || {
-        Box::new(ForecastingSpotVerseStrategy::new(
+        Box::new(SpotVerseStrategy::forecasting(
             SpotVerseConfig::builder(InstanceType::M5Xlarge)
                 .threshold(6)
                 .build(),

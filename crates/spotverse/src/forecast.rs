@@ -4,18 +4,17 @@
 //!
 //! A deliberately simple, fully deterministic online model: per-region
 //! exponentially-weighted moving averages with a trend term
-//! (Holt's linear smoothing) over the spot price and placement score. A
-//! [`ForecastingSpotVerseStrategy`] feeds Algorithm 1 the *predicted*
-//! next-period metrics instead of the latest observation, damping
-//! transient episode spikes that would otherwise reorder the selection.
+//! (Holt's linear smoothing) over the spot price and placement score.
+//! [`SpotVerseStrategy::forecasting`](crate::SpotVerseStrategy::forecasting)
+//! feeds Algorithm 1 the *predicted* next-period metrics instead of the
+//! latest observation, damping transient episode spikes that would
+//! otherwise reorder the selection.
 
 use std::collections::BTreeMap;
 
 use cloud_market::{PlacementScore, Region, UsdPerHour};
 
-use crate::config::SpotVerseConfig;
-use crate::optimizer::{MigrationPolicy, Optimizer, Placement, RegionAssessment};
-use crate::strategy::{Strategy, StrategyContext};
+use crate::optimizer::RegionAssessment;
 
 /// Holt's linear (level + trend) exponential smoothing for one signal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,11 +60,6 @@ impl HoltSmoother {
     pub fn forecast(&self, steps: u32) -> Option<f64> {
         self.level.map(|l| l + self.trend * f64::from(steps))
     }
-
-    /// Number-free check for whether the model has seen data.
-    pub fn is_warm(&self) -> bool {
-        self.level.is_some()
-    }
 }
 
 /// Per-region forecasters for the two signals Algorithm 1 consumes.
@@ -73,18 +67,12 @@ impl HoltSmoother {
 pub struct MetricForecaster {
     price: BTreeMap<Region, HoltSmoother>,
     placement: BTreeMap<Region, HoltSmoother>,
-    observations: u64,
 }
 
 impl MetricForecaster {
     /// Creates an empty forecaster.
     pub fn new() -> Self {
         MetricForecaster::default()
-    }
-
-    /// Observations ingested so far (snapshots × regions).
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 
     /// Ingests a snapshot of assessments.
@@ -98,7 +86,6 @@ impl MetricForecaster {
                 .entry(a.region)
                 .or_insert_with(|| HoltSmoother::new(0.25, 0.05))
                 .observe(f64::from(a.placement.value()));
-            self.observations += 1;
         }
     }
 
@@ -134,58 +121,14 @@ impl MetricForecaster {
     }
 }
 
-/// SpotVerse with forecasted metrics: every decision first updates the
-/// forecaster with the observed snapshot, then runs Algorithm 1 on the
-/// predictions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForecastingSpotVerseStrategy {
-    optimizer: Optimizer,
-    forecaster: MetricForecaster,
-}
-
-impl ForecastingSpotVerseStrategy {
-    /// Creates the strategy.
-    pub fn new(config: SpotVerseConfig) -> Self {
-        ForecastingSpotVerseStrategy {
-            optimizer: Optimizer::new(config),
-            forecaster: MetricForecaster::new(),
-        }
-    }
-
-    /// The forecaster state (for inspection).
-    pub fn forecaster(&self) -> &MetricForecaster {
-        &self.forecaster
-    }
-}
-
-impl Strategy for ForecastingSpotVerseStrategy {
-    fn name(&self) -> &str {
-        "spotverse-forecast"
-    }
-
-    fn initial_placements_into(
-        &mut self,
-        ctx: &mut StrategyContext<'_>,
-        n: usize,
-        out: &mut Vec<Placement>,
-    ) {
-        self.forecaster.observe(ctx.assessments);
-        let predicted = self.forecaster.predict(ctx.assessments);
-        self.optimizer.initial_placements_into(&predicted, n, &[], out);
-    }
-
-    fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous: Region) -> Placement {
-        self.forecaster.observe(ctx.assessments);
-        let predicted = self.forecaster.predict(ctx.assessments);
-        self.optimizer
-            .migration_target(&predicted, previous, MigrationPolicy::RandomTopR, &[], ctx.rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cloud_market::{InstanceType, StabilityScore};
+
+    use crate::config::SpotVerseConfig;
+    use crate::optimizer::Placement;
+    use crate::strategy::{SpotVerseStrategy, Strategy, StrategyContext};
 
     fn assessment(region: Region, price: f64) -> RegionAssessment {
         RegionAssessment {
@@ -200,13 +143,11 @@ mod tests {
     #[test]
     fn holt_tracks_level() {
         let mut s = HoltSmoother::new(0.5, 0.1);
-        assert!(!s.is_warm());
         assert_eq!(s.forecast(1), None);
         for _ in 0..50 {
             s.observe(10.0);
         }
         assert!((s.forecast(1).unwrap() - 10.0).abs() < 0.1);
-        assert!(s.is_warm());
     }
 
     #[test]
@@ -254,26 +195,40 @@ mod tests {
     }
 
     #[test]
-    fn strategy_accumulates_observations_across_decisions() {
-        let mut strategy = ForecastingSpotVerseStrategy::new(SpotVerseConfig::paper_default(
-            InstanceType::M5Xlarge,
-        ));
-        let assessments: Vec<RegionAssessment> = Region::ALL
-            .into_iter()
-            .map(|r| assessment(r, 0.05))
-            .collect();
+    fn strategy_decides_on_the_forecast_not_the_latest_snapshot() {
+        // Three qualifying regions, one slot (max_regions 1). Eu-north-1
+        // has been cheapest all along and spikes once to 0.09; the latest
+        // snapshot alone would pick us-west-2 (0.07), the forecast keeps
+        // eu-north-1 below it.
+        let config = SpotVerseConfig::builder(InstanceType::M5Xlarge)
+            .threshold(6)
+            .max_regions(1)
+            .build();
+        let mut strategy = SpotVerseStrategy::forecasting(config.clone());
+        let calm = [
+            assessment(Region::EuNorth1, 0.05),
+            assessment(Region::UsWest2, 0.07),
+            assessment(Region::UsEast1, 0.08),
+        ];
+        let mut spiked = calm;
+        spiked[0].spot_price = UsdPerHour::new(0.09);
         let mut rng = sim_kernel::SimRng::seed_from_u64(1);
-        let mut ctx = StrategyContext {
-            instance_type: InstanceType::M5Xlarge,
-            now: sim_kernel::SimTime::ZERO,
-            assessments: &assessments,
-            quarantined: &[],
-            rng: &mut rng,
+        let mut decide = |strategy: &mut SpotVerseStrategy, snapshot: &[RegionAssessment]| {
+            let mut ctx = StrategyContext {
+                instance_type: InstanceType::M5Xlarge,
+                now: sim_kernel::SimTime::ZERO,
+                assessments: snapshot,
+                quarantined: &[],
+                rng: &mut rng,
+            };
+            strategy.initial_placements(&mut ctx, 1)[0]
         };
-        let placements = strategy.initial_placements(&mut ctx, 4);
-        assert_eq!(placements.len(), 4);
-        let _ = strategy.relocate(&mut ctx, Region::UsEast1);
-        assert_eq!(strategy.forecaster().observations(), 24, "two snapshots x 12 regions");
+        for _ in 0..20 {
+            assert_eq!(decide(&mut strategy, &calm), Placement::Spot(Region::EuNorth1));
+        }
+        assert_eq!(decide(&mut strategy, &spiked), Placement::Spot(Region::EuNorth1));
+        let mut plain = SpotVerseStrategy::new(config);
+        assert_eq!(decide(&mut plain, &spiked), Placement::Spot(Region::UsWest2));
         assert_eq!(strategy.name(), "spotverse-forecast");
     }
 }

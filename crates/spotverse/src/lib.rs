@@ -22,7 +22,13 @@
 //!
 //! Baselines from the paper's evaluation are provided as [`Strategy`]
 //! implementations: single-region, on-demand, naive multi-region, and a
-//! SkyPilot-like cheapest-price baseline.
+//! SkyPilot-like cheapest-price baseline. [`SpotVerseStrategy`] is the one
+//! SpotVerse implementation: besides Algorithm 1 itself and its ablations,
+//! its constructors give the paper's §7 extensions — metrics degraded to
+//! what Azure or GCP expose ([`SpotVerseStrategy::on_provider`]), Holt
+//! forecasts ([`SpotVerseStrategy::forecasting`]) and a deadline guard
+//! ([`SpotVerseStrategy::with_deadline`]) — each on the same decision path,
+//! quarantine and capacity exclusions included.
 //!
 //! # Examples
 //!
@@ -110,13 +116,13 @@ pub use health::{
     BreakerState, BreakerTransition, RegionHealth, ResilienceTelemetry, TelemetryFreshness,
 };
 pub use monitor::{CollectOutcome, Monitor, MonitorError, COLLECTOR_FUNCTION, METRICS_TABLE};
-pub use deadline::{DeadlineAwareStrategy, DeadlinePolicy};
+pub use deadline::DeadlinePolicy;
 pub use orchestrate::{
     run_matrix_orchestrated, AttemptRecord, DeadLetter, OrchestratedSweepReport,
     OrchestrationStats, OrchestratorConfig, DEADLETTER_TABLE, EXECUTOR_FUNCTION, LEASE_TABLE,
     RESULT_BUCKET,
 };
-pub use forecast::{ForecastingSpotVerseStrategy, HoltSmoother, MetricForecaster};
+pub use forecast::{HoltSmoother, MetricForecaster};
 pub use replay::{
     parse_trace_jsonl, render_analysis, render_analysis_json, replay_lines, replay_str,
     trace_lines_to_jsonl, CellState, ReplayCursor, ReplayState, TimeWindow, TraceLine,
@@ -125,7 +131,7 @@ pub use replay::{
 pub use optimizer::{
     CandidateOutcome, CandidateVerdict, MigrationPolicy, Optimizer, Placement, RegionAssessment,
 };
-pub use provider::{degrade_assessments, MetricAvailability, ProviderAdaptedStrategy};
+pub use provider::MetricAvailability;
 pub use report::{compare, normalized_cost, resilience_summary, summary_line, Comparison};
 pub use repetitions::{repetition_config, run_repetitions, AggregateReport};
 pub use sweep::{

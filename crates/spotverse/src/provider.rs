@@ -2,16 +2,16 @@
 //!
 //! "Azure only provides Interruption Frequency data, while Google Cloud
 //! Platform currently lacks comprehensive spot instance metrics." This
-//! module models running Algorithm 1 under degraded metric availability:
+//! module models running Algorithm 1 under degraded metric availability
+//! ([`SpotVerseStrategy::on_provider`](crate::SpotVerseStrategy::on_provider)):
 //! unavailable metrics are replaced by neutral priors, which collapses the
 //! combined score toward price-only selection — exactly the behaviour gap
-//! the ablation bench quantifies.
+//! the ablation bench quantifies. The caller re-bases the threshold so the
+//! neutral priors do not filter everything out.
 
-use cloud_market::{PlacementScore, Region, StabilityScore};
+use cloud_market::{PlacementScore, StabilityScore};
 
-use crate::config::SpotVerseConfig;
-use crate::optimizer::{MigrationPolicy, Optimizer, Placement, RegionAssessment};
-use crate::strategy::{Strategy, StrategyContext};
+use crate::optimizer::RegionAssessment;
 
 /// Which advisor metrics a cloud provider exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,30 +24,6 @@ pub enum MetricAvailability {
     PriceOnly,
 }
 
-impl MetricAvailability {
-    /// Every availability level, richest first.
-    pub const ALL: [MetricAvailability; 3] = [
-        MetricAvailability::Full,
-        MetricAvailability::InterruptionOnly,
-        MetricAvailability::PriceOnly,
-    ];
-
-    /// A short provider-style label.
-    pub fn label(self) -> &'static str {
-        match self {
-            MetricAvailability::Full => "full (AWS-like)",
-            MetricAvailability::InterruptionOnly => "interruption-only (Azure-like)",
-            MetricAvailability::PriceOnly => "price-only (GCP-like)",
-        }
-    }
-}
-
-impl std::fmt::Display for MetricAvailability {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Neutral placement prior used when the provider hides the real score.
 const NEUTRAL_PLACEMENT: u8 = 5;
 /// Neutral stability prior used when the provider hides interruption data.
@@ -56,7 +32,7 @@ const NEUTRAL_STABILITY: u8 = 2;
 /// Degrades assessments to what the provider actually exposes: hidden
 /// metrics are replaced by neutral priors (identical across regions, so
 /// they stop differentiating the selection).
-pub fn degrade_assessments(
+pub(crate) fn degrade_assessments(
     assessments: &[RegionAssessment],
     availability: MetricAvailability,
 ) -> Vec<RegionAssessment> {
@@ -82,67 +58,15 @@ pub fn degrade_assessments(
         .collect()
 }
 
-/// SpotVerse as ported to a provider with the given metric availability.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProviderAdaptedStrategy {
-    optimizer: Optimizer,
-    availability: MetricAvailability,
-    name: String,
-}
-
-impl ProviderAdaptedStrategy {
-    /// Creates the adapted strategy.
-    ///
-    /// With degraded availability the configured threshold is re-based so
-    /// neutral priors do not unintentionally filter everything out: the
-    /// hidden metric's neutral value is added to the caller's intent of
-    /// "how much observed signal must a region show".
-    pub fn new(config: SpotVerseConfig, availability: MetricAvailability) -> Self {
-        let name = match availability {
-            MetricAvailability::Full => "spotverse-aws",
-            MetricAvailability::InterruptionOnly => "spotverse-azure",
-            MetricAvailability::PriceOnly => "spotverse-gcp",
-        };
-        ProviderAdaptedStrategy {
-            optimizer: Optimizer::new(config),
-            availability,
-            name: name.to_owned(),
-        }
-    }
-
-    /// The availability this strategy operates under.
-    pub fn availability(&self) -> MetricAvailability {
-        self.availability
-    }
-}
-
-impl Strategy for ProviderAdaptedStrategy {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn initial_placements_into(
-        &mut self,
-        ctx: &mut StrategyContext<'_>,
-        n: usize,
-        out: &mut Vec<Placement>,
-    ) {
-        let degraded = degrade_assessments(ctx.assessments, self.availability);
-        self.optimizer.initial_placements_into(&degraded, n, &[], out);
-    }
-
-    fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous: Region) -> Placement {
-        let degraded = degrade_assessments(ctx.assessments, self.availability);
-        self.optimizer
-            .migration_target(&degraded, previous, MigrationPolicy::RandomTopR, &[], ctx.rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloud_market::{InstanceType, UsdPerHour};
+    use cloud_market::{InstanceType, Region, UsdPerHour};
     use sim_kernel::{SimRng, SimTime};
+
+    use crate::config::SpotVerseConfig;
+    use crate::optimizer::Placement;
+    use crate::strategy::{SpotVerseStrategy, Strategy, StrategyContext};
 
     fn assessment(region: Region, placement: u8, stability: u8, price: f64) -> RegionAssessment {
         RegionAssessment {
@@ -193,7 +117,7 @@ mod tests {
     fn gcp_mode_degenerates_to_cheapest_price() {
         // With collapsed scores, Algorithm 1's selection is pure price
         // ordering — the SkyPilot behaviour the paper contrasts against.
-        let mut strategy = ProviderAdaptedStrategy::new(
+        let mut strategy = SpotVerseStrategy::on_provider(
             SpotVerseConfig::builder(InstanceType::M5Xlarge)
                 .threshold(7)
                 .build(),
@@ -211,14 +135,13 @@ mod tests {
         let placements = strategy.initial_placements(&mut ctx, 4);
         // Neutral combined = 7, threshold 7 → all pass; cheapest-first
         // round-robin starts at ca-central-1 (0.042).
-        assert_eq!(placements[0].region(), Region::CaCentral1);
-        assert_eq!(strategy.availability(), MetricAvailability::PriceOnly);
+        assert_eq!(placements[0], Placement::Spot(Region::CaCentral1));
         assert_eq!(strategy.name(), "spotverse-gcp");
     }
 
     #[test]
     fn azure_mode_still_avoids_unstable_regions() {
-        let mut strategy = ProviderAdaptedStrategy::new(
+        let mut strategy = SpotVerseStrategy::on_provider(
             SpotVerseConfig::builder(InstanceType::M5Xlarge)
                 .threshold(7) // neutral placement 5 + stability ≥ 2
                 .build(),
@@ -241,14 +164,5 @@ mod tests {
                 "unstable region selected: {p:?}"
             );
         }
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        let mut labels: Vec<&str> = MetricAvailability::ALL.iter().map(|a| a.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), 3);
-        assert_eq!(MetricAvailability::Full.to_string(), "full (AWS-like)");
     }
 }

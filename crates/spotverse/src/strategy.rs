@@ -10,18 +10,24 @@
 //! * [`SkyPilotStrategy`] — the state-of-the-art baseline (§5.2.5):
 //!   always chase the cheapest spot price, automatically relaunching
 //!   interrupted jobs, ignoring stability metrics.
-//! * [`SpotVerseStrategy`] — Algorithm 1 via the [`Optimizer`].
+//! * [`SpotVerseStrategy`] — Algorithm 1 via the [`Optimizer`], and its
+//!   §7 variants: provider-degraded metrics, Holt forecasting and a
+//!   deadline guard.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use cloud_market::{InstanceType, Region};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 
 use crate::config::SpotVerseConfig;
+use crate::deadline::DeadlinePolicy;
+use crate::forecast::MetricForecaster;
 use crate::optimizer::{
     cheapest_on_demand, cheapest_spot, CandidateVerdict, MigrationPolicy, Optimizer, Placement,
     RegionAssessment,
 };
+use crate::provider::{degrade_assessments, MetricAvailability};
 
 /// Everything a strategy may look at when deciding a placement.
 ///
@@ -36,9 +42,11 @@ pub struct StrategyContext<'a> {
     pub now: SimTime,
     /// Per-region metrics available to the decision.
     pub assessments: &'a [RegionAssessment],
-    /// Regions currently quarantined by the health control plane (breaker
-    /// `Open`). Health-aware strategies exclude them from selection;
-    /// baselines ignore the list — always empty on fault-free runs.
+    /// Regions a decision should avoid: those quarantined by the health
+    /// control plane (breaker `Open`), then, on a fleet with a
+    /// per-region concurrency cap, those at the cap. Health-aware
+    /// strategies exclude them from selection; baselines ignore the list.
+    /// Empty on fault-free runs without a cap.
     pub quarantined: &'a [Region],
     /// The strategy's random stream.
     pub rng: &'a mut SimRng,
@@ -386,24 +394,50 @@ impl Strategy for CheckpointAdaptiveStrategy {
     }
 }
 
-/// SpotVerse: Algorithm 1, or — for the component-ablation bench, which
-/// attributes the paper's gains to individual design choices — Algorithm 1
-/// with its migration rule replaced.
+/// SpotVerse: Algorithm 1, fed either the Monitor's snapshot as it is or
+/// one of the paper's §7 views of it — or, for the component-ablation
+/// bench, which attributes the paper's gains to individual design choices,
+/// Algorithm 1 with its migration rule replaced.
+///
+/// Every variant runs the same decision path: the deadline guard (if
+/// any), then the [`Optimizer`] on the variant's view with the context's
+/// exclusion list, so breaker quarantine and capacity-full regions bind
+/// every variant alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpotVerseStrategy {
     optimizer: Optimizer,
     policy: MigrationPolicy,
+    variant: Variant,
     name: &'static str,
 }
 
+/// What Algorithm 1 is fed.
+#[derive(Debug, Clone, PartialEq)]
+enum Variant {
+    /// The Monitor's snapshot as it is.
+    Plain,
+    /// The snapshot degraded to what a provider exposes.
+    Provider(MetricAvailability),
+    /// One-step-ahead forecasts, updated with every snapshot.
+    Forecast(MetricForecaster),
+    /// The snapshot as it is, behind a deadline guard that pins decisions
+    /// to on-demand once slack runs out.
+    Deadline(DeadlinePolicy),
+}
+
 impl SpotVerseStrategy {
-    /// Creates the strategy from a configuration.
-    pub fn new(config: SpotVerseConfig) -> Self {
+    fn with_variant(config: SpotVerseConfig, variant: Variant, name: &'static str) -> Self {
         SpotVerseStrategy {
             optimizer: Optimizer::new(config),
             policy: MigrationPolicy::RandomTopR,
-            name: "spotverse",
+            variant,
+            name,
         }
+    }
+
+    /// Creates the strategy from a configuration.
+    pub fn new(config: SpotVerseConfig) -> Self {
+        SpotVerseStrategy::with_variant(config, Variant::Plain, "spotverse")
     }
 
     /// Creates an ablation variant with an explicit migration policy,
@@ -414,11 +448,43 @@ impl SpotVerseStrategy {
             MigrationPolicy::CheapestQualifying => "spotverse-ablate-random-pick",
             MigrationPolicy::StayPut => "spotverse-ablate-migration",
         };
-        SpotVerseStrategy {
-            optimizer: Optimizer::new(config),
-            policy,
-            name,
-        }
+        SpotVerseStrategy { policy, ..SpotVerseStrategy::with_variant(config, Variant::Plain, name) }
+    }
+
+    /// SpotVerse as ported to a provider with the given metric
+    /// availability (`spotverse-aws`, `-azure` or `-gcp`): hidden metrics
+    /// are replaced by neutral priors before selection.
+    pub fn on_provider(config: SpotVerseConfig, availability: MetricAvailability) -> Self {
+        let name = match availability {
+            MetricAvailability::Full => "spotverse-aws",
+            MetricAvailability::InterruptionOnly => "spotverse-azure",
+            MetricAvailability::PriceOnly => "spotverse-gcp",
+        };
+        SpotVerseStrategy::with_variant(config, Variant::Provider(availability), name)
+    }
+
+    /// SpotVerse on forecast metrics (`spotverse-forecast`): every
+    /// decision first feeds the observed snapshot to a
+    /// [`MetricForecaster`], then runs Algorithm 1 on its predictions.
+    pub fn forecasting(config: SpotVerseConfig) -> Self {
+        let forecaster = Variant::Forecast(MetricForecaster::new());
+        SpotVerseStrategy::with_variant(config, forecaster, "spotverse-forecast")
+    }
+
+    /// SpotVerse behind a deadline guard (`spotverse-deadline`): while
+    /// slack remains, plain Algorithm 1; once one more uninterrupted
+    /// attempt no longer fits, cheapest on-demand (which never
+    /// interrupts).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the safety factor is not positive and finite.
+    pub fn with_deadline(config: SpotVerseConfig, policy: DeadlinePolicy) -> Self {
+        assert!(
+            policy.safety_factor.is_finite() && policy.safety_factor > 0.0,
+            "safety factor must be positive"
+        );
+        SpotVerseStrategy::with_variant(config, Variant::Deadline(policy), "spotverse-deadline")
     }
 
     /// The underlying optimizer.
@@ -429,6 +495,36 @@ impl SpotVerseStrategy {
     /// The migration policy in effect.
     pub fn policy(&self) -> MigrationPolicy {
         self.policy
+    }
+
+    /// Per-decision bookkeeping ahead of Algorithm 1: the forecaster
+    /// ingests the snapshot, and the deadline guard returns its on-demand
+    /// pin once slack runs out. Like the Optimizer's own on-demand
+    /// fallback, the pin ignores the exclusion list.
+    fn before_decision(&mut self, ctx: &StrategyContext<'_>) -> Option<Placement> {
+        match &mut self.variant {
+            Variant::Forecast(forecaster) => forecaster.observe(ctx.assessments),
+            // A restart-from-scratch workload needs a full fresh attempt.
+            Variant::Deadline(p) if p.must_go_on_demand(ctx.now, p.workload_duration) => {
+                return Some(Placement::OnDemand(
+                    self.optimizer.cheapest_on_demand(ctx.assessments),
+                ));
+            }
+            Variant::Plain | Variant::Provider(_) | Variant::Deadline(_) => {}
+        }
+        None
+    }
+
+    /// The metrics Algorithm 1 sees: borrowed as they are for the plain
+    /// and deadline variants, so their decisions allocate nothing extra.
+    fn view<'a>(&self, assessments: &'a [RegionAssessment]) -> Cow<'a, [RegionAssessment]> {
+        match &self.variant {
+            Variant::Plain | Variant::Deadline(_) => Cow::Borrowed(assessments),
+            Variant::Provider(availability) => {
+                Cow::Owned(degrade_assessments(assessments, *availability))
+            }
+            Variant::Forecast(forecaster) => Cow::Owned(forecaster.predict(assessments)),
+        }
     }
 }
 
@@ -443,18 +539,21 @@ impl Strategy for SpotVerseStrategy {
         n: usize,
         out: &mut Vec<Placement>,
     ) {
-        self.optimizer
-            .initial_placements_into(ctx.assessments, n, ctx.quarantined, out);
+        if let Some(pinned) = self.before_decision(ctx) {
+            out.extend(std::iter::repeat_n(pinned, n));
+            return;
+        }
+        let view = self.view(ctx.assessments);
+        self.optimizer.initial_placements_into(&view, n, ctx.quarantined, out);
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous: Region) -> Placement {
-        self.optimizer.migration_target(
-            ctx.assessments,
-            previous,
-            self.policy,
-            ctx.quarantined,
-            ctx.rng,
-        )
+        if let Some(pinned) = self.before_decision(ctx) {
+            return pinned;
+        }
+        let view = self.view(ctx.assessments);
+        self.optimizer
+            .migration_target(&view, previous, self.policy, ctx.quarantined, ctx.rng)
     }
 
     fn explain_candidates(
@@ -463,7 +562,8 @@ impl Strategy for SpotVerseStrategy {
         quarantined: &[Region],
         previous: Option<Region>,
     ) -> Option<Vec<CandidateVerdict>> {
-        Some(self.optimizer.explain_selection(assessments, quarantined, previous))
+        let view = self.view(assessments);
+        Some(self.optimizer.explain_selection(&view, quarantined, previous))
     }
 }
 
@@ -474,6 +574,7 @@ mod tests {
 
     use crate::config::InitialPlacement;
     use crate::monitor::Monitor;
+    use crate::optimizer::CandidateOutcome;
 
     fn assessments(at: SimTime) -> Vec<RegionAssessment> {
         let market = SpotMarket::new(MarketConfig::with_seed(5));
@@ -617,6 +718,63 @@ mod tests {
             MigrationPolicy::CheapestQualifying,
         );
         assert!(ablated.explain_candidates(&a, &[], Some(Region::UsEast1)).is_some());
+    }
+
+    /// Plain SpotVerse and each §7 variant, under the thresholds the
+    /// metric ablation uses; the deadline leaves ample slack.
+    fn spotverse_variants() -> Vec<SpotVerseStrategy> {
+        let config = |threshold| {
+            SpotVerseConfig::builder(InstanceType::M5Xlarge)
+                .threshold(threshold)
+                .build()
+        };
+        vec![
+            SpotVerseStrategy::new(config(6)),
+            SpotVerseStrategy::on_provider(config(6), MetricAvailability::Full),
+            SpotVerseStrategy::on_provider(config(7), MetricAvailability::InterruptionOnly),
+            SpotVerseStrategy::on_provider(config(7), MetricAvailability::PriceOnly),
+            SpotVerseStrategy::forecasting(config(6)),
+            SpotVerseStrategy::with_deadline(
+                config(6),
+                DeadlinePolicy {
+                    deadline: SimTime::from_days(30),
+                    workload_duration: SimDuration::from_hours(10),
+                    safety_factor: 1.2,
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn no_variant_places_spot_in_a_quarantined_region() {
+        let a = assessments(SimTime::ZERO);
+        for mut s in spotverse_variants() {
+            // Quarantine the cheapest region of the variant's
+            // unconstrained selection; the selection refills behind it.
+            let selected = |quarantined: &[Region]| -> Vec<Region> {
+                let verdicts = s.explain_candidates(&a, quarantined, None).unwrap();
+                let mut ranked: Vec<(usize, Region)> = verdicts
+                    .into_iter()
+                    .filter_map(|v| match v.outcome {
+                        CandidateOutcome::Selected { rank } => Some((rank, v.region)),
+                        _ => None,
+                    })
+                    .collect();
+                ranked.sort_unstable();
+                ranked.into_iter().map(|(_, region)| region).collect()
+            };
+            let quarantined = [selected(&[])[0]];
+            let refill = selected(&quarantined);
+            assert!(!refill.is_empty(), "{}: a non-quarantined region qualifies", s.name());
+            let mut rng = SimRng::seed_from_u64(16);
+            let mut ctx = StrategyContext { quarantined: &quarantined, ..ctx_with(&a, &mut rng) };
+            let mut placements = s.initial_placements(&mut ctx, 6);
+            placements.extend((0..20).map(|_| s.relocate(&mut ctx, refill[0])));
+            for p in placements {
+                assert!(p.is_spot(), "{}: {p:?}", s.name());
+                assert!(!quarantined.contains(&p.region()), "{}: {p:?}", s.name());
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub enum TournamentChaos {
 /// many repetition seeds, on what fleet shape.
 #[derive(Debug, Clone)]
 pub struct TournamentConfig {
-    /// First repetition seed; rep `r` runs at `base_seed + r`.
+    /// First repetition seed; rep `r` runs at `base_seed + r`, wrapping
+    /// past `u64::MAX`.
     pub base_seed: u64,
     /// Repetitions per (strategy, regime) pairing. Seeds are shared
     /// across strategies so the win matrices compare like with like.
@@ -106,7 +107,7 @@ impl TournamentConfig {
             let scenario = self.scenario_for(regime);
             for strategy in &self.strategies {
                 for rep in 0..self.reps {
-                    let seed = self.base_seed + rep;
+                    let seed = self.base_seed.wrapping_add(rep);
                     let mut config = self.fleet.clone();
                     config.seed = seed;
                     config.market.seed = seed;
@@ -348,6 +349,25 @@ mod tests {
             reps,
             fleet,
         )
+    }
+
+    #[test]
+    fn rep_seeds_wrap_past_u64_max() {
+        let rng = SimRng::seed_from_u64(77);
+        let fleet = FleetConfig::staggered(
+            u64::MAX,
+            InstanceType::M5Xlarge,
+            paper_fleet(WorkloadKind::GenomeReconstruction, 1, &rng),
+            sim_kernel::SimDuration::ZERO,
+        );
+        let config =
+            TournamentConfig::new(vec!["spotverse".into()], vec![MarketRegime::Baseline], 2, fleet);
+        let seeds: Vec<(u64, u64)> = config
+            .build_cells()
+            .iter()
+            .map(|cell| (cell.config.seed, cell.config.market.seed))
+            .collect();
+        assert_eq!(seeds, vec![(u64::MAX, u64::MAX), (0, 0)]);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Integration tests for the extension features: the EFS checkpoint
 //! backend, the forecasting strategy, provider-degraded metrics, and
 //! ablated migration policies — each run through the full experiment
-//! engine.
+//! engine — and the fleet's exclusion list binding every SpotVerse
+//! variant alike.
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{InstanceType, Region, Usd};
-use sim_kernel::{SimRng, SimTime};
+use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    run_experiment, CheckpointBackend, ExperimentConfig,
-    ForecastingSpotVerseStrategy, MetricAvailability, MigrationPolicy, ProviderAdaptedStrategy,
-    SingleRegionStrategy, SpotVerseConfig, SpotVerseStrategy,
+    run_experiment, run_fleet, CandidateOutcome, CheckpointBackend, DeadlinePolicy,
+    ExperimentConfig, FleetConfig, MetricAvailability, MigrationPolicy, SingleRegionStrategy,
+    SpotVerseConfig, SpotVerseStrategy, TraceConfig, TraceEvent,
 };
 
 fn config(kind: WorkloadKind, n: usize, seed: u64, start_day: u64) -> ExperimentConfig {
@@ -59,7 +60,7 @@ fn forecasting_strategy_runs_a_full_fleet() {
     let base = config(WorkloadKind::GenomeReconstruction, 6, 303, 1);
     let report = run_experiment(
         base,
-        Box::new(ForecastingSpotVerseStrategy::new(
+        Box::new(SpotVerseStrategy::forecasting(
             SpotVerseConfig::paper_default(InstanceType::M5Xlarge),
         )),
     );
@@ -72,14 +73,14 @@ fn provider_degraded_strategies_complete_and_rank_sensibly() {
     let base = config(WorkloadKind::GenomeReconstruction, 10, 304, 1);
     let full = run_experiment(
         base.clone(),
-        Box::new(ProviderAdaptedStrategy::new(
+        Box::new(SpotVerseStrategy::on_provider(
             SpotVerseConfig::builder(InstanceType::M5Xlarge).threshold(6).build(),
             MetricAvailability::Full,
         )),
     );
     let gcp = run_experiment(
         base,
-        Box::new(ProviderAdaptedStrategy::new(
+        Box::new(SpotVerseStrategy::on_provider(
             SpotVerseConfig::builder(InstanceType::M5Xlarge).threshold(7).build(),
             MetricAvailability::PriceOnly,
         )),
@@ -135,4 +136,90 @@ fn low_placement_market_still_converges_via_retries() {
         report.spot_attempts,
         report.spot_fulfillments
     );
+}
+
+/// Twelve genome workloads arriving ten minutes apart under a cap of one
+/// running instance per region: most decisions see capacity-full regions
+/// in their exclusion list.
+fn capacity_capped_fleet() -> FleetConfig {
+    let rng = SimRng::seed_from_u64(2024);
+    let specs = paper_fleet(WorkloadKind::GenomeReconstruction, 12, &rng);
+    let mut config = FleetConfig::staggered(
+        2024,
+        InstanceType::M5Xlarge,
+        specs,
+        SimDuration::from_mins(10),
+    );
+    config.region_capacity = Some(1);
+    config
+}
+
+#[test]
+fn provider_full_matches_plain_spotverse_on_a_capacity_capped_fleet() {
+    let mut config = capacity_capped_fleet();
+    config.trace = TraceConfig::enabled();
+    let cfg = SpotVerseConfig::paper_default(InstanceType::M5Xlarge);
+    let plain = run_fleet(config.clone(), Box::new(SpotVerseStrategy::new(cfg.clone())));
+    let mut aws = run_fleet(
+        config,
+        Box::new(SpotVerseStrategy::on_provider(cfg, MetricAvailability::Full)),
+    );
+    assert!(plain.capacity_deferrals > 0, "the cap binds");
+    // The name is in the report and in the trace's first record.
+    assert_eq!(aws.aggregate.strategy, "spotverse-aws");
+    aws.aggregate.strategy = plain.aggregate.strategy.clone();
+    let trace = aws.aggregate.trace.as_mut().expect("traced");
+    let TraceEvent::RunStarted { strategy, .. } = &mut trace.events[0].event else {
+        panic!("a trace opens with RunStarted");
+    };
+    *strategy = plain.aggregate.strategy.clone();
+    assert_eq!(aws, plain);
+}
+
+#[test]
+fn every_variant_places_spot_only_in_selected_unexcluded_regions() {
+    let mut config = capacity_capped_fleet();
+    config.trace = TraceConfig::enabled();
+    let cfg = |threshold| {
+        SpotVerseConfig::builder(InstanceType::M5Xlarge)
+            .threshold(threshold)
+            .build()
+    };
+    let deadline = DeadlinePolicy {
+        deadline: config.start + SimDuration::from_hours(16),
+        workload_duration: SimDuration::from_hours(10),
+        safety_factor: 1.1,
+    };
+    let variants = [
+        SpotVerseStrategy::new(cfg(6)),
+        SpotVerseStrategy::on_provider(cfg(6), MetricAvailability::Full),
+        SpotVerseStrategy::on_provider(cfg(7), MetricAvailability::InterruptionOnly),
+        SpotVerseStrategy::on_provider(cfg(7), MetricAvailability::PriceOnly),
+        SpotVerseStrategy::forecasting(cfg(6)),
+        SpotVerseStrategy::with_deadline(cfg(6), deadline),
+    ];
+    for strategy in variants {
+        let report = run_fleet(config.clone(), Box::new(strategy));
+        let name = &report.aggregate.strategy;
+        let trace = report.aggregate.trace.as_ref().expect("traced");
+        let mut excluded_decisions = 0;
+        for record in &trace.events {
+            let TraceEvent::Decision { degraded: false, quarantined, candidates, placements, .. } =
+                &record.event
+            else {
+                continue;
+            };
+            let candidates = candidates.as_ref().expect("every variant explains");
+            excluded_decisions += u32::from(!quarantined.is_empty());
+            for p in placements.iter().filter(|p| p.is_spot()) {
+                assert!(!quarantined.contains(&p.region()), "{name}: {p:?} is excluded");
+                assert!(
+                    candidates.iter().any(|c| c.region == p.region()
+                        && matches!(c.outcome, CandidateOutcome::Selected { .. })),
+                    "{name}: {p:?} is not among the selected candidates"
+                );
+            }
+        }
+        assert!(excluded_decisions > 0, "{name}: no decision saw an exclusion");
+    }
 }

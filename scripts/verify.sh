@@ -117,6 +117,23 @@ if ! grep -q "1 passed" <<<"$fold_out"; then
 fi
 echo "    record fold equals text replay in every regime"
 
+echo "==> strategy variants: every SpotVerse variant honours exclusions"
+# On a fleet capped at one running instance per region, SpotVerse on
+# AWS-like (full) metrics must equal plain SpotVerse in every report
+# field: both pass the fleet's exclusion list to the Optimizer. The
+# filter must select the one test, not none.
+variants_out=$(cargo test -q -p spotverse --test extensions -- \
+    --exact provider_full_matches_plain_spotverse_on_a_capacity_capped_fleet 2>&1) || {
+    echo "$variants_out" >&2
+    echo "==> strategy variants FAILED" >&2
+    exit 1
+}
+if ! grep -q "1 passed" <<<"$variants_out"; then
+    echo "==> strategy variants FAILED: provider_full_matches_plain_spotverse_on_a_capacity_capped_fleet did not run" >&2
+    exit 1
+fi
+echo "    provider-full SpotVerse equals plain SpotVerse under a capacity cap"
+
 echo "==> golden workflows: committed .ga exports of the paper workflows"
 cargo test -q -p spotverse-integration --test golden_workflows
 
