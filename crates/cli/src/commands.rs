@@ -15,8 +15,8 @@ use spotverse::{
     trace_to_jsonl, BidPriceAwareStrategy, CellConfig, CellOutcome, CheckpointAdaptiveStrategy,
     ExperimentConfig, ExperimentReport, FleetConfig, FleetReport, LoadProfile, MarketCache,
     Monitor, NaiveMultiRegionStrategy, OnDemandStrategy, OrchestratorConfig, ReplayCursor,
-    SingleRegionStrategy, SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy, Strategy,
-    SweepCell, SweepOutcome, TimeWindow, TournamentChaos, TournamentConfig, TraceConfig,
+    ReplayState, SingleRegionStrategy, SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy,
+    Strategy, SweepCell, SweepOutcome, TimeWindow, TournamentChaos, TournamentConfig, TraceConfig,
     WorkloadPhase,
 };
 
@@ -872,7 +872,7 @@ pub fn advisor(args: &ParsedArgs) -> Result<String, CliError> {
     let market = SpotMarket::new(cloud_market::MarketConfig::with_seed(seed));
     let monitor = Monitor::new(instance_type);
     let assessments = monitor
-        .fresh_assessments(&market, SimTime::from_days(day))
+        .fresh_assessments(&market, None, SimTime::from_days(day))
         .map_err(|e| CliError::BadInput(format!("{e}")))?;
     let mut out = format!(
         "{:<16} {:>10} {:>10} {:>9} {:>10} {:>9}\n",
@@ -932,7 +932,16 @@ pub fn analyse(args: &ParsedArgs) -> Result<String, CliError> {
         from: parse_sim_time_flag(args, "from")?,
         until: parse_sim_time_flag(args, "until")?,
     };
-    let output = args.str_or("output", "table");
+    // Every flag is checked before any file is read.
+    let render: fn(&ReplayState) -> String = match args.str_or("output", "table") {
+        "table" => render_analysis,
+        "json" => render_analysis_json,
+        other => {
+            return Err(CliError::BadInput(format!(
+                "unknown output `{other}` (expected table | json)"
+            )))
+        }
+    };
     let mut cursor = ReplayCursor::new(window);
     let multi = files.len() > 1;
     for path in files {
@@ -958,13 +967,7 @@ pub fn analyse(args: &ParsedArgs) -> Result<String, CliError> {
     let state = cursor
         .finish()
         .map_err(|e| CliError::BadTrace(format!("{e}")))?;
-    match output {
-        "table" => Ok(render_analysis(&state)),
-        "json" => Ok(render_analysis_json(&state)),
-        other => Err(CliError::BadInput(format!(
-            "unknown output `{other}` (expected table | json)"
-        ))),
-    }
+    Ok(render(&state))
 }
 
 /// `spotverse workflow`: export a paper workflow as a `.ga` document.

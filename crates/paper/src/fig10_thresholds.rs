@@ -49,6 +49,7 @@ pub fn fig10_thresholds() -> Figure {
         let mut noon = monitor
             .fresh_assessments(
                 &market,
+                None,
                 SimTime::from_days(START_DAY) + SimDuration::from_hours(12),
             )
             .expect("within horizon");

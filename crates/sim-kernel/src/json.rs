@@ -100,13 +100,6 @@ impl Kind {
     }
 }
 
-/// The error for a value of the wrong kind.
-#[cold]
-#[inline(never)]
-fn mismatch<T>(what: &str, found: Kind) -> Result<T, String> {
-    Err(format!("expected {what}, found {}", found.name()))
-}
-
 impl<'a> Scanner<'a> {
     /// A reader at the start of `src`.
     #[must_use]
@@ -350,8 +343,23 @@ impl<'a> Scanner<'a> {
     fn expect_kind(&mut self, want: Kind, what: &str) -> Result<(), String> {
         match self.kind()? {
             kind if kind == want => Ok(()),
-            kind => mismatch(what, kind),
+            kind => self.mismatch(what, kind),
         }
+    }
+
+    /// The error for a value of the wrong kind. [`kind`](Self::kind)
+    /// names a literal by its first byte, so one is named here only when
+    /// it is whole: `not json` is an unexpected byte, not a null.
+    #[cold]
+    #[inline(never)]
+    fn mismatch<T>(&self, what: &str, found: Kind) -> Result<T, String> {
+        let rest = &self.src[self.pos..];
+        if matches!(found, Kind::Null | Kind::Bool)
+            && !["null", "true", "false"].iter().any(|word| rest.starts_with(word))
+        {
+            return self.not_a_value();
+        }
+        Err(format!("expected {what}, found {}", found.name()))
     }
 
     /// After an entry of the container being read, reads the `,` before
@@ -765,6 +773,19 @@ mod tests {
         assert!(Scanner::new("null").read_bool().unwrap_err().contains("found null"));
         assert!(Scanner::new("[1]").begin_object().unwrap_err().contains("found array"));
         assert!(Scanner::new("\"a\tb\"").read_str().is_err(), "raw control characters rejected");
+    }
+
+    #[test]
+    fn a_literal_is_named_only_when_it_is_whole() {
+        let object = |doc: &str| Scanner::new(doc).begin_object().unwrap_err();
+        assert!(object("null").contains("found null"));
+        assert!(object(" true").contains("found bool"));
+        assert!(object("false").contains("found bool"));
+        assert_eq!(object("not json"), "unexpected byte `n` (byte 0)");
+        assert_eq!(object("nul"), "unexpected byte `n` (byte 0)");
+        assert_eq!(object(" tru"), "unexpected byte `t` (byte 1)");
+        assert_eq!(object("fals"), "unexpected byte `f` (byte 0)");
+        assert!(Scanner::new("[1]").read_bool().unwrap_err().contains("found array"));
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl ControlPlane {
             let overlay = self.chaos.as_ref().map(|c| c.overlay());
             let fresh = self
                 .monitor
-                .fresh_assessments_with_overlay(&self.market, overlay, now)
+                .fresh_assessments(&self.market, overlay, now)
                 .expect("market assessments within horizon");
             return (fresh.into(), false);
         };
@@ -372,7 +372,7 @@ mod tests {
                             let overlay = cp.chaos.as_ref().map(|c| c.overlay());
                             let fresh = cp
                                 .monitor
-                                .fresh_assessments_with_overlay(&cp.market, overlay, now)
+                                .fresh_assessments(&cp.market, overlay, now)
                                 .expect("within the market horizon");
                             (fresh, false)
                         }

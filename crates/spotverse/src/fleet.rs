@@ -29,8 +29,8 @@ use std::sync::Arc;
 use aws_stack::{ObjectBody, RetryPolicy};
 use bio_workloads::WorkloadSpec;
 use chaos::ChaosEngine;
-use cloud_compute::{InstanceId, ServiceKind, SpotRequestOutcome, TerminationReason};
-use cloud_market::{Region, SpotMarket};
+use cloud_compute::{InstanceId, LaunchedSpot, ServiceKind, SpotRequestOutcome, TerminationReason};
+use cloud_market::{Region, SpotMarket, Usd};
 use sim_kernel::{CumulativeCounter, EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::controlplane::{ControlPlane, CHECKPOINT_TABLE};
@@ -40,7 +40,7 @@ use crate::experiment::{
 use crate::optimizer::{cheapest_on_demand, Placement};
 use crate::strategy::{Strategy, StrategyContext};
 use crate::trace::{ChaosFaultKind, DecisionKind, TraceEvent, Tracer};
-use crate::workload::{WorkloadPhase, WorkloadReport, WorkloadRuntime};
+use crate::workload::{RunningInstance, WorkloadPhase, WorkloadReport, WorkloadRuntime};
 
 /// The Monitor's collection period: the metrics collector runs on a
 /// 15-minute schedule.
@@ -303,102 +303,36 @@ impl FleetModel {
         }
     }
 
-    /// Extends a health-quarantine exclusion list with every region at
-    /// its concurrency cap, in [`Region::ALL`] order (matching the old
-    /// `BTreeMap` key order). A structural no-op without a cap, so
-    /// classic experiment streams are untouched.
-    fn with_capacity_exclusions(&self, mut excluded: Vec<Region>) -> Vec<Region> {
-        if self.config.region_capacity.is_none() {
-            return excluded;
-        }
-        for region in Region::ALL {
-            if self.at_capacity(region) && !excluded.contains(&region) {
-                excluded.push(region);
-            }
-        }
-        excluded
-    }
-
-    fn occupy_slot(&mut self, region: Region) {
-        self.running_by_region[region as usize] += 1;
-    }
-
-    fn free_slot(&mut self, region: Region) {
-        let count = &mut self.running_by_region[region as usize];
-        *count = count.saturating_sub(1);
-    }
-
+    /// Re-places workload `w` away from `previous`, after an interruption
+    /// or a retry whose target went bad: one Controller decision for one
+    /// placement, through the pooled placement buffer.
     fn relocate(&mut self, w: usize, now: SimTime, previous: Region) -> Placement {
-        let (assessments, degraded) = self.cp.decision_inputs(now);
-        if degraded {
-            // Expired telemetry: don't trust scores or spot prices, take
-            // guaranteed capacity at the cheapest on-demand rate. Skips
-            // the strategy (and its RNG) entirely — only reachable under
-            // chaos, so fault-free streams are untouched.
-            let placement = Placement::OnDemand(cheapest_on_demand(assessments.iter()));
-            if self.cp.tracer.enabled() {
-                self.cp.tracer.record(
-                    now,
-                    TraceEvent::Decision {
-                        kind: DecisionKind::Migration,
-                        workload: Some(w),
-                        previous: Some(previous),
-                        degraded: true,
-                        quarantined: Vec::new(),
-                        candidates: None,
-                        placements: vec![placement],
-                    },
-                );
-            }
-            return placement;
-        }
-        let quarantined = self.cp.health.quarantined(now);
-        if !quarantined.is_empty() {
-            self.cp.quarantined_decisions += 1;
-        }
-        let quarantined = self.with_capacity_exclusions(quarantined);
-        let mut ctx = StrategyContext {
-            instance_type: self.config.instance_type,
-            now,
-            assessments: &assessments,
-            quarantined: &quarantined,
-            rng: &mut self.strategy_rng,
-        };
-        let placement = self.strategy.relocate(&mut ctx, previous);
-        self.checkpoint_cadence = self.strategy.checkpoint_interval(&ctx);
-        if self.cp.tracer.enabled() {
-            let candidates =
-                self.strategy
-                    .explain_candidates(&assessments, &quarantined, Some(previous));
-            self.cp.tracer.record(
-                now,
-                TraceEvent::Decision {
-                    kind: DecisionKind::Migration,
-                    workload: Some(w),
-                    previous: Some(previous),
-                    degraded: false,
-                    quarantined,
-                    candidates,
-                    placements: vec![placement],
-                },
-            );
-        }
+        let mut placements = std::mem::take(&mut self.placements_scratch);
+        self.decide(now, 1, Some((w, previous)), &mut placements);
+        let placement = placements[0];
+        self.placements_scratch = placements;
         placement
     }
 
-    /// Places an arrival batch: one strategy decision covering every
-    /// workload in the batch, then a launch event per workload.
-    fn place_batch(&mut self, ids: &[usize], now: SimTime) {
+    /// The Controller's one placement decision, for an arrival batch of
+    /// `n` or, when `migrating` is `Some((w, previous))`, for workload `w`
+    /// moving out of `previous` (`n` is 1). Leaves the placements in
+    /// `out`. Expired telemetry degrades it to the cheapest on-demand
+    /// region without asking the strategy (or drawing from its RNG); only
+    /// chaos gets there, so fault-free streams are untouched.
+    fn decide(
+        &mut self,
+        now: SimTime,
+        n: usize,
+        migrating: Option<(usize, Region)>,
+        out: &mut Vec<Placement>,
+    ) {
+        out.clear();
+        let previous = migrating.map(|(_, region)| region);
         let (assessments, degraded) = self.cp.decision_inputs(now);
-        let n = ids.len();
         let mut quarantined = Vec::new();
-        // Reuse the pooled buffer: under Poisson arrivals nearly every
-        // batch is small, and a fresh Vec per batch dominated the dispatch
-        // allocation profile.
-        let mut placements = std::mem::take(&mut self.placements_scratch);
-        placements.clear();
         if degraded {
-            placements.extend(std::iter::repeat_n(
+            out.extend(std::iter::repeat_n(
                 Placement::OnDemand(cheapest_on_demand(assessments.iter())),
                 n,
             ));
@@ -407,7 +341,13 @@ impl FleetModel {
             if !quarantined.is_empty() {
                 self.cp.quarantined_decisions += 1;
             }
-            quarantined = self.with_capacity_exclusions(quarantined);
+            // Full regions join the list in `Region::ALL` order. Without a
+            // cap none is full, so classic streams are untouched.
+            for region in Region::ALL {
+                if self.at_capacity(region) && !quarantined.contains(&region) {
+                    quarantined.push(region);
+                }
+            }
             let mut ctx = StrategyContext {
                 instance_type: self.config.instance_type,
                 now,
@@ -415,36 +355,35 @@ impl FleetModel {
                 quarantined: &quarantined,
                 rng: &mut self.strategy_rng,
             };
-            self.strategy.initial_placements_into(&mut ctx, n, &mut placements);
+            match previous {
+                Some(previous) => out.push(self.strategy.relocate(&mut ctx, previous)),
+                None => self.strategy.initial_placements_into(&mut ctx, n, out),
+            }
             self.checkpoint_cadence = self.strategy.checkpoint_interval(&ctx);
         }
-        debug_assert_eq!(placements.len(), n);
+        debug_assert_eq!(out.len(), n);
         if self.cp.tracer.enabled() {
             let candidates = if degraded {
                 None
             } else {
-                self.strategy.explain_candidates(&assessments, &quarantined, None)
+                self.strategy.explain_candidates(&assessments, &quarantined, previous)
             };
             self.cp.tracer.record(
                 now,
                 TraceEvent::Decision {
-                    kind: DecisionKind::Initial,
-                    workload: None,
-                    previous: None,
+                    kind: match migrating {
+                        Some(_) => DecisionKind::Migration,
+                        None => DecisionKind::Initial,
+                    },
+                    workload: migrating.map(|(w, _)| w),
+                    previous,
                     degraded,
                     quarantined,
                     candidates,
-                    placements: placements.clone(),
+                    placements: out.clone(),
                 },
             );
         }
-        for (i, &placement) in placements.iter().enumerate() {
-            let w = ids[i];
-            self.workloads[w].placement = placement;
-            self.workloads[w].phase = WorkloadPhase::Requesting;
-            self.queue.schedule_in(now, SimDuration::ZERO, Event::Launch(w));
-        }
-        self.placements_scratch = placements;
     }
 
     fn handle_start(&mut self, now: SimTime) {
@@ -509,11 +448,22 @@ impl FleetModel {
         self.place_arrivals(b, now);
     }
 
-    /// Places arrival batch `b`. The order vector is lent out for the
-    /// call, so placing a batch copies no indices.
+    /// Places arrival batch `b`: one strategy decision covering every
+    /// workload in the batch, then a launch event per workload. The order
+    /// vector and the pooled placement buffer are lent out for the call,
+    /// so placing a batch copies no indices and, under Poisson arrivals
+    /// (mostly batches of one), allocates no placements.
     fn place_arrivals(&mut self, b: usize, now: SimTime) {
         let order = std::mem::take(&mut self.arrival_order);
-        self.place_batch(&order[self.batches[b].1.clone()], now);
+        let ids = &order[self.batches[b].1.clone()];
+        let mut placements = std::mem::take(&mut self.placements_scratch);
+        self.decide(now, ids.len(), None, &mut placements);
+        for (&w, &placement) in ids.iter().zip(&placements) {
+            self.workloads[w].placement = placement;
+            self.workloads[w].phase = WorkloadPhase::Requesting;
+            self.queue.schedule_in(now, SimDuration::ZERO, Event::Launch(w));
+        }
+        self.placements_scratch = placements;
         self.arrival_order = order;
     }
 
@@ -538,34 +488,12 @@ impl FleetModel {
         match placement {
             Placement::Spot(region) => match self.cp.ec2.request_spot(region, itype, now) {
                 Ok(SpotRequestOutcome::Fulfilled(launch)) => {
-                    self.note_launch(region);
                     // Heals breaker strikes / closes a half-open probe; a
                     // structural no-op when the region has no breaker
                     // entry, i.e. on every fault-free run.
                     let transition = self.cp.health.record_fulfillment(region, now);
                     self.cp.trace_breaker(now, transition);
-                    self.cp.tracer.record(
-                        now,
-                        TraceEvent::Launched {
-                            workload: w,
-                            region,
-                            spot: true,
-                            instance: launch.instance,
-                        },
-                    );
-                    let FleetModel { workloads, cp, queue, .. } = self;
-                    workloads[w].begin_execution(
-                        w,
-                        region,
-                        launch.instance,
-                        launch.ready_at,
-                        launch.interruption_at,
-                        now,
-                        queue,
-                        cp,
-                    );
-                    self.schedule_checkpoint_tick(w, launch.instance, now);
-                    self.occupy_slot(region);
+                    self.start_instance(w, placement, launch, now);
                 }
                 Ok(SpotRequestOutcome::OpenNoCapacity) => {
                     // Natural no-capacity and blackout-blocked requests are
@@ -614,44 +542,73 @@ impl FleetModel {
                     .ec2
                     .launch_on_demand(region, itype, now)
                     .expect("on-demand launch always succeeds in offered regions");
-                self.note_launch(region);
-                self.cp.tracer.record(
-                    now,
-                    TraceEvent::Launched {
-                        workload: w,
-                        region,
-                        spot: false,
-                        instance: launch.instance,
-                    },
-                );
-                let FleetModel { workloads, cp, queue, .. } = self;
-                workloads[w].begin_execution(
-                    w,
-                    region,
-                    launch.instance,
-                    launch.ready_at,
-                    None,
-                    now,
-                    queue,
-                    cp,
-                );
-                // On-demand instances are never reclaimed, so a proactive
-                // cadence buys them nothing: skip the tick entirely.
-                self.occupy_slot(region);
+                self.start_instance(w, placement, launch, now);
             }
         }
     }
 
-    /// Arms the first proactive checkpoint tick for a freshly launched
-    /// spot instance, when the strategy asked for a cadence and the
-    /// workload can checkpoint at all. A no-op for every classic
-    /// strategy (`checkpoint_cadence` stays `None`).
-    fn schedule_checkpoint_tick(&mut self, w: usize, instance: InstanceId, now: SimTime) {
-        if let Some(interval) = self.checkpoint_cadence {
+    /// Starts workload `w` on the instance just launched for `placement`:
+    /// counts and records the launch, begins execution, arms the first
+    /// proactive checkpoint tick and occupies the region's capacity slot.
+    fn start_instance(
+        &mut self,
+        w: usize,
+        placement: Placement,
+        launch: LaunchedSpot,
+        now: SimTime,
+    ) {
+        let region = placement.region();
+        self.launches_by_region[region as usize] += 1;
+        self.cp.tracer.record(
+            now,
+            TraceEvent::Launched {
+                workload: w,
+                region,
+                spot: placement.is_spot(),
+                instance: launch.instance,
+            },
+        );
+        let FleetModel { workloads, cp, queue, .. } = self;
+        workloads[w].begin_execution(
+            w,
+            region,
+            launch.instance,
+            launch.ready_at,
+            launch.interruption_at,
+            now,
+            queue,
+            cp,
+        );
+        // Only when the strategy asked for a cadence (never, for the
+        // classic strategies), and only on spot: on-demand instances are
+        // never reclaimed, so a proactive checkpoint buys them nothing.
+        if let Some(interval) = self.checkpoint_cadence.filter(|_| placement.is_spot()) {
             if self.workloads[w].spec.kind.is_checkpointable() {
-                self.queue.schedule(now + interval, Event::CheckpointTick(w, instance));
+                self.queue.schedule(now + interval, Event::CheckpointTick(w, launch.instance));
             }
         }
+        self.running_by_region[region as usize] += 1;
+    }
+
+    /// Terminates workload `w`'s instance `running` for `reason`, adds the
+    /// bill to the workload and frees the region's capacity slot. Returns
+    /// the bill.
+    fn stop_instance(
+        &mut self,
+        w: usize,
+        running: &RunningInstance,
+        reason: TerminationReason,
+        now: SimTime,
+    ) -> Usd {
+        let billed = self
+            .cp
+            .ec2
+            .terminate(running.instance, now, reason)
+            .expect("a workload's running instance is running");
+        self.workloads[w].billed += billed;
+        let count = &mut self.running_by_region[running.region as usize];
+        *count = count.saturating_sub(1);
+        billed
     }
 
     /// A proactive checkpoint tick fired: save if the instance is still
@@ -669,10 +626,6 @@ impl FleetModel {
         let FleetModel { workloads, cp, .. } = self;
         workloads[w].proactive_checkpoint(w, now, cp);
         self.queue.schedule(now + interval, Event::CheckpointTick(w, instance));
-    }
-
-    fn note_launch(&mut self, region: Region) {
-        self.launches_by_region[region as usize] += 1;
     }
 
     /// The retry sweep. If the pending placement's region has since been
@@ -707,17 +660,11 @@ impl FleetModel {
     }
 
     fn handle_reclaim(&mut self, w: usize, instance: InstanceId, now: SimTime) {
-        let Some(running) = &self.workloads[w].running else {
+        let Some(running) = self.workloads[w].running.take_if(|r| r.instance == instance) else {
             return;
         };
-        if running.instance != instance {
-            return;
-        }
         let region = running.region;
-        let ready_at = running.ready_at;
-        self.workloads[w].running = None;
         self.workloads[w].phase = WorkloadPhase::Migrating;
-        self.free_slot(region);
 
         // Account the interruption.
         self.interruptions.increment(now);
@@ -745,12 +692,7 @@ impl FleetModel {
         // stamp the interruption with its cost before the checkpoint
         // settlement events; the ledger only sums, so the same-instant
         // order is observationally irrelevant otherwise.)
-        let billed = self
-            .cp
-            .ec2
-            .terminate(instance, now, TerminationReason::Interrupted)
-            .expect("reclaimed instance was running");
-        self.workloads[w].billed += billed;
+        let billed = self.stop_instance(w, &running, TerminationReason::Interrupted, now);
         self.cp.tracer.record(
             now,
             TraceEvent::Interrupted { workload: w, region, instance, billed: billed.amount() },
@@ -762,7 +704,7 @@ impl FleetModel {
             let FleetModel { workloads, cp, .. } = self;
             workloads[w].settle_checkpoints(w, now, cp);
         } else {
-            let elapsed = now.saturating_duration_since(ready_at);
+            let elapsed = now.saturating_duration_since(running.ready_at);
             let _ = self.workloads[w].invocation.record_execution(elapsed);
         }
         self.workloads[w].invocation.handle_interruption();
@@ -796,31 +738,24 @@ impl FleetModel {
     }
 
     fn handle_complete(&mut self, w: usize, instance: InstanceId, now: SimTime) {
-        let Some(running) = &self.workloads[w].running else {
+        let Some(running) = self.workloads[w].running.take_if(|r| r.instance == instance) else {
             return;
         };
-        if running.instance != instance {
-            return;
-        }
-        let region = running.region;
-        let ready_at = running.ready_at;
-        self.workloads[w].running = None;
-        self.free_slot(region);
-        let elapsed = now.saturating_duration_since(ready_at);
+        let elapsed = now.saturating_duration_since(running.ready_at);
         let progress = self.workloads[w]
             .invocation
             .record_execution(elapsed)
             .expect("completion on a running invocation");
         debug_assert!(progress.finished, "completion event fired early");
-        let billed = self
-            .cp
-            .ec2
-            .terminate(instance, now, TerminationReason::Completed)
-            .expect("completed instance was running");
-        self.workloads[w].billed += billed;
+        let billed = self.stop_instance(w, &running, TerminationReason::Completed, now);
         self.cp.tracer.record(
             now,
-            TraceEvent::Completed { workload: w, region, instance, billed: billed.amount() },
+            TraceEvent::Completed {
+                workload: w,
+                region: running.region,
+                instance,
+                billed: billed.amount(),
+            },
         );
         self.workloads[w].completed_at = Some(now);
         self.workloads[w].phase = WorkloadPhase::Completed;
@@ -855,22 +790,15 @@ impl FleetModel {
         self.workloads[w].expired = true;
         self.workloads[w].phase = WorkloadPhase::Expired;
         self.expired += 1;
-        let mut region = None;
-        let mut billed_amount = None;
-        if let Some(running) = self.workloads[w].running.take() {
-            let billed = self
-                .cp
-                .ec2
-                .terminate(running.instance, now, TerminationReason::Manual)
-                .expect("expired workload's instance was running");
-            self.workloads[w].billed += billed;
-            self.free_slot(running.region);
-            region = Some(running.region);
-            billed_amount = Some(billed.amount());
-        }
-        self.cp
-            .tracer
-            .record(now, TraceEvent::WorkloadExpired { workload: w, region, billed: billed_amount });
+        let (region, billed) = self.workloads[w]
+            .running
+            .take()
+            .map(|running| {
+                let billed = self.stop_instance(w, &running, TerminationReason::Manual, now);
+                (running.region, billed.amount())
+            })
+            .unzip();
+        self.cp.tracer.record(now, TraceEvent::WorkloadExpired { workload: w, region, billed });
     }
 
     fn handle_monitor_tick(&mut self, now: SimTime) {

@@ -240,15 +240,7 @@ impl Monitor {
         );
         // Gather before invoking so market errors surface typed.
         for (_, row) in &mut persisted.rows {
-            let region = row.region;
-            row.spot_price = market.spot_price(region, instance_type, at)?;
-            row.on_demand_price = market.on_demand_price(region, instance_type);
-            row.placement = market.placement_score(region, instance_type, at)?;
-            row.stability = market.stability_score(region, instance_type, at)?;
-            if let Some(overlay) = overlay {
-                row.placement = overlay.placement_score(region, at, row.placement);
-                row.stability = overlay.stability_score(region, at, row.stability);
-            }
+            *row = assess(market, overlay, row.region, instance_type, at)?;
         }
         // The invocation is billed either way; its failure does not gate
         // the rows.
@@ -334,7 +326,9 @@ impl Monitor {
     }
 
     /// Builds fresh assessments straight from the market (bypassing the
-    /// persistence pipeline) — used by baseline strategies and tests.
+    /// persistence pipeline), observed through a fault overlay when one is
+    /// given — used before the first collection, by the advisor and by
+    /// tests.
     ///
     /// # Errors
     ///
@@ -342,41 +336,44 @@ impl Monitor {
     pub fn fresh_assessments(
         &self,
         market: &SpotMarket,
-        at: SimTime,
-    ) -> Result<Vec<RegionAssessment>, MonitorError> {
-        self.fresh_assessments_with_overlay(market, None, at)
-    }
-
-    /// Like [`fresh_assessments`](Monitor::fresh_assessments), observed
-    /// through a fault overlay.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::Market`] for market failures.
-    pub fn fresh_assessments_with_overlay(
-        &self,
-        market: &SpotMarket,
         overlay: Option<&MarketOverlay>,
         at: SimTime,
     ) -> Result<Vec<RegionAssessment>, MonitorError> {
-        let mut out = Vec::new();
-        for &region in market.regions_offering(self.instance_type) {
-            let mut placement = market.placement_score(region, self.instance_type, at)?;
-            let mut stability = market.stability_score(region, self.instance_type, at)?;
-            if let Some(overlay) = overlay {
-                placement = overlay.placement_score(region, at, placement);
-                stability = overlay.stability_score(region, at, stability);
-            }
-            out.push(RegionAssessment {
-                region,
-                placement,
-                stability,
-                spot_price: market.spot_price(region, self.instance_type, at)?,
-                on_demand_price: market.on_demand_price(region, self.instance_type),
-            });
-        }
-        Ok(out)
+        market
+            .regions_offering(self.instance_type)
+            .iter()
+            .map(|&region| {
+                assess(market, overlay, region, self.instance_type, at)
+                    .map_err(MonitorError::Market)
+            })
+            .collect()
     }
+}
+
+/// One region's metrics at `at`, read from the market and observed
+/// through `overlay` when one is given: blacked-out or degraded regions
+/// report their pinned, capped scores. The one market read behind both a
+/// collection and [`Monitor::fresh_assessments`].
+fn assess(
+    market: &SpotMarket,
+    overlay: Option<&MarketOverlay>,
+    region: Region,
+    instance_type: InstanceType,
+    at: SimTime,
+) -> Result<RegionAssessment, MarketError> {
+    let mut placement = market.placement_score(region, instance_type, at)?;
+    let mut stability = market.stability_score(region, instance_type, at)?;
+    if let Some(overlay) = overlay {
+        placement = overlay.placement_score(region, at, placement);
+        stability = overlay.stability_score(region, at, stability);
+    }
+    Ok(RegionAssessment {
+        region,
+        placement,
+        stability,
+        spot_price: market.spot_price(region, instance_type, at)?,
+        on_demand_price: market.on_demand_price(region, instance_type),
+    })
 }
 
 #[cfg(test)]
@@ -439,7 +436,7 @@ mod tests {
         collect(&mut f, None, at);
         let (persisted, collected_at) = f.monitor.read_snapshot(&f.kv).unwrap();
         assert_eq!(collected_at, at);
-        let fresh = f.monitor.fresh_assessments(&f.market, at).unwrap();
+        let fresh = f.monitor.fresh_assessments(&f.market, None, at).unwrap();
         for (p, fr) in persisted.iter().zip(fresh.iter()) {
             assert_eq!(p.region, fr.region);
             assert_eq!(p.placement, fr.placement);
@@ -454,7 +451,7 @@ mod tests {
         // The second collection rewrites the first one's rows in place.
         for at in [SimTime::from_days(2), SimTime::from_days(2) + MARKET_EPOCH] {
             assert_eq!(collect(&mut f, None, at), CollectOutcome::Fresh(12));
-            let fresh = f.monitor.fresh_assessments(&f.market, at).unwrap();
+            let fresh = f.monitor.fresh_assessments(&f.market, None, at).unwrap();
             let prefix = format!("{}/", InstanceType::M5Xlarge);
             let rows = f.kv.scan_prefix(METRICS_TABLE, &prefix).unwrap();
             assert_eq!(rows.len(), fresh.len());
@@ -480,7 +477,7 @@ mod tests {
         let snapshot = persisted(&f);
         let later_fresh = f
             .monitor
-            .fresh_assessments(&f.market, SimTime::from_days(40))
+            .fresh_assessments(&f.market, None, SimTime::from_days(40))
             .unwrap();
         // Prices move over 39 days; the persisted snapshot must not.
         let moved = snapshot
@@ -530,7 +527,7 @@ mod tests {
         assert_eq!(f.ledger.len(), 2 * FRESH_CHARGES);
         // Reused ticks leave the persisted snapshot untouched and valid.
         let snapshot = persisted(&f);
-        let fresh = f.monitor.fresh_assessments(&f.market, next_hour).unwrap();
+        let fresh = f.monitor.fresh_assessments(&f.market, None, next_hour).unwrap();
         for (p, fr) in snapshot.iter().zip(fresh.iter()) {
             assert_eq!(p.placement, fr.placement);
             assert!((p.spot_price.rate() - fr.spot_price.rate()).abs() < 1e-12);

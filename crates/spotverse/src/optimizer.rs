@@ -219,9 +219,21 @@ impl Optimizer {
         assessments: &[RegionAssessment],
         excluded: &[Region],
     ) -> Vec<RegionAssessment> {
+        self.select(assessments, excluded, None)
+    }
+
+    /// [`select_regions`](Optimizer::select_regions) with the region a
+    /// workload was just interrupted in (when migrating) dropped in the
+    /// same filter pass, so a migration copies no assessments to drop it.
+    fn select(
+        &self,
+        assessments: &[RegionAssessment],
+        excluded: &[Region],
+        interrupted: Option<Region>,
+    ) -> Vec<RegionAssessment> {
         let mut selected: Vec<RegionAssessment> = assessments
             .iter()
-            .filter(|a| !excluded.contains(&a.region))
+            .filter(|a| Some(a.region) != interrupted && !excluded.contains(&a.region))
             .filter(|a| self.config.allows_region(a.region))
             .filter(|a| a.combined().meets(self.config.threshold()))
             .copied()
@@ -240,29 +252,17 @@ impl Optimizer {
         cheapest_on_demand(assessments.iter().filter(|a| self.config.allows_region(a.region)))
     }
 
-    /// Initial placement for `n` workloads: all on spot in the configured
-    /// region under [`InitialPlacement::SingleRegion`]; otherwise
-    /// round-robin over the selected regions, or all-on-demand when the
-    /// threshold filters everything out.
+    /// Initial placement for `n` workloads, appended to `out` (the fleet
+    /// loop pools one vector across batches): all on spot in the
+    /// configured region under [`InitialPlacement::SingleRegion`];
+    /// otherwise round-robin over the selected regions, or all-on-demand
+    /// when the threshold filters everything out.
     ///
     /// `excluded` regions are dropped before selection (see
     /// [`select_regions`](Optimizer::select_regions)). The on-demand
     /// fallback is deliberately *not* filtered: when every qualifying
     /// region is excluded, a guaranteed-capacity launch in a
     /// sick-for-spot region beats not launching at all.
-    pub fn initial_placements(
-        &self,
-        assessments: &[RegionAssessment],
-        n: usize,
-        excluded: &[Region],
-    ) -> Vec<Placement> {
-        let mut out = Vec::with_capacity(n);
-        self.initial_placements_into(assessments, n, excluded, &mut out);
-        out
-    }
-
-    /// [`initial_placements`](Optimizer::initial_placements), appended to
-    /// a caller-owned vector (the fleet loop pools one across batches).
     pub fn initial_placements_into(
         &self,
         assessments: &[RegionAssessment],
@@ -307,12 +307,7 @@ impl Optimizer {
         }
         // Exclude first, then take the top R — so the selection never
         // silently shrinks below R because of the exclusion.
-        let filtered: Vec<RegionAssessment> = assessments
-            .iter()
-            .filter(|a| a.region != interrupted_region)
-            .copied()
-            .collect();
-        let selected = self.select_regions(&filtered, excluded);
+        let selected = self.select(assessments, excluded, Some(interrupted_region));
         if selected.is_empty() {
             return Placement::OnDemand(self.cheapest_on_demand(assessments));
         }
@@ -337,12 +332,7 @@ impl Optimizer {
         excluded: &[Region],
         interrupted: Option<Region>,
     ) -> Vec<CandidateVerdict> {
-        let eligible: Vec<RegionAssessment> = assessments
-            .iter()
-            .filter(|a| Some(a.region) != interrupted)
-            .copied()
-            .collect();
-        let selected = self.select_regions(&eligible, excluded);
+        let selected = self.select(assessments, excluded, interrupted);
         assessments
             .iter()
             .map(|a| {
@@ -476,7 +466,8 @@ mod tests {
 
     #[test]
     fn round_robin_initial_distribution() {
-        let placements = optimizer(6).initial_placements(&fixture(), 10, &[]);
+        let mut placements = Vec::new();
+        optimizer(6).initial_placements_into(&fixture(), 10, &[], &mut placements);
         assert_eq!(placements.len(), 10);
         assert!(placements.iter().all(|p| p.is_spot()));
         // Round-robin: workloads 0 and 4 land in the same (cheapest) region.
@@ -497,7 +488,8 @@ mod tests {
 
     #[test]
     fn unreachable_threshold_falls_back_to_on_demand() {
-        let placements = optimizer(14).initial_placements(&fixture(), 3, &[]);
+        let mut placements = Vec::new();
+        optimizer(14).initial_placements_into(&fixture(), 3, &[], &mut placements);
         assert_eq!(placements.len(), 3);
         for p in &placements {
             assert!(!p.is_spot());
@@ -621,7 +613,9 @@ mod tests {
             Region::UsWest1,
             Region::EuWest1,
         ];
-        let placements = opt.initial_placements(&fixture(), 3, &quarantined);
+        let mut placements = Vec::new();
+        opt.initial_placements_into(&fixture(), 3, &quarantined, &mut placements);
+        assert_eq!(placements.len(), 3);
         for p in &placements {
             assert!(!p.is_spot());
             // The on-demand fallback is not health-filtered.
@@ -675,26 +669,51 @@ mod tests {
 
     #[test]
     fn explain_agrees_with_selection_for_every_threshold() {
-        for threshold in 2..=13 {
-            let opt = optimizer(threshold);
-            for excluded in [vec![], vec![Region::CaCentral1, Region::UsEast2]] {
-                let verdicts = opt.explain_selection(&fixture(), &excluded, None);
-                assert_eq!(verdicts.len(), fixture().len(), "one verdict per candidate");
-                let mut selected: Vec<(usize, Region)> = verdicts
-                    .iter()
-                    .filter_map(|v| match v.outcome {
-                        CandidateOutcome::Selected { rank } => Some((rank, v.region)),
-                        _ => None,
-                    })
-                    .collect();
-                selected.sort_unstable_by_key(|(rank, _)| *rank);
-                let real: Vec<Region> = opt
-                    .select_regions(&fixture(), &excluded)
-                    .iter()
-                    .map(|a| a.region)
-                    .collect();
-                let explained: Vec<Region> = selected.into_iter().map(|(_, r)| r).collect();
-                assert_eq!(explained, real, "T={threshold} excluded={excluded:?}");
+        let interrupted_cases =
+            std::iter::once(None).chain(fixture().into_iter().map(|a| Some(a.region)));
+        for interrupted in interrupted_cases {
+            // The reference selection drops the interrupted region by hand.
+            let eligible: Vec<RegionAssessment> =
+                fixture().into_iter().filter(|a| Some(a.region) != interrupted).collect();
+            for threshold in 2..=13 {
+                let opt = optimizer(threshold);
+                for excluded in [vec![], vec![Region::CaCentral1, Region::UsEast2]] {
+                    let case =
+                        format!("T={threshold} excluded={excluded:?} interrupted={interrupted:?}");
+                    let verdicts = opt.explain_selection(&fixture(), &excluded, interrupted);
+                    assert_eq!(verdicts.len(), fixture().len(), "one verdict per candidate");
+                    for v in &verdicts {
+                        let here = v.outcome == CandidateOutcome::InterruptedHere;
+                        assert_eq!(here, Some(v.region) == interrupted, "{case}");
+                    }
+                    let mut selected: Vec<(usize, Region)> = verdicts
+                        .iter()
+                        .filter_map(|v| match v.outcome {
+                            CandidateOutcome::Selected { rank } => Some((rank, v.region)),
+                            _ => None,
+                        })
+                        .collect();
+                    selected.sort_unstable_by_key(|(rank, _)| *rank);
+                    let real: Vec<Region> =
+                        opt.select_regions(&eligible, &excluded).iter().map(|a| a.region).collect();
+                    let explained: Vec<Region> = selected.into_iter().map(|(_, r)| r).collect();
+                    assert_eq!(explained, real, "{case}");
+                    let Some(interrupted) = interrupted else {
+                        continue;
+                    };
+                    let expected = match explained.first() {
+                        Some(&region) => Placement::Spot(region),
+                        None => Placement::OnDemand(opt.cheapest_on_demand(&fixture())),
+                    };
+                    let target = opt.migration_target(
+                        &fixture(),
+                        interrupted,
+                        MigrationPolicy::CheapestQualifying,
+                        &excluded,
+                        &mut SimRng::seed_from_u64(threshold.into()),
+                    );
+                    assert_eq!(target, expected, "{case}");
+                }
             }
         }
     }

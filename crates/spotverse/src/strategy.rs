@@ -578,7 +578,7 @@ mod tests {
 
     fn assessments(at: SimTime) -> Vec<RegionAssessment> {
         let market = SpotMarket::new(MarketConfig::with_seed(5));
-        Monitor::new(InstanceType::M5Xlarge).fresh_assessments(&market, at).unwrap()
+        Monitor::new(InstanceType::M5Xlarge).fresh_assessments(&market, None, at).unwrap()
     }
 
     fn ctx_with<'a>(

@@ -134,6 +134,24 @@ if ! grep -q "1 passed" <<<"$variants_out"; then
 fi
 echo "    provider-full SpotVerse equals plain SpotVerse under a capacity cap"
 
+echo "==> degraded decisions: both decision kinds are pinned by a golden"
+# Past the telemetry TTL the Controller places on-demand without asking
+# the strategy. The telemetry_blackout fleet golden holds one degraded
+# initial and one degraded migration decision, byte for byte, and the
+# test asserts both are there. The filter must select the one test, not
+# none.
+degraded_out=$(cargo test -q -p spotverse-integration --test golden_traces -- \
+    --exact fleet_telemetry_blackout_degraded_decisions_match_golden 2>&1) || {
+    echo "$degraded_out" >&2
+    echo "==> degraded decisions FAILED" >&2
+    exit 1
+}
+if ! grep -q "1 passed" <<<"$degraded_out"; then
+    echo "==> degraded decisions FAILED: fleet_telemetry_blackout_degraded_decisions_match_golden did not run" >&2
+    exit 1
+fi
+echo "    degraded initial and migration decisions match the golden"
+
 echo "==> golden workflows: committed .ga exports of the paper workflows"
 cargo test -q -p spotverse-integration --test golden_workflows
 

@@ -33,7 +33,7 @@ proptest! {
         let market = SpotMarket::new(MarketConfig::with_seed(seed));
         let monitor = Monitor::new(InstanceType::M5Xlarge);
         let assessments = monitor
-            .fresh_assessments(&market, SimTime::from_days(day))
+            .fresh_assessments(&market, None, SimTime::from_days(day))
             .expect("within horizon");
         let optimizer = Optimizer::new(
             SpotVerseConfig::builder(InstanceType::M5Xlarge)

@@ -42,10 +42,12 @@ fn experiment_golden_analytics_match() {
 
 #[test]
 fn fleet_golden_analytics_match() {
-    assert_golden(
-        "analytics/fleet_ngs3_seed2024_cap1.txt",
-        &analyse_golden_trace("fleet_ngs3_seed2024_cap1.jsonl"),
-    );
+    for trace in
+        ["fleet_ngs3_seed2024_cap1.jsonl", "fleet_ngs4_seed2025_telemetry_blackout.jsonl"]
+    {
+        let snapshot = format!("analytics/{}", trace.replace(".jsonl", ".txt"));
+        assert_golden(&snapshot, &analyse_golden_trace(trace));
+    }
 }
 
 /// The `sweep_shard_chaos` orchestrated run: per-cell traces merged with

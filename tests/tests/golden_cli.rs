@@ -215,6 +215,7 @@ const BAD_ARGVS: &[&[&str]] = &[
     &["tournament", "--strategy", "blimp"],
     &["tournament", "--deadline-days", "0"],
     &["workflow", "--duration-hours", "0"],
+    &["analyse", "/nonexistent.jsonl", "--output", "bogus"],
 ];
 
 /// The commands whose flag schemas `schemas.txt` lists.

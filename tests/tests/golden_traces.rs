@@ -87,3 +87,30 @@ fn same_seed_replays_byte_identical() {
         "same seed must replay to byte-identical canonical JSONL"
     );
 }
+
+/// The degraded golden: four NGS workloads arriving an hour apart at seed
+/// 2025 under `telemetry_blackout`, which throttles every Monitor write
+/// for eight hours. The snapshot ages past its TTL, so both an arrival
+/// batch and a migration are placed on the degraded on-demand fallback;
+/// the other goldens never reach that path.
+#[test]
+fn fleet_telemetry_blackout_degraded_decisions_match_golden() {
+    let rng = SimRng::seed_from_u64(2025);
+    let specs = paper_fleet(WorkloadKind::NgsPreprocessing, 4, &rng);
+    let mut config =
+        FleetConfig::staggered(2025, InstanceType::M5Xlarge, specs, SimDuration::from_hours(1));
+    config.chaos = Some(chaos::telemetry_blackout());
+    config.trace = TraceConfig::enabled();
+    let report = run_fleet(config, spotverse_with_threshold(6));
+    let jsonl = trace_to_jsonl(report.aggregate.trace.as_ref().expect("tracing was enabled"));
+    let degraded = |kind: &str| {
+        jsonl.lines().any(|line| {
+            line.contains("\"event\":\"decision\"")
+                && line.contains(&format!("\"kind\":\"{kind}\""))
+                && line.contains("\"degraded\":true")
+        })
+    };
+    assert!(degraded("initial"), "degraded golden must cover a degraded initial decision");
+    assert!(degraded("migration"), "degraded golden must cover a degraded migration decision");
+    assert_golden("fleet_ngs4_seed2025_telemetry_blackout.jsonl", &jsonl);
+}

@@ -23,12 +23,13 @@ use spotverse::{
 };
 use spotverse_integration::{spotverse_strategy, traced_config};
 
-const GOLDENS: [&str; 5] = [
+const GOLDENS: [&str; 6] = [
     "spotverse_ngs3_seed2024_t4.jsonl",
     "spotverse_ngs3_seed2024_t5.jsonl",
     "spotverse_ngs3_seed2024_t6.jsonl",
     "spotverse_genome10_seed2024_region_flap.jsonl",
     "fleet_ngs3_seed2024_cap1.jsonl",
+    "fleet_ngs4_seed2025_telemetry_blackout.jsonl",
 ];
 
 fn golden(name: &str) -> String {
