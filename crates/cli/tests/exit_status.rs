@@ -3,9 +3,10 @@
 //! when some cells of a run failed, and 0 for a run that reaches the
 //! market horizon, arrivals at the last representable instant included. A
 //! trace line nested far too deep is bad input like any other. Only argv
-//! and flag errors point at `spotverse help`.
+//! and flag errors point at `spotverse help`. A reader that closes stdout
+//! early (`spotverse traces | head`) ends the run quietly with 0.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 #[test]
 fn start_day_past_the_market_horizon_is_an_error_not_a_panic() {
@@ -170,4 +171,22 @@ fn only_argv_errors_point_at_the_usage() {
     let (code, stderr) = run(&["fleet", "--strategy", "bogus"]);
     assert_eq!(code, Some(1), "stderr:\n{stderr}");
     assert!(stderr.contains(hint), "stderr:\n{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // 30 days of price history is ~78 KB, more than a 64 KiB pipe buffer
+    // holds, so the write meets the closed pipe whatever the timing.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_spotverse"))
+        .args(["traces", "--days", "30"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spotverse runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("spotverse exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    assert!(stderr.is_empty(), "stderr:\n{stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
 }

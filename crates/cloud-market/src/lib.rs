@@ -45,7 +45,7 @@ pub use advisor::{
     CombinedScore, InterruptionBand, PlacementScore, ScoreOutOfRange, StabilityScore,
 };
 pub use instance::{InstanceFamily, InstanceSize, InstanceType, ParseInstanceTypeError};
-pub use market::{MarketConfig, MarketError, SpotMarket, Weekday, MARKET_SEGMENT_DAYS};
+pub use market::{MarketConfig, MarketError, SpotMarket, Weekday};
 pub use money::{Usd, UsdPerHour};
 pub use overlay::{MarketOverlay, OverlayWindow};
 pub use profiles::{

@@ -20,10 +20,11 @@
 //! draws the regime schedule every (region, instance type) shares; each
 //! pair's cheap daily band and episode processes are walked on its first
 //! query; and the expensive trajectories (hourly prices, daily placement
-//! scores) materialize in [`MARKET_SEGMENT_DAYS`]-day segments on first
-//! touch. A run that places one instance type never pays for the other
-//! five, and a fleet that finishes inside the first month never pays for
-//! the remaining months of the horizon.
+//! scores) materialize on first touch in segments that double in length
+//! (4, 4, 8 … 128 days). A run that places one instance type never pays
+//! for the other five, a one-day run pays for four days of one, and a
+//! fleet that finishes inside the first month never pays for the
+//! remaining months of the horizon.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -210,20 +211,34 @@ impl std::fmt::Display for MarketError {
 
 impl std::error::Error for MarketError {}
 
-/// Length in days of one lazily-materialized trajectory segment.
+/// Length in days of the first lazily-materialized trajectory segment.
 ///
-/// Placement scores materialize in segments of this many days, prices in
-/// segments of this many days of hours. Chosen so a paper-scale experiment
-/// (a few weeks of sim time) touches two or three segments out of the
-/// default horizon's fifteen.
-pub const MARKET_SEGMENT_DAYS: usize = 14;
+/// Segments double from there: boundaries fall at days 0, 4, 8, 16, 32,
+/// 64 and 128, and the last segment is cut at the horizon (seven
+/// segments over the default 210 days). Placement scores fill on these
+/// boundaries in days, prices on the same boundaries in hours. A run that
+/// ends within four days fills one segment per track and a month of
+/// queries four, so short seeded runs pay for little of the horizon while
+/// a whole-horizon run still fills only seven boxes per track.
+const FIRST_SEGMENT_DAYS: usize = 4;
 
-const SEGMENT_HOURS: usize = MARKET_SEGMENT_DAYS * 24;
+/// Segments covering a trajectory of `len` values whose first segment
+/// holds `first` (at least one, so an empty horizon still has a segment
+/// to count).
+fn segment_count(len: usize, first: usize) -> usize {
+    segment_of(len.saturating_sub(1), first) + 1
+}
 
-/// Segments of `seg_len` covering a trajectory of `len` values (at least
-/// one, so an empty horizon still has a segment to count).
-fn segment_count(len: usize, seg_len: usize) -> usize {
-    len.div_ceil(seg_len).max(1)
+/// The segment holding value `idx`: segment `k ≥ 1` covers
+/// `[first << (k - 1), first << k)`, so `k` is the bit length of
+/// `idx / first`.
+fn segment_of(idx: usize, first: usize) -> usize {
+    (usize::BITS - (idx / first).leading_zeros()) as usize
+}
+
+/// The first value of segment `seg` (0 for segment 0).
+fn segment_start(seg: usize, first: usize) -> usize {
+    first * ((1 << seg) >> 1)
 }
 
 /// A sequential trajectory generator: each call appends the next `n`
@@ -238,16 +253,17 @@ trait SegmentGen: std::fmt::Debug + Send {
     fn next_n(&mut self, n: usize, out: &mut Vec<Self::Item>);
 }
 
-/// One lazily-materialized trajectory: values are produced in fixed-size
-/// segments on first touch. Segments always fill front-to-back with the
-/// generator state chained across boundaries, so any query order yields
-/// exactly the values an eager build would have precomputed. Reads of
-/// filled segments are lock-free; the generator lock is held only while
-/// filling.
+/// One lazily-materialized trajectory: values are produced in doubling
+/// segments (see [`FIRST_SEGMENT_DAYS`]) on first touch. Segments always
+/// fill front-to-back with the generator state chained across
+/// boundaries, so any query order yields exactly the values an eager
+/// build would have precomputed. Reads of filled segments are lock-free;
+/// the generator lock is held only while filling.
 #[derive(Debug)]
 struct LazyTrack<G: SegmentGen> {
     len: usize,
-    seg_len: usize,
+    /// Values in segment 0; segment `k ≥ 1` holds `first << (k - 1)`.
+    first: usize,
     segments: Box<[Segment<G::Item>]>,
     /// Next segment index to fill, plus the chained generator state.
     gen: Mutex<(usize, G)>,
@@ -257,11 +273,11 @@ struct LazyTrack<G: SegmentGen> {
 type Segment<T> = OnceLock<Box<[T]>>;
 
 impl<G: SegmentGen> LazyTrack<G> {
-    fn new(len: usize, seg_len: usize, gen: G) -> Self {
+    fn new(len: usize, first: usize, gen: G) -> Self {
         LazyTrack {
             len,
-            seg_len,
-            segments: (0..segment_count(len, seg_len)).map(|_| OnceLock::new()).collect(),
+            first,
+            segments: (0..segment_count(len, first)).map(|_| OnceLock::new()).collect(),
             gen: Mutex::new((0, gen)),
         }
     }
@@ -271,12 +287,13 @@ impl<G: SegmentGen> LazyTrack<G> {
     /// of the old precomputed vectors).
     fn get(&self, idx: usize) -> G::Item {
         let idx = idx.min(self.len - 1);
-        let seg = idx / self.seg_len;
+        let seg = segment_of(idx, self.first);
+        let offset = idx - segment_start(seg, self.first);
         if let Some(s) = self.segments[seg].get() {
-            return s[idx % self.seg_len];
+            return s[offset];
         }
         self.fill_through(seg);
-        self.segments[seg].get().expect("filled above")[idx % self.seg_len]
+        self.segments[seg].get().expect("filled above")[offset]
     }
 
     /// Fills every unfilled segment up to and including `seg`, in order.
@@ -285,7 +302,8 @@ impl<G: SegmentGen> LazyTrack<G> {
         let mut guard = self.gen.lock().expect("lazy-track generator poisoned");
         let (next, gen) = &mut *guard;
         while *next <= seg {
-            let n = self.seg_len.min(self.len - *next * self.seg_len);
+            let end = segment_start(*next + 1, self.first).min(self.len);
+            let n = end - segment_start(*next, self.first);
             let mut buf = Vec::with_capacity(n);
             gen.next_n(n, &mut buf);
             self.segments[*next]
@@ -471,7 +489,7 @@ impl MarketState {
         let placement_sigma = if itype == InstanceType::M5Xlarge { 0.10 } else { 0.30 };
         let daily_placement = LazyTrack::new(
             days,
-            MARKET_SEGMENT_DAYS,
+            FIRST_SEGMENT_DAYS,
             PlacementGen {
                 rng: rng.fork(&format!("placement:{label}")),
                 mean: profile.placement_mean(),
@@ -513,7 +531,7 @@ impl MarketState {
         // --- Hourly price process (lazily materialized) --------------------
         let hourly_price = LazyTrack::new(
             hours,
-            SEGMENT_HOURS,
+            FIRST_SEGMENT_DAYS * 24,
             PriceGen {
                 rng: rng.fork(&format!("price:{label}")),
                 od: profiles::on_demand_price(region, itype).rate(),
@@ -648,8 +666,8 @@ impl SpotMarket {
     /// Builds the market. Construction only draws the regime schedule;
     /// each (region, instance type) state walks its cheap daily band and
     /// episode processes on its first query, and its hourly price and
-    /// daily placement trajectories materialize in
-    /// [`MARKET_SEGMENT_DAYS`]-day segments on first touch. Both stay
+    /// daily placement trajectories materialize on first touch in
+    /// segments that double in length (4, 4, 8 … 128 days). Both stay
     /// bit-identical to the eager reference build
     /// ([`SpotMarket::new_eager`]): every state's streams are forks of one
     /// parent stream, and a fork is a pure function of `(seed, label)`, so
@@ -734,8 +752,8 @@ impl SpotMarket {
             n + s.daily_placement.segments_filled().0 + s.hourly_price.segments_filled().0
         });
         let days = self.config.horizon_days as usize;
-        let per_state =
-            segment_count(days, MARKET_SEGMENT_DAYS) + segment_count(days * 24, SEGMENT_HOURS);
+        let per_state = segment_count(days, FIRST_SEGMENT_DAYS)
+            + segment_count(days * 24, FIRST_SEGMENT_DAYS * 24);
         let offered = self.offered.iter().flatten().filter(|&&o| o).count();
         (filled, offered * per_state)
     }
@@ -1056,16 +1074,48 @@ mod tests {
 
     #[test]
     fn the_segment_total_counts_unbuilt_states() {
-        // 69 offered pairs (72 less three p3.2xlarge gaps), each with 15
-        // placement and 15 price segments over the 210-day horizon.
+        // 69 offered pairs (72 less three p3.2xlarge gaps), each with 7
+        // placement and 7 price segments over the 210-day horizon.
         let m = market();
-        assert_eq!(m.materialized_segments(), (0, 2_070));
+        assert_eq!(m.materialized_segments(), (0, 966));
+        // Day 20 lies in the segment from day 16, the fourth.
         m.placement_score(Region::UsWest1, InstanceType::M5Xlarge, SimTime::from_days(20))
             .unwrap();
-        assert_eq!(m.materialized_segments(), (2, 2_070));
+        assert_eq!(m.materialized_segments(), (4, 966));
         let eager = SpotMarket::new_eager(MarketConfig::with_seed(7));
-        assert_eq!(eager.materialized_segments(), (2_070, 2_070));
+        assert_eq!(eager.materialized_segments(), (966, 966));
         assert_eq!(built(&eager).len(), 69);
+    }
+
+    #[test]
+    fn segments_double_from_four_days_and_stop_at_the_horizon() {
+        fn filled<G: SegmentGen>(track: &LazyTrack<G>) -> Vec<usize> {
+            track.segments.iter().map(|s| s.get().map_or(0, |b| b.len())).collect()
+        }
+        let starts: Vec<usize> = (0..7).map(|k| segment_start(k, FIRST_SEGMENT_DAYS)).collect();
+        assert_eq!(starts, [0, 4, 8, 16, 32, 64, 128]);
+        for (days, count) in [(0, 1), (3, 1), (4, 1), (5, 2), (8, 2), (9, 3), (130, 7), (210, 7)] {
+            assert_eq!(segment_count(days, FIRST_SEGMENT_DAYS), count, "{days} days");
+        }
+
+        // A run that reads days 1-3 fills the first box of each track:
+        // 4 placement days and 96 price hours.
+        let m = market();
+        let (region, itype) = (Region::UsEast1, InstanceType::M5Xlarge);
+        for day in 1..=3 {
+            let t = SimTime::from_days(day) + SimDuration::from_hours(23);
+            m.spot_price(region, itype, t).unwrap();
+            m.placement_score(region, itype, t).unwrap();
+        }
+        let state = m.state(region, itype).unwrap();
+        assert_eq!(filled(&state.daily_placement), [4, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(filled(&state.hourly_price), [96, 0, 0, 0, 0, 0, 0]);
+
+        // The last segment is cut at the 210-day horizon.
+        state.daily_placement.force_all();
+        state.hourly_price.force_all();
+        assert_eq!(filled(&state.daily_placement), [4, 4, 8, 16, 32, 64, 82]);
+        assert_eq!(filled(&state.hourly_price), [96, 96, 192, 384, 768, 1_536, 1_968]);
     }
 
     #[test]
@@ -1095,7 +1145,7 @@ mod tests {
             let config = MarketConfig { seed, horizon_days: 60, ..MarketConfig::default() };
             let eager = SpotMarket::new_eager(config);
             let lazy = SpotMarket::new(config);
-            for day in [59, 0, 28, MARKET_SEGMENT_DAYS as u64, 13, 41] {
+            for day in [59, 0, 32, 4, 15, 16, 41, 8] {
                 let t = SimTime::from_days(day);
                 assert_eq!(
                     lazy.spot_price(Region::UsEast1, InstanceType::M5Xlarge, t),
@@ -1124,8 +1174,8 @@ mod tests {
             m.placement_score(Region::UsEast1, InstanceType::M5Xlarge, t).unwrap();
         }
         let (filled, _) = m.materialized_segments();
-        let per_track = 30usize.div_ceil(MARKET_SEGMENT_DAYS);
-        assert_eq!(filled, 2 * per_track, "exactly the touched segments fill");
+        // Days 0-29 touch the segments from days 0, 4, 8 and 16.
+        assert_eq!(filled, 2 * 4, "exactly the touched segments fill");
         assert!(filled * 20 < total, "filled {filled} of {total}");
     }
 
@@ -1346,7 +1396,7 @@ mod regime_tests {
             let eager = SpotMarket::new_eager(c);
             let lazy = SpotMarket::new(c);
             // Adversarial query order across segment boundaries first.
-            for day in [69, 0, 35, MARKET_SEGMENT_DAYS as u64, 13] {
+            for day in [69, 0, 35, 4, 13, 64] {
                 let t = SimTime::from_days(day);
                 assert_eq!(
                     lazy.spot_price(Region::UsEast1, InstanceType::M5Xlarge, t),

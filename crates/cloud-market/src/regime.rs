@@ -15,9 +15,10 @@
 //!   single shared seed fork: every region jumps together for a few days,
 //!   the correlation that per-region processes cannot express.
 //! * [`MarketRegime::RegimeSwitching`] — a seeded Markov chain over
-//!   [`MARKET_SEGMENT_DAYS`]-day segments switching between calm, crunch,
-//!   and shock behaviour — the chained-generator state in `LazyTrack`
-//!   already crosses segment boundaries, so switches slot in for free.
+//!   14-day segments switching between calm, crunch, and shock
+//!   behaviour. These segments are the regime's own calendar, apart from
+//!   the lazy tracks' fill layout: the chained generator state in
+//!   `LazyTrack` crosses fill boundaries and regime switches alike.
 //!
 //! Two pieces carry a regime:
 //!
@@ -35,8 +36,15 @@ use std::str::FromStr;
 
 use sim_kernel::SimRng;
 
-use crate::market::{Weekday, MARKET_SEGMENT_DAYS};
+use crate::market::Weekday;
 use crate::profiles::CRUNCH_SURGE;
+
+/// Length in days of one segment of the regime-switching Markov chain:
+/// the regime holds for this many days at a time, so the default 210-day
+/// horizon has fifteen segments. Every regime-switching market is drawn
+/// on this calendar, so changing it changes every such market; it is
+/// independent of how the lazy price and placement tracks fill.
+const REGIME_SEGMENT_DAYS: usize = 14;
 
 /// A named market regime. `Copy + Eq + Hash` so it can ride on
 /// `MarketConfig` and key shared-market caches.
@@ -272,9 +280,9 @@ impl RegimeSchedule {
                 }
             }
             MarketRegime::RegimeSwitching => {
-                // A Markov chain over MARKET_SEGMENT_DAYS-day segments:
+                // A Markov chain over REGIME_SEGMENT_DAYS-day segments:
                 // calm ↔ crunch ↔ shock with sticky transitions, so the
-                // regime holds for whole lazy-track segments at a time.
+                // regime holds for whole segments at a time.
                 #[derive(Clone, Copy, PartialEq)]
                 enum Phase {
                     Calm,
@@ -283,8 +291,7 @@ impl RegimeSchedule {
                 }
                 let mut switch_rng = rng.fork("regime:switch");
                 let mut phase = Phase::Calm;
-                let n_segments = days.div_ceil(MARKET_SEGMENT_DAYS);
-                for seg in 0..n_segments {
+                for seg in 0..days.div_ceil(REGIME_SEGMENT_DAYS) {
                     let day = match phase {
                         Phase::Calm => RegimeDay::NEUTRAL,
                         Phase::Crunch => RegimeDay {
@@ -300,8 +307,8 @@ impl RegimeSchedule {
                             placement_delta: -0.5,
                         },
                     };
-                    let start = seg * MARKET_SEGMENT_DAYS;
-                    for d in program.iter_mut().skip(start).take(MARKET_SEGMENT_DAYS) {
+                    let start = seg * REGIME_SEGMENT_DAYS;
+                    for d in program.iter_mut().skip(start).take(REGIME_SEGMENT_DAYS) {
                         *d = day;
                     }
                     let roll = switch_rng.uniform();
@@ -424,12 +431,15 @@ mod tests {
 
     #[test]
     fn switching_regime_changes_only_at_segment_boundaries() {
+        // The regime's segments stay 14 days whatever layout the lazy
+        // tracks fill in; the committed regime-switching goldens depend on it.
+        assert_eq!(REGIME_SEGMENT_DAYS, 14);
         let s = RegimeSchedule::build(MarketRegime::RegimeSwitching, 210, &parent(11));
-        for seg in 0..(210 / MARKET_SEGMENT_DAYS) {
-            let first = s.day(seg * MARKET_SEGMENT_DAYS);
-            for d in 0..MARKET_SEGMENT_DAYS {
+        for seg in 0..(210 / REGIME_SEGMENT_DAYS) {
+            let first = s.day(seg * REGIME_SEGMENT_DAYS);
+            for d in 0..REGIME_SEGMENT_DAYS {
                 assert_eq!(
-                    s.day(seg * MARKET_SEGMENT_DAYS + d),
+                    s.day(seg * REGIME_SEGMENT_DAYS + d),
                     first,
                     "segment {seg} not uniform"
                 );

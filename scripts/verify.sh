@@ -40,6 +40,13 @@ echo "==> perfbench smoke: each benchmark workload for one second"
 # shows.
 # counters.json is only read; its allocs.* entries are older than the
 # current code and are not compared.
+# Two market.segments_materialized entries count the market's old fixed
+# 14-day segments; the market now fills doubling segments (4, 4, 8 ... 128
+# days), so those two are pinned here at their new exact values (the
+# sweep's 9,600 did not move). ROADMAP item 16, the change to the
+# benchmark that regenerates counters.json, deletes this table.
+segment_overrides='{"fleet_loadgen": {"market.segments_materialized": 48},
+                    "tournament_regimes": {"market.segments_materialized": 1728}}'
 for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trace; do
     args=(--workload "$workload" --seconds 1)
     keys=""
@@ -80,11 +87,14 @@ import json, sys
 workload, keys = sys.argv[2], sys.argv[3].split()
 metrics = json.loads(sys.argv[1])["metrics"]
 pinned = json.load(open("perfbench/counters.json"))[workload]["counters"]
+overrides = json.loads(sys.argv[4]).get(workload, {})
+pinned.update(overrides)
 got = {k: metrics.get(k, {}).get("value") for k in keys}
 drift = [f"    {k}: {got[k]} != {pinned.get(k)}" for k in keys if got[k] != pinned.get(k)]
-print("\n".join(drift) or f"    {workload}: {len(keys)} counters equal counters.json")
+source = "counters.json" + (" and segment_overrides" if overrides else "")
+print("\n".join(drift) or f"    {workload}: {len(keys)} counters equal {source}")
 sys.exit(1 if drift else 0)
-' "$result" "$workload" "$keys"; then
+' "$result" "$workload" "$keys" "$segment_overrides"; then
         echo "==> perfbench smoke FAILED: $workload counters differ from perfbench/counters.json" >&2
         exit 1
     fi

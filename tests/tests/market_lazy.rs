@@ -3,11 +3,11 @@
 //! whatever order queries arrive, answers every query bit-identically to
 //! the eager reference build (`SpotMarket::new_eager`), including the
 //! `BeyondHorizon` error edges at and around segment boundaries.
+//!
+//! Segments double in length: their boundaries fall at days 4, 8, 16, 32,
+//! 64 and 128, and the last segment ends at the horizon.
 
-use cloud_market::{
-    InstanceType, MarketConfig, MarketError, MarketRegime, Region, SpotMarket,
-    MARKET_SEGMENT_DAYS,
-};
+use cloud_market::{InstanceType, MarketConfig, MarketError, MarketRegime, Region, SpotMarket};
 use proptest::prelude::*;
 use sim_kernel::{SimDuration, SimTime};
 
@@ -20,6 +20,13 @@ type Observation = (
     Result<bool, MarketError>,
     Result<String, MarketError>,
 );
+
+/// Every segment boundary inside the default 210-day horizon, in days.
+const BOUNDARY_DAYS: [u64; 6] = [4, 8, 16, 32, 64, 128];
+
+/// Horizons ending inside the first segment, on a boundary, and in the
+/// middle of later segments, up to the default 210 days.
+const HORIZON_DAYS: [u32; 8] = [3, 4, 5, 9, 17, 64, 130, 210];
 
 /// Every query kind the market exposes over (region, type, time), as one
 /// comparable value.
@@ -42,9 +49,9 @@ proptest! {
     #[test]
     fn lazy_is_observationally_eager(
         seed in 0u64..10_000,
-        horizon_days in 15u32..75,
+        horizon_days in 3u32..140,
         queries in prop::collection::vec(
-            (0usize..Region::ALL.len(), 0usize..InstanceType::ALL.len(), 0u64..80 * 24 + 2),
+            (0usize..Region::ALL.len(), 0usize..InstanceType::ALL.len(), 0u64..145 * 24 + 2),
             1..60,
         ),
     ) {
@@ -66,36 +73,39 @@ proptest! {
     }
 
     /// The exact edges: the last instant inside the horizon, the horizon
-    /// itself, and the seconds straddling every segment boundary.
+    /// itself, and day `b - 1` and the seconds straddling day `b` for
+    /// every segment boundary `b`, queried in a drawn order so segments
+    /// fill out of turn, for horizons that end on and between boundaries.
     #[test]
-    fn segment_and_horizon_edges_match(seed in 0u64..10_000, segments in 1u32..5) {
-        let horizon_days = segments * MARKET_SEGMENT_DAYS as u32;
-        let config = MarketConfig { seed, horizon_days, regime: MarketRegime::Baseline };
-        let eager = SpotMarket::new_eager(config);
-        let lazy = SpotMarket::new(config);
-        let horizon = SimTime::from_days(u64::from(horizon_days));
-        let mut edges = vec![
-            SimTime::ZERO,
-            horizon - SimDuration::from_secs(1),
-            horizon,
-            horizon + SimDuration::from_secs(1),
-        ];
-        for boundary in (1..=segments as u64).map(|s| s * MARKET_SEGMENT_DAYS as u64) {
-            let t = SimTime::from_days(boundary);
-            edges.push(t - SimDuration::from_secs(1));
-            edges.push(t);
-            edges.push(t + SimDuration::from_secs(1));
-        }
-        for at in edges {
-            for region in [Region::UsEast1, Region::CaCentral1] {
-                prop_assert_eq!(
-                    observe(&lazy, region, InstanceType::M5Xlarge, at),
-                    observe(&eager, region, InstanceType::M5Xlarge, at),
-                    "seed {} at {:?}", seed, at
-                );
+    fn segment_and_horizon_edges_match(
+        seed in 0u64..10_000,
+        order in prop::collection::vec(any::<u64>(), 4 + 4 * BOUNDARY_DAYS.len()),
+    ) {
+        for horizon_days in HORIZON_DAYS {
+            let config = MarketConfig { seed, horizon_days, regime: MarketRegime::Baseline };
+            let eager = SpotMarket::new_eager(config);
+            let lazy = SpotMarket::new(config);
+            let horizon = SimTime::from_days(u64::from(horizon_days));
+            let second = SimDuration::from_secs(1);
+            let mut edges = vec![SimTime::ZERO, horizon - second, horizon, horizon + second];
+            for boundary in BOUNDARY_DAYS {
+                let t = SimTime::from_days(boundary);
+                edges.extend([SimTime::from_days(boundary - 1), t - second, t, t + second]);
             }
+            let mut drawn: Vec<(u64, SimTime)> = order.iter().copied().zip(edges).collect();
+            drawn.sort_by_key(|&(key, _)| key);
+            for (_, at) in drawn {
+                for region in [Region::UsEast1, Region::CaCentral1] {
+                    prop_assert_eq!(
+                        observe(&lazy, region, InstanceType::M5Xlarge, at),
+                        observe(&eager, region, InstanceType::M5Xlarge, at),
+                        "seed {} horizon {} at {:?}", seed, horizon_days, at
+                    );
+                }
+            }
+            let at_horizon = lazy.spot_price(Region::UsEast1, InstanceType::M5Xlarge, horizon);
+            prop_assert!(matches!(at_horizon, Err(MarketError::BeyondHorizon { .. })));
+            prop_assert_eq!(lazy, eager, "seed {} horizon {}", seed, horizon_days);
         }
-        let at_horizon = lazy.spot_price(Region::UsEast1, InstanceType::M5Xlarge, horizon);
-        prop_assert!(matches!(at_horizon, Err(MarketError::BeyondHorizon { .. })));
     }
 }
