@@ -12,9 +12,10 @@ use sim_kernel::{SimDuration, SimTime};
 /// The control-plane operation being attempted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceOp {
-    /// A KV-store read (`get_item`, `scan_prefix`).
+    /// A KV-store read (`get_item`).
     KvRead,
-    /// A KV-store write (`put_item`, `update_item`, `conditional_put`).
+    /// A KV-store write (`put_item`, `update_item`, `conditional_put`,
+    /// `bill_write`).
     KvWrite,
     /// An object-store download.
     ObjectGet,

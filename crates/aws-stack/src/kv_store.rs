@@ -3,11 +3,12 @@
 //! SpotVerse's centralized data plane (paper §4): the Monitor writes spot
 //! prices, Interruption Frequencies and Placement Scores here; checkpoint
 //! workloads persist shard progress here so a replacement instance in any
-//! region can resume.
+//! region can resume. The Monitor's rows are rebuilt from the market when
+//! a decision reads them, so its writes are billed and fault-checked
+//! through [`KvStore::bill_write`] and not stored.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Bound;
 
 use sim_kernel::SimTime;
 
@@ -175,8 +176,7 @@ impl KvStore {
         KvStore::default()
     }
 
-    /// Installs a fault injector consulted before every timed call
-    /// (untimed `scan_prefix` reads stay local). Chaos-only.
+    /// Installs a fault injector consulted before every call. Chaos-only.
     pub fn set_fault_injector(&mut self, injector: Box<dyn ServiceFaultInjector>) {
         self.injector = Some(injector);
     }
@@ -211,6 +211,40 @@ impl KvStore {
         Ok(())
     }
 
+    /// Consults the injector about a write to `table`, then bills it and
+    /// returns the table to write into.
+    fn billed_write(
+        &mut self,
+        table: &str,
+        at: SimTime,
+        ledger: &mut BillingLedger,
+    ) -> Result<&mut Table, KvError> {
+        self.check_fault(ServiceOp::KvWrite, table, at)?;
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
+        ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
+        Ok(t)
+    }
+
+    /// Bills one write to `table` and stores nothing: for a writer whose
+    /// rows are never read back from the store. The fault check and the
+    /// charge are exactly those of [`KvStore::put_item`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KvError::Throttled`] when a fault injector throttles or
+    /// loses the write, and [`KvError::NoSuchTable`] for unknown tables.
+    pub fn bill_write(
+        &mut self,
+        table: &str,
+        at: SimTime,
+        ledger: &mut BillingLedger,
+    ) -> Result<(), KvError> {
+        self.billed_write(table, at, ledger).map(drop)
+    }
+
     /// Writes an item (full replace). The key is copied only when the
     /// row is new.
     ///
@@ -225,13 +259,7 @@ impl KvStore {
         at: SimTime,
         ledger: &mut BillingLedger,
     ) -> Result<(), KvError> {
-        self.check_fault(ServiceOp::KvWrite, table, at)?;
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
-        ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
-        t.with_row(key, |row| *row = item);
+        self.billed_write(table, at, ledger)?.with_row(key, |row| *row = item);
         Ok(())
     }
 
@@ -274,13 +302,7 @@ impl KvStore {
     where
         F: FnOnce(&mut Item),
     {
-        self.check_fault(ServiceOp::KvWrite, table, at)?;
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
-        ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
-        t.with_row(key, update);
+        self.billed_write(table, at, ledger)?.with_row(key, update);
         Ok(())
     }
 
@@ -303,12 +325,7 @@ impl KvStore {
     where
         F: FnOnce(Option<&Item>) -> bool,
     {
-        self.check_fault(ServiceOp::KvWrite, table, at)?;
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
-        ledger.charge(ServiceKind::KvStore, Usd::new(WRITE_PRICE));
+        let t = self.billed_write(table, at, ledger)?;
         if !condition(t.items.get(key)) {
             return Err(KvError::ConditionFailed {
                 table: table.to_owned(),
@@ -317,23 +334,6 @@ impl KvStore {
         }
         t.with_row(key, |row| *row = item);
         Ok(())
-    }
-
-    /// Scans all items in key order with a key prefix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::NoSuchTable`] for unknown tables.
-    pub fn scan_prefix(&self, table: &str, prefix: &str) -> Result<Vec<(&str, &Item)>, KvError> {
-        let t = self
-            .tables
-            .get(table)
-            .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
-        Ok(t.items
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), v))
-            .collect())
     }
 }
 
@@ -407,10 +407,10 @@ mod tests {
 
     /// Every row in the table, in key order, as (key, attribute "v").
     fn rows(db: &KvStore) -> Vec<(String, Option<f64>)> {
-        db.scan_prefix("t", "")
-            .unwrap()
-            .into_iter()
-            .map(|(k, item)| (k.to_owned(), item.get("v").and_then(AttrValue::as_number)))
+        db.tables["t"]
+            .items
+            .iter()
+            .map(|(k, item)| (k.clone(), item.get("v").and_then(AttrValue::as_number)))
             .collect()
     }
 
@@ -436,7 +436,7 @@ mod tests {
         db.put_item("t", "k", item(3.0), SimTime::ZERO, &mut ledger).unwrap();
         db.put_item("t", "j", item(4.0), SimTime::ZERO, &mut ledger).unwrap();
         assert_eq!(rows(&db), vec![("j".into(), Some(4.0)), ("k".into(), Some(3.0))]);
-        assert_eq!(db.scan_prefix("t", "k").unwrap()[0].1, &item(3.0));
+        assert_eq!(db.tables["t"].items["k"], item(3.0));
         assert_billed_writes(&ledger, 4);
     }
 
@@ -475,18 +475,38 @@ mod tests {
             .conditional_put("t", "k", item(9.0), SimTime::ZERO, &mut ledger, |_| false)
             .is_err());
         assert_eq!(rows(&db), vec![("j".into(), Some(4.0)), ("k".into(), Some(3.0))]);
-        assert_eq!(db.scan_prefix("t", "k").unwrap()[0].1, &item(3.0));
+        assert_eq!(db.tables["t"].items["k"], item(3.0));
         assert_billed_writes(&ledger, 5);
     }
 
-    #[test]
-    fn scan_prefix_orders_keys() {
-        let (mut db, mut ledger) = db();
-        for k in ["w/2", "w/1", "x/1"] {
-            db.put_item("t", k, item(0.0), SimTime::ZERO, &mut ledger).unwrap();
+    /// Throttles every call.
+    #[derive(Debug)]
+    struct ThrottleAll;
+
+    impl ServiceFaultInjector for ThrottleAll {
+        fn intercept(&mut self, _op: ServiceOp, _at: SimTime) -> Option<ServiceFault> {
+            Some(ServiceFault::Throttled)
         }
-        let keys: Vec<&str> = db.scan_prefix("t", "w/").unwrap().iter().map(|&(k, _)| k).collect();
-        assert_eq!(keys, vec!["w/1", "w/2"]);
+    }
+
+    #[test]
+    fn bill_write_bills_like_a_put_and_stores_nothing() {
+        let (mut db, mut ledger) = db();
+        db.bill_write("t", SimTime::ZERO, &mut ledger).unwrap();
+        db.put_item("t", "k", item(1.0), SimTime::ZERO, &mut ledger).unwrap();
+        db.bill_write("t", SimTime::ZERO, &mut ledger).unwrap();
+        assert_eq!(rows(&db), vec![("k".into(), Some(1.0))]);
+        assert_billed_writes(&ledger, 3);
+        assert!(matches!(
+            db.bill_write("nope", SimTime::ZERO, &mut ledger),
+            Err(KvError::NoSuchTable(_))
+        ));
+        db.set_fault_injector(Box::new(ThrottleAll));
+        assert!(matches!(
+            db.bill_write("t", SimTime::ZERO, &mut ledger),
+            Err(KvError::Throttled { .. })
+        ));
+        assert_billed_writes(&ledger, 3);
     }
 
     #[test]

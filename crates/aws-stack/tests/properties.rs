@@ -38,32 +38,6 @@ proptest! {
         prop_assert!(ledger.total().amount() > 0.0);
     }
 
-    /// scan_prefix returns exactly the keys with that prefix, sorted.
-    #[test]
-    fn kv_scan_prefix_is_exact(
-        keys in prop::collection::btree_set("[a-c]{1,6}", 1..30),
-        prefix in "[a-c]{0,3}",
-    ) {
-        let mut db = KvStore::new();
-        let mut ledger = BillingLedger::new();
-        db.create_table("t").unwrap();
-        for k in &keys {
-            db.put_item("t", k, Item::new(), SimTime::ZERO, &mut ledger).unwrap();
-        }
-        let scanned: Vec<String> = db
-            .scan_prefix("t", &prefix)
-            .unwrap()
-            .iter()
-            .map(|&(k, _)| k.to_owned())
-            .collect();
-        let expected: Vec<String> = keys
-            .iter()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        prop_assert_eq!(scanned, expected);
-    }
-
     /// Object-store same-region put/get round-trips text payloads with zero
     /// transfer cost; cross-region gets always cost something. The text
     /// draws control characters and 2- to 4-byte characters, which the

@@ -520,7 +520,10 @@ pub fn fleet(args: &ParsedArgs) -> Result<String, CliError> {
                     "unknown loadgen profile `{profile_name}` (expected poisson | diurnal | burst)"
                 ))
             })?;
-            let mut generated = profile.generate(run.seed, count, run.instance_type);
+            let mut generated =
+                profile.try_generate(run.seed, count, run.instance_type).map_err(|e| {
+                    CliError::BadInput(format!("--rate: {rate:e} per hour is too low: {e}"))
+                })?;
             generated.start = run.start;
             generated
         }

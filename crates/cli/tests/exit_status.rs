@@ -112,18 +112,39 @@ fn a_fleet_reaching_the_market_horizon_stops_there_and_exits_zero() {
 
 #[test]
 fn arrivals_past_the_last_representable_instant_expire_at_the_horizon() {
-    // At this rate every arrival offset saturates at the largest
-    // representable second; adding the runtime budget to it must not wrap
-    // back before the current instant.
+    // At this rate (seed 2024) the one arrival is drawn 2^64 - 49,152 s
+    // after the start: it fits in a duration, but the start (day 1) plus
+    // it saturates at the largest representable second. Adding the
+    // runtime budget to that must not wrap back before the current
+    // instant.
     let out = Command::new(env!("CARGO_BIN_EXE_spotverse"))
-        .args(["fleet", "--loadgen", "poisson", "--rate", "1e-300", "--workloads", "10"])
+        .args(["fleet", "--loadgen", "poisson", "--rate", "6.56217489948946e-17"])
+        .args(["--workloads", "1"])
         .output()
         .expect("spotverse runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
     assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
-    assert!(stdout.contains("fleet: 10 expired"), "stdout:\n{stdout}");
+    assert!(stdout.contains("fleet: 1 expired"), "stdout:\n{stdout}");
+    assert!(stdout.contains("t+213503982334601d07h00m15s expired"), "stdout:\n{stdout}");
+}
+
+#[test]
+fn a_rate_whose_arrivals_overflow_is_an_error_naming_the_rate() {
+    // At 1e-300 per hour the first arrival is drawn ~1e303 s after the
+    // start, which no instant can hold.
+    for profile in ["poisson", "diurnal", "burst"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_spotverse"))
+            .args(["fleet", "--loadgen", profile, "--rate", "1e-300", "--workloads", "10"])
+            .output()
+            .expect("spotverse runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{profile}: stderr:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{profile}: a rejected argv prints no table");
+        let want = "error: --rate: 1e-300 per hour is too low: an arrival ";
+        assert!(stderr.starts_with(want), "{profile}: stderr:\n{stderr}");
+    }
 }
 
 #[test]

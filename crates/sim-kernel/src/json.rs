@@ -65,8 +65,9 @@ const MAX_DEPTH: usize = 128;
 /// ```
 ///
 /// The reader does not track keys: a caller that reads an object into
-/// typed slots rejects a repeated key itself.
-#[derive(Debug)]
+/// typed slots rejects a repeated key itself. A clone reads on from the
+/// same position without moving the original, e.g. to look ahead.
+#[derive(Debug, Clone)]
 pub struct Scanner<'a> {
     src: &'a str,
     pos: usize,

@@ -241,15 +241,59 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
+/// Arrays up to this long (a decision's candidate audit lists at most
+/// 12 regions) are read onto the stack, then moved into one exact-size
+/// allocation; a longer one counts its remaining items first.
+const INLINE_ITEMS: usize = 16;
+
 impl<T: Decode> Decode for Vec<T> {
     fn read(r: &mut Scanner<'_>) -> Result<Self, String> {
-        let mut items = Vec::new();
+        // Empty and one-item arrays, the most common, skip the stack copy.
         r.begin_array()?;
-        while r.next_item()? {
-            items.push(T::read(r)?);
+        if !r.next_item()? {
+            return Ok(Vec::new());
         }
+        let first = T::read(r)?;
+        if !r.next_item()? {
+            return Ok(vec![first]);
+        }
+        let mut head: [Option<T>; INLINE_ITEMS] = std::array::from_fn(|_| None);
+        head[0] = Some(first);
+        let mut n = 1;
+        loop {
+            if n == INLINE_ITEMS {
+                let mut items = Vec::with_capacity(n + items_left(r.clone()));
+                items.extend(head.into_iter().flatten());
+                items.push(T::read(r)?);
+                while r.next_item()? {
+                    items.push(T::read(r)?);
+                }
+                return Ok(items);
+            }
+            head[n] = Some(T::read(r)?);
+            n += 1;
+            if !r.next_item()? {
+                break;
+            }
+        }
+        let mut items = Vec::with_capacity(n);
+        items.extend(head.into_iter().flatten());
         Ok(items)
     }
+}
+
+/// How many items are left in the array `probe` is reading, the one it
+/// is at included. A malformed item ends the count; the typed read then
+/// fails on it.
+fn items_left(mut probe: Scanner<'_>) -> usize {
+    let mut n = 0;
+    while probe.skip_value().is_ok() {
+        n += 1;
+        if probe.next_item() != Ok(true) {
+            break;
+        }
+    }
+    n
 }
 
 impl<T: Codec, const N: usize> Codec for [T; N] {
@@ -369,3 +413,34 @@ macro_rules! array_codec {
 pub(crate) use {array_codec, field_key, object_codec, put_field, take_field};
 
 object_codec!(CandidateVerdict { region, combined, spot_price: "price", outcome } read);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read_array<T: Decode>(text: &str) -> Result<Vec<T>, String> {
+        let mut r = Scanner::new(text);
+        Vec::read(&mut r).and_then(|items| r.finish().map(|()| items))
+    }
+
+    /// Arrays below, at and past the inline limit, and nested ones, each
+    /// decode into a vector allocated at exactly its length; a malformed
+    /// item fails the array on either side of the limit.
+    #[test]
+    fn arrays_decode_into_one_exact_allocation() {
+        for n in [0, 1, 12, INLINE_ITEMS, INLINE_ITEMS + 1, 40] {
+            let mut items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+            let got: Vec<usize> = read_array(&format!("[{}]", items.join(", "))).unwrap();
+            assert_eq!((got.len(), got.capacity()), (n, n));
+            assert!(got.iter().enumerate().all(|(i, &v)| i == v));
+            if let Some(last) = items.last_mut() {
+                *last = "\"x\"".into();
+                let err = read_array::<usize>(&format!("[{}]", items.join(","))).unwrap_err();
+                assert!(err.contains("expected an integer"), "{err}");
+            }
+        }
+        let nested: Vec<Vec<String>> = read_array(r#"[["a"], [], ["b", "c"]]"#).unwrap();
+        assert_eq!(nested, [vec!["a"], vec![], vec!["b", "c"]]);
+        assert!(nested.iter().all(|v| v.capacity() == v.len()));
+    }
+}

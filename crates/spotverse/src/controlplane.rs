@@ -147,16 +147,17 @@ impl ControlPlane {
 
     /// Current optimizer inputs plus whether the decision must *degrade*.
     ///
-    /// The Monitor's latest persisted snapshot is served as long as it is
-    /// within [`TELEMETRY_TTL`]; while collection is failing, each such
+    /// The Monitor's latest persisted snapshot, read from the market
+    /// through the chaos overlay at its rows' stamps, is served as long as
+    /// it is within [`TELEMETRY_TTL`]; while collection is failing, each such
     /// serve is a counted *stale serve* of last-good data. Past the TTL
     /// the snapshot is still returned but flagged degraded: the caller
     /// places cheapest-on-demand instead of trusting expired metrics.
     /// Before the first snapshot, decisions read the market directly,
     /// observed *through* any active fault overlay.
     pub(crate) fn decision_inputs(&mut self, now: SimTime) -> (Arc<[RegionAssessment]>, bool) {
-        let Some((snapshot, collected_at)) = self.monitor.snapshot(&self.kv) else {
-            let overlay = self.chaos.as_ref().map(|c| c.overlay());
+        let overlay = self.chaos.as_ref().map(|c| c.overlay());
+        let Some((snapshot, collected_at)) = self.monitor.snapshot(&self.market, overlay) else {
             let fresh = self
                 .monitor
                 .fresh_assessments(&self.market, overlay, now)
@@ -207,10 +208,11 @@ impl ControlPlane {
         }
     }
 
-    /// One monitor collection cycle, observed through the fault overlay.
-    /// Memoized per market epoch: a tick inside the epoch of the last
-    /// successful collection (with an unchanged overlay window set) skips
-    /// the redundant market reads and KV writes.
+    /// One monitor collection cycle: the billed, fault-checked collector
+    /// invocation and KV writes, whose rows are read through the fault
+    /// overlay when a decision asks for them. Memoized per market epoch: a
+    /// tick inside the epoch of the last successful collection (with an
+    /// unchanged overlay window set) skips the redundant writes.
     pub(crate) fn run_monitor_collection(
         &mut self,
         now: SimTime,
@@ -243,10 +245,9 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloud_market::MarketConfig;
+    use aws_stack::{ServiceFault, ServiceFaultInjector, ServiceOp};
+    use cloud_market::{MarketConfig, MarketOverlay};
     use proptest::prelude::*;
-
-    use crate::monitor::METRICS_TABLE;
 
     /// One step of a driven run.
     #[derive(Debug, Clone, Copy)]
@@ -276,6 +277,62 @@ mod tests {
         degraded: bool,
     }
 
+    /// The eager Monitor: every collection assesses every region at its
+    /// tick and keeps, per row, the assessment and stamp of its last
+    /// landed write. Its KV writes draw from their own copy of the plane's
+    /// KV fault stream, and its epoch compares the active overlay windows
+    /// themselves rather than a fingerprint of them.
+    struct EagerOracle {
+        kv_faults: Option<Box<dyn ServiceFaultInjector>>,
+        epoch: Option<(u64, Vec<(usize, Region)>)>,
+        rows: Vec<Option<(RegionAssessment, SimTime)>>,
+    }
+
+    impl EagerOracle {
+        /// A collection at `at`; `false` when a write failed.
+        fn collect(&mut self, cp: &ControlPlane, at: SimTime) -> bool {
+            let overlay = cp.chaos.as_ref().map(|c| c.overlay());
+            let regions = cp.market.regions_offering(InstanceType::M5Xlarge);
+            let mut active = Vec::new();
+            for (wi, w) in overlay.map_or(&[][..], MarketOverlay::windows).iter().enumerate() {
+                active.extend(regions.iter().filter(|&&r| w.applies(r, at)).map(|&r| (wi, r)));
+            }
+            let key = (at.as_secs() / MARKET_EPOCH.as_secs(), active);
+            if self.epoch.as_ref() == Some(&key) {
+                return true;
+            }
+            let fresh = cp
+                .monitor
+                .fresh_assessments(&cp.market, overlay, at)
+                .expect("within the market horizon");
+            self.rows.resize(fresh.len(), None);
+            for (row, assessment) in self.rows.iter_mut().zip(fresh) {
+                let fault = self.kv_faults.as_mut().and_then(|f| f.intercept(ServiceOp::KvWrite, at));
+                if matches!(fault, Some(ServiceFault::Throttled | ServiceFault::Lost)) {
+                    return false;
+                }
+                *row = Some((assessment, at));
+            }
+            self.epoch = Some(key);
+            true
+        }
+
+        /// The written rows in catalog order and their oldest stamp.
+        fn snapshot(&self) -> Option<(Vec<RegionAssessment>, SimTime)> {
+            let written = self.rows.iter().flatten();
+            let oldest = written.clone().map(|&(_, at)| at).min()?;
+            Some((written.map(|&(a, _)| a).collect(), oldest))
+        }
+
+        /// How many distinct stamps the written rows carry.
+        fn distinct_stamps(&self) -> usize {
+            let mut stamps: Vec<SimTime> = self.rows.iter().flatten().map(|&(_, at)| at).collect();
+            stamps.sort_unstable();
+            stamps.dedup();
+            stamps.len()
+        }
+    }
+
     /// The records traced since the last call.
     fn drain(cp: &mut ControlPlane) -> Vec<(SimTime, TraceEvent)> {
         let tracer = std::mem::replace(&mut cp.tracer, Tracer::new(&TraceConfig::enabled()));
@@ -283,25 +340,11 @@ mod tests {
         trace.events.into_iter().map(|r| (r.at, r.event)).collect()
     }
 
-    /// How many distinct `collected_at` stamps the snapshot rows carry.
-    fn distinct_stamps(cp: &ControlPlane) -> usize {
-        let mut stamps: Vec<u64> = cp
-            .kv
-            .scan_prefix(METRICS_TABLE, "")
-            .expect("metrics table exists")
-            .iter()
-            .map(|(_, item)| item["collected_at"].as_number().expect("numeric stamp") as u64)
-            .collect();
-        stamps.sort_unstable();
-        stamps.dedup();
-        stamps.len()
-    }
-
     /// Drives one control plane through `steps` (each `gap` seconds after
     /// the last) under chaos scenario `scenario_idx - 1` of the library (0 =
-    /// none). Every decision is checked against a brute-force model: a
-    /// fresh KV scan, the TTL rule and the overlay fallback. The freshness
-    /// counters and the trace are checked after every step.
+    /// none). Every collection's outcome and every decision is checked
+    /// against the eager oracle, the TTL rule and the overlay fallback. The
+    /// freshness counters and the trace are checked after every step.
     fn check_run(
         market: &Arc<SpotMarket>,
         seed: u64,
@@ -309,18 +352,22 @@ mod tests {
         steps: &[(Step, u64)],
     ) -> Result<Reached, TestCaseError> {
         let start = SimTime::from_days(1);
-        let chaos = scenario_idx
-            .checked_sub(1)
-            .map(|i| ChaosEngine::new(&chaos::library()[i], seed, start));
+        let engine = |i: usize| ChaosEngine::new(&chaos::library()[i], seed, start);
+        let scenario = scenario_idx.checked_sub(1);
         let mut cp = ControlPlane::new(
             Arc::clone(market),
             InstanceType::M5Xlarge,
             seed,
             CheckpointBackend::ObjectStore,
             &TraceConfig::enabled(),
-            chaos,
+            scenario.map(engine),
             &SimRng::seed_from_u64(seed),
         );
+        let mut oracle = EagerOracle {
+            kv_faults: scenario.map(|i| engine(i).service_injector("kv")),
+            epoch: None,
+            rows: Vec::new(),
+        };
         let mut model = Model::default();
         let mut reached = Reached::default();
         let mut now = start;
@@ -328,8 +375,11 @@ mod tests {
             now += SimDuration::from_secs(gap);
             let mut expected = Vec::new();
             match step {
-                Step::Collect => match cp.run_monitor_collection(now) {
-                    Ok(_) => {
+                Step::Collect => {
+                    let got = cp.run_monitor_collection(now);
+                    let want = oracle.collect(&cp, now);
+                    prop_assert_eq!(got.is_ok(), want, "collection at {:?}: {:?}", now, got);
+                    if want {
                         cp.note_collection_success(now);
                         model.failing = false;
                         if let Some(since) = model.degraded_since.take() {
@@ -337,18 +387,17 @@ mod tests {
                             model.freshness.degraded_time += duration;
                             expected.push((now, TraceEvent::DegradedInterval { duration }));
                         }
-                    }
-                    Err(_) => {
+                    } else {
                         cp.note_collection_failure();
                         model.failing = true;
                         model.freshness.collection_failures += 1;
-                        reached.partial_write |= distinct_stamps(&cp) > 1;
+                        reached.partial_write |= oracle.distinct_stamps() > 1;
                     }
-                },
+                }
                 Step::Decide => {
                     let (got, degraded) = cp.decision_inputs(now);
-                    let (want, want_degraded) = match cp.monitor.read_snapshot(&cp.kv) {
-                        Ok((rows, collected_at)) => {
+                    let (want, want_degraded) = match oracle.snapshot() {
+                        Some((rows, collected_at)) => {
                             let age = now.saturating_duration_since(collected_at);
                             let f = &mut model.freshness;
                             if age <= TELEMETRY_TTL {
@@ -368,7 +417,7 @@ mod tests {
                                 (rows, true)
                             }
                         }
-                        Err(_) => {
+                        None => {
                             let overlay = cp.chaos.as_ref().map(|c| c.overlay());
                             let fresh = cp
                                 .monitor
@@ -407,12 +456,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The per-epoch snapshot serves exactly what a fresh KV scan per
-        /// decision would, with the same freshness counters and trace,
-        /// across failed and partially written collections under every
-        /// chaos scenario.
+        /// The stamped rows serve exactly what the eager Monitor would have
+        /// stored, with the same collection outcomes, freshness counters
+        /// and trace, across failed and partially written collections
+        /// under every chaos scenario.
         #[test]
-        fn decisions_match_a_fresh_scan_per_decision(
+        fn decisions_match_an_eager_oracle(
             seed in 0u64..500,
             steps in prop::collection::vec((step(), gap()), 1..40),
         ) {
@@ -426,7 +475,7 @@ mod tests {
     /// The proptest above is not vacuous: one fixed run under
     /// `throttle_storm` reaches a partially written failed collection, a
     /// stale serve and a degraded decision past the TTL, and still matches
-    /// the model at every step.
+    /// the oracle at every step.
     #[test]
     fn throttle_storm_reaches_every_freshness_path() {
         let idx = 1 + chaos::library()
@@ -439,7 +488,7 @@ mod tests {
         }
         steps.push((Step::Decide, 3 * 3600));
         let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(7)));
-        let reached = check_run(&market, 7, idx, &steps).expect("matches the model");
+        let reached = check_run(&market, 7, idx, &steps).expect("matches the oracle");
         assert!(reached.partial_write, "{reached:?}");
         assert!(reached.stale_serve, "{reached:?}");
         assert!(reached.degraded, "{reached:?}");

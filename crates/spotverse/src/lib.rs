@@ -109,7 +109,7 @@ pub use experiment::{
     ExperimentConfig, ExperimentReport, INTERRUPTION_HANDLER, LOG_BUCKET,
 };
 pub use fleet::{run_fleet, run_fleet_on, FleetConfig, FleetReport, FleetWorkload, Priority};
-pub use loadgen::{ArrivalProcess, LoadProfile, TenantClass, WorkloadMix};
+pub use loadgen::{ArrivalOverflow, ArrivalProcess, LoadProfile, TenantClass, WorkloadMix};
 pub use workload::{WorkloadPhase, WorkloadReport};
 pub use resilience::{retry_with_backoff, RetryOutcome};
 pub use health::{

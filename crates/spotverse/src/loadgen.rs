@@ -72,12 +72,43 @@ pub enum ArrivalProcess {
     },
 }
 
+/// An arrival drawn past the last representable instant: its offset from
+/// the fleet start does not fit in a [`SimDuration`] (`u64` seconds). The
+/// arrival rate is too low for the fleet size.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArrivalOverflow {
+    /// The drawn offset in seconds (possibly infinite).
+    pub offset_secs: f64,
+}
+
+impl std::fmt::Display for ArrivalOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "an arrival {:.3e} s after the fleet start lies past the last representable instant",
+            self.offset_secs
+        )
+    }
+}
+
+impl std::error::Error for ArrivalOverflow {}
+
+/// An arrival offset of `secs` seconds, truncated to whole seconds.
+fn offset(secs: f64) -> Result<SimDuration, ArrivalOverflow> {
+    // 2^64 as f64: every smaller non-negative offset fits in a u64.
+    if secs < u64::MAX as f64 {
+        Ok(SimDuration::from_secs(secs as u64))
+    } else {
+        Err(ArrivalOverflow { offset_secs: secs })
+    }
+}
+
 impl ArrivalProcess {
     /// Draws `count` arrival offsets from the process, ascending.
     ///
     /// Deterministic in `(self, rng stream)`: the schedule depends only on
     /// the parameters and the stream's seed lineage.
-    fn sample(&self, rng: &mut SimRng, count: usize) -> Vec<SimDuration> {
+    fn sample(&self, rng: &mut SimRng, count: usize) -> Result<Vec<SimDuration>, ArrivalOverflow> {
         let mut out = Vec::with_capacity(count);
         match *self {
             ArrivalProcess::Poisson { rate_per_hour } => {
@@ -85,7 +116,7 @@ impl ArrivalProcess {
                 let mut t = 0.0f64;
                 for _ in 0..count {
                     t += rng.exponential(rate_per_sec);
-                    out.push(SimDuration::from_secs(t as u64));
+                    out.push(offset(t)?);
                 }
             }
             ArrivalProcess::DiurnalPeak {
@@ -100,11 +131,12 @@ impl ArrivalProcess {
                     // Thinning: candidates at the peak rate, accepted with
                     // probability λ(t)/λ_max ∈ [1/m, 1].
                     t += rng.exponential(peak_rate_per_sec);
+                    let at = offset(t)?;
                     let hour = (t / 3600.0) % 24.0;
                     let phase = (hour - peak_hour) * std::f64::consts::TAU / 24.0;
                     let factor = (1.0 + m) / 2.0 + (m - 1.0) / 2.0 * phase.cos();
                     if rng.chance(factor / m) {
-                        out.push(SimDuration::from_secs(t as u64));
+                        out.push(at);
                     }
                 }
             }
@@ -124,7 +156,7 @@ impl ArrivalProcess {
                         as usize;
                     for _ in 0..size.min(count - out.len()) {
                         let jitter = rng.uniform() * spread.as_secs() as f64;
-                        out.push(SimDuration::from_secs((t + jitter) as u64));
+                        out.push(offset(t + jitter)?);
                     }
                 }
             }
@@ -132,7 +164,7 @@ impl ArrivalProcess {
         // Bursts can interleave when the spread exceeds the inter-burst
         // gap; present the schedule ascending regardless of process.
         out.sort_unstable();
-        out
+        Ok(out)
     }
 }
 
@@ -280,9 +312,29 @@ impl LoadProfile {
     /// The arrival schedule this profile draws for `(seed, count)`:
     /// `count` offsets from the fleet start, ascending. The same triple
     /// always yields the same schedule.
-    pub fn arrival_schedule(&self, seed: u64, count: usize) -> Vec<SimDuration> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArrivalOverflow`] when an offset does not fit in a
+    /// [`SimDuration`].
+    pub fn arrival_schedule(
+        &self,
+        seed: u64,
+        count: usize,
+    ) -> Result<Vec<SimDuration>, ArrivalOverflow> {
         let mut rng = SimRng::seed_from_u64(seed).fork("loadgen").fork("arrivals");
         self.arrivals.sample(&mut rng, count)
+    }
+
+    /// [`try_generate`](Self::try_generate) for a profile whose arrivals
+    /// are known to fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count == 0` (a fleet must be non-empty) or an arrival
+    /// overflows.
+    pub fn generate(&self, seed: u64, count: usize, instance_type: InstanceType) -> FleetConfig {
+        self.try_generate(seed, count, instance_type).unwrap_or_else(|e| panic!("loadgen: {e}"))
     }
 
     /// Generates a deterministic fleet: `count` workloads with arrivals,
@@ -290,13 +342,23 @@ impl LoadProfile {
     /// forks of `seed`. The returned config carries [`FleetConfig::new`]
     /// defaults; callers adjust deadlines, capacity, and tracing.
     ///
+    /// # Errors
+    ///
+    /// Returns [`ArrivalOverflow`] when an arrival offset does not fit in
+    /// a [`SimDuration`]: the rate is too low for `count` workloads.
+    ///
     /// # Panics
     ///
     /// Panics if `count == 0` (a fleet must be non-empty).
-    pub fn generate(&self, seed: u64, count: usize, instance_type: InstanceType) -> FleetConfig {
+    pub fn try_generate(
+        &self,
+        seed: u64,
+        count: usize,
+        instance_type: InstanceType,
+    ) -> Result<FleetConfig, ArrivalOverflow> {
         assert!(count > 0, "loadgen: empty fleet");
         let root = SimRng::seed_from_u64(seed).fork("loadgen");
-        let arrivals = self.arrival_schedule(seed, count);
+        let arrivals = self.arrival_schedule(seed, count)?;
         let tenant_weights: Vec<f64> = self.tenants.iter().map(|t| t.weight).collect();
         let workloads = arrivals
             .into_iter()
@@ -324,7 +386,7 @@ impl LoadProfile {
                 }
             })
             .collect();
-        FleetConfig::new(seed, instance_type, workloads)
+        Ok(FleetConfig::new(seed, instance_type, workloads))
     }
 }
 
@@ -350,8 +412,8 @@ mod tests {
     #[test]
     fn poisson_schedule_is_ascending_and_deterministic() {
         let p = LoadProfile::poisson(30.0);
-        let a = p.arrival_schedule(11, 500);
-        let b = p.arrival_schedule(11, 500);
+        let a = p.arrival_schedule(11, 500).unwrap();
+        let b = p.arrival_schedule(11, 500).unwrap();
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(a.len(), 500);
@@ -364,13 +426,13 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let p = LoadProfile::poisson(30.0);
-        assert_ne!(p.arrival_schedule(1, 100), p.arrival_schedule(2, 100));
+        assert_ne!(p.arrival_schedule(1, 100).unwrap(), p.arrival_schedule(2, 100).unwrap());
     }
 
     #[test]
     fn diurnal_rate_peaks_at_peak_hour() {
         let p = LoadProfile::diurnal(20.0);
-        let arrivals = p.arrival_schedule(5, 4000);
+        let arrivals = p.arrival_schedule(5, 4000).unwrap();
         // Bucket arrivals by hour of day; the peak-hour bucket must beat
         // the trough bucket decisively (4x multiplier, large sample).
         let mut by_hour = [0u32; 24];
@@ -388,7 +450,7 @@ mod tests {
     #[test]
     fn burst_schedule_clusters() {
         let p = LoadProfile::burst(16.0);
-        let arrivals = p.arrival_schedule(3, 400);
+        let arrivals = p.arrival_schedule(3, 400).unwrap();
         assert_eq!(arrivals.len(), 400);
         assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
         // Bursty traffic: a majority of gaps are inside the 5-minute

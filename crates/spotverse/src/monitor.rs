@@ -1,21 +1,27 @@
 //! The Monitor component (paper §3.2, §4).
 //!
 //! A metrics-collector function, triggered every monitor period (the
-//! paper's CloudWatch rule), gathers on-demand/spot prices, Interruption Frequency (as the Stability
-//! Score) and Spot Placement Scores for every region offering the managed
-//! instance type, and persists them to the KV store — SpotVerse's
-//! centralized data plane. The Optimizer consumes the latest persisted
-//! snapshot, so decisions are made on *observed* (possibly minutes-stale)
-//! metrics, exactly as in the real system.
+//! paper's CloudWatch rule), gathers on-demand/spot prices, Interruption
+//! Frequency (as the Stability Score) and Spot Placement Scores for every
+//! region offering the managed instance type, and persists them to the KV
+//! store — SpotVerse's centralized data plane. The Optimizer consumes the
+//! latest persisted snapshot, so decisions are made on *observed*
+//! (possibly minutes-stale) metrics, exactly as in the real system.
+//!
+//! A collection does at its tick only what can fail or cost: the billed
+//! collector invocation and one fault-checked, billed KV write plus one
+//! metric datapoint per row. Each landed write records its row's
+//! `collected_at` stamp, and nothing else: the row's metrics are read
+//! from the market at that stamp when a decision first asks for the
+//! snapshot. The market read is a pure function of the market, the
+//! chaos overlay (built once per run and never changed), the row and the
+//! stamp, so the rebuilt row is exactly what the write would have stored.
 
 use std::sync::Arc;
 
-use aws_stack::{AttrValue, FunctionConfig, FunctionRuntime, KvError, KvStore, MetricsService, RetryPolicy};
+use aws_stack::{FunctionConfig, FunctionRuntime, KvError, KvStore, MetricsService, RetryPolicy};
 use cloud_compute::BillingLedger;
-use cloud_market::{
-    InstanceType, MarketError, MarketOverlay, PlacementScore, Region, SpotMarket, StabilityScore,
-    UsdPerHour,
-};
+use cloud_market::{InstanceType, MarketError, MarketOverlay, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimTime};
 
 use crate::optimizer::RegionAssessment;
@@ -36,16 +42,13 @@ pub enum MonitorError {
     Market(MarketError),
     /// The KV store rejected an operation.
     Kv(KvError),
-    /// No snapshot has been collected yet.
-    NoSnapshot,
 }
 
 impl MonitorError {
     /// Whether retrying the same operation later can plausibly succeed
     /// without any other intervention. Only transient throttling
-    /// qualifies: market rejections and missing snapshots need a
-    /// different response (degrade, wait for a collection), not a blind
-    /// retry.
+    /// qualifies: a market rejection needs a different response
+    /// (degrade), not a blind retry.
     pub fn is_retryable(&self) -> bool {
         matches!(self, MonitorError::Kv(KvError::Throttled { .. }))
     }
@@ -56,7 +59,6 @@ impl std::fmt::Display for MonitorError {
         match self {
             MonitorError::Market(e) => write!(f, "market: {e}"),
             MonitorError::Kv(e) => write!(f, "kv store: {e}"),
-            MonitorError::NoSnapshot => write!(f, "no metrics snapshot collected yet"),
         }
     }
 }
@@ -66,7 +68,6 @@ impl std::error::Error for MonitorError {
         match self {
             MonitorError::Market(e) => Some(e),
             MonitorError::Kv(e) => Some(e),
-            MonitorError::NoSnapshot => None,
         }
     }
 }
@@ -80,61 +81,6 @@ impl From<MarketError> for MonitorError {
 impl From<KvError> for MonitorError {
     fn from(e: KvError) -> Self {
         MonitorError::Kv(e)
-    }
-}
-
-/// The Monitor's per-epoch snapshot.
-///
-/// A 15-minute tick that lands in the same epoch as the last successful
-/// collection would persist an identical snapshot. `key` is that
-/// collection's epoch — (market hour, active-overlay fingerprint) — and a
-/// tick with a matching key skips the market reads, the collector
-/// invocation and the KV writes. The key changes on every hour boundary
-/// and whenever the chaos overlay's active window set mutates, so faulted
-/// snapshots are never reused across a fault edge.
-///
-/// `rows` is the snapshot parsed back from the KV rows: assessments in
-/// catalog order plus the oldest `collected_at` stamp. It is filled by the
-/// first read after a collection attempt and dropped by every attempt that
-/// is not [`CollectOutcome::Reused`] — a failed one may have rewritten
-/// some rows before the fault. Shared by `Arc`, so serving a decision is a
-/// refcount bump.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct EpochSnapshot {
-    key: Option<(u64, u64)>,
-    rows: Option<(Arc<[RegionAssessment]>, SimTime)>,
-}
-
-/// The Monitor's KV rows: one per region offering its instance type,
-/// keyed `"{instance_type}/{region}"`, plus the `"{instance_type}/"` scan
-/// prefix they share. Built on the first collection; every later one
-/// gathers into `rows` and writes each row in place, so a steady-state
-/// collection allocates nothing per row.
-#[derive(Debug, Clone, PartialEq)]
-struct PersistedRows {
-    prefix: String,
-    /// Each row's key and the values the latest collection gathered for
-    /// it, in `regions_offering` order.
-    rows: Vec<(String, RegionAssessment)>,
-}
-
-impl PersistedRows {
-    fn new(instance_type: InstanceType, regions: &[Region]) -> Self {
-        let prefix = format!("{instance_type}/");
-        let rows = regions
-            .iter()
-            .map(|&region| {
-                let assessment = RegionAssessment {
-                    region,
-                    placement: PlacementScore::MIN,
-                    stability: StabilityScore::MIN,
-                    spot_price: UsdPerHour::new(0.0),
-                    on_demand_price: UsdPerHour::new(0.0),
-                };
-                (format!("{prefix}{region}"), assessment)
-            })
-            .collect();
-        PersistedRows { prefix, rows }
     }
 }
 
@@ -168,13 +114,29 @@ fn overlay_fingerprint(overlay: Option<&MarketOverlay>, at: SimTime, regions: &[
     h
 }
 
-/// The Monitor component: the metrics collector and its per-epoch
-/// snapshot.
+/// The Monitor component: the metrics collector, the stamps of its
+/// persisted rows and its per-epoch snapshot.
+///
+/// `epoch` is the key — (market hour, active-overlay fingerprint) — of
+/// the last successful collection. A 15-minute tick with the same key
+/// would persist identical rows, so it touches nothing. The key changes on
+/// every hour boundary and whenever the chaos overlay's active window set
+/// changes, so faulted rows are never reused across a fault edge.
+///
+/// `rows` is the snapshot built from the stamps: assessments in catalog
+/// order plus the oldest stamp. The first read after a collection attempt
+/// builds it, and every attempt that is not [`CollectOutcome::Reused`]
+/// drops it, since a failed one may have landed some writes before the
+/// fault. Shared by `Arc`, so serving a decision is a refcount bump.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Monitor {
     instance_type: InstanceType,
-    snapshot: EpochSnapshot,
-    persisted: Option<PersistedRows>,
+    epoch: Option<(u64, u64)>,
+    /// The `collected_at` of each row's last landed write, in
+    /// `regions_offering` order. Every collection writes its rows in that
+    /// order and stops at a fault, so the rows ever written are a prefix.
+    stamps: Vec<SimTime>,
+    rows: Option<(Arc<[RegionAssessment]>, SimTime)>,
 }
 
 impl Monitor {
@@ -182,8 +144,9 @@ impl Monitor {
     pub fn new(instance_type: InstanceType) -> Self {
         Monitor {
             instance_type,
-            snapshot: EpochSnapshot::default(),
-            persisted: None,
+            epoch: None,
+            stamps: Vec::new(),
+            rows: None,
         }
     }
 
@@ -201,19 +164,22 @@ impl Monitor {
         let _ = kv.create_table(METRICS_TABLE);
     }
 
-    /// Runs one collection cycle: the collector function reads every
-    /// region's metrics from the market, observed through a fault overlay
-    /// (blacked-out or degraded regions report their pinned, capped
-    /// scores), and persists them. A cycle inside the epoch of the last
+    /// Runs one collection cycle: the billed collector invocation, then
+    /// per region one billed, fault-checked KV write and one metric
+    /// datapoint. Each landed write stamps its row with `at`; a fault
+    /// stops the cycle and leaves the later rows with their older stamps.
+    /// The rows' metrics, observed through `overlay` (blacked-out or
+    /// degraded regions report their pinned, capped scores), are read when
+    /// a decision asks for them. A cycle inside the epoch of the last
     /// successful collection is skipped and returns
-    /// [`CollectOutcome::Reused`]: it would persist byte-identical rows.
-    /// The epoch only advances on success, so a throttled cycle retries in
+    /// [`CollectOutcome::Reused`]: it would persist identical rows. The
+    /// epoch only advances on success, so a throttled cycle retries in
     /// full.
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::Market`] or [`MonitorError::Kv`] on substrate
-    /// failures.
+    /// Returns [`MonitorError::Market`] past the market horizon, before
+    /// anything is billed, or [`MonitorError::Kv`] when a write fails.
     #[allow(clippy::too_many_arguments)]
     pub fn collect(
         &mut self,
@@ -227,102 +193,58 @@ impl Monitor {
     ) -> Result<CollectOutcome, MonitorError> {
         let regions = market.regions_offering(self.instance_type);
         let key = (at.as_secs() / MARKET_EPOCH.as_secs(), overlay_fingerprint(overlay, at, regions));
-        if self.snapshot.key == Some(key) {
+        if self.epoch == Some(key) {
             return Ok(CollectOutcome::Reused);
         }
-        self.snapshot.rows = None;
-        let instance_type = self.instance_type;
-        let persisted =
-            self.persisted.get_or_insert_with(|| PersistedRows::new(instance_type, regions));
-        debug_assert!(
-            persisted.rows.iter().map(|(_, a)| a.region).eq(regions.iter().copied()),
-            "a monitor serves one market"
-        );
-        // Gather before invoking so market errors surface typed.
-        for (_, row) in &mut persisted.rows {
-            *row = assess(market, overlay, row.region, instance_type, at)?;
+        self.rows = None;
+        // The rows are read when a decision asks, but a collection past the
+        // horizon must still fail typed here, before anything is billed.
+        let horizon = market.horizon();
+        if at >= horizon {
+            return Err(MarketError::BeyondHorizon { at, horizon }.into());
         }
         // The invocation is billed either way; its failure does not gate
         // the rows.
         let _ = functions.invoke(COLLECTOR_FUNCTION, at, RetryPolicy::default(), ledger, |_| Ok(()));
-        let count = persisted.rows.len();
-        // Every write sets all five attributes, so the row in place ends up
-        // exactly what a full replace would store.
-        for (row_key, row) in &persisted.rows {
-            kv.update_item(METRICS_TABLE, row_key, at, ledger, |item| {
-                item.insert("spot_price", AttrValue::N(row.spot_price.rate()));
-                item.insert("on_demand_price", AttrValue::N(row.on_demand_price.rate()));
-                item.insert("placement_score", AttrValue::N(f64::from(row.placement.value())));
-                item.insert("stability_score", AttrValue::N(f64::from(row.stability.value())));
-                item.insert("collected_at", AttrValue::N(at.as_secs() as f64));
-            })?;
-            metrics.put_metric(ledger);
+        if self.stamps.is_empty() {
+            self.stamps.reserve_exact(regions.len());
         }
-        self.snapshot.key = Some(key);
-        Ok(CollectOutcome::Fresh(count))
+        for row in 0..regions.len() {
+            kv.bill_write(METRICS_TABLE, at, ledger)?;
+            metrics.put_metric(ledger);
+            match self.stamps.get_mut(row) {
+                Some(stamp) => *stamp = at,
+                None => self.stamps.push(at),
+            }
+        }
+        self.epoch = Some(key);
+        Ok(CollectOutcome::Fresh(regions.len()))
     }
 
     /// The persisted snapshot as optimizer inputs plus its oldest
-    /// `collected_at` stamp, or `None` before the first collection. The KV
-    /// rows are scanned and parsed once per collection epoch; the scan is
-    /// unbilled and side-effect-free, so this serves exactly what
-    /// [`read_snapshot`](Monitor::read_snapshot) would.
-    pub(crate) fn snapshot(&mut self, kv: &KvStore) -> Option<(Arc<[RegionAssessment]>, SimTime)> {
-        if self.snapshot.rows.is_none() {
-            self.snapshot.rows = self.read_snapshot(kv).ok().map(|(rows, at)| (rows.into(), at));
+    /// `collected_at` stamp, or `None` before the first landed write: each
+    /// written row read from `market` through `overlay` at its own stamp,
+    /// in catalog order. Built once per collection attempt, so `market`
+    /// and `overlay` must be the ones the collections observed.
+    pub(crate) fn snapshot(
+        &mut self,
+        market: &SpotMarket,
+        overlay: Option<&MarketOverlay>,
+    ) -> Option<(Arc<[RegionAssessment]>, SimTime)> {
+        if self.rows.is_none() {
+            let oldest = self.stamps.iter().min().copied()?;
+            let regions = market.regions_offering(self.instance_type);
+            let rows = regions
+                .iter()
+                .zip(&self.stamps)
+                .map(|(&region, &at)| {
+                    assess(market, overlay, region, self.instance_type, at)
+                        .expect("a collection stamps only instants inside the horizon")
+                })
+                .collect();
+            self.rows = Some((rows, oldest));
         }
-        self.snapshot.rows.clone()
-    }
-
-    /// Scans and parses the persisted snapshot: assessments in catalog
-    /// order plus the oldest `collected_at` stamp across the rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::NoSnapshot`] before the first collection and
-    /// [`MonitorError::Kv`] on store failures.
-    pub(crate) fn read_snapshot(
-        &self,
-        kv: &KvStore,
-    ) -> Result<(Vec<RegionAssessment>, SimTime), MonitorError> {
-        // A monitor that never collected has written no rows.
-        let Some(PersistedRows { prefix, .. }) = &self.persisted else {
-            return Err(MonitorError::NoSnapshot);
-        };
-        let rows = kv.scan_prefix(METRICS_TABLE, prefix)?;
-        if rows.is_empty() {
-            return Err(MonitorError::NoSnapshot);
-        }
-        let mut collected_at = SimTime::ZERO;
-        let mut first = true;
-        let mut out = Vec::with_capacity(rows.len());
-        for (key, item) in rows {
-            let region: Region = key[prefix.len()..]
-                .parse()
-                .expect("monitor wrote a valid region name");
-            let get = |name: &str| {
-                item.get(name)
-                    .and_then(AttrValue::as_number)
-                    .expect("monitor wrote numeric attributes")
-            };
-            let row_at = SimTime::from_secs(get("collected_at") as u64);
-            if first || row_at < collected_at {
-                collected_at = row_at;
-                first = false;
-            }
-            out.push(RegionAssessment {
-                region,
-                placement: PlacementScore::new(get("placement_score") as u8)
-                    .expect("persisted placement score is in range"),
-                stability: StabilityScore::new(get("stability_score") as u8)
-                    .expect("persisted stability score is in range"),
-                spot_price: UsdPerHour::new(get("spot_price")),
-                on_demand_price: UsdPerHour::new(get("on_demand_price")),
-            });
-        }
-        // Present in catalog order, matching fresh_assessments.
-        out.sort_by_key(|a| Region::ALL.iter().position(|r| *r == a.region));
-        Ok((out, collected_at))
+        self.rows.clone()
     }
 
     /// Builds fresh assessments straight from the market (bypassing the
@@ -352,8 +274,8 @@ impl Monitor {
 
 /// One region's metrics at `at`, read from the market and observed
 /// through `overlay` when one is given: blacked-out or degraded regions
-/// report their pinned, capped scores. The one market read behind both a
-/// collection and [`Monitor::fresh_assessments`].
+/// report their pinned, capped scores. The one market read behind both
+/// [`Monitor::snapshot`] and [`Monitor::fresh_assessments`].
 fn assess(
     market: &SpotMarket,
     overlay: Option<&MarketOverlay>,
@@ -379,10 +301,11 @@ fn assess(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aws_stack::{ServiceFault, ServiceFaultInjector, ServiceOp};
     use cloud_market::MarketConfig;
 
     /// Ledger charges of one fresh collection over the 12 regions: the
-    /// collector invocation, then a KV row and a metric datapoint each.
+    /// collector invocation, then a KV write and a metric datapoint each.
     const FRESH_CHARGES: usize = 1 + 12 + 12;
 
     struct Fixture {
@@ -410,14 +333,40 @@ mod tests {
         }
     }
 
-    fn collect(f: &mut Fixture, overlay: Option<&MarketOverlay>, at: SimTime) -> CollectOutcome {
-        f.monitor
-            .collect(&f.market, overlay, at, &mut f.functions, &mut f.kv, &f.metrics, &mut f.ledger)
-            .unwrap()
+    fn try_collect(
+        f: &mut Fixture,
+        overlay: Option<&MarketOverlay>,
+        at: SimTime,
+    ) -> Result<CollectOutcome, MonitorError> {
+        let (kv, ledger) = (&mut f.kv, &mut f.ledger);
+        f.monitor.collect(&f.market, overlay, at, &mut f.functions, kv, &f.metrics, ledger)
     }
 
-    fn persisted(f: &Fixture) -> Vec<RegionAssessment> {
-        f.monitor.read_snapshot(&f.kv).unwrap().0
+    fn collect(f: &mut Fixture, overlay: Option<&MarketOverlay>, at: SimTime) -> CollectOutcome {
+        try_collect(f, overlay, at).unwrap()
+    }
+
+    fn persisted(
+        f: &mut Fixture,
+        overlay: Option<&MarketOverlay>,
+    ) -> (Vec<RegionAssessment>, SimTime) {
+        let (rows, oldest) = f.monitor.snapshot(&f.market, overlay).expect("a landed write");
+        (rows.to_vec(), oldest)
+    }
+
+    /// Throttles every KV write from the `from`-th (counting from 0) on.
+    #[derive(Debug)]
+    struct ThrottleWritesFrom {
+        from: usize,
+        seen: usize,
+    }
+
+    impl ServiceFaultInjector for ThrottleWritesFrom {
+        fn intercept(&mut self, op: ServiceOp, _at: SimTime) -> Option<ServiceFault> {
+            assert_eq!(op, ServiceOp::KvWrite, "a collection only writes");
+            self.seen += 1;
+            (self.seen > self.from).then_some(ServiceFault::Throttled)
+        }
     }
 
     #[test]
@@ -426,7 +375,7 @@ mod tests {
         assert_eq!(collect(&mut f, None, SimTime::from_hours(1)), CollectOutcome::Fresh(12));
         assert_eq!(f.ledger.len(), FRESH_CHARGES);
         assert!(f.ledger.total().amount() > 0.0);
-        assert_eq!(persisted(&f).len(), 12);
+        assert_eq!(persisted(&mut f, None).0.len(), 12);
     }
 
     #[test]
@@ -434,47 +383,38 @@ mod tests {
         let mut f = fixture();
         let at = SimTime::from_days(2);
         collect(&mut f, None, at);
-        let (persisted, collected_at) = f.monitor.read_snapshot(&f.kv).unwrap();
+        let (persisted, collected_at) = persisted(&mut f, None);
         assert_eq!(collected_at, at);
-        let fresh = f.monitor.fresh_assessments(&f.market, None, at).unwrap();
-        for (p, fr) in persisted.iter().zip(fresh.iter()) {
-            assert_eq!(p.region, fr.region);
-            assert_eq!(p.placement, fr.placement);
-            assert_eq!(p.stability, fr.stability);
-            assert!((p.spot_price.rate() - fr.spot_price.rate()).abs() < 1e-12);
-        }
+        assert_eq!(persisted, f.monitor.fresh_assessments(&f.market, None, at).unwrap());
     }
 
+    /// A collection throttled at its fifth write leaves four rows with the
+    /// new stamp and the rest with the previous collection's: each row
+    /// holds exactly the values the market gave at its own stamp, and the
+    /// snapshot's age is the oldest stamp.
     #[test]
     fn rows_hold_exactly_the_collected_attributes() {
         let mut f = fixture();
-        // The second collection rewrites the first one's rows in place.
-        for at in [SimTime::from_days(2), SimTime::from_days(2) + MARKET_EPOCH] {
-            assert_eq!(collect(&mut f, None, at), CollectOutcome::Fresh(12));
-            let fresh = f.monitor.fresh_assessments(&f.market, None, at).unwrap();
-            let prefix = format!("{}/", InstanceType::M5Xlarge);
-            let rows = f.kv.scan_prefix(METRICS_TABLE, &prefix).unwrap();
-            assert_eq!(rows.len(), fresh.len());
-            for a in &fresh {
-                let key = format!("{prefix}{}", a.region);
-                let (_, row) = rows.iter().find(|(k, _)| *k == key).expect("a row per region");
-                let want = aws_stack::Item::from([
-                    ("spot_price", AttrValue::N(a.spot_price.rate())),
-                    ("on_demand_price", AttrValue::N(a.on_demand_price.rate())),
-                    ("placement_score", AttrValue::N(f64::from(a.placement.value()))),
-                    ("stability_score", AttrValue::N(f64::from(a.stability.value()))),
-                    ("collected_at", AttrValue::N(at.as_secs() as f64)),
-                ]);
-                assert_eq!(*row, &want, "row {key} at {at:?}");
-            }
-        }
+        let first = SimTime::from_days(2);
+        let second = first + MARKET_EPOCH;
+        assert_eq!(collect(&mut f, None, first), CollectOutcome::Fresh(12));
+        f.kv.set_fault_injector(Box::new(ThrottleWritesFrom { from: 4, seen: 0 }));
+        let err = try_collect(&mut f, None, second).unwrap_err();
+        assert!(err.is_retryable(), "{err:?}");
+        // One invocation and four landed writes with their datapoints.
+        assert_eq!(f.ledger.len(), FRESH_CHARGES + 1 + 4 + 4);
+        let old = f.monitor.fresh_assessments(&f.market, None, first).unwrap();
+        let new = f.monitor.fresh_assessments(&f.market, None, second).unwrap();
+        let want: Vec<RegionAssessment> = new[..4].iter().chain(&old[4..]).copied().collect();
+        assert_ne!(new, old, "prices move across the hour");
+        assert_eq!(persisted(&mut f, None), (want, first));
     }
 
     #[test]
     fn snapshot_is_stale_until_next_collection() {
         let mut f = fixture();
         collect(&mut f, None, SimTime::from_days(1));
-        let snapshot = persisted(&f);
+        let (snapshot, _) = persisted(&mut f, None);
         let later_fresh = f
             .monitor
             .fresh_assessments(&f.market, None, SimTime::from_days(40))
@@ -491,14 +431,22 @@ mod tests {
     fn only_throttling_is_retryable() {
         assert!(MonitorError::Kv(KvError::Throttled { table: "t".into() }).is_retryable());
         assert!(!MonitorError::Kv(KvError::NoSuchTable("t".into())).is_retryable());
-        assert!(!MonitorError::NoSnapshot.is_retryable());
+        let horizon = SimTime::from_days(210);
+        let market = MarketError::BeyondHorizon { at: horizon, horizon };
+        assert!(!MonitorError::Market(market).is_retryable());
     }
 
     #[test]
     fn no_snapshot_error_before_first_collection() {
         let mut f = fixture();
-        assert!(matches!(f.monitor.read_snapshot(&f.kv), Err(MonitorError::NoSnapshot)));
-        assert_eq!(f.monitor.snapshot(&f.kv), None);
+        assert_eq!(f.monitor.snapshot(&f.market, None), None);
+        // A collection past the horizon fails typed before it bills or
+        // stamps anything.
+        let horizon = f.market.horizon();
+        let err = try_collect(&mut f, None, horizon).unwrap_err();
+        assert_eq!(err, MonitorError::Market(MarketError::BeyondHorizon { at: horizon, horizon }));
+        assert_eq!(f.ledger.len(), 0);
+        assert_eq!(f.monitor.snapshot(&f.market, None), None);
     }
 
     #[test]
@@ -526,12 +474,8 @@ mod tests {
         assert_eq!(collect(&mut f, None, next_hour), CollectOutcome::Fresh(12));
         assert_eq!(f.ledger.len(), 2 * FRESH_CHARGES);
         // Reused ticks leave the persisted snapshot untouched and valid.
-        let snapshot = persisted(&f);
         let fresh = f.monitor.fresh_assessments(&f.market, None, next_hour).unwrap();
-        for (p, fr) in snapshot.iter().zip(fresh.iter()) {
-            assert_eq!(p.placement, fr.placement);
-            assert!((p.spot_price.rate() - fr.spot_price.rate()).abs() < 1e-12);
-        }
+        assert_eq!(persisted(&mut f, None), (fresh, next_hour));
     }
 
     #[test]
@@ -552,11 +496,36 @@ mod tests {
         // The window opens inside the same hour: must re-collect so the
         // snapshot observes the fault.
         assert_eq!(collect(&mut f, Some(&overlay), open), CollectOutcome::Fresh(12));
-        let pinned = persisted(&f)
+        let pinned = persisted(&mut f, Some(&overlay))
+            .0
             .into_iter()
             .find(|a| a.region == Region::UsEast1)
             .unwrap();
         assert_eq!(pinned.placement, cloud_market::PlacementScore::MIN);
+    }
+
+    /// A day of hourly collections reads no market data, so it fills no
+    /// market segment; the first snapshot afterwards fills exactly the
+    /// segments that cover the latest stamp: for each of the 12 regions,
+    /// the first 4-day placement segment and the first 96-hour price
+    /// segment.
+    #[test]
+    fn collections_fill_no_market_segment_until_a_decision_reads_them() {
+        let mut f = fixture();
+        let (_, total) = f.market.materialized_segments();
+        let start = SimTime::from_days(1);
+        for hour in 0..=24 {
+            let at = start + SimDuration::from_hours(hour);
+            assert_eq!(collect(&mut f, None, at), CollectOutcome::Fresh(12));
+        }
+        assert_eq!(f.market.materialized_segments(), (0, total));
+        let latest = start + SimDuration::from_hours(24);
+        assert_eq!(persisted(&mut f, None).1, latest);
+        assert_eq!(f.market.materialized_segments(), (24, total));
+        // The same segments one read at the latest stamp fills.
+        let oracle = SpotMarket::new(MarketConfig::with_seed(3));
+        f.monitor.fresh_assessments(&oracle, None, latest).unwrap();
+        assert_eq!(oracle.materialized_segments(), f.market.materialized_segments());
     }
 
     #[test]
@@ -572,5 +541,6 @@ mod tests {
             .collect(&market, None, SimTime::ZERO, &mut functions, &mut kv, &metrics, &mut ledger)
             .unwrap();
         assert_eq!(n, CollectOutcome::Fresh(9), "p3 is offered in 9 of 12 regions");
+        assert_eq!(monitor.snapshot(&market, None).expect("collected").0.len(), 9);
     }
 }

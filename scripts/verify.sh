@@ -43,10 +43,13 @@ echo "==> perfbench smoke: each benchmark workload for one second"
 # Two market.segments_materialized entries count the market's old fixed
 # 14-day segments; the market now fills doubling segments (4, 4, 8 ... 128
 # days), so those two are pinned here at their new exact values (the
-# sweep's 9,600 did not move). ROADMAP item 16, the change to the
-# benchmark that regenerates counters.json, deletes this table.
+# sweep's 9,600 did not move). The tournament's is 1,452, not 1,728: the
+# Monitor reads a row's prices only when a decision asks, at the row's
+# stamp, so the price segments that only its ticks reached stay unfilled.
+# ROADMAP item 16, the change to the benchmark that regenerates
+# counters.json, deletes this table.
 segment_overrides='{"fleet_loadgen": {"market.segments_materialized": 48},
-                    "tournament_regimes": {"market.segments_materialized": 1728}}'
+                    "tournament_regimes": {"market.segments_materialized": 1452}}'
 for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trace; do
     args=(--workload "$workload" --seconds 1)
     keys=""
@@ -162,6 +165,26 @@ if ! grep -q "1 passed" <<<"$degraded_out"; then
 fi
 echo "    degraded initial and migration decisions match the golden"
 
+echo "==> lazy monitor rows: stamped rows serve what the eager Monitor stored"
+# The Monitor bills and fault-checks its KV writes at the tick but reads
+# each row's metrics from the market only when a decision asks, at the
+# row's stamp. The proptest replays 64 random collect/decide runs under
+# every chaos scenario against an eager oracle that assesses every region
+# at each tick and draws its own copy of the KV fault stream: collection
+# outcomes, assessments, degraded flags, freshness counters and traces
+# must match at every step. The filter must select the one test, not none.
+oracle_out=$(cargo test -q -p spotverse --lib -- \
+    --exact controlplane::tests::decisions_match_an_eager_oracle 2>&1) || {
+    echo "$oracle_out" >&2
+    echo "==> lazy monitor rows FAILED" >&2
+    exit 1
+}
+if ! grep -q "1 passed" <<<"$oracle_out"; then
+    echo "==> lazy monitor rows FAILED: decisions_match_an_eager_oracle did not run" >&2
+    exit 1
+fi
+echo "    stamped rows match the eager oracle under every chaos scenario"
+
 echo "==> golden workflows: committed .ga exports of the paper workflows"
 cargo test -q -p spotverse-integration --test golden_workflows
 
@@ -225,9 +248,12 @@ fi
 echo "==> horizon smoke: a loadgen fleet arriving past the market horizon stops there"
 # Arrivals run past the 210-day price history; every strategy's run must
 # stop at the horizon with exit 0, not panic reading the market beyond it.
-# At --rate 1e-300 every arrival lies at the last representable second,
-# so adding a deadline to it must saturate rather than wrap.
-for rate_args in "--workloads 1000 --rate 0.2 --strategy all" "--workloads 10 --rate 1e-300"; do
+# At --rate 6.56217489948946e-17 the one arrival fits in a duration but
+# lands at the last representable second once the start is added, so
+# adding a deadline to it must saturate rather than wrap. (A lower rate
+# whose arrivals do not fit at all is an argv error; see
+# tests/golden/cli/errors.txt.)
+for rate_args in "--workloads 1000 --rate 0.2 --strategy all" "--workloads 1 --rate 6.56217489948946e-17"; do
     horizon_status=0
     horizon_err=$(cargo run --release --quiet --bin spotverse -- \
         fleet --loadgen poisson $rate_args 2>&1 >/dev/null) \

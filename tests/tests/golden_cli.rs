@@ -208,6 +208,7 @@ const BAD_ARGVS: &[&[&str]] = &[
     &["fleet", "--loadgen", "poisson", "--workloads", "0"],
     &["fleet", "--loadgen", "poisson", "--rate", "-3"],
     &["fleet", "--loadgen", "poisson", "--rate", "brisk"],
+    &["fleet", "--loadgen", "poisson", "--rate", "1e-300", "--workloads", "10"],
     &["tournament", "--regime", "bull-market"],
     &["tournament", "--chaos", "meteor-strike"],
     &["tournament", "--seeds", "0"],

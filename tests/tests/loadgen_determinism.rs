@@ -48,8 +48,8 @@ proptest! {
         count in 1usize..200,
     ) {
         let p = profile(profile_idx, rate);
-        let schedule = p.arrival_schedule(seed, count);
-        prop_assert_eq!(&schedule, &p.arrival_schedule(seed, count));
+        let schedule = p.arrival_schedule(seed, count).expect("arrivals fit");
+        prop_assert_eq!(&schedule, &p.arrival_schedule(seed, count).expect("arrivals fit"));
         prop_assert_eq!(schedule.len(), count);
         prop_assert!(
             schedule.windows(2).all(|w| w[0] <= w[1]),

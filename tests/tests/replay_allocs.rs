@@ -63,21 +63,22 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Heap allocations replaying each golden with one cursor, pinned
-/// exactly: 0.2 to 2.0 per line. Only records with strings or arrays
-/// (decisions, arrivals, run starts) allocate, plus the growth of the
-/// folded views, so the per-line figure differs by trace. The tree
+/// exactly: 0.15 to 1.6 per line. Only records with strings or arrays
+/// (decisions, arrivals, run starts) allocate, each array once at its
+/// exact length, plus the growth of the folded views, so the per-line
+/// figure differs by trace. The tree
 /// decoder this replaced made 63, 32, 54, 268, 100, 166 and 195 on the
 /// other seven, the last two paying one `String` per line for the cell
 /// label.
 const PINNED: [(&str, u64); 8] = [
-    ("spotverse_ngs3_seed2024_t4.jsonl", 13),
-    ("spotverse_ngs3_seed2024_t5.jsonl", 9),
-    ("spotverse_ngs3_seed2024_t6.jsonl", 13),
-    ("spotverse_genome10_seed2024_region_flap.jsonl", 58),
-    ("fleet_ngs3_seed2024_cap1.jsonl", 26),
-    ("fleet_ngs4_seed2025_telemetry_blackout.jsonl", 25),
+    ("spotverse_ngs3_seed2024_t4.jsonl", 9),
+    ("spotverse_ngs3_seed2024_t5.jsonl", 7),
+    ("spotverse_ngs3_seed2024_t6.jsonl", 9),
+    ("spotverse_genome10_seed2024_region_flap.jsonl", 36),
+    ("fleet_ngs3_seed2024_cap1.jsonl", 18),
+    ("fleet_ngs4_seed2025_telemetry_blackout.jsonl", 19),
     ("cli/sweep_trace.jsonl", 20),
-    ("cli/fleet_loadgen_burst_trace.jsonl", 53),
+    ("cli/fleet_loadgen_burst_trace.jsonl", 41),
 ];
 
 #[test]
