@@ -14,8 +14,7 @@ use sim_kernel::{SimDuration, SimTime};
 pub enum ServiceOp {
     /// A KV-store read (`get_item`).
     KvRead,
-    /// A KV-store write (`put_item`, `update_item`, `conditional_put`,
-    /// `bill_write`).
+    /// A KV-store write (`put_item`, `conditional_put`, `bill_write`).
     KvWrite,
     /// An object-store download.
     ObjectGet,

@@ -2,10 +2,12 @@
 //!
 //! SpotVerse's centralized data plane (paper §4): the Monitor writes spot
 //! prices, Interruption Frequencies and Placement Scores here; checkpoint
-//! workloads persist shard progress here so a replacement instance in any
-//! region can resume. The Monitor's rows are rebuilt from the market when
-//! a decision reads them, so its writes are billed and fault-checked
-//! through [`KvStore::bill_write`] and not stored.
+//! workloads record shard progress here. Nothing in the simulation reads
+//! either back from the store (the Monitor's rows are rebuilt from the
+//! market when a decision reads them, and a restore reads the workload's
+//! own checkpoint ledger), so both are billed and fault-checked through
+//! [`KvStore::bill_write`] and not stored. The orchestrator's leases are
+//! stored and read.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,8 +26,6 @@ pub enum AttrValue {
     S(String),
     /// A number.
     N(f64),
-    /// A boolean.
-    Bool(bool),
     /// A list.
     L(Vec<AttrValue>),
 }
@@ -46,14 +46,6 @@ impl AttrValue {
             _ => None,
         }
     }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            AttrValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl From<&str> for AttrValue {
@@ -71,12 +63,6 @@ impl From<String> for AttrValue {
 impl From<f64> for AttrValue {
     fn from(n: f64) -> Self {
         AttrValue::N(n)
-    }
-}
-
-impl From<bool> for AttrValue {
-    fn from(b: bool) -> Self {
-        AttrValue::Bool(b)
     }
 }
 
@@ -129,13 +115,15 @@ struct Table {
 }
 
 impl Table {
-    /// Applies `f` to the row under `key`, inserted empty if absent. The
-    /// row is looked up by `&str` first, so an existing row is written in
-    /// place and only a new one allocates its key.
-    fn with_row<R>(&mut self, key: &str, f: impl FnOnce(&mut Item) -> R) -> R {
+    /// Stores `item` under `key`. The row is looked up by `&str` first, so
+    /// an existing row is replaced in place and only a new one allocates
+    /// its key.
+    fn put_row(&mut self, key: &str, item: Item) {
         match self.items.get_mut(key) {
-            Some(row) => f(row),
-            None => f(self.items.entry(key.to_owned()).or_default()),
+            Some(row) => *row = item,
+            None => {
+                self.items.insert(key.to_owned(), item);
+            }
         }
     }
 }
@@ -259,7 +247,7 @@ impl KvStore {
         at: SimTime,
         ledger: &mut BillingLedger,
     ) -> Result<(), KvError> {
-        self.billed_write(table, at, ledger)?.with_row(key, |row| *row = item);
+        self.billed_write(table, at, ledger)?.put_row(key, item);
         Ok(())
     }
 
@@ -282,28 +270,6 @@ impl KvStore {
             .ok_or_else(|| KvError::NoSuchTable(table.to_owned()))?;
         ledger.charge(ServiceKind::KvStore, Usd::new(READ_PRICE));
         Ok(t.items.get(key))
-    }
-
-    /// Updates an item in place via a closure; the closure receives the
-    /// current item (default-empty when absent) and mutates it. The key is
-    /// copied only when the row is new.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::NoSuchTable`] for unknown tables.
-    pub fn update_item<F>(
-        &mut self,
-        table: &str,
-        key: &str,
-        at: SimTime,
-        ledger: &mut BillingLedger,
-        update: F,
-    ) -> Result<(), KvError>
-    where
-        F: FnOnce(&mut Item),
-    {
-        self.billed_write(table, at, ledger)?.with_row(key, update);
-        Ok(())
     }
 
     /// Writes an item only if `condition` holds over the current item (absent
@@ -332,7 +298,7 @@ impl KvStore {
                 key: key.to_owned(),
             });
         }
-        t.with_row(key, |row| *row = item);
+        t.put_row(key, item);
         Ok(())
     }
 }
@@ -369,22 +335,6 @@ mod tests {
     fn get_missing_is_none() {
         let (mut db, mut ledger) = db();
         assert_eq!(db.get_item("t", "missing", SimTime::ZERO, &mut ledger).unwrap(), None);
-    }
-
-    #[test]
-    fn update_creates_or_mutates() {
-        let (mut db, mut ledger) = db();
-        db.update_item("t", "k", SimTime::ZERO, &mut ledger, |i| {
-            i.insert("count", AttrValue::N(1.0));
-        })
-        .unwrap();
-        db.update_item("t", "k", SimTime::ZERO, &mut ledger, |i| {
-            let cur = i.get("count").and_then(AttrValue::as_number).unwrap_or(0.0);
-            i.insert("count", AttrValue::N(cur + 1.0));
-        })
-        .unwrap();
-        let got = db.get_item("t", "k", SimTime::ZERO, &mut ledger).unwrap().unwrap();
-        assert_eq!(got["count"].as_number(), Some(2.0));
     }
 
     #[test]
@@ -430,7 +380,7 @@ mod tests {
         let (mut db, mut ledger) = db();
         db.put_item("t", "k", item(1.0), SimTime::ZERO, &mut ledger).unwrap();
         let mut wider = item(2.0);
-        wider.insert("extra", AttrValue::Bool(true));
+        wider.insert("extra", AttrValue::from("x"));
         db.put_item("t", "k", wider, SimTime::ZERO, &mut ledger).unwrap();
         // Full replace: the second write's attributes, and only those.
         db.put_item("t", "k", item(3.0), SimTime::ZERO, &mut ledger).unwrap();
@@ -441,29 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn update_item_mutates_an_existing_row_and_inserts_a_new_one() {
-        let (mut db, mut ledger) = db();
-        db.put_item("t", "k", item(1.0), SimTime::ZERO, &mut ledger).unwrap();
-        db.update_item("t", "k", SimTime::ZERO, &mut ledger, |i| {
-            assert_eq!(i, &item(1.0), "the closure sees the stored row");
-            i.insert("v", AttrValue::N(2.0));
-        })
-        .unwrap();
-        db.update_item("t", "j", SimTime::ZERO, &mut ledger, |i| {
-            assert!(i.is_empty(), "a new row starts empty");
-            i.insert("v", AttrValue::N(5.0));
-        })
-        .unwrap();
-        assert_eq!(rows(&db), vec![("j".into(), Some(5.0)), ("k".into(), Some(2.0))]);
-        assert_billed_writes(&ledger, 3);
-    }
-
-    #[test]
     fn conditional_put_replaces_an_existing_row_and_inserts_a_new_one() {
         let (mut db, mut ledger) = db();
         db.conditional_put("t", "k", item(1.0), SimTime::ZERO, &mut ledger, |_| true).unwrap();
         let mut wider = item(2.0);
-        wider.insert("extra", AttrValue::Bool(true));
+        wider.insert("extra", AttrValue::from("x"));
         db.conditional_put("t", "k", wider, SimTime::ZERO, &mut ledger, |cur| {
             cur == Some(&item(1.0))
         })
@@ -523,7 +455,6 @@ mod tests {
     fn attr_value_accessors() {
         assert_eq!(AttrValue::from("x").as_str(), Some("x"));
         assert_eq!(AttrValue::from(2.0).as_number(), Some(2.0));
-        assert_eq!(AttrValue::from(true).as_bool(), Some(true));
         assert_eq!(AttrValue::from("x").as_number(), None);
         assert_eq!(AttrValue::from(String::from("y")).as_str(), Some("y"));
     }

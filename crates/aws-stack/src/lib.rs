@@ -25,8 +25,7 @@
 //! use cloud_compute::BillingLedger;
 //! use sim_kernel::SimTime;
 //!
-//! // The Controller's checkpoint table, as DynamoDB: one progress record
-//! // per workload, billed per request.
+//! // A DynamoDB-like table: one record per key, billed per request.
 //! let mut kv = KvStore::new();
 //! let mut ledger = BillingLedger::new();
 //! kv.create_table("spotverse-checkpoints")?;

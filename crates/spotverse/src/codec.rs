@@ -217,7 +217,18 @@ codecs! {
         out.push_str(p.region().name());
         out.push('"');
     }, |r| placement(&r.read_str()?);
-    CandidateOutcome: |o, out| push_json_str(out, &o.label()), |r| r.read_str()?.parse();
+    CandidateOutcome: |o, out| match o {
+        CandidateOutcome::Selected { rank } => {
+            out.push_str("\"selected:");
+            push_uint(out, *rank as u64);
+            out.push('"');
+        }
+        CandidateOutcome::Quarantined => out.push_str("\"quarantined\""),
+        CandidateOutcome::NotPreferred => out.push_str("\"not-preferred\""),
+        CandidateOutcome::BelowThreshold => out.push_str("\"below-threshold\""),
+        CandidateOutcome::OverCap => out.push_str("\"over-cap\""),
+        CandidateOutcome::InterruptedHere => out.push_str("\"interrupted-here\""),
+    }, |r| r.read_str()?.parse();
     DecisionKind: |k, out| push_json_str(out, k.label()), |r| r.read_str()?.parse();
     ChaosFaultKind: |k, out| push_json_str(out, k.label()), |r| r.read_str()?.parse();
     BreakerState: |s, out| push_json_str(out, s.label()), |r| r.read_str()?.parse();
@@ -442,5 +453,25 @@ mod tests {
         let nested: Vec<Vec<String>> = read_array(r#"[["a"], [], ["b", "c"]]"#).unwrap();
         assert_eq!(nested, [vec!["a"], vec![], vec!["b", "c"]]);
         assert!(nested.iter().all(|v| v.capacity() == v.len()));
+    }
+
+    /// Each outcome writes its quoted label, which parses back to it.
+    #[test]
+    fn candidate_outcomes_write_labels_that_parse_back() {
+        let cases = [
+            (CandidateOutcome::Selected { rank: 0 }, "selected:0"),
+            (CandidateOutcome::Selected { rank: 11 }, "selected:11"),
+            (CandidateOutcome::Quarantined, "quarantined"),
+            (CandidateOutcome::NotPreferred, "not-preferred"),
+            (CandidateOutcome::BelowThreshold, "below-threshold"),
+            (CandidateOutcome::OverCap, "over-cap"),
+            (CandidateOutcome::InterruptedHere, "interrupted-here"),
+        ];
+        for (outcome, label) in cases {
+            let mut out = String::new();
+            outcome.put(&mut out);
+            assert_eq!(out, format!("\"{label}\""));
+            assert_eq!(label.parse::<CandidateOutcome>(), Ok(outcome));
+        }
     }
 }

@@ -32,7 +32,8 @@ use crate::optimizer::RegionAssessment;
 use crate::trace::{TraceConfig, TraceEvent, Tracer};
 
 /// The KV table the Controller writes shard progress to (the paper's
-/// DynamoDB checkpoint table).
+/// DynamoDB checkpoint table). Nothing reads it back, so its writes are
+/// billed and fault-checked through `KvStore::bill_write` and not stored.
 pub const CHECKPOINT_TABLE: &str = "spotverse-checkpoints";
 
 /// Snapshot age past which decisions degrade to cheapest-on-demand

@@ -102,6 +102,7 @@ mod tests {
             assessments: a,
             quarantined: &[],
             rng,
+            audit: None,
         }
     }
 

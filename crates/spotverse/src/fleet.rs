@@ -319,7 +319,9 @@ impl FleetModel {
     /// moving out of `previous` (`n` is 1). Leaves the placements in
     /// `out`. Expired telemetry degrades it to the cheapest on-demand
     /// region without asking the strategy (or drawing from its RNG); only
-    /// chaos gets there, so fault-free streams are untouched.
+    /// chaos gets there, so fault-free streams are untouched. On a traced
+    /// run the strategy fills the decision's candidate audit from the very
+    /// selection it places from.
     fn decide(
         &mut self,
         now: SimTime,
@@ -331,6 +333,7 @@ impl FleetModel {
         let previous = migrating.map(|(_, region)| region);
         let (assessments, degraded) = self.cp.decision_inputs(now);
         let mut quarantined = Vec::new();
+        let mut audit = Vec::new();
         if degraded {
             out.extend(std::iter::repeat_n(
                 Placement::OnDemand(cheapest_on_demand(assessments.iter())),
@@ -354,6 +357,7 @@ impl FleetModel {
                 assessments: &assessments,
                 quarantined: &quarantined,
                 rng: &mut self.strategy_rng,
+                audit: self.cp.tracer.enabled().then_some(&mut audit),
             };
             match previous {
                 Some(previous) => out.push(self.strategy.relocate(&mut ctx, previous)),
@@ -363,11 +367,9 @@ impl FleetModel {
         }
         debug_assert_eq!(out.len(), n);
         if self.cp.tracer.enabled() {
-            let candidates = if degraded {
-                None
-            } else {
-                self.strategy.explain_candidates(&assessments, &quarantined, previous)
-            };
+            // A placement that did not come from a scored selection (a
+            // baseline, a pin, the degraded fallback) left the audit empty.
+            let candidates = (!audit.is_empty()).then_some(audit);
             self.cp.tracer.record(
                 now,
                 TraceEvent::Decision {
@@ -761,20 +763,11 @@ impl FleetModel {
         self.workloads[w].phase = WorkloadPhase::Completed;
         self.completed += 1;
         self.completions.increment(now);
-        // Clear any checkpoint state. The borrow split lets the key be
-        // lent straight from the workload spec instead of cloned.
+        // Mark the checkpoint record completed: billed like the notice
+        // window's progress record, and like it never read back.
         if self.workloads[w].spec.kind.is_checkpointable() {
-            let FleetModel { workloads, cp, .. } = self;
-            let ControlPlane { kv, ec2, .. } = cp;
-            let _ = kv.update_item(
-                CHECKPOINT_TABLE,
-                &workloads[w].spec.id,
-                now,
-                ec2.ledger_mut(),
-                |item| {
-                    item.insert("completed", aws_stack::AttrValue::Bool(true));
-                },
-            );
+            let ControlPlane { kv, ec2, .. } = &mut self.cp;
+            let _ = kv.bill_write(CHECKPOINT_TABLE, now, ec2.ledger_mut());
         }
     }
 

@@ -220,6 +220,7 @@ mod tests {
                 assessments: snapshot,
                 quarantined: &[],
                 rng: &mut rng,
+                audit: None,
             };
             strategy.initial_placements(&mut ctx, 1)[0]
         };

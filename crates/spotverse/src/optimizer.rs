@@ -127,24 +127,12 @@ pub enum CandidateOutcome {
     InterruptedHere,
 }
 
-impl CandidateOutcome {
-    /// Canonical lowercase label used in trace exports.
-    pub fn label(self) -> String {
-        match self {
-            CandidateOutcome::Selected { rank } => format!("selected:{rank}"),
-            CandidateOutcome::Quarantined => "quarantined".to_owned(),
-            CandidateOutcome::NotPreferred => "not-preferred".to_owned(),
-            CandidateOutcome::BelowThreshold => "below-threshold".to_owned(),
-            CandidateOutcome::OverCap => "over-cap".to_owned(),
-            CandidateOutcome::InterruptedHere => "interrupted-here".to_owned(),
-        }
-    }
-}
-
 impl FromStr for CandidateOutcome {
     type Err = String;
 
-    /// Inverts [`CandidateOutcome::label`].
+    /// Parses the canonical lowercase label a trace export writes:
+    /// `selected:<rank>`, `quarantined`, `not-preferred`,
+    /// `below-threshold`, `over-cap` or `interrupted-here`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         if let Some(rank) = s.strip_prefix("selected:") {
             let rank = rank
@@ -263,18 +251,26 @@ impl Optimizer {
     /// fallback is deliberately *not* filtered: when every qualifying
     /// region is excluded, a guaranteed-capacity launch in a
     /// sick-for-spot region beats not launching at all.
+    ///
+    /// `audit`, when given, receives one verdict per assessed region from
+    /// the selection the placements came from. A `SingleRegion` start
+    /// selects nothing and leaves it empty.
     pub fn initial_placements_into(
         &self,
         assessments: &[RegionAssessment],
         n: usize,
         excluded: &[Region],
         out: &mut Vec<Placement>,
+        audit: Option<&mut Vec<CandidateVerdict>>,
     ) {
         if let InitialPlacement::SingleRegion(region) = self.config.initial_placement() {
             out.extend(std::iter::repeat_n(Placement::Spot(*region), n));
             return;
         }
-        let selected = self.select_regions(assessments, excluded);
+        let selected = self.select(assessments, excluded, None);
+        if let Some(audit) = audit {
+            self.audit(assessments, excluded, None, &selected, audit);
+        }
         if selected.is_empty() {
             let od = self.cheapest_on_demand(assessments);
             out.extend(std::iter::repeat_n(Placement::OnDemand(od), n));
@@ -291,9 +287,11 @@ impl Optimizer {
     /// or cheapest on-demand when nothing qualifies.
     ///
     /// `StayPut` ignores the exclusion list by design — that ablation
-    /// measures "no migration at all", quarantine included. With an empty
-    /// list the selection consumes exactly the same RNG draws as an
-    /// unconstrained one.
+    /// measures "no migration at all", quarantine included — and, as it
+    /// selects nothing, leaves `audit` empty. With an empty list the
+    /// selection consumes exactly the same RNG draws as an unconstrained
+    /// one. `audit`, when given, is filled as by
+    /// [`initial_placements_into`](Optimizer::initial_placements_into).
     pub fn migration_target(
         &self,
         assessments: &[RegionAssessment],
@@ -301,13 +299,18 @@ impl Optimizer {
         policy: MigrationPolicy,
         excluded: &[Region],
         rng: &mut SimRng,
+        audit: Option<&mut Vec<CandidateVerdict>>,
     ) -> Placement {
         if policy == MigrationPolicy::StayPut {
             return Placement::Spot(interrupted_region);
         }
         // Exclude first, then take the top R — so the selection never
         // silently shrinks below R because of the exclusion.
-        let selected = self.select(assessments, excluded, Some(interrupted_region));
+        let interrupted = Some(interrupted_region);
+        let selected = self.select(assessments, excluded, interrupted);
+        if let Some(audit) = audit {
+            self.audit(assessments, excluded, interrupted, &selected, audit);
+        }
         if selected.is_empty() {
             return Placement::OnDemand(self.cheapest_on_demand(assessments));
         }
@@ -319,46 +322,39 @@ impl Optimizer {
         Placement::Spot(selected[pick].region)
     }
 
-    /// Explains the selection that
-    /// [`select_regions`](Optimizer::select_regions)
-    /// (after dropping `interrupted`, when migrating) would make: one
-    /// verdict per assessed region, in assessment order. Pure — consumes
-    /// no RNG and mutates nothing — so the trace layer can call it without
-    /// perturbing determinism. The `Selected` verdicts reproduce the real
-    /// selection exactly, rank included.
-    pub fn explain_selection(
+    /// Appends to `out` one verdict per assessed region, in assessment
+    /// order, for the `selected` regions that
+    /// [`select`](Optimizer::select) returned from the same arguments:
+    /// the audit of the selection a decision placed from.
+    fn audit(
         &self,
         assessments: &[RegionAssessment],
         excluded: &[Region],
         interrupted: Option<Region>,
-    ) -> Vec<CandidateVerdict> {
-        let selected = self.select(assessments, excluded, interrupted);
-        assessments
-            .iter()
-            .map(|a| {
-                let outcome = if Some(a.region) == interrupted {
-                    CandidateOutcome::InterruptedHere
-                } else if let Some(rank) =
-                    selected.iter().position(|s| s.region == a.region)
-                {
-                    CandidateOutcome::Selected { rank }
-                } else if excluded.contains(&a.region) {
-                    CandidateOutcome::Quarantined
-                } else if !self.config.allows_region(a.region) {
-                    CandidateOutcome::NotPreferred
-                } else if !a.combined().meets(self.config.threshold()) {
-                    CandidateOutcome::BelowThreshold
-                } else {
-                    CandidateOutcome::OverCap
-                };
-                CandidateVerdict {
-                    region: a.region,
-                    combined: a.combined().value(),
-                    spot_price: a.spot_price.rate(),
-                    outcome,
-                }
-            })
-            .collect()
+        selected: &[RegionAssessment],
+        out: &mut Vec<CandidateVerdict>,
+    ) {
+        out.extend(assessments.iter().map(|a| {
+            let outcome = if Some(a.region) == interrupted {
+                CandidateOutcome::InterruptedHere
+            } else if let Some(rank) = selected.iter().position(|s| s.region == a.region) {
+                CandidateOutcome::Selected { rank }
+            } else if excluded.contains(&a.region) {
+                CandidateOutcome::Quarantined
+            } else if !self.config.allows_region(a.region) {
+                CandidateOutcome::NotPreferred
+            } else if !a.combined().meets(self.config.threshold()) {
+                CandidateOutcome::BelowThreshold
+            } else {
+                CandidateOutcome::OverCap
+            };
+            CandidateVerdict {
+                region: a.region,
+                combined: a.combined().value(),
+                spot_price: a.spot_price.rate(),
+                outcome,
+            }
+        }));
     }
 }
 
@@ -467,7 +463,7 @@ mod tests {
     #[test]
     fn round_robin_initial_distribution() {
         let mut placements = Vec::new();
-        optimizer(6).initial_placements_into(&fixture(), 10, &[], &mut placements);
+        optimizer(6).initial_placements_into(&fixture(), 10, &[], &mut placements, None);
         assert_eq!(placements.len(), 10);
         assert!(placements.iter().all(|p| p.is_spot()));
         // Round-robin: workloads 0 and 4 land in the same (cheapest) region.
@@ -489,7 +485,7 @@ mod tests {
     #[test]
     fn unreachable_threshold_falls_back_to_on_demand() {
         let mut placements = Vec::new();
-        optimizer(14).initial_placements_into(&fixture(), 3, &[], &mut placements);
+        optimizer(14).initial_placements_into(&fixture(), 3, &[], &mut placements, None);
         assert_eq!(placements.len(), 3);
         for p in &placements {
             assert!(!p.is_spot());
@@ -503,7 +499,7 @@ mod tests {
         let opt = optimizer(6);
         let mut rng = SimRng::seed_from_u64(5);
         for _ in 0..100 {
-            let p = opt.migration_target(&fixture(), Region::ApNortheast3, MigrationPolicy::RandomTopR, &[], &mut rng);
+            let p = opt.migration_target(&fixture(), Region::ApNortheast3, MigrationPolicy::RandomTopR, &[], &mut rng, None);
             assert!(p.is_spot());
             assert_ne!(p.region(), Region::ApNortheast3);
         }
@@ -515,7 +511,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(6);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
-            seen.insert(opt.migration_target(&fixture(), Region::EuNorth1, MigrationPolicy::RandomTopR, &[], &mut rng).region());
+            seen.insert(opt.migration_target(&fixture(), Region::EuNorth1, MigrationPolicy::RandomTopR, &[], &mut rng, None).region());
         }
         // The other three tier-A regions plus eu-west-1's replacement slot.
         assert!(seen.len() >= 3, "random pick should spread: {seen:?}");
@@ -526,7 +522,7 @@ mod tests {
     fn migration_falls_back_to_on_demand() {
         let opt = optimizer(14);
         let mut rng = SimRng::seed_from_u64(7);
-        let p = opt.migration_target(&fixture(), Region::UsEast1, MigrationPolicy::RandomTopR, &[], &mut rng);
+        let p = opt.migration_target(&fixture(), Region::UsEast1, MigrationPolicy::RandomTopR, &[], &mut rng, None);
         assert!(!p.is_spot());
     }
 
@@ -552,7 +548,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(8);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..300 {
-            seen.insert(opt.migration_target(&fixture(), Region::UsEast2, MigrationPolicy::RandomTopR, &[], &mut rng).region());
+            seen.insert(opt.migration_target(&fixture(), Region::UsEast2, MigrationPolicy::RandomTopR, &[], &mut rng, None).region());
         }
         assert!(seen.contains(&Region::CaCentral1), "5th-cheapest should appear: {seen:?}");
         assert_eq!(seen.len(), 4);
@@ -569,7 +565,8 @@ mod tests {
                 Region::CaCentral1,
                 MigrationPolicy::StayPut,
                 &[],
-                &mut rng
+                &mut rng,
+                None,
             ),
             Placement::Spot(Region::CaCentral1)
         );
@@ -578,12 +575,13 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(
                 opt.migration_target(
-                &fixture(),
-                Region::ApNortheast3,
-                MigrationPolicy::CheapestQualifying,
-                &[],
-                &mut rng
-            ),
+                    &fixture(),
+                    Region::ApNortheast3,
+                    MigrationPolicy::CheapestQualifying,
+                    &[],
+                    &mut rng,
+                    None,
+                ),
                 Placement::Spot(Region::EuNorth1)
             );
         }
@@ -614,7 +612,7 @@ mod tests {
             Region::EuWest1,
         ];
         let mut placements = Vec::new();
-        opt.initial_placements_into(&fixture(), 3, &quarantined, &mut placements);
+        opt.initial_placements_into(&fixture(), 3, &quarantined, &mut placements, None);
         assert_eq!(placements.len(), 3);
         for p in &placements {
             assert!(!p.is_spot());
@@ -637,6 +635,7 @@ mod tests {
                 MigrationPolicy::RandomTopR,
                 &[],
                 &mut a,
+                None,
             );
             let excluded = opt.migration_target(
                 &fixture(),
@@ -644,6 +643,7 @@ mod tests {
                 MigrationPolicy::RandomTopR,
                 &[Region::UsEast1],
                 &mut b,
+                None,
             );
             assert_eq!(plain, excluded);
         }
@@ -660,11 +660,38 @@ mod tests {
                 MigrationPolicy::RandomTopR,
                 &[Region::ApNortheast3],
                 &mut rng,
+                None,
             );
             assert!(p.is_spot());
             assert_ne!(p.region(), Region::EuNorth1);
             assert_ne!(p.region(), Region::ApNortheast3);
         }
+    }
+
+    /// A decision's audit and placement: an initial placement's or, with
+    /// `interrupted`, a `CheapestQualifying` migration's.
+    fn audited(
+        opt: &Optimizer,
+        excluded: &[Region],
+        interrupted: Option<Region>,
+    ) -> (Vec<CandidateVerdict>, Placement) {
+        let mut audit = Vec::new();
+        let placement = match interrupted {
+            None => {
+                let mut out = Vec::new();
+                opt.initial_placements_into(&fixture(), 1, excluded, &mut out, Some(&mut audit));
+                out[0]
+            }
+            Some(region) => opt.migration_target(
+                &fixture(),
+                region,
+                MigrationPolicy::CheapestQualifying,
+                excluded,
+                &mut SimRng::seed_from_u64(0),
+                Some(&mut audit),
+            ),
+        };
+        (audit, placement)
     }
 
     #[test]
@@ -680,7 +707,7 @@ mod tests {
                 for excluded in [vec![], vec![Region::CaCentral1, Region::UsEast2]] {
                     let case =
                         format!("T={threshold} excluded={excluded:?} interrupted={interrupted:?}");
-                    let verdicts = opt.explain_selection(&fixture(), &excluded, interrupted);
+                    let (verdicts, placement) = audited(&opt, &excluded, interrupted);
                     assert_eq!(verdicts.len(), fixture().len(), "one verdict per candidate");
                     for v in &verdicts {
                         let here = v.outcome == CandidateOutcome::InterruptedHere;
@@ -698,21 +725,12 @@ mod tests {
                         opt.select_regions(&eligible, &excluded).iter().map(|a| a.region).collect();
                     let explained: Vec<Region> = selected.into_iter().map(|(_, r)| r).collect();
                     assert_eq!(explained, real, "{case}");
-                    let Some(interrupted) = interrupted else {
-                        continue;
-                    };
+                    // The placement comes from the audited selection.
                     let expected = match explained.first() {
                         Some(&region) => Placement::Spot(region),
                         None => Placement::OnDemand(opt.cheapest_on_demand(&fixture())),
                     };
-                    let target = opt.migration_target(
-                        &fixture(),
-                        interrupted,
-                        MigrationPolicy::CheapestQualifying,
-                        &excluded,
-                        &mut SimRng::seed_from_u64(threshold.into()),
-                    );
-                    assert_eq!(target, expected, "{case}");
+                    assert_eq!(placement, expected, "{case}");
                 }
             }
         }
@@ -721,8 +739,7 @@ mod tests {
     #[test]
     fn explain_classifies_rejections() {
         let opt = optimizer(6);
-        let verdicts =
-            opt.explain_selection(&fixture(), &[Region::EuNorth1], Some(Region::ApNortheast3));
+        let (verdicts, _) = audited(&opt, &[Region::EuNorth1], Some(Region::ApNortheast3));
         let outcome = |region: Region| {
             verdicts.iter().find(|v| v.region == region).unwrap().outcome
         };
@@ -731,16 +748,14 @@ mod tests {
         assert_eq!(outcome(Region::UsEast1), CandidateOutcome::BelowThreshold);
         // With the interrupted and quarantined tier-A members gone, the
         // remaining threshold-6 regions all fit under R=4.
-        assert!(matches!(outcome(Region::UsWest1), CandidateOutcome::Selected { .. }));
-        assert_eq!(outcome(Region::UsWest1).label(), "selected:0");
-        assert_eq!(outcome(Region::UsEast1).label(), "below-threshold");
+        assert_eq!(outcome(Region::UsWest1), CandidateOutcome::Selected { rank: 0 });
     }
 
     #[test]
     fn explain_marks_over_cap_and_not_preferred() {
         // Threshold 4 admits all 12 fixture regions; R=4 prices the
         // qualifying-but-expensive ones out.
-        let verdicts = optimizer(4).explain_selection(&fixture(), &[], None);
+        let (verdicts, _) = audited(&optimizer(4), &[], None);
         assert!(verdicts
             .iter()
             .any(|v| v.outcome == CandidateOutcome::OverCap));
@@ -750,9 +765,32 @@ mod tests {
                 .preferred_regions(vec![Region::CaCentral1])
                 .build(),
         );
-        let verdicts = opt.explain_selection(&fixture(), &[], None);
+        let (verdicts, _) = audited(&opt, &[], None);
         let eu = verdicts.iter().find(|v| v.region == Region::EuWest3).unwrap();
         assert_eq!(eu.outcome, CandidateOutcome::NotPreferred);
+    }
+
+    #[test]
+    fn placements_the_selection_did_not_choose_record_no_audit() {
+        let single = Optimizer::new(
+            SpotVerseConfig::builder(InstanceType::M5Xlarge)
+                .initial_placement(InitialPlacement::SingleRegion(Region::CaCentral1))
+                .build(),
+        );
+        let (audit, placement) = audited(&single, &[], None);
+        assert_eq!((audit.len(), placement), (0, Placement::Spot(Region::CaCentral1)));
+        // A single-region start still migrates through the selection.
+        assert_eq!(audited(&single, &[], Some(Region::CaCentral1)).0.len(), fixture().len());
+        let mut audit = Vec::new();
+        let stay = optimizer(6).migration_target(
+            &fixture(),
+            Region::UsEast1,
+            MigrationPolicy::StayPut,
+            &[],
+            &mut SimRng::seed_from_u64(0),
+            Some(&mut audit),
+        );
+        assert_eq!((audit.len(), stay), (0, Placement::Spot(Region::UsEast1)));
     }
 
     #[test]

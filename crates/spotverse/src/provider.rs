@@ -131,6 +131,7 @@ mod tests {
             assessments: &assessments,
             quarantined: &[],
             rng: &mut rng,
+            audit: None,
         };
         let placements = strategy.initial_placements(&mut ctx, 4);
         // Neutral combined = 7, threshold 7 → all pass; cheapest-first
@@ -155,6 +156,7 @@ mod tests {
             assessments: &assessments,
             quarantined: &[],
             rng: &mut rng,
+            audit: None,
         };
         for _ in 0..50 {
             let p = strategy.relocate(&mut ctx, Region::EuWest1);

@@ -50,6 +50,13 @@ pub struct StrategyContext<'a> {
     pub quarantined: &'a [Region],
     /// The strategy's random stream.
     pub rng: &'a mut SimRng,
+    /// The decision's candidate audit: `Some` only when the run is traced.
+    /// A strategy that places from a scored selection appends one verdict
+    /// per assessed region from that same selection. One whose placement
+    /// did not come from a selection (a baseline, a deadline pin, a
+    /// single-region start, the `StayPut` ablation) leaves it empty, and
+    /// the decision records no candidates.
+    pub audit: Option<&'a mut Vec<CandidateVerdict>>,
 }
 
 /// A placement strategy under experiment.
@@ -80,9 +87,11 @@ pub trait Strategy: fmt::Debug {
     /// keeps failing) in `previous_region`.
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous_region: Region) -> Placement;
 
-    /// Explains how the strategy ranked every candidate region at a
-    /// decision point — purely observational, consulted only by the trace
-    /// layer. Baselines without a scoring pipeline return `None`.
+    /// Not called: a decision's candidates are what the strategy appends
+    /// to [`StrategyContext::audit`] while it decides. This provided method
+    /// stays only because perfbench's timing wrapper forwards it; it is
+    /// deleted together with that forward once perfbench stops copying
+    /// the strategy layer (ROADMAP item 16).
     fn explain_candidates(
         &self,
         _assessments: &[RegionAssessment],
@@ -544,7 +553,8 @@ impl Strategy for SpotVerseStrategy {
             return;
         }
         let view = self.view(ctx.assessments);
-        self.optimizer.initial_placements_into(&view, n, ctx.quarantined, out);
+        let audit = ctx.audit.as_deref_mut();
+        self.optimizer.initial_placements_into(&view, n, ctx.quarantined, out, audit);
     }
 
     fn relocate(&mut self, ctx: &mut StrategyContext<'_>, previous: Region) -> Placement {
@@ -552,18 +562,9 @@ impl Strategy for SpotVerseStrategy {
             return pinned;
         }
         let view = self.view(ctx.assessments);
+        let audit = ctx.audit.as_deref_mut();
         self.optimizer
-            .migration_target(&view, previous, self.policy, ctx.quarantined, ctx.rng)
-    }
-
-    fn explain_candidates(
-        &self,
-        assessments: &[RegionAssessment],
-        quarantined: &[Region],
-        previous: Option<Region>,
-    ) -> Option<Vec<CandidateVerdict>> {
-        let view = self.view(assessments);
-        Some(self.optimizer.explain_selection(&view, quarantined, previous))
+            .migration_target(&view, previous, self.policy, ctx.quarantined, ctx.rng, audit)
     }
 }
 
@@ -591,6 +592,7 @@ mod tests {
             assessments,
             quarantined: &[],
             rng,
+            audit: None,
         }
     }
 
@@ -703,21 +705,38 @@ mod tests {
         assert!(!s.relocate(&mut ctx, Region::UsEast1).is_spot());
     }
 
+    /// The candidate audit `s` records for an initial placement of one
+    /// workload.
+    fn audit_of(
+        s: &mut dyn Strategy,
+        a: &[RegionAssessment],
+        quarantined: &[Region],
+    ) -> Vec<CandidateVerdict> {
+        let mut rng = SimRng::seed_from_u64(10);
+        let mut audit = Vec::new();
+        let mut ctx = StrategyContext {
+            quarantined,
+            audit: Some(&mut audit),
+            ..ctx_with(a, &mut rng)
+        };
+        s.initial_placements(&mut ctx, 1);
+        audit
+    }
+
     #[test]
     fn explain_candidates_only_for_scoring_strategies() {
         let a = assessments(SimTime::ZERO);
-        assert!(SingleRegionStrategy::new(Region::UsEast1)
-            .explain_candidates(&a, &[], None)
-            .is_none());
-        assert!(SkyPilotStrategy::new().explain_candidates(&a, &[], None).is_none());
-        let s = SpotVerseStrategy::new(SpotVerseConfig::paper_default(InstanceType::M5Xlarge));
-        let verdicts = s.explain_candidates(&a, &[], None).expect("spotverse explains");
+        assert!(audit_of(&mut SingleRegionStrategy::new(Region::UsEast1), &a, &[]).is_empty());
+        assert!(audit_of(&mut SkyPilotStrategy::new(), &a, &[]).is_empty());
+        let config = SpotVerseConfig::paper_default(InstanceType::M5Xlarge);
+        let verdicts = audit_of(&mut SpotVerseStrategy::new(config.clone()), &a, &[]);
         assert_eq!(verdicts.len(), a.len(), "one verdict per assessed region");
-        let ablated = SpotVerseStrategy::ablated(
-            SpotVerseConfig::paper_default(InstanceType::M5Xlarge),
-            MigrationPolicy::CheapestQualifying,
-        );
-        assert!(ablated.explain_candidates(&a, &[], Some(Region::UsEast1)).is_some());
+        let mut ablated = SpotVerseStrategy::ablated(config, MigrationPolicy::CheapestQualifying);
+        let mut rng = SimRng::seed_from_u64(10);
+        let mut audit = Vec::new();
+        let mut ctx = StrategyContext { audit: Some(&mut audit), ..ctx_with(&a, &mut rng) };
+        ablated.relocate(&mut ctx, Region::UsEast1);
+        assert_eq!(audit.len(), a.len(), "a migration audits its selection too");
     }
 
     /// Plain SpotVerse and each §7 variant, under the thresholds the
@@ -751,8 +770,10 @@ mod tests {
         for mut s in spotverse_variants() {
             // Quarantine the cheapest region of the variant's
             // unconstrained selection; the selection refills behind it.
+            // A clone probes the selection, so the forecaster observes
+            // only the decisions under test.
             let selected = |quarantined: &[Region]| -> Vec<Region> {
-                let verdicts = s.explain_candidates(&a, quarantined, None).unwrap();
+                let verdicts = audit_of(&mut s.clone(), &a, quarantined);
                 let mut ranked: Vec<(usize, Region)> = verdicts
                     .into_iter()
                     .filter_map(|v| match v.outcome {

@@ -294,25 +294,20 @@ impl WorkloadRuntime {
                 .invocation
                 .plan()
                 .units_completed_within(self.invocation.units_done(), elapsed);
-        let spec_id = &self.spec.id;
         let generation = self.checkpoints.next_generation;
         self.checkpoints.next_generation += 1;
         cp.telemetry.writes += 1;
 
         // KV progress record, retried with jittered backoff when throttled.
+        // A restore reads the workload's own checkpoint ledger, never this
+        // record, so the write is billed and fault-checked but not stored.
         let (kv, ec2, rng) = (&mut cp.kv, &mut cp.ec2, &mut cp.backoff_rng);
         let record = retry_with_backoff(
             &CHECKPOINT_WRITE_RETRY,
             rng,
             now,
             |e| matches!(e, KvError::Throttled { .. }),
-            |at| {
-                kv.update_item(CHECKPOINT_TABLE, spec_id, at, ec2.ledger_mut(), |item| {
-                    item.insert("units_done", aws_stack::AttrValue::N(units_done as f64));
-                    item.insert("generation", aws_stack::AttrValue::N(generation as f64));
-                    item.insert("at", aws_stack::AttrValue::N(at.as_secs() as f64));
-                })
-            },
+            |at| kv.bill_write(CHECKPOINT_TABLE, at, ec2.ledger_mut()),
         );
         cp.telemetry.throttled_retries += u64::from(record.retries);
         let recorded = record.result.is_ok();

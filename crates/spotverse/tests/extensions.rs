@@ -1,16 +1,18 @@
 //! Integration tests for the extension features: the EFS checkpoint
 //! backend, the forecasting strategy, provider-degraded metrics, and
 //! ablated migration policies — each run through the full experiment
-//! engine — and the fleet's exclusion list binding every SpotVerse
-//! variant alike.
+//! engine — the fleet's exclusion list binding every SpotVerse variant
+//! alike, and each decision's candidate audit being the selection it
+//! placed from.
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{InstanceType, Region, Usd};
+use proptest::prelude::*;
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    run_experiment, run_fleet, CandidateOutcome, CheckpointBackend, DeadlinePolicy,
-    ExperimentConfig, FleetConfig, MetricAvailability, MigrationPolicy, SingleRegionStrategy,
-    SpotVerseConfig, SpotVerseStrategy, TraceConfig, TraceEvent,
+    run_experiment, run_fleet, CandidateOutcome, CheckpointBackend, DeadlinePolicy, DecisionKind,
+    ExperimentConfig, FleetConfig, InitialPlacement, MetricAvailability, MigrationPolicy,
+    SingleRegionStrategy, SpotVerseConfig, SpotVerseStrategy, TraceConfig, TraceEvent,
 };
 
 fn config(kind: WorkloadKind, n: usize, seed: u64, start_day: u64) -> ExperimentConfig {
@@ -138,20 +140,21 @@ fn low_placement_market_still_converges_via_retries() {
     );
 }
 
-/// Twelve genome workloads arriving ten minutes apart under a cap of one
-/// running instance per region: most decisions see capacity-full regions
-/// in their exclusion list.
-fn capacity_capped_fleet() -> FleetConfig {
-    let rng = SimRng::seed_from_u64(2024);
+/// Twelve genome workloads arriving ten minutes apart under `cap`
+/// running instances per region: with a cap, most decisions see
+/// capacity-full regions in their exclusion list.
+fn capped_fleet(seed: u64, cap: Option<u32>) -> FleetConfig {
+    let rng = SimRng::seed_from_u64(seed);
     let specs = paper_fleet(WorkloadKind::GenomeReconstruction, 12, &rng);
-    let mut config = FleetConfig::staggered(
-        2024,
-        InstanceType::M5Xlarge,
-        specs,
-        SimDuration::from_mins(10),
-    );
-    config.region_capacity = Some(1);
+    let mut config =
+        FleetConfig::staggered(seed, InstanceType::M5Xlarge, specs, SimDuration::from_mins(10));
+    config.region_capacity = cap;
     config
+}
+
+/// The fleet of [`capped_fleet`] at seed 2024, capped at one.
+fn capacity_capped_fleet() -> FleetConfig {
+    capped_fleet(2024, Some(1))
 }
 
 #[test]
@@ -176,50 +179,151 @@ fn provider_full_matches_plain_spotverse_on_a_capacity_capped_fleet() {
     assert_eq!(aws, plain);
 }
 
-#[test]
-fn every_variant_places_spot_only_in_selected_unexcluded_regions() {
-    let mut config = capacity_capped_fleet();
+/// Which of a strategy's decisions place without Algorithm 1's selection.
+#[derive(Clone, Copy)]
+enum Unselected {
+    /// Every decision comes from the selection.
+    Never,
+    /// Decisions the deadline guard pins to on-demand.
+    DeadlinePin(DeadlinePolicy),
+    /// The initial placement of a single-region start.
+    Initial,
+    /// Every migration of the `StayPut` ablation.
+    Migrations,
+}
+
+impl Unselected {
+    fn covers(self, at: SimTime, kind: DecisionKind) -> bool {
+        match self {
+            Unselected::Never => false,
+            Unselected::DeadlinePin(p) => p.must_go_on_demand(at, p.workload_duration),
+            Unselected::Initial => kind == DecisionKind::Initial,
+            Unselected::Migrations => kind == DecisionKind::Migration,
+        }
+    }
+}
+
+/// Runs every SpotVerse variant, plus the two non-default ablations and a
+/// single-region start, on [`capped_fleet`] traced, under `scenario` (an
+/// index into `chaos::library()`) and a deadline `slack_hours` after the
+/// start. The trace's candidate audit is the selection the decision
+/// placed from: (a) a spot placement of a decision that records
+/// candidates is one of its `Selected` regions and is not excluded; (b) a
+/// decision whose placement did not come from the selection (a deadline
+/// pin, a single-region start, a `StayPut` relaunch) records no
+/// candidates; (c) every other non-degraded decision records them. Under
+/// a cap of one, every strategy must also meet an exclusion, so (a) is
+/// seen to check one.
+fn check_decision_audit(
+    seed: u64,
+    threshold: u8,
+    cap: Option<u32>,
+    scenario: Option<usize>,
+    slack_hours: u64,
+) -> Result<(), TestCaseError> {
+    let mut config = capped_fleet(seed, cap);
+    config.chaos = scenario.map(|i| chaos::library()[i].clone());
     config.trace = TraceConfig::enabled();
-    let cfg = |threshold| {
-        SpotVerseConfig::builder(InstanceType::M5Xlarge)
-            .threshold(threshold)
-            .build()
-    };
+    let builder = || SpotVerseConfig::builder(InstanceType::M5Xlarge).threshold(threshold);
+    let single = builder()
+        .initial_placement(InitialPlacement::SingleRegion(Region::CaCentral1))
+        .build();
+    let cfg = || builder().build();
     let deadline = DeadlinePolicy {
-        deadline: config.start + SimDuration::from_hours(16),
+        deadline: config.start + SimDuration::from_hours(slack_hours),
         workload_duration: SimDuration::from_hours(10),
         safety_factor: 1.1,
     };
-    let variants = [
-        SpotVerseStrategy::new(cfg(6)),
-        SpotVerseStrategy::on_provider(cfg(6), MetricAvailability::Full),
-        SpotVerseStrategy::on_provider(cfg(7), MetricAvailability::InterruptionOnly),
-        SpotVerseStrategy::on_provider(cfg(7), MetricAvailability::PriceOnly),
-        SpotVerseStrategy::forecasting(cfg(6)),
-        SpotVerseStrategy::with_deadline(cfg(6), deadline),
+    let provider = |availability| SpotVerseStrategy::on_provider(cfg(), availability);
+    let ablated = |policy| SpotVerseStrategy::ablated(cfg(), policy);
+    let strategies = [
+        (SpotVerseStrategy::new(cfg()), Unselected::Never),
+        (provider(MetricAvailability::Full), Unselected::Never),
+        (provider(MetricAvailability::InterruptionOnly), Unselected::Never),
+        (provider(MetricAvailability::PriceOnly), Unselected::Never),
+        (SpotVerseStrategy::forecasting(cfg()), Unselected::Never),
+        (
+            SpotVerseStrategy::with_deadline(cfg(), deadline),
+            Unselected::DeadlinePin(deadline),
+        ),
+        (ablated(MigrationPolicy::StayPut), Unselected::Migrations),
+        (ablated(MigrationPolicy::CheapestQualifying), Unselected::Never),
+        (SpotVerseStrategy::new(single), Unselected::Initial),
     ];
-    for strategy in variants {
+    for (strategy, unselected) in strategies {
         let report = run_fleet(config.clone(), Box::new(strategy));
         let name = &report.aggregate.strategy;
         let trace = report.aggregate.trace.as_ref().expect("traced");
         let mut excluded_decisions = 0;
         for record in &trace.events {
-            let TraceEvent::Decision { degraded: false, quarantined, candidates, placements, .. } =
+            let TraceEvent::Decision { kind, degraded, quarantined, candidates, placements, .. } =
                 &record.event
             else {
                 continue;
             };
-            let candidates = candidates.as_ref().expect("every variant explains");
-            excluded_decisions += u32::from(!quarantined.is_empty());
+            let at = record.at;
+            excluded_decisions += u32::from(!*degraded && !quarantined.is_empty());
+            let Some(candidates) = candidates else {
+                // (b) and (c): only a degraded or unselected decision
+                // records no candidates.
+                prop_assert!(
+                    *degraded || unselected.covers(at, *kind),
+                    "{name}: a decision at {at:?} placed from the selection records none"
+                );
+                continue;
+            };
+            prop_assert!(!*degraded, "{name}: a degraded decision at {at:?} records candidates");
+            prop_assert!(
+                !unselected.covers(at, *kind),
+                "{name}: {placements:?} at {at:?} did not come from the selection, \
+                 yet records candidates"
+            );
+            // (a)
             for p in placements.iter().filter(|p| p.is_spot()) {
-                assert!(!quarantined.contains(&p.region()), "{name}: {p:?} is excluded");
-                assert!(
+                prop_assert!(!quarantined.contains(&p.region()), "{name}: {p:?} is excluded");
+                prop_assert!(
                     candidates.iter().any(|c| c.region == p.region()
                         && matches!(c.outcome, CandidateOutcome::Selected { .. })),
                     "{name}: {p:?} is not among the selected candidates"
                 );
             }
         }
-        assert!(excluded_decisions > 0, "{name}: no decision saw an exclusion");
+        if cap == Some(1) {
+            prop_assert!(excluded_decisions > 0, "{name}: no decision saw an exclusion");
+        }
     }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// [`check_decision_audit`] with a drawn seed, threshold, capacity cap
+    /// (none, 1 or 2), chaos scenario (none or one of the library) and
+    /// deadline slack.
+    #[test]
+    fn every_variant_places_spot_only_in_selected_unexcluded_regions(
+        seed in 0u64..1_000,
+        threshold in 4u8..=7,
+        cap in 0u32..3,
+        scenario in 0usize..=chaos::library().len(),
+        slack_hours in 11u64..=30,
+    ) {
+        check_decision_audit(
+            seed,
+            threshold,
+            (cap > 0).then_some(cap),
+            scenario.checked_sub(1),
+            slack_hours,
+        )?;
+    }
+}
+
+/// [`check_decision_audit`] on the fleet where a deadline-pinned
+/// on-demand placement was once traced beside Algorithm 1's `Selected`
+/// regions: seed 2024, T=6, a cap of one, no chaos and a deadline 16 h
+/// after the start.
+#[test]
+fn a_deadline_pinned_decision_records_no_candidates() {
+    check_decision_audit(2024, 6, Some(1), None, 16).unwrap();
 }

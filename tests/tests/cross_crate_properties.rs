@@ -55,6 +55,7 @@ proptest! {
             MigrationPolicy::RandomTopR,
             &[],
             &mut rng,
+            None,
         );
         if target.is_spot() {
             prop_assert_ne!(target.region(), interrupted);

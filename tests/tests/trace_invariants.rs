@@ -5,11 +5,14 @@
 //! recounted from its records must agree exactly with the counters the
 //! report keeps independently.
 
-use bio_workloads::WorkloadKind;
+use bio_workloads::{paper_fleet, WorkloadKind};
+use cloud_market::{InstanceType, Region};
 use proptest::prelude::*;
+use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    merged_trace_jsonl, run_experiment, run_matrix, BreakerState, DecisionKind, MarketCache,
-    RunTrace, SweepCell, TraceEvent,
+    merged_trace_jsonl, run_experiment, run_fleet_on, run_matrix, BreakerState, DeadlinePolicy,
+    DecisionKind, FleetConfig, InitialPlacement, MarketCache, MetricAvailability, MigrationPolicy,
+    RunTrace, SpotVerseConfig, SpotVerseStrategy, SweepCell, TraceEvent,
 };
 use spotverse_integration::{fleet_config, run_with, spotverse_strategy, traced_config};
 
@@ -88,7 +91,14 @@ fn every_interruption_is_followed_by_a_migration_decision() {
 
 /// Tracing is purely observational under faults too: a traced run and an
 /// untraced run of the same faulted configuration produce identical
-/// reports once the trace itself is set aside.
+/// reports once the trace itself is set aside. Plain SpotVerse runs a
+/// classic fleet under every library scenario; then every other SpotVerse
+/// variant (the three providers, forecasting, the deadline guard, the two
+/// non-default ablations and a single-region start) runs a staggered fleet
+/// capped at one instance per region under the next library scenario
+/// (the library repeats if it is shorter than the variant list), so the
+/// candidate audit a traced decision fills changes no placement, RNG draw
+/// or report field.
 #[test]
 fn tracing_toggle_changes_no_report_field_under_chaos() {
     for scenario in chaos::library() {
@@ -104,6 +114,50 @@ fn tracing_toggle_changes_no_report_field_under_chaos() {
         assert!(traced.trace.take().is_some(), "{name}: trace recorded");
         assert_eq!(plain, traced, "{name}: tracing must not perturb the run");
     }
+    let rng = SimRng::seed_from_u64(7);
+    let specs = paper_fleet(WorkloadKind::NgsPreprocessing, 8, &rng);
+    let mut fleet =
+        FleetConfig::staggered(7, InstanceType::M5Xlarge, specs, SimDuration::from_mins(10));
+    fleet.region_capacity = Some(1);
+    let market = Arc::new(cloud_market::SpotMarket::new(fleet.market));
+    let scenarios = chaos::library().into_iter().cycle();
+    for (strategy, scenario) in spotverse_variants(fleet.start).into_iter().zip(scenarios) {
+        let mut config = fleet.clone();
+        config.chaos = Some(scenario);
+        let plain = run_fleet_on(Arc::clone(&market), config.clone(), Box::new(strategy.clone()));
+        config.trace = spotverse::TraceConfig::enabled();
+        let mut traced = run_fleet_on(Arc::clone(&market), config, Box::new(strategy));
+        let name = &traced.aggregate.strategy;
+        assert!(traced.aggregate.trace.take().is_some(), "{name}: trace recorded");
+        assert_eq!(plain, traced, "{name}: tracing must not perturb the run");
+    }
+}
+
+/// Every SpotVerse variant but the plain one, each as a distinct strategy:
+/// the three providers, forecasting, a deadline guard whose slack runs
+/// out mid-run, the `StayPut` and `CheapestQualifying` ablations and a
+/// single-region start.
+fn spotverse_variants(start: SimTime) -> Vec<SpotVerseStrategy> {
+    let config = SpotVerseConfig::paper_default(InstanceType::M5Xlarge);
+    let provider = |availability| SpotVerseStrategy::on_provider(config.clone(), availability);
+    let deadline = DeadlinePolicy {
+        deadline: start + SimDuration::from_hours(12),
+        workload_duration: SimDuration::from_hours(4),
+        safety_factor: 1.1,
+    };
+    let single = SpotVerseConfig::builder(InstanceType::M5Xlarge)
+        .initial_placement(InitialPlacement::SingleRegion(Region::CaCentral1))
+        .build();
+    vec![
+        provider(MetricAvailability::Full),
+        provider(MetricAvailability::InterruptionOnly),
+        provider(MetricAvailability::PriceOnly),
+        SpotVerseStrategy::forecasting(config.clone()),
+        SpotVerseStrategy::with_deadline(config.clone(), deadline),
+        SpotVerseStrategy::ablated(config.clone(), MigrationPolicy::StayPut),
+        SpotVerseStrategy::ablated(config, MigrationPolicy::CheapestQualifying),
+        SpotVerseStrategy::new(single),
+    ]
 }
 
 /// The jobs-invariance contract extends to the merged sweep trace: the
