@@ -18,14 +18,16 @@
 //! against the same [`MarketConfig`] observes the identical market. Nothing
 //! is built before it is queried (DESIGN.md §1 and §13): construction only
 //! draws the regime schedule every (region, instance type) shares; each
-//! pair's cheap daily band and episode processes are walked on its first
-//! query; and the expensive trajectories (hourly prices, daily placement
-//! scores) materialize on first touch in segments that double in length
-//! (4, 4, 8 … 128 days). A run that places one instance type never pays
-//! for the other five, a one-day run pays for four days of one, and a
+//! pair's cheap daily band walk runs on its first query; and its
+//! trajectories (hourly prices, daily placement scores, demand episodes)
+//! materialize on first touch in segments that double in length (1, 1,
+//! 2, 4 … 128 days). A run that places one instance type never pays for
+//! the other five, a run that reads day 1 pays for two days of one, and a
 //! fleet that finishes inside the first month never pays for the
 //! remaining months of the horizon.
 
+use std::iter::FusedIterator;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sim_kernel::{SimDuration, SimRng, SimTime};
@@ -213,14 +215,15 @@ impl std::error::Error for MarketError {}
 
 /// Length in days of the first lazily-materialized trajectory segment.
 ///
-/// Segments double from there: boundaries fall at days 0, 4, 8, 16, 32,
-/// 64 and 128, and the last segment is cut at the horizon (seven
-/// segments over the default 210 days). Placement scores fill on these
-/// boundaries in days, prices on the same boundaries in hours. A run that
-/// ends within four days fills one segment per track and a month of
-/// queries four, so short seeded runs pay for little of the horizon while
-/// a whole-horizon run still fills only seven boxes per track.
-const FIRST_SEGMENT_DAYS: usize = 4;
+/// Segments double from there: boundaries fall at days 0, 1, 2, 4, 8,
+/// 16, 32, 64 and 128, and the last segment is cut at the horizon (nine
+/// segments over the default 210 days). Placement scores and demand
+/// episodes fill on these boundaries in days, prices on the same
+/// boundaries in hours. A run that reads only day 0 fills one segment per
+/// track, one that reads day 1 two, and a month of queries six, so short
+/// seeded runs pay for little of the horizon while a whole-horizon run
+/// still fills only nine boxes per track.
+const FIRST_SEGMENT_DAYS: usize = 1;
 
 /// Segments covering a trajectory of `len` values whose first segment
 /// holds `first` (at least one, so an empty horizon still has a segment
@@ -241,28 +244,33 @@ fn segment_start(seg: usize, first: usize) -> usize {
     first * ((1 << seg) >> 1)
 }
 
-/// A sequential trajectory generator: each call appends the next `n`
-/// values, advancing internal state (RNG stream position, process carry)
-/// so successive calls chain into one continuous sequence — the key to
-/// lazy segments staying bit-identical to a single eager front-to-back
-/// pass.
+/// A sequential trajectory generator: each call produces the segment
+/// covering the next span of units (days or hours), advancing internal
+/// state (RNG stream position, process carry) so successive calls chain
+/// into one continuous sequence — the key to lazy segments staying
+/// bit-identical to a single eager front-to-back pass.
 trait SegmentGen: std::fmt::Debug + Send {
     /// The element type of the generated sequence.
     type Item: Copy + Send + Sync + PartialEq + std::fmt::Debug;
-    /// Appends the next `n` values of the sequence to `out`.
-    fn next_n(&mut self, n: usize, out: &mut Vec<Self::Item>);
+    /// The segment covering `span`, which starts where the previous
+    /// call's span ended.
+    fn fill(&mut self, span: Range<usize>) -> Box<[Self::Item]>;
 }
 
-/// One lazily-materialized trajectory: values are produced in doubling
-/// segments (see [`FIRST_SEGMENT_DAYS`]) on first touch. Segments always
-/// fill front-to-back with the generator state chained across
-/// boundaries, so any query order yields exactly the values an eager
-/// build would have precomputed. Reads of filled segments are lock-free;
-/// the generator lock is held only while filling.
+/// One lazily-materialized trajectory: segments covering doubling spans
+/// of units (see [`FIRST_SEGMENT_DAYS`]) are produced on first touch.
+/// Segments always fill front-to-back with the generator state chained
+/// across boundaries, so any query order yields exactly the values an
+/// eager build would have precomputed. Reads of filled segments are
+/// lock-free; the generator lock is held only while filling.
+///
+/// A price or placement segment holds one value per unit; a demand-episode
+/// segment holds the windows its days need (see [`EpisodeGen`]).
 #[derive(Debug)]
 struct LazyTrack<G: SegmentGen> {
+    /// Units covered (days or hours).
     len: usize,
-    /// Values in segment 0; segment `k ≥ 1` holds `first << (k - 1)`.
+    /// Units in segment 0; segment `k ≥ 1` covers `first << (k - 1)`.
     first: usize,
     segments: Box<[Segment<G::Item>]>,
     /// Next segment index to fill, plus the chained generator state.
@@ -282,18 +290,22 @@ impl<G: SegmentGen> LazyTrack<G> {
         }
     }
 
-    /// The value at `idx`, clamped to the final element (callers have
-    /// already horizon-checked; the clamp mirrors the defensive indexing
-    /// of the old precomputed vectors).
+    /// The value at unit `idx` of a one-value-per-unit track, clamped to
+    /// the final unit (callers have already horizon-checked; the clamp
+    /// mirrors the defensive indexing of the old precomputed vectors).
     fn get(&self, idx: usize) -> G::Item {
         let idx = idx.min(self.len - 1);
         let seg = segment_of(idx, self.first);
-        let offset = idx - segment_start(seg, self.first);
+        self.segment(seg)[idx - segment_start(seg, self.first)]
+    }
+
+    /// Segment `seg`, filling it and every unfilled one before it first.
+    fn segment(&self, seg: usize) -> &[G::Item] {
         if let Some(s) = self.segments[seg].get() {
-            return s[offset];
+            return s;
         }
         self.fill_through(seg);
-        self.segments[seg].get().expect("filled above")[offset]
+        self.segments[seg].get().expect("filled above")
     }
 
     /// Fills every unfilled segment up to and including `seg`, in order.
@@ -302,12 +314,10 @@ impl<G: SegmentGen> LazyTrack<G> {
         let mut guard = self.gen.lock().expect("lazy-track generator poisoned");
         let (next, gen) = &mut *guard;
         while *next <= seg {
+            let start = segment_start(*next, self.first);
             let end = segment_start(*next + 1, self.first).min(self.len);
-            let n = end - segment_start(*next, self.first);
-            let mut buf = Vec::with_capacity(n);
-            gen.next_n(n, &mut buf);
             self.segments[*next]
-                .set(buf.into_boxed_slice())
+                .set(gen.fill(start..end))
                 .expect("segment filled twice");
             *next += 1;
         }
@@ -326,11 +336,12 @@ impl<G: SegmentGen> LazyTrack<G> {
     }
 }
 
-/// Logical equality: same sequence values, forcing materialization of
-/// both sides. Used by determinism tests comparing lazy and eager builds.
+/// Logical equality: the same segments, forcing materialization of both
+/// sides. Used by determinism tests comparing lazy and eager builds.
 impl<G: SegmentGen> PartialEq for LazyTrack<G> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && (0..self.len).all(|i| self.get(i) == other.get(i))
+        self.len == other.len
+            && (0..self.segments.len()).all(|k| self.segment(k) == other.segment(k))
     }
 }
 
@@ -342,22 +353,124 @@ struct PlacementGen {
     sigma: f64,
     phi: f64,
     deviation: f64,
-    day: usize,
     schedule: Arc<RegimeSchedule>,
 }
 
 impl SegmentGen for PlacementGen {
     type Item = PlacementScore;
 
-    fn next_n(&mut self, n: usize, out: &mut Vec<PlacementScore>) {
-        for _ in 0..n {
+    fn fill(&mut self, days: Range<usize>) -> Box<[PlacementScore]> {
+        days.map(|day| {
             self.deviation = self.phi * self.deviation + self.rng.normal(0.0, self.sigma);
-            let delta = self.schedule.day(self.day).placement_delta;
-            out.push(PlacementScore::from_f64_clamped(self.mean + self.deviation + delta));
-            self.day += 1;
-        }
+            let delta = self.schedule.day(day).placement_delta;
+            PlacementScore::from_f64_clamped(self.mean + self.deviation + delta)
+        })
+        .collect()
     }
 }
+
+/// One demand-episode window, `[start, end)`.
+type Window = (SimTime, SimTime);
+
+/// The Poisson episode arrivals of one market, one raw (unmerged) window
+/// per draw, in the order the eager loop drew them.
+#[derive(Debug)]
+struct EpisodeDraws {
+    rng: SimRng,
+    rate_per_hour: f64,
+    mean_hours: f64,
+    horizon_hours: f64,
+    t_hours: f64,
+}
+
+impl Iterator for EpisodeDraws {
+    type Item = Window;
+
+    fn next(&mut self) -> Option<Window> {
+        self.t_hours += self.rng.exponential(self.rate_per_hour);
+        if !self.t_hours.is_finite() || self.t_hours >= self.horizon_hours {
+            return None;
+        }
+        let duration = self.rng.exponential(1.0 / self.mean_hours).clamp(0.5, 12.0);
+        let start = SimTime::from_secs((self.t_hours * 3600.0) as u64);
+        let end_hours = (self.t_hours + duration).min(self.horizon_hours);
+        self.t_hours = end_hours;
+        Some((start, SimTime::from_secs((end_hours * 3600.0) as u64)))
+    }
+}
+
+/// `t_hours` never decreases, so once a draw passes the horizon (or is
+/// not finite) every later one does too.
+impl FusedIterator for EpisodeDraws {}
+
+/// Sorted, disjoint demand-episode windows, drawn lazily in day segments.
+///
+/// Each segment holds the last window begun before it (the carry-in,
+/// which may still be running) followed by every window that begins in
+/// its days, so the windows a read at any instant of those days needs lie
+/// in one slice. Overlapping draws merge exactly as the eager loop merged
+/// them: the generator holds its last window until a draw can no longer
+/// merge into it, even when that draw begins in a later segment.
+#[derive(Debug)]
+struct EpisodeGen<D> {
+    draws: D,
+    /// The last window drawn, which the next draw may still extend.
+    held: Option<Window>,
+    /// The last window handed out: the next segment's carry-in.
+    carry: Option<Window>,
+    /// Reused scratch for the segment being filled.
+    buf: Vec<Window>,
+}
+
+impl<D> EpisodeGen<D> {
+    fn new(draws: D) -> Self {
+        EpisodeGen { draws, held: None, carry: None, buf: Vec::new() }
+    }
+}
+
+impl<D> SegmentGen for EpisodeGen<D>
+where
+    D: FusedIterator<Item = Window> + std::fmt::Debug + Send,
+{
+    type Item = Window;
+
+    fn fill(&mut self, days: Range<usize>) -> Box<[Window]> {
+        let end = SimTime::from_days(days.end as u64);
+        self.buf.clear();
+        self.buf.extend(self.carry);
+        // Every window begun before `end` is final once the held window
+        // begins at or past `end`, or the draws run out.
+        while self.held.is_none_or(|(start, _)| start < end) {
+            let Some(draw) = self.draws.next() else {
+                self.buf.extend(self.held.take());
+                break;
+            };
+            match &mut self.held {
+                Some(held) if held.1 >= draw.0 => held.1 = held.1.max(draw.1),
+                held => self.buf.extend(held.replace(draw)),
+            }
+        }
+        self.carry = self.buf.last().copied();
+        self.buf.as_slice().into()
+    }
+}
+
+impl<D> LazyTrack<EpisodeGen<D>>
+where
+    EpisodeGen<D>: SegmentGen<Item = Window>,
+{
+    /// Whether `at` lies inside a demand-episode window: one lock-free
+    /// search of the segment holding `at`'s day, once it is filled.
+    fn in_episode(&self, at: SimTime) -> bool {
+        let day = (at.as_days() as usize).min(self.len - 1);
+        let windows = self.segment(segment_of(day, self.first));
+        let idx = windows.partition_point(|&(s, _)| s <= at);
+        idx > 0 && at < windows[idx - 1].1
+    }
+}
+
+/// The lazily-drawn demand episodes of one market.
+type EpisodeTrack = LazyTrack<EpisodeGen<EpisodeDraws>>;
 
 /// Hourly mean-reverting price process (episode multiplier baked in,
 /// clamped below on-demand).
@@ -365,55 +478,45 @@ impl SegmentGen for PlacementGen {
 struct PriceGen {
     rng: SimRng,
     profile: MarketProfile,
-    episodes: Arc<[(SimTime, SimTime)]>,
+    /// Read, and drawn on demand, under this track's lock.
+    episodes: Arc<EpisodeTrack>,
     od: f64,
     price_mult: f64,
     phi: f64,
     sigma: f64,
     schedule: Arc<RegimeSchedule>,
     hours_total: usize,
-    h: usize,
     x: f64,
-    episode_idx: usize,
 }
 
 impl SegmentGen for PriceGen {
     type Item = f64;
 
-    fn next_n(&mut self, n: usize, out: &mut Vec<f64>) {
-        for _ in 0..n {
-            self.x = self.phi * self.x + self.rng.normal(0.0, self.sigma);
-            let frac = self.h as f64 / self.hours_total.max(1) as f64;
-            let day = self.h as f64 / 24.0;
-            let surge_mult = self.profile.surge_price_factor(day);
-            let base = self.profile.spot_base_at(frac).rate() * surge_mult;
-            let mid = SimTime::from_secs(self.h as u64 * 3600 + 1800);
-            while self.episode_idx < self.episodes.len() && self.episodes[self.episode_idx].1 < mid
-            {
-                self.episode_idx += 1;
-            }
-            let in_episode = self
-                .episodes
-                .get(self.episode_idx)
-                .is_some_and(|&(s, e)| s <= mid && mid < e);
-            let mult = if in_episode { self.price_mult } else { 1.0 };
-            // Regime price jumps multiply before the on-demand clamp, so
-            // shocked prices still respect the ceiling. Baseline is the
-            // neutral schedule: multiplying by exactly 1.0 is bit-exact.
-            let regime_mult = self.schedule.day(self.h / 24).price_mult;
-            out.push(
+    fn fill(&mut self, hours: Range<usize>) -> Box<[f64]> {
+        hours
+            .map(|h| {
+                self.x = self.phi * self.x + self.rng.normal(0.0, self.sigma);
+                let frac = h as f64 / self.hours_total.max(1) as f64;
+                let day = h as f64 / 24.0;
+                let surge_mult = self.profile.surge_price_factor(day);
+                let base = self.profile.spot_base_at(frac).rate() * surge_mult;
+                let mid = SimTime::from_secs(h as u64 * 3600 + 1800);
+                let mult = if self.episodes.in_episode(mid) { self.price_mult } else { 1.0 };
+                // Regime price jumps multiply before the on-demand clamp, so
+                // shocked prices still respect the ceiling. Baseline is the
+                // neutral schedule: multiplying by exactly 1.0 is bit-exact.
+                let regime_mult = self.schedule.day(h / 24).price_mult;
                 (base * (1.0 + self.x).max(0.3) * mult * regime_mult)
-                    .clamp(0.15 * self.od, self.od),
-            );
-            self.h += 1;
-        }
+                    .clamp(0.15 * self.od, self.od)
+            })
+            .collect()
     }
 }
 
-/// One (region, instance type) market's trajectory. The cheap processes
-/// (daily band walk, demand episodes, the hazard thinning bound derived
-/// from them) are built eagerly; the expensive ones (hourly prices, daily
-/// placement scores) materialize lazily per segment.
+/// One (region, instance type) market's trajectory. The daily band walk
+/// and the hazard thinning bound derived from it are built eagerly; the
+/// hourly prices, daily placement scores and demand episodes materialize
+/// lazily per segment.
 #[derive(Debug)]
 struct MarketState {
     profile: MarketProfile,
@@ -423,8 +526,8 @@ struct MarketState {
     daily_placement: LazyTrack<PlacementGen>,
     /// Spot price per hour, lazily materialized.
     hourly_price: LazyTrack<PriceGen>,
-    /// Sorted, disjoint demand-episode windows.
-    episodes: Arc<[(SimTime, SimTime)]>,
+    /// Demand-episode windows, lazily drawn (shared with the price track).
+    episodes: Arc<EpisodeTrack>,
     /// Maximum instantaneous hazard over the horizon (thinning bound).
     max_hazard: f64,
     /// The regime's static generator calibration.
@@ -458,7 +561,7 @@ impl MarketState {
         let hours = days * 24;
         let region = profile.region();
         let itype = profile.instance_type();
-        let label = format!("{region}/{itype}");
+        let fork = |stream: &str| rng.fork_parts(&[stream, region.name(), "/", itype.name()]);
 
         // --- Band walk -----------------------------------------------------
         // m5.xlarge (the Table-3 instance type) advertises very sticky
@@ -469,7 +572,7 @@ impl MarketState {
         } else {
             (0.05, 0.5)
         };
-        let mut band_rng = rng.fork(&format!("band:{label}"));
+        let mut band_rng = fork("band:");
         let base_band = profile.base_band();
         let mut daily_band = Vec::with_capacity(days);
         let mut band = base_band;
@@ -491,60 +594,47 @@ impl MarketState {
             days,
             FIRST_SEGMENT_DAYS,
             PlacementGen {
-                rng: rng.fork(&format!("placement:{label}")),
+                rng: fork("placement:"),
                 mean: profile.placement_mean(),
                 sigma: placement_sigma,
                 phi: spec.placement_phi,
                 deviation: 0.0,
-                day: 0,
                 schedule: Arc::clone(&schedule),
             },
         );
 
-        // --- Demand episodes -----------------------------------------------
-        let mut ep_rng = rng.fork(&format!("episodes:{label}"));
-        let mut episodes: Vec<(SimTime, SimTime)> = Vec::new();
-        let mut t_hours = 0.0_f64;
-        let horizon_hours = hours as f64;
-        loop {
-            // Episode arrival rate depends on the long-run band; the daily
-            // band walk only modulates hazard, not episode arrivals, which
-            // keeps the precomputation single-pass.
-            let params = episode_params(base_band);
-            let rate_per_hour = params.per_day * spec.episode_rate_mult / 24.0;
-            t_hours += ep_rng.exponential(rate_per_hour);
-            if !t_hours.is_finite() || t_hours >= horizon_hours {
-                break;
-            }
-            let duration = ep_rng.exponential(1.0 / params.mean_hours).clamp(0.5, 12.0);
-            let start = SimTime::from_secs((t_hours * 3600.0) as u64);
-            let end_hours = (t_hours + duration).min(horizon_hours);
-            let end = SimTime::from_secs((end_hours * 3600.0) as u64);
-            match episodes.last_mut() {
-                Some(last) if last.1 >= start => last.1 = last.1.max(end),
-                _ => episodes.push((start, end)),
-            }
-            t_hours = end_hours;
-        }
-        let episodes: Arc<[(SimTime, SimTime)]> = episodes.into();
+        // --- Demand episodes (lazily drawn) --------------------------------
+        // Episode arrival rate depends on the long-run band; the daily band
+        // walk only modulates hazard, not episode arrivals, which keeps the
+        // draws a single front-to-back pass.
+        let params = episode_params(base_band);
+        let episodes = Arc::new(LazyTrack::new(
+            days,
+            FIRST_SEGMENT_DAYS,
+            EpisodeGen::new(EpisodeDraws {
+                rng: fork("episodes:"),
+                rate_per_hour: params.per_day * spec.episode_rate_mult / 24.0,
+                mean_hours: params.mean_hours,
+                horizon_hours: hours as f64,
+                t_hours: 0.0,
+            }),
+        ));
 
         // --- Hourly price process (lazily materialized) --------------------
         let hourly_price = LazyTrack::new(
             hours,
             FIRST_SEGMENT_DAYS * 24,
             PriceGen {
-                rng: rng.fork(&format!("price:{label}")),
+                rng: fork("price:"),
                 od: profiles::on_demand_price(region, itype).rate(),
-                price_mult: episode_params(base_band).price_mult,
+                price_mult: params.price_mult,
                 phi: spec.price_phi,
                 sigma: spec.price_sigma,
                 schedule: Arc::clone(&schedule),
                 episodes: Arc::clone(&episodes),
                 profile: profile.clone(),
                 hours_total: hours,
-                h: 0,
                 x: 0.0,
-                episode_idx: 0,
             },
         );
 
@@ -575,11 +665,6 @@ impl MarketState {
         }
     }
 
-    fn in_episode(&self, at: SimTime) -> bool {
-        let idx = self.episodes.partition_point(|&(s, _)| s <= at);
-        idx > 0 && at < self.episodes[idx - 1].1
-    }
-
     fn hazard_at(&self, at: SimTime) -> f64 {
         let day = (at.as_days() as usize).min(self.daily_band.len().saturating_sub(1));
         let band = self.daily_band[day];
@@ -591,7 +676,7 @@ impl MarketState {
         // the baseline hazard stays bit-identical to the pre-regime form.
         let regime = self.schedule.day(day).hazard_mult;
         let quiet = quiet_hazard(band) * self.profile.hazard_scale() * surge * weekly * regime;
-        if self.in_episode(at) {
+        if self.episodes.in_episode(at) {
             quiet * episode_params(band).hazard_mult
         } else {
             quiet
@@ -664,10 +749,10 @@ impl PartialEq for SpotMarket {
 
 impl SpotMarket {
     /// Builds the market. Construction only draws the regime schedule;
-    /// each (region, instance type) state walks its cheap daily band and
-    /// episode processes on its first query, and its hourly price and
-    /// daily placement trajectories materialize on first touch in
-    /// segments that double in length (4, 4, 8 … 128 days). Both stay
+    /// each (region, instance type) state walks its cheap daily band on
+    /// its first query, and its hourly price, daily placement and
+    /// demand-episode trajectories materialize on first touch in segments
+    /// that double in length (1, 1, 2, 4 … 128 days). Both stay
     /// bit-identical to the eager reference build
     /// ([`SpotMarket::new_eager`]): every state's streams are forks of one
     /// parent stream, and a fork is a pure function of `(seed, label)`, so
@@ -707,6 +792,7 @@ impl SpotMarket {
     pub fn new_eager(config: MarketConfig) -> Self {
         let market = Self::new(config);
         for state in market.offered_states() {
+            state.episodes.force_all();
             state.daily_placement.force_all();
             state.hourly_price.force_all();
         }
@@ -741,12 +827,14 @@ impl SpotMarket {
         self.offered[region as usize][instance_type as usize]
     }
 
-    /// `(filled, total)` lazy-trajectory segment counts summed across
+    /// `(filled, total)` price and placement segment counts summed across
     /// every offered (region, instance type) market — how much of the
     /// horizon has actually been paid for. Benches and tests use this to
     /// assert that short experiments leave most of the market
     /// unmaterialized. A state not yet built has filled none of its
     /// segments; the total counts every offered state, built or not.
+    /// Demand-episode segments, which hold a few windows each, are not
+    /// counted.
     pub fn materialized_segments(&self) -> (usize, usize) {
         let filled = self.states.iter().flatten().filter_map(OnceLock::get).fold(0, |n, s| {
             n + s.daily_placement.segments_filled().0 + s.hourly_price.segments_filled().0
@@ -920,7 +1008,7 @@ impl SpotMarket {
         at: SimTime,
     ) -> Result<bool, MarketError> {
         self.check_horizon(at)?;
-        Ok(self.state(region, instance_type)?.in_episode(at))
+        Ok(self.state(region, instance_type)?.episodes.in_episode(at))
     }
 
     /// Samples the delay until the next interruption for an instance started
@@ -1074,48 +1162,108 @@ mod tests {
 
     #[test]
     fn the_segment_total_counts_unbuilt_states() {
-        // 69 offered pairs (72 less three p3.2xlarge gaps), each with 7
-        // placement and 7 price segments over the 210-day horizon.
+        // 69 offered pairs (72 less three p3.2xlarge gaps), each with 9
+        // placement and 9 price segments over the 210-day horizon.
         let m = market();
-        assert_eq!(m.materialized_segments(), (0, 966));
-        // Day 20 lies in the segment from day 16, the fourth.
+        assert_eq!(m.materialized_segments(), (0, 1_242));
+        // Day 20 lies in the segment from day 16, the sixth.
         m.placement_score(Region::UsWest1, InstanceType::M5Xlarge, SimTime::from_days(20))
             .unwrap();
-        assert_eq!(m.materialized_segments(), (4, 966));
+        assert_eq!(m.materialized_segments(), (6, 1_242));
         let eager = SpotMarket::new_eager(MarketConfig::with_seed(7));
-        assert_eq!(eager.materialized_segments(), (966, 966));
+        assert_eq!(eager.materialized_segments(), (1_242, 1_242));
         assert_eq!(built(&eager).len(), 69);
     }
 
+    /// The length of each segment of `track`, 0 where unfilled.
+    fn filled<G: SegmentGen>(track: &LazyTrack<G>) -> Vec<usize> {
+        track.segments.iter().map(|s| s.get().map_or(0, |b| b.len())).collect()
+    }
+
     #[test]
-    fn segments_double_from_four_days_and_stop_at_the_horizon() {
-        fn filled<G: SegmentGen>(track: &LazyTrack<G>) -> Vec<usize> {
-            track.segments.iter().map(|s| s.get().map_or(0, |b| b.len())).collect()
-        }
-        let starts: Vec<usize> = (0..7).map(|k| segment_start(k, FIRST_SEGMENT_DAYS)).collect();
-        assert_eq!(starts, [0, 4, 8, 16, 32, 64, 128]);
-        for (days, count) in [(0, 1), (3, 1), (4, 1), (5, 2), (8, 2), (9, 3), (130, 7), (210, 7)] {
+    fn segments_double_from_one_day_and_stop_at_the_horizon() {
+        let starts: Vec<usize> = (0..9).map(|k| segment_start(k, FIRST_SEGMENT_DAYS)).collect();
+        assert_eq!(starts, [0, 1, 2, 4, 8, 16, 32, 64, 128]);
+        for (days, count) in
+            [(0, 1), (1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (8, 4), (9, 5), (130, 9), (210, 9)]
+        {
             assert_eq!(segment_count(days, FIRST_SEGMENT_DAYS), count, "{days} days");
         }
 
-        // A run that reads days 1-3 fills the first box of each track:
-        // 4 placement days and 96 price hours.
+        // A run that reads day 1 fills the first two boxes of each track:
+        // 2 placement days and 48 price hours.
         let m = market();
         let (region, itype) = (Region::UsEast1, InstanceType::M5Xlarge);
-        for day in 1..=3 {
-            let t = SimTime::from_days(day) + SimDuration::from_hours(23);
-            m.spot_price(region, itype, t).unwrap();
-            m.placement_score(region, itype, t).unwrap();
-        }
+        let t = SimTime::from_days(1) + SimDuration::from_hours(23);
+        m.spot_price(region, itype, t).unwrap();
+        m.placement_score(region, itype, t).unwrap();
         let state = m.state(region, itype).unwrap();
-        assert_eq!(filled(&state.daily_placement), [4, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(filled(&state.hourly_price), [96, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(filled(&state.daily_placement), [1, 1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(filled(&state.hourly_price), [24, 24, 0, 0, 0, 0, 0, 0, 0]);
+        let episode_segments = filled(&state.episodes);
+        assert!(episode_segments[2..].iter().all(|&n| n == 0), "{episode_segments:?}");
 
         // The last segment is cut at the 210-day horizon.
         state.daily_placement.force_all();
         state.hourly_price.force_all();
-        assert_eq!(filled(&state.daily_placement), [4, 4, 8, 16, 32, 64, 82]);
-        assert_eq!(filled(&state.hourly_price), [96, 96, 192, 384, 768, 1_536, 1_968]);
+        assert_eq!(filled(&state.daily_placement), [1, 1, 2, 4, 8, 16, 32, 64, 82]);
+        assert_eq!(
+            filled(&state.hourly_price),
+            [24, 24, 48, 96, 192, 384, 768, 1_536, 1_968]
+        );
+    }
+
+    /// Merges raw episode draws the way the eager build's single loop did.
+    fn merge_eagerly(draws: &[Window]) -> Vec<Window> {
+        let mut windows: Vec<Window> = Vec::new();
+        for &(start, end) in draws {
+            match windows.last_mut() {
+                Some(last) if last.1 >= start => last.1 = last.1.max(end),
+                _ => windows.push((start, end)),
+            }
+        }
+        windows
+    }
+
+    #[test]
+    fn lazy_episodes_match_the_eager_merge_at_every_boundary_second() {
+        let at = |day: u64, mins: u64| SimTime::from_days(day) + SimDuration::from_mins(mins);
+        // Over 8 days the segments start at days 0, 1, 2 and 4.
+        let draws = [
+            // Begins in segment 0 and runs through all of segment 1 into
+            // segment 2: the carry-in of both.
+            (at(0, 720), at(2, 360)),
+            // Begins in segment 2 and ends in segment 3, where the next
+            // two draws begin at its end and merge into it.
+            (at(3, 1_200), at(4, 120)),
+            (at(4, 120), at(4, 300)),
+            (at(4, 300), at(5, 0)),
+            // Two overlapping draws inside segment 3.
+            (at(6, 0), at(6, 60)),
+            (at(6, 30), at(6, 180)),
+        ];
+        let eager = merge_eagerly(&draws);
+        assert_eq!(eager.len(), 3, "{eager:?}");
+        let expected = |t: SimTime| eager.iter().any(|&(s, e)| s <= t && t < e);
+        let track = || LazyTrack::new(8, FIRST_SEGMENT_DAYS, EpisodeGen::new(draws.into_iter()));
+        let mut boundaries: Vec<SimTime> = [1, 2, 4].map(|d| at(d, 0)).to_vec();
+        boundaries.extend(eager.iter().flat_map(|&(s, e)| [s, e]));
+        boundaries.sort();
+        // Front to back, then from the last boundary first (cold segments
+        // fill behind it).
+        for order in [boundaries.clone(), boundaries.iter().rev().copied().collect()] {
+            let lazy = track();
+            for &b in &order {
+                let from = b.as_secs().saturating_sub(3_600);
+                for t in (from..b.as_secs() + 3_600).map(SimTime::from_secs) {
+                    assert_eq!(lazy.in_episode(t), expected(t), "at {t:?} (boundary {b:?})");
+                }
+            }
+            // Each segment is its carry-in plus the windows begun in it.
+            lazy.force_all();
+            let segments: Vec<&[Window]> = (0..4).map(|k| lazy.segment(k)).collect();
+            assert_eq!(segments, [&eager[..1], &eager[..1], &eager[..2], &eager[1..]]);
+        }
     }
 
     #[test]
@@ -1145,7 +1293,7 @@ mod tests {
             let config = MarketConfig { seed, horizon_days: 60, ..MarketConfig::default() };
             let eager = SpotMarket::new_eager(config);
             let lazy = SpotMarket::new(config);
-            for day in [59, 0, 32, 4, 15, 16, 41, 8] {
+            for day in [59, 0, 32, 4, 15, 1, 16, 41, 2, 8] {
                 let t = SimTime::from_days(day);
                 assert_eq!(
                     lazy.spot_price(Region::UsEast1, InstanceType::M5Xlarge, t),
@@ -1174,8 +1322,8 @@ mod tests {
             m.placement_score(Region::UsEast1, InstanceType::M5Xlarge, t).unwrap();
         }
         let (filled, _) = m.materialized_segments();
-        // Days 0-29 touch the segments from days 0, 4, 8 and 16.
-        assert_eq!(filled, 2 * 4, "exactly the touched segments fill");
+        // Days 0-29 touch the segments from days 0, 1, 2, 4, 8 and 16.
+        assert_eq!(filled, 2 * 6, "exactly the touched segments fill");
         assert!(filled * 20 < total, "filled {filled} of {total}");
     }
 
@@ -1371,7 +1519,9 @@ mod tests {
         let state = m
             .state(Region::EuWest3, InstanceType::M5Xlarge)
             .unwrap();
-        if let Some(&(start, _)) = state.episodes.first() {
+        let episodes = &state.episodes;
+        let first = (0..episodes.segments.len()).find_map(|k| episodes.segment(k).first());
+        if let Some(&(start, _)) = first {
             let inside = state.hazard_at(start + SimDuration::from_secs(60));
             let band = state.daily_band[(start.as_days() as usize).min(state.daily_band.len() - 1)];
             let quiet = quiet_hazard(band);

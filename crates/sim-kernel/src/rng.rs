@@ -85,7 +85,23 @@ impl SimRng {
     /// Forking is a pure function of `(self.seed, label)` — it does not
     /// consume state from `self`, so fork order is irrelevant.
     pub fn fork(&self, label: &str) -> SimRng {
-        SimRng::seed_from_u64(splitmix64(self.seed ^ hash_label(label)))
+        self.fork_parts(&[label])
+    }
+
+    /// Forks the substream [`fork`](SimRng::fork) gives the concatenation
+    /// of `parts`, hashing the parts in turn so the joined label is never
+    /// built.
+    ///
+    /// ```
+    /// use sim_kernel::SimRng;
+    ///
+    /// let rng = SimRng::seed_from_u64(3);
+    /// let joined = rng.fork("price:us-east-1/m5.xlarge").seed();
+    /// assert_eq!(rng.fork_parts(&["price:", "us-east-1", "/", "m5.xlarge"]).seed(), joined);
+    /// ```
+    pub fn fork_parts(&self, parts: &[&str]) -> SimRng {
+        let h = parts.iter().fold(FNV_OFFSET, |h, part| fnv1a(h, part.as_bytes()));
+        SimRng::seed_from_u64(splitmix64(self.seed ^ h))
     }
 
     /// Forks an independent substream identified by a label and index.

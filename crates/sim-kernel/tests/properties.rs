@@ -165,6 +165,30 @@ proptest! {
         }
     }
 
+    /// `fork_parts` gives the stream `fork` gives the concatenation of the
+    /// parts, for any split of any label (empty parts included).
+    #[test]
+    fn fork_parts_equals_fork_of_the_concatenation(
+        seed in any::<u64>(),
+        label in ".{0,24}",
+        cuts in prop::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let parent = SimRng::seed_from_u64(seed);
+        let boundaries: Vec<usize> =
+            label.char_indices().map(|(i, _)| i).chain([label.len()]).collect();
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| boundaries[c % boundaries.len()]).collect();
+        cuts.sort_unstable();
+        let mut parts = Vec::with_capacity(cuts.len() + 1);
+        let mut from = 0;
+        for cut in cuts {
+            parts.push(&label[from..cut]);
+            from = cut;
+        }
+        parts.push(&label[from..]);
+        prop_assert_eq!(parts.concat(), label.as_str());
+        prop_assert_eq!(parent.fork_parts(&parts).seed(), parent.fork(&label).seed());
+    }
+
     /// Exponential samples are non-negative and finite for positive rates.
     #[test]
     fn exponential_samples_are_valid(seed in any::<u64>(), rate in 0.001f64..10.0) {

@@ -506,9 +506,9 @@ mod tests {
 
     /// A day of hourly collections reads no market data, so it fills no
     /// market segment; the first snapshot afterwards fills exactly the
-    /// segments that cover the latest stamp: for each of the 12 regions,
-    /// the first 4-day placement segment and the first 96-hour price
-    /// segment.
+    /// segments up to the one covering the latest stamp (day 2): for each
+    /// of the 12 regions, the placement segments from days 0, 1 and 2 and
+    /// the price segments over the same hours.
     #[test]
     fn collections_fill_no_market_segment_until_a_decision_reads_them() {
         let mut f = fixture();
@@ -521,7 +521,7 @@ mod tests {
         assert_eq!(f.market.materialized_segments(), (0, total));
         let latest = start + SimDuration::from_hours(24);
         assert_eq!(persisted(&mut f, None).1, latest);
-        assert_eq!(f.market.materialized_segments(), (24, total));
+        assert_eq!(f.market.materialized_segments(), (72, total));
         // The same segments one read at the latest stamp fills.
         let oracle = SpotMarket::new(MarketConfig::with_seed(3));
         f.monitor.fresh_assessments(&oracle, None, latest).unwrap();

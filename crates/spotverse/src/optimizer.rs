@@ -240,6 +240,25 @@ impl Optimizer {
         cheapest_on_demand(assessments.iter().filter(|a| self.config.allows_region(a.region)))
     }
 
+    /// The cheapest-on-demand region among admissible regions outside
+    /// `excluded`, or among every admissible region when all of them are
+    /// excluded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no assessed region is admissible.
+    pub fn cheapest_on_demand_outside(
+        &self,
+        assessments: &[RegionAssessment],
+        excluded: &[Region],
+    ) -> Region {
+        let admissible = || assessments.iter().filter(|a| self.config.allows_region(a.region));
+        if admissible().all(|a| excluded.contains(&a.region)) {
+            return self.cheapest_on_demand(assessments);
+        }
+        cheapest_on_demand(admissible().filter(|a| !excluded.contains(&a.region)))
+    }
+
     /// Initial placement for `n` workloads, appended to `out` (the fleet
     /// loop pools one vector across batches): all on spot in the
     /// configured region under [`InitialPlacement::SingleRegion`];
@@ -399,6 +418,15 @@ mod tests {
                 .max_regions(4)
                 .build(),
         )
+    }
+
+    #[test]
+    fn the_on_demand_pin_skips_excluded_regions_unless_all_are() {
+        let (opt, a) = (optimizer(6), fixture());
+        assert_eq!(opt.cheapest_on_demand_outside(&a, &[]), Region::UsEast2);
+        assert_eq!(opt.cheapest_on_demand_outside(&a, &[Region::UsEast2]), Region::UsEast1);
+        let all: Vec<Region> = a.iter().map(|x| x.region).collect();
+        assert_eq!(opt.cheapest_on_demand_outside(&a, &all), Region::UsEast2);
     }
 
     #[test]

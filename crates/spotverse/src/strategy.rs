@@ -508,15 +508,18 @@ impl SpotVerseStrategy {
 
     /// Per-decision bookkeeping ahead of Algorithm 1: the forecaster
     /// ingests the snapshot, and the deadline guard returns its on-demand
-    /// pin once slack runs out. Like the Optimizer's own on-demand
-    /// fallback, the pin ignores the exclusion list.
+    /// pin once slack runs out. The pin takes the cheapest on-demand
+    /// region outside the exclusion list (quarantined and capacity-full
+    /// regions), so a capped fleet's pinned workloads do not queue for
+    /// one full region's slot; only when every region is excluded does it
+    /// fall back to the cheapest of all.
     fn before_decision(&mut self, ctx: &StrategyContext<'_>) -> Option<Placement> {
         match &mut self.variant {
             Variant::Forecast(forecaster) => forecaster.observe(ctx.assessments),
             // A restart-from-scratch workload needs a full fresh attempt.
             Variant::Deadline(p) if p.must_go_on_demand(ctx.now, p.workload_duration) => {
                 return Some(Placement::OnDemand(
-                    self.optimizer.cheapest_on_demand(ctx.assessments),
+                    self.optimizer.cheapest_on_demand_outside(ctx.assessments, ctx.quarantined),
                 ));
             }
             Variant::Plain | Variant::Provider(_) | Variant::Deadline(_) => {}

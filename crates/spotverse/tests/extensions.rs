@@ -211,9 +211,10 @@ impl Unselected {
 /// candidates is one of its `Selected` regions and is not excluded; (b) a
 /// decision whose placement did not come from the selection (a deadline
 /// pin, a single-region start, a `StayPut` relaunch) records no
-/// candidates; (c) every other non-degraded decision records them. Under
-/// a cap of one, every strategy must also meet an exclusion, so (a) is
-/// seen to check one.
+/// candidates; (c) every other non-degraded decision records them; (d) a
+/// deadline-pinned placement lies outside its decision's exclusion list
+/// unless every region is excluded. Under a cap of one, every strategy
+/// must also meet an exclusion, so (a) and (d) are seen to check one.
 fn check_decision_audit(
     seed: u64,
     threshold: u8,
@@ -263,6 +264,19 @@ fn check_decision_audit(
             };
             let at = record.at;
             excluded_decisions += u32::from(!*degraded && !quarantined.is_empty());
+            // (d)
+            if matches!(unselected, Unselected::DeadlinePin(_))
+                && !*degraded
+                && unselected.covers(at, *kind)
+                && !Region::ALL.iter().all(|r| quarantined.contains(r))
+            {
+                for p in placements {
+                    prop_assert!(
+                        !quarantined.contains(&p.region()),
+                        "{name}: the pin {p:?} at {at:?} is excluded by {quarantined:?}"
+                    );
+                }
+            }
             let Some(candidates) = candidates else {
                 // (b) and (c): only a degraded or unselected decision
                 // records no candidates.

@@ -42,12 +42,14 @@ echo "==> perfbench smoke: each benchmark workload for one second"
 # current code and are not compared.
 # Some counters.json entries predate the current code, so this table pins
 # them at their new exact values:
-# - Two market.segments_materialized entries count the market's old fixed
-#   14-day segments; the market now fills doubling segments (4, 4, 8 ...
-#   128 days). The sweep's 9,600 did not move. The tournament's is 1,452,
-#   not 1,728: the Monitor reads a row's prices only when a decision asks,
-#   at the row's stamp, so the price segments that only its ticks reached
-#   stay unfilled.
+# - The market.segments_materialized entries count the market's old fixed
+#   14-day segments; the market now fills doubling segments (1, 1, 2, 4
+#   ... 128 days). A sweep cell reading day 1 fills the day-0 and day-1
+#   boxes of each track, so the sweep's 9,600 is now 19,200, with half
+#   the hourly prices generated. The fleet's is 96 and the tournament's
+#   3,756: the Monitor reads a row's prices only when a decision asks, at
+#   the row's stamp, so the segments that only its ticks reached stay
+#   unfilled.
 # - The tournament's optimizer.calls is 50,690: counters.json's 75,699
 #   minus the 25,009 explain_candidates calls the timing wrapper counted,
 #   one per non-degraded decision record in its traces at seed 2024. A
@@ -56,9 +58,10 @@ echo "==> perfbench smoke: each benchmark workload for one second"
 #   workloads run untraced, so theirs did not move.
 # ROADMAP item 16, the change to the benchmark that regenerates
 # counters.json, deletes this table.
-counter_overrides='{"fleet_loadgen": {"market.segments_materialized": 48},
-                    "tournament_regimes": {"market.segments_materialized": 1452,
-                                           "optimizer.calls": 50690}}'
+counter_overrides='{"fleet_loadgen": {"market.segments_materialized": 96},
+                    "tournament_regimes": {"market.segments_materialized": 3756,
+                                           "optimizer.calls": 50690},
+                    "sweep_orchestrated": {"market.segments_materialized": 19200}}'
 for workload in fleet_loadgen tournament_regimes sweep_orchestrated analyse_trace; do
     args=(--workload "$workload" --seconds 1)
     keys=""
@@ -201,8 +204,9 @@ echo "==> decision audit: a traced decision records the selection it placed from
 # placement of a decision that records candidates must be one of its
 # selected, unexcluded regions; a deadline pin, a single-region start and
 # a StayPut relaunch must record no candidates; every other non-degraded
-# decision must record them. The filter must select the one test, not
-# none.
+# decision must record them; a deadline pin must lie outside the
+# exclusion list unless every region is excluded. The filter must select
+# the one test, not none.
 audit_out=$(cargo test -q -p spotverse --test extensions -- \
     --exact every_variant_places_spot_only_in_selected_unexcluded_regions 2>&1) || {
     echo "$audit_out" >&2
@@ -214,6 +218,25 @@ if ! grep -q "1 passed" <<<"$audit_out"; then
     exit 1
 fi
 echo "    every traced decision's candidates are the selection it placed from"
+
+echo "==> lazy episodes: demand episodes drawn in day segments match the eager list"
+# A hand-driven episode generator on 8 days of 1, 1, 2 and 4-day
+# segments: one window runs from segment 0 through segment 1 (the
+# carry-in of both), one is extended by two later draws across a segment
+# boundary, and two overlap. Reads at every second within an hour of each
+# boundary and window edge, filled front to back and back to front, must
+# equal the eager merge. The filter must select the one test, not none.
+episodes_out=$(cargo test -q -p cloud-market --lib -- \
+    --exact market::tests::lazy_episodes_match_the_eager_merge_at_every_boundary_second 2>&1) || {
+    echo "$episodes_out" >&2
+    echo "==> lazy episodes FAILED" >&2
+    exit 1
+}
+if ! grep -q "1 passed" <<<"$episodes_out"; then
+    echo "==> lazy episodes FAILED: lazy_episodes_match_the_eager_merge_at_every_boundary_second did not run" >&2
+    exit 1
+fi
+echo "    lazy episode segments read exactly the eager windows at every boundary second"
 
 echo "==> golden workflows: committed .ga exports of the paper workflows"
 cargo test -q -p spotverse-integration --test golden_workflows

@@ -88,10 +88,10 @@ const RATE_PER_HOUR: f64 = 80.0;
 
 /// (workloads, events the run must deliver, exact allocations).
 const PINNED: [(usize, u64, u64); 2] = [(1_000, 4_469, FLEET_1000), (2_000, 8_928, FLEET_2000)];
-const FLEET_1000: u64 = 4_885;
-const FLEET_2000: u64 = 9_394;
+const FLEET_1000: u64 = 4_783;
+const FLEET_2000: u64 = 9_292;
 /// Events and exact allocations of the one-workload NGS cell.
-const SMALL_CELL: (u64, u64) = (45, 321);
+const SMALL_CELL: (u64, u64) = (45, 183);
 /// Exact allocations of 24 hourly steady-state Monitor collections.
 const MONITOR_DAY: u64 = 0;
 

@@ -4,8 +4,9 @@
 //! the eager reference build (`SpotMarket::new_eager`), including the
 //! `BeyondHorizon` error edges at and around segment boundaries.
 //!
-//! Segments double in length: their boundaries fall at days 4, 8, 16, 32,
-//! 64 and 128, and the last segment ends at the horizon.
+//! Segments double in length: their boundaries fall at days 1, 2, 4, 8,
+//! 16, 32, 64 and 128, and the last segment ends at the horizon. Demand
+//! episodes fill in the same day segments as placement scores.
 
 use cloud_market::{InstanceType, MarketConfig, MarketError, MarketRegime, Region, SpotMarket};
 use proptest::prelude::*;
@@ -22,11 +23,11 @@ type Observation = (
 );
 
 /// Every segment boundary inside the default 210-day horizon, in days.
-const BOUNDARY_DAYS: [u64; 6] = [4, 8, 16, 32, 64, 128];
+const BOUNDARY_DAYS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
-/// Horizons ending inside the first segment, on a boundary, and in the
-/// middle of later segments, up to the default 210 days.
-const HORIZON_DAYS: [u32; 8] = [3, 4, 5, 9, 17, 64, 130, 210];
+/// Horizons ending on the first boundaries, between later ones, and in
+/// the middle of later segments, up to the default 210 days.
+const HORIZON_DAYS: [u32; 10] = [1, 2, 3, 4, 5, 9, 17, 64, 130, 210];
 
 /// Every query kind the market exposes over (region, type, time), as one
 /// comparable value.
